@@ -38,19 +38,6 @@ def nats_to_bits(x: float) -> float:
     return x / LN2
 
 
-def bits_to_nats(x: float) -> float:
-    return x * LN2
-
-
-def nats_to_qary(x: float, q: int) -> float:
-    """Convert nats to base-q information digits."""
-    return x / math.log(q)
-
-
-def qary_to_nats(x: float, q: int) -> float:
-    return x * math.log(q)
-
-
 def _parse_entry(v):
     """Parse a probability entry; returns (float, Fraction-or-None)."""
     if isinstance(v, Fraction):

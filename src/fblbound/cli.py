@@ -10,8 +10,7 @@ Conventions shared by every command: channels arrive as JSON files,
 randomized runs require an explicit --seed (no wall-clock seeding), and
 identical arguments produce byte-identical output.  Exit codes: 0
 success, 2 configuration error, 3 a computation guard tripped, 4 a
-numeric assumption failed.  FBLBOUND_THREADS, when set, caps the BLAS
-thread pools spawned by the numeric kernels.
+numeric assumption failed.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 from dataclasses import asdict
 
@@ -847,11 +845,6 @@ def _dispatch(args) -> int:
 
 
 def main(argv=None) -> int:
-    threads = os.environ.get("FBLBOUND_THREADS")
-    if threads:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, threads)
     args = _build_parser().parse_args(argv)
     try:
         return _dispatch(args)

@@ -19,7 +19,7 @@ functions return per-symbol q-ary units as documented.
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 import warnings
 from collections import Counter
@@ -29,13 +29,10 @@ import numpy as np
 
 from .gfq import field_from_order
 
-# Guards, in order: direct (edge-value, socket-value) enumeration of one
-# check node; coefficient-lattice size during polynomial powering; dense
-# per-type table size; edge-DP work estimate for one check node.
-_ENUM_GUARD = 100_000_000
+# Guards: coefficient-lattice size (the socket types of one check node,
+# and the lattice during polynomial powering); dense per-type table size.
 _LATTICE_GUARD = 20_000_000
 _TABLE_GUARD = 2_000_000
-_DP_GUARD = 100_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -86,22 +83,18 @@ def symbol_components(index: int, q: int, num_users: int) -> tuple[int, ...]:
     return tuple(reversed(comps))
 
 
-def _compositions(total: int, parts: int):
+def type_compositions(total: int, parts: int):
+    """All length-`parts` tuples of nonnegative ints summing to `total`."""
     if parts == 1:
         yield (total,)
         return
     for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
+        for rest in type_compositions(total - head, parts - 1):
             yield (head,) + rest
 
 
 def _num_compositions(total: int, parts: int) -> int:
     return math.comb(total + parts - 1, parts - 1)
-
-
-def type_compositions(total: int, parts: int):
-    """All length-`parts` tuples of nonnegative ints summing to `total`."""
-    return _compositions(total, parts)
 
 
 def multinomial_exact(n: int, t) -> int:
@@ -162,10 +155,12 @@ def _alphabet_base(size: int, num_users: int) -> int:
 
 @dataclass(frozen=True)
 class CheckPolynomial:
-    """Sparse socket-type enumerator of one degree-rho check node.
+    """Sparse socket-type enumerator of one degree-rho check node, as
+    computed by the exact character sum in ``check_polynomial``.
 
     coeffs[t] counts the pairs (edge labels in GF(q)*^rho, socket symbols
-    in Q^rho) of socket type t whose labeled sum vanishes componentwise.
+    in Q^rho) of socket type t whose labeled sum vanishes componentwise;
+    only nonzero coefficients are stored.
     """
 
     q: int
@@ -188,180 +183,73 @@ class CheckPolynomial:
         return (q - 1) ** rho * q ** (self.num_users * (rho - 1))
 
 
-def _enumerate_check_poly(q, num_users, rho):
-    f = field_from_order(q)
-    qk = q ** num_users
-    comps = [symbol_components(g, q, num_users) for g in range(qk)]
-    add = [[int(f.add(a, b)) for b in range(q)] for a in range(q)]
-    mul = [[int(f.mul(a, b)) for b in range(q)] for a in range(q)]
-    neg = [int(f.neg(a)) for a in range(q)]
-    inv = [0] + [int(f.inv(a)) for a in range(1, q)]
-    counts: Counter = Counter()
-    for evec in itertools.product(range(1, q), repeat=rho):
-        rows = [mul[e] for e in evec[:-1]]
-        ilast = inv[evec[-1]]
-        for gs in itertools.product(range(qk), repeat=rho - 1):
-            last = []
-            for u in range(num_users):
-                s = 0
-                for i, g in enumerate(gs):
-                    s = add[s][rows[i][comps[g][u]]]
-                last.append(mul[ilast][neg[s]])
-            glast = flat_symbol_index(last, q)
-            t = [0] * qk
-            for g in gs:
-                t[g] += 1
-            t[glast] += 1
-            counts[tuple(t)] += 1
-    return dict(counts)
+def check_polynomial(q: int, num_users: int,
+                     check_degree: int) -> CheckPolynomial:
+    """Socket-type enumerator of a single check node, exact in integers.
 
+    Character (MacWilliams) sum over k in Q = GF(q)^K, with <k, s> the
+    base-p digit inner product mod p.  For every k and socket symbol g
+    the label sum over e in GF(q)* of omega^<k, e*g> is exactly q - 1
+    when the GF(p)-linear map e -> <k, e*g> vanishes and exactly -1
+    otherwise, so with a_k(t) the count of sockets orthogonal to k,
 
-def _dp_check_poly(q, num_users, rho):
-    # Exact edge-by-edge dynamic program over (running sum, partial type).
-    f = field_from_order(q)
-    qk = q ** num_users
-    comps = [symbol_components(g, q, num_users) for g in range(qk)]
-    add_flat = [
-        [
-            flat_symbol_index(
-                [int(f.add(a, b)) for a, b in zip(comps[x], comps[y])], q
-            )
-            for y in range(qk)
-        ]
-        for x in range(qk)
-    ]
-    # per socket symbol: multiset of labeled values e*g, e in GF(q)*
-    deltas = []
-    for g in range(qk):
-        c: Counter = Counter()
-        for e in range(1, q):
-            eg = flat_symbol_index([int(f.mul(e, comp)) for comp in comps[g]], q)
-            c[eg] += 1
-        deltas.append(list(c.items()))
-    zero_t = tuple([0] * qk)
-    state = [dict() for _ in range(qk)]
-    state[0][zero_t] = 1
-    for _ in range(rho):
-        nxt = [dict() for _ in range(qk)]
-        for s in range(qk):
-            bucket = state[s]
-            if not bucket:
-                continue
-            for t, cnt in bucket.items():
-                for g in range(qk):
-                    key = t[:g] + (t[g] + 1,) + t[g + 1:]
-                    for eg, w in deltas[g]:
-                        dst = nxt[add_flat[s][eg]]
-                        dst[key] = dst.get(key, 0) + cnt * w
-        state = nxt
-    return {t: c for t, c in state[0].items() if c}
+        coeff(t) = multinomial(rho, t) q^-K
+                   sum_k (q - 1)^a_k(t) (-1)^(rho - a_k(t)).
 
-
-def _dft_check_poly(q, num_users, rho):
-    f = field_from_order(q)
-    p, m = f.p, f.m
-    qk = q ** num_users
-    mk = m * num_users
-    comps = [symbol_components(g, q, num_users) for g in range(qk)]
-    # base-p digit vector of a composite symbol (user 1 first)
-    dig = np.zeros((qk, mk), dtype=np.int64)
-    for g in range(qk):
-        for u, comp in enumerate(comps[g]):
-            dig[g, u * m:(u + 1) * m] = f._digit[comp]
-    omega = np.exp(-2j * math.pi * np.arange(p) / p)
-    # C[k, g] = sum over nonzero edge labels e of the character at <k, e*g>
-    char = np.zeros((qk, qk), dtype=complex)
-    for e in range(1, q):
-        eg = np.array(
-            [
-                flat_symbol_index([int(f.mul(e, c)) for c in comps[g]], q)
-                for g in range(qk)
-            ]
-        )
-        ip = (dig @ dig[eg].T) % p
-        char += omega[ip]
-    coeffs = {}
-    mass = 0
-    for t in _compositions(rho, qk):
-        b = multinomial_exact(rho, t)
-        if b > (1 << 52):
-            raise ValueError(
-                "check degree too large for the transform route; "
-                "use the dynamic-programming route"
-            )
-        prod = np.ones(qk, dtype=complex)
-        for g, tg in enumerate(t):
-            if tg:
-                prod = prod * char[:, g] ** tg
-        val = b * prod.sum() / qk
-        nearest = round(val.real)
-        scale = max(1.0, abs(nearest))
-        if abs(val.real - nearest) > 1e-6 * scale or abs(val.imag) > 1e-6 * scale:
-            raise ArithmeticError(
-                f"transform coefficient at {t} not integral: {val}"
-            )
-        if nearest:
-            coeffs[t] = int(nearest)
-            mass += int(nearest)
-    return coeffs
-
-
-def check_polynomial(q: int, num_users: int, check_degree: int,
-                     method: str = "auto") -> CheckPolynomial:
-    """Socket-type enumerator of a single check node.
-
-    method: "enumerate" (direct loop over edge and socket values), "dp"
-    (exact dynamic program over edges), "dft" (character-sum transform),
-    or "auto" to pick by size guards.  All routes produce identical
-    integer coefficients; "enumerate" and "dft" stay independent so they
-    can cross-check each other.
+    Raises ValueError (a guard) when the socket types of one check
+    exceed the lattice guard, ArithmeticError when the character sum is
+    not divisible by q^K or the total mass is off.
     """
     if check_degree < 1:
         raise ValueError("check degree must be at least 1")
     if num_users < 1:
         raise ValueError("need at least one user")
+    rho = check_degree
     qk = q ** num_users
-    if method == "auto":
-        if (q - 1) ** check_degree * q ** (num_users * check_degree) <= _ENUM_GUARD:
-            method = "enumerate"
-        else:
-            dp_cost = (
-                check_degree * qk * qk * (q - 1)
-                * _num_compositions(check_degree, qk)
+    num_types = _num_compositions(rho, qk)
+    if num_types > _LATTICE_GUARD:
+        raise ValueError(
+            f"{num_types} socket types of one degree-{rho} check exceed "
+            f"the {_LATTICE_GUARD} lattice guard"
+        )
+    f = field_from_order(q)
+    comps = np.array(
+        [symbol_components(g, q, num_users) for g in range(qk)], dtype=np.int64
+    )
+    dig = f._digit[comps].reshape(qk, -1)
+    # orth[k, g]: e -> <k, e*g> vanishes on all of GF(q)
+    orth = np.ones((qk, qk), dtype=bool)
+    for e in range(1, q):
+        orth &= (dig @ f._digit[f.mul(e, comps)].reshape(qk, -1).T) % f.p == 0
+    # the sum depends on k only through its orthogonal socket set
+    orth_sets = Counter(
+        tuple(int(g) for g in np.flatnonzero(row)) for row in orth
+    )
+    term = [(q - 1) ** a * (-1) ** (rho - a) for a in range(rho + 1)]
+    coeffs = {}
+    for t in type_compositions(rho, qk):
+        total = sum(
+            mult * term[sum(t[g] for g in gs)] for gs, mult in orth_sets.items()
+        )
+        count, rem = divmod(total, qk)
+        if rem:
+            raise ArithmeticError(
+                f"character sum {total} at {t} is not divisible by {qk}"
             )
-            method = "dp" if dp_cost <= _DP_GUARD else "dft"
-    if method == "enumerate":
-        if (q - 1) ** check_degree * q ** (num_users * check_degree) > _ENUM_GUARD:
-            raise ValueError(
-                "direct enumeration guard exceeded; use method='dp' or 'dft'"
-            )
-        coeffs = _enumerate_check_poly(q, num_users, check_degree)
-    elif method == "dp":
-        coeffs = _dp_check_poly(q, num_users, check_degree)
-    elif method == "dft":
-        coeffs = _dft_check_poly(q, num_users, check_degree)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    poly = CheckPolynomial(q, num_users, check_degree, coeffs)
+        if count:
+            coeffs[t] = multinomial_exact(rho, t) * count
+    poly = CheckPolynomial(q, num_users, rho, coeffs)
     if poly.total_mass() != poly.expected_total_mass():
         raise ArithmeticError(
             f"check polynomial mass {poly.total_mass()} != "
-            f"{poly.expected_total_mass()} (q={q}, K={num_users}, "
-            f"rho={check_degree}, method={method})"
+            f"{poly.expected_total_mass()} (q={q}, K={num_users}, rho={rho})"
         )
     return poly
 
 
-_check_poly_cache: dict[tuple, CheckPolynomial] = {}
-
-
+@functools.lru_cache(maxsize=16)
 def _cached_check_poly(q, num_users, rho) -> CheckPolynomial:
-    key = (q, num_users, rho)
-    if key not in _check_poly_cache:
-        if len(_check_poly_cache) > 16:
-            _check_poly_cache.clear()
-        _check_poly_cache[key] = check_polynomial(q, num_users, rho)
-    return _check_poly_cache[key]
+    return check_polynomial(q, num_users, rho)
 
 
 # ---------------------------------------------------------------------------
@@ -513,23 +401,15 @@ def ldpc_spectrum_exponent(theta, var_degree: int, check_degree: int,
 # ---------------------------------------------------------------------------
 # finite-n sparse-graph spectrum
 
-_power_cache: dict[tuple, dict | None] = {}
-
-
+@functools.lru_cache(maxsize=8)
 def _poly_power(q, num_users, rho, num_checks):
     """coeffs of the check enumerator raised to num_checks, or None when
     the coefficient lattice would exceed the memory guard."""
-    key = (q, num_users, rho, num_checks)
-    if key in _power_cache:
-        return _power_cache[key]
     if _num_compositions(rho * num_checks, q ** num_users) > _LATTICE_GUARD:
         # the full socket lattice cannot fit; skip the powering outright
-        _power_cache[key] = None
         return None
     base = _cached_check_poly(q, num_users, rho).coeffs
-    out = None
     cur = dict(base)
-    ok = True
     for _ in range(num_checks - 1):
         nxt: dict = {}
         for ta, ca in cur.items():
@@ -537,17 +417,9 @@ def _poly_power(q, num_users, rho, num_checks):
                 tkey = tuple(a + b for a, b in zip(ta, tb))
                 nxt[tkey] = nxt.get(tkey, 0) + ca * cb
             if len(nxt) > _LATTICE_GUARD:
-                ok = False
-                break
-        if not ok:
-            break
+                return None
         cur = nxt
-    if ok:
-        out = cur
-    if len(_power_cache) > 8:
-        _power_cache.clear()
-    _power_cache[key] = out
-    return out
+    return cur
 
 
 def ldpc_finite_spectrum(n: int, t, var_degree: int, check_degree: int,
@@ -642,7 +514,7 @@ def _all_types_guarded(n: int, qk: int):
             f"dense table over {_num_compositions(n, qk)} types exceeds the "
             f"{_TABLE_GUARD} guard; pass an explicit type list"
         )
-    return _compositions(n, qk)
+    return type_compositions(n, qk)
 
 
 def uniform_spectrum_table(n: int, q: int, num_users: int,
@@ -836,12 +708,12 @@ def _jsigma_types(n: int, qk: int, sigma: float, cap: int = 200_000):
     )
     if total <= cap:
         for w in range(wmin, n + 1):
-            for rest in _compositions(w, qk - 1):
+            for rest in type_compositions(w, qk - 1):
                 yield (n - w,) + rest
         return
     stride = max(2, math.ceil((total / cap) ** (1.0 / max(qk - 1, 1))))
     for w in range(wmin, n + 1):
-        for rest in _compositions(w, qk - 1):
+        for rest in type_compositions(w, qk - 1):
             if all(c % stride == 0 for c in rest[:-1]):
                 yield (n - w,) + rest
 
@@ -882,10 +754,10 @@ def rate_offset_decomposition(n: int, var_degree: int, check_degree: int,
     best4 = -math.inf
     best4_t = None
     for t in _jsigma_types(n, qk, sigma):
-        coeff = power.get(tuple(lam * c for c in t), 0)
+        socket_t = tuple(lam * c for c in t)
+        coeff = power.get(socket_t, 0)
         if coeff == 0:
             continue
-        socket_t = tuple(lam * c for c in t)
         ln_fin = (
             math.log(multinomial_exact(n, t) * coeff)
             - math.log(multinomial_exact(n * lam, socket_t) * lam_n)

@@ -1,12 +1,16 @@
 """Independent exact oracles used by the unit and acceptance tests.
 
-Everything here is computed in rational arithmetic with direct sequence
-enumeration: no joint types, no convolutions, no shared code with the
-implementations under test.
+Everything here is computed in rational or integer arithmetic with direct
+sequence enumeration: no joint types, no convolutions, no shared code with
+the implementations under test.  The two check-node oracles share only
+``fblbound.gfq`` field arithmetic with production.
 """
 
 import itertools
+from collections import Counter
 from fractions import Fraction
+
+from fblbound.gfq import field_from_order
 
 
 def _seq_prob(pmf_exact, seq):
@@ -171,3 +175,84 @@ def coset_ensemble_error(dmc, n, msg_digits, q=2):
             total += err / len(msgs)
             codes += 1
     return total / codes
+
+
+def _composite_symbols(q, num_users):
+    """Components of every composite symbol, user 1 most significant, and
+    the flat index of a component tuple."""
+    comps = [
+        tuple(g // q ** (num_users - 1 - u) % q for u in range(num_users))
+        for g in range(q ** num_users)
+    ]
+
+    def flat(cs):
+        idx = 0
+        for c in cs:
+            idx = idx * q + int(c)
+        return idx
+
+    return comps, flat
+
+
+def enumerate_check_poly(q, num_users, rho):
+    """Socket-type enumerator of one degree-rho check node by direct
+    enumeration of edge labels and the first rho-1 socket symbols (the
+    last symbol is forced).  Raises ValueError past 1e8 tuples."""
+    if (q - 1) ** rho * q ** (num_users * rho) > 100_000_000:
+        raise ValueError("direct enumeration guard exceeded")
+    f = field_from_order(q)
+    qk = q ** num_users
+    comps, flat = _composite_symbols(q, num_users)
+    add = [[int(f.add(a, b)) for b in range(q)] for a in range(q)]
+    mul = [[int(f.mul(a, b)) for b in range(q)] for a in range(q)]
+    neg = [int(f.neg(a)) for a in range(q)]
+    inv = [0] + [int(f.inv(a)) for a in range(1, q)]
+    counts = Counter()
+    for evec in itertools.product(range(1, q), repeat=rho):
+        rows = [mul[e] for e in evec[:-1]]
+        ilast = inv[evec[-1]]
+        for gs in itertools.product(range(qk), repeat=rho - 1):
+            last = []
+            for u in range(num_users):
+                s = 0
+                for i, g in enumerate(gs):
+                    s = add[s][rows[i][comps[g][u]]]
+                last.append(mul[ilast][neg[s]])
+            t = [0] * qk
+            for g in gs:
+                t[g] += 1
+            t[flat(last)] += 1
+            counts[tuple(t)] += 1
+    return dict(counts)
+
+
+def dp_check_poly(q, num_users, rho):
+    """Same enumerator by an edge-by-edge dynamic program over (running
+    labeled sum, partial socket type)."""
+    f = field_from_order(q)
+    qk = q ** num_users
+    comps, flat = _composite_symbols(q, num_users)
+    add_flat = [
+        [flat([int(f.add(a, b)) for a, b in zip(comps[x], comps[y])])
+         for y in range(qk)]
+        for x in range(qk)
+    ]
+    # per socket symbol: multiset of labeled values e*g, e in GF(q)*
+    deltas = [
+        list(Counter(flat([int(f.mul(e, c)) for c in comps[g]])
+                     for e in range(1, q)).items())
+        for g in range(qk)
+    ]
+    state = [dict() for _ in range(qk)]
+    state[0][(0,) * qk] = 1
+    for _ in range(rho):
+        nxt = [dict() for _ in range(qk)]
+        for s in range(qk):
+            for t, cnt in state[s].items():
+                for g in range(qk):
+                    key = t[:g] + (t[g] + 1,) + t[g + 1:]
+                    for eg, w in deltas[g]:
+                        dst = nxt[add_flat[s][eg]]
+                        dst[key] = dst.get(key, 0) + cnt * w
+        state = nxt
+    return {t: c for t, c in state[0].items() if c}

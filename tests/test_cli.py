@@ -194,6 +194,15 @@ def test_spectrum_large_n_table_hits_guard(capsys):
     assert "guard" in err
 
 
+def test_spectrum_check_node_guard(capsys):
+    # one degree-6 check over GF(16)^2 has about 4.1e11 socket types
+    rc, _, err = run(capsys, ["spectrum", "--q", "16", "--K", "2",
+                              "--lambda", "3", "--check-degree", "6",
+                              "--n", "1200", "--theta", "0.5"])
+    assert rc == 3
+    assert "guard" in err
+
+
 def test_spectrum_divisibility_is_config_error(capsys):
     rc, _, _ = run(capsys, ["spectrum", "--q", "2", "--lambda", "3",
                             "--check-degree", "6", "--n", "13"])

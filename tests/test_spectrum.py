@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from fblbound import spectrum as sp
 
 
@@ -52,7 +53,7 @@ def test_compositions_total_count():
     # sum of multinomials over all compositions is parts^n
     n, parts = 6, 3
     total = sum(
-        sp.multinomial_exact(n, t) for t in sp._compositions(n, parts)
+        sp.multinomial_exact(n, t) for t in sp.type_compositions(n, parts)
     )
     assert total == parts ** n
 
@@ -110,9 +111,8 @@ def test_uniform_exponent_bad_theta():
 # single-check enumerator
 
 def test_check_polynomial_binary_pair():
-    for method in ("enumerate", "dp", "dft"):
-        poly = sp.check_polynomial(2, 1, 2, method=method)
-        assert poly.coeffs == {(2, 0): 1, (0, 2): 1}
+    poly = sp.check_polynomial(2, 1, 2)
+    assert poly.coeffs == {(2, 0): 1, (0, 2): 1}
 
 
 def test_check_polynomial_mass_ternary():
@@ -134,20 +134,23 @@ def test_check_polynomial_degree_one():
 
 
 def test_check_polynomial_routes_agree():
-    for q, k, rho in [(3, 1, 3), (4, 1, 3), (2, 2, 3), (3, 2, 2)]:
-        enum = sp.check_polynomial(q, k, rho, method="enumerate").coeffs
-        dft = sp.check_polynomial(q, k, rho, method="dft").coeffs
-        dp = sp.check_polynomial(q, k, rho, method="dp").coeffs
-        assert enum == dft
-        assert enum == dp
+    for q, k, rho in [(3, 1, 3), (4, 1, 3), (2, 2, 3), (3, 2, 2), (4, 2, 4)]:
+        coeffs = sp.check_polynomial(q, k, rho).coeffs
+        assert coeffs == oracles.enumerate_check_poly(q, k, rho)
+        assert coeffs == oracles.dp_check_poly(q, k, rho)
+    # past the enumeration oracle's guard, only the edge DP checks these
+    for q, k, rho in [(8, 1, 6), (3, 1, 40)]:
+        coeffs = sp.check_polynomial(q, k, rho).coeffs
+        assert coeffs == oracles.dp_check_poly(q, k, rho)
 
 
 def test_check_polynomial_enumeration_guard():
     with pytest.raises(ValueError):
-        sp.check_polynomial(2, 1, 60, method="enumerate")
-    # auto falls through to an exact route instead
-    poly = sp.check_polynomial(2, 1, 40, method="auto")
+        oracles.enumerate_check_poly(2, 1, 60)
+    # production stays exact past the oracle's guard
+    poly = sp.check_polynomial(2, 1, 40)
     assert poly.total_mass() == poly.expected_total_mass()
+    assert poly.coeffs == oracles.dp_check_poly(2, 1, 40)
 
 
 def test_check_polynomial_scaling_symmetry():
@@ -254,7 +257,7 @@ def test_finite_spectrum_total_mass_near_design_count():
     # design count, and close to it when short loops are rare
     n = 12
     total = 0.0
-    for t in sp._compositions(n, 2):
+    for t in sp.type_compositions(n, 2):
         v = sp.ldpc_finite_spectrum(n, t, 3, 6, 2, 1)
         if v > -math.inf:
             total += math.exp(v)
