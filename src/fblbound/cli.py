@@ -28,8 +28,9 @@ from .channel import (DmcModel, InputPmf, MacModel, channel_from_json,
                       induced_input_pmf, make_quantizer)
 from .exponent import (expurgated_bound, exponent_rate_bound,
                        kmac_exponent_bound, two_mac_exponent_bound)
-from .fbl import (achievable_logM_ppc, ldpc_rcu_ppc, q_inv, rcu_exact_ppc,
-                  rcu_mac, rcu_mc_ppc, rcu_relaxed_ppc, scaling_table)
+from .fbl import (WindowError, achievable_logM_ppc, ldpc_rcu_ppc, q_inv,
+                  rcu_exact_ppc, rcu_mac, rcu_mc_ppc, rcu_relaxed_ppc,
+                  scaling_table)
 from .gfq import field_from_order
 from .infodensity import ppc_moments
 from .simulator import (actual_rate_stats, enumerate_codebook, min_distance,
@@ -552,7 +553,7 @@ def cmd_compare(config: dict) -> dict:
             rig = achievable_logM_ppc(channel, pmf, n, eps,
                                       strict_window=True)
             rig_rate, window_valid = rig.value / n, True
-        except ValueError:
+        except WindowError:
             rig_rate, window_valid = 0.0, False
         rows.append({
             "n": n, "bound_name": "dispersion-rate-rigorous",

@@ -10,18 +10,19 @@ internal is in nats.
 
 Exact evaluation enumerates joint types; the per-type competitor tail is
 the tail of an n-fold product distribution built by convolving one
-likelihood-ratio atom set per conditioning symbol.  When the channel and
-input pmf carry exact rational entries, ratio keys are `Fraction`s and
-tie comparisons are exact; otherwise keys are log-domain floats merged
-and compared with a conservative tolerance.
+likelihood-ratio atom set per conditioning symbol.  Ratio keys are
+log-domain floats for rational and float channels alike: keys within
+1e-12 merge into one atom, and a competitor whose score comes within 1e-9
+of the sent word's information density counts as a tie, hence as an
+error, which keeps every bound conservative.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -36,10 +37,15 @@ LN2 = math.log(2.0)
 _JOINT_TYPE_GUARD = 1_000_000
 # float ratio keys closer than this are treated as one atom
 _KEY_MERGE_TOL = 1e-12
-# float-path tie tolerance: thresholds within this of a key count as ties
+# tie tolerance: keys within this below a threshold count as ties
 _TIE_TOL = 1e-9
 _MC_CHUNK = 4096
 _MIN_TRIALS = 1000
+
+
+class WindowError(ValueError):
+    """The blocklength lies below the validity window of the proof-constant
+    closed form for ``achievable_logM_ppc``."""
 
 
 # ---------------------------------------------------------------------------
@@ -233,31 +239,24 @@ def _merge_close(items):
 class _TailSystem:
     """Tail of the competitor score over an n-fold conditioning type.
 
-    ``atoms[cell]`` lists (key, probability) pairs for one conditioning
-    symbol; the score of a sequence is the product (exact keys) or sum
-    (log-domain float keys) over its letters.  ``tail(counts, thr)``
-    returns P[score >= thr] under the given per-cell letter counts, with
-    equality counted in (ties as errors).
+    ``atoms[cell]`` lists (log-likelihood-ratio, probability) pairs for one
+    conditioning symbol; the score of a sequence is the sum over its
+    letters, i.e. the competitor's information density.  Scores within
+    ``_KEY_MERGE_TOL`` merge into one atom.  ``tail(counts, thr)`` returns
+    P[score >= thr - _TIE_TOL] under the given per-cell letter counts, so
+    exact ties, which float rounding can push either way, count as errors.
     """
 
-    def __init__(self, atoms, exact: bool):
+    def __init__(self, atoms):
         self.atoms = atoms
-        self.exact = exact
-        self._one = Fraction(1) if exact else 0.0
         self._tables: dict = {}
 
     def _convolve(self, dist, cell):
         out: dict = {}
-        if self.exact:
-            for k, p in dist.items():
-                for ak, ap in self.atoms[cell]:
-                    nk = k * ak
-                    out[nk] = out.get(nk, 0.0) + p * ap
-        else:
-            for k, p in dist.items():
-                for ak, ap in self.atoms[cell]:
-                    nk = k + ak
-                    out[nk] = out.get(nk, 0.0) + p * ap
+        for k, p in dist.items():
+            for ak, ap in self.atoms[cell]:
+                nk = k + ak
+                out[nk] = out.get(nk, 0.0) + p * ap
         return out
 
     def table(self, counts):
@@ -265,13 +264,11 @@ class _TailSystem:
         tab = self._tables.get(counts)
         if tab is not None:
             return tab
-        dist = {self._one: 1.0}
+        dist = {0.0: 1.0}
         for cell, c in enumerate(counts):
             for _ in range(c):
                 dist = self._convolve(dist, cell)
-        items = sorted(dist.items(), key=lambda kv: kv[0])
-        if not self.exact:
-            items = _merge_close(items)
+        items = _merge_close(sorted(dist.items()))
         keys = [k for k, _ in items]
         suffix = [0.0] * (len(keys) + 1)
         for i in range(len(keys) - 1, -1, -1):
@@ -284,8 +281,33 @@ class _TailSystem:
 
     def tail(self, counts, threshold) -> float:
         keys, suffix = self.table(counts)
-        thr = threshold if self.exact else threshold - _TIE_TOL
-        return min(suffix[bisect_left(keys, thr)], 1.0)
+        return min(suffix[bisect_left(keys, threshold - _TIE_TOL)], 1.0)
+
+
+def _competitor_atoms(lik, prior, out_prob):
+    """One atom list per conditioning cell c: (log lik[c, j] - log
+    out_prob[c], prior[j]) over the candidate symbols j in the support of
+    ``prior``; a cell the output never reaches gets no atoms."""
+    atoms = []
+    for row, po in zip(lik, out_prob):
+        ats = []
+        if po > 0.0:
+            for w, p in zip(row, prior):
+                if p <= 0.0:
+                    continue
+                k = math.log(w) - math.log(po) if w > 0.0 else -math.inf
+                ats.append((k, float(p)))
+        atoms.append(ats)
+    return atoms
+
+
+def _check_lattice(n: int, num_cells: int, caller: str):
+    lattice = math.comb(n + num_cells - 1, num_cells - 1)
+    if lattice > _JOINT_TYPE_GUARD:
+        raise ValueError(
+            f"joint-type lattice has {lattice} points, beyond the "
+            f"{_JOINT_TYPE_GUARD} enumeration guard; use {caller}"
+        )
 
 
 class _PpcContext:
@@ -297,17 +319,10 @@ class _PpcContext:
             raise ValueError(
                 f"pmf over {pmf.size} symbols does not match |X|={dmc.input_size}"
             )
-        self.dmc = dmc
-        self.pmf = pmf
         sx, sy = dmc.input_size, dmc.output_size
         self.sy = sy
         px = pmf.probs
         py = px @ dmc.w
-        self.exact = dmc.is_exact and pmf.exact is not None
-        py_ex = None
-        if self.exact:
-            py_ex = [sum(pmf.exact[x] * dmc.w_exact[x][y] for x in range(sx))
-                     for y in range(sy)]
         cells = []
         for x in range(sx):
             for y in range(sy):
@@ -315,84 +330,38 @@ class _PpcContext:
                 if jp <= 0.0:
                     continue
                 i_val = math.log(dmc.w[x, y]) - math.log(py[y])
-                key = None
-                if self.exact:
-                    key = dmc.w_exact[x][y] / py_ex[y]
-                cells.append((x, y, math.log(jp), i_val, key))
+                cells.append((x, y, math.log(jp), i_val))
         self.cells = cells
-        atoms = []
-        for y in range(sy):
-            ats = []
-            if py[y] > 0.0:
-                for x in range(sx):
-                    if px[x] <= 0.0:
-                        continue
-                    if self.exact:
-                        k = dmc.w_exact[x][y] / py_ex[y]
-                    else:
-                        k = (math.log(dmc.w[x, y]) - math.log(py[y])
-                             if dmc.w[x, y] > 0.0 else -math.inf)
-                    ats.append((k, float(px[x])))
-            atoms.append(ats)
-        self.system = _TailSystem(atoms, self.exact)
+        self._cell_by_xy = {(c[0], c[1]): c for c in cells}
+        self.system = _TailSystem(_competitor_atoms(dmc.w.T, px, py))
 
-    def guard(self, n: int, caller: str):
-        lattice = math.comb(n + len(self.cells) - 1, len(self.cells) - 1)
-        if lattice > _JOINT_TYPE_GUARD:
-            raise ValueError(
-                f"joint-type lattice has {lattice} points, beyond the "
-                f"{_JOINT_TYPE_GUARD} enumeration guard; use {caller}"
-            )
+    def _fold(self, logp, cell_counts):
+        # (log_prob, i_total, y_counts) summed over (cell, count) pairs
+        i_tot = 0.0
+        ycounts = [0] * self.sy
+        for (_x, y, lp, i_val), cnt in cell_counts:
+            if cnt == 0:
+                continue
+            logp += cnt * lp
+            i_tot += cnt * i_val
+            ycounts[y] += cnt
+        return logp, i_tot, tuple(ycounts)
 
     def type_terms(self, n: int):
-        """Yield (log_prob, i_total, y_counts, threshold_key) per joint type."""
-        ncells = len(self.cells)
-        logp_cell = [c[2] for c in self.cells]
-        i_cell = [c[3] for c in self.cells]
-        key_cell = [c[4] for c in self.cells]
-        y_of = [c[1] for c in self.cells]
-        for t in type_compositions(n, ncells):
-            logp = multinomial_log(n, t)
-            i_tot = 0.0
-            ycounts = [0] * self.sy
-            key = Fraction(1) if self.exact else None
-            for idx, cnt in enumerate(t):
-                if cnt == 0:
-                    continue
-                logp += cnt * logp_cell[idx]
-                i_tot += cnt * i_cell[idx]
-                ycounts[y_of[idx]] += cnt
-                if self.exact:
-                    key = key * key_cell[idx] ** cnt
-            if not self.exact:
-                key = i_tot
-            yield logp, i_tot, tuple(ycounts), key
+        """Yield (log_prob, i_total, y_counts) per joint type; i_total is
+        also the threshold the competitor tail is read at."""
+        for t in type_compositions(n, len(self.cells)):
+            yield self._fold(multinomial_log(n, t), zip(self.cells, t))
 
     def trial_term(self, xrow, yrow):
-        """(i_total, y_counts, threshold_key) for one sampled (x^n, y^n)."""
-        sy = self.sy
-        counts: dict = {}
-        for x, y in zip(xrow, yrow):
-            counts[(x, y)] = counts.get((x, y), 0) + 1
-        i_tot = 0.0
-        ycounts = [0] * sy
-        key = Fraction(1) if self.exact else None
-        cell_by_xy = getattr(self, "_cell_by_xy", None)
-        if cell_by_xy is None:
-            cell_by_xy = {(c[0], c[1]): c for c in self.cells}
-            self._cell_by_xy = cell_by_xy
-        for (x, y), cnt in counts.items():
-            c = cell_by_xy[(x, y)]
-            i_tot += cnt * c[3]
-            ycounts[y] += cnt
-            if self.exact:
-                key = key * c[4] ** cnt
-        if not self.exact:
-            key = i_tot
-        return i_tot, tuple(ycounts), key
+        """(i_total, y_counts) for one sampled (x^n, y^n)."""
+        counts = Counter(zip(xrow.tolist(), yrow.tolist()))
+        _logp, i_tot, ycounts = self._fold(
+            0.0, ((self._cell_by_xy[xy], cnt) for xy, cnt in counts.items()))
+        return i_tot, ycounts
 
 
-def _as_pmf(pmf, size: int) -> InputPmf:
+def _as_pmf(pmf) -> InputPmf:
     if isinstance(pmf, InputPmf):
         return pmf
     return InputPmf.from_values(pmf)
@@ -428,16 +397,16 @@ def rcu_exact_ppc(dmc: DmcModel, input_pmf, n: int, num_messages) -> BoundReport
     _check_block(n)
     if num_messages < 1:
         raise ValueError(f"need at least one message, got {num_messages}")
-    pmf = _as_pmf(input_pmf, dmc.input_size)
+    pmf = _as_pmf(input_pmf)
     ctx = _PpcContext(dmc, pmf)
-    ctx.guard(n, "rcu_mc_ppc")
+    _check_lattice(n, len(ctx.cells), "rcu_mc_ppc")
     m = num_messages
     total = 0.0
     union = 0.0
     count = 0
     if m > 1:
-        for logp, _i, ycounts, key in ctx.type_terms(n):
-            p_tail = ctx.system.tail(ycounts, key)
+        for logp, i_tot, ycounts in ctx.type_terms(n):
+            p_tail = ctx.system.tail(ycounts, i_tot)
             pj = math.exp(logp)
             total += pj * _exact_error_from_tail(p_tail, m)
             union += pj * min(1.0, (m - 1) * p_tail)
@@ -465,7 +434,7 @@ def rcu_mc_ppc(dmc: DmcModel, input_pmf, n: int, num_messages,
         raise ValueError(f"need at least one message, got {num_messages}")
     if trials < _MIN_TRIALS:
         raise ValueError(f"trials must be >= {_MIN_TRIALS}, got {trials}")
-    pmf = _as_pmf(input_pmf, dmc.input_size)
+    pmf = _as_pmf(input_pmf)
     ctx = _PpcContext(dmc, pmf)
     m = num_messages
     cum_x = np.cumsum(pmf.probs)
@@ -484,8 +453,8 @@ def rcu_mc_ppc(dmc: DmcModel, input_pmf, n: int, num_messages,
         xs = np.minimum(xs, dmc.input_size - 1)
         ys = (uy[:, :, None] >= cum_w[xs][:, :, :-1]).sum(axis=2)
         for r in range(c):
-            _i, ycounts, key = ctx.trial_term(xs[r], ys[r])
-            p_tail = ctx.system.tail(ycounts, key)
+            i_tot, ycounts = ctx.trial_term(xs[r], ys[r])
+            p_tail = ctx.system.tail(ycounts, i_tot)
             v = _exact_error_from_tail(p_tail, m) if m > 1 else 0.0
             total += v
             total_sq += v * v
@@ -511,8 +480,8 @@ def rcu_mc_ppc(dmc: DmcModel, input_pmf, n: int, num_messages,
 
 
 def _relaxed_profile(ctx: _PpcContext, n: int):
-    # (log_prob, i_total) pairs; no exact keys needed for the relaxed form
-    return [(logp, i_tot) for logp, i_tot, _yc, _k in ctx.type_terms(n)]
+    # (log_prob, i_total) pairs; the relaxed form needs no competitor tails
+    return [(logp, i_tot) for logp, i_tot, _yc in ctx.type_terms(n)]
 
 
 def _relaxed_from_profile(profile, log_scale: float, log_pref: float) -> float:
@@ -530,14 +499,14 @@ def rcu_relaxed_ppc(dmc: DmcModel, input_pmf, n: int, num_messages) -> BoundRepo
     _check_block(n)
     if num_messages < 0:
         raise ValueError(f"message count must be >= 0, got {num_messages}")
-    pmf = _as_pmf(input_pmf, dmc.input_size)
+    pmf = _as_pmf(input_pmf)
     moments = ppc_moments(dmc, pmf)
     if moments.tail_prefactor is None:
         raise ValueError(
             "relaxed bound needs positive information-density variance"
         )
     ctx = _PpcContext(dmc, pmf)
-    ctx.guard(n, "rcu_mc_ppc")
+    _check_lattice(n, len(ctx.cells), "rcu_mc_ppc")
     m = num_messages
     if m == 0:
         value = 0.0
@@ -578,7 +547,7 @@ def achievable_logM_ppc(dmc: DmcModel, input_pmf, n: int, epsilon: float,
         raise ValueError(f"target error must be in (0, 1), got {epsilon}")
     if units not in ("nats", "bits"):
         raise ValueError(f"units must be 'nats' or 'bits', got {units!r}")
-    pmf = _as_pmf(input_pmf, dmc.input_size)
+    pmf = _as_pmf(input_pmf)
     moments = ppc_moments(dmc, pmf)
     if moments.tail_prefactor is None or moments.be_term is None:
         raise ValueError(
@@ -611,15 +580,15 @@ def achievable_logM_ppc(dmc: DmcModel, input_pmf, n: int, epsilon: float,
         method = "closed-form"
     else:
         if strict_window:
-            raise ValueError(
+            raise WindowError(
                 f"n={n} is below the validity window n > {window:.6g} for "
                 f"target error {epsilon}; pass strict_window=False to fall "
                 f"back to the finite relaxed-bound search"
             )
         ctx = _PpcContext(dmc, pmf)
-        ctx.guard(n, "rcu_mc_ppc")
-        terms = [(math.exp(logp), ctx.system.tail(yc, key))
-                 for logp, _i, yc, key in ctx.type_terms(n)]
+        _check_lattice(n, len(ctx.cells), "rcu_mc_ppc")
+        terms = [(math.exp(logp), ctx.system.tail(yc, i_tot))
+                 for logp, i_tot, yc in ctx.type_terms(n)]
 
         def exact_err(m: int) -> float:
             return sum(pj * _exact_error_from_tail(pt, m) for pj, pt in terms)
@@ -673,8 +642,6 @@ class _MacContext:
         sy = mac.output_size
         if pmf1.size != s1 or pmf2.size != s2:
             raise ValueError("input pmf sizes do not match the MAC alphabets")
-        self.mac = mac
-        self.pmf1, self.pmf2 = pmf1, pmf2
         self.s1, self.s2, self.sy = s1, s2, sy
         w = mac.w
         p1 = pmf1.probs
@@ -683,17 +650,6 @@ class _MacContext:
         pc2 = np.einsum("b,aby->ay", p2, w)     # P(y | x1)
         py = np.einsum("a,ay->y", p1, pc2)
         t1, t2, t12 = mac_info_density_tables(mac, pmf1, pmf2)
-        self.exact = (mac.is_exact and pmf1.exact is not None
-                      and pmf2.exact is not None)
-        if self.exact:
-            e1, e2 = pmf1.exact, pmf2.exact
-            wex = mac.exact_prob
-            pc1_ex = [[sum(e1[a] * wex((a, b), y) for a in range(s1))
-                       for y in range(sy)] for b in range(s2)]
-            pc2_ex = [[sum(e2[b] * wex((a, b), y) for b in range(s2))
-                       for y in range(sy)] for a in range(s1)]
-            py_ex = [sum(e1[a] * pc2_ex[a][y] for a in range(s1))
-                     for y in range(sy)]
         cells = []
         for a in range(s1):
             for b in range(s2):
@@ -701,148 +657,56 @@ class _MacContext:
                     jp = p1[a] * p2[b] * w[a, b, y]
                     if jp <= 0.0:
                         continue
-                    keys = (None, None, None)
-                    if self.exact:
-                        wf = wex((a, b), y)
-                        keys = (wf / pc1_ex[b][y], wf / pc2_ex[a][y],
-                                wf / py_ex[y])
                     cells.append((a, b, y, math.log(jp),
                                   (float(t1[a, b, y]), float(t2[a, b, y]),
-                                   float(t12[a, b, y])), keys))
+                                   float(t12[a, b, y]))))
         self.cells = cells
-        # conditioning-cell indexers: user1 tails key on (x2, y), user2 on
-        # (x1, y), pair on y
-        atoms1 = []
-        for b in range(s2):
-            for y in range(sy):
-                ats = []
-                if pc1[b, y] > 0.0:
-                    for a in range(s1):
-                        if p1[a] <= 0.0:
-                            continue
-                        if self.exact:
-                            k = wex((a, b), y) / pc1_ex[b][y]
-                        else:
-                            k = (math.log(w[a, b, y]) - math.log(pc1[b, y])
-                                 if w[a, b, y] > 0.0 else -math.inf)
-                        ats.append((k, float(p1[a])))
-                atoms1.append(ats)
-        atoms2 = []
-        for a in range(s1):
-            for y in range(sy):
-                ats = []
-                if pc2[a, y] > 0.0:
-                    for b in range(s2):
-                        if p2[b] <= 0.0:
-                            continue
-                        if self.exact:
-                            k = wex((a, b), y) / pc2_ex[a][y]
-                        else:
-                            k = (math.log(w[a, b, y]) - math.log(pc2[a, y])
-                                 if w[a, b, y] > 0.0 else -math.inf)
-                        ats.append((k, float(p2[b])))
-                atoms2.append(ats)
-        atoms12 = []
-        for y in range(sy):
-            ats = []
-            if py[y] > 0.0:
-                for a in range(s1):
-                    for b in range(s2):
-                        pp = p1[a] * p2[b]
-                        if pp <= 0.0:
-                            continue
-                        if self.exact:
-                            k = wex((a, b), y) / py_ex[y]
-                        else:
-                            k = (math.log(w[a, b, y]) - math.log(py[y])
-                                 if w[a, b, y] > 0.0 else -math.inf)
-                        ats.append((k, float(pp)))
-            atoms12.append(ats)
-        self.sys1 = _TailSystem(atoms1, self.exact)
-        self.sys2 = _TailSystem(atoms2, self.exact)
-        self.sys12 = _TailSystem(atoms12, self.exact)
+        self._cell_by_xy = {(c[0], c[1], c[2]): c for c in cells}
+        # conditioning cells: user 1 tails key on (x2, y), user 2 on
+        # (x1, y), the pair on y
+        self.sys1 = _TailSystem(_competitor_atoms(
+            w.transpose(1, 2, 0).reshape(s2 * sy, s1), p1, pc1.ravel()))
+        self.sys2 = _TailSystem(_competitor_atoms(
+            w.transpose(0, 2, 1).reshape(s1 * sy, s2), p2, pc2.ravel()))
+        self.sys12 = _TailSystem(_competitor_atoms(
+            w.reshape(s1 * s2, sy).T, np.outer(p1, p2).ravel(), py))
 
-    def guard(self, n: int, caller: str):
-        lattice = math.comb(n + len(self.cells) - 1, len(self.cells) - 1)
-        if lattice > _JOINT_TYPE_GUARD:
-            raise ValueError(
-                f"joint-type lattice has {lattice} points, beyond the "
-                f"{_JOINT_TYPE_GUARD} enumeration guard; use {caller}"
-            )
-
-    def type_terms(self, n: int):
-        """Yield (log_prob, i_vec, counts1, counts2, counts12, keys) per
-        joint type; counts index the three conditioning systems."""
+    def _fold(self, logp, cell_counts):
+        # (log_prob, i_vec, counts1, counts2, counts12) summed over
+        # (cell, count) pairs; counts index the three conditioning systems
         sy = self.sy
-        for t in type_compositions(n, len(self.cells)):
-            logp = multinomial_log(n, t)
-            i1 = i2 = i12 = 0.0
-            c1 = [0] * (self.s2 * sy)
-            c2 = [0] * (self.s1 * sy)
-            cy = [0] * sy
-            if self.exact:
-                k1 = k2 = k12 = Fraction(1)
-            for idx, cnt in enumerate(t):
-                if cnt == 0:
-                    continue
-                a, b, y, lp, ivec, keys = self.cells[idx]
-                logp += cnt * lp
-                i1 += cnt * ivec[0]
-                i2 += cnt * ivec[1]
-                i12 += cnt * ivec[2]
-                c1[b * sy + y] += cnt
-                c2[a * sy + y] += cnt
-                cy[y] += cnt
-                if self.exact:
-                    k1 = k1 * keys[0] ** cnt
-                    k2 = k2 * keys[1] ** cnt
-                    k12 = k12 * keys[2] ** cnt
-            if not self.exact:
-                k1, k2, k12 = i1, i2, i12
-            yield (logp, (i1, i2, i12), tuple(c1), tuple(c2), tuple(cy),
-                   (k1, k2, k12))
-
-    def trial_term(self, x1row, x2row, yrow):
-        sy = self.sy
-        counts: dict = {}
-        for a, b, y in zip(x1row, x2row, yrow):
-            counts[(a, b, y)] = counts.get((a, b, y), 0) + 1
-        cell_by = getattr(self, "_cell_by_xy", None)
-        if cell_by is None:
-            cell_by = {(c[0], c[1], c[2]): c for c in self.cells}
-            self._cell_by_xy = cell_by
         i1 = i2 = i12 = 0.0
         c1 = [0] * (self.s2 * sy)
         c2 = [0] * (self.s1 * sy)
         cy = [0] * sy
-        if self.exact:
-            k1 = k2 = k12 = Fraction(1)
-        for (a, b, y), cnt in counts.items():
-            cell = cell_by[(a, b, y)]
-            ivec, keys = cell[4], cell[5]
+        for (a, b, y, lp, ivec), cnt in cell_counts:
+            if cnt == 0:
+                continue
+            logp += cnt * lp
             i1 += cnt * ivec[0]
             i2 += cnt * ivec[1]
             i12 += cnt * ivec[2]
             c1[b * sy + y] += cnt
             c2[a * sy + y] += cnt
             cy[y] += cnt
-            if self.exact:
-                k1 = k1 * keys[0] ** cnt
-                k2 = k2 * keys[1] ** cnt
-                k12 = k12 * keys[2] ** cnt
-        if not self.exact:
-            k1, k2, k12 = i1, i2, i12
-        return (i1, i2, i12), tuple(c1), tuple(c2), tuple(cy), (k1, k2, k12)
+        return logp, (i1, i2, i12), tuple(c1), tuple(c2), tuple(cy)
 
-    def tails(self, c1, c2, cy, keys):
-        return (self.sys1.tail(c1, keys[0]),
-                self.sys2.tail(c2, keys[1]),
-                self.sys12.tail(cy, keys[2]))
+    def type_terms(self, n: int):
+        """Yield (log_prob, i_vec, counts1, counts2, counts12) per joint
+        type; i_vec also holds the three tail thresholds."""
+        for t in type_compositions(n, len(self.cells)):
+            yield self._fold(multinomial_log(n, t), zip(self.cells, t))
 
+    def trial_term(self, x1row, x2row, yrow):
+        """(i_vec, counts1, counts2, counts12) for one sampled word triple."""
+        counts = Counter(zip(x1row.tolist(), x2row.tolist(), yrow.tolist()))
+        return self._fold(0.0, ((self._cell_by_xy[key], cnt)
+                                for key, cnt in counts.items()))[1:]
 
-def _mac_prefactors(mac: MacModel, pmf1: InputPmf, pmf2: InputPmf):
-    mm = mac_moments(mac, pmf1, pmf2)
-    return mm, mm.tail_prefactors
+    def tails(self, c1, c2, cy, ivec):
+        return (self.sys1.tail(c1, ivec[0]),
+                self.sys2.tail(c2, ivec[1]),
+                self.sys12.tail(cy, ivec[2]))
 
 
 def rcu_mac(mac: MacModel, pmf1, pmf2, n: int, m1, m2,
@@ -863,10 +727,10 @@ def rcu_mac(mac: MacModel, pmf1, pmf2, n: int, m1, m2,
         raise ValueError("message counts must be >= 1")
     if mode not in ("exact", "mc"):
         raise ValueError(f"mode must be 'exact' or 'mc', got {mode!r}")
-    p1 = _as_pmf(pmf1, mac.input_sizes[0])
-    p2 = _as_pmf(pmf2, mac.input_sizes[1])
+    p1 = _as_pmf(pmf1)
+    p2 = _as_pmf(pmf2)
     ctx = _MacContext(mac, p1, p2)
-    mm, prefs = _mac_prefactors(mac, p1, p2)
+    prefs = mac_moments(mac, p1, p2).tail_prefactors
     active = (m1 > 1, m2 > 1, m1 > 1 and m2 > 1)
     needed = [prefs[j] for j in range(3) if active[j]]
     relax_ok = all(math.isfinite(f) for f in needed)
@@ -886,15 +750,15 @@ def rcu_mac(mac: MacModel, pmf1, pmf2, n: int, m1, m2,
         return min(tot, 1.0)
 
     if mode == "exact":
-        ctx.guard(n, "mode='mc'")
+        _check_lattice(n, len(ctx.cells), "mode='mc'")
         total = 0.0
         relaxed = 0.0
         count = 0
-        for logp, ivec, c1, c2, cy, keys in ctx.type_terms(n):
+        for logp, ivec, c1, c2, cy in ctx.type_terms(n):
             pj = math.exp(logp)
             v = 0.0
             if active[0] or active[1] or active[2]:
-                p1t, p2t, p12t = ctx.tails(c1, c2, cy, keys)
+                p1t, p2t, p12t = ctx.tails(c1, c2, cy, ivec)
                 if active[0]:
                     v += (m1 - 1) * p1t
                 if active[1]:
@@ -945,10 +809,10 @@ def rcu_mac(mac: MacModel, pmf1, pmf2, n: int, m1, m2,
         flat = x1 * s2 + x2
         ys = (uy[:, :, None] >= cum_w[flat][:, :, :-1]).sum(axis=2)
         for r in range(c):
-            ivec, c1, c2c, cy, keys = ctx.trial_term(x1[r], x2[r], ys[r])
+            ivec, c1, c2c, cy = ctx.trial_term(x1[r], x2[r], ys[r])
             v = 0.0
             if active[0] or active[1] or active[2]:
-                p1t, p2t, p12t = ctx.tails(c1, c2c, cy, keys)
+                p1t, p2t, p12t = ctx.tails(c1, c2c, cy, ivec)
                 if active[0]:
                     v += (m1 - 1) * p1t
                 if active[1]:
@@ -1011,8 +875,8 @@ def mac_region_check(mac: MacModel, pmf1, pmf2, n: int, epsilon: float,
     against the three-dimensional info-density Gaussian.
     """
     _check_block(n)
-    p1 = _as_pmf(pmf1, mac.input_sizes[0])
-    p2 = _as_pmf(pmf2, mac.input_sizes[1])
+    p1 = _as_pmf(pmf1)
+    p2 = _as_pmf(pmf2)
     mm = mac_moments(mac, p1, p2)
     cov = mm.cov
     if float(np.max(np.linalg.eigvalsh(cov))) <= 1e-14:
@@ -1083,7 +947,7 @@ def ldpc_rcu_ppc(dmc: DmcModel, quantizer: Quantizer, n: int,
             "relaxed bound needs positive information-density variance"
         )
     ctx = _PpcContext(dmc, pmf)
-    ctx.guard(n, "rcu_mc_ppc")
+    _check_lattice(n, len(ctx.cells), "rcu_mc_ppc")
     log_m = (n - r) * math.log(q)
     log_pref = math.log(moments.tail_prefactor) - 0.5 * math.log(n)
     profile = _relaxed_profile(ctx, n)
@@ -1146,8 +1010,9 @@ def ldpc_rcu_mac(mac: MacModel, quantizers, n: int, params1, params2,
     p1 = induced_input_pmf(quant1)
     p2 = induced_input_pmf(quant2)
     ctx = _MacContext(mac, p1, p2)
-    ctx.guard(n, "rcu_mac with mode='mc' on the i.i.d. ensemble")
-    mm, prefs = _mac_prefactors(mac, p1, p2)
+    _check_lattice(n, len(ctx.cells),
+                   "rcu_mac with mode='mc' on the i.i.d. ensemble")
+    prefs = mac_moments(mac, p1, p2).tail_prefactors
     power = 2.0 if same_coset else 1.0
     la1 = power * math.log(alpha1)
     la2 = power * math.log(alpha2)
@@ -1166,7 +1031,7 @@ def ldpc_rcu_mac(mac: MacModel, quantizers, n: int, params1, params2,
     log_t12 = (log_m1 + log_m2 + la1 + la2
                + (math.log(prefs[2]) - half_log_n if active[2] else 0.0))
     total = 0.0
-    for logp, ivec, _c1, _c2, _cy, _keys in ctx.type_terms(n):
+    for logp, ivec, _c1, _c2, _cy in ctx.type_terms(n):
         s = 0.0
         if active[0]:
             s += math.exp(min(log_t1 - ivec[0], 0.0))

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 import numpy as np
 
@@ -244,10 +243,10 @@ def ml_decode(channel, codebook, y, rng=None, seed: int = 0):
     """Exhaustive maximum-likelihood decoding of one output word.
 
     Pass one codebook for a point-to-point channel or a pair for a
-    two-user MAC (returns a message pair).  Ties are broken uniformly via
-    the keyed RNG.  Rational channels are compared in exact arithmetic;
-    float channels fall back to log-likelihood sums with a 1e-9 tie
-    tolerance."""
+    two-user MAC (returns a message pair).  Candidates are scored by
+    log-likelihood sums, rational and float channels alike; scores within
+    1e-9 of the best tie, an output impossible under every candidate ties
+    them all, and ties are broken uniformly via the keyed RNG."""
     if rng is None:
         rng = _rng(seed, 3)
     y = np.asarray(y, dtype=np.int64)
@@ -279,26 +278,32 @@ def ml_decode(channel, codebook, y, rng=None, seed: int = 0):
 
 
 def _ml_pick(dmc, rows, y, rng) -> int:
-    if dmc.is_exact:
-        best: list[int] = []
-        best_like = None
-        for m in range(rows.shape[0]):
-            like = Fraction(1)
-            for x, yy in zip(rows[m], y):
-                like *= dmc.w_exact[x][yy]
-            if best_like is None or like > best_like:
-                best, best_like = [m], like
-            elif like == best_like:
-                best.append(m)
-        if best_like == 0:
-            best = list(range(rows.shape[0]))  # y impossible for every word
-        return best[int(rng.integers(len(best)))] if len(best) > 1 else best[0]
-    logw = np.where(dmc.w > 0.0, np.log(np.where(dmc.w > 0.0, dmc.w, 1.0)),
-                    _LOG_ZERO)
-    ll = logw[rows, y[None, :]].sum(axis=1)
-    top = ll.max()
-    ties = np.flatnonzero(ll >= top - _TIE_ATOL)
-    return int(ties[rng.integers(ties.size)]) if ties.size > 1 else int(ties[0])
+    ll = _log_table(dmc.w)[rows, y[None, :]].sum(axis=1)
+    return int(_ml_decide(ll[None, :], rng)[2][0])
+
+
+def _log_table(w) -> np.ndarray:
+    """Elementwise log of a transition table, ``_LOG_ZERO`` for log 0."""
+    return np.where(w > 0.0, np.log(np.where(w > 0.0, w, 1.0)), _LOG_ZERO)
+
+
+def _ml_decide(ll, rng):
+    """ML decisions for a (trials, candidates) log-likelihood table.
+
+    Returns each row's best score, its number of tied candidates, and the
+    decoded candidate.  Candidates within ``_TIE_ATOL`` of the best tie;
+    a row whose best candidate holds an impossible symbol (the output is
+    impossible under every candidate) ties them all.  Several tied
+    candidates are split uniformly via ``rng``, row by row."""
+    top = ll.max(axis=1)
+    tied = ll >= (top - _TIE_ATOL)[:, None]
+    tied[top <= 0.5 * _LOG_ZERO] = True
+    n_tied = tied.sum(axis=1)
+    decoded = tied.argmax(axis=1)
+    for t in np.flatnonzero(n_tied > 1):
+        opts = np.flatnonzero(tied[t])
+        decoded[t] = opts[rng.integers(opts.size)]
+    return top, n_tied, decoded
 
 
 # ---------------------------------------------------------------------------
@@ -377,8 +382,7 @@ def simulate_error(ensemble_params, channel, quantizers, trials_codes: int,
             raise ValueError("quantizer field does not match ensemble q")
     rate = 1.0 - var_degree / check_degree
     flat = channel.flatten() if mac else channel
-    logw = np.where(flat.w > 0.0, np.log(np.where(flat.w > 0.0, flat.w, 1.0)),
-                    _LOG_ZERO)
+    logw = _log_table(flat.w)
     realized = 0
     pessimistic = 0
     num_messages = None
@@ -416,15 +420,8 @@ def simulate_error(ensemble_params, channel, quantizers, trials_codes: int,
             num_messages = cand.shape[0]
         ys = _sample_outputs(flat.w, cand[sent], rng)
         ll = _log_likelihoods(logw, cand, ys)
-        top = ll.max(axis=1)
+        top, n_tied, decoded = _ml_decide(ll, rng)
         sent_ll = ll[np.arange(trials_noise), sent]
-        tied = ll >= (top - _TIE_ATOL)[:, None]
-        n_tied = tied.sum(axis=1)
-        decoded = ll.argmax(axis=1)
-        multi = np.flatnonzero(n_tied > 1)
-        for t in multi:
-            opts = np.flatnonzero(tied[t])
-            decoded[t] = opts[rng.integers(opts.size)]
         realized += int(np.sum(decoded != sent))
         # a bound counts the trial whenever any competitor reaches the
         # transmitted word's likelihood

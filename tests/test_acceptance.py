@@ -16,7 +16,7 @@ import pytest
 
 import oracles
 from fblbound.channel import (DmcModel, InputPmf, bsc, capacity, dmc_to_json,
-                              make_quantizer)
+                              make_quantizer, noiseless)
 from fblbound.cli import cmd_compare
 from fblbound.exponent import (ExponentCurve, critical_rate, error_exponent,
                                kmac_exponent_bound, quadratic_exponent_bound)
@@ -49,9 +49,13 @@ def announce(capsys):
 def test_accept_01_rcu_matches_exhaustive_oracles(announce):
     """Exact iid random-coding error against two independent oracles:
     full codebook enumeration (small grid) and the factorized
-    conditional form (whole grid), to 1e-12."""
+    conditional form (whole grid), to 1e-12.  The noiseless channel,
+    BEC(1/2) and the Z-channel make most competitor scores tie exactly
+    with the sent word's, so they exercise the tie tolerance."""
+    bec = DmcModel.from_rows([["1/2", "1/2", "0"], ["0", "1/2", "1/2"]])
+    z_channel = DmcModel.from_rows([["1", "0"], ["1/2", "1/2"]])
     worst = 0.0
-    for ch in (bsc("11/100"), asym23()):
+    for ch in (bsc("11/100"), asym23(), noiseless(2), bec, z_channel):
         for n in (1, 2, 3, 4):
             for m in (2, 3, 4):
                 want = float(oracles.ensemble_error_factorized(ch, UNIF2, n, m))

@@ -11,7 +11,8 @@ import math
 import pytest
 
 from fblbound.channel import (InputPmf, binary_adder_mac, bsc, dmc_to_json,
-                              induced_input_pmf, mac_to_json, make_quantizer)
+                              induced_input_pmf, mac_to_json, make_quantizer,
+                              noiseless)
 from fblbound.cli import (CSV_HEADER, ConfigError, cmd_compare, cmd_exponent,
                           cmd_report_schema, cmd_rcu, cmd_simulate,
                           cmd_spectrum, main, schema_validate)
@@ -426,6 +427,18 @@ def test_compare_requires_core_keys(bsc_path):
     with pytest.raises(ConfigError, match="q-ary"):
         cmd_compare({"channel": bsc_path, "n_sweep": [8], "epsilon": 0.1,
                      "units": "qary"})
+
+
+def test_compare_zero_variance_is_not_a_window_miss(capsys, tmp_path):
+    # the rigorous row needs positive dispersion; a noiseless channel must
+    # fail on that, not pass as an out-of-window n with rate 0
+    path = tmp_path / "noiseless.json"
+    path.write_text(json.dumps(dmc_to_json(noiseless(2))))
+    cfg = compare_config(tmp_path, str(path))
+    rc, out, err = run(capsys, ["compare", "--config", cfg])
+    assert rc == 4
+    assert out == ""
+    assert "variance" in err
 
 
 def test_compare_checks_sweep_against_ensemble(bsc_path):

@@ -173,6 +173,8 @@ def test_rcu_exact_nonuniform_pmf_matches_oracle():
 
 
 def test_rcu_exact_float_channel_agrees_with_exact_path():
+    # a float table and the rational BSC(11/100) run the same log-domain
+    # tail keys; only the parsed entries differ, by rounding
     w = np.array([[0.89, 0.11], [0.11, 0.89]])
     got_float = rcu_exact_ppc(DmcModel(w), InputPmf(np.array([0.5, 0.5])), 4, 3)
     got_exact = rcu_exact_ppc(bsc(0.11), InputPmf.uniform(2), 4, 3)
@@ -233,10 +235,12 @@ def test_exact_monotone_in_messages(ch, n, m):
 
 def test_rcu_mc_agrees_with_exact():
     pmf = InputPmf.uniform(2)
-    exact = rcu_exact_ppc(bsc(0.11), pmf, 8, 16).value
-    mc = rcu_mc_ppc(bsc(0.11), pmf, 8, 16, trials=20_000, seed=3)
-    assert abs(mc.value - exact) <= 3 * mc.ci_half_width
-    assert mc.trials == 20_000
+    bec = DmcModel.from_rows([["1/2", "1/2", "0"], ["0", "1/2", "1/2"]])
+    for ch in (bsc(0.11), bec):
+        exact = rcu_exact_ppc(ch, pmf, 8, 16).value
+        mc = rcu_mc_ppc(ch, pmf, 8, 16, trials=20_000, seed=3)
+        assert abs(mc.value - exact) <= 3 * mc.ci_half_width
+        assert mc.trials == 20_000
 
 
 def test_rcu_mc_reproducible():
@@ -429,6 +433,11 @@ def test_rcu_mac_dominates_true_ensemble_error():
     truth2 = float(oracles.mac_ensemble_error_codebooks(mac2, u, u, 1, 2, 2))
     bound2 = rcu_mac(mac2, u, u, 1, 2, 2).value
     assert truth2 <= bound2 + 1e-12
+    # noiseless adder: every competitor pair with the same sum ties exactly
+    for m1, m2 in ((2, 2), (3, 2)):
+        truth = float(oracles.mac_ensemble_error_codebooks(mac, u, u, 2,
+                                                           m1, m2))
+        assert truth <= rcu_mac(mac, u, u, 2, m1, m2).value + 1e-12
 
 
 def test_rcu_mac_degenerate_user_reduces_to_ppc_union():

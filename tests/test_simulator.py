@@ -254,8 +254,9 @@ def test_ml_decode_duplicate_inputs_split_evenly():
 
 
 def test_ml_decode_equidistant_tie_uniform():
-    # y = (0, 1) sits at Hamming distance 1 from both 00 and 11; the
-    # exact-arithmetic path must find the tie and break it uniformly
+    # y = (0, 1) sits at Hamming distance 1 from both 00 and 11; the two
+    # log-likelihood sums agree to rounding, and the 1e-9 tie tolerance
+    # must see the tie and break it uniformly
     cb = Codebook(field=F2, words=np.array([[0, 0], [1, 1]]),
                   inputs=np.array([[0, 0], [1, 1]]))
     ch = bsc("1/10")
@@ -263,6 +264,18 @@ def test_ml_decode_equidistant_tie_uniform():
     y = np.array([0, 1])
     rng = np.random.Generator(np.random.Philox(key=[7, 0]))
     wins = sum(ml_decode(ch, cb, y, rng=rng) for _ in range(10_000))
+    assert abs(wins - 5000) <= 150
+
+
+def test_ml_decode_impossible_output_ties_all_candidates():
+    # y = 001 cannot come out of the noiseless channel from either 000 or
+    # 111: every candidate has likelihood 0, so all of them tie, however
+    # many impossible symbols each one has
+    cb = Codebook(field=F2, words=np.array([[0, 0, 0], [1, 1, 1]]),
+                  inputs=np.array([[0, 0, 0], [1, 1, 1]]))
+    y = np.array([0, 0, 1])
+    rng = np.random.Generator(np.random.Philox(key=[5, 0]))
+    wins = sum(ml_decode(noiseless(2), cb, y, rng=rng) for _ in range(10_000))
     assert abs(wins - 5000) <= 150
 
 
