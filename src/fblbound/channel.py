@@ -3,7 +3,8 @@ symmetric K-user multiple access, plus input pmfs and field-to-input
 quantizers.
 
 Transition probabilities may be exact rationals (kept as ``Fraction`` rows
-alongside the float matrix, enabling exact likelihood comparisons downstream)
+alongside the float matrix, where they serve the exact row-sum check and
+JSON round trips; every bound computes with the float matrix)
 or plain doubles with a 1e-12 stochasticity tolerance.  All information
 quantities are computed internally in nats; unit helpers convert at the
 boundary.

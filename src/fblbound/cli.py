@@ -797,7 +797,8 @@ def _dispatch(args) -> int:
         else:
             sys.stdout.write(_dumps(out))
     elif args.command == "rcu":
-        mode = "exact" if args.exact else ("mc" if args.mc else "relaxed")
+        mode = "exact" if args.exact else (
+            "mc" if args.mc is not None else "relaxed")
         for n in _sweep_or_single(args):
             payload = cmd_rcu(args.channel, n, args.m, m2=args.m2,
                               mode=mode, trials=args.mc, seed=args.seed)

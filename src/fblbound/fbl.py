@@ -8,17 +8,27 @@ tail into single-user and joint terms.  LDPC variants reuse the relaxed
 forms with a spectrum-ratio penalty supplied by the caller.  Everything
 internal is in nats.
 
-Exact evaluation enumerates joint types; the per-type competitor tail is
-the tail of an n-fold product distribution built by convolving one
-likelihood-ratio atom set per conditioning symbol.  Ratio keys are
-log-domain floats for rational and float channels alike: keys within
-1e-12 merge into one atom, and a competitor whose score comes within 1e-9
-of the sent word's information density counts as a tie, hence as an
-error, which keeps every bound conservative.
+The two-user MAC bound is the point-to-point bound with one competitor
+term per error event: user 1 wrong, user 2 wrong, or both wrong; the
+point-to-point channel is the one-event case.  Every RCU bound here runs
+through one joint-type context for K = 1 or 2 users, which holds the
+supported (x_1, ..., x_K, y) cells, each cell's information density per
+event, and one competitor-tail system per event.  Exact evaluation
+enumerates joint types; Monte Carlo evaluation samples words from one
+chunked Philox stream; both read the same per-event tails.
+
+The per-type competitor tail of an event is the tail of an n-fold product
+distribution built by convolving one likelihood-ratio atom set per
+conditioning symbol.  Ratio keys are log-domain floats for rational and
+float channels alike: keys within 1e-12 merge into one atom, and a
+competitor whose score comes within 1e-9 of the sent word's information
+density counts as a tie, hence as an error, which keeps every bound
+conservative.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_left
 from collections import Counter
@@ -28,8 +38,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .channel import DmcModel, InputPmf, MacModel, Quantizer, induced_input_pmf
-from .infodensity import mac_info_density_tables, mac_moments, ppc_moments
-from .spectrum import multinomial_log, type_compositions
+from .infodensity import mac_moments, ppc_moments
+from .spectrum import _log_multinomial, type_compositions
 
 LN2 = math.log(2.0)
 
@@ -310,55 +320,133 @@ def _check_lattice(n: int, num_cells: int, caller: str):
         )
 
 
-class _PpcContext:
-    """Supported (x, y) cells of P_X x W with per-cell log-probabilities,
-    info densities, and a per-output competitor atom system."""
+# Error events of the RCU bounds: the users whose codewords are wrong.  A
+# point-to-point channel has one; a two-user MAC has user 1, user 2, both.
+_EVENTS = {1: ((0,),), 2: ((0,), (1,), (0, 1))}
 
-    def __init__(self, dmc: DmcModel, pmf: InputPmf):
-        if pmf.size != dmc.input_size:
+
+class _Context:
+    """Supported cells of P_1 x ... x P_K x W for K = 1 or 2 users, with
+    one competitor-tail system per error event.
+
+    ``w`` has shape (|X_1|, ..., |X_K|, |Y|).  For an event E the
+    competitor letters are x_E, drawn from the product of E's input pmfs,
+    and the conditioning symbol is (x_rest, y), rest being the users not in
+    E.  A cell is (log_prob, i_vec, slots): its log-probability, its
+    information density ln W(y|x) - ln P(y|x_rest) per event, and per
+    event the slot of its conditioning symbol in the flat count list.
+    Event e owns slots [base_e, base_e + |X_rest| |Y|) of that list, in
+    C order over (x_rest, y).  Cells run in ``np.ndindex(w.shape)`` order.
+    """
+
+    def __init__(self, w: np.ndarray, pmfs):
+        sizes = tuple(p.size for p in pmfs)
+        if w.shape[:-1] != sizes:
             raise ValueError(
-                f"pmf over {pmf.size} symbols does not match |X|={dmc.input_size}"
+                f"input pmf sizes {sizes} do not match the channel's input "
+                f"alphabets {w.shape[:-1]}"
             )
-        sx, sy = dmc.input_size, dmc.output_size
-        self.sy = sy
-        px = pmf.probs
-        py = px @ dmc.w
-        cells = []
-        for x in range(sx):
-            for y in range(sy):
-                jp = px[x] * dmc.w[x, y]
-                if jp <= 0.0:
-                    continue
-                i_val = math.log(dmc.w[x, y]) - math.log(py[y])
-                cells.append((x, y, math.log(jp), i_val))
-        self.cells = cells
-        self._cell_by_xy = {(c[0], c[1]): c for c in cells}
-        self.system = _TailSystem(_competitor_atoms(dmc.w.T, px, py))
+        probs = [p.probs for p in pmfs]
+        self._w = w
+        self._probs = probs
+        users = range(len(sizes))
+        events = []     # (rest, P(x_rest, y), base slot)
+        self._systems = []
+        base = 0
+        for event in _EVENTS[len(sizes)]:
+            rest = tuple(u for u in users if u not in event)
+            marg = w
+            for k, u in enumerate(event):
+                marg = np.tensordot(probs[u], marg, axes=(0, u - k))
+            prior = functools.reduce(np.multiply.outer,
+                                     [probs[u] for u in event])
+            lik = w.transpose(rest + (len(sizes),) + event)
+            system = _TailSystem(_competitor_atoms(
+                lik.reshape(marg.size, -1), prior.ravel(), marg.ravel()))
+            self._systems.append((system, base, base + marg.size))
+            events.append((rest, marg, base))
+            base += marg.size
+        self._num_slots = base
+        self.cells = []
+        self._cell_at = {}
+        for flat, idx in enumerate(np.ndindex(w.shape)):
+            jp = math.prod(probs[u][idx[u]] for u in users) * w[idx]
+            if jp <= 0.0:
+                continue
+            log_w = math.log(w[idx])
+            ivec = []
+            slots = []
+            for rest, marg, ev_base in events:
+                cond = tuple(idx[u] for u in rest) + (idx[-1],)
+                ivec.append(log_w - math.log(marg[cond]))
+                slots.append(ev_base + int(np.ravel_multi_index(cond,
+                                                               marg.shape)))
+            cell = (math.log(jp), tuple(ivec), tuple(slots))
+            self.cells.append(cell)
+            self._cell_at[flat] = cell
 
     def _fold(self, logp, cell_counts):
-        # (log_prob, i_total, y_counts) summed over (cell, count) pairs
-        i_tot = 0.0
-        ycounts = [0] * self.sy
-        for (_x, y, lp, i_val), cnt in cell_counts:
+        """Sum (cell, count) pairs in one pass into (log_prob, i_vec,
+        slot_counts): i_vec per event, slot_counts the flat list of every
+        event's conditioning counts (layout in the class docstring)."""
+        ivec = [0.0] * len(self._systems)
+        counts = [0] * self._num_slots
+        for (lp, iv, slots), cnt in cell_counts:
             if cnt == 0:
                 continue
             logp += cnt * lp
-            i_tot += cnt * i_val
-            ycounts[y] += cnt
-        return logp, i_tot, tuple(ycounts)
+            for e, i_val in enumerate(iv):
+                ivec[e] += cnt * i_val
+            for s in slots:
+                counts[s] += cnt
+        return logp, ivec, counts
 
-    def type_terms(self, n: int):
-        """Yield (log_prob, i_total, y_counts) per joint type; i_total is
-        also the threshold the competitor tail is read at."""
-        for t in type_compositions(n, len(self.cells)):
-            yield self._fold(multinomial_log(n, t), zip(self.cells, t))
+    def tails(self, ivec, counts):
+        """Competitor tail per event: event e's system read at its slice of
+        ``counts`` with threshold ``ivec[e]``."""
+        return [system.tail(counts[lo:hi], i_val)
+                for (system, lo, hi), i_val in zip(self._systems, ivec)]
 
-    def trial_term(self, xrow, yrow):
-        """(i_total, y_counts) for one sampled (x^n, y^n)."""
-        counts = Counter(zip(xrow.tolist(), yrow.tolist()))
-        _logp, i_tot, ycounts = self._fold(
-            0.0, ((self._cell_by_xy[xy], cnt) for xy, cnt in counts.items()))
-        return i_tot, ycounts
+    def type_terms(self, n: int, caller: str):
+        """Check the joint-type lattice against the guard (the error names
+        ``caller`` as the way out), then return an iterator of
+        (log_prob, i_vec, slot_counts) per joint type."""
+        _check_lattice(n, len(self.cells), caller)
+        cells = self.cells
+        return (self._fold(_log_multinomial(n, t), zip(cells, t))
+                for t in type_compositions(n, len(cells)))
+
+    def trial_terms(self, n: int, trials: int, seed: int):
+        """Yield (i_vec, slot_counts) for ``trials`` sampled word tuples.
+
+        Chunk c holds up to ``_MC_CHUNK`` trials drawn from Philox key
+        (seed, c): user 1's uniforms, then user 2's, then the outputs', each
+        a (chunk, n) block; inputs invert their pmf's CDF and outputs the
+        row of W their inputs select.
+        """
+        w = self._w
+        sizes = w.shape[:-1]
+        sy = w.shape[-1]
+        cum_x = [np.cumsum(p) for p in self._probs]
+        cum_w = np.cumsum(w.reshape(-1, sy), axis=1)
+        cell_at = self._cell_at
+        done = 0
+        chunk_idx = 0
+        while done < trials:
+            c = min(_MC_CHUNK, trials - done)
+            rng = np.random.Generator(np.random.Philox(key=[seed, chunk_idx]))
+            ux = [rng.random((c, n)) for _ in sizes]
+            uy = rng.random((c, n))
+            xs = [np.minimum(np.searchsorted(cum, u, side="right"), size - 1)
+                  for cum, u, size in zip(cum_x, ux, sizes)]
+            rows = np.ravel_multi_index(xs, sizes)
+            ys = (uy[:, :, None] >= cum_w[rows][:, :, :-1]).sum(axis=2)
+            for word in rows * sy + ys:
+                counts = Counter(word.tolist())
+                yield self._fold(0.0, ((cell_at[k], cnt)
+                                       for k, cnt in counts.items()))[1:]
+            done += c
+            chunk_idx += 1
 
 
 def _as_pmf(pmf) -> InputPmf:
@@ -397,16 +485,15 @@ def rcu_exact_ppc(dmc: DmcModel, input_pmf, n: int, num_messages) -> BoundReport
     _check_block(n)
     if num_messages < 1:
         raise ValueError(f"need at least one message, got {num_messages}")
-    pmf = _as_pmf(input_pmf)
-    ctx = _PpcContext(dmc, pmf)
-    _check_lattice(n, len(ctx.cells), "rcu_mc_ppc")
+    ctx = _Context(dmc.w, (_as_pmf(input_pmf),))
+    terms = ctx.type_terms(n, "rcu_mc_ppc")
     m = num_messages
     total = 0.0
     union = 0.0
     count = 0
     if m > 1:
-        for logp, i_tot, ycounts in ctx.type_terms(n):
-            p_tail = ctx.system.tail(ycounts, i_tot)
+        for logp, ivec, counts in terms:
+            p_tail = ctx.tails(ivec, counts)[0]
             pj = math.exp(logp)
             total += pj * _exact_error_from_tail(p_tail, m)
             union += pj * min(1.0, (m - 1) * p_tail)
@@ -434,62 +521,60 @@ def rcu_mc_ppc(dmc: DmcModel, input_pmf, n: int, num_messages,
         raise ValueError(f"need at least one message, got {num_messages}")
     if trials < _MIN_TRIALS:
         raise ValueError(f"trials must be >= {_MIN_TRIALS}, got {trials}")
-    pmf = _as_pmf(input_pmf)
-    ctx = _PpcContext(dmc, pmf)
+    ctx = _Context(dmc.w, (_as_pmf(input_pmf),))
     m = num_messages
-    cum_x = np.cumsum(pmf.probs)
-    cum_w = np.cumsum(dmc.w, axis=1)
     total = 0.0
     total_sq = 0.0
     union_total = 0.0
-    done = 0
-    chunk_idx = 0
-    while done < trials:
-        c = min(_MC_CHUNK, trials - done)
-        rng = np.random.Generator(np.random.Philox(key=[seed, chunk_idx]))
-        ux = rng.random((c, n))
-        uy = rng.random((c, n))
-        xs = np.searchsorted(cum_x, ux, side="right")
-        xs = np.minimum(xs, dmc.input_size - 1)
-        ys = (uy[:, :, None] >= cum_w[xs][:, :, :-1]).sum(axis=2)
-        for r in range(c):
-            i_tot, ycounts = ctx.trial_term(xs[r], ys[r])
-            p_tail = ctx.system.tail(ycounts, i_tot)
-            v = _exact_error_from_tail(p_tail, m) if m > 1 else 0.0
-            total += v
-            total_sq += v * v
-            union_total += min(1.0, (m - 1) * p_tail) if m > 1 else 0.0
-        done += c
-        chunk_idx += 1
+    for ivec, counts in ctx.trial_terms(n, trials, seed):
+        p_tail = ctx.tails(ivec, counts)[0]
+        v = _exact_error_from_tail(p_tail, m) if m > 1 else 0.0
+        total += v
+        total_sq += v * v
+        union_total += min(1.0, (m - 1) * p_tail) if m > 1 else 0.0
+    return _mc_report("rcu-mc-ppc", n, m, trials, total, total_sq,
+                      {"union_bound": union_total / trials})
+
+
+def _mc_report(name: str, n: int, num_messages, trials: int, total: float,
+               total_sq: float, components: dict) -> BoundReport:
+    # sample mean with a 1.96 sigma / sqrt(trials) half-width
     mean = total / trials
     var = max(total_sq / trials - mean * mean, 0.0)
     if trials > 1:
         var *= trials / (trials - 1)
     ci = 1.96 * math.sqrt(var / trials)
     return BoundReport(
-        name="rcu-mc-ppc",
+        name=name,
         value=mean,
         units="probability",
         method="monte-carlo",
         n=n,
-        num_messages=m,
+        num_messages=num_messages,
         ci_half_width=ci,
         trials=trials,
-        components={"union_bound": union_total / trials},
+        components=components,
     )
 
 
-def _relaxed_profile(ctx: _PpcContext, n: int):
-    # (log_prob, i_total) pairs; the relaxed form needs no competitor tails
-    return [(logp, i_tot) for logp, i_tot, _yc in ctx.type_terms(n)]
-
-
-def _relaxed_from_profile(profile, log_scale: float, log_pref: float) -> float:
+def _relaxed_ppc(dmc: DmcModel, pmf: InputPmf, n: int, log_scale: float):
+    """(value, moments) of the relaxed bound
+    E[min{1, e^log_scale (A/sqrt(n)) e^{-i(X^n;Y^n)}}] by joint-type
+    enumeration, A the closed-form tail prefactor."""
+    moments = ppc_moments(dmc, pmf)
+    if moments.tail_prefactor is None:
+        raise ValueError(
+            "relaxed bound needs positive information-density variance"
+        )
+    terms = _Context(dmc.w, (pmf,)).type_terms(n, "rcu_mc_ppc")
+    if log_scale == -math.inf:      # no messages, no errors
+        return 0.0, moments
+    log_pref = math.log(moments.tail_prefactor) - 0.5 * math.log(n)
     total = 0.0
-    for logp, i_tot in profile:
+    for logp, (i_tot,), _counts in terms:
         lt = log_scale + log_pref - i_tot
         total += math.exp(logp) if lt >= 0.0 else math.exp(logp + lt)
-    return min(total, 1.0)
+    return min(total, 1.0), moments
 
 
 def rcu_relaxed_ppc(dmc: DmcModel, input_pmf, n: int, num_messages) -> BoundReport:
@@ -499,21 +584,9 @@ def rcu_relaxed_ppc(dmc: DmcModel, input_pmf, n: int, num_messages) -> BoundRepo
     _check_block(n)
     if num_messages < 0:
         raise ValueError(f"message count must be >= 0, got {num_messages}")
-    pmf = _as_pmf(input_pmf)
-    moments = ppc_moments(dmc, pmf)
-    if moments.tail_prefactor is None:
-        raise ValueError(
-            "relaxed bound needs positive information-density variance"
-        )
-    ctx = _PpcContext(dmc, pmf)
-    _check_lattice(n, len(ctx.cells), "rcu_mc_ppc")
     m = num_messages
-    if m == 0:
-        value = 0.0
-    else:
-        log_pref = math.log(moments.tail_prefactor) - 0.5 * math.log(n)
-        profile = _relaxed_profile(ctx, n)
-        value = _relaxed_from_profile(profile, math.log(m), log_pref)
+    value, moments = _relaxed_ppc(dmc, _as_pmf(input_pmf), n,
+                                  math.log(m) if m > 0 else -math.inf)
     return BoundReport(
         name="rcu-relaxed-ppc",
         value=value,
@@ -585,10 +658,9 @@ def achievable_logM_ppc(dmc: DmcModel, input_pmf, n: int, epsilon: float,
                 f"target error {epsilon}; pass strict_window=False to fall "
                 f"back to the finite relaxed-bound search"
             )
-        ctx = _PpcContext(dmc, pmf)
-        _check_lattice(n, len(ctx.cells), "rcu_mc_ppc")
-        terms = [(math.exp(logp), ctx.system.tail(yc, i_tot))
-                 for logp, i_tot, yc in ctx.type_terms(n)]
+        ctx = _Context(dmc.w, (pmf,))
+        terms = [(math.exp(logp), ctx.tails(ivec, counts)[0])
+                 for logp, ivec, counts in ctx.type_terms(n, "rcu_mc_ppc")]
 
         def exact_err(m: int) -> float:
             return sum(pj * _exact_error_from_tail(pt, m) for pj, pt in terms)
@@ -630,83 +702,14 @@ def achievable_logM_ppc(dmc: DmcModel, input_pmf, n: int, epsilon: float,
 # two-user MAC bounds
 
 
-class _MacContext:
-    """Supported (x1, x2, y) cells of P1 x P2 x W with the three
-    competitor atom systems (user 1 given (x2, y), user 2 given (x1, y),
-    and the pair given y)."""
-
-    def __init__(self, mac: MacModel, pmf1: InputPmf, pmf2: InputPmf):
-        if mac.num_users != 2:
-            raise ValueError(f"need a 2-user MAC, got {mac.num_users} users")
-        s1, s2 = mac.input_sizes
-        sy = mac.output_size
-        if pmf1.size != s1 or pmf2.size != s2:
-            raise ValueError("input pmf sizes do not match the MAC alphabets")
-        self.s1, self.s2, self.sy = s1, s2, sy
-        w = mac.w
-        p1 = pmf1.probs
-        p2 = pmf2.probs
-        pc1 = np.einsum("a,aby->by", p1, w)     # P(y | x2)
-        pc2 = np.einsum("b,aby->ay", p2, w)     # P(y | x1)
-        py = np.einsum("a,ay->y", p1, pc2)
-        t1, t2, t12 = mac_info_density_tables(mac, pmf1, pmf2)
-        cells = []
-        for a in range(s1):
-            for b in range(s2):
-                for y in range(sy):
-                    jp = p1[a] * p2[b] * w[a, b, y]
-                    if jp <= 0.0:
-                        continue
-                    cells.append((a, b, y, math.log(jp),
-                                  (float(t1[a, b, y]), float(t2[a, b, y]),
-                                   float(t12[a, b, y]))))
-        self.cells = cells
-        self._cell_by_xy = {(c[0], c[1], c[2]): c for c in cells}
-        # conditioning cells: user 1 tails key on (x2, y), user 2 on
-        # (x1, y), the pair on y
-        self.sys1 = _TailSystem(_competitor_atoms(
-            w.transpose(1, 2, 0).reshape(s2 * sy, s1), p1, pc1.ravel()))
-        self.sys2 = _TailSystem(_competitor_atoms(
-            w.transpose(0, 2, 1).reshape(s1 * sy, s2), p2, pc2.ravel()))
-        self.sys12 = _TailSystem(_competitor_atoms(
-            w.reshape(s1 * s2, sy).T, np.outer(p1, p2).ravel(), py))
-
-    def _fold(self, logp, cell_counts):
-        # (log_prob, i_vec, counts1, counts2, counts12) summed over
-        # (cell, count) pairs; counts index the three conditioning systems
-        sy = self.sy
-        i1 = i2 = i12 = 0.0
-        c1 = [0] * (self.s2 * sy)
-        c2 = [0] * (self.s1 * sy)
-        cy = [0] * sy
-        for (a, b, y, lp, ivec), cnt in cell_counts:
-            if cnt == 0:
-                continue
-            logp += cnt * lp
-            i1 += cnt * ivec[0]
-            i2 += cnt * ivec[1]
-            i12 += cnt * ivec[2]
-            c1[b * sy + y] += cnt
-            c2[a * sy + y] += cnt
-            cy[y] += cnt
-        return logp, (i1, i2, i12), tuple(c1), tuple(c2), tuple(cy)
-
-    def type_terms(self, n: int):
-        """Yield (log_prob, i_vec, counts1, counts2, counts12) per joint
-        type; i_vec also holds the three tail thresholds."""
-        for t in type_compositions(n, len(self.cells)):
-            yield self._fold(multinomial_log(n, t), zip(self.cells, t))
-
-    def trial_term(self, x1row, x2row, yrow):
-        """(i_vec, counts1, counts2, counts12) for one sampled word triple."""
-        counts = Counter(zip(x1row.tolist(), x2row.tolist(), yrow.tolist()))
-        return self._fold(0.0, ((self._cell_by_xy[key], cnt)
-                                for key, cnt in counts.items()))[1:]
-
-    def tails(self, c1, c2, cy, ivec):
-        return (self.sys1.tail(c1, ivec[0]),
-                self.sys2.tail(c2, ivec[1]),
-                self.sys12.tail(cy, ivec[2]))
+def _relaxed_term(ivec, log_scales) -> float:
+    """min{1, sum over events of min{1, e^{log_scale_e - i_e}}}; events
+    whose log scale is None are inactive and omitted."""
+    total = 0.0
+    for log_scale, i_val in zip(log_scales, ivec):
+        if log_scale is not None:
+            total += math.exp(min(log_scale - i_val, 0.0))
+    return min(total, 1.0)
 
 
 def rcu_mac(mac: MacModel, pmf1, pmf2, n: int, m1, m2,
@@ -729,122 +732,60 @@ def rcu_mac(mac: MacModel, pmf1, pmf2, n: int, m1, m2,
         raise ValueError(f"mode must be 'exact' or 'mc', got {mode!r}")
     p1 = _as_pmf(pmf1)
     p2 = _as_pmf(pmf2)
-    ctx = _MacContext(mac, p1, p2)
     prefs = mac_moments(mac, p1, p2).tail_prefactors
-    active = (m1 > 1, m2 > 1, m1 > 1 and m2 > 1)
-    needed = [prefs[j] for j in range(3) if active[j]]
-    relax_ok = all(math.isfinite(f) for f in needed)
+    ctx = _Context(mac.w, (p1, p2))
+    # competitor count per event; an event with none is inactive
+    mults = (m1 - 1, m2 - 1, (m1 - 1) * (m2 - 1))
+    relax_ok = all(math.isfinite(prefs[j]) for j in range(3) if mults[j])
     half_log_n = 0.5 * math.log(n)
-    log_f = [math.log(prefs[j]) - half_log_n if math.isfinite(prefs[j])
-             and prefs[j] > 0 else -math.inf for j in range(3)]
-
-    def relaxed_term(ivec):
-        tot = 0.0
-        if active[0]:
-            tot += math.exp(min(math.log(m1) + log_f[0] - ivec[0], 0.0))
-        if active[1]:
-            tot += math.exp(min(math.log(m2) + log_f[1] - ivec[1], 0.0))
-        if active[2]:
-            tot += math.exp(min(math.log(m1) + math.log(m2) + log_f[2]
-                                - ivec[2], 0.0))
-        return min(tot, 1.0)
-
+    log_ms = (math.log(m1), math.log(m2), math.log(m1) + math.log(m2))
+    log_scales = [log_ms[j] + (math.log(prefs[j]) - half_log_n)
+                  if mults[j] else None for j in range(3)]
     if mode == "exact":
-        _check_lattice(n, len(ctx.cells), "mode='mc'")
-        total = 0.0
-        relaxed = 0.0
-        count = 0
-        for logp, ivec, c1, c2, cy in ctx.type_terms(n):
-            pj = math.exp(logp)
-            v = 0.0
-            if active[0] or active[1] or active[2]:
-                p1t, p2t, p12t = ctx.tails(c1, c2, cy, ivec)
-                if active[0]:
-                    v += (m1 - 1) * p1t
-                if active[1]:
-                    v += (m2 - 1) * p2t
-                if active[2]:
-                    v += (m1 - 1) * (m2 - 1) * p12t
-            total += pj * min(1.0, v)
-            if relax_ok:
-                relaxed += pj * relaxed_term(ivec)
-            count += 1
-        components = {
-            "joint_types": count,
-            "relaxed": min(relaxed, 1.0) if relax_ok else float("nan"),
-            "relaxed_available": relax_ok,
-            "tail_prefactors": tuple(float(f) for f in prefs),
-        }
-        return BoundReport(
-            name="rcu-mac",
-            value=min(total, 1.0),
-            units="probability",
-            method="exact-type-enum",
-            n=n,
-            num_messages=(m1, m2),
-            components=components,
-        )
-
-    if trials < _MIN_TRIALS:
-        raise ValueError(f"trials must be >= {_MIN_TRIALS}, got {trials}")
-    cum1 = np.cumsum(p1.probs)
-    cum2 = np.cumsum(p2.probs)
-    wflat = mac.w.reshape(-1, mac.output_size)
-    cum_w = np.cumsum(wflat, axis=1)
-    s2 = mac.input_sizes[1]
+        terms = ((math.exp(logp), ivec, counts)
+                 for logp, ivec, counts in ctx.type_terms(n, "mode='mc'"))
+    else:
+        if trials < _MIN_TRIALS:
+            raise ValueError(f"trials must be >= {_MIN_TRIALS}, got {trials}")
+        terms = ((1.0, ivec, counts)
+                 for ivec, counts in ctx.trial_terms(n, trials, seed))
     total = 0.0
     total_sq = 0.0
     relaxed = 0.0
-    done = 0
-    chunk_idx = 0
-    while done < trials:
-        c = min(_MC_CHUNK, trials - done)
-        rng = np.random.Generator(np.random.Philox(key=[seed, chunk_idx]))
-        u1 = rng.random((c, n))
-        u2 = rng.random((c, n))
-        uy = rng.random((c, n))
-        x1 = np.minimum(np.searchsorted(cum1, u1, side="right"),
-                        mac.input_sizes[0] - 1)
-        x2 = np.minimum(np.searchsorted(cum2, u2, side="right"), s2 - 1)
-        flat = x1 * s2 + x2
-        ys = (uy[:, :, None] >= cum_w[flat][:, :, :-1]).sum(axis=2)
-        for r in range(c):
-            ivec, c1, c2c, cy = ctx.trial_term(x1[r], x2[r], ys[r])
-            v = 0.0
-            if active[0] or active[1] or active[2]:
-                p1t, p2t, p12t = ctx.tails(c1, c2c, cy, ivec)
-                if active[0]:
-                    v += (m1 - 1) * p1t
-                if active[1]:
-                    v += (m2 - 1) * p2t
-                if active[2]:
-                    v += (m1 - 1) * (m2 - 1) * p12t
-            v = min(1.0, v)
-            total += v
-            total_sq += v * v
-            if relax_ok:
-                relaxed += relaxed_term(ivec)
-        done += c
-        chunk_idx += 1
-    mean = total / trials
-    var = max(total_sq / trials - mean * mean, 0.0)
-    if trials > 1:
-        var *= trials / (trials - 1)
-    ci = 1.96 * math.sqrt(var / trials)
+    count = 0
+    for pj, ivec, counts in terms:
+        v = 0.0
+        if any(mults):
+            for mult, p_tail in zip(mults, ctx.tails(ivec, counts)):
+                v += mult * p_tail
+        v = min(1.0, v)
+        total += pj * v
+        total_sq += v * v
+        if relax_ok:
+            relaxed += pj * _relaxed_term(ivec, log_scales)
+        count += 1
+    if not relax_ok:
+        relaxed = float("nan")
+    elif mode == "mc":
+        relaxed /= trials
+    else:
+        relaxed = min(relaxed, 1.0)
+    components = {
+        "relaxed": relaxed,
+        "relaxed_available": relax_ok,
+        "tail_prefactors": tuple(float(f) for f in prefs),
+    }
+    if mode == "mc":
+        return _mc_report("rcu-mac", n, (m1, m2), trials, total, total_sq,
+                          components)
     return BoundReport(
         name="rcu-mac",
-        value=mean,
+        value=min(total, 1.0),
         units="probability",
-        method="monte-carlo",
+        method="exact-type-enum",
         n=n,
         num_messages=(m1, m2),
-        ci_half_width=ci,
-        trials=trials,
-        components={
-            "relaxed": relaxed / trials if relax_ok else float("nan"),
-            "relaxed_available": relax_ok,
-            "tail_prefactors": tuple(float(f) for f in prefs),
-        },
+        components={"joint_types": count, **components},
     )
 
 
@@ -940,18 +881,9 @@ def ldpc_rcu_ppc(dmc: DmcModel, quantizer: Quantizer, n: int,
         raise ValueError(f"spectrum ratio alpha must be >= 1, got {alpha}")
     q = quantizer.field.q
     r, m = _ldpc_design(n, var_degree, check_degree, q)
-    pmf = induced_input_pmf(quantizer)
-    moments = ppc_moments(dmc, pmf)
-    if moments.tail_prefactor is None:
-        raise ValueError(
-            "relaxed bound needs positive information-density variance"
-        )
-    ctx = _PpcContext(dmc, pmf)
-    _check_lattice(n, len(ctx.cells), "rcu_mc_ppc")
     log_m = (n - r) * math.log(q)
-    log_pref = math.log(moments.tail_prefactor) - 0.5 * math.log(n)
-    profile = _relaxed_profile(ctx, n)
-    value = _relaxed_from_profile(profile, log_m + math.log(alpha), log_pref)
+    value, moments = _relaxed_ppc(dmc, induced_input_pmf(quantizer), n,
+                                  log_m + math.log(alpha))
     components = {
         "alpha": alpha,
         "log_alpha": math.log(alpha),
@@ -1009,37 +941,29 @@ def ldpc_rcu_mac(mac: MacModel, quantizers, n: int, params1, params2,
     r2, m2 = _ldpc_design(n, params2[0], params2[1], params2[2])
     p1 = induced_input_pmf(quant1)
     p2 = induced_input_pmf(quant2)
-    ctx = _MacContext(mac, p1, p2)
-    _check_lattice(n, len(ctx.cells),
-                   "rcu_mac with mode='mc' on the i.i.d. ensemble")
     prefs = mac_moments(mac, p1, p2).tail_prefactors
+    ctx = _Context(mac.w, (p1, p2))
+    terms = ctx.type_terms(n, "rcu_mac with mode='mc' on the i.i.d. ensemble")
     power = 2.0 if same_coset else 1.0
     la1 = power * math.log(alpha1)
     la2 = power * math.log(alpha2)
     log_m1 = math.log(params1[2]) * (n - r1)
     log_m2 = math.log(params2[2]) * (n - r2)
-    active = (m1 > 1, m2 > 1, m1 > 1 and m2 > 1)
+    # each user has q^(n-r) >= 2 messages, so every event is active
     for j in range(3):
-        if active[j] and not (math.isfinite(prefs[j]) and prefs[j] > 0):
+        if not (math.isfinite(prefs[j]) and prefs[j] > 0):
             raise ValueError(
                 "relaxed MAC bound needs positive conditional variance for "
                 f"every active coordinate; coordinate {j} has none"
             )
     half_log_n = 0.5 * math.log(n)
-    log_t1 = log_m1 + la1 + (math.log(prefs[0]) - half_log_n if active[0] else 0.0)
-    log_t2 = log_m2 + la2 + (math.log(prefs[1]) - half_log_n if active[1] else 0.0)
-    log_t12 = (log_m1 + log_m2 + la1 + la2
-               + (math.log(prefs[2]) - half_log_n if active[2] else 0.0))
+    log_scales = [log_scale + (math.log(pref) - half_log_n)
+                  for log_scale, pref in zip((log_m1 + la1, log_m2 + la2,
+                                              log_m1 + log_m2 + la1 + la2),
+                                             prefs)]
     total = 0.0
-    for logp, ivec, _c1, _c2, _cy in ctx.type_terms(n):
-        s = 0.0
-        if active[0]:
-            s += math.exp(min(log_t1 - ivec[0], 0.0))
-        if active[1]:
-            s += math.exp(min(log_t2 - ivec[1], 0.0))
-        if active[2]:
-            s += math.exp(min(log_t12 - ivec[2], 0.0))
-        total += math.exp(logp) * min(1.0, s)
+    for logp, ivec, _counts in terms:
+        total += math.exp(logp) * _relaxed_term(ivec, log_scales)
     return BoundReport(
         name="ldpc-rcu-mac",
         value=min(total, 1.0),

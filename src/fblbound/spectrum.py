@@ -101,6 +101,10 @@ def multinomial_exact(n: int, t) -> int:
     counts = _counts(t)
     if sum(counts) != n:
         raise ValueError(f"type sums to {sum(counts)}, expected {n}")
+    return _multinomial(n, counts)
+
+
+def _multinomial(n: int, counts) -> int:
     out = 1
     rem = n
     for c in counts:
@@ -117,8 +121,13 @@ def multinomial_log(n: int, t) -> float:
     counts = _counts(t)
     if sum(counts) != n:
         raise ValueError(f"type sums to {sum(counts)}, expected {n}")
+    return _log_multinomial(n, counts)
+
+
+def _log_multinomial(n: int, counts) -> float:
+    # multinomial_log without validation: counts must be ints summing to n
     if n <= 64:
-        return math.log(multinomial_exact(n, counts))
+        return math.log(_multinomial(n, counts))
     out = math.lgamma(n + 1)
     for c in counts:
         out -= math.lgamma(c + 1)

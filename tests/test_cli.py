@@ -239,10 +239,18 @@ def test_rcu_mac_reports_message_pair(capsys, mac_path):
 
 
 def test_rcu_mc_without_seed_is_config_error(capsys, bsc_path):
-    rc, _, err = run(capsys, ["rcu", "--channel", bsc_path, "--n", "8",
-                              "--M", "4", "--mc", "100"])
-    assert rc == 2
-    assert "seed" in err
+    for trials in ("100", "0"):
+        rc, _, err = run(capsys, ["rcu", "--channel", bsc_path, "--n", "8",
+                                  "--M", "4", "--mc", trials])
+        assert rc == 2
+        assert "seed" in err
+
+
+def test_rcu_mc_zero_trials_is_not_the_relaxed_bound(capsys, bsc_path):
+    rc, _, err = run(capsys, ["rcu", "--channel", bsc_path, "--n", "16",
+                              "--M", "32", "--mc", "0", "--seed", "1"])
+    assert rc == 4
+    assert "trials" in err
 
 
 def test_rcu_mac_without_m2_is_config_error(capsys, mac_path):

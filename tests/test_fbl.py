@@ -252,6 +252,35 @@ def test_rcu_mc_reproducible():
     assert c.value != a.value
 
 
+def test_rcu_mc_streams_pinned():
+    # values recorded from the chunked Philox streams; any change to the
+    # draw order or to the per-sample arithmetic moves them
+    u = InputPmf.uniform(2)
+    r = rcu_mc_ppc(bsc("11/100"), u, 16, 64, trials=3000, seed=3)
+    assert r.value == pytest.approx(0.2054854228528021, rel=1e-12)
+    assert r.components["union_bound"] == pytest.approx(
+        0.24410570780436197, rel=1e-12)
+    r = rcu_mac(binary_adder_mac(), u, u, 8, 4, 4, mode="mc", trials=2000,
+                seed=5)
+    assert r.value == pytest.approx(0.026915565490722656, rel=1e-12)
+    r = rcu_mac(parallel_bsc_mac("1/10", "1/4"), u, u, 24, 4, 2, mode="mc",
+                trials=1000, seed=7)
+    assert r.value == pytest.approx(0.04816888815161117, rel=1e-12)
+    assert r.components["relaxed"] == pytest.approx(0.29197092624055737,
+                                                    rel=1e-12)
+
+
+def test_pmf_size_mismatch_rejected():
+    u3 = InputPmf.uniform(3)
+    for bound in (lambda: rcu_exact_ppc(bsc(0.11), u3, 4, 2),
+                  lambda: rcu_mc_ppc(bsc(0.11), u3, 4, 2, trials=1000),
+                  lambda: rcu_relaxed_ppc(bsc(0.11), u3, 4, 2),
+                  lambda: rcu_mac(binary_adder_mac(), InputPmf.uniform(2),
+                                  u3, 2, 2, 2)):
+        with pytest.raises(ValueError, match="not match"):
+            bound()
+
+
 def test_rcu_mc_saturates_at_huge_m():
     mc = rcu_mc_ppc(bsc(0.11), InputPmf.uniform(2), 4, 10**9, trials=1000)
     assert mc.value >= 0.999
