@@ -107,6 +107,20 @@ def _uniform_setup(input_size: int, q: int | None):
     return q_eff, quantizer, induced_input_pmf(quantizer)
 
 
+def _ldpc_bound(channel, n: int, var_degree: int, check_degree: int,
+                q: int | None):
+    """Relaxed RCU bound of the uniform-input coset LDPC ensemble over
+    GF(q), its spectrum penalty folded in: (q, quantizer, log alpha,
+    report)."""
+    q_eff, quantizer, _ = _uniform_setup(channel.input_size, q)
+    table = ldpc_spectrum_table(n, var_degree, check_degree, q_eff, 1)
+    r = (n * var_degree) // check_degree
+    log_a, _t = alpha_log(n, table, q_eff ** (n - r), 1)
+    report = ldpc_rcu_ppc(channel, quantizer, n, var_degree, check_degree,
+                          alpha=math.exp(log_a))
+    return q_eff, quantizer, log_a, report
+
+
 def _parse_pair(text: str, what: str) -> tuple[int, int]:
     parts = text.split(",")
     if len(parts) != 2:
@@ -329,29 +343,23 @@ def cmd_achieve(channel_path: str, epsilon: float, n: int,
         report = achievable_logM_ppc(channel, pmf, n, epsilon, units=units,
                                      strict_window=strict_window)
         return _report_dict(report)
-    var_degree, check_degree = ldpc
-    q_eff, quantizer, _ = _uniform_setup(channel.input_size, q)
-    table = ldpc_spectrum_table(n, var_degree, check_degree, q_eff, 1)
-    r = (n * var_degree) // check_degree
-    num = q_eff ** (n - r)
-    log_a, _t = alpha_log(n, table, num, 1)
-    report = ldpc_rcu_ppc(channel, quantizer, n, var_degree, check_degree,
-                          alpha=math.exp(log_a))
-    log_m = (n - r) * math.log(q_eff)
+    _q, _qz, log_a, report = _ldpc_bound(channel, n, *ldpc, q)
+    comp = report.components
+    log_m = comp["log_num_messages"]
     return {
         "name": "ldpc-achievable-log-messages",
         "value": log_m if units == "nats" else log_m / LN2,
         "units": units,
         "n": n,
-        "num_messages": num,
+        "num_messages": report.num_messages,
         "components": {
             "ensemble_error": report.value,
             "meets_target": bool(report.value <= epsilon),
             "target_error": epsilon,
-            "alpha": math.exp(log_a),
+            "alpha": comp["alpha"],
             "log_alpha": log_a,
-            "design_rate_qary": 1.0 - var_degree / check_degree,
-            "num_checks": r,
+            "design_rate_qary": comp["design_rate_qary"],
+            "num_checks": comp["num_checks"],
         },
     }
 
@@ -562,13 +570,8 @@ def cmd_compare(config: dict) -> dict:
         })
         if ens:
             lam, rho = ens["var_degree"], ens["check_degree"]
-            q_eff, quantizer, _ = _uniform_setup(channel.input_size,
-                                                 ens["q"])
-            table = ldpc_spectrum_table(n, lam, rho, q_eff, 1)
-            r = (n * lam) // rho
-            log_a, _t = alpha_log(n, table, q_eff ** (n - r), 1)
-            ldpc_rep = ldpc_rcu_ppc(channel, quantizer, n, lam, rho,
-                                    alpha=math.exp(log_a))
+            q_eff, quantizer, _la, ldpc_rep = _ldpc_bound(channel, n, lam,
+                                                          rho, ens["q"])
             rows.append({
                 "n": n, "bound_name": "ldpc-rcu-error",
                 "value": ldpc_rep.value, "unit": "probability",

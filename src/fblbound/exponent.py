@@ -6,22 +6,26 @@ using exp(-n E_nats) = q^(-n E_nats / ln q), so the probability values
 agree with the base-q statements without carrying a base parameter
 through every function.
 
-Four Gallager-function variants are supported: "PPC" (single transmitter,
-or a symmetric multiple-access channel driven by independent copies of
-one per-user input law), and the two-user conditional forms "MAC-1",
-"MAC-2", "MAC-12" used by the three-term multiple-access bound.
+The four Gallager-function variants are the error events of
+``fblbound.infodensity`` (the users whose codewords are wrong), all
+evaluated by one formula: "PPC" (every user: a single transmitter, or a
+multiple-access channel seen as one super-transmitter with independent
+per-user inputs), and the two-user "MAC-1" (user 1), "MAC-2" (user 2)
+and "MAC-12" (both) of the three-term multiple-access bound.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import DmcModel, InputPmf, MacModel, Quantizer, induced_input_pmf
 from .fbl import BoundReport
-from .infodensity import mac_moments, ppc_moments
+from .infodensity import (_check_sizes, average_inputs, mac_moments,
+                          ppc_moments)
 from .spectrum import (
     SpectrumTable,
     alpha_log,
@@ -30,7 +34,10 @@ from .spectrum import (
     symbol_components,
 )
 
-_VARIANTS = ("PPC", "MAC-1", "MAC-2", "MAC-12")
+# the error event of each MAC variant: the users averaged inside the
+# bracket; "PPC" averages every user
+_VARIANT_EVENTS = {"MAC-1": (0,), "MAC-2": (1,), "MAC-12": (0, 1)}
+_VARIANTS = ("PPC", *_VARIANT_EVENTS)
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _EIGHT_OVER_ESQ = 8.0 / (math.e * math.e)
 _LOG_FLOOR = -690.0  # exp() underflows to subnormal/0 a little below this
@@ -38,14 +45,6 @@ _LOG_FLOOR = -690.0  # exp() underflows to subnormal/0 a little below this
 
 # ---------------------------------------------------------------------------
 # Gallager function
-
-def _product_pmf(pmfs, num_users: int) -> np.ndarray:
-    """Joint pmf over the flattened input alphabet, last user fastest."""
-    vec = np.asarray(pmfs[0].probs, dtype=np.float64)
-    for j in range(1, num_users):
-        vec = np.kron(vec, np.asarray(pmfs[j].probs, dtype=np.float64))
-    return vec
-
 
 def _as_pmf_tuple(pmfs) -> tuple:
     if isinstance(pmfs, InputPmf):
@@ -56,46 +55,31 @@ def _as_pmf_tuple(pmfs) -> tuple:
     return out
 
 
-def _ppc_view(channel, pmfs) -> tuple[np.ndarray, np.ndarray]:
-    """(transition matrix, input pmf) for the single-transmitter view."""
+def _user_probs(variant: str, channel, pmfs) -> list:
+    """One pmf vector per user of ``channel``, after checking the pmfs
+    against the variant and the channel; "PPC" lets one pmf serve every
+    user."""
     pmfs = _as_pmf_tuple(pmfs)
-    if isinstance(channel, DmcModel):
-        if len(pmfs) != 1:
-            raise ValueError("a point-to-point channel takes exactly one pmf")
-        if pmfs[0].size != channel.input_size:
-            raise ValueError("pmf size does not match the input alphabet")
-        return channel.w, np.asarray(pmfs[0].probs, dtype=np.float64)
-    if isinstance(channel, MacModel):
-        k = channel.num_users
-        if len(pmfs) == 1:
-            pmfs = pmfs * k
-        if len(pmfs) != k:
-            raise ValueError(f"need 1 or {k} pmfs for a {k}-user channel")
-        for j, p in enumerate(pmfs):
-            if p.size != channel.input_sizes[j]:
-                raise ValueError(f"pmf {j + 1} does not match input alphabet {j + 1}")
-        return channel.flatten().w, _product_pmf(pmfs, k)
-    raise ValueError("channel must be a DmcModel or MacModel")
-
-
-def _two_user(channel, pmfs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    pmfs = _as_pmf_tuple(pmfs)
-    if not isinstance(channel, MacModel) or channel.num_users != 2:
-        raise ValueError("MAC variants need a two-user MacModel")
-    if len(pmfs) != 2:
-        raise ValueError("MAC variants take exactly two input pmfs")
-    p1, p2 = pmfs
-    if p1.size != channel.input_sizes[0] or p2.size != channel.input_sizes[1]:
-        raise ValueError("pmf sizes do not match the input alphabets")
-    return (
-        channel.w,
-        np.asarray(p1.probs, dtype=np.float64),
-        np.asarray(p2.probs, dtype=np.float64),
-    )
+    if not isinstance(channel, (DmcModel, MacModel)):
+        raise ValueError("channel must be a DmcModel or MacModel")
+    users = channel.w.ndim - 1
+    if variant != "PPC":
+        if users != 2:
+            raise ValueError("MAC variants need a two-user MacModel")
+        if len(pmfs) != 2:
+            raise ValueError("MAC variants take exactly two input pmfs")
+    if len(pmfs) == 1:
+        pmfs *= users
+    if len(pmfs) != users:
+        raise ValueError(f"a {users}-user channel takes one pmf per user "
+                         f"or one shared pmf")
+    return _check_sizes(channel.w, pmfs)
 
 
 def e0(variant: str, gallager_rho: float, channel, pmfs) -> float:
-    """Gallager function in nats at tilt parameter ``gallager_rho``.
+    """Gallager function in nats at tilt parameter ``gallager_rho``:
+    -ln sum over (x_rest, y) of P(x_rest) (E_{X_E} W(y|X)^s)^(1+rho),
+    s = 1/(1+rho), for the variant's error event E.
 
     "PPC" on a MacModel treats the users as one super-transmitter with
     the product input law (independent per-user inputs)."""
@@ -103,35 +87,26 @@ def e0(variant: str, gallager_rho: float, channel, pmfs) -> float:
         raise ValueError(f"variant must be one of {_VARIANTS}")
     if not 0.0 <= gallager_rho <= 1.0:
         raise ValueError("gallager_rho must lie in [0, 1]")
+    probs = _user_probs(variant, channel, pmfs)
     if gallager_rho == 0.0:
         return 0.0
-    s = 1.0 / (1.0 + gallager_rho)
-    if variant == "PPC":
-        w, px = _ppc_view(channel, pmfs)
-        inner = px @ np.power(w, s)
-        return -math.log(float(np.sum(np.power(inner, 1.0 + gallager_rho))))
-    w, p1, p2 = _two_user(channel, pmfs)
-    ws = np.power(w, s)
-    if variant == "MAC-1":
-        inner = np.tensordot(p1, ws, axes=(0, 0))  # (|X2|, |Y|)
-        total = p2 @ np.power(inner, 1.0 + gallager_rho)
-    elif variant == "MAC-2":
-        inner = np.tensordot(p2, ws, axes=(0, 1))  # (|X1|, |Y|)
-        total = p1 @ np.power(inner, 1.0 + gallager_rho)
-    else:  # MAC-12: joint super-symbol bracket
-        inner = np.tensordot(p1, np.tensordot(p2, ws, axes=(0, 1)), axes=(0, 0))
-        total = np.power(inner, 1.0 + gallager_rho)
-    return -math.log(float(np.sum(total)))
+    event = _VARIANT_EVENTS.get(variant, tuple(range(len(probs))))
+    rest = [p for u, p in enumerate(probs) if u not in event]
+    inner = average_inputs(np.power(channel.w, 1.0 / (1.0 + gallager_rho)),
+                           probs, event)
+    outer = average_inputs(np.power(inner, 1.0 + gallager_rho), rest,
+                           range(len(rest)))
+    return -math.log(float(np.sum(outer)))
 
 
 @dataclass
 class ExponentCurve:
-    """Memoizing evaluator for one (variant, channel, input-law) triple."""
+    """Gallager-function evaluator for one (variant, channel, input-law)
+    triple."""
 
     variant: str
     channel: object
     pmfs: tuple
-    _cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         self.pmfs = _as_pmf_tuple(self.pmfs)
@@ -139,12 +114,7 @@ class ExponentCurve:
             raise ValueError(f"variant must be one of {_VARIANTS}")
 
     def e0(self, gallager_rho: float) -> float:
-        key = float(gallager_rho)
-        got = self._cache.get(key)
-        if got is None:
-            got = e0(self.variant, key, self.channel, self.pmfs)
-            self._cache[key] = got
-        return got
+        return e0(self.variant, float(gallager_rho), self.channel, self.pmfs)
 
     def grid(self, points: int = 101) -> tuple[np.ndarray, np.ndarray]:
         rhos = np.linspace(0.0, 1.0, points)
@@ -163,10 +133,8 @@ def error_exponent(variant: str, rate: float, channel, pmfs,
         raise ValueError("rate must be nonnegative (nats)")
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    curve = ExponentCurve(variant, channel, pmfs)
-
     def obj(r: float) -> float:
-        return curve.e0(r) - r * rate
+        return e0(variant, r, channel, pmfs) - r * rate
 
     lo, hi = 0.0, 1.0
     c = hi - _INVPHI * (hi - lo)
@@ -201,12 +169,11 @@ def critical_rate(channel: DmcModel, pmf: InputPmf) -> float:
     One-sided difference from below with one Richardson extrapolation
     step; the curve is only defined on [0, 1], so a centered stencil is
     unavailable."""
-    curve = ExponentCurve("PPC", channel, (pmf,))
-    top = curve.e0(1.0)
+    top = e0("PPC", 1.0, channel, pmf)
     h = 1e-5
 
     def diff(step: float) -> float:
-        return (top - curve.e0(1.0 - step)) / step
+        return (top - e0("PPC", 1.0 - step, channel, pmf)) / step
 
     return max(0.0, 2.0 * diff(h / 2.0) - diff(h))
 
@@ -619,7 +586,6 @@ def expurgated_bound(n: int, rate: float, num_users: int, sigma: float,
 def _dmc_and_pmf(channel, per_user_pmf: InputPmf):
     if isinstance(channel, DmcModel):
         return channel, per_user_pmf
-    k = channel.num_users
     return channel.flatten(), InputPmf.from_values(
-        _product_pmf((per_user_pmf,) * k, k)
+        functools.reduce(np.kron, (per_user_pmf.probs,) * channel.num_users)
     )

@@ -38,7 +38,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .channel import DmcModel, InputPmf, MacModel, Quantizer, induced_input_pmf
-from .infodensity import mac_moments, ppc_moments
+from .infodensity import (EVENTS, _check_sizes, average_inputs,
+                          mac_moments, ppc_moments)
 from .spectrum import _log_multinomial, type_compositions
 
 LN2 = math.log(2.0)
@@ -320,11 +321,6 @@ def _check_lattice(n: int, num_cells: int, caller: str):
         )
 
 
-# Error events of the RCU bounds: the users whose codewords are wrong.  A
-# point-to-point channel has one; a two-user MAC has user 1, user 2, both.
-_EVENTS = {1: ((0,),), 2: ((0,), (1,), (0, 1))}
-
-
 class _Context:
     """Supported cells of P_1 x ... x P_K x W for K = 1 or 2 users, with
     one competitor-tail system per error event.
@@ -340,27 +336,19 @@ class _Context:
     """
 
     def __init__(self, w: np.ndarray, pmfs):
-        sizes = tuple(p.size for p in pmfs)
-        if w.shape[:-1] != sizes:
-            raise ValueError(
-                f"input pmf sizes {sizes} do not match the channel's input "
-                f"alphabets {w.shape[:-1]}"
-            )
-        probs = [p.probs for p in pmfs]
+        probs = _check_sizes(w, pmfs)
         self._w = w
         self._probs = probs
-        users = range(len(sizes))
+        users = range(len(probs))
         events = []     # (rest, P(x_rest, y), base slot)
         self._systems = []
         base = 0
-        for event in _EVENTS[len(sizes)]:
+        for event in EVENTS[len(probs)]:
             rest = tuple(u for u in users if u not in event)
-            marg = w
-            for k, u in enumerate(event):
-                marg = np.tensordot(probs[u], marg, axes=(0, u - k))
+            marg = average_inputs(w, probs, event)
             prior = functools.reduce(np.multiply.outer,
                                      [probs[u] for u in event])
-            lik = w.transpose(rest + (len(sizes),) + event)
+            lik = w.transpose(rest + (len(probs),) + event)
             system = _TailSystem(_competitor_atoms(
                 lik.reshape(marg.size, -1), prior.ravel(), marg.ravel()))
             self._systems.append((system, base, base + marg.size))

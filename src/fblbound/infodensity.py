@@ -6,10 +6,18 @@ ratio; output symbols the channel cannot produce under a given input get a
 -inf sentinel, and such zero-probability atoms are excluded from every
 moment sum.  Third-order bound constants are built from the Berry-Esseen
 constant 0.5583 for sums of independent (not necessarily identical) terms.
+
+The error events every bound family shares live here (``EVENTS``): the
+users whose codewords are wrong, one event for a point-to-point channel,
+three for a two-user MAC (user 1, user 2, both).  Event E's information
+density is ln W(y|x) - ln P(y|x_rest), P(y|x_rest) averaging W over x_E
+(``average_inputs``).  Moments, Gallager's E0 and the RCU competitor
+tails are all taken per event.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -21,13 +29,76 @@ BERRY_ESSEEN_C0 = 0.5583
 
 LN2 = math.log(2.0)
 
+# Error events per number of users: the users whose codewords are wrong.
+EVENTS = {1: ((0,),), 2: ((0,), (1,), (0, 1))}
+
+
+def average_inputs(arr: np.ndarray, probs, axes) -> np.ndarray:
+    """Average the input axes ``axes`` (ascending) of ``arr`` against
+    their pmfs: axis u against ``probs[u]``.  The other axes keep their
+    order."""
+    for k, u in enumerate(axes):
+        arr = np.tensordot(probs[u], arr, axes=(0, u - k))
+    return arr
+
+
+def _check_sizes(w: np.ndarray, pmfs) -> list:
+    """The pmfs' probability vectors, checked against ``w``'s input axes."""
+    sizes = tuple(p.size for p in pmfs)
+    if w.shape[:-1] != sizes:
+        raise ValueError(
+            f"input pmf sizes {sizes} do not match the channel's input "
+            f"alphabets {w.shape[:-1]}"
+        )
+    return [p.probs for p in pmfs]
+
+
+def _event_tables(w: np.ndarray, probs) -> list:
+    """Per event, the table ln W(y|x) - ln P(y|x_rest) shaped like ``w``.
+
+    Entries with W(y|x) = 0 are -inf; entries where P(y|x_rest) = 0 while
+    W(y|x) > 0 (possible only off the support of the input pmfs) are +inf.
+    """
+    tables = []
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logw = np.log(w)
+        for event in EVENTS[len(probs)]:
+            denom = np.expand_dims(average_inputs(w, probs, event), event)
+            tab = np.where(w == 0, -np.inf, logw - np.log(denom))
+            tables.append(np.where((w > 0) & (denom == 0), np.inf, tab))
+    return tables
+
+
+def _moments(w: np.ndarray, probs):
+    """Moments of the event information densities under P_1 x ... x W, by
+    exact summation over the supported cells: (means, covariance, third
+    absolute central moments, variance conditional on each output with
+    nan off the output support, per-event minimum of those)."""
+    tables = _event_tables(w, probs)
+    joint = functools.reduce(np.multiply.outer, probs)[..., None] * w
+    mask = joint > 0
+    means = np.array([float(np.sum(joint * np.where(mask, tab, 0.0),
+                                   where=mask)) for tab in tables])
+    centered = [np.where(mask, tab - mu, 0.0)
+                for tab, mu in zip(tables, means)]
+    cov = np.array([[float(np.sum(joint * (ca * cb), where=mask))
+                     for cb in centered] for ca in centered])
+    thirds = np.array([float(np.sum(joint * np.abs(c) ** 3, where=mask))
+                       for c in centered])
+    py = joint.sum(axis=tuple(range(len(probs))))
+    cond_var = np.full((len(tables), py.size), np.nan)
+    for y in np.flatnonzero(py > 0):
+        pxy = joint[..., y] / py[y]
+        m = mask[..., y]
+        for k, tab in enumerate(tables):
+            mu = float(np.sum(pxy * np.where(m, tab[..., y], 0.0), where=m))
+            dev = np.where(m, tab[..., y] - mu, 0.0)
+            cond_var[k, y] = float(np.sum(pxy * dev**2, where=m))
+    return means, cov, thirds, cond_var, np.fmin.reduce(cond_var, axis=1)
+
 
 def output_pmf(dmc: DmcModel, pmf: InputPmf) -> np.ndarray:
-    if pmf.size != dmc.input_size:
-        raise ValueError(
-            f"pmf over {pmf.size} symbols does not match |X|={dmc.input_size}"
-        )
-    return pmf.probs @ dmc.w
+    return average_inputs(dmc.w, _check_sizes(dmc.w, (pmf,)), (0,))
 
 
 def info_density_table(dmc: DmcModel, pmf: InputPmf) -> np.ndarray:
@@ -37,12 +108,7 @@ def info_density_table(dmc: DmcModel, pmf: InputPmf) -> np.ndarray:
     W(y|x) > 0 (possible only off the support of the input pmf) are +inf.
     Neither kind carries forward probability mass.
     """
-    py = output_pmf(dmc, pmf)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        table = np.log(dmc.w) - np.log(py)[None, :]
-    table = np.where(dmc.w == 0, -np.inf, table)
-    table = np.where((dmc.w > 0) & (py[None, :] == 0), np.inf, table)
-    return table
+    return _event_tables(dmc.w, _check_sizes(dmc.w, (pmf,)))[0]
 
 
 @dataclass(frozen=True)
@@ -75,32 +141,16 @@ def _tail_constants(variance: float, third: float):
 def ppc_moments(dmc: DmcModel, pmf: InputPmf) -> MomentSet:
     """Mean, variance, per-output conditional variances, and third absolute
     moment of i(X;Y), plus the derived bound constants."""
-    table = info_density_table(dmc, pmf)
-    joint = pmf.probs[:, None] * dmc.w
-    mask = joint > 0
-    vals = np.where(mask, table, 0.0)
-    mean = float(np.sum(joint * vals, where=mask))
-    centered = np.where(mask, table - mean, 0.0)
-    variance = float(np.sum(joint * centered**2, where=mask))
-    third = float(np.sum(joint * np.abs(centered) ** 3, where=mask))
-    py = joint.sum(axis=0)
-    ny = dmc.output_size
-    cond_var = np.full(ny, np.nan)
-    for y in range(ny):
-        if py[y] <= 0:
-            continue
-        pxy = joint[:, y] / py[y]
-        m = mask[:, y]
-        mu = float(np.sum(pxy * vals[:, y], where=m))
-        cond_var[y] = float(np.sum(pxy * (np.where(m, table[:, y] - mu, 0.0)) ** 2, where=m))
-    supported = cond_var[~np.isnan(cond_var)]
-    cond_min = float(np.min(supported)) if supported.size else float("nan")
+    means, cov, thirds, cond_var, cond_min = _moments(
+        dmc.w, _check_sizes(dmc.w, (pmf,)))
+    variance = float(cov[0, 0])
+    third = float(thirds[0])
     be, pref = _tail_constants(variance, third)
     return MomentSet(
-        mean=mean,
+        mean=float(means[0]),
         variance=max(variance, 0.0),
-        cond_var_by_output=cond_var,
-        cond_var_min=cond_min,
+        cond_var_by_output=cond_var[0],
+        cond_var_min=float(cond_min[0]),
         third_abs_moment=third,
         be_term=be,
         tail_prefactor=pref,
@@ -128,79 +178,26 @@ class MacMomentSet:
     tail_prefactors: np.ndarray
 
 
+def _mac_probs(mac: MacModel, pmf1: InputPmf, pmf2: InputPmf) -> list:
+    if mac.num_users != 2:
+        raise ValueError(f"need a 2-user MAC, got {mac.num_users} users")
+    return _check_sizes(mac.w, (pmf1, pmf2))
+
+
 def mac_info_density_tables(mac: MacModel, pmf1: InputPmf, pmf2: InputPmf):
     """Conditional and joint info-density tables, each shape (|X1|,|X2|,|Y|):
     i(x1; y | x2), i(x2; y | x1), and i(x1 x2; y)."""
-    if mac.num_users != 2:
-        raise ValueError(f"need a 2-user MAC, got {mac.num_users} users")
-    n1, n2 = mac.input_sizes
-    if pmf1.size != n1 or pmf2.size != n2:
-        raise ValueError("input pmf sizes do not match the MAC alphabets")
-    w = mac.w
-    # P(y|x2) averages over X1; P(y|x1) over X2; P(y) over both
-    py_g2 = np.tensordot(pmf1.probs, w, axes=(0, 0))  # (|X2|, |Y|)
-    py_g1 = np.tensordot(pmf2.probs, w, axes=(0, 1))  # (|X1|, |Y|)
-    py = pmf2.probs @ py_g2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logw = np.log(w)
-        i1 = logw - np.log(py_g2)[None, :, :]
-        i2 = logw - np.log(py_g1)[:, None, :]
-        i12 = logw - np.log(py)[None, None, :]
-    neg = w == 0
-    out = []
-    for tab, denom in (
-        (i1, np.broadcast_to(py_g2[None, :, :], w.shape)),
-        (i2, np.broadcast_to(py_g1[:, None, :], w.shape)),
-        (i12, np.broadcast_to(py[None, None, :], w.shape)),
-    ):
-        tab = np.where(neg, -np.inf, tab)
-        tab = np.where(~neg & (denom == 0), np.inf, tab)
-        out.append(tab)
-    return tuple(out)
+    return tuple(_event_tables(mac.w, _mac_probs(mac, pmf1, pmf2)))
 
 
 def mac_moments(mac: MacModel, pmf1: InputPmf, pmf2: InputPmf) -> MacMomentSet:
     """All first/second/third moments of the info-density vector by exact
     summation over (x1, x2, y) with independent inputs."""
-    tables = mac_info_density_tables(mac, pmf1, pmf2)
-    joint = pmf1.probs[:, None, None] * pmf2.probs[None, :, None] * mac.w
-    mask = joint > 0
-    means = np.zeros(3)
-    for k, tab in enumerate(tables):
-        means[k] = float(np.sum(joint * np.where(mask, tab, 0.0), where=mask))
-    centered = [np.where(mask, tab - means[k], 0.0) for k, tab in enumerate(tables)]
-    cov = np.zeros((3, 3))
-    for a in range(3):
-        for b in range(a, 3):
-            cov[a, b] = cov[b, a] = float(
-                np.sum(joint * centered[a] * centered[b], where=mask)
-            )
-    thirds = np.array(
-        [float(np.sum(joint * np.abs(c) ** 3, where=mask)) for c in centered]
-    )
-    py = joint.sum(axis=(0, 1))
-    ny = mac.output_size
-    cond_var = np.full((3, ny), np.nan)
-    for y in range(ny):
-        if py[y] <= 0:
-            continue
-        pxy = joint[:, :, y] / py[y]
-        m = mask[:, :, y]
-        for k, tab in enumerate(tables):
-            mu = float(np.sum(pxy * np.where(m, tab[:, :, y], 0.0), where=m))
-            dev = np.where(m, tab[:, :, y] - mu, 0.0)
-            cond_var[k, y] = float(np.sum(pxy * dev**2, where=m))
-    cond_min = np.array(
-        [
-            float(np.nanmin(cond_var[k])) if np.any(~np.isnan(cond_var[k])) else np.nan
-            for k in range(3)
-        ]
-    )
-    prefs = np.full(3, np.nan)
-    for k in range(3):
-        _, pref = _tail_constants(float(cov[k, k]), float(thirds[k]))
-        if pref is not None:
-            prefs[k] = pref
+    means, cov, thirds, cond_var, cond_min = _moments(
+        mac.w, _mac_probs(mac, pmf1, pmf2))
+    # nan where the variance vanishes and _tail_constants gives None
+    prefs = np.array([_tail_constants(float(v), float(t))[1] or np.nan
+                      for v, t in zip(np.diag(cov), thirds)])
     return MacMomentSet(
         means=means,
         cov=cov,

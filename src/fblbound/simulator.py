@@ -233,10 +233,28 @@ def _build_inputs(codebook, quantizer, rng) -> Codebook:
 # ---------------------------------------------------------------------------
 # ML decoding
 
-def _input_rows(codebook) -> np.ndarray:
-    if codebook.inputs is None:
+def _candidates(channel, books, n: int) -> np.ndarray:
+    """Candidate channel-input words for exhaustive ML decoding: the rows
+    of one codebook, or for a two-user MAC every pair of rows as one word
+    over the flattened input alphabet (user 2 fastest).  Checks the
+    candidate count against ``_ENUM_GUARD`` and the word length against
+    ``n``."""
+    if not isinstance(channel, (DmcModel, MacModel)):
+        raise ValueError("channel must be a DmcModel or MacModel")
+    words = [cb.inputs for cb in
+             (books if isinstance(channel, MacModel) else (books,))]
+    if any(x is None for x in words):
         raise ValueError("codebook has no channel inputs; run build_inputs")
-    return codebook.inputs
+    count = math.prod(x.shape[0] for x in words)
+    if count > _ENUM_GUARD:
+        raise ValueError(f"{count} candidates exceed the {_ENUM_GUARD} guard")
+    if any(x.shape[1] != n for x in words):
+        raise ValueError("output length does not match the codebooks")
+    if len(words) == 1:
+        return words[0]
+    x1, x2 = words
+    return (x1[:, None, :] * channel.input_sizes[1]
+            + x2[None, :, :]).reshape(-1, n)
 
 
 def ml_decode(channel, codebook, y, rng=None, seed: int = 0):
@@ -250,36 +268,12 @@ def ml_decode(channel, codebook, y, rng=None, seed: int = 0):
     if rng is None:
         rng = _rng(seed, 3)
     y = np.asarray(y, dtype=np.int64)
+    cand = _candidates(channel, codebook, y.shape[0])
+    logw = _log_table(channel.w.reshape(-1, channel.w.shape[-1]))
+    win = int(_ml_decide(_log_likelihoods(logw, cand, y[None, :]), rng)[2][0])
     if isinstance(channel, MacModel):
-        cb1, cb2 = codebook
-        x1, x2 = _input_rows(cb1), _input_rows(cb2)
-        if x1.shape[1] != y.shape[0] or x2.shape[1] != y.shape[0]:
-            raise ValueError("output length does not match the codebooks")
-        m1, m2 = x1.shape[0], x2.shape[0]
-        if m1 * m2 > _ENUM_GUARD:
-            raise ValueError(
-                f"{m1 * m2} candidate pairs exceed the {_ENUM_GUARD} guard"
-            )
-        s2 = channel.input_sizes[1]
-        flat_rows = (x1[:, None, :] * s2 + x2[None, :, :]).reshape(-1, y.shape[0])
-        flat = channel.flatten()
-        win = _ml_pick(flat, flat_rows, y, rng)
-        return divmod(win, m2)
-    if not isinstance(channel, DmcModel):
-        raise ValueError("channel must be a DmcModel or MacModel")
-    rows = _input_rows(codebook)
-    if rows.shape[1] != y.shape[0]:
-        raise ValueError("output length does not match the codebook")
-    if rows.shape[0] > _ENUM_GUARD:
-        raise ValueError(
-            f"{rows.shape[0]} candidates exceed the {_ENUM_GUARD} guard"
-        )
-    return _ml_pick(channel, rows, y, rng)
-
-
-def _ml_pick(dmc, rows, y, rng) -> int:
-    ll = _log_table(dmc.w)[rows, y[None, :]].sum(axis=1)
-    return int(_ml_decide(ll[None, :], rng)[2][0])
+        return divmod(win, codebook[1].size)
+    return win
 
 
 def _log_table(w) -> np.ndarray:
@@ -381,8 +375,8 @@ def simulate_error(ensemble_params, channel, quantizers, trials_codes: int,
         if qz.field.q != q:
             raise ValueError("quantizer field does not match ensemble q")
     rate = 1.0 - var_degree / check_degree
-    flat = channel.flatten() if mac else channel
-    logw = _log_table(flat.w)
+    flat_w = channel.w.reshape(-1, channel.w.shape[-1])
+    logw = _log_table(flat_w)
     realized = 0
     pessimistic = 0
     num_messages = None
@@ -403,22 +397,10 @@ def simulate_error(ensemble_params, channel, quantizers, trials_codes: int,
             cb = replace(cb, coset=v, quantizer=qz,
                          inputs=qz.apply(shifted))
             books.append(cb)
-        if mac:
-            x1, x2 = books[0].inputs, books[1].inputs
-            m1, m2 = x1.shape[0], x2.shape[0]
-            if m1 * m2 > _ENUM_GUARD:
-                raise ValueError(
-                    f"{m1 * m2} candidate pairs exceed the {_ENUM_GUARD} guard"
-                )
-            s2 = channel.input_sizes[1]
-            cand = (x1[:, None, :] * s2 + x2[None, :, :]).reshape(-1, n)
-            sent = rng.integers(m1 * m2, size=trials_noise)
-            num_messages = m1 * m2
-        else:
-            cand = books[0].inputs
-            sent = rng.integers(cand.shape[0], size=trials_noise)
-            num_messages = cand.shape[0]
-        ys = _sample_outputs(flat.w, cand[sent], rng)
+        cand = _candidates(channel, books if mac else books[0], n)
+        num_messages = cand.shape[0]
+        sent = rng.integers(num_messages, size=trials_noise)
+        ys = _sample_outputs(flat_w, cand[sent], rng)
         ll = _log_likelihoods(logw, cand, ys)
         top, n_tied, decoded = _ml_decide(ll, rng)
         sent_ll = ll[np.arange(trials_noise), sent]

@@ -3,10 +3,12 @@
 Everything here is computed in rational or integer arithmetic with direct
 sequence enumeration: no joint types, no convolutions, no shared code with
 the implementations under test.  The two check-node oracles share only
-``fblbound.gfq`` field arithmetic with production.
+``fblbound.gfq`` field arithmetic with production.  The Gallager-function
+oracle is the one float routine: scalar loops over every input tuple.
 """
 
 import itertools
+import math
 from collections import Counter
 from fractions import Fraction
 
@@ -256,3 +258,30 @@ def dp_check_poly(q, num_users, rho):
                         dst[key] = dst.get(key, 0) + cnt * w
         state = nxt
     return {t: c for t, c in state[0].items() if c}
+
+
+def e0_event(w, probs, event, rho):
+    """Gallager's E0 of one error event by direct loops over symbols:
+    -ln sum over (x_rest, y) of P(x_rest) (sum over x_E of P(x_E)
+    W(y|x)^(1/(1+rho)))^(1+rho), where ``event`` lists the users whose
+    inputs are averaged inside the bracket and ``probs`` holds one pmf
+    (a sequence of floats) per user."""
+    users = range(len(probs))
+    rest = [u for u in users if u not in event]
+    s = 1.0 / (1.0 + rho)
+    total = 0.0
+    for x_rest in itertools.product(*(range(len(probs[u])) for u in rest)):
+        p_rest = math.prod(float(probs[u][x]) for u, x in zip(rest, x_rest))
+        for y in range(w.shape[-1]):
+            inner = 0.0
+            for x_ev in itertools.product(*(range(len(probs[u]))
+                                            for u in event)):
+                x = [0] * len(probs)
+                for u, xu in zip(rest, x_rest):
+                    x[u] = xu
+                for u, xu in zip(event, x_ev):
+                    x[u] = xu
+                p_ev = math.prod(float(probs[u][x[u]]) for u in event)
+                inner += p_ev * float(w[tuple(x) + (y,)]) ** s
+            total += p_rest * inner ** (1.0 + rho)
+    return -math.log(total)

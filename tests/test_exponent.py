@@ -112,18 +112,58 @@ def test_e0_validation():
         ex.e0("PPC", 1.5, ch, UNIF2)
     with pytest.raises(ValueError, match="gallager_rho"):
         ex.e0("PPC", -0.1, ch, UNIF2)
-    with pytest.raises(ValueError, match="two-user"):
-        ex.e0("MAC-1", 0.5, ch, UNIF2)
-    with pytest.raises(ValueError, match="pmf size"):
-        ex.e0("PPC", 0.5, ch, InputPmf.uniform(3))
-    with pytest.raises(ValueError, match="two input pmfs"):
-        ex.e0("MAC-12", 0.5, binary_adder_mac(), UNIF2)
+    # rho = 0 has E0 = 0 on every valid input, but must not skip validation
+    for rho in (0.5, 0.0):
+        with pytest.raises(ValueError, match="two-user"):
+            ex.e0("MAC-1", rho, ch, UNIF2)
+        with pytest.raises(ValueError, match="pmf size"):
+            ex.e0("PPC", rho, ch, InputPmf.uniform(3))
+        with pytest.raises(ValueError, match="two input pmfs"):
+            ex.e0("MAC-12", rho, binary_adder_mac(), UNIF2)
+
+
+def noisy_adder_mac():
+    """Binary adder MAC whose output is right with probability 8/10 and
+    each wrong sum with 1/10."""
+    hi, lo = "8/10", "1/10"
+    return MacModel.from_rows([
+        [[hi, lo, lo], [lo, hi, lo]],
+        [[lo, hi, lo], [lo, lo, hi]],
+    ])
+
+
+# Gallager function event of each variant: the users averaged in the bracket
+_VARIANT_EVENTS = {"PPC": (0, 1), "MAC-1": (0,), "MAC-2": (1,),
+                   "MAC-12": (0, 1)}
+
+
+def test_e0_variants_match_event_oracle():
+    rng = np.random.default_rng(11)
+    for _ in range(5):
+        mac = MacModel(rng.dirichlet(np.ones(3), size=(2, 2)))
+        p1 = InputPmf(rng.dirichlet(np.ones(2)))
+        p2 = InputPmf(rng.dirichlet(np.ones(2)))
+        probs = (p1.probs, p2.probs)
+        for variant, event in _VARIANT_EVENTS.items():
+            for rho in (0.25, 0.5, 1.0):
+                want = oracles.e0_event(mac.w, probs, event, rho)
+                got = ex.e0(variant, rho, mac, (p1, p2))
+                assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+
+@pytest.mark.parametrize("mac,want", [
+    (parallel_mac("1/10", "1/4"), (0.18547983568250162, 0.29248001550928365)),
+    (noisy_adder_mac(), (0.15281185833194125, 0.23438981590286923)),
+])
+def test_e0_mac12_pinned(mac, want):
+    got = [ex.e0("MAC-12", rho, mac, (UNIF2, UNIF2)) for rho in (0.5, 1.0)]
+    assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_exponent_curve_caches_and_grids():
     curve = ex.ExponentCurve("PPC", bsc("11/100"), UNIF2)
     v1 = curve.e0(0.5)
-    assert curve.e0(0.5) == v1 and len(curve._cache) == 1
+    assert curve.e0(0.5) == v1
     rhos, vals = curve.grid(11)
     assert rhos.shape == (11,) and vals.shape == (11,)
     assert vals[0] == 0.0

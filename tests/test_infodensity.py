@@ -165,6 +165,37 @@ def test_mac_cov_psd_and_sum_rule():
         assert ms.means[2] >= max(ms.means[0], ms.means[1]) - 1e-12
 
 
+def _parallel_bsc_mac(pa, pb):
+    w = np.einsum("ac,bd->abcd", bsc(pa).w, bsc(pb).w).reshape(2, 2, 4)
+    return MacModel(w)
+
+
+def _noisy_adder_mac():
+    hi, lo = "8/10", "1/10"
+    return MacModel.from_rows([
+        [[hi, lo, lo], [lo, hi, lo]],
+        [[lo, hi, lo], [lo, lo, hi]],
+    ])
+
+
+@pytest.mark.parametrize("mac,cov,prefs", [
+    (_parallel_bsc_mac("1/10", "1/4"),
+     [[0.4345016258925295, 0.0, 0.4345016258925296],
+      [0.0, 0.2263029301523591, 0.22630293015235917],
+      [0.4345016258925296, 0.22630293015235917, 0.6608045560448887]],
+     [6.943095182209706, 4.385920092012775, 5.050510929694438]),
+    (_noisy_adder_mac(),
+     [[0.3950321701152864, 0.28191972934062187, 0.434010539660611],
+      [0.28191972934062187, 0.3950321701152865, 0.434010539660611],
+      [0.434010539660611, 0.434010539660611, 0.6699531945018178]],
+     [6.4099565740820434, 6.409956574082041, 4.408086333455708]),
+])
+def test_mac_moments_pinned(mac, cov, prefs):
+    ms = mac_moments(mac, InputPmf.uniform(2), InputPmf.uniform(2))
+    assert ms.cov == pytest.approx(np.array(cov), rel=1e-12, abs=1e-14)
+    assert ms.tail_prefactors == pytest.approx(prefs, rel=1e-12)
+
+
 def test_mac_tables_shapes_and_sentinels():
     i1, i2, i12 = mac_info_density_tables(
         binary_adder_mac(), InputPmf.uniform(2), InputPmf.uniform(2)
