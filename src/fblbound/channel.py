@@ -6,8 +6,7 @@ Transition probabilities may be exact rationals (kept as ``Fraction`` rows
 alongside the float matrix, where they serve the exact row-sum check and
 JSON round trips; every bound computes with the float matrix)
 or plain doubles with a 1e-12 stochasticity tolerance.  All information
-quantities are computed internally in nats; unit helpers convert at the
-boundary.
+quantities are computed internally in nats.
 
 JSON schema for channel files::
 
@@ -20,23 +19,14 @@ per user, innermost lists running over the output alphabet.
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
 from .gfq import FieldSpec
 
-LN2 = math.log(2.0)
-
 _ROW_SUM_TOL = 1e-12
-
-
-def nats_to_bits(x: float) -> float:
-    return x / LN2
 
 
 def _parse_entry(v):
@@ -109,22 +99,13 @@ class DmcModel:
     def output_size(self) -> int:
         return self.w.shape[1]
 
-    @property
-    def is_exact(self) -> bool:
-        return self.w_exact is not None
-
-    def exact_prob(self, x: int, y: int) -> Fraction:
-        if self.w_exact is None:
-            raise ValueError("channel was built from doubles; no exact entries")
-        return self.w_exact[x][y]
-
 
 @dataclass(frozen=True)
 class MacModel:
     """Multiple-access channel: ``w`` has shape (|X_1|, ..., |X_K|, |Y|).
 
     The symmetric-K mode is the special case where all input alphabets share
-    one size; ``is_symmetric_kmac`` checks full permutation invariance.
+    one size.
     """
 
     w: np.ndarray
@@ -157,18 +138,6 @@ class MacModel:
     @property
     def output_size(self) -> int:
         return self.w.shape[-1]
-
-    @property
-    def is_exact(self) -> bool:
-        return self.w_exact is not None
-
-    def exact_prob(self, xs: Sequence[int], y: int) -> Fraction:
-        if self.w_exact is None:
-            raise ValueError("channel was built from doubles; no exact entries")
-        node = self.w_exact
-        for x in xs:
-            node = node[x]
-        return node[y]
 
     def flatten(self) -> DmcModel:
         """View the MAC as a point-to-point channel over the product input
@@ -323,45 +292,6 @@ def induced_input_pmf(quantizer: Quantizer) -> InputPmf:
     q = quantizer.field.q
     exact = tuple(Fraction(c, q) for c in quantizer.counts)
     return InputPmf(np.array([float(e) for e in exact]), exact)
-
-
-def closest_quantizable_pmf(pmf: InputPmf, q: int) -> tuple[InputPmf, float]:
-    """Best pmf with all masses multiples of 1/q (each >= 1/q), and the
-    worst-case absolute gap to the target.  Useful for choosing q."""
-    if q < pmf.size:
-        raise ValueError(f"q={q} cannot support {pmf.size} symbols")
-    base = [max(1, math.floor(p * q)) for p in pmf.probs]
-    # distribute the remaining mass greedily by largest shortfall
-    while sum(base) > q:
-        over = max(range(pmf.size), key=lambda u: base[u] - pmf.probs[u] * q)
-        if base[over] <= 1:
-            raise ValueError(f"q={q} cannot support {pmf.size} symbols")
-        base[over] -= 1
-    while sum(base) < q:
-        under = min(range(pmf.size), key=lambda u: base[u] - pmf.probs[u] * q)
-        base[under] += 1
-    exact = tuple(Fraction(c, q) for c in base)
-    out = InputPmf(np.array([float(e) for e in exact]), exact)
-    gap = float(np.max(np.abs(out.probs - pmf.probs)))
-    return out, gap
-
-
-def is_symmetric_kmac(mac: MacModel) -> bool:
-    """True iff the transition law is invariant under any permutation of the
-    user inputs (exhaustive check; vacuously true for one user)."""
-    sizes = mac.input_sizes
-    if len(set(sizes)) > 1:
-        return False
-    k = mac.num_users
-    if k == 1:
-        return True
-    for perm in itertools.permutations(range(k)):
-        if perm == tuple(range(k)):
-            continue
-        permuted = np.transpose(mac.w, perm + (k,))
-        if not np.array_equal(permuted, mac.w):
-            return False
-    return True
 
 
 def capacity(

@@ -24,6 +24,7 @@ from dataclasses import asdict
 
 import numpy as np
 
+from . import GuardError
 from .channel import (DmcModel, InputPmf, MacModel, channel_from_json,
                       induced_input_pmf, make_quantizer)
 from .exponent import (expurgated_bound, exponent_rate_bound,
@@ -271,7 +272,7 @@ def cmd_spectrum(q: int, num_users: int, var_degree: int, check_degree: int,
             ))
         return rows
     if n > 64:
-        raise ValueError(
+        raise GuardError(
             "per-type table guard: n <= 64; pass --theta for asymptotic curves"
         )
     table = ldpc_spectrum_table(n, var_degree, check_degree, q, num_users)
@@ -373,10 +374,10 @@ def cmd_simulate(channel_path: str, q: int, var_degree: int,
                  same_coset: bool = False) -> dict:
     """Monte Carlo error estimate plus ensemble diagnostics.
 
-    The minimum-distance histogram and the rate-gap statistics are taken
-    over fresh draws from the same ensemble (seeded from the same seed),
-    not over the exact codes behind eps_hat; they describe the ensemble,
-    not the particular error run."""
+    The rate-gap statistics read exactly the codes behind eps_hat (for a
+    MAC, user 1's graph of each trial).  The minimum-distance histogram is
+    taken over fresh draws from the same ensemble, seeded from the same
+    seed; it describes the ensemble, not the particular error run."""
     channel = _load_channel(channel_path)
     is_mac = isinstance(channel, MacModel)
     if mac != is_mac:
@@ -451,6 +452,10 @@ RUN_CONFIG_SCHEMA = {
 }
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _validate_config(config: dict) -> dict:
     if not isinstance(config, dict):
         raise ConfigError("config must be a JSON object")
@@ -477,7 +482,7 @@ def _validate_config(config: dict) -> dict:
             raise ConfigError(f"config key {key!r} is required")
     sweep = config["n_sweep"]
     if not isinstance(sweep, list) or not sweep or \
-            not all(isinstance(v, int) and v >= 1 for v in sweep):
+            not all(_is_int(v) and v >= 1 for v in sweep):
         raise ConfigError("n_sweep must be a nonempty list of positive ints")
     eps = config["epsilon"]
     if not isinstance(eps, (int, float)) or not 0.0 < eps < 1.0:
@@ -493,14 +498,14 @@ def _validate_config(config: dict) -> dict:
         if "seed" not in config:
             raise ConfigError("simulate needs an explicit seed")
         sim = config["simulate"]
-        if not all(isinstance(sim.get(k), int) and sim[k] >= 1
+        if not all(_is_int(sim.get(k)) and sim[k] >= 1
                    for k in ("codes", "noise")):
             raise ConfigError("simulate.codes and simulate.noise must be "
                               "positive ints")
     if "ensemble" in config:
         ens = config["ensemble"]
         for k in ("var_degree", "check_degree", "q"):
-            if not isinstance(ens.get(k), int) or ens[k] < 2:
+            if not _is_int(ens.get(k)) or ens[k] < 2:
                 raise ConfigError(f"ensemble.{k} must be an int >= 2")
         for n in sweep:
             if (n * ens["var_degree"]) % ens["check_degree"]:
@@ -508,6 +513,9 @@ def _validate_config(config: dict) -> dict:
                     f"n = {n} is incompatible with the ensemble: "
                     f"n*var_degree must be a multiple of check_degree"
                 )
+    if "seed" in config and not (_is_int(config["seed"])
+                                 and config["seed"] >= 0):
+        raise ConfigError("seed must be a nonnegative int")
     for e in config.get("scaling_epsilons", []):
         if not isinstance(e, (int, float)) or not 0.0 < e <= 0.5:
             raise ConfigError("scaling_epsilons entries must lie in (0, 1/2]")
@@ -587,7 +595,7 @@ def cmd_compare(config: dict) -> dict:
                 sim = config["simulate"]
                 rep = simulate_error((n, lam, rho, q_eff), channel,
                                      quantizer, sim["codes"], sim["noise"],
-                                     int(config["seed"]))
+                                     config["seed"])
                 rows.append({
                     "n": n, "bound_name": "simulated-ml-error",
                     "value": rep.value, "unit": "probability",
@@ -800,6 +808,10 @@ def _dispatch(args) -> int:
         else:
             sys.stdout.write(_dumps(out))
     elif args.command == "rcu":
+        if args.mac != isinstance(_load_channel(args.channel), MacModel):
+            raise ConfigError("channel kind does not match the --mac flag")
+        if args.m2 is not None and not args.mac:
+            raise ConfigError("--M2 needs --mac")
         mode = "exact" if args.exact else (
             "mc" if args.mc is not None else "relaxed")
         for n in _sweep_or_single(args):
@@ -859,10 +871,10 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except GuardError as exc:
+        print(f"guard exceeded: {exc}", file=sys.stderr)
+        return 3
     except ValueError as exc:
-        if "guard" in str(exc).lower():
-            print(f"guard exceeded: {exc}", file=sys.stderr)
-            return 3
         print(f"numeric assumption violated: {exc}", file=sys.stderr)
         return 4
 

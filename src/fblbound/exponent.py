@@ -99,28 +99,6 @@ def e0(variant: str, gallager_rho: float, channel, pmfs) -> float:
     return -math.log(float(np.sum(outer)))
 
 
-@dataclass
-class ExponentCurve:
-    """Gallager-function evaluator for one (variant, channel, input-law)
-    triple."""
-
-    variant: str
-    channel: object
-    pmfs: tuple
-
-    def __post_init__(self):
-        self.pmfs = _as_pmf_tuple(self.pmfs)
-        if self.variant not in _VARIANTS:
-            raise ValueError(f"variant must be one of {_VARIANTS}")
-
-    def e0(self, gallager_rho: float) -> float:
-        return e0(self.variant, float(gallager_rho), self.channel, self.pmfs)
-
-    def grid(self, points: int = 101) -> tuple[np.ndarray, np.ndarray]:
-        rhos = np.linspace(0.0, 1.0, points)
-        return rhos, np.array([self.e0(float(r)) for r in rhos])
-
-
 def error_exponent(variant: str, rate: float, channel, pmfs,
                    tol: float = 1e-10) -> tuple[float, float]:
     """Random-coding exponent max over rho in [0,1] of E0(rho) - rho*rate.
@@ -230,9 +208,10 @@ def exponent_rate_bound(n: int, epsilon: float, channel: DmcModel,
 class BhattacharyyaVector:
     """Pairwise weight D(g) for each difference label g in GF(q)^K.
 
-    values[0] (the zero difference) is identically 1; every entry lies in
-    [0, 1].  weight_product raises D(g) to the per-label multiplicities of
-    a type vector, with 0^0 = 1."""
+    values[g] is indexed by the flat label index (user 1 most
+    significant); values[0] (the zero difference) is identically 1 and
+    every entry lies in [0, 1].  log_weight_product is ln of D(g) raised to
+    the per-label multiplicities of a type vector, with 0^0 = 1."""
 
     q: int
     num_users: int
@@ -248,14 +227,6 @@ class BhattacharyyaVector:
             raise ValueError("weights must lie in [0, 1]")
         object.__setattr__(self, "values", np.clip(vals, 0.0, 1.0))
 
-    def value(self, g) -> float:
-        if isinstance(g, (int, np.integer)):
-            return float(self.values[int(g)])
-        idx = 0
-        for comp in g:
-            idx = idx * self.q + int(comp)
-        return float(self.values[idx])
-
     def log_weight_product(self, t) -> float:
         counts = tuple(int(c) for c in t)
         if len(counts) != self.values.shape[0]:
@@ -269,10 +240,6 @@ class BhattacharyyaVector:
                 return -math.inf
             total += mult * math.log(v)
         return total
-
-    def weight_product(self, t) -> float:
-        lw = self.log_weight_product(t)
-        return math.exp(lw) if lw > -math.inf else 0.0
 
 
 def bhattacharyya(channel, quantizers, num_users: int | None = None

@@ -37,6 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import GuardError
 from .channel import DmcModel, InputPmf, MacModel, Quantizer, induced_input_pmf
 from .infodensity import (EVENTS, _check_sizes, average_inputs,
                           mac_moments, ppc_moments)
@@ -315,7 +316,7 @@ def _competitor_atoms(lik, prior, out_prob):
 def _check_lattice(n: int, num_cells: int, caller: str):
     lattice = math.comb(n + num_cells - 1, num_cells - 1)
     if lattice > _JOINT_TYPE_GUARD:
-        raise ValueError(
+        raise GuardError(
             f"joint-type lattice has {lattice} points, beyond the "
             f"{_JOINT_TYPE_GUARD} enumeration guard; use {caller}"
         )

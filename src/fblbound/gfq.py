@@ -228,9 +228,6 @@ class FieldSpec:
             raise ZeroDivisionError("inverse of 0 in GF(q)")
         return self._inv_t[a]
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
 
 def make_field(p: int, m: int) -> FieldSpec:
     """Construct GF(p^m).

@@ -97,20 +97,6 @@ def _moments(w: np.ndarray, probs):
     return means, cov, thirds, cond_var, np.fmin.reduce(cond_var, axis=1)
 
 
-def output_pmf(dmc: DmcModel, pmf: InputPmf) -> np.ndarray:
-    return average_inputs(dmc.w, _check_sizes(dmc.w, (pmf,)), (0,))
-
-
-def info_density_table(dmc: DmcModel, pmf: InputPmf) -> np.ndarray:
-    """Table i(x; y) = ln(W(y|x) / P_Y(y)), shape (|X|, |Y|).
-
-    Entries with W(y|x) = 0 are -inf; entries where P_Y(y) = 0 while
-    W(y|x) > 0 (possible only off the support of the input pmf) are +inf.
-    Neither kind carries forward probability mass.
-    """
-    return _event_tables(dmc.w, _check_sizes(dmc.w, (pmf,)))[0]
-
-
 @dataclass(frozen=True)
 class MomentSet:
     """Moments of the single-letter information density under P_X x W.
@@ -178,23 +164,13 @@ class MacMomentSet:
     tail_prefactors: np.ndarray
 
 
-def _mac_probs(mac: MacModel, pmf1: InputPmf, pmf2: InputPmf) -> list:
-    if mac.num_users != 2:
-        raise ValueError(f"need a 2-user MAC, got {mac.num_users} users")
-    return _check_sizes(mac.w, (pmf1, pmf2))
-
-
-def mac_info_density_tables(mac: MacModel, pmf1: InputPmf, pmf2: InputPmf):
-    """Conditional and joint info-density tables, each shape (|X1|,|X2|,|Y|):
-    i(x1; y | x2), i(x2; y | x1), and i(x1 x2; y)."""
-    return tuple(_event_tables(mac.w, _mac_probs(mac, pmf1, pmf2)))
-
-
 def mac_moments(mac: MacModel, pmf1: InputPmf, pmf2: InputPmf) -> MacMomentSet:
     """All first/second/third moments of the info-density vector by exact
     summation over (x1, x2, y) with independent inputs."""
+    if mac.num_users != 2:
+        raise ValueError(f"need a 2-user MAC, got {mac.num_users} users")
     means, cov, thirds, cond_var, cond_min = _moments(
-        mac.w, _mac_probs(mac, pmf1, pmf2))
+        mac.w, _check_sizes(mac.w, (pmf1, pmf2)))
     # nan where the variance vanishes and _tail_constants gives None
     prefs = np.array([_tail_constants(float(v), float(t))[1] or np.nan
                       for v, t in zip(np.diag(cov), thirds)])
@@ -206,20 +182,3 @@ def mac_moments(mac: MacModel, pmf1: InputPmf, pmf2: InputPmf) -> MacMomentSet:
         cond_var_min=cond_min,
         tail_prefactors=prefs,
     )
-
-
-def dispersion_upper_bound(dmc: DmcModel, c_nats: float | None = None) -> float:
-    """Channel-independent cap on the dispersion, in nats^2.
-
-    Equals 2 ln^2(min{|X|,|Y|}) - C^2 when min{|X|,|Y|} > 2, and
-    1.2 - C^2 otherwise (the binary-alphabet constant 1.2 log2^2(e) bits^2
-    is exactly 1.2 nats^2).
-    """
-    if c_nats is None:
-        from .channel import capacity
-
-        c_nats, _ = capacity(dmc, tol=1e-10)
-    m = min(dmc.input_size, dmc.output_size)
-    if m > 2:
-        return 2.0 * math.log(m) ** 2 - c_nats**2
-    return 1.2 - c_nats**2

@@ -20,6 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import GuardError
 from .channel import DmcModel, MacModel, Quantizer
 from .fbl import BoundReport
 from .gfq import FieldSpec, GfMatrix, field_from_order, rank_and_nullspace
@@ -189,13 +190,13 @@ def _enumerate_codebook(graph, rate, rng) -> Codebook:
         raise ValueError(f"n rate must be a nonnegative integer, got {digits!r}")
     num = q ** k
     if num > _ENUM_GUARD:
-        raise ValueError(
+        raise GuardError(
             f"codebook size q^(n rate) = {num} exceeds the {_ENUM_GUARD} "
             f"exhaustive-enumeration guard"
         )
     rank, basis = rank_and_nullspace(graph.check_matrix())
     if q ** (n - rank) > _ENUM_GUARD:
-        raise ValueError(
+        raise GuardError(
             f"nullspace size q^{n - rank} exceeds the {_ENUM_GUARD} "
             f"exhaustive-enumeration guard"
         )
@@ -247,7 +248,7 @@ def _candidates(channel, books, n: int) -> np.ndarray:
         raise ValueError("codebook has no channel inputs; run build_inputs")
     count = math.prod(x.shape[0] for x in words)
     if count > _ENUM_GUARD:
-        raise ValueError(f"{count} candidates exceed the {_ENUM_GUARD} guard")
+        raise GuardError(f"{count} candidates exceed the {_ENUM_GUARD} guard")
     if any(x.shape[1] != n for x in words):
         raise ValueError("output length does not match the codebooks")
     if len(words) == 1:
@@ -487,7 +488,7 @@ def empirical_spectrum(ensemble_params, trials: int, seed: int,
         else:
             w1, w2 = word_sets
             if w1.shape[0] * w2.shape[0] > 1_000_000:
-                raise ValueError("codematrix tuple count exceeds the guard")
+                raise GuardError("codematrix tuple count exceeds the guard")
             counts = {}
             for a in range(w1.shape[0]):
                 labels = w1[a][None, :] * q + w2
@@ -532,7 +533,7 @@ def min_distance(codebook) -> int:
         if m < 2:
             raise ValueError("need at least two codewords")
         if m * m * n > _PAIR_OPS_GUARD:
-            raise ValueError("pair scan exceeds the operation guard")
+            raise GuardError("pair scan exceeds the operation guard")
         best = n + 1
         for i in range(m - 1):
             d = (words[i + 1:] != words[i][None, :]).sum(axis=1)
@@ -545,7 +546,7 @@ def min_distance(codebook) -> int:
     m1, m2 = w1.shape[0], w2.shape[0]
     n = w1.shape[1]
     if (m1 * m2) ** 2 * n > _PAIR_OPS_GUARD:
-        raise ValueError("pair scan exceeds the operation guard")
+        raise GuardError("pair scan exceeds the operation guard")
     d1 = w1[:, None, :] != w1[None, :, :]           # (m1, m1, n)
     d2 = w2[:, None, :] != w2[None, :, :]           # (m2, m2, n)
     dist = (d1[:, :, None, None, :] | d2[None, None, :, :, :]).sum(axis=4)

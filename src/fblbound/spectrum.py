@@ -9,9 +9,9 @@ significant).  The module computes:
     check degree ``check_degree``) coset-ensemble spectra, exactly at
     finite n by big-integer coefficient extraction and asymptotically
     by convex minimization,
-  * the max-ratio penalty ``alpha`` used by the random-coding bounds,
+  * the max-ratio penalty ``alpha_log`` used by the random-coding bounds,
   * low-weight expurgation and the four-term rate-offset decomposition,
-  * the code-rate concentration bounds.
+  * the q^(-n eps/2) tail bound on the actual-vs-design code rate.
 
 Internally everything is kept in natural log; the two exponent
 functions return per-symbol q-ary units as documented.
@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import GuardError
 from .gfq import field_from_order
 
 # Guards: coefficient-lattice size (the socket types of one check node,
@@ -38,41 +39,8 @@ _TABLE_GUARD = 2_000_000
 # ---------------------------------------------------------------------------
 # types and small combinatorics
 
-@dataclass(frozen=True)
-class TypeVector:
-    """Histogram of symbol counts over Q; counts[g] is the number of rows
-    equal to the symbol with flat index g."""
-
-    counts: tuple[int, ...]
-
-    def __post_init__(self):
-        if not self.counts:
-            raise ValueError("empty type vector")
-        for c in self.counts:
-            if not isinstance(c, int) or c < 0:
-                raise ValueError("type counts must be nonnegative integers")
-
-    @property
-    def n(self) -> int:
-        return sum(self.counts)
-
-    def weight(self) -> int:
-        # number of rows differing from the all-zero symbol
-        return self.n - self.counts[0]
-
-
 def _counts(t) -> tuple[int, ...]:
-    if isinstance(t, TypeVector):
-        return t.counts
     return tuple(int(c) for c in t)
-
-
-def flat_symbol_index(components, q: int) -> int:
-    """Flat index of a K-tuple of field elements, user 1 most significant."""
-    idx = 0
-    for c in components:
-        idx = idx * q + int(c)
-    return idx
 
 
 def symbol_components(index: int, q: int, num_users: int) -> tuple[int, ...]:
@@ -205,8 +173,8 @@ def check_polynomial(q: int, num_users: int,
         coeff(t) = multinomial(rho, t) q^-K
                    sum_k (q - 1)^a_k(t) (-1)^(rho - a_k(t)).
 
-    Raises ValueError (a guard) when the socket types of one check
-    exceed the lattice guard, ArithmeticError when the character sum is
+    Raises GuardError when the socket types of one check exceed the
+    lattice guard, ArithmeticError when the character sum is
     not divisible by q^K or the total mass is off.
     """
     if check_degree < 1:
@@ -217,7 +185,7 @@ def check_polynomial(q: int, num_users: int,
     qk = q ** num_users
     num_types = _num_compositions(rho, qk)
     if num_types > _LATTICE_GUARD:
-        raise ValueError(
+        raise GuardError(
             f"{num_types} socket types of one degree-{rho} check exceed "
             f"the {_LATTICE_GUARD} lattice guard"
         )
@@ -463,14 +431,19 @@ def ldpc_finite_spectrum(n: int, t, var_degree: int, check_degree: int,
         return n * math.log(q) * ldpc_spectrum_exponent(
             th, lam, rho, q, num_users
         )
+    return _log_finite_count(power, n, counts, lam, q)
+
+
+def _log_finite_count(power, n: int, counts, lam: int, q: int) -> float:
+    """ln[multinomial(n, t) coeff / (multinomial(n lam, lam t)
+    (q-1)^(n lam))], coeff the powered check enumerator ``power`` at the
+    socket type lam t; -inf when that coefficient is 0."""
     socket_t = tuple(lam * c for c in counts)
     coeff = power.get(socket_t, 0)
     if coeff == 0:
         return -math.inf
     num = multinomial_exact(n, counts) * coeff
     den = multinomial_exact(n * lam, socket_t) * (q - 1) ** (n * lam)
-    if num == den:
-        return 0.0
     return math.log(num) - math.log(den)
 
 
@@ -503,9 +476,6 @@ class SpectrumTable:
             raise KeyError(f"type {key} not present in this table")
         return self.entries[key]
 
-    def types(self):
-        return self.entries.keys()
-
 
 def _log_mk_minus_one(num_messages, num_users: int) -> float:
     if isinstance(num_messages, int):
@@ -519,7 +489,7 @@ def _log_mk_minus_one(num_messages, num_users: int) -> float:
 
 def _all_types_guarded(n: int, qk: int):
     if _num_compositions(n, qk) > _TABLE_GUARD:
-        raise ValueError(
+        raise GuardError(
             f"dense table over {_num_compositions(n, qk)} types exceeds the "
             f"{_TABLE_GUARD} guard; pass an explicit type list"
         )
@@ -566,26 +536,6 @@ def ldpc_spectrum_table(n: int, var_degree: int, check_degree: int,
     )
 
 
-def removal_scaling_heuristic(table: SpectrumTable,
-                              num_messages) -> SpectrumTable:
-    """Rescale a full-ensemble table so its total mass is M^K: a heuristic
-    for the spectrum after duplicate-codeword removal.  The max-ratio
-    penalty must be computed from the unscaled table (conservative)."""
-    vals = [v for v in table.entries.values() if v > -math.inf]
-    m = max(vals)
-    lse = m + math.log(sum(math.exp(v - m) for v in vals))
-    log_mk = table.num_users * math.log(num_messages)
-    shift = log_mk - lse
-    return SpectrumTable(
-        n=table.n, q=table.q, num_users=table.num_users,
-        kind=table.kind + "-removal-heuristic",
-        entries={t: v + shift for t, v in table.entries.items()},
-        var_degree=table.var_degree, check_degree=table.check_degree,
-        log_num_messages=table.log_num_messages,
-        is_upper_bound=False,
-    )
-
-
 # ---------------------------------------------------------------------------
 # alpha penalty, expurgation
 
@@ -614,15 +564,6 @@ def alpha_log(n: int, spectrum: SpectrumTable, num_messages, num_users: int,
     if best is None:
         raise ValueError("no candidate types left for the penalty maximum")
     return best, best_t
-
-
-def alpha(n: int, spectrum: SpectrumTable, num_messages, num_users: int,
-          exclude=()) -> float:
-    log_a, _ = alpha_log(n, spectrum, num_messages, num_users, exclude)
-    try:
-        return math.exp(log_a)
-    except OverflowError:
-        return math.inf
 
 
 def expurgate_spectrum(spectrum: SpectrumTable, sigma: float,
@@ -748,13 +689,12 @@ def rate_offset_decomposition(n: int, var_degree: int, check_degree: int,
     qk = q ** num_users
     power = _poly_power(q, num_users, rho, r)
     if power is None:
-        raise ValueError(
+        raise GuardError(
             "socket-lattice guard exceeded; the decomposition needs the "
             "exact finite spectrum at this n"
         )
     lnq = math.log(q)
     log_mk1 = math.log(q ** ((n - r) * num_users) - 1)
-    lam_n = (q - 1) ** (n * lam)
 
     term1 = math.log(2.0) / n
 
@@ -763,14 +703,9 @@ def rate_offset_decomposition(n: int, var_degree: int, check_degree: int,
     best4 = -math.inf
     best4_t = None
     for t in _jsigma_types(n, qk, sigma):
-        socket_t = tuple(lam * c for c in t)
-        coeff = power.get(socket_t, 0)
-        if coeff == 0:
+        ln_fin = _log_finite_count(power, n, t, lam, q)
+        if ln_fin == -math.inf:
             continue
-        ln_fin = (
-            math.log(multinomial_exact(n, t) * coeff)
-            - math.log(multinomial_exact(n * lam, socket_t) * lam_n)
-        )
         th = np.array(t, dtype=float) / n
         asym = ldpc_spectrum_exponent(th, lam, rho, q, num_users)
         cand2 = ln_fin / n - asym * lnq
@@ -806,23 +741,10 @@ def rate_offset_decomposition(n: int, var_degree: int, check_degree: int,
     )
 
 
-@dataclass(frozen=True)
-class MeanGapForm:
-    """E[code rate - design rate] <= coefficient * log_q(n)/n, the
-    coefficient left free to be fit against sampled ranks."""
-
-    n: int
-    q: int
-
-    def __call__(self, coefficient: float) -> float:
-        return coefficient * math.log(self.n) / (math.log(self.q) * self.n)
-
-
-def rate_concentration(n: int, epsilon: float,
-                       q: int) -> tuple[float, MeanGapForm]:
-    """Tail bound q^(-n*epsilon/2) on the actual-vs-design rate excess
-    (rates in q-ary units) plus the mean-gap functional form."""
+def rate_concentration(n: int, epsilon: float, q: int) -> float:
+    """Tail bound q^(-n*epsilon/2) on the probability that the actual
+    code rate exceeds the design rate by more than epsilon (rates in
+    q-ary units)."""
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    tail = math.exp(-0.5 * n * epsilon * math.log(q))
-    return tail, MeanGapForm(n=n, q=q)
+    return math.exp(-0.5 * n * epsilon * math.log(q))

@@ -18,7 +18,7 @@ import oracles
 from fblbound.channel import (DmcModel, InputPmf, bsc, capacity, dmc_to_json,
                               make_quantizer, noiseless)
 from fblbound.cli import cmd_compare
-from fblbound.exponent import (ExponentCurve, critical_rate, error_exponent,
+from fblbound.exponent import (critical_rate, e0, error_exponent,
                                kmac_exponent_bound, quadratic_exponent_bound)
 from fblbound.fbl import (GaussianRegion, achievable_logM_ppc, ldpc_rcu_ppc,
                           q_fun, q_inv, qinv_membership, rcu_exact_ppc)
@@ -26,7 +26,7 @@ from fblbound.gfq import make_field
 from fblbound.simulator import (actual_rate_stats, empirical_spectrum,
                                 simulate_error)
 from fblbound.spectrum import (alpha_log, check_polynomial,
-                               ldpc_spectrum_table,
+                               ldpc_spectrum_table, rate_concentration,
                                rate_offset_decomposition)
 
 UNIF2 = InputPmf.uniform(2)
@@ -138,11 +138,11 @@ def test_accept_04_exponent_sandwich_and_concavity(announce):
             if r >= strong_lo and quadratic_exponent_bound(
                     float(r), ch, popt, strong=True) > er + 1e-9:
                 problems.append((name, "strong", float(r)))
-        curve = ExponentCurve("PPC", ch, (popt,))
-        e0 = np.array([curve.e0(float(x))
-                       for x in np.linspace(0.0, 1.0, 41)])
-        if np.diff(e0, 2).max() > 1e-9:
-            problems.append((name, "concavity", float(np.diff(e0, 2).max())))
+        curve = np.array([e0("PPC", float(x), ch, (popt,))
+                          for x in np.linspace(0.0, 1.0, 41)])
+        if np.diff(curve, 2).max() > 1e-9:
+            problems.append((name, "concavity",
+                             float(np.diff(curve, 2).max())))
         ep_c = error_exponent("PPC", cap, ch, (popt,))[0]
         if ep_c > 1e-8:
             problems.append((name, "capacity", ep_c))
@@ -231,7 +231,7 @@ def test_accept_08_rate_concentration_envelope(announce):
     for n in (12, 24, 48):
         g = actual_rate_stats((n, 3, 6, 2), trials=10_000, seed=29)
         for eps, tail in zip(g.eps_grid, g.tail_probs):
-            envelope = 2.0 ** (-n * eps / 2.0)
+            envelope = rate_concentration(n, eps, 2)
             if tail > envelope + 1e-12:
                 failures.append((n, eps, tail, envelope))
     ok = not failures

@@ -8,8 +8,10 @@ tests never depend on repository data files.
 import json
 import math
 
+import numpy as np
 import pytest
 
+from fblbound import GuardError
 from fblbound.channel import (InputPmf, binary_adder_mac, bsc, dmc_to_json,
                               induced_input_pmf, mac_to_json, make_quantizer,
                               noiseless)
@@ -17,8 +19,14 @@ from fblbound.cli import (CSV_HEADER, ConfigError, cmd_compare, cmd_exponent,
                           cmd_report_schema, cmd_rcu, cmd_simulate,
                           cmd_spectrum, main, schema_validate)
 from fblbound.exponent import kmac_exponent_bound, two_mac_exponent_bound
+from fblbound.fbl import rcu_exact_ppc
 from fblbound.gfq import field_from_order
-from fblbound.spectrum import SpectrumTable, alpha_log, ldpc_spectrum_table
+from fblbound.simulator import (Codebook, empirical_spectrum,
+                                enumerate_codebook, min_distance, ml_decode,
+                                sample_graph)
+from fblbound.spectrum import (SpectrumTable, alpha_log, check_polynomial,
+                               ldpc_spectrum_table, rate_offset_decomposition,
+                               uniform_spectrum_table)
 
 LN2 = math.log(2.0)
 
@@ -259,6 +267,26 @@ def test_rcu_mac_without_m2_is_config_error(capsys, mac_path):
     assert rc == 2
 
 
+def test_rcu_mac_flag_must_match_channel(capsys, bsc_path, mac_path):
+    rc, _, err = run(capsys, ["rcu", "--channel", bsc_path, "--n", "8",
+                              "--M", "4", "--mac"])
+    assert rc == 2 and "--mac" in err
+    rc, _, err = run(capsys, ["rcu", "--channel", mac_path, "--n", "6",
+                              "--M", "2", "--M2", "2"])
+    assert rc == 2 and "--mac" in err
+    rc, _, err = run(capsys, ["rcu", "--channel", bsc_path, "--n", "8",
+                              "--M", "4", "--M2", "4"])
+    assert rc == 2 and "--M2" in err
+
+
+def test_rcu_exact_lattice_guard_exits_3(capsys, bsc_path):
+    # BSC, n = 200: 1,373,701 joint types against the 10^6 guard
+    rc, out, err = run(capsys, ["rcu", "--channel", bsc_path, "--n", "200",
+                                "--M", "32", "--exact"])
+    assert rc == 3 and out == ""
+    assert "1373701" in err
+
+
 def test_rcu_sweep_emits_rows_and_csv(capsys, tmp_path, bsc_path):
     csv_path = tmp_path / "sweep.csv"
     rc, out, _ = run(capsys, ["rcu", "--channel", bsc_path, "--n-sweep",
@@ -388,6 +416,16 @@ def test_simulate_mac_flag_must_match_channel(capsys, bsc_path, mac_path):
     assert rc == 2
 
 
+def test_simulate_codebook_guard_exits_3(capsys, bsc_path):
+    # (3,6) at n = 48 asks for 2^24 codewords against the 2^20 guard
+    rc, out, err = run(capsys, ["simulate", "--channel", bsc_path, "--q",
+                                "2", "--lambda", "3", "--check-degree", "6",
+                                "--n", "48", "--codes", "2", "--noise", "2",
+                                "--seed", "1"])
+    assert rc == 3 and out == ""
+    assert "16777216" in err
+
+
 def test_simulate_mac_same_coset_runs(capsys, mac_path):
     rc, out, _ = run(capsys, ["simulate", "--channel", mac_path, "--q", "2",
                               "--lambda", "2", "--check-degree", "4", "--n",
@@ -447,6 +485,33 @@ def test_compare_zero_variance_is_not_a_window_miss(capsys, tmp_path):
     assert rc == 4
     assert out == ""
     assert "variance" in err
+
+
+_ENSEMBLE = {"var_degree": 3, "check_degree": 6, "q": 2}
+
+
+@pytest.mark.parametrize("overrides", [
+    {"n_sweep": [True, 12]},
+    {"seed": "abc"},
+    {"seed": -3},
+    {"seed": 1.9},
+    {"seed": True},
+    {"ensemble": dict(_ENSEMBLE, q=True)},
+    {"ensemble": _ENSEMBLE, "seed": 1,
+     "simulate": {"codes": True, "noise": 2}},
+    {"ensemble": _ENSEMBLE, "seed": 1,
+     "simulate": {"codes": 2, "noise": True}},
+], ids=["sweep-bool", "seed-str", "seed-negative", "seed-float",
+        "seed-bool", "ensemble-bool", "codes-bool", "noise-bool"])
+def test_compare_rejects_non_integer_config_values(capsys, tmp_path,
+                                                   bsc_path, overrides):
+    cfg = {"n_sweep": [12], "epsilon": 0.1, **overrides}
+    rc, out, err = run(capsys, ["compare", "--config",
+                                compare_config(tmp_path, bsc_path, **cfg)])
+    assert rc == 2 and out == ""
+    assert err.startswith("config error")
+    with pytest.raises(ConfigError):
+        cmd_compare({"channel": bsc_path, **cfg})
 
 
 def test_compare_checks_sweep_against_ensemble(bsc_path):
@@ -570,3 +635,49 @@ def test_schema_command_output_is_stable(capsys):
     _, out2, _ = run(capsys, ["schema"])
     assert out1 == out2
     assert cmd_report_schema()["RunConfig"]["epsilon"].startswith("target")
+
+
+# ---------------------------------------------------------------------------
+# guards
+
+_F2 = field_from_order(2)
+
+
+def _book(count: int, n: int) -> Codebook:
+    """The first ``count`` binary words of length ``n``, each its own
+    channel input."""
+    words = (np.arange(count)[:, None] >> np.arange(n)[None, :]) & 1
+    return Codebook(field=_F2, words=words, inputs=words)
+
+# each guard's message fragment and a call that trips it
+GUARDS = [
+    pytest.param("joint-type lattice", lambda: rcu_exact_ppc(
+        bsc("11/100"), InputPmf.uniform(2), 200, 32), id="rcu-lattice"),
+    pytest.param("codebook size", lambda: enumerate_codebook(
+        sample_graph(48, 3, 6, _F2, 0), 0.5), id="codebook"),
+    pytest.param("nullspace size", lambda: enumerate_codebook(
+        sample_graph(48, 3, 6, _F2, 0), 0.25), id="nullspace"),
+    pytest.param("candidates exceed", lambda: ml_decode(
+        binary_adder_mac(), (_book(1025, 11), _book(1025, 11)),
+        np.zeros(11, dtype=np.int64)), id="ml-candidates"),
+    pytest.param("codematrix tuple count", lambda: empirical_spectrum(
+        (24, 3, 6, 2), 1, 0, num_users=2), id="codematrix-pairs"),
+    pytest.param("pair scan", lambda: min_distance(_book(10_000, 14)),
+                 id="pair-scan"),
+    pytest.param("pair scan", lambda: min_distance(
+        (_book(100, 11), _book(100, 11))), id="mac-pair-scan"),
+    pytest.param("socket types of one", lambda: check_polynomial(16, 2, 6),
+                 id="check-node"),
+    pytest.param("dense table", lambda: uniform_spectrum_table(
+        400, 4, 2, 7), id="dense-table"),
+    pytest.param("decomposition needs", lambda: rate_offset_decomposition(
+        200, 3, 6, 0.1, 4, 1), id="decomposition-lattice"),
+    pytest.param("per-type table guard", lambda: cmd_spectrum(
+        2, 1, 3, 6, 66), id="spectrum-command"),
+]
+
+
+@pytest.mark.parametrize("message,trip", GUARDS)
+def test_every_guard_raises_guard_error(message, trip):
+    with pytest.raises(GuardError, match=message):
+        trip()

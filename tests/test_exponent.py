@@ -63,6 +63,12 @@ def parallel_mac(pa, pb):
     )
 
 
+def e0_grid(variant, channel, pmfs, points):
+    """E0 on ``points`` equally spaced tilts in [0, 1]."""
+    return np.array([ex.e0(variant, float(r), channel, pmfs)
+                     for r in np.linspace(0.0, 1.0, points)])
+
+
 def binary_quantizer():
     return make_quantizer(make_field(2, 1), UNIF2)
 
@@ -160,15 +166,6 @@ def test_e0_mac12_pinned(mac, want):
     assert got == pytest.approx(want, rel=1e-12)
 
 
-def test_exponent_curve_caches_and_grids():
-    curve = ex.ExponentCurve("PPC", bsc("11/100"), UNIF2)
-    v1 = curve.e0(0.5)
-    assert curve.e0(0.5) == v1
-    rhos, vals = curve.grid(11)
-    assert rhos.shape == (11,) and vals.shape == (11,)
-    assert vals[0] == 0.0
-
-
 @pytest.mark.parametrize("channel,pmfs,variant", [
     (bsc("11/100"), (UNIF2,), "PPC"),
     (asym23(), (UNIF2,), "PPC"),
@@ -176,8 +173,7 @@ def test_exponent_curve_caches_and_grids():
     (binary_adder_mac(), (UNIF2, UNIF2), "MAC-12"),
 ])
 def test_e0_concave_and_nondecreasing_on_grid(channel, pmfs, variant):
-    curve = ex.ExponentCurve(variant, channel, pmfs)
-    _, vals = curve.grid(101)
+    vals = e0_grid(variant, channel, pmfs, 101)
     d2 = vals[2:] - 2.0 * vals[1:-1] + vals[:-2]
     assert np.all(d2 <= 1e-9)
     assert np.all(np.diff(vals) >= -1e-12)
@@ -378,7 +374,7 @@ def test_exponent_properties_random_channels(raw, rate):
     ep, rho = ex.error_exponent("PPC", rate, ch, pmf)
     assert ep >= 0.0 and 0.0 <= rho <= 1.0
     assert ep <= ex.e0("PPC", 1.0, ch, pmf) + 1e-12
-    _, vals = ex.ExponentCurve("PPC", ch, pmf).grid(21)
+    vals = e0_grid("PPC", ch, pmf, 21)
     d2 = vals[2:] - 2.0 * vals[1:-1] + vals[:-2]
     assert np.all(d2 <= 1e-9)
 
@@ -388,13 +384,13 @@ def test_exponent_properties_random_channels(raw, rate):
 
 def test_bhattacharyya_bsc_identity_label():
     bv = ex.bhattacharyya(bsc("11/100"), binary_quantizer())
-    assert bv.value(0) == 1.0
-    assert abs(bv.value(1) - 2.0 * math.sqrt(0.11 * 0.89)) < 1e-12
+    assert bv.values[0] == 1.0
+    assert abs(bv.values[1] - 2.0 * math.sqrt(0.11 * 0.89)) < 1e-12
 
 
 def test_bhattacharyya_noiseless_label_is_zero():
     bv = ex.bhattacharyya(noiseless(2), binary_quantizer())
-    assert bv.value(1) == 0.0
+    assert bv.values[1] == 0.0
 
 
 def test_bhattacharyya_adder_mac_hand_values():
@@ -402,21 +398,21 @@ def test_bhattacharyya_adder_mac_hand_values():
     # time, a single-user flip always moves y
     qz = binary_quantizer()
     bv = ex.bhattacharyya(binary_adder_mac(), (qz, qz))
-    assert bv.value((0, 0)) == 1.0
-    assert abs(bv.value((1, 1)) - 0.5) < 1e-12
-    assert bv.value((0, 1)) == 0.0
-    assert bv.value((1, 0)) == 0.0
+    # flat label index, user 1 most significant: (g1, g2) -> 2 g1 + g2
+    assert bv.values[0] == 1.0
+    assert abs(bv.values[3] - 0.5) < 1e-12
+    assert bv.values[1] == 0.0
+    assert bv.values[2] == 0.0
     assert np.all(bv.values >= 0.0) and np.all(bv.values <= 1.0)
 
 
 def test_bhattacharyya_weight_products():
     bv = ex.bhattacharyya(bsc("11/100"), binary_quantizer())
-    d1 = bv.value(1)
-    assert bv.weight_product((4, 0)) == 1.0  # only the zero label
-    assert abs(bv.weight_product((2, 2)) - d1 * d1) < 1e-15
+    d1 = bv.values[1]
+    assert bv.log_weight_product((4, 0)) == 0.0  # only the zero label
+    assert abs(math.exp(bv.log_weight_product((2, 2))) - d1 * d1) < 1e-15
     zero = ex.bhattacharyya(noiseless(2), binary_quantizer())
     assert zero.log_weight_product((1, 3)) == -math.inf
-    assert zero.weight_product((1, 3)) == 0.0
     with pytest.raises(ValueError, match="length"):
         bv.log_weight_product((1, 1, 2))
 
@@ -476,7 +472,7 @@ def test_kmac_pairwise_term_manual():
     tab = uniform_spectrum_table(4, 2, 1, 4)
     bv = ex.bhattacharyya(ch, qz)
     rep = ex.kmac_exponent_bound(4, 0.5, 1, [(2, 2)], tab, 1.0, ch, UNIF2, qz)
-    want = math.exp(tab.log_value((2, 2))) * bv.value(1) ** 2
+    want = math.exp(tab.log_value((2, 2))) * bv.values[1] ** 2
     assert abs(rep.components["pairwise_term"] - want) < 1e-12
     assert rep.components["handled_types"] == 1.0
 
@@ -488,7 +484,7 @@ def test_kmac_full_handled_set_matches_binomial_sum():
     tab = uniform_spectrum_table(n, 2, 1, m)
     t_all = [(n - w, w) for w in range(1, n + 1)]
     rep = ex.kmac_exponent_bound(n, 0.5, 1, t_all, tab, 1.0, ch, UNIF2, qz)
-    d1 = ex.bhattacharyya(ch, qz).value(1)
+    d1 = ex.bhattacharyya(ch, qz).values[1]
     want = m * 2.0 ** (-n) * ((1.0 + d1) ** n - 1.0)
     assert abs(rep.components["pairwise_term"] - want) < 1e-12
 

@@ -10,22 +10,23 @@ from fblbound.channel import (
     MacModel,
     binary_adder_mac,
     bsc,
-    capacity,
-    nats_to_bits,
     noiseless,
 )
 from fblbound.infodensity import (
     BERRY_ESSEEN_C0,
     MomentSet,
-    dispersion_upper_bound,
-    info_density_table,
-    mac_info_density_tables,
+    _check_sizes,
+    _event_tables,
     mac_moments,
-    output_pmf,
     ppc_moments,
 )
 
 LN2 = math.log(2.0)
+
+
+def _tables(channel, *pmfs):
+    """Per-event information-density tables, shaped like ``channel.w``."""
+    return _event_tables(channel.w, _check_sizes(channel.w, pmfs))
 
 
 def _mutual_information(w: np.ndarray, p: np.ndarray) -> float:
@@ -36,7 +37,7 @@ def _mutual_information(w: np.ndarray, p: np.ndarray) -> float:
 
 
 def test_info_density_noiseless_binary():
-    t = info_density_table(noiseless(2), InputPmf.uniform(2))
+    t, = _tables(noiseless(2), InputPmf.uniform(2))
     assert t[0, 0] == pytest.approx(LN2)
     assert t[1, 1] == pytest.approx(LN2)
     assert t[0, 1] == -np.inf
@@ -44,7 +45,7 @@ def test_info_density_noiseless_binary():
 
 
 def test_info_density_bsc011():
-    t = info_density_table(bsc("11/100"), InputPmf.uniform(2))
+    t, = _tables(bsc("11/100"), InputPmf.uniform(2))
     assert t[0, 0] == pytest.approx(math.log(1.78), abs=1e-14)
     assert t[0, 1] == pytest.approx(math.log(0.22), abs=1e-14)
 
@@ -52,7 +53,7 @@ def test_info_density_bsc011():
 def test_info_density_degenerate_input():
     pmf = InputPmf.from_values([1, 0])
     c = DmcModel.from_rows([["3/4", "1/4"], ["1/2", "1/2"]])
-    t = info_density_table(c, pmf)
+    t, = _tables(c, pmf)
     assert t[0, 0] == pytest.approx(0.0, abs=1e-15)
     assert t[0, 1] == pytest.approx(0.0, abs=1e-15)
 
@@ -71,7 +72,7 @@ def test_ppc_moments_bsc011_closed_form():
     delta = math.log((1 - pf) / pf)
     v_closed = pf * (1 - pf) * delta**2
     assert ms.variance == pytest.approx(v_closed, abs=1e-12)
-    assert nats_to_bits(nats_to_bits(ms.variance)) == pytest.approx(0.891, abs=5e-4)
+    assert ms.variance / LN2**2 == pytest.approx(0.891, abs=5e-4)
     # third absolute central moment, closed form for a two-point density
     mu = (1 - pf) * math.log(2 * (1 - pf)) + pf * math.log(2 * pf)
     t_closed = (1 - pf) * abs(math.log(2 * (1 - pf)) - mu) ** 3 + pf * abs(
@@ -110,7 +111,7 @@ def test_ppc_variance_two_ways():
     c = DmcModel.from_rows([["1/2", "1/3", "1/6"], ["1/10", "3/10", "6/10"]])
     pmf = InputPmf.from_values(["2/5", "3/5"])
     ms = ppc_moments(c, pmf)
-    t = info_density_table(c, pmf)
+    t, = _tables(c, pmf)
     joint = pmf.probs[:, None] * c.w
     mask = joint > 0
     second = float(np.sum(joint * np.where(mask, t, 0.0) ** 2, where=mask))
@@ -197,7 +198,7 @@ def test_mac_moments_pinned(mac, cov, prefs):
 
 
 def test_mac_tables_shapes_and_sentinels():
-    i1, i2, i12 = mac_info_density_tables(
+    i1, i2, i12 = _tables(
         binary_adder_mac(), InputPmf.uniform(2), InputPmf.uniform(2)
     )
     assert i1.shape == (2, 2, 3)
@@ -209,24 +210,9 @@ def test_mac_tables_shapes_and_sentinels():
 def test_mac_tables_reject_wrong_users():
     m = MacModel(np.array([[0.5, 0.5], [0.2, 0.8]]))
     with pytest.raises(ValueError, match="2-user"):
-        mac_info_density_tables(m, InputPmf.uniform(2), InputPmf.uniform(2))
+        mac_moments(m, InputPmf.uniform(2), InputPmf.uniform(2))
 
 
-def test_dispersion_upper_bound_binary():
-    c = bsc("11/100")
-    c_nats, _ = capacity(c, tol=1e-10)
-    bound = dispersion_upper_bound(c, c_nats=c_nats)
-    assert bound == pytest.approx(1.2 - c_nats**2, abs=1e-12)
-    ms = ppc_moments(c, InputPmf.uniform(2))
-    assert ms.variance <= bound
-
-
-def test_dispersion_upper_bound_larger_alphabet():
-    bound = dispersion_upper_bound(noiseless(4), c_nats=LN2)
-    # 2 log2^2(4) - 1 = 7 in bits^2
-    assert bound / LN2**2 == pytest.approx(7.0, abs=1e-12)
-
-
-def test_output_pmf_rejects_size_mismatch():
-    with pytest.raises(ValueError):
-        output_pmf(noiseless(2), InputPmf.uniform(3))
+def test_ppc_moments_reject_size_mismatch():
+    with pytest.raises(ValueError, match="do not match"):
+        ppc_moments(noiseless(2), InputPmf.uniform(3))
