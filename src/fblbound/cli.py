@@ -516,8 +516,12 @@ def _validate_config(config: dict) -> dict:
     if "seed" in config and not (_is_int(config["seed"])
                                  and config["seed"] >= 0):
         raise ConfigError("seed must be a nonnegative int")
-    for e in config.get("scaling_epsilons", []):
-        if not isinstance(e, (int, float)) or not 0.0 < e <= 0.5:
+    scaling = config.get("scaling_epsilons", [])
+    if not isinstance(scaling, list):
+        raise ConfigError("scaling_epsilons must be a list")
+    for e in scaling:
+        if isinstance(e, bool) or not isinstance(e, (int, float)) \
+                or not 0.0 < e <= 0.5:
             raise ConfigError("scaling_epsilons entries must lie in (0, 1/2]")
     return config
 

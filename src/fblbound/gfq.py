@@ -16,15 +16,19 @@ GF(16) uses x^4+x+1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
+from . import GuardError
+
 _MAX_EXT_DEGREE = 8
 _MAX_TABLE_Q = 1 << 16
 # exhaustive trial division is only honest if we can afford to enumerate all
-# candidate divisors; beyond this the field order is rejected outright
+# candidate divisors; beyond this the field order is rejected outright (no
+# field within _MAX_TABLE_Q comes near it)
 _MAX_TRIAL_DIVISORS = 2_000_000
 
 
@@ -76,7 +80,7 @@ def _find_reduction_poly(p: int, m: int) -> tuple[int, ...]:
         return (0, 1)
     n_divisors = sum(p ** d for d in range(1, m // 2 + 1))
     if n_divisors > _MAX_TRIAL_DIVISORS:
-        raise ValueError(
+        raise GuardError(
             f"cannot exhaustively certify irreducibility for p={p}, m={m}: "
             f"{n_divisors} trial divisors exceeds {_MAX_TRIAL_DIVISORS}"
         )
@@ -119,6 +123,8 @@ class FieldSpec:
     _digit: np.ndarray = field(repr=False, default=None)
     _mul_t: np.ndarray = field(repr=False, default=None)
     _inv_t: np.ndarray = field(repr=False, default=None)
+    _add_t: np.ndarray = field(repr=False, default=None)
+    _neg_t: np.ndarray = field(repr=False, default=None)
 
     def __post_init__(self):
         q, p, m = self.q, self.p, self.m
@@ -129,9 +135,12 @@ class FieldSpec:
             r = r // p
         self._digit = digit
         self._build_log_tables()
+        self._neg_t = self._from_digits((-digit) % p)
         if q <= 512:
             a = np.arange(q)
             self._mul_t = self._mul_general(a[:, None], a[None, :])
+            self._add_t = self._from_digits(
+                (digit[:, None, :] + digit[None, :, :]) % p)
         inv = np.zeros(q, dtype=np.int64)
         inv[1:] = self._exp[(q - 1 - self._log[1:]) % (q - 1)]
         self._inv_t = inv
@@ -186,22 +195,23 @@ class FieldSpec:
 
     # -- vectorized arithmetic ------------------------------------------------
 
-    def add(self, a, b):
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
-        d = (self._digit[a] + self._digit[b]) % self.p
-        out = np.zeros(np.broadcast(a, b).shape, dtype=np.int64)
+    def _from_digits(self, d):
+        """Field elements from base-p digits along the last axis
+        (little-endian)."""
+        out = np.zeros(d.shape[:-1], dtype=np.int64)
         for i in range(self.m - 1, -1, -1):
             out = out * self.p + d[..., i]
         return out
 
-    def neg(self, a):
+    def add(self, a, b):
         a = np.asarray(a, dtype=np.int64)
-        d = (-self._digit[a]) % self.p
-        out = np.zeros(a.shape, dtype=np.int64)
-        for i in range(self.m - 1, -1, -1):
-            out = out * self.p + d[..., i]
-        return out
+        b = np.asarray(b, dtype=np.int64)
+        if self._add_t is not None:
+            return self._add_t[a, b]
+        return self._from_digits((self._digit[a] + self._digit[b]) % self.p)
+
+    def neg(self, a):
+        return self._neg_t[np.asarray(a, dtype=np.int64)]
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
@@ -224,7 +234,7 @@ class FieldSpec:
 
     def inv(self, a):
         a = np.asarray(a, dtype=np.int64)
-        if np.any(a == 0):
+        if (a == 0).any():
             raise ZeroDivisionError("inverse of 0 in GF(q)")
         return self._inv_t[a]
 
@@ -247,19 +257,19 @@ def make_field(p: int, m: int) -> FieldSpec:
         raise ValueError(f"extension degree m={m} outside [1, {_MAX_EXT_DEGREE}]")
     q = p ** m
     if q > _MAX_TABLE_Q:
-        raise ValueError(f"q={q} exceeds table limit {_MAX_TABLE_Q}")
+        raise GuardError(f"q={q} exceeds table limit {_MAX_TABLE_Q}")
     return FieldSpec(p=p, m=m, q=q, reduction_poly=_find_reduction_poly(p, m))
 
 
 def field_from_order(q: int) -> FieldSpec:
-    """Construct GF(q) from its order, factoring q = p^m."""
+    """Construct GF(q) from its order, factoring q = p^m.
+
+    Orders above the table limit are rejected before any factoring."""
     if not isinstance(q, int) or q < 2:
         raise ValueError(f"field order must be an integer >= 2, got {q!r}")
-    p = None
-    for d in range(2, q + 1):
-        if q % d == 0:
-            p = d
-            break
+    if q > _MAX_TABLE_Q:
+        raise GuardError(f"q={q} exceeds table limit {_MAX_TABLE_Q}")
+    p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
     m = 0
     r = q
     while r % p == 0 and r > 1:
@@ -303,7 +313,10 @@ def rank_and_nullspace(mat: GfMatrix) -> tuple[int, np.ndarray]:
 
     The elimination always pivots on the first row with a nonzero entry in the
     current column (scanning top to bottom), which makes the reduced form, and
-    hence the returned basis, deterministic.
+    hence the returned basis, deterministic.  Each pivot clears its column in
+    every other row with one whole-array row operation; the other rows'
+    updates depend only on the pivot row, so the reduced form is the one a
+    row-by-row elimination reaches.
 
     Returns
     -------
@@ -321,23 +334,24 @@ def rank_and_nullspace(mat: GfMatrix) -> tuple[int, np.ndarray]:
     for c in range(cols):
         if r >= rows:
             break
-        nz = np.nonzero(a[r:, c])[0]
+        nz = np.flatnonzero(a[r:, c])
         if nz.size == 0:
             continue
         pr = r + int(nz[0])
         if pr != r:
             a[[r, pr]] = a[[pr, r]]
         a[r] = f.mul(a[r], f.inv(int(a[r, c])))
-        for rr in range(rows):
-            if rr != r and a[rr, c] != 0:
-                a[rr] = f.sub(a[rr], f.mul(int(a[rr, c]), a[r]))
+        hit = a[:, c] != 0
+        hit[r] = False
+        if hit.any():
+            a[hit] = f.sub(a[hit], f.mul(a[hit, c][:, None], a[r][None, :]))
         pivot_cols.append(c)
         r += 1
     rank = len(pivot_cols)
-    free_cols = [c for c in range(cols) if c not in pivot_cols]
-    basis = np.zeros((len(free_cols), cols), dtype=np.int64)
-    for k, fc in enumerate(free_cols):
-        basis[k, fc] = 1
-        for i, pc in enumerate(pivot_cols):
-            basis[k, pc] = f.neg(int(a[i, fc]))
+    is_free = np.ones(cols, dtype=bool)
+    is_free[pivot_cols] = False
+    free_cols = np.flatnonzero(is_free)
+    basis = np.zeros((free_cols.size, cols), dtype=np.int64)
+    basis[np.arange(free_cols.size), free_cols] = 1
+    basis[:, pivot_cols] = f.neg(a[:rank][:, free_cols].T)
     return rank, basis

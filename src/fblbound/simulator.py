@@ -28,6 +28,7 @@ from .spectrum import SpectrumTable, type_compositions
 
 _ENUM_GUARD = 1 << 20
 _PAIR_OPS_GUARD = 10 ** 9
+_PAIR_BLOCK = 1 << 22  # symbol comparisons per block of the pair scan
 _TIE_ATOL = 1e-9
 _LOG_ZERO = -1e30  # stand-in for log 0; keeps impossible words out of ties
 _WILSON_Z = 1.96
@@ -143,7 +144,7 @@ class Codebook:
             raise ValueError("codebook words must form a 2-d array")
         if np.any(self.words < 0) or np.any(self.words >= self.field.q):
             raise ValueError("codeword symbols outside the field")
-        if np.unique(self.words, axis=0).shape[0] != self.words.shape[0]:
+        if _has_duplicate_rows(self.words, self.field.q):
             raise ValueError("codewords must be distinct")
 
     @property
@@ -153,6 +154,26 @@ class Codebook:
     @property
     def n(self) -> int:
         return self.words.shape[1]
+
+
+def _has_duplicate_rows(words: np.ndarray, q: int) -> bool:
+    """Whether two rows of a (m, n) array over [0, q) are equal.
+
+    Packs floor(62 / bitlen(q - 1)) symbols into each int64 key column,
+    sorts the rows by their keys and compares neighbours."""
+    m, n = words.shape
+    if m < 2:
+        return False
+    if n == 0:
+        return True
+    bits = (q - 1).bit_length()
+    per = 62 // bits
+    keys = []
+    for s in range(0, n, per):
+        block = words[:, s:s + per]
+        keys.append((block << (bits * np.arange(block.shape[1]))).sum(axis=1))
+    packed = np.stack(keys, axis=1)[np.lexsort(keys)]
+    return bool(np.any(np.all(packed[1:] == packed[:-1], axis=1)))
 
 
 def _enumerate_nullspace(field: FieldSpec, basis: np.ndarray,
@@ -179,10 +200,12 @@ def enumerate_codebook(graph: TannerGraph, rate: float,
     is kept.  The paper-level removal definition only fixes the ensemble
     average, so uniform subsampling is our realization of it."""
     rng = _rng(seed, 1)
-    return _enumerate_codebook(graph, rate, rng)
+    return Codebook(field=graph.field, words=_codebook_words(graph, rate, rng),
+                    graph=graph)
 
 
-def _enumerate_codebook(graph, rate, rng) -> Codebook:
+def _codebook_words(graph, rate, rng) -> np.ndarray:
+    """The trimmed codewords of ``enumerate_codebook``, drawn from ``rng``."""
     n, q = graph.n, graph.field.q
     digits = n * rate
     k = round(digits)
@@ -209,7 +232,7 @@ def _enumerate_codebook(graph, rate, rng) -> Codebook:
     if num < words.shape[0]:
         keep = rng.permutation(words.shape[0])[:num]
         words = words[keep]
-    return Codebook(field=graph.field, words=words, graph=graph)
+    return words
 
 
 def build_inputs(codebook: Codebook, coset_seed: int,
@@ -289,15 +312,22 @@ def _ml_decide(ll, rng):
     decoded candidate.  Candidates within ``_TIE_ATOL`` of the best tie;
     a row whose best candidate holds an impossible symbol (the output is
     impossible under every candidate) ties them all.  Several tied
-    candidates are split uniformly via ``rng``, row by row."""
+    candidates are split uniformly via ``rng``: one draw per tied row, in
+    row order, the same draws a per-row ``rng.integers(n_tied)`` loop
+    makes."""
     top = ll.max(axis=1)
     tied = ll >= (top - _TIE_ATOL)[:, None]
     tied[top <= 0.5 * _LOG_ZERO] = True
     n_tied = tied.sum(axis=1)
     decoded = tied.argmax(axis=1)
-    for t in np.flatnonzero(n_tied > 1):
-        opts = np.flatnonzero(tied[t])
-        decoded[t] = opts[rng.integers(opts.size)]
+    rows = np.flatnonzero(n_tied > 1)
+    if rows.size:
+        counts = n_tied[rows]
+        pick = rng.integers(counts)
+        # tied columns of the tied rows, row by row; row i's run starts
+        # after the runs of the rows before it
+        cols = np.nonzero(tied[rows])[1]
+        decoded[rows] = cols[np.cumsum(counts) - counts + pick]
     return top, n_tied, decoded
 
 
@@ -388,16 +418,16 @@ def simulate_error(ensemble_params, channel, quantizers, trials_codes: int,
         for qz in qzs:
             graph = _sample_graph(n, var_degree, check_degree,
                                   qz.field, rng)
-            cb = _enumerate_codebook(graph, rate, rng)
+            words = _codebook_words(graph, rate, rng)
             if same_coset and shared_v is not None:
                 v = shared_v
             else:
                 v = rng.integers(0, q, size=n)
                 shared_v = v
-            shifted = cb.field.add(cb.words, v[None, :])
-            cb = replace(cb, coset=v, quantizer=qz,
-                         inputs=qz.apply(shifted))
-            books.append(cb)
+            shifted = qz.field.add(words, v[None, :])
+            books.append(Codebook(field=qz.field, words=words, graph=graph,
+                                  coset=v, quantizer=qz,
+                                  inputs=qz.apply(shifted)))
         cand = _candidates(channel, books if mac else books[0], n)
         num_messages = cand.shape[0]
         sent = rng.integers(num_messages, size=trials_noise)
@@ -477,9 +507,8 @@ def empirical_spectrum(ensemble_params, trials: int, seed: int,
         word_sets = []
         for _ in range(num_users):
             graph = _sample_graph(n, var_degree, check_degree, field, rng)
-            cb = _enumerate_codebook(graph, rate, rng) if post_removal else None
-            if cb is not None:
-                word_sets.append(cb.words)
+            if post_removal:
+                word_sets.append(_codebook_words(graph, rate, rng))
             else:
                 rank, basis = rank_and_nullspace(graph.check_matrix())
                 word_sets.append(_enumerate_nullspace(field, basis, n))
@@ -534,10 +563,13 @@ def min_distance(codebook) -> int:
             raise ValueError("need at least two codewords")
         if m * m * n > _PAIR_OPS_GUARD:
             raise GuardError("pair scan exceeds the operation guard")
+        block = max(1, _PAIR_BLOCK // (m * n))
         best = n + 1
-        for i in range(m - 1):
-            d = (words[i + 1:] != words[i][None, :]).sum(axis=1)
-            best = min(best, int(d.min()))
+        for i in range(0, m - 1, block):
+            rows = words[i:i + block]
+            d = (rows[:, None, :] != words[None, :, :]).sum(axis=2)
+            later = np.arange(m)[None, :] > np.arange(i, i + len(rows))[:, None]
+            best = min(best, int(d[later].min()))
         return best
     cb1, cb2 = codebook
     w1, w2 = cb1.words, cb2.words

@@ -2,8 +2,9 @@
 
 Everything here is computed in rational or integer arithmetic with direct
 sequence enumeration: no joint types, no convolutions, no shared code with
-the implementations under test.  The two check-node oracles share only
-``fblbound.gfq`` field arithmetic with production.  The Gallager-function
+the implementations under test.  The two check-node oracles and the
+row-by-row elimination share only ``fblbound.gfq`` field arithmetic with
+production.  The Gallager-function
 oracle is the one float routine: scalar loops over every input tuple.
 """
 
@@ -11,6 +12,8 @@ import itertools
 import math
 from collections import Counter
 from fractions import Fraction
+
+import numpy as np
 
 from fblbound.gfq import field_from_order
 
@@ -285,3 +288,52 @@ def e0_event(w, probs, event, rho):
                 inner += p_ev * float(w[tuple(x) + (y,)]) ** s
             total += p_rest * inner ** (1.0 + rho)
     return -math.log(total)
+
+
+def rank_and_nullspace_rows(mat):
+    """Gauss-Jordan elimination one row and one basis entry at a time, with
+    the pivot rule of ``gfq.rank_and_nullspace`` (first nonzero row, top to
+    bottom): returns the same (rank, basis) by a scalar route."""
+    f = mat.field
+    a = mat.data.copy()
+    rows, cols = a.shape
+    pivot_cols = []
+    r = 0
+    for c in range(cols):
+        if r >= rows:
+            break
+        nz = np.nonzero(a[r:, c])[0]
+        if nz.size == 0:
+            continue
+        pr = r + int(nz[0])
+        if pr != r:
+            a[[r, pr]] = a[[pr, r]]
+        a[r] = f.mul(a[r], f.inv(int(a[r, c])))
+        for rr in range(rows):
+            if rr != r and a[rr, c] != 0:
+                a[rr] = f.sub(a[rr], f.mul(int(a[rr, c]), a[r]))
+        pivot_cols.append(c)
+        r += 1
+    free_cols = [c for c in range(cols) if c not in pivot_cols]
+    basis = np.zeros((len(free_cols), cols), dtype=np.int64)
+    for k, fc in enumerate(free_cols):
+        basis[k, fc] = 1
+        for i, pc in enumerate(pivot_cols):
+            basis[k, pc] = f.neg(int(a[i, fc]))
+    return len(pivot_cols), basis
+
+
+def ml_decide_rows(ll, rng, tie_atol, log_zero):
+    """The tie-break of ``simulator._ml_decide`` one row at a time: each
+    row with several candidates within ``tie_atol`` of its best (all of
+    them when the best is below ``log_zero / 2``) draws
+    ``rng.integers(count)`` and takes that tied candidate."""
+    decoded = []
+    for row in ll:
+        top = row.max()
+        opts = np.flatnonzero(row >= top - tie_atol)
+        if top <= 0.5 * log_zero:
+            opts = np.arange(row.size)
+        decoded.append(opts[rng.integers(opts.size)] if opts.size > 1
+                       else opts[0])
+    return np.array(decoded, dtype=np.int64)

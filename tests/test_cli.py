@@ -7,6 +7,7 @@ tests never depend on repository data files.
 
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from fblbound.cli import (CSV_HEADER, ConfigError, cmd_compare, cmd_exponent,
                           cmd_spectrum, main, schema_validate)
 from fblbound.exponent import kmac_exponent_bound, two_mac_exponent_bound
 from fblbound.fbl import rcu_exact_ppc
-from fblbound.gfq import field_from_order
+from fblbound.gfq import _find_reduction_poly, field_from_order
 from fblbound.simulator import (Codebook, empirical_spectrum,
                                 enumerate_codebook, min_distance, ml_decode,
                                 sample_graph)
@@ -437,6 +438,19 @@ def test_simulate_mac_same_coset_runs(capsys, mac_path):
     assert 0.0 <= payload["eps_hat"] <= 1.0
 
 
+def test_simulate_huge_prime_field_order_exits_3_fast(capsys, bsc_path):
+    # a prime order above the table limit must not be trial-divided
+    start = time.perf_counter()
+    rc, out, err = run(capsys, ["simulate", "--channel", bsc_path, "--q",
+                                "1000000007", "--lambda", "3",
+                                "--check-degree", "6", "--n", "12",
+                                "--codes", "1", "--noise", "1", "--seed",
+                                "1"])
+    assert rc == 3 and out == ""
+    assert "table limit" in err
+    assert time.perf_counter() - start < 10.0
+
+
 # ---------------------------------------------------------------------------
 # compare command
 
@@ -512,6 +526,18 @@ def test_compare_rejects_non_integer_config_values(capsys, tmp_path,
     assert err.startswith("config error")
     with pytest.raises(ConfigError):
         cmd_compare({"channel": bsc_path, **cfg})
+
+
+@pytest.mark.parametrize("value", [0.1, "0.1", {"a": 0.1}, [True],
+                                   [0.1, False], [0.0], [0.6]],
+                         ids=["float", "str", "dict", "bool-entry",
+                              "bool-after-float", "zero", "above-half"])
+def test_compare_rejects_malformed_scaling_epsilons(capsys, tmp_path,
+                                                    bsc_path, value):
+    cfg = compare_config(tmp_path, bsc_path, scaling_epsilons=value)
+    rc, out, err = run(capsys, ["compare", "--config", cfg])
+    assert rc == 2 and out == ""
+    assert "scaling_epsilons" in err
 
 
 def test_compare_checks_sweep_against_ensemble(bsc_path):
@@ -674,6 +700,11 @@ GUARDS = [
         200, 3, 6, 0.1, 4, 1), id="decomposition-lattice"),
     pytest.param("per-type table guard", lambda: cmd_spectrum(
         2, 1, 3, 6, 66), id="spectrum-command"),
+    pytest.param("exceeds table limit", lambda: field_from_order(
+        1_000_000_007), id="field-table"),
+    # the table limit keeps every public field far below this limit
+    pytest.param("trial divisors", lambda: _find_reduction_poly(
+        2_000_003, 2), id="field-trial-divisors"),
 ]
 
 

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
+from fblbound import GuardError
 from fblbound.gfq import (
     FieldSpec,
     GfMatrix,
@@ -11,6 +13,7 @@ from fblbound.gfq import (
     make_field,
     rank_and_nullspace,
 )
+from fblbound.simulator import sample_graph
 
 SMALL_ORDERS = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16]
 
@@ -98,6 +101,19 @@ def test_vectorized_ops_match_scalar(fields):
         assert mul_v[i] == f.mul(int(a[i]), int(b[i]))
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 9, 16, 625])
+def test_add_and_neg_are_digitwise_mod_p(q):
+    # q=625 has no addition table and takes the digit route
+    f = field_from_order(q)
+    a = np.arange(q)
+    place = f.p ** np.arange(f.m)
+    digits = (a[:, None] // place) % f.p
+    want_add = ((digits[:, None, :] + digits[None, :, :]) % f.p) @ place
+    assert np.array_equal(f.add(a[:, None], a[None, :]), want_add)
+    assert np.array_equal(f.neg(a), ((-digits) % f.p) @ place)
+    assert (f._add_t is None) == (q > 512)
+
+
 def test_gf_matrix_validates_entries():
     f = make_field(2, 1)
     with pytest.raises(ValueError):
@@ -165,6 +181,52 @@ def test_nullspace_matches_brute_force(q, rows, cols, data):
                 vec = f.add(vec, f.mul(c, bv))
             span.add(tuple(int(x) for x in vec))
         assert len(span) == f.q ** nullity
+
+
+@st.composite
+def _matrices(draw):
+    """Wide, tall and square matrices; about half are built with repeated
+    rows, scaled rows and zero columns, so they are rank deficient."""
+    q = draw(st.sampled_from([2, 3, 4, 5, 8, 9]))
+    rows = draw(st.integers(1, 7))
+    cols = draw(st.integers(1, 9))
+    a = np.array(draw(st.lists(st.integers(0, q - 1), min_size=rows * cols,
+                               max_size=rows * cols))).reshape(rows, cols)
+    if draw(st.booleans()):
+        f = field_from_order(q)
+        for i in range(1, rows):
+            src = draw(st.integers(0, i - 1))
+            a[i] = f.mul(draw(st.integers(0, q - 1)), a[src])
+        a[:, draw(st.integers(0, cols - 1))] = 0
+    return GfMatrix(field_from_order(q), a)
+
+
+@settings(max_examples=300, deadline=None)
+@given(h=_matrices())
+def test_rank_and_nullspace_equals_row_by_row_oracle(h):
+    rank, basis = rank_and_nullspace(h)
+    want_rank, want_basis = oracles.rank_and_nullspace_rows(h)
+    assert rank == want_rank
+    assert basis.dtype == want_basis.dtype
+    assert np.array_equal(basis, want_basis)
+
+
+def test_rank_and_nullspace_equals_oracle_on_sampled_check_matrices():
+    for q, (n, dv, dc) in [(2, (24, 3, 6)), (3, (12, 2, 4)),
+                           (4, (12, 3, 4)), (9, (8, 2, 4))]:
+        f = field_from_order(q)
+        for seed in range(20):
+            h = sample_graph(n, dv, dc, f, seed).check_matrix()
+            rank, basis = rank_and_nullspace(h)
+            want_rank, want_basis = oracles.rank_and_nullspace_rows(h)
+            assert rank == want_rank and np.array_equal(basis, want_basis)
+
+
+@pytest.mark.parametrize("q", [2 ** 17, 1_000_000_007, 2 ** 61 - 1])
+def test_field_order_guards_fail_fast(q):
+    # 2^61 - 1 is prime: trial division alone would take ~1e9 steps
+    with pytest.raises(GuardError, match="exceeds table limit"):
+        field_from_order(q)
 
 
 def test_larger_field_no_mul_table():

@@ -11,11 +11,13 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
+import oracles
+from fblbound import simulator
 from fblbound.channel import (InputPmf, binary_adder_mac, bsc, make_quantizer,
                               noiseless)
 from fblbound.exponent import kmac_exponent_bound
 from fblbound.fbl import ldpc_rcu_ppc
-from fblbound.gfq import make_field, rank_and_nullspace
+from fblbound.gfq import field_from_order, make_field, rank_and_nullspace
 from fblbound.simulator import (Codebook, TannerGraph, actual_rate_stats,
                                 build_inputs, empirical_spectrum,
                                 enumerate_codebook, min_distance, ml_decode,
@@ -181,6 +183,38 @@ def test_codebook_validation():
         Codebook(field=F2, words=np.zeros((2, 3), dtype=np.int64))
 
 
+@pytest.mark.parametrize("q,n", [(2, 70), (3, 40), (16, 20)])
+def test_codebook_duplicate_check_spans_key_columns(q, n):
+    # q=2 packs 62 symbols per key, q=3 packs 31 and q=16 packs 15, so
+    # each case needs two key columns.  Row i is one shared word with the
+    # base-q digits of i written into its tail, last symbol fastest, so
+    # rows 0..q-1 differ only in their last symbol; one extra row differs
+    # from row 0 only in its first symbol.
+    field = field_from_order(q)
+    k = math.ceil(math.log(40, q))
+    words = np.tile(np.random.default_rng(q).integers(0, q, size=n), (41, 1))
+    for d in range(k):
+        words[:40, n - 1 - d] = (np.arange(40) // q ** d) % q
+    words[40] = words[0]
+    words[40, 0] = (words[0, 0] + 1) % q
+    assert np.unique(words, axis=0).shape[0] == 41
+    assert Codebook(field=field, words=words).size == 41
+    for i, j in [(0, 1), (0, 40), (q - 1, q), (3, 39)]:
+        dup = words.copy()
+        dup[j] = dup[i]
+        with pytest.raises(ValueError, match="^codewords must be distinct$"):
+            Codebook(field=field, words=dup)
+
+
+def test_codebook_duplicate_check_matches_unique():
+    rng = np.random.default_rng(5)
+    for q, n in [(2, 3), (2, 63), (4, 31), (5, 2), (16, 16)]:
+        for _ in range(30):
+            words = rng.integers(0, q, size=(rng.integers(1, 12), n))
+            want = np.unique(words, axis=0).shape[0] < words.shape[0]
+            assert simulator._has_duplicate_rows(words, q) == want
+
+
 # ---------------------------------------------------------------------------
 # coset inputs
 
@@ -277,6 +311,33 @@ def test_ml_decode_impossible_output_ties_all_candidates():
     rng = np.random.Generator(np.random.Philox(key=[5, 0]))
     wins = sum(ml_decode(noiseless(2), cb, y, rng=rng) for _ in range(10_000))
     assert abs(wins - 5000) <= 150
+
+
+@pytest.mark.parametrize("trials,cands", [(1, 1), (40, 2), (300, 7),
+                                          (64, 300)])
+def test_ml_decide_matches_per_row_tie_break(trials, cands):
+    # integer scores make most rows tie; some rows get a unique best, some
+    # a near-tie inside the tolerance, some an output impossible under
+    # every candidate
+    rng = np.random.default_rng(trials * 1000 + cands)
+    ll = -rng.integers(0, 3, size=(trials, cands)).astype(float)
+    ll[::5, 0] = 1.0
+    ll[1::7] += rng.uniform(0, 0.5e-9, size=(len(ll[1::7]), cands))
+    ll[2::6] = simulator._LOG_ZERO * (1 + rng.integers(0, 3, size=(
+        len(ll[2::6]), cands)))
+    for seed in range(3):
+        got = simulator._rng(seed, 3)
+        want = simulator._rng(seed, 3)
+        top, n_tied, decoded = simulator._ml_decide(ll.copy(), got)
+        expect = oracles.ml_decide_rows(ll, want, simulator._TIE_ATOL,
+                                        simulator._LOG_ZERO)
+        assert np.array_equal(decoded, expect)
+        assert np.array_equal(top, ll.max(axis=1))
+        assert got.random() == want.random()
+    if cands > 1:
+        assert 0 < np.sum(n_tied > 1) < trials
+        impossible = ll.max(axis=1) <= 0.5 * simulator._LOG_ZERO
+        assert np.all(n_tied[impossible] == cands)
 
 
 def test_ml_decode_float_path_matches_exact():
@@ -490,6 +551,20 @@ def test_min_distance_mac_equals_single():
                         (cb.words[c] != cb.words[d])
                     best = min(best, int(diff.sum()))
     assert d_mac == best
+
+
+@pytest.mark.parametrize("block", [1, 50, 1 << 22])
+def test_min_distance_blocks_match_pair_loop(monkeypatch, block):
+    monkeypatch.setattr(simulator, "_PAIR_BLOCK", block)
+    rng = np.random.default_rng(11)
+    for q, m, n in [(2, 40, 12), (4, 33, 9), (3, 60, 20)]:
+        words = np.unique(rng.integers(0, q, size=(m, n)), axis=0)
+        rng.shuffle(words)
+        cb = Codebook(field=field_from_order(q), words=words)
+        want = min(int((words[i + 1:] != words[i]).sum(axis=1).min())
+                   for i in range(len(words) - 1))
+        assert min_distance(cb) == want
+    assert min_distance(Codebook(field=F2, words=np.array([[1], [0]]))) == 1
 
 
 def test_min_distance_guards():
