@@ -27,6 +27,8 @@ import numpy as np
 from .gfq import FieldSpec
 
 _ROW_SUM_TOL = 1e-12
+_CAPACITY_TOL = 1e-10  # width of the mutual-information bracket at exit
+_CAPACITY_MAX_ITER = 200_000
 
 
 def _parse_entry(v):
@@ -294,35 +296,32 @@ def induced_input_pmf(quantizer: Quantizer) -> InputPmf:
     return InputPmf(np.array([float(e) for e in exact]), exact)
 
 
-def capacity(
-    dmc: DmcModel, tol: float = 1e-10, max_iter: int = 200_000
-) -> tuple[float, InputPmf]:
+def capacity(dmc: DmcModel) -> tuple[float, InputPmf]:
     """Channel capacity in nats and a capacity-achieving input pmf.
 
     Alternating maximization over the input pmf; stops when the gap between
-    the running mutual information and its upper bound drops below ``tol``.
+    the running mutual information and its upper bound drops below
+    ``_CAPACITY_TOL``.
     """
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
     w = dmc.w
     _check_stochastic(w, None, "transition matrix")
     nx = dmc.input_size
     r = np.full(nx, 1.0 / nx)
     logw = np.full_like(w, -np.inf)
     np.log(w, out=logw, where=w > 0)
-    for _ in range(max_iter):
+    for _ in range(_CAPACITY_MAX_ITER):
         qy = r @ w
         with np.errstate(divide="ignore", invalid="ignore"):
             lr = logw - np.log(qy)[None, :]
             d = np.where(w > 0, w * lr, 0.0).sum(axis=1)
         lower = float(r @ d)
         upper = float(np.max(d))
-        if upper - lower < tol:
+        if upper - lower < _CAPACITY_TOL:
             return lower, InputPmf(r)
         r = r * np.exp(d - upper)
         r /= r.sum()
     raise RuntimeError(
-        f"capacity iteration failed to reach tol={tol} in {max_iter} steps"
+        f"capacity iteration failed to converge in {_CAPACITY_MAX_ITER} steps"
     )
 
 

@@ -26,11 +26,11 @@ import numpy as np
 
 from . import GuardError
 from .channel import (DmcModel, InputPmf, MacModel, channel_from_json,
-                      induced_input_pmf, make_quantizer)
+                      make_quantizer)
 from .exponent import (expurgated_bound, exponent_rate_bound,
                        kmac_exponent_bound, two_mac_exponent_bound)
-from .fbl import (WindowError, achievable_logM_ppc, ldpc_rcu_ppc, q_inv,
-                  rcu_exact_ppc, rcu_mac, rcu_mc_ppc, rcu_relaxed_ppc,
+from .fbl import (_SEED_LIMIT, WindowError, achievable_logM_ppc, ldpc_rcu_ppc,
+                  q_inv, rcu_exact_ppc, rcu_mac, rcu_mc_ppc, rcu_relaxed_ppc,
                   scaling_table)
 from .gfq import field_from_order
 from .infodensity import ppc_moments
@@ -95,8 +95,13 @@ def _report_dict(report) -> dict:
     return out
 
 
+def _check_seed(seed) -> None:
+    if not (_is_int(seed) and 0 <= seed < _SEED_LIMIT):
+        raise ConfigError(f"seed must be an int in [0, 2**63), got {seed!r}")
+
+
 def _uniform_setup(input_size: int, q: int | None):
-    """Uniform input pmf realized through a block quantizer over GF(q)."""
+    """(q, quantizer) realizing the uniform input pmf over GF(q)."""
     q_eff = input_size if q is None else q
     if q_eff % input_size:
         raise ConfigError(
@@ -104,8 +109,7 @@ def _uniform_setup(input_size: int, q: int | None):
             f"{input_size}, got {q_eff}"
         )
     field = field_from_order(q_eff)
-    quantizer = make_quantizer(field, InputPmf.uniform(input_size))
-    return q_eff, quantizer, induced_input_pmf(quantizer)
+    return q_eff, make_quantizer(field, InputPmf.uniform(input_size))
 
 
 def _ldpc_bound(channel, n: int, var_degree: int, check_degree: int,
@@ -113,10 +117,10 @@ def _ldpc_bound(channel, n: int, var_degree: int, check_degree: int,
     """Relaxed RCU bound of the uniform-input coset LDPC ensemble over
     GF(q), its spectrum penalty folded in: (q, quantizer, log alpha,
     report)."""
-    q_eff, quantizer, _ = _uniform_setup(channel.input_size, q)
+    q_eff, quantizer = _uniform_setup(channel.input_size, q)
     table = ldpc_spectrum_table(n, var_degree, check_degree, q_eff, 1)
     r = (n * var_degree) // check_degree
-    log_a, _t = alpha_log(n, table, q_eff ** (n - r), 1)
+    log_a, _t = alpha_log(table, q_eff ** (n - r))
     report = ldpc_rcu_ppc(channel, quantizer, n, var_degree, check_degree,
                           alpha=math.exp(log_a))
     return q_eff, quantizer, log_a, report
@@ -208,11 +212,11 @@ def cmd_exponent(channel_path: str, rate: float, n: int, mac: bool = False,
                 "--expurgate needs the ensemble: --lambda and --check-degree"
             )
         size = channel.input_sizes[0] if is_mac else channel.input_size
-        q_eff, quantizer, pmf = _uniform_setup(size, q)
+        _q, quantizer = _uniform_setup(size, q)
         report = expurgated_bound(
-            n=n, rate=rate, num_users=(channel.num_users if is_mac else 1),
-            sigma=expurgate, ensemble_params=(var_degree, check_degree),
-            channel=channel, input_pmf=pmf, quantizer=quantizer,
+            n=n, rate=rate, sigma=expurgate,
+            ensemble_params=(var_degree, check_degree), channel=channel,
+            quantizer=quantizer,
         )
         return _report_dict(report)
 
@@ -225,18 +229,18 @@ def cmd_exponent(channel_path: str, rate: float, n: int, mac: bool = False,
         r2 = rate if rate2 is None else rate2
         report = two_mac_exponent_bound(
             n=n, rate1=rate * math.log(q1), rate2=r2 * math.log(q2),
-            alphas=(1.0, 1.0, 1.0), mac=channel,
+            alphas=(1.0, 1.0), mac=channel,
             pmf1=InputPmf.uniform(s1), pmf2=InputPmf.uniform(s2),
         )
         return _report_dict(report)
 
-    q_eff, quantizer, pmf = _uniform_setup(channel.input_size, q)
-    # empty handled set: the table is validated but never read
+    q_eff, quantizer = _uniform_setup(channel.input_size, q)
+    # empty handled set: the table fixes n and K but is never read
     table = SpectrumTable(n=n, q=q_eff, num_users=1, kind="uniform",
                           entries={})
     report = kmac_exponent_bound(
-        n=n, rate=rate, num_users=1, t_set=(), spectrum_table=table,
-        alpha_mac=1.0, channel=channel, input_pmf=pmf, quantizer=quantizer,
+        rate=rate, t_set=(), spectrum_table=table, alpha_mac=1.0,
+        channel=channel, quantizer=quantizer,
     )
     return _report_dict(report)
 
@@ -277,7 +281,7 @@ def cmd_spectrum(q: int, num_users: int, var_degree: int, check_degree: int,
         )
     table = ldpc_spectrum_table(n, var_degree, check_degree, q, num_users)
     if expurgate is not None:
-        table = expurgate_spectrum(table, expurgate, n)
+        table = expurgate_spectrum(table, expurgate)
     payload = {
         "n": n, "q": q, "num_users": num_users, "kind": table.kind,
         "var_degree": var_degree, "check_degree": check_degree,
@@ -289,7 +293,7 @@ def cmd_spectrum(q: int, num_users: int, var_degree: int, check_degree: int,
     if want_alpha:
         r = (n * var_degree) // check_degree
         num = q ** (n - r)
-        log_a, argmax_t = alpha_log(n, table, num, num_users)
+        log_a, argmax_t = alpha_log(table, num)
         payload["alpha"] = {
             "log_alpha": log_a,
             "alpha": math.exp(log_a),
@@ -305,6 +309,12 @@ def cmd_spectrum(q: int, num_users: int, var_degree: int, check_degree: int,
 def cmd_rcu(channel_path: str, n: int, m: int, m2: int | None = None,
             mode: str = "relaxed", trials: int | None = None,
             seed: int | None = None) -> dict:
+    """Random-coding union bound report.  A two-user MAC runs the exact
+    joint-type enumeration unless ``mode`` is "mc" and reports its relaxed
+    sum only as ``components["relaxed"]``: "nan" for the adder MAC, whose
+    conditional variances vanish."""
+    if seed is not None:
+        _check_seed(seed)
     channel = _load_channel(channel_path)
     if isinstance(channel, MacModel):
         if m2 is None:
@@ -378,6 +388,7 @@ def cmd_simulate(channel_path: str, q: int, var_degree: int,
     MAC, user 1's graph of each trial).  The minimum-distance histogram is
     taken over fresh draws from the same ensemble, seeded from the same
     seed; it describes the ensemble, not the particular error run."""
+    _check_seed(seed)
     channel = _load_channel(channel_path)
     is_mac = isinstance(channel, MacModel)
     if mac != is_mac:
@@ -513,9 +524,8 @@ def _validate_config(config: dict) -> dict:
                     f"n = {n} is incompatible with the ensemble: "
                     f"n*var_degree must be a multiple of check_degree"
                 )
-    if "seed" in config and not (_is_int(config["seed"])
-                                 and config["seed"] >= 0):
-        raise ConfigError("seed must be a nonnegative int")
+    if "seed" in config:
+        _check_seed(config["seed"])
     scaling = config.get("scaling_epsilons", [])
     if not isinstance(scaling, list):
         raise ConfigError("scaling_epsilons must be a list")

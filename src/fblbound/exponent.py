@@ -41,6 +41,7 @@ _VARIANTS = ("PPC", *_VARIANT_EVENTS)
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _EIGHT_OVER_ESQ = 8.0 / (math.e * math.e)
 _LOG_FLOOR = -690.0  # exp() underflows to subnormal/0 a little below this
+_RHO_TOL = 1e-10  # final width of the golden-section bracket on rho
 
 
 # ---------------------------------------------------------------------------
@@ -99,18 +100,15 @@ def e0(variant: str, gallager_rho: float, channel, pmfs) -> float:
     return -math.log(float(np.sum(outer)))
 
 
-def error_exponent(variant: str, rate: float, channel, pmfs,
-                   tol: float = 1e-10) -> tuple[float, float]:
+def error_exponent(variant: str, rate: float, channel,
+                   pmfs) -> tuple[float, float]:
     """Random-coding exponent max over rho in [0,1] of E0(rho) - rho*rate.
 
     Returns (exponent, maximizing rho), both 0 when the supremum is <= 0.
     Golden-section search; the objective is concave in rho, so the final
-    bracket localizes the maximizer and the best evaluated point is within
-    ``tol`` of the supremum."""
+    bracket, ``_RHO_TOL`` wide, localizes the maximizer."""
     if rate < 0.0:
         raise ValueError("rate must be nonnegative (nats)")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
     def obj(r: float) -> float:
         return e0(variant, r, channel, pmfs) - r * rate
 
@@ -119,7 +117,7 @@ def error_exponent(variant: str, rate: float, channel, pmfs,
     d = lo + _INVPHI * (hi - lo)
     fc, fd = obj(c), obj(d)
     best_rho, best_val = (c, fc) if fc >= fd else (d, fd)
-    while hi - lo > tol:
+    while hi - lo > _RHO_TOL:
         if fc >= fd:
             hi, d, fd = d, c, fc
             c = hi - _INVPHI * (hi - lo)
@@ -242,8 +240,7 @@ class BhattacharyyaVector:
         return total
 
 
-def bhattacharyya(channel, quantizers, num_users: int | None = None
-                  ) -> BhattacharyyaVector:
+def bhattacharyya(channel, quantizers) -> BhattacharyyaVector:
     """Pairwise weights of the label-difference alphabet through quantized
     channel inputs: D(g) averages sqrt(W(y|x') W(y|x'+g)) over a uniform
     reference label tuple g' and the output alphabet."""
@@ -261,8 +258,6 @@ def bhattacharyya(channel, quantizers, num_users: int | None = None
         rows = channel.flatten().w
     else:
         raise ValueError("channel must be a DmcModel or MacModel")
-    if num_users is not None and num_users != k:
-        raise ValueError(f"channel has {k} users, not {num_users}")
     if len(quantizers) == 1 and k > 1:
         quantizers = quantizers * k
     if len(quantizers) != k:
@@ -313,17 +308,6 @@ def _message_count(n: int, rate: float, q: int) -> int:
     return q ** k
 
 
-def _induced_check(input_pmf: InputPmf, quantizer: Quantizer):
-    induced = induced_input_pmf(quantizer)
-    if input_pmf.size != induced.size or not np.allclose(
-        np.asarray(input_pmf.probs, dtype=np.float64),
-        np.asarray(induced.probs, dtype=np.float64),
-        rtol=0.0, atol=1e-12,
-    ):
-        raise ValueError("input pmf is not the one induced by the quantizer")
-    return induced
-
-
 def _kmac_channel_check(channel, num_users: int, quantizer: Quantizer):
     if isinstance(channel, DmcModel):
         if num_users != 1:
@@ -342,9 +326,8 @@ def _kmac_channel_check(channel, num_users: int, quantizer: Quantizer):
         raise ValueError("channel must be a DmcModel or MacModel")
 
 
-def kmac_exponent_bound(n: int, rate: float, num_users: int, t_set,
-                        spectrum_table: SpectrumTable, alpha_mac: float,
-                        channel, input_pmf: InputPmf,
+def kmac_exponent_bound(rate: float, t_set, spectrum_table: SpectrumTable,
+                        alpha_mac: float, channel,
                         quantizer: Quantizer) -> BoundReport:
     """Two-part exponential achievability bound for the symmetric K-user
     ensemble: a per-type pairwise term over the handled set ``t_set`` plus
@@ -352,7 +335,10 @@ def kmac_exponent_bound(n: int, rate: float, num_users: int, t_set,
 
     ``rate`` is the per-user design rate in q-ary symbols per use;
     ``alpha_mac`` is the spectrum max-ratio penalty over the complement of
-    ``t_set``; ``spectrum_table`` must cover every type in ``t_set``."""
+    ``t_set``; ``spectrum_table`` must cover every type in ``t_set`` and
+    fixes the blocklength n and the user count K.  Every user's input law
+    is the one ``quantizer`` induces from a uniform field symbol."""
+    n, num_users = spectrum_table.n, spectrum_table.num_users
     if n < 1:
         raise ValueError("n must be a positive integer")
     if not alpha_mac > 0.0:
@@ -361,13 +347,10 @@ def kmac_exponent_bound(n: int, rate: float, num_users: int, t_set,
         raise ValueError("rate must be nonnegative")
     q = quantizer.field.q
     _kmac_channel_check(channel, num_users, quantizer)
-    induced = _induced_check(input_pmf, quantizer)
-    if spectrum_table.n != n:
-        raise ValueError(f"table was built for n={spectrum_table.n}, not {n}")
-    if spectrum_table.q != q or spectrum_table.num_users != num_users:
+    if spectrum_table.q != q:
         raise ValueError("spectrum table does not match the label alphabet")
     num_messages = _message_count(n, rate, q)
-    weights = bhattacharyya(channel, quantizer, num_users)
+    weights = bhattacharyya(channel, quantizer)
     qk = q ** num_users
     handled = [tuple(int(c) for c in t) for t in t_set]
     first = 0.0
@@ -384,7 +367,8 @@ def kmac_exponent_bound(n: int, rate: float, num_users: int, t_set,
         if lt > -math.inf:
             first += math.exp(lt) if lt < 700.0 else math.inf
     rate_nats = num_users * rate * math.log(q) + math.log(alpha_mac) / n
-    exponent, rho_star = error_exponent("PPC", rate_nats, channel, (induced,))
+    exponent, rho_star = error_exponent("PPC", rate_nats, channel,
+                                        induced_input_pmf(quantizer))
     log_second = -n * exponent
     second = math.exp(log_second) if log_second >= _LOG_FLOOR else 0.0
     raw = first + second
@@ -415,21 +399,20 @@ def two_mac_exponent_bound(n: int, rate1: float, rate2: float, alphas,
                            pmf2: InputPmf) -> BoundReport:
     """Three-term exponential achievability bound for a two-user MAC.
 
-    Rates are in nats per use.  ``alphas`` is (alpha_1, alpha_2,
-    alpha_12) with alpha_12 = alpha_1 * alpha_2 by construction; pass
-    (1, 1, 1) for the unpenalized ensemble.  A user with zero rate and
-    unit penalty carries one message, so its error terms are dropped."""
+    Rates are in nats per use.  ``alphas`` is the per-user spectrum
+    penalty pair (alpha_1, alpha_2); the pair event's penalty is their
+    product.  Pass (1, 1) for the unpenalized ensemble.  A user with zero
+    rate and unit penalty carries one message, so its error terms are
+    dropped."""
     if not isinstance(mac, MacModel) or mac.num_users != 2:
         raise ValueError("need a two-user MacModel")
     if n < 1:
         raise ValueError("n must be a positive integer")
     if rate1 < 0.0 or rate2 < 0.0:
         raise ValueError("rates must be nonnegative (nats)")
-    a1, a2, a12 = (float(a) for a in alphas)
+    a1, a2 = (float(a) for a in alphas)
     if a1 <= 0.0 or a2 <= 0.0:
         raise ValueError("penalties must be positive")
-    if abs(a12 - a1 * a2) > 1e-9 * max(1.0, a1 * a2):
-        raise ValueError("alpha_12 must equal alpha_1 * alpha_2")
     single1 = rate1 == 0.0 and a1 == 1.0
     single2 = rate2 == 0.0 and a2 == 1.0
     if single1 and single2:
@@ -438,7 +421,7 @@ def two_mac_exponent_bound(n: int, rate1: float, rate2: float, alphas,
     specs = (
         ("user1", "MAC-1", rate1, a1, not single1),
         ("user2", "MAC-2", rate2, a2, not single2),
-        ("pair", "MAC-12", rate1 + rate2, a12, not (single1 or single2)),
+        ("pair", "MAC-12", rate1 + rate2, a1 * a2, not (single1 or single2)),
     )
     total = 0.0
     components: dict[str, float] = {}
@@ -472,9 +455,8 @@ def two_mac_exponent_bound(n: int, rate1: float, rate2: float, alphas,
     )
 
 
-def expurgated_bound(n: int, rate: float, num_users: int, sigma: float,
-                     ensemble_params, channel, input_pmf: InputPmf,
-                     quantizer: Quantizer) -> BoundReport:
+def expurgated_bound(n: int, rate: float, sigma: float, ensemble_params,
+                     channel, quantizer: Quantizer) -> BoundReport:
     """Single-term exponential bound for the expurgated sparse-graph
     ensemble: low-weight difference types up to sigma*n are removed, the
     surviving spectrum is doubled, and the whole error lands in the
@@ -482,7 +464,8 @@ def expurgated_bound(n: int, rate: float, num_users: int, sigma: float,
 
     ``ensemble_params`` is (var_degree, check_degree); the expurgation
     hypothesis needs var_degree >= 3.  The rate must equal the design
-    rate (n - checks)/n."""
+    rate (n - checks)/n.  The user count is the channel's, and every
+    user's input law is the one ``quantizer`` induces."""
     var_degree, check_degree = (int(v) for v in ensemble_params)
     if var_degree < 3:
         raise ValueError(
@@ -494,8 +477,9 @@ def expurgated_bound(n: int, rate: float, num_users: int, sigma: float,
     if n < 1:
         raise ValueError("n must be a positive integer")
     q = quantizer.field.q
+    num_users = channel.num_users if isinstance(channel, MacModel) else 1
     _kmac_channel_check(channel, num_users, quantizer)
-    induced = _induced_check(input_pmf, quantizer)
+    induced = induced_input_pmf(quantizer)
     num_messages = _message_count(n, rate, q)
     if (n * var_degree) % check_degree != 0:
         raise ValueError(
@@ -509,11 +493,11 @@ def expurgated_bound(n: int, rate: float, num_users: int, sigma: float,
             f"operational rate to equal the design rate"
         )
     table = ldpc_spectrum_table(n, var_degree, check_degree, q, num_users)
-    expurgated = expurgate_spectrum(table, sigma, n)
-    log_alpha, argmax_t = alpha_log(n, expurgated, num_messages, num_users)
+    expurgated = expurgate_spectrum(table, sigma)
+    log_alpha, argmax_t = alpha_log(expurgated, num_messages)
     delta_rate_nats = log_alpha / n
     rate_nats = num_users * rate * math.log(q) + delta_rate_nats
-    exponent, rho_star = error_exponent("PPC", rate_nats, channel, (induced,))
+    exponent, rho_star = error_exponent("PPC", rate_nats, channel, induced)
     log_value = -n * exponent
     value = math.exp(log_value) if log_value >= _LOG_FLOOR else 0.0
     components = {

@@ -53,6 +53,15 @@ _KEY_MERGE_TOL = 1e-12
 _TIE_TOL = 1e-9
 _MC_CHUNK = 4096
 _MIN_TRIALS = 1000
+_SEED_LIMIT = 1 << 63  # numpy folds Philox keys from here on, or warns
+
+
+def _keyed_rng(seed: int, stream: int = 0) -> np.random.Generator:
+    """The Philox stream keyed by (seed, stream), both in [0, 2**63)."""
+    if not (0 <= seed < _SEED_LIMIT and 0 <= stream < _SEED_LIMIT):
+        raise ValueError(f"seed and stream must lie in [0, 2**63), got "
+                         f"({seed}, {stream})")
+    return np.random.Generator(np.random.Philox(key=[seed, stream]))
 
 
 class WindowError(ValueError):
@@ -215,7 +224,7 @@ def qinv_membership(region: GaussianRegion, z, trials: int,
     chunk_idx = 0
     while done < trials:
         c = min(_MC_CHUNK * 32, trials - done)
-        rng = np.random.Generator(np.random.Philox(key=[seed, chunk_idx]))
+        rng = _keyed_rng(seed, chunk_idx)
         if rank == 0:
             s = np.zeros((c, region.dim))
         else:
@@ -423,7 +432,7 @@ class _Context:
         chunk_idx = 0
         while done < trials:
             c = min(_MC_CHUNK, trials - done)
-            rng = np.random.Generator(np.random.Philox(key=[seed, chunk_idx]))
+            rng = _keyed_rng(seed, chunk_idx)
             ux = [rng.random((c, n)) for _ in sizes]
             uy = rng.random((c, n))
             xs = [np.minimum(np.searchsorted(cum, u, side="right"), size - 1)
@@ -906,19 +915,15 @@ def ldpc_rcu_mac(mac: MacModel, quantizers, n: int, params1, params2,
     ensembles: E[min{1, a1 E1 + a2 E2 + a1 a2 E12}] where E_j are the
     relaxed per-user terms and a_j the spectrum penalties.
 
-    ``params_j = (var_degree, check_degree, field_order)``;
-    ``same_coset=True`` models both users drawing from one shared coset
-    vector, which squares each penalty (the log-penalty vector doubles).
+    ``params_j = (var_degree, check_degree)``; user j's code lives over
+    the field of ``quantizers[j]``.  ``same_coset=True`` models both users
+    drawing from one shared coset vector, which squares each penalty (the
+    log-penalty vector doubles).
     """
     _check_block(n)
     quant1, quant2 = quantizers
-    for j, (quant, params) in enumerate(((quant1, params1), (quant2, params2))):
-        vd, cd, q = params
-        if quant.field.q != q:
-            raise ValueError(
-                f"mismatched field specs for user {j + 1}: quantizer is over "
-                f"GF({quant.field.q}) but params request GF({q})"
-            )
+    q1, q2 = quant1.field.q, quant2.field.q
+    for j, quant in enumerate(quantizers):
         if quant.target_size != mac.input_sizes[j]:
             raise ValueError(
                 f"user-{j + 1} quantizer maps onto {quant.target_size} "
@@ -926,8 +931,9 @@ def ldpc_rcu_mac(mac: MacModel, quantizers, n: int, params1, params2,
             )
     if not (alpha1 >= 1.0 and alpha2 >= 1.0):
         raise ValueError("spectrum ratios must be >= 1")
-    r1, m1 = _ldpc_design(n, params1[0], params1[1], params1[2])
-    r2, m2 = _ldpc_design(n, params2[0], params2[1], params2[2])
+    (vd1, cd1), (vd2, cd2) = params1, params2
+    r1, m1 = _ldpc_design(n, vd1, cd1, q1)
+    r2, m2 = _ldpc_design(n, vd2, cd2, q2)
     p1 = induced_input_pmf(quant1)
     p2 = induced_input_pmf(quant2)
     prefs = mac_moments(mac, p1, p2).tail_prefactors
@@ -936,8 +942,8 @@ def ldpc_rcu_mac(mac: MacModel, quantizers, n: int, params1, params2,
     power = 2.0 if same_coset else 1.0
     la1 = power * math.log(alpha1)
     la2 = power * math.log(alpha2)
-    log_m1 = math.log(params1[2]) * (n - r1)
-    log_m2 = math.log(params2[2]) * (n - r2)
+    log_m1 = math.log(q1) * (n - r1)
+    log_m2 = math.log(q2) * (n - r2)
     # each user has q^(n-r) >= 2 messages, so every event is active
     for j in range(3):
         if not (math.isfinite(prefs[j]) and prefs[j] > 0):

@@ -22,22 +22,16 @@ import numpy as np
 
 from . import GuardError
 from .channel import DmcModel, MacModel, Quantizer
-from .fbl import BoundReport
+from .fbl import BoundReport, _keyed_rng
 from .gfq import FieldSpec, GfMatrix, field_from_order, rank_and_nullspace
 from .spectrum import SpectrumTable, type_compositions
 
 _ENUM_GUARD = 1 << 20
 _PAIR_OPS_GUARD = 10 ** 9
-_PAIR_BLOCK = 1 << 22  # symbol comparisons per block of the pair scan
+_PAIR_BLOCK = 1 << 22  # entries per block: pair scan, likelihood table
 _TIE_ATOL = 1e-9
 _LOG_ZERO = -1e30  # stand-in for log 0; keeps impossible words out of ties
 _WILSON_Z = 1.96
-
-
-def _rng(seed: int, stream: int = 0) -> np.random.Generator:
-    if seed < 0 or stream < 0:
-        raise ValueError("seed and stream must be nonnegative")
-    return np.random.Generator(np.random.Philox(key=[seed, stream]))
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +99,7 @@ class TannerGraph:
 def sample_graph(n: int, var_degree: int, check_degree: int,
                  field: FieldSpec, seed: int) -> TannerGraph:
     """Uniform socket permutation and uniform nonzero labels."""
-    rng = _rng(seed)
+    rng = _keyed_rng(seed)
     return _sample_graph(n, var_degree, check_degree, field, rng)
 
 
@@ -132,7 +126,6 @@ class Codebook:
 
     field: FieldSpec
     words: np.ndarray
-    graph: TannerGraph | None = None
     coset: np.ndarray | None = None
     quantizer: Quantizer | None = None
     inputs: np.ndarray | None = None
@@ -199,9 +192,8 @@ def enumerate_codebook(graph: TannerGraph, rate: float,
     design count; a uniform subset (keyed shuffle, without replacement)
     is kept.  The paper-level removal definition only fixes the ensemble
     average, so uniform subsampling is our realization of it."""
-    rng = _rng(seed, 1)
-    return Codebook(field=graph.field, words=_codebook_words(graph, rate, rng),
-                    graph=graph)
+    rng = _keyed_rng(seed, 1)
+    return Codebook(field=graph.field, words=_codebook_words(graph, rate, rng))
 
 
 def _codebook_words(graph, rate, rng) -> np.ndarray:
@@ -241,7 +233,7 @@ def build_inputs(codebook: Codebook, coset_seed: int,
 
     Two transmitters get independent cosets by using different seeds; the
     shared-coset variant reuses one seed for both."""
-    rng = _rng(coset_seed, 2)
+    rng = _keyed_rng(coset_seed, 2)
     return _build_inputs(codebook, quantizer, rng)
 
 
@@ -290,11 +282,11 @@ def ml_decode(channel, codebook, y, rng=None, seed: int = 0):
     1e-9 of the best tie, an output impossible under every candidate ties
     them all, and ties are broken uniformly via the keyed RNG."""
     if rng is None:
-        rng = _rng(seed, 3)
+        rng = _keyed_rng(seed, 3)
     y = np.asarray(y, dtype=np.int64)
     cand = _candidates(channel, codebook, y.shape[0])
     logw = _log_table(channel.w.reshape(-1, channel.w.shape[-1]))
-    win = int(_ml_decide(_log_likelihoods(logw, cand, y[None, :]), rng)[2][0])
+    win = int(_ml_decide(_log_likelihoods(logw[cand], y[None, :]), rng)[2][0])
     if isinstance(channel, MacModel):
         return divmod(win, codebook[1].size)
     return win
@@ -352,13 +344,13 @@ def _check_ensemble_params(ensemble_params):
     return n, var_degree, check_degree, q
 
 
-def _log_likelihoods(logw_rows, cand, ys) -> np.ndarray:
-    """(trials, candidates) log-likelihood table; rows index candidate
-    words, ys holds one output word per trial."""
-    gathered = logw_rows[cand]                     # (M, n, |Y|)
+def _log_likelihoods(gathered, ys) -> np.ndarray:
+    """(trials, candidates) log-likelihood table; ``gathered`` is the
+    (candidates, n, |Y|) table of per-letter log-likelihoods and ys holds
+    one output word per trial."""
     return np.einsum(
         "mns,tns->tm", gathered,
-        np.eye(logw_rows.shape[1])[ys], optimize=True
+        np.eye(gathered.shape[2])[ys], optimize=True
     )
 
 
@@ -412,7 +404,7 @@ def simulate_error(ensemble_params, channel, quantizers, trials_codes: int,
     pessimistic = 0
     num_messages = None
     for tc in range(trials_codes):
-        rng = _rng(seed, tc)
+        rng = _keyed_rng(seed, tc)
         books = []
         shared_v = None
         for qz in qzs:
@@ -425,22 +417,27 @@ def simulate_error(ensemble_params, channel, quantizers, trials_codes: int,
                 v = rng.integers(0, q, size=n)
                 shared_v = v
             shifted = qz.field.add(words, v[None, :])
-            books.append(Codebook(field=qz.field, words=words, graph=graph,
-                                  coset=v, quantizer=qz,
-                                  inputs=qz.apply(shifted)))
+            books.append(Codebook(field=qz.field, words=words, coset=v,
+                                  quantizer=qz, inputs=qz.apply(shifted)))
         cand = _candidates(channel, books if mac else books[0], n)
         num_messages = cand.shape[0]
         sent = rng.integers(num_messages, size=trials_noise)
         ys = _sample_outputs(flat_w, cand[sent], rng)
-        ll = _log_likelihoods(logw, cand, ys)
-        top, n_tied, decoded = _ml_decide(ll, rng)
-        sent_ll = ll[np.arange(trials_noise), sent]
-        realized += int(np.sum(decoded != sent))
-        # a bound counts the trial whenever any competitor reaches the
-        # transmitted word's likelihood
-        pessimistic += int(np.sum(
-            (top > sent_ll + _TIE_ATOL) | (n_tied > 1)
-        ))
+        gathered = logw[cand]
+        # row blocks, decided in row order: the tie-break draws of one
+        # whole-table call
+        rows = max(1, _PAIR_BLOCK // num_messages)
+        for lo in range(0, trials_noise, rows):
+            sent_b = sent[lo:lo + rows]
+            ll = _log_likelihoods(gathered, ys[lo:lo + rows])
+            top, n_tied, decoded = _ml_decide(ll, rng)
+            sent_ll = ll[np.arange(sent_b.size), sent_b]
+            realized += int(np.sum(decoded != sent_b))
+            # a bound counts the trial whenever any competitor reaches the
+            # transmitted word's likelihood
+            pessimistic += int(np.sum(
+                (top > sent_ll + _TIE_ATOL) | (n_tied > 1)
+            ))
     total = trials_codes * trials_noise
     eps_hat = realized / total
     center, low, high = _wilson(realized, total)
@@ -503,7 +500,7 @@ def empirical_spectrum(ensemble_params, trials: int, seed: int,
     sums: dict[tuple[int, ...], float] = {}
     sumsq: dict[tuple[int, ...], float] = {}
     for t in range(trials):
-        rng = _rng(seed, t)
+        rng = _keyed_rng(seed, t)
         word_sets = []
         for _ in range(num_users):
             graph = _sample_graph(n, var_degree, check_degree, field, rng)
@@ -618,7 +615,7 @@ def actual_rate_stats(ensemble_params, trials: int, seed: int,
     eps_grid = tuple(float(e) for e in eps_grid)
     gaps = np.empty(trials)
     for t in range(trials):
-        rng = _rng(seed, t)
+        rng = _keyed_rng(seed, t)
         graph = _sample_graph(n, var_degree, check_degree, field, rng)
         rank, _ = rank_and_nullspace(graph.check_matrix())
         gaps[t] = (r - rank) / n

@@ -34,6 +34,9 @@ from .gfq import field_from_order
 # and the lattice during polynomial powering); dense per-type table size.
 _LATTICE_GUARD = 20_000_000
 _TABLE_GUARD = 2_000_000
+_LSE_TOL = 1e-10  # inner-infimum gradient tolerance, relative to rho
+_LSE_RESTARTS = 10  # descent starts of the inner infimum
+_JSIGMA_CAP = 200_000  # rate-offset types at full lattice resolution
 
 
 # ---------------------------------------------------------------------------
@@ -232,15 +235,15 @@ def _cached_check_poly(q, num_users, rho) -> CheckPolynomial:
 # ---------------------------------------------------------------------------
 # asymptotic sparse-graph exponent
 
-def _minimize_lse_affine(log_c, tmat, target, tol, scale, floor, restarts=10):
+def _minimize_lse_affine(log_c, tmat, target, scale, floor):
     """Minimize lse(log_c + T u) - <target, u>; convex in u.
 
     Returns the best objective found, or -inf once the objective drops
     below `floor` (the target lies outside the achievable hull).  Any
-    start whose gradient norm reaches tol*scale is a global minimum by
-    convexity, so the search returns immediately at that point."""
+    start whose gradient norm reaches _LSE_TOL*scale is a global minimum
+    by convexity, so the search returns immediately at that point."""
     _, dim = tmat.shape
-    goal = tol * scale
+    goal = _LSE_TOL * scale
 
     def fgrad(u):
         w = log_c + tmat @ u
@@ -309,7 +312,7 @@ def _minimize_lse_affine(log_c, tmat, target, tol, scale, floor, restarts=10):
 
     rng = np.random.default_rng(0)
     best = math.inf
-    for start in range(restarts):
+    for start in range(_LSE_RESTARTS):
         u = np.zeros(dim) if start == 0 else rng.normal(0.0, 2.0, size=dim)
         f, g = fgrad(u)
         u, f, g, hit = descend(u, f, g, 250)
@@ -335,7 +338,7 @@ def _minimize_lse_affine(log_c, tmat, target, tol, scale, floor, restarts=10):
 
 
 def ldpc_spectrum_exponent(theta, var_degree: int, check_degree: int,
-                           q: int, num_users: int, tol: float = 1e-10) -> float:
+                           q: int, num_users: int) -> float:
     """Asymptotic normalized spectrum exponent of the regular sparse-graph
     coset ensemble at composition theta, in q-ary units.
 
@@ -367,7 +370,7 @@ def ldpc_spectrum_exponent(theta, var_degree: int, check_degree: int,
     # with integer coefficients >= 1 the infimum, when finite, is at least
     # -ln(#terms) >= -|Q| ln(rho+1); anything far below means unreachable
     floor = -(qk * math.log(rho + 1.0) + 50.0)
-    fmin = _minimize_lse_affine(log_c, tmat, target, tol, max(1.0, rho), floor)
+    fmin = _minimize_lse_affine(log_c, tmat, target, max(1.0, rho), floor)
     if fmin == -math.inf:
         return -math.inf
     h = _entropy_nats(th)
@@ -539,17 +542,15 @@ def ldpc_spectrum_table(n: int, var_degree: int, check_degree: int,
 # ---------------------------------------------------------------------------
 # alpha penalty, expurgation
 
-def alpha_log(n: int, spectrum: SpectrumTable, num_messages, num_users: int,
+def alpha_log(spectrum: SpectrumTable, num_messages,
               exclude=()) -> tuple[float, tuple[int, ...]]:
     """ln of the max-ratio penalty and its maximizing type.
 
     Ratio per type: table entry over the uniform reference
-    (M^K - 1) B(n,t) q^(-nK).  The all-zero type is always excluded;
-    exclude may remove further types from the maximization."""
-    if spectrum.n != n:
-        raise ValueError(f"table was built for n={spectrum.n}, not {n}")
-    if spectrum.num_users != num_users:
-        raise ValueError("user count does not match the table")
+    (M^K - 1) B(n,t) q^(-nK), with n and K the table's.  The all-zero
+    type is always excluded; exclude may remove further types from the
+    maximization."""
+    n, num_users = spectrum.n, spectrum.num_users
     log_ref_const = _log_mk_minus_one(num_messages, num_users) \
         - n * num_users * math.log(spectrum.q)
     skip = {_counts(t) for t in exclude}
@@ -566,9 +567,10 @@ def alpha_log(n: int, spectrum: SpectrumTable, num_messages, num_users: int,
     return best, best_t
 
 
-def expurgate_spectrum(spectrum: SpectrumTable, sigma: float,
-                       n: int) -> SpectrumTable:
-    """Zero all types of weight in (0, sigma*n] and double the rest.
+def expurgate_spectrum(spectrum: SpectrumTable,
+                       sigma: float) -> SpectrumTable:
+    """Zero all types of weight in (0, sigma*n] and double the rest, n the
+    table's blocklength.
 
     Valid only for variable degree >= 3 (the low-weight mass argument
     needs it); the result is an upper-bound table."""
@@ -576,9 +578,7 @@ def expurgate_spectrum(spectrum: SpectrumTable, sigma: float,
         raise ValueError("sigma must lie strictly between 0 and 1")
     if spectrum.var_degree is None or spectrum.var_degree < 3:
         raise ValueError("expurgation requires variable degree >= 3")
-    if spectrum.n != n:
-        raise ValueError(f"table was built for n={spectrum.n}, not {n}")
-    band = sigma * n
+    band = sigma * spectrum.n
     entries = {}
     for t, v in spectrum.entries.items():
         w = sum(t) - t[0]
@@ -649,19 +649,20 @@ class RateOffsetDecomposition:
     units: str = "nats"
 
 
-def _jsigma_types(n: int, qk: int, sigma: float, cap: int = 200_000):
+def _jsigma_types(n: int, qk: int, sigma: float):
     """Types with zero-symbol share at most 1 - sigma, at full lattice
     resolution when affordable, else on a strided grid refined later."""
     wmin = math.ceil(sigma * n - 1e-9)
     total = sum(
         _num_compositions(w, qk - 1) for w in range(wmin, n + 1)
     )
-    if total <= cap:
+    if total <= _JSIGMA_CAP:
         for w in range(wmin, n + 1):
             for rest in type_compositions(w, qk - 1):
                 yield (n - w,) + rest
         return
-    stride = max(2, math.ceil((total / cap) ** (1.0 / max(qk - 1, 1))))
+    stride = max(2, math.ceil((total / _JSIGMA_CAP)
+                              ** (1.0 / max(qk - 1, 1))))
     for w in range(wmin, n + 1):
         for rest in type_compositions(w, qk - 1):
             if all(c % stride == 0 for c in rest[:-1]):

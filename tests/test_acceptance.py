@@ -166,13 +166,12 @@ def test_accept_05_simulation_respects_composed_bounds(announce):
                              trials_noise=1000, seed=43)
         num = 2 ** (n - n * 3 // 5)
         table = ldpc_spectrum_table(n, 3, 5, 2, 1)
-        log_a, _t = alpha_log(n, table, num, 1)
+        log_a, _t = alpha_log(table, num)
         rcu = ldpc_rcu_ppc(dmc, qz, n, 3, 5, alpha=math.exp(log_a))
         handled = [t for t in table.entries if t != (n, 0)]
         kmac = kmac_exponent_bound(
-            n=n, rate=0.4, num_users=1, t_set=handled, spectrum_table=table,
-            alpha_mac=math.exp(log_a), channel=dmc, input_pmf=UNIF2,
-            quantizer=qz,
+            rate=0.4, t_set=handled, spectrum_table=table,
+            alpha_mac=math.exp(log_a), channel=dmc, quantizer=qz,
         )
         low = rep.components["wilson_low"]
         ok = (ok and rcu.value < 1.0 and kmac.value < 1.0

@@ -130,7 +130,7 @@ def test_capacity_noiseless_binary():
 
 
 def test_capacity_bsc011():
-    c_nats, _ = capacity(bsc(0.11), tol=1e-10)
+    c_nats, _ = capacity(bsc(0.11))
     p = 0.11
     h2 = -(p * math.log2(p) + (1 - p) * math.log2(1 - p))
     assert c_nats / LN2 == pytest.approx(1 - h2, abs=1e-6)
@@ -142,11 +142,6 @@ def test_capacity_useless_bsc():
     assert c_nats == pytest.approx(0.0, abs=1e-9)
 
 
-def test_capacity_rejects_bad_tol():
-    with pytest.raises(ValueError):
-        capacity(noiseless(2), tol=0.0)
-
-
 @settings(max_examples=10, deadline=None)
 @given(seed=st.integers(0, 10**6))
 def test_capacity_dominates_random_pmfs(seed):
@@ -154,7 +149,7 @@ def test_capacity_dominates_random_pmfs(seed):
     w = rng.dirichlet(np.ones(3), size=3)
     dmc = DmcModel(w)
     tol = 1e-9
-    c_nats, _ = capacity(dmc, tol=tol)
+    c_nats, _ = capacity(dmc)
     for _ in range(100):
         p = rng.dirichlet(np.ones(3))
         qy = p @ w

@@ -14,11 +14,10 @@ import pytest
 
 from fblbound import GuardError
 from fblbound.channel import (InputPmf, binary_adder_mac, bsc, dmc_to_json,
-                              induced_input_pmf, mac_to_json, make_quantizer,
-                              noiseless)
-from fblbound.cli import (CSV_HEADER, ConfigError, cmd_compare, cmd_exponent,
-                          cmd_report_schema, cmd_rcu, cmd_simulate,
-                          cmd_spectrum, main, schema_validate)
+                              mac_to_json, make_quantizer, noiseless)
+from fblbound.cli import (CSV_HEADER, ConfigError, cmd_achieve, cmd_compare,
+                          cmd_exponent, cmd_report_schema, cmd_rcu,
+                          cmd_simulate, cmd_spectrum, main, schema_validate)
 from fblbound.exponent import kmac_exponent_bound, two_mac_exponent_bound
 from fblbound.fbl import rcu_exact_ppc
 from fblbound.gfq import _find_reduction_poly, field_from_order
@@ -108,11 +107,10 @@ def test_exponent_ppc_equals_direct_library_call(bsc_path):
     field = field_from_order(2)
     quantizer = make_quantizer(field, InputPmf.uniform(2))
     direct = kmac_exponent_bound(
-        n=16, rate=0.25, num_users=1, t_set=(),
+        rate=0.25, t_set=(),
         spectrum_table=SpectrumTable(n=16, q=2, num_users=1, kind="uniform",
                                      entries={}),
-        alpha_mac=1.0, channel=bsc("11/100"),
-        input_pmf=induced_input_pmf(quantizer), quantizer=quantizer,
+        alpha_mac=1.0, channel=bsc("11/100"), quantizer=quantizer,
     )
     assert payload["value"] == direct.value
     assert payload["num_messages"] == 2 ** 4
@@ -121,11 +119,32 @@ def test_exponent_ppc_equals_direct_library_call(bsc_path):
 def test_exponent_mac_equals_direct_library_call(mac_path):
     payload = cmd_exponent(mac_path, rate=0.25, n=16, mac=True)
     direct = two_mac_exponent_bound(
-        n=16, rate1=0.25 * LN2, rate2=0.25 * LN2, alphas=(1.0, 1.0, 1.0),
+        n=16, rate1=0.25 * LN2, rate2=0.25 * LN2, alphas=(1.0, 1.0),
         mac=binary_adder_mac(), pmf1=InputPmf.uniform(2),
         pmf2=InputPmf.uniform(2),
     )
     assert payload["value"] == direct.value
+
+
+def test_exponent_values_pinned(bsc_path, mac_path):
+    # the README examples; any change to how the composed bounds derive
+    # n, K, the input pmf or the pair penalty moves these values
+    ppc = cmd_exponent(bsc_path, rate=0.25, n=64)
+    assert ppc["value"] == pytest.approx(0.055630324183371355, rel=1e-12)
+    assert ppc["components"]["gallager_rho_star"] == pytest.approx(
+        0.6107399920287399, rel=1e-12)
+    mac = cmd_exponent(mac_path, rate=0.25, n=64, mac=True)
+    assert mac["value"] == pytest.approx(7.107776779409789e-15, rel=1e-12)
+    assert mac["components"]["term_pair_log_nats"] == pytest.approx(
+        -40.59236241483222, rel=1e-12)
+    exp = cmd_exponent(bsc_path, rate=0.5, n=40, expurgate=0.1,
+                       var_degree=3, check_degree=6)
+    assert exp["value"] == 1.0
+    assert exp["components"]["log_alpha_ex"] == pytest.approx(
+        14.556091745433623, rel=1e-12)
+    assert exp["components"]["delta_rate_nats"] == pytest.approx(
+        0.3639022936358406, rel=1e-12)
+    assert tuple(exp["components"]["penalty_argmax_type"]) == (0, 40)
 
 
 def test_exponent_expurgate_without_ensemble_is_config_error(capsys, bsc_path):
@@ -160,10 +179,25 @@ def test_spectrum_table_payload_and_alpha_block():
     assert len(payload["entries"]) == 13
     assert payload["entries"]["0,12"] == pytest.approx(0.0)
     table = ldpc_spectrum_table(12, 3, 6, 2, 1)
-    log_a, argmax_t = alpha_log(12, table, 2 ** 6, 1)
+    log_a, argmax_t = alpha_log(table, 2 ** 6)
     assert payload["alpha"]["log_alpha"] == pytest.approx(log_a)
     assert tuple(payload["alpha"]["argmax_type"]) == argmax_t
     assert payload["alpha"]["num_messages_per_user"] == 64
+
+
+@pytest.mark.parametrize("num_users,n,expurgate,log_alpha,argmax,num", [
+    (1, 12, None, 4.17463144032781, [0, 12], 64),
+    (1, 12, 0.2, 4.867778620887756, [0, 12], 64),
+    (2, 8, None, 5.549091343800699, [0, 0, 0, 8], 16),
+    (2, 8, 0.2, 6.242238524360644, [0, 0, 0, 8], 16),
+])
+def test_spectrum_alpha_pinned(num_users, n, expurgate, log_alpha, argmax,
+                               num):
+    alpha = cmd_spectrum(2, num_users, 3, 6, n, want_alpha=True,
+                         expurgate=expurgate)["alpha"]
+    assert alpha["log_alpha"] == pytest.approx(log_alpha, rel=1e-12)
+    assert alpha["argmax_type"] == argmax
+    assert alpha["num_messages_per_user"] == num
 
 
 def test_spectrum_expurgated_table_doubles_survivors():
@@ -253,6 +287,23 @@ def test_rcu_mc_without_seed_is_config_error(capsys, bsc_path):
                                   "--M", "4", "--mc", trials])
         assert rc == 2
         assert "seed" in err
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2 ** 63), str(2 ** 64)])
+def test_out_of_range_seed_is_config_error(capsys, bsc_path, seed):
+    # one seed rule for every command: Philox keys fold or warn outside
+    # [0, 2**63), and 2**64 used to overflow with a traceback
+    for args in (["rcu", "--channel", bsc_path, "--n", "8", "--M", "4",
+                  "--mc", "1000"],
+                 ["simulate", "--channel", bsc_path, "--q", "2", "--lambda",
+                  "3", "--check-degree", "6", "--n", "12", "--codes", "2",
+                  "--noise", "2"]):
+        rc, out, err = run(capsys, args + ["--seed", seed])
+        assert rc == 2 and out == ""
+        assert "seed must be an int in [0, 2**63)" in err
+    rc, _, _ = run(capsys, ["rcu", "--channel", bsc_path, "--n", "8", "--M",
+                            "4", "--mc", "1000", "--seed", str(2 ** 63 - 1)])
+    assert rc == 0
 
 
 def test_rcu_mc_zero_trials_is_not_the_relaxed_bound(capsys, bsc_path):
@@ -370,6 +421,16 @@ def test_achieve_ldpc_reports_design_rate_and_target_flag(capsys, bsc_path):
                               "--epsilon", "1.0", "--n", "12",
                               "--ldpc", "3,6"])
     assert json.loads(out)["components"]["meets_target"] is True
+
+
+def test_achieve_ldpc_values_pinned(bsc_path):
+    for n, log_m, log_alpha in ((12, 4.1588830833596715, 4.17463144032781),
+                                (24, 8.317766166719343, 8.318010337151517)):
+        payload = cmd_achieve(bsc_path, 0.05, n, ldpc=(3, 6))
+        assert payload["value"] == pytest.approx(log_m, rel=1e-12)
+        assert payload["components"]["log_alpha"] == pytest.approx(
+            log_alpha, rel=1e-12)
+        assert payload["components"]["ensemble_error"] == 1.0
 
 
 def test_achieve_malformed_ldpc_pair_is_config_error(capsys, bsc_path):
@@ -508,6 +569,7 @@ _ENSEMBLE = {"var_degree": 3, "check_degree": 6, "q": 2}
     {"n_sweep": [True, 12]},
     {"seed": "abc"},
     {"seed": -3},
+    {"seed": 2 ** 63},
     {"seed": 1.9},
     {"seed": True},
     {"ensemble": dict(_ENSEMBLE, q=True)},
@@ -515,7 +577,8 @@ _ENSEMBLE = {"var_degree": 3, "check_degree": 6, "q": 2}
      "simulate": {"codes": True, "noise": 2}},
     {"ensemble": _ENSEMBLE, "seed": 1,
      "simulate": {"codes": 2, "noise": True}},
-], ids=["sweep-bool", "seed-str", "seed-negative", "seed-float",
+], ids=["sweep-bool", "seed-str", "seed-negative", "seed-too-large",
+        "seed-float",
         "seed-bool", "ensemble-bool", "codes-bool", "noise-bool"])
 def test_compare_rejects_non_integer_config_values(capsys, tmp_path,
                                                    bsc_path, overrides):

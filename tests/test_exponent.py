@@ -234,8 +234,6 @@ def test_error_exponent_validation():
     ch = bsc("11/100")
     with pytest.raises(ValueError, match="nonnegative"):
         ex.error_exponent("PPC", -0.1, ch, UNIF2)
-    with pytest.raises(ValueError, match="tol"):
-        ex.error_exponent("PPC", 0.1, ch, UNIF2, tol=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -429,8 +427,6 @@ def test_bhattacharyya_vector_validation():
 def test_bhattacharyya_validation():
     qz = binary_quantizer()
     qz3 = make_quantizer(make_field(3, 1), InputPmf.uniform(3))
-    with pytest.raises(ValueError, match="users"):
-        ex.bhattacharyya(bsc("11/100"), qz, num_users=2)
     with pytest.raises(ValueError, match="share one field"):
         ex.bhattacharyya(binary_adder_mac(), (qz, qz3))
     tern = DmcModel.from_rows([["1/2", "1/2"], ["1/3", "2/3"], ["1/4", "3/4"]])
@@ -447,7 +443,7 @@ def test_kmac_empty_handled_set_is_pure_exponent_term():
     ch = bsc("1/20")
     qz = binary_quantizer()
     tab = uniform_spectrum_table(4, 2, 1, 4)
-    rep = ex.kmac_exponent_bound(4, 0.5, 1, [], tab, 1.0, ch, UNIF2, qz)
+    rep = ex.kmac_exponent_bound(0.5, [], tab, 1.0, ch, qz)
     ep, _ = ex.error_exponent("PPC", 0.5 * LN2, ch, UNIF2)
     assert abs(rep.value - math.exp(-4.0 * ep)) < 1e-12
     assert rep.components["pairwise_term"] == 0.0
@@ -458,8 +454,8 @@ def test_kmac_alpha_shifts_effective_rate_exactly():
     ch = bsc("1/20")
     qz = binary_quantizer()
     tab = uniform_spectrum_table(4, 2, 1, 4)
-    r1 = ex.kmac_exponent_bound(4, 0.5, 1, [], tab, 1.0, ch, UNIF2, qz)
-    re_ = ex.kmac_exponent_bound(4, 0.5, 1, [], tab, math.e, ch, UNIF2, qz)
+    r1 = ex.kmac_exponent_bound(0.5, [], tab, 1.0, ch, qz)
+    re_ = ex.kmac_exponent_bound(0.5, [], tab, math.e, ch, qz)
     assert abs(
         re_.components["effective_sum_rate_nats"]
         - r1.components["effective_sum_rate_nats"] - 0.25
@@ -471,7 +467,7 @@ def test_kmac_pairwise_term_manual():
     qz = binary_quantizer()
     tab = uniform_spectrum_table(4, 2, 1, 4)
     bv = ex.bhattacharyya(ch, qz)
-    rep = ex.kmac_exponent_bound(4, 0.5, 1, [(2, 2)], tab, 1.0, ch, UNIF2, qz)
+    rep = ex.kmac_exponent_bound(0.5, [(2, 2)], tab, 1.0, ch, qz)
     want = math.exp(tab.log_value((2, 2))) * bv.values[1] ** 2
     assert abs(rep.components["pairwise_term"] - want) < 1e-12
     assert rep.components["handled_types"] == 1.0
@@ -483,7 +479,7 @@ def test_kmac_full_handled_set_matches_binomial_sum():
     n, m = 4, 4
     tab = uniform_spectrum_table(n, 2, 1, m)
     t_all = [(n - w, w) for w in range(1, n + 1)]
-    rep = ex.kmac_exponent_bound(n, 0.5, 1, t_all, tab, 1.0, ch, UNIF2, qz)
+    rep = ex.kmac_exponent_bound(0.5, t_all, tab, 1.0, ch, qz)
     d1 = ex.bhattacharyya(ch, qz).values[1]
     want = m * 2.0 ** (-n) * ((1.0 + d1) ** n - 1.0)
     assert abs(rep.components["pairwise_term"] - want) < 1e-12
@@ -495,7 +491,7 @@ def test_kmac_bound_dominates_coset_ensemble_truth():
     ch = bsc("1/20")
     qz = binary_quantizer()
     tab = uniform_spectrum_table(4, 2, 1, 4)
-    rep = ex.kmac_exponent_bound(4, 0.5, 1, [], tab, 1.0, ch, UNIF2, qz)
+    rep = ex.kmac_exponent_bound(0.5, [], tab, 1.0, ch, qz)
     truth = oracles.coset_ensemble_error(ch, 4, 2)
     assert rep.value >= float(truth) - 1e-12
     iid = rcu_exact_ppc(ch, UNIF2, 4, 4)
@@ -509,12 +505,12 @@ def test_kmac_uniform_spectrum_reproduces_classical_gallager():
     qz = binary_quantizer()
     n, m = 8, 16
     tab = uniform_spectrum_table(n, 2, 1, m)
-    la, _ = alpha_log(n, tab, m, 1)
+    la, _ = alpha_log(tab, m)
     assert abs(la - math.log(m / (m - 1.0))) < 1e-12
     with_pen = ex.kmac_exponent_bound(
-        n, 0.5, 1, [], tab, math.exp(la), ch, UNIF2, qz
+        0.5, [], tab, math.exp(la), ch, qz
     )
-    plain = ex.kmac_exponent_bound(n, 0.5, 1, [], tab, 1.0, ch, UNIF2, qz)
+    plain = ex.kmac_exponent_bound(0.5, [], tab, 1.0, ch, qz)
     gap = abs(
         with_pen.components["exponent_term_log_nats"]
         - plain.components["exponent_term_log_nats"]
@@ -526,7 +522,7 @@ def test_kmac_two_user_integration():
     qz = binary_quantizer()
     tab = uniform_spectrum_table(2, 2, 2, 2)
     rep = ex.kmac_exponent_bound(
-        2, 0.5, 2, [], tab, 1.0, binary_adder_mac(), UNIF2, qz
+        0.5, [], tab, 1.0, binary_adder_mac(), qz
     )
     assert 0.0 < rep.value <= 1.0
     assert rep.components["error_exponent_nats"] >= 0.0
@@ -537,7 +533,7 @@ def test_kmac_underflow_reports_log_only():
     qz = binary_quantizer()
     n = 30000  # n * exponent far past where exp() underflows
     tab = uniform_spectrum_table(n, 2, 1, 2 ** (n // 2))
-    rep = ex.kmac_exponent_bound(n, 0.5, 1, [], tab, 1.0, ch, UNIF2, qz)
+    rep = ex.kmac_exponent_bound(0.5, [], tab, 1.0, ch, qz)
     assert rep.value == 0.0
     assert rep.components["exponent_term_log_nats"] < -690.0
 
@@ -547,23 +543,19 @@ def test_kmac_validation():
     qz = binary_quantizer()
     tab = uniform_spectrum_table(4, 2, 1, 4)
     with pytest.raises(ValueError, match="restrict the operational rate"):
-        ex.kmac_exponent_bound(4, 1 / 3, 1, [], tab, 1.0, ch, UNIF2, qz)
+        ex.kmac_exponent_bound(1 / 3, [], tab, 1.0, ch, qz)
     with pytest.raises(ValueError, match="alpha_mac"):
-        ex.kmac_exponent_bound(4, 0.5, 1, [], tab, 0.0, ch, UNIF2, qz)
-    with pytest.raises(ValueError, match="built for n"):
-        ex.kmac_exponent_bound(6, 0.5, 1, [], tab, 1.0, ch, UNIF2, qz)
+        ex.kmac_exponent_bound(0.5, [], tab, 0.0, ch, qz)
     with pytest.raises(ValueError, match="all-zero"):
-        ex.kmac_exponent_bound(4, 0.5, 1, [(4, 0)], tab, 1.0, ch, UNIF2, qz)
+        ex.kmac_exponent_bound(0.5, [(4, 0)], tab, 1.0, ch, qz)
     with pytest.raises(ValueError, match="not a length"):
-        ex.kmac_exponent_bound(4, 0.5, 1, [(1, 2)], tab, 1.0, ch, UNIF2, qz)
+        ex.kmac_exponent_bound(0.5, [(1, 2)], tab, 1.0, ch, qz)
     small = ldpc_spectrum_table(6, 2, 3, 2, 1, types=[(4, 2)])
     with pytest.raises(ValueError, match="does not cover"):
-        ex.kmac_exponent_bound(6, 0.5, 1, [(3, 3)], small, 1.0, ch, UNIF2, qz)
-    skew = InputPmf.from_values(["3/4", "1/4"])
-    with pytest.raises(ValueError, match="induced"):
-        ex.kmac_exponent_bound(4, 0.5, 1, [], tab, 1.0, ch, skew, qz)
+        ex.kmac_exponent_bound(0.5, [(3, 3)], small, 1.0, ch, qz)
+    tab2 = uniform_spectrum_table(4, 2, 2, 4)
     with pytest.raises(ValueError, match="num_users=1"):
-        ex.kmac_exponent_bound(4, 0.5, 2, [], tab, 1.0, ch, UNIF2, qz)
+        ex.kmac_exponent_bound(0.5, [], tab2, 1.0, ch, qz)
 
 
 # ---------------------------------------------------------------------------
@@ -572,7 +564,7 @@ def test_kmac_validation():
 def test_two_mac_inside_region_all_exponents_positive():
     am = binary_adder_mac()
     rep = ex.two_mac_exponent_bound(
-        50, 0.1, 0.1, (1.0, 1.0, 1.0), am, UNIF2, UNIF2
+        50, 0.1, 0.1, (1.0, 1.0), am, UNIF2, UNIF2
     )
     assert rep.components["exponent_user1_nats"] > 0.0
     assert rep.components["exponent_user2_nats"] > 0.0
@@ -584,7 +576,7 @@ def test_two_mac_term_saturates_at_conditional_mi():
     am = binary_adder_mac()
     r1 = float(mac_moments(am, UNIF2, UNIF2).means[0])
     rep = ex.two_mac_exponent_bound(
-        50, r1, 0.05, (1.0, 1.0, 1.0), am, UNIF2, UNIF2
+        50, r1, 0.05, (1.0, 1.0), am, UNIF2, UNIF2
     )
     assert abs(rep.components["term_user1"] - 1.0) < 1e-9
 
@@ -597,7 +589,7 @@ def test_two_mac_degenerate_user_reduces_to_ppc():
     ])
     one = InputPmf.from_values(["1"])
     rep = ex.two_mac_exponent_bound(
-        20, 0.2, 0.0, (1.0, 1.0, 1.0), side, UNIF2, one
+        20, 0.2, 0.0, (1.0, 1.0), side, UNIF2, one
     )
     ep, _ = ex.error_exponent("PPC", 0.2, bsc("11/100"), UNIF2)
     assert abs(rep.value - math.exp(-20.0 * ep)) < 1e-12
@@ -607,23 +599,34 @@ def test_two_mac_degenerate_user_reduces_to_ppc():
 
 def test_two_mac_validation():
     am = binary_adder_mac()
-    with pytest.raises(ValueError, match="alpha_12"):
-        ex.two_mac_exponent_bound(10, 0.1, 0.1, (2.0, 3.0, 5.0), am, UNIF2, UNIF2)
     with pytest.raises(ValueError, match="more than one message"):
-        ex.two_mac_exponent_bound(10, 0.0, 0.0, (1.0, 1.0, 1.0), am, UNIF2, UNIF2)
+        ex.two_mac_exponent_bound(10, 0.0, 0.0, (1.0, 1.0), am, UNIF2, UNIF2)
     with pytest.raises(ValueError, match="nonnegative"):
-        ex.two_mac_exponent_bound(10, -0.1, 0.1, (1.0, 1.0, 1.0), am, UNIF2, UNIF2)
+        ex.two_mac_exponent_bound(10, -0.1, 0.1, (1.0, 1.0), am, UNIF2, UNIF2)
     with pytest.raises(ValueError, match="two-user"):
-        ex.two_mac_exponent_bound(10, 0.1, 0.1, (1.0, 1.0, 1.0),
+        ex.two_mac_exponent_bound(10, 0.1, 0.1, (1.0, 1.0),
                                   bsc("1/20"), UNIF2, UNIF2)
     with pytest.raises(ValueError, match="positive"):
-        ex.two_mac_exponent_bound(10, 0.1, 0.1, (0.0, 1.0, 0.0), am, UNIF2, UNIF2)
+        ex.two_mac_exponent_bound(10, 0.1, 0.1, (0.0, 1.0), am, UNIF2, UNIF2)
+
+
+def test_two_mac_penalties_pinned():
+    # the pair term carries alpha_1 * alpha_2 = 3; any change to how the
+    # three terms take their penalties moves these values
+    rep = ex.two_mac_exponent_bound(10, 0.1, 0.15, (1.5, 2.0),
+                                    binary_adder_mac(), UNIF2, UNIF2)
+    assert rep.value == pytest.approx(0.014745037150319447, rel=1e-12)
+    for label, want in (("user1", -5.5260066974912885),
+                        ("user2", -4.738324625039508),
+                        ("pair", -6.209680241449151)):
+        assert rep.components[f"term_{label}_log_nats"] == pytest.approx(
+            want, rel=1e-12)
 
 
 def test_two_mac_reports_conditional_mutual_informations():
     am = binary_adder_mac()
     rep = ex.two_mac_exponent_bound(
-        25, 0.1, 0.1, (1.0, 1.0, 1.0), am, UNIF2, UNIF2
+        25, 0.1, 0.1, (1.0, 1.0), am, UNIF2, UNIF2
     )
     i1, i2, i12 = rep.components["conditional_mi_nats"]
     assert abs(i1 - LN2) < 1e-12 and abs(i2 - LN2) < 1e-12
@@ -641,7 +644,7 @@ def test_expurgated_rate_offset_decreases_toward_zero():
     offsets = []
     for n in (50, 100, 200, 400):
         rep = ex.expurgated_bound(
-            n, (n - 15) / n, 1, 0.1, (3, n // 5), ch, UNIF2, qz
+            n, (n - 15) / n, 0.1, (3, n // 5), ch, qz
         )
         offsets.append(rep.components["delta_rate_nats"])
     assert all(a > b for a, b in zip(offsets, offsets[1:]))
@@ -652,7 +655,7 @@ def test_expurgated_rate_offset_decreases_toward_zero():
 def test_expurgated_single_term_structure_and_rate_form():
     ch = bsc("1/20")
     qz = binary_quantizer()
-    rep = ex.expurgated_bound(12, 0.5, 1, 0.1, (3, 6), ch, UNIF2, qz)
+    rep = ex.expurgated_bound(12, 0.5, 0.1, (3, 6), ch, qz)
     assert "pairwise_term" not in rep.components
     assert rep.components["exponent_log_nats"] == -12.0 * rep.components[
         "error_exponent_nats"
@@ -667,12 +670,12 @@ def test_expurgated_validation():
     ch = bsc("1/20")
     qz = binary_quantizer()
     with pytest.raises(ValueError, match="expurgation"):
-        ex.expurgated_bound(12, 0.5, 1, 0.1, (2, 4), ch, UNIF2, qz)
+        ex.expurgated_bound(12, 0.5, 0.1, (2, 4), ch, qz)
     with pytest.raises(ValueError, match="sigma"):
-        ex.expurgated_bound(12, 0.5, 1, 1.0, (3, 6), ch, UNIF2, qz)
+        ex.expurgated_bound(12, 0.5, 1.0, (3, 6), ch, qz)
     with pytest.raises(ValueError, match="sigma"):
-        ex.expurgated_bound(12, 0.5, 1, 1.5, (3, 6), ch, UNIF2, qz)
+        ex.expurgated_bound(12, 0.5, 1.5, (3, 6), ch, qz)
     with pytest.raises(ValueError, match="restrict the operational rate"):
-        ex.expurgated_bound(12, 0.25, 1, 0.1, (3, 6), ch, UNIF2, qz)
+        ex.expurgated_bound(12, 0.25, 0.1, (3, 6), ch, qz)
     with pytest.raises(ValueError, match="multiple of"):
-        ex.expurgated_bound(11, 6 / 11, 1, 0.1, (3, 6), ch, UNIF2, qz)
+        ex.expurgated_bound(11, 6 / 11, 0.1, (3, 6), ch, qz)

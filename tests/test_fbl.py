@@ -17,6 +17,7 @@ from fblbound.channel import (
 from fblbound.fbl import (
     BoundReport,
     GaussianRegion,
+    _keyed_rng,
     achievable_logM_ppc,
     ldpc_rcu_mac,
     ldpc_rcu_ppc,
@@ -268,6 +269,28 @@ def test_rcu_mc_streams_pinned():
     assert r.value == pytest.approx(0.04816888815161117, rel=1e-12)
     assert r.components["relaxed"] == pytest.approx(0.29197092624055737,
                                                     rel=1e-12)
+
+
+def test_keyed_rng_rejects_keys_numpy_would_fold():
+    # numpy's Philox gives keys 2**63 and 2**63 + 1 one stream, warns at
+    # 2**64 - 1 and overflows at 2**64; every seeded routine refuses them
+    for bad in (-1, 2 ** 63, 2 ** 63 + 1, 2 ** 64 - 1, 2 ** 64):
+        with pytest.raises(ValueError, match=r"\[0, 2\*\*63\)"):
+            _keyed_rng(bad)
+        with pytest.raises(ValueError, match=r"\[0, 2\*\*63\)"):
+            _keyed_rng(0, bad)
+    top = 2 ** 63 - 1
+    want = np.random.Generator(np.random.Philox(key=[top, 5]))
+    assert _keyed_rng(top, 5).random() == want.random()
+    u = InputPmf.uniform(2)
+    for draw in (lambda: rcu_mc_ppc(bsc(0.11), u, 8, 4, trials=1000,
+                                    seed=-1),
+                 lambda: rcu_mac(binary_adder_mac(), u, u, 4, 2, 2,
+                                 mode="mc", trials=1000, seed=2 ** 64),
+                 lambda: qinv_membership(GaussianRegion(np.eye(1), 0.1),
+                                         [1.0], trials=10, seed=-1)):
+        with pytest.raises(ValueError, match=r"\[0, 2\*\*63\)"):
+            draw()
 
 
 def test_pmf_size_mismatch_rejected():
@@ -603,7 +626,7 @@ def test_ldpc_rcu_mac_alpha_one_matches_iid_relaxed_component():
     mac = parallel_bsc_mac("1/10", "1/4")
     quants = (_binary_quantizer(), _binary_quantizer())
     n = 4
-    rep = ldpc_rcu_mac(mac, quants, n, (3, 6, 2), (3, 6, 2))
+    rep = ldpc_rcu_mac(mac, quants, n, (3, 6), (3, 6))
     m = 2 ** (n - 2)
     iid = rcu_mac(mac, InputPmf.uniform(2), InputPmf.uniform(2), n, m, m)
     assert rep.value == pytest.approx(iid.components["relaxed"], abs=1e-14)
@@ -614,8 +637,8 @@ def test_ldpc_rcu_mac_same_coset_doubles_log_penalties():
     mac = parallel_bsc_mac("1/10", "1/4")
     quants = (_binary_quantizer(), _binary_quantizer())
     a1, a2 = 1.5, 2.5
-    sep = ldpc_rcu_mac(mac, quants, 4, (3, 6, 2), (3, 6, 2), a1, a2)
-    shared = ldpc_rcu_mac(mac, quants, 4, (3, 6, 2), (3, 6, 2), a1, a2,
+    sep = ldpc_rcu_mac(mac, quants, 4, (3, 6), (3, 6), a1, a2)
+    shared = ldpc_rcu_mac(mac, quants, 4, (3, 6), (3, 6), a1, a2,
                           same_coset=True)
     la1, la2 = math.log(a1), math.log(a2)
     assert sep.components["log_penalty_vector"] == pytest.approx(
@@ -625,11 +648,16 @@ def test_ldpc_rcu_mac_same_coset_doubles_log_penalties():
     assert sep.value <= shared.value + 1e-14
 
 
-def test_ldpc_rcu_mac_field_mismatch():
-    mac = parallel_bsc_mac("1/10", "1/4")
+def test_ldpc_rcu_mac_pinned():
+    # the design (q, checks, message counts) comes from the quantizers and
+    # the degree pairs; any change to that derivation moves the value
+    xor = MacModel.from_rows([[["99/100", "1/100"], ["1/100", "99/100"]],
+                              [["1/100", "99/100"], ["99/100", "1/100"]]])
     quants = (_binary_quantizer(), _binary_quantizer())
-    with pytest.raises(ValueError, match="mismatched field"):
-        ldpc_rcu_mac(mac, quants, 4, (3, 6, 2), (3, 6, 3))
+    rep = ldpc_rcu_mac(xor, quants, 12, (3, 4), (3, 4), 1.5, 2.5)
+    assert rep.value == pytest.approx(0.5585417649485457, rel=1e-12)
+    assert rep.components["log_num_messages"] == pytest.approx(
+        (3 * LN2, 3 * LN2), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

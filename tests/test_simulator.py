@@ -13,8 +13,8 @@ from scipy import stats as sps
 
 import oracles
 from fblbound import simulator
-from fblbound.channel import (InputPmf, binary_adder_mac, bsc, make_quantizer,
-                              noiseless)
+from fblbound.channel import (DmcModel, InputPmf, binary_adder_mac, bsc,
+                              make_quantizer, noiseless)
 from fblbound.exponent import kmac_exponent_bound
 from fblbound.fbl import ldpc_rcu_ppc
 from fblbound.gfq import field_from_order, make_field, rank_and_nullspace
@@ -326,8 +326,8 @@ def test_ml_decide_matches_per_row_tie_break(trials, cands):
     ll[2::6] = simulator._LOG_ZERO * (1 + rng.integers(0, 3, size=(
         len(ll[2::6]), cands)))
     for seed in range(3):
-        got = simulator._rng(seed, 3)
-        want = simulator._rng(seed, 3)
+        got = simulator._keyed_rng(seed, 3)
+        want = simulator._keyed_rng(seed, 3)
         top, n_tied, decoded = simulator._ml_decide(ll.copy(), got)
         expect = oracles.ml_decide_rows(ll, want, simulator._TIE_ATOL,
                                         simulator._LOG_ZERO)
@@ -410,6 +410,20 @@ def test_simulate_reproducible():
     assert a.value != c.value or a.components != c.components
 
 
+def test_simulate_blocks_match_one_block(monkeypatch):
+    # BEC(1/2) ties often, so every block draws tie-breaks; 16 candidates
+    # by 300 noise trials fit one block by default and split into six
+    # blocks of 50 rows here
+    bec = DmcModel.from_rows([["1/2", "1/2", "0"], ["0", "1/2", "1/2"]])
+    args = ((8, 2, 4, 2), bec, binary_quantizer(), 5, 300, 9)
+    assert 16 * 300 <= simulator._PAIR_BLOCK
+    whole = simulate_error(*args)
+    monkeypatch.setattr(simulator, "_PAIR_BLOCK", 16 * 50)
+    blocked = simulate_error(*args)
+    assert blocked == whole
+    assert 0.0 < whole.value < whole.components["ties_as_error_rate"]
+
+
 def test_simulated_error_below_bounds():
     """Ensemble-average ML error vs the analytic bounds it must respect:
     the 95% lower confidence limit stays under both composed bounds."""
@@ -420,12 +434,12 @@ def test_simulated_error_below_bounds():
                          trials_codes=200, trials_noise=200, seed=17)
     num = 2 ** (n - n * lam // rho)
     table = ldpc_spectrum_table(n, lam, rho, q, 1)
-    log_a, _ = alpha_log(n, table, num, 1)
+    log_a, _ = alpha_log(table, num)
     rcu = ldpc_rcu_ppc(dmc, qz, n, lam, rho, alpha=math.exp(log_a))
     handled = [t for t in table.entries if t != (n, 0)]
     kmac = kmac_exponent_bound(
-        n=n, rate=0.5, num_users=1, t_set=handled, spectrum_table=table,
-        alpha_mac=math.exp(log_a), channel=dmc, input_pmf=UNIF2, quantizer=qz,
+        rate=0.5, t_set=handled, spectrum_table=table,
+        alpha_mac=math.exp(log_a), channel=dmc, quantizer=qz,
     )
     low = rep.components["wilson_low"]
     assert low <= rcu.value
@@ -457,6 +471,9 @@ def test_simulate_validation():
         simulate_error((6, 3, 6, 2), bsc("1/20"), qz4, 2, 2, 0)
     with pytest.raises(ValueError, match="at least one code"):
         simulate_error((6, 3, 6, 2), bsc("1/20"), qz, 0, 5, 0)
+    for seed in (-1, 2 ** 64):
+        with pytest.raises(ValueError, match=r"\[0, 2\*\*63\)"):
+            simulate_error((6, 3, 6, 2), bsc("1/20"), qz, 1, 1, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -284,7 +284,7 @@ def test_uniform_table_alpha_closed_form():
     for n, q, k, m in [(8, 2, 1, 16), (6, 3, 1, 9), (4, 2, 2, 4)]:
         tab = sp.uniform_spectrum_table(n, q, k, m)
         closed = m ** k / (m ** k - 1.0)
-        assert math.exp(sp.alpha_log(n, tab, m, k)[0]) == pytest.approx(
+        assert math.exp(sp.alpha_log(tab, m)[0]) == pytest.approx(
             closed, abs=1e-12)
 
 
@@ -310,7 +310,7 @@ def test_ldpc_table_zero_type_and_alpha_cross_check():
         ref = math.log(m - 1) + sp.multinomial_log(n, t) - n * LN2
         best = max(best, v - ref)
     direct = math.exp(best)
-    assert math.exp(sp.alpha_log(n, tab, m, 1)[0]) == pytest.approx(
+    assert math.exp(sp.alpha_log(tab, m)[0]) == pytest.approx(
         direct, rel=1e-12)
 
 
@@ -318,13 +318,11 @@ def test_alpha_exclusion_and_errors():
     n = 12
     tab = sp.ldpc_spectrum_table(n, 3, 6, 2, 1)
     m = 2 ** 6
-    la_all, argmax = sp.alpha_log(n, tab, m, 1)
-    la_excl, _ = sp.alpha_log(n, tab, m, 1, exclude=[argmax])
+    la_all, argmax = sp.alpha_log(tab, m)
+    la_excl, _ = sp.alpha_log(tab, m, exclude=[argmax])
     assert la_excl <= la_all
     with pytest.raises(ValueError):
-        sp.alpha_log(n, tab, m, 1, exclude=list(tab.entries))
-    with pytest.raises(ValueError):
-        sp.alpha_log(10, tab, m, 1)
+        sp.alpha_log(tab, m, exclude=list(tab.entries))
 
 
 def test_table_missing_type_raises():
@@ -341,7 +339,7 @@ def test_dense_table_guard():
 def test_expurgation_band_and_doubling():
     n = 12
     tab = sp.ldpc_spectrum_table(n, 3, 6, 2, 1)
-    ex = sp.expurgate_spectrum(tab, 0.25, n)
+    ex = sp.expurgate_spectrum(tab, 0.25)
     assert ex.kind == "ldpc-expurgated"
     assert ex.is_upper_bound
     assert ex.log_value((n, 0)) == 0.0
@@ -361,13 +359,11 @@ def test_expurgation_preconditions():
     n = 8
     tab = sp.ldpc_spectrum_table(n, 2, 4, 2, 1)
     with pytest.raises(ValueError):
-        sp.expurgate_spectrum(tab, 0.2, n)  # variable degree 2
+        sp.expurgate_spectrum(tab, 0.2)  # variable degree 2
     tab3 = sp.ldpc_spectrum_table(8, 3, 6, 2, 1)
     for bad in (0.0, 1.0, -0.1, 1.7):
         with pytest.raises(ValueError):
-            sp.expurgate_spectrum(tab3, bad, 8)
-    with pytest.raises(ValueError):
-        sp.expurgate_spectrum(tab3, 0.2, 12)
+            sp.expurgate_spectrum(tab3, bad)
 
 
 # ---------------------------------------------------------------------------
