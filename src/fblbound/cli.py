@@ -34,8 +34,8 @@ from .fbl import (_SEED_LIMIT, WindowError, achievable_logM_ppc, ldpc_rcu_ppc,
                   scaling_table)
 from .gfq import field_from_order
 from .infodensity import ppc_moments
-from .simulator import (actual_rate_stats, enumerate_codebook, min_distance,
-                        sample_graph, simulate_error)
+from .simulator import (_ENUM_GUARD, actual_rate_stats, enumerate_codebook,
+                        min_distance, sample_graph, simulate_error)
 from .spectrum import (SpectrumTable, alpha_log, expurgate_spectrum,
                        ldpc_spectrum_exponent, ldpc_spectrum_table,
                        uniform_spectrum_exponent)
@@ -183,7 +183,8 @@ def _write_csv_rows(rows, fh) -> None:
     writer.writerow(CSV_HEADER)
     for r in rows:
         writer.writerow([
-            r["n"], r["bound_name"], repr(float(r["value"])), r["unit"],
+            r["n"], r["bound_name"],
+            "" if r["value"] is None else repr(float(r["value"])), r["unit"],
             "" if r.get("ci_lo") is None else repr(float(r["ci_lo"])),
             "" if r.get("ci_hi") is None else repr(float(r["ci_hi"])),
         ])
@@ -553,7 +554,9 @@ def cmd_compare(config: dict) -> dict:
     (0 with window_valid=false when the proof window excludes n), and,
     when an ensemble is configured, the LDPC design rate with its
     ensemble error; plus the simulator error where requested and the
-    Qinv-vs-sqrt-log scaling table."""
+    Qinv-vs-sqrt-log scaling table.  Where the simulator's codebook guard
+    refuses q^(n rate) codewords, the simulated row carries no value and
+    is flagged ``"skipped": "codebook guard"``."""
     config = _validate_config(config)
     channel = _load_channel(config["channel"])
     if isinstance(channel, MacModel):
@@ -607,15 +610,23 @@ def cmd_compare(config: dict) -> dict:
             })
             if "simulate" in config:
                 sim = config["simulate"]
-                rep = simulate_error((n, lam, rho, q_eff), channel,
-                                     quantizer, sim["codes"], sim["noise"],
-                                     config["seed"])
-                rows.append({
-                    "n": n, "bound_name": "simulated-ml-error",
-                    "value": rep.value, "unit": "probability",
-                    "ci_lo": rep.components["wilson_low"],
-                    "ci_hi": rep.components["wilson_high"],
-                })
+                # the simulator enumerates q^(n rate) codewords per code
+                if q_eff ** (n - n * lam // rho) > _ENUM_GUARD:
+                    rows.append({
+                        "n": n, "bound_name": "simulated-ml-error",
+                        "value": None, "unit": "probability",
+                        "skipped": "codebook guard",
+                    })
+                else:
+                    rep = simulate_error((n, lam, rho, q_eff), channel,
+                                         quantizer, sim["codes"],
+                                         sim["noise"], config["seed"])
+                    rows.append({
+                        "n": n, "bound_name": "simulated-ml-error",
+                        "value": rep.value, "unit": "probability",
+                        "ci_lo": rep.components["wilson_low"],
+                        "ci_hi": rep.components["wilson_high"],
+                    })
     by_kind: dict[str, dict[int, dict]] = {}
     for r in rows:
         by_kind.setdefault(r["bound_name"], {})[r["n"]] = r

@@ -10,27 +10,36 @@ internal is in nats.
 
 The two-user MAC bound is the point-to-point bound with one competitor
 term per error event: user 1 wrong, user 2 wrong, or both wrong; the
-point-to-point channel is the one-event case.  Every RCU bound here runs
-through one joint-type context for K = 1 or 2 users, which holds the
-supported (x_1, ..., x_K, y) cells, each cell's information density per
-event, and one competitor-tail system per event.  Exact evaluation
-enumerates joint types; Monte Carlo evaluation samples words from one
-chunked Philox stream; both read the same per-event tails.
+point-to-point channel is the one-event case.  Each bound walks one
+lattice, and each lattice is guarded:
 
-The per-type competitor tail of an event is the tail of an n-fold product
-distribution built by convolving one likelihood-ratio atom set per
-conditioning symbol.  Ratio keys are log-domain floats for rational and
-float channels alike: keys within 1e-12 merge into one atom, and a
-competitor whose score comes within 1e-9 of the sent word's information
-density counts as a tie, hence as an error, which keeps every bound
-conservative.
+- Exact point-to-point RCU (``rcu_exact_ppc`` and the exact search of
+  ``achievable_logM_ppc``) sums over output types y.  Given y^n, the sent
+  word has law P(x^n | y^n) = P^n(x^n) e^{i(x^n; y^n)}, so the sent
+  word's score law is the competitor's score law tilted by e^k, and one
+  competitor table per y-type gives the whole inner sum.
+- Relaxed point-to-point bounds (``rcu_relaxed_ppc``, ``ldpc_rcu_ppc``)
+  read only the law of i(X^n; Y^n), the n-fold convolution of the
+  per-letter (x, y) information-density atoms (n + 1 keys for the BSC).
+- Two-user MAC bounds enumerate joint (x_1, x_2, y) types through one
+  context that holds the supported cells, each cell's information
+  density per event, and one competitor-tail system per event.
+- Monte Carlo routes sample words from one chunked Philox stream and
+  read the same competitor tables.
+
+A competitor table is the law of an n-fold sum of one likelihood-ratio
+atom set per conditioning symbol, held as sorted numpy arrays.  Ratio keys
+are log-domain floats for rational and float channels alike: after every
+convolution step, keys within 1e-12 of their group's first key merge into
+one atom (``_merge_close``), and a competitor whose score comes within
+1e-9 of the sent word's information density counts as a tie, hence as an
+error, which keeps every bound conservative.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -41,12 +50,15 @@ from . import GuardError
 from .channel import DmcModel, InputPmf, MacModel, Quantizer, induced_input_pmf
 from .infodensity import (EVENTS, _check_sizes, average_inputs,
                           mac_moments, ppc_moments)
-from .spectrum import _log_multinomial, type_compositions
+from .spectrum import _log_multinomial, _num_compositions, type_compositions
 
 LN2 = math.log(2.0)
 
-# enumeration refuses once the joint-type lattice outgrows this
-_JOINT_TYPE_GUARD = 1_000_000
+# a route refuses once the lattice it walks outgrows this
+_LATTICE_GUARD = 1_000_000
+# the exact route refuses once its competitor tables could build more keys
+# than this before merging (numpy work, about 10 s on a 2-core VM)
+_TABLE_GUARD = 50_000_000
 # float ratio keys closer than this are treated as one atom
 _KEY_MERGE_TOL = 1e-12
 # tie tolerance: keys within this below a threshold count as ties
@@ -244,65 +256,122 @@ def qinv_membership(region: GaussianRegion, z, trials: int,
 # competitor-tail machinery
 
 
-def _merge_close(items):
-    # items sorted by key; collapse float keys within _KEY_MERGE_TOL
-    out: list = []
-    for k, p in items:
-        if out and (k == out[-1][0]
-                    or (math.isfinite(k) and math.isfinite(out[-1][0])
-                        and k - out[-1][0] <= _KEY_MERGE_TOL)):
-            out[-1][1] += p
-        else:
-            out.append([k, p])
-    return out
+def _merge_close(keys: np.ndarray, probs: np.ndarray):
+    """Collapse ascending ``keys`` into atoms.  A key joins the group of
+    the key before it when it equals the group's first key or, both being
+    finite, lies within ``_KEY_MERGE_TOL`` above it; the group keeps its
+    first key and sums its probabilities.  Equal -inf keys merge by
+    equality, since their difference is nan."""
+    with np.errstate(invalid="ignore"):     # -inf - -inf
+        new = ~((keys[1:] == keys[:-1]) | (np.diff(keys) <= _KEY_MERGE_TOL))
+    starts = np.flatnonzero(np.concatenate(([True], new)))
+    # a chain of close keys wider than the tolerance splits greedily
+    ends = np.append(starts[1:], keys.size) - 1
+    with np.errstate(invalid="ignore"):
+        wide = np.flatnonzero(keys[ends] - keys[starts] > _KEY_MERGE_TOL)
+    if wide.size:
+        extra = []
+        for s, e in zip(starts[wide], ends[wide]):
+            first = keys[s]
+            for j in range(s + 1, e + 1):
+                if keys[j] - first > _KEY_MERGE_TOL:
+                    extra.append(j)
+                    first = keys[j]
+        starts = np.union1d(starts, extra)
+    return keys[starts], np.add.reduceat(probs, starts)
+
+
+def _sorted_law(keys: np.ndarray, probs: np.ndarray):
+    """(keys, probs) as a law: a stable sort by key, then ``_merge_close``."""
+    order = np.argsort(keys, kind="stable")
+    return _merge_close(keys[order], probs[order])
+
+
+def _convolve(law, atoms):
+    """Law of the sum of two independent scores, each a (keys, probs)
+    pair: one outer sum, a stable sort and ``_merge_close``."""
+    return _sorted_law(np.add.outer(law[0], atoms[0]).ravel(),
+                       np.multiply.outer(law[1], atoms[1]).ravel())
+
+
+def _atom_law(pairs):
+    """The law of a list of (key, probability) pairs; a cell the output
+    never reaches has none."""
+    if not pairs:
+        return np.zeros(0), np.zeros(0)
+    return _sorted_law(np.array([k for k, _ in pairs], dtype=np.float64),
+                       np.array([p for _, p in pairs], dtype=np.float64))
 
 
 class _TailSystem:
-    """Tail of the competitor score over an n-fold conditioning type.
+    """Law of the competitor score under n-fold conditioning types, as
+    sorted numpy tables.
 
     ``atoms[cell]`` lists (log-likelihood-ratio, probability) pairs for one
     conditioning symbol; the score of a sequence is the sum over its
-    letters, i.e. the competitor's information density.  Scores within
-    ``_KEY_MERGE_TOL`` merge into one atom.  ``tail(counts, thr)`` returns
-    P[score >= thr - _TIE_TOL] under the given per-cell letter counts, so
-    exact ties, which float rounding can push either way, count as errors.
+    letters, i.e. the competitor's information density.  Cells whose atom
+    laws are equal form one class (``classes[cell]``), since only the
+    number of letters drawn from each law shapes the score.  Each class
+    caches its c-fold power, built from its (c-1)-fold power by one
+    ``_convolve`` step; the table of a class-count vector is the
+    convolution of its classes' cached powers, merged after every step by
+    the ``_merge_close`` rule.  A table is (keys ascending, probs, suffix)
+    with suffix[i] = P[score >= keys[i]] and a trailing 0.
+    ``tail(counts, thr)`` returns P[score >= thr - _TIE_TOL] under per-cell
+    counts, so exact ties, which float rounding can push either way, count
+    as errors.
     """
 
     def __init__(self, atoms):
-        self.atoms = atoms
+        self.classes = []
+        self.laws = []
+        for keys, probs in map(_atom_law, atoms):
+            for c, (ck, cp) in enumerate(self.laws):
+                if np.array_equal(keys, ck) and np.array_equal(probs, cp):
+                    break
+            else:
+                c = len(self.laws)
+                self.laws.append((keys, probs))
+            self.classes.append(c)
+        # the tables of every class-count vector summing to n build at most
+        # C(n + num_atoms - 1, num_atoms - 1) keys before merging
+        self.num_atoms = sum(keys.size for keys, _ in self.laws)
+        self._powers = [[(np.zeros(1), np.ones(1))] for _ in self.laws]
         self._tables: dict = {}
 
-    def _convolve(self, dist, cell):
-        out: dict = {}
-        for k, p in dist.items():
-            for ak, ap in self.atoms[cell]:
-                nk = k + ak
-                out[nk] = out.get(nk, 0.0) + p * ap
-        return out
+    def _power(self, c: int, count: int):
+        powers = self._powers[c]
+        while len(powers) <= count:
+            powers.append(_convolve(powers[-1], self.laws[c]))
+        return powers[count]
+
+    def build(self, class_counts):
+        """The table of ``class_counts``, built afresh (not cached)."""
+        law = None
+        for c, count in enumerate(class_counts):
+            if count:
+                power = self._power(c, count)
+                law = power if law is None else _convolve(law, power)
+        keys, probs = law
+        suffix = np.append(np.cumsum(probs[::-1])[::-1], 0.0)
+        return keys, probs, suffix
 
     def table(self, counts):
-        counts = tuple(counts)
-        tab = self._tables.get(counts)
-        if tab is not None:
-            return tab
-        dist = {0.0: 1.0}
-        for cell, c in enumerate(counts):
-            for _ in range(c):
-                dist = self._convolve(dist, cell)
-        items = _merge_close(sorted(dist.items()))
-        keys = [k for k, _ in items]
-        suffix = [0.0] * (len(keys) + 1)
-        for i in range(len(keys) - 1, -1, -1):
-            suffix[i] = suffix[i + 1] + items[i][1]
-        tab = (keys, suffix)
-        if len(self._tables) > 50_000:
-            self._tables.clear()
-        self._tables[counts] = tab
+        """The table of per-cell ``counts``, cached per class-count
+        vector."""
+        class_counts = [0] * len(self.laws)
+        for c, count in zip(self.classes, counts):
+            class_counts[c] += count
+        class_counts = tuple(class_counts)
+        tab = self._tables.get(class_counts)
+        if tab is None:
+            tab = self._tables[class_counts] = self.build(class_counts)
         return tab
 
     def tail(self, counts, threshold) -> float:
-        keys, suffix = self.table(counts)
-        return min(suffix[bisect_left(keys, threshold - _TIE_TOL)], 1.0)
+        keys, _probs, suffix = self.table(counts)
+        return min(float(suffix[np.searchsorted(keys, threshold - _TIE_TOL)]),
+                   1.0)
 
 
 def _competitor_atoms(lik, prior, out_prob):
@@ -322,18 +391,21 @@ def _competitor_atoms(lik, prior, out_prob):
     return atoms
 
 
-def _check_lattice(n: int, num_cells: int, caller: str):
-    lattice = math.comb(n + num_cells - 1, num_cells - 1)
-    if lattice > _JOINT_TYPE_GUARD:
+def _check_lattice(points: int, what: str, caller: str,
+                   guard: int = _LATTICE_GUARD):
+    """Refuse a route whose lattice ``what`` has more than ``guard``
+    points, naming ``caller`` as the way out."""
+    if points > guard:
         raise GuardError(
-            f"joint-type lattice has {lattice} points, beyond the "
-            f"{_JOINT_TYPE_GUARD} enumeration guard; use {caller}"
+            f"{what} has {points} points, beyond the {guard} enumeration "
+            f"guard; use {caller}"
         )
 
 
 class _Context:
     """Supported cells of P_1 x ... x P_K x W for K = 1 or 2 users, with
-    one competitor-tail system per error event.
+    one competitor-tail system per error event.  Two-user bounds enumerate
+    its joint types; Monte Carlo routes for K = 1 or 2 sample its words.
 
     ``w`` has shape (|X_1|, ..., |X_K|, |Y|).  For an event E the
     competitor letters are x_E, drawn from the product of E's input pmfs,
@@ -409,8 +481,9 @@ class _Context:
         """Check the joint-type lattice against the guard (the error names
         ``caller`` as the way out), then return an iterator of
         (log_prob, i_vec, slot_counts) per joint type."""
-        _check_lattice(n, len(self.cells), caller)
         cells = self.cells
+        _check_lattice(_num_compositions(n, len(cells)), "joint-type lattice",
+                       caller)
         return (self._fold(_log_multinomial(n, t), zip(cells, t))
                 for t in type_compositions(n, len(cells)))
 
@@ -458,44 +531,93 @@ def _check_block(n: int):
         raise ValueError(f"blocklength must be a positive integer, got {n}")
 
 
-def _exact_error_from_tail(p_tail: float, num_messages) -> float:
-    # 1 - (1 - p)^(M-1), stable for small p and large M
-    if p_tail >= 1.0:
-        return 1.0
-    if p_tail <= 0.0:
-        return 0.0
-    return -math.expm1((num_messages - 1) * math.log1p(-p_tail))
-
-
 # ---------------------------------------------------------------------------
 # point-to-point bounds
 
 
+def _error_from_tails(tails: np.ndarray, num_messages) -> np.ndarray:
+    """1 - (1 - p)^(M-1) per competitor tail p in [0, 1], stable for small
+    p and large M; 0 for M = 1, which has no competitor."""
+    if num_messages == 1:
+        return np.zeros_like(tails)
+    with np.errstate(divide="ignore"):      # log1p(-1) at p = 1
+        return -np.expm1(float(num_messages - 1) * np.log1p(-tails))
+
+
+def _sent_law(dmc: DmcModel, pmf: InputPmf, n: int, caller: str):
+    """Exact point-to-point law of (sent score, competitor tail), summed
+    over output types: (weights, tails), one entry per (y-type, key) pair.
+
+    Given y^n of type t, a competitor's score i(Xbar^n; y^n) has the law of
+    the table of t, and the sent word, P(x^n | y^n) = P^n(x^n)
+    e^{i(x^n; y^n)}, scores key k with probability P_comp(k) e^k.  So the
+    weight of (t, k) is multinomial(n; t) prod_b P_Y(b)^{t_b} P_comp(k)
+    e^k, and its tail is P_comp[score >= k - _TIE_TOL], ties counting as
+    errors.  Outputs whose competitor laws are equal form one class of the
+    tail system (both outputs of a BSC; the two unerased outputs of a
+    BEC), so y-types are taken over classes: t counts letters per class
+    and P_Y(b) is the class's output probability.  The y-type lattice and
+    the keys the tables may build are guarded (``caller`` is the way
+    out).  The weights must sum to (sum_b P_Y(b))^n; a table probability
+    that underflowed breaks that, and is refused rather than returned low.
+    """
+    probs = _check_sizes(dmc.w, (pmf,))
+    p_y = average_inputs(dmc.w, probs, (0,))
+    outs = np.flatnonzero(p_y > 0.0)
+    system = _TailSystem(_competitor_atoms(dmc.w.T[outs], probs[0],
+                                           p_y[outs]))
+    classes = len(system.laws)
+    _check_lattice(_num_compositions(n, classes), "y-type lattice", caller)
+    _check_lattice(_num_compositions(n, system.num_atoms),
+                   "competitor-table lattice", caller, _TABLE_GUARD)
+    log_py = [math.log(p) for p in np.bincount(system.classes,
+                                               weights=p_y[outs])]
+    weights = []
+    tails = []
+    with np.errstate(divide="ignore"):      # log of an underflowed 0
+        for t in type_compositions(n, classes):
+            keys, p_comp, suffix = system.build(t)
+            log_t = _log_multinomial(n, t) + sum(
+                c * lp for c, lp in zip(t, log_py))
+            weights.append(np.exp(np.log(p_comp) + keys + log_t))
+            tails.append(suffix[np.searchsorted(keys, keys - _TIE_TOL)])
+    weights = np.concatenate(weights)
+    mass = float(p_y[outs].sum()) ** n
+    if not abs(float(weights.sum()) - mass) <= 1e-9:
+        raise ValueError(
+            f"sent-word law sums to {float(weights.sum())!r}, not {mass!r}: "
+            f"table probabilities underflowed at n={n}"
+        )
+    return weights, np.minimum(np.concatenate(tails), 1.0)
+
+
 def rcu_exact_ppc(dmc: DmcModel, input_pmf, n: int, num_messages) -> BoundReport:
     """Exact ensemble-average ML error (ties as errors) of the i.i.d. random
-    code with M codewords, evaluated by joint-type enumeration.
+    code with M codewords, summed over output types (``_sent_law``): per
+    y-type, one competitor table and its e^k tilt give the law of the sent
+    word's score, so the inner sum is sum_k P_comp(k) e^k f(tail(k)).
 
     Equals the brute-force average over all equally-likely codebooks when
     the input pmf matches the codeword distribution.  The clamped union
     form E[min{1, (M-1) P[tie-or-better]}] is reported under
-    ``components["union_bound"]``.
+    ``components["union_bound"]``.  ``components["joint_types"]`` is the
+    size C(n+c-1, c-1) of the joint-type lattice over the c supported
+    (x, y) cells that the sum is exact over (0 when M = 1).
     """
     _check_block(n)
     if num_messages < 1:
         raise ValueError(f"need at least one message, got {num_messages}")
-    ctx = _Context(dmc.w, (_as_pmf(input_pmf),))
-    terms = ctx.type_terms(n, "rcu_mc_ppc")
+    pmf = _as_pmf(input_pmf)
+    weights, tails = _sent_law(dmc, pmf, n, "rcu_mc_ppc")
     m = num_messages
     total = 0.0
     union = 0.0
     count = 0
     if m > 1:
-        for logp, ivec, counts in terms:
-            p_tail = ctx.tails(ivec, counts)[0]
-            pj = math.exp(logp)
-            total += pj * _exact_error_from_tail(p_tail, m)
-            union += pj * min(1.0, (m - 1) * p_tail)
-            count += 1
+        total = float(weights @ _error_from_tails(tails, m))
+        union = float(weights @ np.minimum(1.0, float(m - 1) * tails))
+        cells = int(np.count_nonzero(pmf.probs[:, None] * dmc.w > 0.0))
+        count = _num_compositions(n, cells)
     return BoundReport(
         name="rcu-exact-ppc",
         value=total,
@@ -511,7 +633,7 @@ def rcu_mc_ppc(dmc: DmcModel, input_pmf, n: int, num_messages,
                trials: int, seed: int = 0) -> BoundReport:
     """Monte Carlo estimate of the same ensemble-average error as
     ``rcu_exact_ppc``: (X^n, Y^n) is sampled, the competitor tail for each
-    sample is computed exactly from its joint type, and the mean carries a
+    sample is read from the table of its y-type, and the mean carries a
     1.96 sigma / sqrt(trials) half-width.
     """
     _check_block(n)
@@ -521,17 +643,13 @@ def rcu_mc_ppc(dmc: DmcModel, input_pmf, n: int, num_messages,
         raise ValueError(f"trials must be >= {_MIN_TRIALS}, got {trials}")
     ctx = _Context(dmc.w, (_as_pmf(input_pmf),))
     m = num_messages
-    total = 0.0
-    total_sq = 0.0
-    union_total = 0.0
-    for ivec, counts in ctx.trial_terms(n, trials, seed):
-        p_tail = ctx.tails(ivec, counts)[0]
-        v = _exact_error_from_tail(p_tail, m) if m > 1 else 0.0
-        total += v
-        total_sq += v * v
-        union_total += min(1.0, (m - 1) * p_tail) if m > 1 else 0.0
-    return _mc_report("rcu-mc-ppc", n, m, trials, total, total_sq,
-                      {"union_bound": union_total / trials})
+    tails = np.array([ctx.tails(ivec, counts)[0]
+                      for ivec, counts in ctx.trial_terms(n, trials, seed)])
+    v = _error_from_tails(tails, m)
+    union = np.minimum(1.0, float(m - 1) * tails)
+    return _mc_report("rcu-mc-ppc", n, m, trials, float(v.sum()),
+                      float(v @ v),
+                      {"union_bound": float(union.sum()) / trials})
 
 
 def _mc_report(name: str, n: int, num_messages, trials: int, total: float,
@@ -555,30 +673,49 @@ def _mc_report(name: str, n: int, num_messages, trials: int, total: float,
     )
 
 
+def _info_density_law(dmc: DmcModel, pmf: InputPmf, n: int, caller: str):
+    """(keys, probs) of i(X^n; Y^n) under P^n x W^n: the n-fold
+    convolution of the per-letter atoms (i(x; y), P(x) W(y|x)) over the
+    supported cells, merged after every step by the ``_merge_close`` rule.
+    With a distinct atoms the law has at most C(n+a-1, a-1) keys (n + 1
+    for the BSC); that bound is guarded (``caller`` is the way out)."""
+    probs = _check_sizes(dmc.w, (pmf,))
+    p_y = average_inputs(dmc.w, probs, (0,))
+    atoms = _atom_law([
+        (math.log(dmc.w[x, y]) - math.log(p_y[y]), probs[0][x] * dmc.w[x, y])
+        for x, y in np.ndindex(dmc.w.shape) if probs[0][x] * dmc.w[x, y] > 0.0
+    ])
+    _check_lattice(_num_compositions(n, atoms[0].size),
+                   "information-density lattice", caller)
+    law = atoms
+    for _ in range(n - 1):
+        law = _convolve(law, atoms)
+    return law
+
+
 def _relaxed_ppc(dmc: DmcModel, pmf: InputPmf, n: int, log_scale: float):
     """(value, moments) of the relaxed bound
-    E[min{1, e^log_scale (A/sqrt(n)) e^{-i(X^n;Y^n)}}] by joint-type
-    enumeration, A the closed-form tail prefactor."""
+    E[min{1, e^log_scale (A/sqrt(n)) e^{-i(X^n;Y^n)}}], A the closed-form
+    tail prefactor, summed exactly over the law of i(X^n; Y^n)
+    (``_info_density_law``)."""
     moments = ppc_moments(dmc, pmf)
     if moments.tail_prefactor is None:
         raise ValueError(
             "relaxed bound needs positive information-density variance"
         )
-    terms = _Context(dmc.w, (pmf,)).type_terms(n, "rcu_mc_ppc")
+    keys, probs = _info_density_law(dmc, pmf, n, "rcu_mc_ppc")
     if log_scale == -math.inf:      # no messages, no errors
         return 0.0, moments
     log_pref = math.log(moments.tail_prefactor) - 0.5 * math.log(n)
-    total = 0.0
-    for logp, (i_tot,), _counts in terms:
-        lt = log_scale + log_pref - i_tot
-        total += math.exp(logp) if lt >= 0.0 else math.exp(logp + lt)
+    lt = log_scale + log_pref - keys
+    total = float(probs @ np.exp(np.minimum(lt, 0.0)))
     return min(total, 1.0), moments
 
 
 def rcu_relaxed_ppc(dmc: DmcModel, input_pmf, n: int, num_messages) -> BoundReport:
     """Relaxed random-coding bound E[min{1, M (A/sqrt(n)) e^{-I_n}}] with the
-    closed-form tail prefactor A; exact type-enumeration of the outer
-    expectation."""
+    closed-form tail prefactor A; the outer expectation is an exact sum
+    over the law of i(X^n; Y^n)."""
     _check_block(n)
     if num_messages < 0:
         raise ValueError(f"message count must be >= 0, got {num_messages}")
@@ -612,6 +749,8 @@ def achievable_logM_ppc(dmc: DmcModel, input_pmf, n: int, epsilon: float,
     largest integer M whose exact ensemble-average error stays strictly
     below epsilon, which is a valid achievability statement at every n
     (some code in the ensemble performs at least as well as the average).
+    The search builds the y-type law of ``rcu_exact_ppc`` once and reads
+    it for every candidate M.
     """
     _check_block(n)
     if not 0.0 < epsilon < 1.0:
@@ -656,12 +795,10 @@ def achievable_logM_ppc(dmc: DmcModel, input_pmf, n: int, epsilon: float,
                 f"target error {epsilon}; pass strict_window=False to fall "
                 f"back to the finite relaxed-bound search"
             )
-        ctx = _Context(dmc.w, (pmf,))
-        terms = [(math.exp(logp), ctx.tails(ivec, counts)[0])
-                 for logp, ivec, counts in ctx.type_terms(n, "rcu_mc_ppc")]
+        weights, tails = _sent_law(dmc, pmf, n, "rcu_mc_ppc")
 
         def exact_err(m: int) -> float:
-            return sum(pj * _exact_error_from_tail(pt, m) for pj, pt in terms)
+            return float(weights @ _error_from_tails(tails, m))
 
         # largest integer M with exact ensemble error strictly below target;
         # M = 1 errs with probability 0, so the search never comes up empty

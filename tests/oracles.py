@@ -1,13 +1,17 @@
 """Independent exact oracles used by the unit and acceptance tests.
 
-Everything here is computed in rational or integer arithmetic with direct
-sequence enumeration: no joint types, no convolutions, no shared code with
-the implementations under test.  The two check-node oracles and the
+The codebook and sequence oracles are computed in rational or integer
+arithmetic with direct sequence enumeration and share no code with the
+implementations under test.  The two check-node oracles and the
 row-by-row elimination share only ``fblbound.gfq`` field arithmetic with
-production.  The Gallager-function
-oracle is the one float routine: scalar loops over every input tuple.
+production.  The float oracles are the Gallager function (scalar loops
+over every input tuple), the random-coding union bounds by joint-type
+enumeration with one dict convolution per letter (the slow route that the
+y-type and information-density routes of ``fblbound.fbl`` replace), and
+the two-binomial closed form of the BSC.
 """
 
+import bisect
 import itertools
 import math
 from collections import Counter
@@ -337,3 +341,224 @@ def ml_decide_rows(ll, rng, tie_atol, log_zero):
         decoded.append(opts[rng.integers(opts.size)] if opts.size > 1
                        else opts[0])
     return np.array(decoded, dtype=np.int64)
+
+
+# ---------------------------------------------------------------------------
+# random-coding union bounds by joint-type enumeration with dict tables
+
+
+def merge_close(items, tol=1e-12):
+    """Sorted (key, probability) items with float keys collapsed: a key
+    equal to its group's first key, or finite and within ``tol`` above
+    it, joins the group."""
+    out: list = []
+    for k, p in items:
+        if out and (k == out[-1][0]
+                    or (math.isfinite(k) and math.isfinite(out[-1][0])
+                        and k - out[-1][0] <= tol)):
+            out[-1][1] += p
+        else:
+            out.append([k, p])
+    return out
+
+
+class DictTails:
+    """Competitor-score tails over n-fold conditioning types, one dict
+    convolution per letter: ``atoms[cell]`` lists (log-likelihood ratio,
+    probability) pairs; ``tail(counts, thr)`` is P[score >= thr - tie]."""
+
+    def __init__(self, atoms, tie=1e-9):
+        self.atoms = atoms
+        self.tie = tie
+        self._tables: dict = {}
+
+    def table(self, counts):
+        counts = tuple(counts)
+        if counts not in self._tables:
+            dist = {0.0: 1.0}
+            for cell, c in enumerate(counts):
+                for _ in range(c):
+                    out: dict = {}
+                    for k, p in dist.items():
+                        for ak, ap in self.atoms[cell]:
+                            out[k + ak] = out.get(k + ak, 0.0) + p * ap
+                    dist = out
+            items = merge_close(sorted(dist.items()))
+            keys = [k for k, _ in items]
+            suffix = [0.0] * (len(keys) + 1)
+            for i in range(len(keys) - 1, -1, -1):
+                suffix[i] = suffix[i + 1] + items[i][1]
+            self._tables[counts] = (keys, suffix)
+        return self._tables[counts]
+
+    def tail(self, counts, threshold):
+        keys, suffix = self.table(counts)
+        return min(suffix[bisect.bisect_left(keys, threshold - self.tie)], 1.0)
+
+
+def _compositions(total, parts):
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for rest in _compositions(total - head, parts - 1):
+            yield (head,) + rest
+
+
+def _log_multinomial(n, counts):
+    out = math.lgamma(n + 1)
+    for c in counts:
+        out -= math.lgamma(c + 1)
+    return out
+
+
+class JointTypes:
+    """Joint (x_1, ..., x_K, y) types of P_1 x ... x P_K x W for K = 1 or
+    2, with one ``DictTails`` per error event (user 1 wrong, user 2 wrong,
+    both wrong; one event for K = 1).  ``w`` has shape (|X_1|, ..., |X_K|,
+    |Y|) and ``probs`` holds one float pmf per user."""
+
+    def __init__(self, w, probs):
+        w = np.asarray(w, dtype=np.float64)
+        users = list(range(len(probs)))
+        events = [(0,)] if len(probs) == 1 else [(0,), (1,), (0, 1)]
+        sizes = w.shape[:-1]
+        self.systems = []
+        layouts = []
+        for event in events:
+            rest = [u for u in users if u not in event]
+            conds = list(itertools.product(*[range(sizes[u]) for u in rest],
+                                           range(w.shape[-1])))
+            comps = list(itertools.product(*[range(sizes[u])
+                                             for u in event]))
+            marg = {}
+            atoms = []
+            for cond in conds:
+                def full(comp, cond=cond):
+                    x = [0] * len(users)
+                    for u, v in zip(rest, cond[:-1]):
+                        x[u] = v
+                    for u, v in zip(event, comp):
+                        x[u] = v
+                    return tuple(x) + (cond[-1],)
+                prior = [math.prod(probs[u][v] for u, v in zip(event, comp))
+                         for comp in comps]
+                po = sum(p * w[full(c)] for p, c in zip(prior, comps))
+                marg[cond] = po
+                atoms.append([(math.log(w[full(c)]) - math.log(po)
+                               if w[full(c)] > 0 else -math.inf, p)
+                              for p, c in zip(prior, comps)
+                              if p > 0 and po > 0])
+            self.systems.append(DictTails(atoms))
+            layouts.append((rest, conds, marg))
+        self.cells = []
+        for idx in itertools.product(*[range(s) for s in w.shape]):
+            jp = math.prod(probs[u][idx[u]] for u in users) * w[idx]
+            if jp <= 0:
+                continue
+            ivec = []
+            slots = []
+            for rest, conds, marg in layouts:
+                cond = tuple(idx[u] for u in rest) + (idx[-1],)
+                ivec.append(math.log(w[idx]) - math.log(marg[cond]))
+                slots.append(conds.index(cond))
+            self.cells.append((math.log(jp), ivec, slots))
+
+    def terms(self, n):
+        """(probability, i per event, competitor tail per event) for every
+        joint type of length n."""
+        for t in _compositions(n, len(self.cells)):
+            logp = _log_multinomial(n, t)
+            ivec = [0.0] * len(self.systems)
+            counts = [[0] * len(sys_.atoms) for sys_ in self.systems]
+            for (lp, iv, slots), c in zip(self.cells, t):
+                logp += c * lp
+                for e in range(len(ivec)):
+                    ivec[e] += c * iv[e]
+                    counts[e][slots[e]] += c
+            yield (math.exp(logp), ivec,
+                   [s.tail(cnt, i) for s, cnt, i in zip(self.systems, counts,
+                                                       ivec)])
+
+
+def _error_from_tail(p, num_messages):
+    # 1 - (1 - p)^(M-1)
+    if p >= 1.0:
+        return 1.0
+    return -math.expm1((num_messages - 1) * math.log1p(-p))
+
+
+def rcu_ppc_joint_types(w, probs, n, num_messages):
+    """(exact RCU, clamped union bound) of the i.i.d. random code by
+    joint-type enumeration."""
+    value = union = 0.0
+    for pj, _ivec, (tail,) in JointTypes(w, [probs]).terms(n):
+        value += pj * _error_from_tail(tail, num_messages)
+        union += pj * min(1.0, (num_messages - 1) * tail)
+    return value, min(union, 1.0)
+
+
+def relaxed_ppc_joint_types(w, probs, n, log_scale):
+    """E[min{1, e^{log_scale - i(X^n; Y^n)}}] by joint-type enumeration."""
+    total = 0.0
+    for pj, (i_val,), _tails in JointTypes(w, [probs]).terms(n):
+        total += pj * math.exp(min(log_scale - i_val, 0.0))
+    return min(total, 1.0)
+
+
+def exact_search_joint_types(w, probs, n, epsilon):
+    """Largest M whose exact RCU stays strictly below ``epsilon``, by the
+    doubling-then-bisection search over joint-type terms."""
+    terms = [(pj, tail) for pj, _i, (tail,)
+             in JointTypes(w, [probs]).terms(n)]
+
+    def err(m):
+        return sum(pj * _error_from_tail(t, m) for pj, t in terms)
+
+    lo, hi = 1, 2
+    while err(hi) < epsilon:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if err(mid) < epsilon else (lo, mid)
+    return lo
+
+
+def rcu_mac_joint_types(w, probs1, probs2, n, m1, m2):
+    """Exact two-user RCU E[min{1, (M1-1) P1 + (M2-1) P2 + (M1-1)(M2-1)
+    P12}] by joint-type enumeration."""
+    mults = (m1 - 1, m2 - 1, (m1 - 1) * (m2 - 1))
+    total = 0.0
+    for pj, _ivec, tails in JointTypes(w, [probs1, probs2]).terms(n):
+        total += pj * min(1.0, sum(a * t for a, t in zip(mults, tails)))
+    return min(total, 1.0)
+
+
+def rcu_mc_ppc_dict_tables(ctx, n, num_messages, trials, seed):
+    """Mean exact and union terms over the samples ``ctx.trial_terms``
+    draws (``ctx`` a one-user ``fbl._Context``), each tail read from
+    ``DictTails`` built on the same competitor atoms."""
+    tails = JointTypes(ctx._w, ctx._probs).systems[0]
+    value = union = 0.0
+    for (i_val,), counts in ctx.trial_terms(n, trials, seed):
+        tail = tails.tail(counts, i_val)
+        value += _error_from_tail(tail, num_messages)
+        union += min(1.0, (num_messages - 1) * tail)
+    return value / trials, union / trials
+
+
+def bsc_rcu_two_binomial(delta, n, num_messages):
+    """(exact RCU, union bound) of the BSC(delta < 1/2) with uniform
+    inputs in the two-binomial form of Polyanskiy, Poor and Verdu (IEEE
+    T-IT 2010, Thm 33), ties counted as errors: with j flips, a competitor
+    at distance d <= j from the output scores at least as high, and d is
+    Binomial(n, 1/2)."""
+    delta = Fraction(delta)
+    value = union = 0.0
+    beat = Fraction(0)
+    for j in range(n + 1):
+        beat += Fraction(math.comb(n, j), 2 ** n)
+        pj = float(math.comb(n, j) * delta ** j * (1 - delta) ** (n - j))
+        value += pj * _error_from_tail(float(beat), num_messages)
+        union += pj * min(1.0, (num_messages - 1) * float(beat))
+    return value, min(union, 1.0)

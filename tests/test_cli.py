@@ -7,19 +7,22 @@ tests never depend on repository data files.
 
 import json
 import math
+import shlex
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fblbound import GuardError
-from fblbound.channel import (InputPmf, binary_adder_mac, bsc, dmc_to_json,
-                              mac_to_json, make_quantizer, noiseless)
+from fblbound.channel import (DmcModel, InputPmf, binary_adder_mac, bsc,
+                              dmc_to_json, mac_to_json, make_quantizer,
+                              noiseless)
 from fblbound.cli import (CSV_HEADER, ConfigError, cmd_achieve, cmd_compare,
                           cmd_exponent, cmd_report_schema, cmd_rcu,
                           cmd_simulate, cmd_spectrum, main, schema_validate)
 from fblbound.exponent import kmac_exponent_bound, two_mac_exponent_bound
-from fblbound.fbl import rcu_exact_ppc
+from fblbound.fbl import rcu_exact_ppc, rcu_mac, rcu_relaxed_ppc
 from fblbound.gfq import _find_reduction_poly, field_from_order
 from fblbound.simulator import (Codebook, empirical_spectrum,
                                 enumerate_codebook, min_distance, ml_decode,
@@ -145,6 +148,20 @@ def test_exponent_values_pinned(bsc_path, mac_path):
     assert exp["components"]["delta_rate_nats"] == pytest.approx(
         0.3639022936358406, rel=1e-12)
     assert tuple(exp["components"]["penalty_argmax_type"]) == (0, 40)
+
+
+def test_readme_expurgated_example_is_not_vacuous(capsys, tmp_path,
+                                                  monkeypatch):
+    # the README's expurgated line, run as written on its ch.json
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = [line for line in readme.splitlines()
+             if line.startswith("fblbound exponent") and "--expurgate" in line]
+    assert len(lines) == 1
+    (tmp_path / "ch.json").write_text(json.dumps(dmc_to_json(bsc("11/100"))))
+    monkeypatch.chdir(tmp_path)
+    rc, out, _ = run(capsys, shlex.split(lines[0])[1:])
+    assert rc == 0
+    assert 0.0 < json.loads(out)["value"] < 1.0
 
 
 def test_exponent_expurgate_without_ensemble_is_config_error(capsys, bsc_path):
@@ -331,12 +348,33 @@ def test_rcu_mac_flag_must_match_channel(capsys, bsc_path, mac_path):
     assert rc == 2 and "--M2" in err
 
 
-def test_rcu_exact_lattice_guard_exits_3(capsys, bsc_path):
-    # BSC, n = 200: 1,373,701 joint types against the 10^6 guard
-    rc, out, err = run(capsys, ["rcu", "--channel", bsc_path, "--n", "200",
+def _eight_output():
+    # eight outputs with eight different competitor laws
+    return DmcModel.from_rows([[f"{k}/36" for k in range(1, 9)],
+                               [f"{k}/36"
+                                for k in (3, 1, 4, 1, 5, 9, 2, 11)]])
+
+
+def test_rcu_exact_lattice_guard_exits_3(capsys, tmp_path):
+    # eight outputs, n = 40: C(47, 7) = 62,891,499 output types against
+    # the 10^6 guard
+    path = tmp_path / "eight.json"
+    path.write_text(json.dumps(dmc_to_json(_eight_output())))
+    rc, out, err = run(capsys, ["rcu", "--channel", str(path), "--n", "40",
                                 "--M", "32", "--exact"])
     assert rc == 3 and out == ""
-    assert "1373701" in err
+    assert "62891499" in err and "y-type" in err
+
+
+def test_rcu_exact_bsc_n200_runs(capsys, bsc_path):
+    # 201 output types; the sum is exact over C(203, 3) joint types
+    rc, out, _ = run(capsys, ["rcu", "--channel", bsc_path, "--n", "200",
+                              "--M", "32", "--exact"])
+    assert rc == 0
+    report = json.loads(out)
+    assert report["components"]["joint_types"] == 1373701
+    assert report["method"] == "exact-type-enum"
+    assert 0.0 < report["value"] <= report["components"]["union_bound"]
 
 
 def test_rcu_sweep_emits_rows_and_csv(capsys, tmp_path, bsc_path):
@@ -694,6 +732,32 @@ def test_compare_simulated_row_carries_its_interval(bsc_path):
     assert "ldpc-rcu-error" in names and "ldpc-rate" in names
 
 
+def test_compare_flags_simulation_past_codebook_guard(capsys, tmp_path,
+                                                      bsc_path):
+    # (3,6) over GF(2): n = 24 asks for 2^12 codewords, n = 48 for 2^24,
+    # past the simulator's 2^20 codebook guard
+    csv_path = tmp_path / "rows.csv"
+    cfg = compare_config(tmp_path, bsc_path, n_sweep=[24, 48], seed=3,
+                         ensemble={"var_degree": 3, "check_degree": 6,
+                                   "q": 2},
+                         simulate={"codes": 2, "noise": 5},
+                         csv=str(csv_path))
+    rc, out, _ = run(capsys, ["compare", "--config", cfg])
+    assert rc == 0
+    sim = {r["n"]: r for r in json.loads(out)["rows"]
+           if r["bound_name"] == "simulated-ml-error"}
+    assert sim[24]["ci_lo"] <= sim[24]["value"] <= sim[24]["ci_hi"]
+    assert "skipped" not in sim[24]
+    assert sim[48] == {"n": 48, "bound_name": "simulated-ml-error",
+                       "value": None, "unit": "probability",
+                       "skipped": "codebook guard"}
+    cells = {line.split(",")[0]: line.split(",")[2:]
+             for line in csv_path.read_text().splitlines()
+             if ",simulated-ml-error," in line}
+    assert cells["48"] == ["", "probability", "", ""]
+    assert float(cells["24"][0]) == sim[24]["value"]
+
+
 def test_compare_scaling_table_tracks_requested_grid(bsc_path):
     payload = cmd_compare({"channel": bsc_path, "n_sweep": [100],
                            "epsilon": 0.01,
@@ -740,8 +804,18 @@ def _book(count: int, n: int) -> Codebook:
 
 # each guard's message fragment and a call that trips it
 GUARDS = [
-    pytest.param("joint-type lattice", lambda: rcu_exact_ppc(
-        bsc("11/100"), InputPmf.uniform(2), 200, 32), id="rcu-lattice"),
+    pytest.param("y-type lattice", lambda: rcu_exact_ppc(
+        _eight_output(), InputPmf.uniform(2), 40, 32), id="rcu-lattice"),
+    pytest.param("competitor-table lattice", lambda: rcu_exact_ppc(
+        DmcModel(np.array([[0.5, 0.25, 0.125, 0.0625, 0.0625],
+                           [0.1, 0.2, 0.3, 0.3, 0.1],
+                           [0.2, 0.2, 0.2, 0.2, 0.2]])),
+        InputPmf.uniform(3), 16, 32), id="rcu-tables"),
+    pytest.param("information-density lattice", lambda: rcu_relaxed_ppc(
+        _eight_output(), InputPmf.uniform(2), 40, 32), id="relaxed-law"),
+    pytest.param("joint-type lattice", lambda: rcu_mac(
+        binary_adder_mac(), InputPmf.uniform(2), InputPmf.uniform(2), 200,
+        2, 2), id="mac-lattice"),
     pytest.param("codebook size", lambda: enumerate_codebook(
         sample_graph(48, 3, 6, _F2, 0), 0.5), id="codebook"),
     pytest.param("nullspace size", lambda: enumerate_codebook(

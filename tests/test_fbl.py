@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fblbound import GuardError, fbl
 from fblbound.channel import (
     DmcModel,
     InputPmf,
@@ -182,10 +183,193 @@ def test_rcu_exact_float_channel_agrees_with_exact_path():
     assert got_float.value == pytest.approx(got_exact.value, abs=1e-10)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from([-math.inf, -1.0, 0.0, 2.5]),
+                          st.integers(0, 8),
+                          st.floats(0.01, 1.0)), min_size=1, max_size=30))
+def test_merge_close_matches_list_rule(draws):
+    # offsets in steps of 0.4e-12 build chains of close keys wider than the
+    # tolerance, which split at their group's first key
+    items = sorted(((b + 0.4e-12 * k if math.isfinite(b) else b, p)
+                    for b, k, p in draws), key=lambda kp: kp[0])
+    keys, probs = fbl._merge_close(np.array([k for k, _ in items]),
+                                   np.array([p for _, p in items]))
+    want = oracles.merge_close(items)
+    assert keys.tolist() == [k for k, _ in want]
+    assert probs.tolist() == pytest.approx([p for _, p in want], rel=1e-15)
+
+
+def test_tail_tables_pool_equal_laws_only():
+    # cells 0 and 2 share a law (listed in another order); cell 1 has the
+    # same keys with other probabilities, so it is a class of its own
+    atoms = [[(0.0, 0.25), (math.log(3.0), 0.75)],
+             [(0.0, 0.75), (math.log(3.0), 0.25)],
+             [(math.log(3.0), 0.75), (0.0, 0.25)],
+             [(-math.inf, 0.5), (math.log(2.0), 0.5)]]
+    system = fbl._TailSystem(atoms)
+    assert system.classes == [0, 1, 0, 2]
+    ref = oracles.DictTails(atoms)
+    for counts in ((2, 1, 1, 0), (0, 3, 0, 2), (1, 0, 3, 1), (4, 4, 0, 0)):
+        keys, _probs, suffix = system.table(counts)
+        want_keys, want_suffix = ref.table(counts)
+        assert keys.tolist() == pytest.approx(want_keys, rel=1e-15)
+        assert suffix.tolist() == pytest.approx(want_suffix, rel=1e-14)
+
+
+def eight_output() -> DmcModel:
+    # eight outputs with eight different competitor laws
+    return DmcModel.from_rows([[f"{k}/36" for k in range(1, 9)],
+                               [f"{k}/36"
+                                for k in (3, 1, 4, 1, 5, 9, 2, 11)]])
+
+
+def generic35() -> DmcModel:
+    # 15 distinct information-density atoms under the uniform input
+    return DmcModel.from_rows([["1/2", "1/4", "1/8", "1/16", "1/16"],
+                               ["1/10", "2/10", "3/10", "3/10", "1/10"],
+                               ["1/7", "1/7", "1/7", "1/7", "3/7"]])
+
+
 def test_rcu_exact_lattice_guard():
-    ch = DmcModel.from_rows([["1/3"] * 3] * 3)
-    with pytest.raises(ValueError, match="rcu_mc_ppc"):
-        rcu_exact_ppc(ch, InputPmf.uniform(3), 40, 2)
+    # C(47, 7) = 62,891,499 output types at n = 40
+    with pytest.raises(GuardError, match="y-type lattice has 62891499 .*"
+                                         "rcu_mc_ppc"):
+        rcu_exact_ppc(eight_output(), InputPmf.uniform(2), 40, 2)
+
+
+def test_rcu_exact_table_guard():
+    # 4,845 output types, but tables that may build C(30, 14) =
+    # 145,422,675 keys before merging
+    with pytest.raises(GuardError, match="competitor-table lattice has "
+                                         "145422675 .*rcu_mc_ppc"):
+        rcu_exact_ppc(generic35(), InputPmf.uniform(3), 16, 2)
+
+
+def test_relaxed_information_density_guard():
+    # 15 distinct atoms: the law of i(X^n; Y^n) may hold C(24, 14) keys
+    with pytest.raises(GuardError, match="information-density lattice has "
+                                         "1961256"):
+        rcu_relaxed_ppc(generic35(), InputPmf.uniform(3), 10, 2)
+    # the BSC's law has n + 1 keys, so n = 2000 runs
+    r = rcu_relaxed_ppc(bsc("11/100"), InputPmf.uniform(2), 2000, 2 ** 400)
+    assert 0.0 < r.value < 1e-20
+
+
+def test_rcu_exact_refuses_underflowed_tables():
+    # noiseless(2), n = 1100: a competitor copies the sent word with
+    # probability 2^-1100, which underflows, so the sent-word law would
+    # lose its mass and the bound would read 0
+    with pytest.raises(ValueError, match="underflowed"):
+        rcu_exact_ppc(noiseless(2), InputPmf.uniform(2), 1100, 2)
+    assert rcu_exact_ppc(noiseless(2), InputPmf.uniform(2), 1000,
+                         2).value == pytest.approx(2.0 ** -1000, rel=1e-12)
+
+
+# 13 channels x 3 input pmfs against the joint-type oracle: tie-heavy
+# noiseless, erasure, Z and useless channels, symmetric and asymmetric
+# ones, rational and float entries
+ORACLE_DMCS = {
+    "noiseless2": noiseless(2),
+    "noiseless3": noiseless(3),
+    "bec": DmcModel.from_rows([["1/2", "1/2", "0"], ["0", "1/2", "1/2"]]),
+    "bec-float": DmcModel(np.array([[0.7, 0.3, 0.0], [0.0, 0.3, 0.7]])),
+    "z": DmcModel.from_rows([["1", "0"], ["1/4", "3/4"]]),
+    "tsc": DmcModel.from_rows([["4/5", "1/10", "1/10"],
+                               ["1/10", "4/5", "1/10"],
+                               ["1/10", "1/10", "4/5"]]),
+    "bsc": bsc("11/100"),
+    "bsc-float": DmcModel(np.array([[0.89, 0.11], [0.11, 0.89]])),
+    "asym23": asym23(),
+    "useless": DmcModel.from_rows([["1/3", "2/3"], ["1/3", "2/3"]]),
+    "qsc": DmcModel.from_rows([["7/10", "1/10", "1/10", "1/10"],
+                               ["1/10", "7/10", "1/10", "1/10"],
+                               ["1/10", "1/10", "7/10", "1/10"],
+                               ["1/10", "1/10", "1/10", "7/10"]]),
+    "ternary-to-binary": DmcModel.from_rows([["9/10", "1/10"],
+                                             ["1/2", "1/2"],
+                                             ["1/5", "4/5"]]),
+    "float23": DmcModel(np.array([[0.6, 0.3, 0.1], [0.15, 0.25, 0.6]])),
+}
+ORACLE_PMFS = {
+    2: ([0.5, 0.5], [0.25, 0.75], [0.9, 0.1]),
+    3: ([1 / 3] * 3, [0.5, 1 / 3, 1 / 6], [0.5, 0.5, 0.0]),
+    4: ([0.25] * 4, [0.1, 0.2, 0.3, 0.4], [0.5, 0.0, 0.5, 0.0]),
+}
+
+
+def _oracle_cases():
+    for name, ch in ORACLE_DMCS.items():
+        for k, probs in enumerate(ORACLE_PMFS[ch.input_size]):
+            yield pytest.param(ch, InputPmf(np.array(probs)), id=f"{name}-{k}")
+
+
+def _oracle_n(ch, pmf) -> int:
+    # the largest n <= 24 whose joint-type lattice the oracle walks quickly
+    cells = int(np.count_nonzero(pmf.probs[:, None] * ch.w > 0))
+    return max(n for n in range(1, 25)
+               if math.comb(n + cells - 1, cells - 1) <= 2000)
+
+
+def _rel_close(got, want, rel=1e-12):
+    return abs(got - want) <= rel * max(abs(got), abs(want))
+
+
+@pytest.mark.parametrize("ch,pmf", list(_oracle_cases()))
+def test_ppc_routes_match_joint_type_oracle(ch, pmf):
+    n = _oracle_n(ch, pmf)
+    m = 2 ** max(1, n // 4)
+    exact = rcu_exact_ppc(ch, pmf, n, m)
+    value, union = oracles.rcu_ppc_joint_types(ch.w, pmf.probs, n, m)
+    assert _rel_close(exact.value, value)
+    assert _rel_close(exact.components["union_bound"], union)
+    moments = ppc_moments(ch, pmf)
+    if moments.tail_prefactor is None:
+        return
+    log_scale = (math.log(m) + math.log(moments.tail_prefactor)
+                 - 0.5 * math.log(n))
+    want = oracles.relaxed_ppc_joint_types(ch.w, pmf.probs, n, log_scale)
+    assert _rel_close(rcu_relaxed_ppc(ch, pmf, n, m).value, want)
+    rep = achievable_logM_ppc(ch, pmf, n, 0.1, strict_window=False)
+    if rep.components["path"] == "exact-search":
+        assert rep.num_messages == oracles.exact_search_joint_types(
+            ch.w, pmf.probs, n, 0.1)
+
+
+def test_rcu_exact_matches_two_binomial_closed_form():
+    for delta, ch in (("11/100", bsc("11/100")),
+                      (0.11, DmcModel(np.array([[0.89, 0.11],
+                                                [0.11, 0.89]])))):
+        for n in (32, 64, 96):
+            m = 2 ** (n // 4)
+            r = rcu_exact_ppc(ch, InputPmf.uniform(2), n, m)
+            value, union = oracles.bsc_rcu_two_binomial(delta, n, m)
+            assert _rel_close(r.value, value)
+            assert _rel_close(r.components["union_bound"], union)
+
+
+def test_rcu_mc_matches_dict_table_oracle():
+    # the same Philox draws and folds; only the tables differ
+    for ch, pmf in ((bsc("11/100"), InputPmf.uniform(2)),
+                    (ORACLE_DMCS["bec"], InputPmf.uniform(2)),
+                    (ORACLE_DMCS["tsc"], InputPmf.from_values(
+                        ["1/2", "1/3", "1/6"]))):
+        r = rcu_mc_ppc(ch, pmf, 16, 64, trials=2000, seed=9)
+        value, union = oracles.rcu_mc_ppc_dict_tables(
+            fbl._Context(ch.w, (pmf,)), 16, 64, 2000, 9)
+        assert _rel_close(r.value, value)
+        assert _rel_close(r.components["union_bound"], union)
+
+
+def test_rcu_mac_matches_dict_table_oracle():
+    u = InputPmf.uniform(2)
+    skew = InputPmf.from_values(["1/4", "3/4"])
+    for mac, p1, p2, n, m1, m2 in (
+            (binary_adder_mac(), u, u, 8, 4, 4),
+            (binary_adder_mac(), skew, u, 6, 3, 2),
+            (parallel_bsc_mac("1/10", "1/4"), u, skew, 3, 4, 2)):
+        want = oracles.rcu_mac_joint_types(mac.w, p1.probs, p2.probs, n,
+                                           m1, m2)
+        assert _rel_close(rcu_mac(mac, p1, p2, n, m1, m2).value, want)
 
 
 def test_rcu_exact_rejects_bad_args():
