@@ -10,20 +10,22 @@ internal is in nats.
 
 The two-user MAC bound is the point-to-point bound with one competitor
 term per error event: user 1 wrong, user 2 wrong, or both wrong; the
-point-to-point channel is the one-event case.  Each bound walks one
-lattice, and each lattice is guarded:
+point-to-point channel is the one-event case.  Every bound reads one
+per-letter model (``_Context``: the supported cells, each cell's
+information density per event, one competitor-tail system per event),
+walks one lattice, and each lattice is guarded:
 
 - Exact point-to-point RCU (``rcu_exact_ppc`` and the exact search of
   ``achievable_logM_ppc``) sums over output types y.  Given y^n, the sent
   word has law P(x^n | y^n) = P^n(x^n) e^{i(x^n; y^n)}, so the sent
   word's score law is the competitor's score law tilted by e^k, and one
   competitor table per y-type gives the whole inner sum.
-- Relaxed point-to-point bounds (``rcu_relaxed_ppc``, ``ldpc_rcu_ppc``)
-  read only the law of i(X^n; Y^n), the n-fold convolution of the
-  per-letter (x, y) information-density atoms (n + 1 keys for the BSC).
-- Two-user MAC bounds enumerate joint (x_1, x_2, y) types through one
-  context that holds the supported cells, each cell's information
-  density per event, and one competitor-tail system per event.
+- Relaxed bounds, point-to-point and MAC (``rcu_relaxed_ppc``,
+  ``ldpc_rcu_ppc``, the ``relaxed`` component of ``rcu_mac``,
+  ``ldpc_rcu_mac``), are one sum over the law of the event i-vector: one
+  point per composition of n over the distinct per-letter i-vectors
+  (n + 1 points for the BSC).
+- Exact two-user MAC bounds enumerate joint (x_1, x_2, y) types.
 - Monte Carlo routes sample words from one chunked Philox stream and
   read the same competitor tables.
 
@@ -48,8 +50,8 @@ import numpy as np
 
 from . import GuardError
 from .channel import DmcModel, InputPmf, MacModel, Quantizer, induced_input_pmf
-from .infodensity import (EVENTS, _check_sizes, average_inputs,
-                          mac_moments, ppc_moments)
+from .infodensity import (EVENTS, _check_sizes, _event_tables,
+                          average_inputs, mac_moments, ppc_moments)
 from .spectrum import _log_multinomial, _num_compositions, type_compositions
 
 LN2 = math.log(2.0)
@@ -294,15 +296,6 @@ def _convolve(law, atoms):
                        np.multiply.outer(law[1], atoms[1]).ravel())
 
 
-def _atom_law(pairs):
-    """The law of a list of (key, probability) pairs; a cell the output
-    never reaches has none."""
-    if not pairs:
-        return np.zeros(0), np.zeros(0)
-    return _sorted_law(np.array([k for k, _ in pairs], dtype=np.float64),
-                       np.array([p for _, p in pairs], dtype=np.float64))
-
-
 class _TailSystem:
     """Law of the competitor score under n-fold conditioning types, as
     sorted numpy tables.
@@ -319,13 +312,16 @@ class _TailSystem:
     with suffix[i] = P[score >= keys[i]] and a trailing 0.
     ``tail(counts, thr)`` returns P[score >= thr - _TIE_TOL] under per-cell
     counts, so exact ties, which float rounding can push either way, count
-    as errors.
+    as errors.  The threshold is the sent word's score, which a competitor
+    matches with positive probability, so a tail of 0 can only come from an
+    underflowed table; it is refused rather than read as "no error".
     """
 
     def __init__(self, atoms):
         self.classes = []
         self.laws = []
-        for keys, probs in map(_atom_law, atoms):
+        for pairs in atoms:
+            keys, probs = _sorted_law(*np.asarray(pairs, dtype=np.float64).T)
             for c, (ck, cp) in enumerate(self.laws):
                 if np.array_equal(keys, ck) and np.array_equal(probs, cp):
                     break
@@ -370,25 +366,13 @@ class _TailSystem:
 
     def tail(self, counts, threshold) -> float:
         keys, _probs, suffix = self.table(counts)
-        return min(float(suffix[np.searchsorted(keys, threshold - _TIE_TOL)]),
-                   1.0)
-
-
-def _competitor_atoms(lik, prior, out_prob):
-    """One atom list per conditioning cell c: (log lik[c, j] - log
-    out_prob[c], prior[j]) over the candidate symbols j in the support of
-    ``prior``; a cell the output never reaches gets no atoms."""
-    atoms = []
-    for row, po in zip(lik, out_prob):
-        ats = []
-        if po > 0.0:
-            for w, p in zip(row, prior):
-                if p <= 0.0:
-                    continue
-                k = math.log(w) - math.log(po) if w > 0.0 else -math.inf
-                ats.append((k, float(p)))
-        atoms.append(ats)
-    return atoms
+        tail = float(suffix[np.searchsorted(keys, threshold - _TIE_TOL)])
+        if tail == 0.0:
+            raise ValueError(
+                f"competitor tail is 0: table probabilities underflowed at "
+                f"n={sum(counts)}"
+            )
+        return min(tail, 1.0)
 
 
 def _check_lattice(points: int, what: str, caller: str,
@@ -403,57 +387,59 @@ def _check_lattice(points: int, what: str, caller: str,
 
 
 class _Context:
-    """Supported cells of P_1 x ... x P_K x W for K = 1 or 2 users, with
-    one competitor-tail system per error event.  Two-user bounds enumerate
-    its joint types; Monte Carlo routes for K = 1 or 2 sample its words.
+    """The per-letter model of P_1 x ... x P_K x W for K = 1 or 2 users,
+    read by every random-coding bound: its supported cells and one
+    competitor-tail system per error event.
 
     ``w`` has shape (|X_1|, ..., |X_K|, |Y|).  For an event E the
     competitor letters are x_E, drawn from the product of E's input pmfs,
     and the conditioning symbol is (x_rest, y), rest being the users not in
-    E.  A cell is (log_prob, i_vec, slots): its log-probability, its
-    information density ln W(y|x) - ln P(y|x_rest) per event, and per
-    event the slot of its conditioning symbol in the flat count list.
-    Event e owns slots [base_e, base_e + |X_rest| |Y|) of that list, in
-    C order over (x_rest, y).  Cells run in ``np.ndindex(w.shape)`` order.
+    E.  Information densities, of cells and competitor atoms alike, are
+    read from ``infodensity._event_tables``.  A cell is (log_prob, i_vec,
+    slots): its log-probability, its information density per event, and
+    per event the slot of its conditioning symbol in the flat count list.
+    Event e's slots are the symbols the output reaches, P(y|x_rest) > 0,
+    in C order over (x_rest, y); ``cond_probs[e]`` holds their P(y|x_rest).
+    Cells run in ``np.ndindex(w.shape)`` order.
     """
 
     def __init__(self, w: np.ndarray, pmfs):
         probs = _check_sizes(w, pmfs)
         self._w = w
         self._probs = probs
-        users = range(len(probs))
-        events = []     # (rest, P(x_rest, y), base slot)
+        k = len(probs)
+        tables = _event_tables(w, probs)
+        joint = functools.reduce(np.multiply.outer, probs)[..., None] * w
+        live = joint > 0.0
+        idx = np.nonzero(live)
         self._systems = []
+        self.cond_probs = []
+        slots = []
         base = 0
-        for event in EVENTS[len(probs)]:
-            rest = tuple(u for u in users if u not in event)
+        for event, tab in zip(EVENTS[k], tables):
+            rest = tuple(u for u in range(k) if u not in event)
             marg = average_inputs(w, probs, event)
+            cond = np.ravel_multi_index([idx[u] for u in rest] + [idx[k]],
+                                        marg.shape)
+            marg = marg.ravel()
+            reached = marg > 0.0
             prior = functools.reduce(np.multiply.outer,
-                                     [probs[u] for u in event])
-            lik = w.transpose(rest + (len(probs),) + event)
-            system = _TailSystem(_competitor_atoms(
-                lik.reshape(marg.size, -1), prior.ravel(), marg.ravel()))
-            self._systems.append((system, base, base + marg.size))
-            events.append((rest, marg, base))
-            base += marg.size
+                                     [probs[u] for u in event]).ravel()
+            keys = tab.transpose(rest + (k,) + event).reshape(marg.size, -1)
+            support = prior > 0.0
+            size = int(reached.sum())
+            self._systems.append((_TailSystem(np.stack(np.broadcast_arrays(
+                keys[reached][:, support], prior[support]), axis=-1)),
+                base, base + size))
+            self.cond_probs.append(marg[reached])
+            slots.append(base + np.cumsum(reached)[cond] - 1)
+            base += size
         self._num_slots = base
-        self.cells = []
-        self._cell_at = {}
-        for flat, idx in enumerate(np.ndindex(w.shape)):
-            jp = math.prod(probs[u][idx[u]] for u in users) * w[idx]
-            if jp <= 0.0:
-                continue
-            log_w = math.log(w[idx])
-            ivec = []
-            slots = []
-            for rest, marg, ev_base in events:
-                cond = tuple(idx[u] for u in rest) + (idx[-1],)
-                ivec.append(log_w - math.log(marg[cond]))
-                slots.append(ev_base + int(np.ravel_multi_index(cond,
-                                                               marg.shape)))
-            cell = (math.log(jp), tuple(ivec), tuple(slots))
-            self.cells.append(cell)
-            self._cell_at[flat] = cell
+        self.cells = list(zip(np.log(joint[live]).tolist(),
+                              map(tuple, np.stack([tab[live] for tab in tables],
+                                                  axis=1).tolist()),
+                              map(tuple, np.stack(slots, axis=1).tolist())))
+        self._cell_at = dict(zip(np.flatnonzero(live).tolist(), self.cells))
 
     def _fold(self, logp, cell_counts):
         """Sum (cell, count) pairs in one pass into (log_prob, i_vec,
@@ -520,6 +506,75 @@ class _Context:
             chunk_idx += 1
 
 
+def _log_count(count: int) -> float:
+    """ln of a count of any size (``math.log`` takes ints past the float
+    range); -inf for 0."""
+    return math.log(count) if count else -math.inf
+
+
+def _per_event(logs) -> np.ndarray:
+    """Per error event, the sum of the per-user ``logs`` over its users:
+    the log of a product such as the (M_1 - 1)(M_2 - 1) competitors of the
+    event "both wrong"."""
+    return np.array([sum(logs[u] for u in event)
+                     for event in EVENTS[len(logs)]])
+
+
+def _clamped_sum(log_terms) -> np.ndarray:
+    """min{1, sum_e e^{min(x_e, 0)}} over the last axis of ``log_terms``:
+    the clamped union of the per-event terms e^{x_e}, each capped at 1 so
+    that none overflows; a term of -inf is absent."""
+    return np.minimum(np.exp(np.minimum(log_terms, 0.0)).sum(axis=-1), 1.0)
+
+
+def _clamped_union(tails, log_counts) -> np.ndarray:
+    """min{1, sum_e N_e p_e} over the last axis of the competitor tails p,
+    N_e = e^{log_counts[e]} taken in the log domain so that any count
+    works."""
+    with np.errstate(divide="ignore"):      # ln 0 at p = 0
+        return _clamped_sum(log_counts + np.log(tails))
+
+
+def _relaxed_sum(ctx: _Context, n: int, log_scales, caller: str) -> float:
+    """E[min{1, sum_e e^{min(s_e - i_e, 0)}}] over the law of the event
+    i-vector i of n letters from the context, s = ``log_scales`` (-inf for
+    an inactive event).  Cells whose i-vectors agree within
+    ``_KEY_MERGE_TOL`` in every event are one atom; with a atoms the law
+    has one point per composition c of n into a parts, of probability
+    multinomial(n; c) prod_j p_j^{c_j} and key sum_j c_j v_j.  Its
+    C(n+a-1, a-1) points are guarded (``caller`` is the way out).
+    """
+    log_probs, ivecs, _slots = map(np.array, zip(*ctx.cells))
+    # a cell joins the atom of the first cell it agrees with
+    close = np.all(np.abs(ivecs[:, None] - ivecs) <= _KEY_MERGE_TOL, axis=2)
+    first, atom = np.unique(close.argmax(axis=1), return_inverse=True)
+    atoms = list(zip(ivecs[first], np.log(np.bincount(
+        atom, weights=np.exp(log_probs)))))
+    _check_lattice(_num_compositions(n, len(atoms)),
+                   "information-density lattice", caller)
+    log_fact = np.array([math.lgamma(c + 1.0) for c in range(n + 1)])
+    used = np.zeros(1, dtype=np.int64)      # letters given to earlier atoms
+    keys = np.zeros((1, ivecs.shape[1]))
+    log_w = np.full(1, log_fact[n])
+    for j, (ivec, log_p) in enumerate(atoms):
+        if j + 1 < len(atoms):
+            # every point spreads over the counts 0..n-used left for atom j
+            spread = n - used + 1
+            point = np.repeat(np.arange(used.size), spread)
+            count = np.arange(point.size) - np.repeat(np.cumsum(spread)
+                                                      - spread, spread)
+            used, keys, log_w = used[point] + count, keys[point], log_w[point]
+        else:
+            count = n - used
+        keys = keys + np.multiply.outer(count, ivec)
+        log_w = log_w + count * log_p - log_fact[count]
+    # the weights sum to 1 up to rounding; dividing by their sum makes a
+    # sum saturated at every point read exactly 1
+    weights = np.exp(log_w)
+    return float((weights * _clamped_sum(log_scales - keys)).sum()
+                 / weights.sum())
+
+
 def _as_pmf(pmf) -> InputPmf:
     if isinstance(pmf, InputPmf):
         return pmf
@@ -537,14 +592,17 @@ def _check_block(n: int):
 
 def _error_from_tails(tails: np.ndarray, num_messages) -> np.ndarray:
     """1 - (1 - p)^(M-1) per competitor tail p in [0, 1], stable for small
-    p and large M; 0 for M = 1, which has no competitor."""
+    p and large M, with ln(M-1) in the exponent so that M need not fit a
+    float; 0 for M = 1, which has no competitor."""
     if num_messages == 1:
         return np.zeros_like(tails)
-    with np.errstate(divide="ignore"):      # log1p(-1) at p = 1
-        return -np.expm1(float(num_messages - 1) * np.log1p(-tails))
+    # ln 0 at p = 0 and p = 1, and exponents past the float range
+    with np.errstate(divide="ignore", over="ignore"):
+        return -np.expm1(-np.exp(math.log(num_messages - 1)
+                                 + np.log(-np.log1p(-tails))))
 
 
-def _sent_law(dmc: DmcModel, pmf: InputPmf, n: int, caller: str):
+def _sent_law(ctx: _Context, n: int, caller: str):
     """Exact point-to-point law of (sent score, competitor tail), summed
     over output types: (weights, tails), one entry per (y-type, key) pair.
 
@@ -554,24 +612,21 @@ def _sent_law(dmc: DmcModel, pmf: InputPmf, n: int, caller: str):
     weight of (t, k) is multinomial(n; t) prod_b P_Y(b)^{t_b} P_comp(k)
     e^k, and its tail is P_comp[score >= k - _TIE_TOL], ties counting as
     errors.  Outputs whose competitor laws are equal form one class of the
-    tail system (both outputs of a BSC; the two unerased outputs of a
-    BEC), so y-types are taken over classes: t counts letters per class
-    and P_Y(b) is the class's output probability.  The y-type lattice and
-    the keys the tables may build are guarded (``caller`` is the way
-    out).  The weights must sum to (sum_b P_Y(b))^n; a table probability
-    that underflowed breaks that, and is refused rather than returned low.
+    one-user context's tail system (both outputs of a BSC; the two
+    unerased outputs of a BEC), so y-types are taken over classes: t
+    counts letters per class and P_Y(b) is the class's output probability.
+    The y-type lattice and the keys the tables may build are guarded
+    (``caller`` is the way out).  The weights must sum to
+    (sum_b P_Y(b))^n; a table probability that underflowed breaks that,
+    and is refused rather than returned low.
     """
-    probs = _check_sizes(dmc.w, (pmf,))
-    p_y = average_inputs(dmc.w, probs, (0,))
-    outs = np.flatnonzero(p_y > 0.0)
-    system = _TailSystem(_competitor_atoms(dmc.w.T[outs], probs[0],
-                                           p_y[outs]))
+    (system, _lo, _hi), = ctx._systems
+    p_y = ctx.cond_probs[0]
     classes = len(system.laws)
     _check_lattice(_num_compositions(n, classes), "y-type lattice", caller)
     _check_lattice(_num_compositions(n, system.num_atoms),
                    "competitor-table lattice", caller, _TABLE_GUARD)
-    log_py = [math.log(p) for p in np.bincount(system.classes,
-                                               weights=p_y[outs])]
+    log_py = [math.log(p) for p in np.bincount(system.classes, weights=p_y)]
     weights = []
     tails = []
     with np.errstate(divide="ignore"):      # log of an underflowed 0
@@ -582,7 +637,7 @@ def _sent_law(dmc: DmcModel, pmf: InputPmf, n: int, caller: str):
             weights.append(np.exp(np.log(p_comp) + keys + log_t))
             tails.append(suffix[np.searchsorted(keys, keys - _TIE_TOL)])
     weights = np.concatenate(weights)
-    mass = float(p_y[outs].sum()) ** n
+    mass = float(p_y.sum()) ** n
     if not abs(float(weights.sum()) - mass) <= 1e-9:
         raise ValueError(
             f"sent-word law sums to {float(weights.sum())!r}, not {mass!r}: "
@@ -607,20 +662,15 @@ def rcu_exact_ppc(dmc: DmcModel, input_pmf, n: int, num_messages) -> BoundReport
     _check_block(n)
     if num_messages < 1:
         raise ValueError(f"need at least one message, got {num_messages}")
-    pmf = _as_pmf(input_pmf)
-    weights, tails = _sent_law(dmc, pmf, n, "rcu_mc_ppc")
+    ctx = _Context(dmc.w, (_as_pmf(input_pmf),))
+    weights, tails = _sent_law(ctx, n, "rcu_mc_ppc")
     m = num_messages
-    total = 0.0
-    union = 0.0
-    count = 0
-    if m > 1:
-        total = float(weights @ _error_from_tails(tails, m))
-        union = float(weights @ np.minimum(1.0, float(m - 1) * tails))
-        cells = int(np.count_nonzero(pmf.probs[:, None] * dmc.w > 0.0))
-        count = _num_compositions(n, cells)
+    union = float(weights @ _clamped_union(tails[:, None],
+                                           _log_count(m - 1)))
+    count = _num_compositions(n, len(ctx.cells)) if m > 1 else 0
     return BoundReport(
         name="rcu-exact-ppc",
-        value=total,
+        value=float(weights @ _error_from_tails(tails, m)),
         units="probability",
         method="exact-type-enum",
         n=n,
@@ -646,7 +696,7 @@ def rcu_mc_ppc(dmc: DmcModel, input_pmf, n: int, num_messages,
     tails = np.array([ctx.tails(ivec, counts)[0]
                       for ivec, counts in ctx.trial_terms(n, trials, seed)])
     v = _error_from_tails(tails, m)
-    union = np.minimum(1.0, float(m - 1) * tails)
+    union = _clamped_union(tails[:, None], _log_count(m - 1))
     return _mc_report("rcu-mc-ppc", n, m, trials, float(v.sum()),
                       float(v @ v),
                       {"union_bound": float(union.sum()) / trials})
@@ -673,43 +723,19 @@ def _mc_report(name: str, n: int, num_messages, trials: int, total: float,
     )
 
 
-def _info_density_law(dmc: DmcModel, pmf: InputPmf, n: int, caller: str):
-    """(keys, probs) of i(X^n; Y^n) under P^n x W^n: the n-fold
-    convolution of the per-letter atoms (i(x; y), P(x) W(y|x)) over the
-    supported cells, merged after every step by the ``_merge_close`` rule.
-    With a distinct atoms the law has at most C(n+a-1, a-1) keys (n + 1
-    for the BSC); that bound is guarded (``caller`` is the way out)."""
-    probs = _check_sizes(dmc.w, (pmf,))
-    p_y = average_inputs(dmc.w, probs, (0,))
-    atoms = _atom_law([
-        (math.log(dmc.w[x, y]) - math.log(p_y[y]), probs[0][x] * dmc.w[x, y])
-        for x, y in np.ndindex(dmc.w.shape) if probs[0][x] * dmc.w[x, y] > 0.0
-    ])
-    _check_lattice(_num_compositions(n, atoms[0].size),
-                   "information-density lattice", caller)
-    law = atoms
-    for _ in range(n - 1):
-        law = _convolve(law, atoms)
-    return law
-
-
 def _relaxed_ppc(dmc: DmcModel, pmf: InputPmf, n: int, log_scale: float):
     """(value, moments) of the relaxed bound
     E[min{1, e^log_scale (A/sqrt(n)) e^{-i(X^n;Y^n)}}], A the closed-form
     tail prefactor, summed exactly over the law of i(X^n; Y^n)
-    (``_info_density_law``)."""
+    (``_relaxed_sum``)."""
     moments = ppc_moments(dmc, pmf)
     if moments.tail_prefactor is None:
         raise ValueError(
             "relaxed bound needs positive information-density variance"
         )
-    keys, probs = _info_density_law(dmc, pmf, n, "rcu_mc_ppc")
-    if log_scale == -math.inf:      # no messages, no errors
-        return 0.0, moments
     log_pref = math.log(moments.tail_prefactor) - 0.5 * math.log(n)
-    lt = log_scale + log_pref - keys
-    total = float(probs @ np.exp(np.minimum(lt, 0.0)))
-    return min(total, 1.0), moments
+    return _relaxed_sum(_Context(dmc.w, (pmf,)), n, log_scale + log_pref,
+                        "rcu_mc_ppc"), moments
 
 
 def rcu_relaxed_ppc(dmc: DmcModel, input_pmf, n: int, num_messages) -> BoundReport:
@@ -795,7 +821,7 @@ def achievable_logM_ppc(dmc: DmcModel, input_pmf, n: int, epsilon: float,
                 f"target error {epsilon}; pass strict_window=False to fall "
                 f"back to the finite relaxed-bound search"
             )
-        weights, tails = _sent_law(dmc, pmf, n, "rcu_mc_ppc")
+        weights, tails = _sent_law(_Context(dmc.w, (pmf,)), n, "rcu_mc_ppc")
 
         def exact_err(m: int) -> float:
             return float(weights @ _error_from_tails(tails, m))
@@ -837,16 +863,6 @@ def achievable_logM_ppc(dmc: DmcModel, input_pmf, n: int, epsilon: float,
 # two-user MAC bounds
 
 
-def _relaxed_term(ivec, log_scales) -> float:
-    """min{1, sum over events of min{1, e^{log_scale_e - i_e}}}; events
-    whose log scale is None are inactive and omitted."""
-    total = 0.0
-    for log_scale, i_val in zip(log_scales, ivec):
-        if log_scale is not None:
-            total += math.exp(min(log_scale - i_val, 0.0))
-    return min(total, 1.0)
-
-
 def rcu_mac(mac: MacModel, pmf1, pmf2, n: int, m1, m2,
             mode: str = "exact", trials: int = 10_000,
             seed: int = 0) -> BoundReport:
@@ -855,10 +871,11 @@ def rcu_mac(mac: MacModel, pmf1, pmf2, n: int, m1, m2,
     as errors in each competitor tail.
 
     ``mode="exact"`` enumerates joint (x1, x2, y) types; ``mode="mc"``
-    samples them.  The per-type relaxed sum with the three 1/sqrt(n)
-    prefactors is accumulated under ``components["relaxed"]`` when all
-    needed prefactors exist (terms whose message count is 1 are omitted,
-    matching their identically-zero exact counterparts).
+    samples them.  The relaxed sum with the three 1/sqrt(n) prefactors,
+    over the law of the event i-vector or the sampled i-vectors, is
+    reported under ``components["relaxed"]`` when all needed prefactors
+    exist (terms whose message count is 1 are omitted, matching their
+    identically-zero exact counterparts).
     """
     _check_block(n)
     if m1 < 1 or m2 < 1:
@@ -869,58 +886,45 @@ def rcu_mac(mac: MacModel, pmf1, pmf2, n: int, m1, m2,
     p2 = _as_pmf(pmf2)
     prefs = mac_moments(mac, p1, p2).tail_prefactors
     ctx = _Context(mac.w, (p1, p2))
-    # competitor count per event; an event with none is inactive
-    mults = (m1 - 1, m2 - 1, (m1 - 1) * (m2 - 1))
-    relax_ok = all(math.isfinite(prefs[j]) for j in range(3) if mults[j])
-    half_log_n = 0.5 * math.log(n)
-    log_ms = (math.log(m1), math.log(m2), math.log(m1) + math.log(m2))
-    log_scales = [log_ms[j] + (math.log(prefs[j]) - half_log_n)
-                  if mults[j] else None for j in range(3)]
+    # competitors per event; an event with none is inactive
+    log_counts = _per_event((_log_count(m1 - 1), _log_count(m2 - 1)))
+    active = log_counts > -math.inf
+    relax_ok = bool(np.all(np.isfinite(prefs[active])))
+    log_scales = np.where(active, _per_event((math.log(m1), math.log(m2)))
+                          + np.log(prefs) - 0.5 * math.log(n), -math.inf)
     if mode == "exact":
-        terms = ((math.exp(logp), ivec, counts)
-                 for logp, ivec, counts in ctx.type_terms(n, "mode='mc'"))
+        terms = ctx.type_terms(n, "mode='mc'")
     else:
         if trials < _MIN_TRIALS:
             raise ValueError(f"trials must be >= {_MIN_TRIALS}, got {trials}")
-        terms = ((1.0, ivec, counts)
+        terms = ((0.0, ivec, counts)
                  for ivec, counts in ctx.trial_terms(n, trials, seed))
-    total = 0.0
-    total_sq = 0.0
-    relaxed = 0.0
-    count = 0
-    for pj, ivec, counts in terms:
-        v = 0.0
-        if any(mults):
-            for mult, p_tail in zip(mults, ctx.tails(ivec, counts)):
-                v += mult * p_tail
-        v = min(1.0, v)
-        total += pj * v
-        total_sq += v * v
-        if relax_ok:
-            relaxed += pj * _relaxed_term(ivec, log_scales)
-        count += 1
-    if not relax_ok:
-        relaxed = float("nan")
-    elif mode == "mc":
-        relaxed /= trials
-    else:
-        relaxed = min(relaxed, 1.0)
+    # one row per type or trial: log-probability, i-vector, tails
+    rows = np.fromiter(((logp, *ivec, *ctx.tails(ivec, counts))
+                        for logp, ivec, counts in terms),
+                       dtype=np.dtype((np.float64, 7)))
+    v = _clamped_union(rows[:, 4:], log_counts)
+    relaxed = float("nan")
+    if relax_ok and mode == "exact":
+        relaxed = _relaxed_sum(ctx, n, log_scales, "mode='mc'")
+    elif relax_ok:
+        relaxed = float(_clamped_sum(log_scales - rows[:, 1:4]).sum()) / trials
     components = {
         "relaxed": relaxed,
         "relaxed_available": relax_ok,
         "tail_prefactors": tuple(float(f) for f in prefs),
     }
     if mode == "mc":
-        return _mc_report("rcu-mac", n, (m1, m2), trials, total, total_sq,
-                          components)
+        return _mc_report("rcu-mac", n, (m1, m2), trials, float(v.sum()),
+                          float(v @ v), components)
     return BoundReport(
         name="rcu-mac",
-        value=min(total, 1.0),
+        value=min(float(np.exp(rows[:, 0]) @ v), 1.0),
         units="probability",
         method="exact-type-enum",
         n=n,
         num_messages=(m1, m2),
-        components={"joint_types": count, **components},
+        components={"joint_types": len(rows), **components},
     )
 
 
@@ -1074,13 +1078,6 @@ def ldpc_rcu_mac(mac: MacModel, quantizers, n: int, params1, params2,
     p1 = induced_input_pmf(quant1)
     p2 = induced_input_pmf(quant2)
     prefs = mac_moments(mac, p1, p2).tail_prefactors
-    ctx = _Context(mac.w, (p1, p2))
-    terms = ctx.type_terms(n, "rcu_mac with mode='mc' on the i.i.d. ensemble")
-    power = 2.0 if same_coset else 1.0
-    la1 = power * math.log(alpha1)
-    la2 = power * math.log(alpha2)
-    log_m1 = math.log(q1) * (n - r1)
-    log_m2 = math.log(q2) * (n - r2)
     # each user has q^(n-r) >= 2 messages, so every event is active
     for j in range(3):
         if not (math.isfinite(prefs[j]) and prefs[j] > 0):
@@ -1088,23 +1085,24 @@ def ldpc_rcu_mac(mac: MacModel, quantizers, n: int, params1, params2,
                 "relaxed MAC bound needs positive conditional variance for "
                 f"every active coordinate; coordinate {j} has none"
             )
-    half_log_n = 0.5 * math.log(n)
-    log_scales = [log_scale + (math.log(pref) - half_log_n)
-                  for log_scale, pref in zip((log_m1 + la1, log_m2 + la2,
-                                              log_m1 + log_m2 + la1 + la2),
-                                             prefs)]
-    total = 0.0
-    for logp, ivec, _counts in terms:
-        total += math.exp(logp) * _relaxed_term(ivec, log_scales)
+    power = 2.0 if same_coset else 1.0
+    log_alphas = _per_event((power * math.log(alpha1),
+                             power * math.log(alpha2)))
+    log_m1 = math.log(q1) * (n - r1)
+    log_m2 = math.log(q2) * (n - r2)
+    log_scales = (_per_event((log_m1, log_m2)) + log_alphas + np.log(prefs)
+                  - 0.5 * math.log(n))
+    value = _relaxed_sum(_Context(mac.w, (p1, p2)), n, log_scales,
+                         "rcu_mac with mode='mc' on the i.i.d. ensemble")
     return BoundReport(
         name="ldpc-rcu-mac",
-        value=min(total, 1.0),
+        value=value,
         units="probability",
         method="exact-type-enum",
         n=n,
         num_messages=(m1, m2),
         components={
-            "log_penalty_vector": (la1, la2, la1 + la2),
+            "log_penalty_vector": tuple(log_alphas.tolist()),
             "same_coset": same_coset,
             "log_num_messages": (log_m1, log_m2),
             "num_checks": (r1, r2),

@@ -5,10 +5,10 @@ arithmetic with direct sequence enumeration and share no code with the
 implementations under test.  The two check-node oracles and the
 row-by-row elimination share only ``fblbound.gfq`` field arithmetic with
 production.  The float oracles are the Gallager function (scalar loops
-over every input tuple), the random-coding union bounds by joint-type
-enumeration with one dict convolution per letter (the slow route that the
-y-type and information-density routes of ``fblbound.fbl`` replace), and
-the two-binomial closed form of the BSC.
+over every input tuple), the random-coding union bounds, exact and
+relaxed, by joint-type enumeration with one dict convolution per letter
+(the slow route that the y-type and information-density routes of
+``fblbound.fbl`` replace), and the two-binomial closed form of the BSC.
 """
 
 import bisect
@@ -464,9 +464,9 @@ class JointTypes:
                 slots.append(conds.index(cond))
             self.cells.append((math.log(jp), ivec, slots))
 
-    def terms(self, n):
-        """(probability, i per event, competitor tail per event) for every
-        joint type of length n."""
+    def types(self, n):
+        """(probability, i per event, conditioning counts per event) for
+        every joint type of length n."""
         for t in _compositions(n, len(self.cells)):
             logp = _log_multinomial(n, t)
             ivec = [0.0] * len(self.systems)
@@ -476,7 +476,13 @@ class JointTypes:
                 for e in range(len(ivec)):
                     ivec[e] += c * iv[e]
                     counts[e][slots[e]] += c
-            yield (math.exp(logp), ivec,
+            yield math.exp(logp), ivec, counts
+
+    def terms(self, n):
+        """(probability, i per event, competitor tail per event) for every
+        joint type of length n."""
+        for pj, ivec, counts in self.types(n):
+            yield (pj, ivec,
                    [s.tail(cnt, i) for s, cnt, i in zip(self.systems, counts,
                                                        ivec)])
 
@@ -534,10 +540,26 @@ def rcu_mac_joint_types(w, probs1, probs2, n, m1, m2):
     return min(total, 1.0)
 
 
+def relaxed_mac_joint_types(w, probs1, probs2, n, log_scales):
+    """Two-user relaxed sum E[min{1, sum_e min{1, e^{s_e - i_e}}}] over
+    the event i-vector by joint-type enumeration; events whose log scale
+    s_e is None are inactive and omitted."""
+    total = 0.0
+    for pj, ivec, _counts in JointTypes(w, [probs1, probs2]).types(n):
+        term = 0.0
+        for log_scale, i_val in zip(log_scales, ivec):
+            if log_scale is not None:
+                term += math.exp(min(log_scale - i_val, 0.0))
+        total += pj * min(term, 1.0)
+    return min(total, 1.0)
+
+
 def rcu_mc_ppc_dict_tables(ctx, n, num_messages, trials, seed):
     """Mean exact and union terms over the samples ``ctx.trial_terms``
     draws (``ctx`` a one-user ``fbl._Context``), each tail read from
-    ``DictTails`` built on the same competitor atoms."""
+    ``DictTails`` built on the same competitor atoms.  The context counts
+    only the outputs the input reaches, so every output must be reached
+    for the two count layouts to agree."""
     tails = JointTypes(ctx._w, ctx._probs).systems[0]
     value = union = 0.0
     for (i_val,), counts in ctx.trial_terms(n, trials, seed):

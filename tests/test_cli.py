@@ -7,6 +7,7 @@ tests never depend on repository data files.
 
 import json
 import math
+import re
 import shlex
 import time
 from pathlib import Path
@@ -162,6 +163,29 @@ def test_readme_expurgated_example_is_not_vacuous(capsys, tmp_path,
     rc, out, _ = run(capsys, shlex.split(lines[0])[1:])
     assert rc == 0
     assert 0.0 < json.loads(out)["value"] < 1.0
+
+
+def test_readme_cli_block_runs(capsys, tmp_path, monkeypatch):
+    # every fblbound line of the README's CLI block, continuations joined,
+    # run on the README's channel examples and compare config
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```(\w+)\n(.*?)```", readme, re.S)
+    for lang, body in blocks:
+        if lang == "json":
+            obj = json.loads(body)
+            name = ("run.json" if "n_sweep" in obj else "mac.json"
+                    if isinstance(obj["inputs"], list) else "ch.json")
+            (tmp_path / name).write_text(body)
+    assert {p.name for p in tmp_path.iterdir()} == {"ch.json", "mac.json",
+                                                    "run.json"}
+    lines = [line for lang, body in blocks if lang == "sh"
+             for line in body.replace("\\\n", " ").splitlines()
+             if line.startswith("fblbound ")]
+    assert len(lines) == 15
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        assert main(shlex.split(line)[1:]) == 0, line
+        capsys.readouterr()
 
 
 def test_exponent_expurgate_without_ensemble_is_config_error(capsys, bsc_path):
@@ -375,6 +399,27 @@ def test_rcu_exact_bsc_n200_runs(capsys, bsc_path):
     assert report["components"]["joint_types"] == 1373701
     assert report["method"] == "exact-type-enum"
     assert 0.0 < report["value"] <= report["components"]["union_bound"]
+
+
+def test_rcu_huge_message_count_runs(capsys, bsc_path):
+    # M = 2**1100 has no float; the exact and Monte Carlo routes ended in
+    # an OverflowError traceback
+    for mode in (["--exact"], ["--mc", "1000", "--seed", "1"], []):
+        rc, out, _ = run(capsys, ["rcu", "--channel", bsc_path, "--n", "40",
+                                  "--M", str(2 ** 1100), *mode])
+        assert rc == 0
+        assert json.loads(out)["value"] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_rcu_underflowed_tail_exits_4(capsys, tmp_path):
+    # a competitor copies the sent word with probability 2^-1100, which
+    # underflows to a tail of 0; the bound would have read 0
+    path = tmp_path / "noiseless.json"
+    path.write_text(json.dumps(dmc_to_json(noiseless(2))))
+    rc, out, err = run(capsys, ["rcu", "--channel", str(path), "--n", "1100",
+                                "--M", "2", "--mc", "1000", "--seed", "0"])
+    assert rc == 4 and out == ""
+    assert "underflowed" in err
 
 
 def test_rcu_sweep_emits_rows_and_csv(capsys, tmp_path, bsc_path):

@@ -12,6 +12,7 @@ from fblbound.channel import (
     MacModel,
     binary_adder_mac,
     bsc,
+    induced_input_pmf,
     make_quantizer,
     noiseless,
 )
@@ -33,7 +34,7 @@ from fblbound.fbl import (
     scaling_table,
 )
 from fblbound.gfq import make_field
-from fblbound.infodensity import ppc_moments
+from fblbound.infodensity import mac_moments, ppc_moments
 
 import oracles
 
@@ -263,6 +264,39 @@ def test_rcu_exact_refuses_underflowed_tables():
         rcu_exact_ppc(noiseless(2), InputPmf.uniform(2), 1100, 2)
     assert rcu_exact_ppc(noiseless(2), InputPmf.uniform(2), 1000,
                          2).value == pytest.approx(2.0 ** -1000, rel=1e-12)
+
+
+def test_mc_routes_refuse_underflowed_tails():
+    # the same underflow read through a competitor tail: a tail of 0 would
+    # count as no error, and both bounds read 0 at n = 1100
+    u = InputPmf.uniform(2)
+    with pytest.raises(ValueError, match="underflowed at n=1100"):
+        rcu_mc_ppc(noiseless(2), u, 1100, 2, trials=1000, seed=0)
+    with pytest.raises(ValueError, match="underflowed at n=1100"):
+        rcu_mac(binary_adder_mac(), u, u, 1100, 2, 2, mode="mc",
+                trials=1000, seed=0)
+    r = rcu_mc_ppc(noiseless(2), u, 1000, 2, trials=1000, seed=0)
+    assert r.value == pytest.approx(2.0 ** -1000, rel=1e-12)
+    # the joint event's tail is about 2^-1.5n, so n = 600 still reads
+    r = rcu_mac(binary_adder_mac(), u, u, 600, 2, 2, mode="mc",
+                trials=1000, seed=0)
+    assert 0.0 < r.value < 1e-170
+
+
+def test_huge_message_counts_saturate():
+    # M - 1 is taken in the log domain: M = 2**1100 has no float, and at
+    # 2**1023 the exponent (M-1) ln(1-p) overflowed with a RuntimeWarning
+    u = InputPmf.uniform(2)
+    for m in (2 ** 1100, 2 ** 1023):
+        for r in (rcu_exact_ppc(bsc("11/100"), u, 40, m),
+                  rcu_mc_ppc(bsc("11/100"), u, 40, m, trials=1000)):
+            assert r.value == pytest.approx(1.0, abs=1e-12)
+            assert r.components["union_bound"] == pytest.approx(1.0,
+                                                                abs=1e-12)
+        for mode in ("exact", "mc"):
+            r = rcu_mac(binary_adder_mac(), u, u, 4, m, 2, mode=mode,
+                        trials=1000)
+            assert r.value == pytest.approx(1.0, abs=1e-12)
 
 
 # 13 channels x 3 input pmfs against the joint-type oracle: tie-heavy
@@ -711,6 +745,56 @@ def test_rcu_mac_relaxed_dominates_exact():
     assert r.value <= r.components["relaxed"] + 1e-12
 
 
+def _mac_oracle_n(mac, p1, p2) -> int:
+    # the largest n <= 12 whose joint-type lattice the relaxed oracle walks
+    # in about a second; at the n of 2,000 types the 16-cell MACs' sums
+    # are still 1.0 once two events are active
+    cells = int(np.count_nonzero(
+        np.multiply.outer(p1.probs, p2.probs)[..., None] * mac.w > 0))
+    return max(n for n in range(1, 13)
+               if math.comb(n + cells - 1, cells - 1) <= 20_000)
+
+
+def _mac_log_scales(mac, p1, p2, n, log_ms):
+    # ln M_e + ln A_e - (ln n)/2 per event; None marks an inactive event
+    prefs = mac_moments(mac, p1, p2).tail_prefactors
+    return [None if lm is None else lm + math.log(a) - 0.5 * math.log(n)
+            for lm, a in zip(log_ms, prefs)]
+
+
+def xor_mac() -> MacModel:
+    return MacModel.from_rows([[["99/100", "1/100"], ["1/100", "99/100"]],
+                               [["1/100", "99/100"], ["99/100", "1/100"]]])
+
+
+SKEW = InputPmf.from_values(["1/4", "3/4"])
+
+
+# the adder's user-2 variance vanishes under these pmfs, so it runs with
+# M2 = 1, which leaves only the user-1 event active
+@pytest.mark.parametrize("mac,p1,p2,m1,m2", [
+    pytest.param(binary_adder_mac(), SKEW, InputPmf.uniform(2), 8, 1,
+                 id="adder-skew-uniform"),
+    pytest.param(parallel_bsc_mac("1/10", "1/4"), InputPmf.uniform(2),
+                 InputPmf.uniform(2), 2, 2, id="pbsc-uniform"),
+    pytest.param(parallel_bsc_mac("1/10", "1/4"), InputPmf.uniform(2),
+                 SKEW, 2, 2, id="pbsc-uniform-skew"),
+    pytest.param(xor_mac(), InputPmf.uniform(2), InputPmf.uniform(2), 4, 2,
+                 id="xor"),
+])
+def test_rcu_mac_relaxed_matches_joint_type_oracle(mac, p1, p2, m1, m2):
+    n = _mac_oracle_n(mac, p1, p2)
+    log_ms = [math.log(m1) if m1 > 1 else None,
+              math.log(m2) if m2 > 1 else None,
+              math.log(m1 * m2) if m1 > 1 and m2 > 1 else None]
+    want = oracles.relaxed_mac_joint_types(
+        mac.w, p1.probs, p2.probs, n, _mac_log_scales(mac, p1, p2, n, log_ms))
+    r = rcu_mac(mac, p1, p2, n, m1, m2)
+    assert r.components["relaxed_available"]
+    assert want < 1.0
+    assert _rel_close(r.components["relaxed"], want)
+
+
 def test_rcu_mac_adder_relaxed_unavailable():
     # conditional single-user variances vanish for the noiseless adder
     r = rcu_mac(binary_adder_mac(), InputPmf.uniform(2),
@@ -815,6 +899,57 @@ def test_ldpc_rcu_mac_alpha_one_matches_iid_relaxed_component():
     iid = rcu_mac(mac, InputPmf.uniform(2), InputPmf.uniform(2), n, m, m)
     assert rep.value == pytest.approx(iid.components["relaxed"], abs=1e-14)
     assert rep.num_messages == (m, m)
+
+
+def _skew_quantizer():
+    # GF(4) onto the binary input with pmf (1/4, 3/4)
+    return make_quantizer(make_field(2, 2), SKEW)
+
+
+@pytest.mark.parametrize("mac,quants", [
+    pytest.param(parallel_bsc_mac("1/10", "1/4"),
+                 (_binary_quantizer(), _binary_quantizer()),
+                 id="pbsc-uniform"),
+    pytest.param(parallel_bsc_mac("1/10", "1/4"),
+                 (_binary_quantizer(), _skew_quantizer()),
+                 id="pbsc-uniform-skew"),
+    pytest.param(xor_mac(), (_binary_quantizer(), _binary_quantizer()),
+                 id="xor"),
+])
+def test_ldpc_rcu_mac_matches_joint_type_oracle(mac, quants):
+    p1, p2 = (induced_input_pmf(q) for q in quants)
+    n = _mac_oracle_n(mac, p1, p2)
+    # (4, 5) ensembles: n / 5 information symbols per user at n = 5 and 10
+    params = (4, 5)
+    log_m = [n // 5 * math.log(q.field.q) for q in quants]
+    for a1, a2 in ((1.0, 1.0), (1.5, 2.5)):
+        la1, la2 = math.log(a1), math.log(a2)
+        log_ms = [log_m[0] + la1, log_m[1] + la2,
+                  log_m[0] + log_m[1] + la1 + la2]
+        want = oracles.relaxed_mac_joint_types(
+            mac.w, p1.probs, p2.probs, n,
+            _mac_log_scales(mac, p1, p2, n, log_ms))
+        # the penalised parallel-BSC sums saturate; the plain ones do not
+        assert want < 1.0 or a1 > 1.0
+        rep = ldpc_rcu_mac(mac, quants, n, params, params, a1, a2)
+        assert _rel_close(rep.value, want)
+
+
+def test_ldpc_rcu_mac_runs_past_the_joint_type_lattice():
+    # 8 cells but 2 distinct i-vectors: 25 law points at n = 24, where the
+    # joint-type lattice has C(31, 7) = 2,629,575 points
+    quants = (_binary_quantizer(), _binary_quantizer())
+    rep = ldpc_rcu_mac(xor_mac(), quants, 24, (3, 4), (3, 4), 1.5, 2.5)
+    assert 0.0 < rep.value < 1.0
+
+
+def test_ldpc_rcu_mac_information_density_guard():
+    # both users skewed: 16 distinct i-vectors, C(24, 15) law points at n = 9
+    quants = (_skew_quantizer(), _skew_quantizer())
+    with pytest.raises(GuardError, match="information-density lattice has "
+                                         "1307504 .*mode='mc'"):
+        ldpc_rcu_mac(parallel_bsc_mac("1/10", "1/4"), quants, 9, (2, 3),
+                     (2, 3))
 
 
 def test_ldpc_rcu_mac_same_coset_doubles_log_penalties():
