@@ -325,58 +325,6 @@ def capacity(dmc: DmcModel) -> tuple[float, InputPmf]:
     )
 
 
-# -- serialization ------------------------------------------------------------
-
-
-def _entry_to_json(v: float, exact: Fraction | None):
-    if exact is not None:
-        if exact.denominator == 1:
-            return int(exact)
-        return f"{exact.numerator}/{exact.denominator}"
-    return v
-
-
-def dmc_to_json(dmc: DmcModel) -> dict:
-    rows = []
-    for x in range(dmc.input_size):
-        exact_row = dmc.w_exact[x] if dmc.w_exact is not None else None
-        rows.append(
-            [
-                _entry_to_json(
-                    float(dmc.w[x, y]),
-                    exact_row[y] if exact_row is not None else None,
-                )
-                for y in range(dmc.output_size)
-            ]
-        )
-    return {"inputs": dmc.input_size, "outputs": dmc.output_size, "rows": rows}
-
-
-def mac_to_json(mac: MacModel) -> dict:
-    def build(idx):
-        if len(idx) == mac.num_users:
-            exact = None
-            if mac.w_exact is not None:
-                exact = mac.w_exact
-                for i in idx:
-                    exact = exact[i]
-            row = mac.w[idx]
-            return [
-                _entry_to_json(
-                    float(row[y]), exact[y] if exact is not None else None
-                )
-                for y in range(mac.output_size)
-            ]
-        size = mac.input_sizes[len(idx)]
-        return [build(idx + (i,)) for i in range(size)]
-
-    return {
-        "inputs": list(mac.input_sizes),
-        "outputs": mac.output_size,
-        "rows": build(()),
-    }
-
-
 def channel_from_json(obj: dict):
     """Parse a channel file; returns DmcModel or MacModel by the shape of
     the "inputs" entry (scalar vs list)."""

@@ -29,9 +29,9 @@ from .channel import (DmcModel, InputPmf, MacModel, channel_from_json,
                       make_quantizer)
 from .exponent import (expurgated_bound, exponent_rate_bound,
                        kmac_exponent_bound, two_mac_exponent_bound)
-from .fbl import (_SEED_LIMIT, WindowError, achievable_logM_ppc, ldpc_rcu_ppc,
-                  q_inv, rcu_exact_ppc, rcu_mac, rcu_mc_ppc, rcu_relaxed_ppc,
-                  scaling_table)
+from .fbl import (_SEED_LIMIT, WindowError, _exp_or_inf, achievable_logM_ppc,
+                  ldpc_rcu_ppc, q_inv, rcu_exact_ppc, rcu_mac, rcu_mc_ppc,
+                  rcu_relaxed_ppc, scaling_table)
 from .gfq import field_from_order
 from .infodensity import ppc_moments
 from .simulator import (_ENUM_GUARD, actual_rate_stats, enumerate_codebook,
@@ -122,7 +122,7 @@ def _ldpc_bound(channel, n: int, var_degree: int, check_degree: int,
     r = (n * var_degree) // check_degree
     log_a, _t = alpha_log(table, q_eff ** (n - r))
     report = ldpc_rcu_ppc(channel, quantizer, n, var_degree, check_degree,
-                          alpha=math.exp(log_a))
+                          log_alpha=log_a)
     return q_eff, quantizer, log_a, report
 
 
@@ -297,7 +297,7 @@ def cmd_spectrum(q: int, num_users: int, var_degree: int, check_degree: int,
         log_a, argmax_t = alpha_log(table, num)
         payload["alpha"] = {
             "log_alpha": log_a,
-            "alpha": math.exp(log_a),
+            "alpha": _exp_or_inf(log_a),
             "argmax_type": list(argmax_t),
             "num_messages_per_user": num,
         }
@@ -698,37 +698,9 @@ REPORT_SCHEMA = {
     "RunConfig": RUN_CONFIG_SCHEMA,
 }
 
-_TYPE_MAP = {
-    "string": str, "number": (int, float), "integer": int, "object": dict,
-    "array": list, "boolean": bool, "null": type(None),
-}
-
 
 def cmd_report_schema() -> dict:
     return REPORT_SCHEMA
-
-
-def schema_validate(kind: str, obj: dict) -> None:
-    """Check a payload against the published schema; raises ValueError on
-    the first missing or mistyped field."""
-    spec = REPORT_SCHEMA.get(kind)
-    if spec is None or "required" not in spec:
-        raise ValueError(f"no validatable schema for {kind!r}")
-    for key in spec["required"]:
-        if key not in obj:
-            raise ValueError(f"{kind} payload is missing {key!r}")
-    for key, tname in spec["properties"].items():
-        if key not in obj:
-            continue
-        allowed = tuple()
-        for part in tname.split("|"):
-            t = _TYPE_MAP[part]
-            allowed += t if isinstance(t, tuple) else (t,)
-        if isinstance(obj[key], bool) and bool not in allowed:
-            raise ValueError(f"{kind}.{key} has the wrong type")
-        if not isinstance(obj[key], allowed):
-            raise ValueError(f"{kind}.{key} has the wrong type")
-    return None
 
 
 # ---------------------------------------------------------------------------

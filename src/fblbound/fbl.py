@@ -999,16 +999,25 @@ def _ldpc_design(n: int, var_degree: int, check_degree: int, q: int):
     return r, q ** (n - r)
 
 
+def _exp_or_inf(x: float) -> float:
+    """e^x, or inf past the float range."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 def ldpc_rcu_ppc(dmc: DmcModel, quantizer: Quantizer, n: int,
                  var_degree: int, check_degree: int,
-                 alpha: float = 1.0) -> BoundReport:
+                 log_alpha: float = 0.0) -> BoundReport:
     """Relaxed random-coding bound for the quantized coset LDPC ensemble:
     the i.i.d. relaxed form with M = q^{n-r} messages and the spectrum
-    ratio ``alpha`` folded into the message count.
+    ratio alpha = e^log_alpha folded into the message count.
 
     ``alpha`` is the worst-case ratio of the ensemble's average spectrum
-    to the uniform-ensemble reference (1.0 recovers the i.i.d. bound
-    exactly); compute it with the spectrum module.
+    to the uniform-ensemble reference (log_alpha 0 recovers the i.i.d.
+    bound exactly); compute it with the spectrum module.  Taken as a log
+    so that a ratio past the float range still folds in.
     """
     _check_block(n)
     if quantizer.target_size != dmc.input_size:
@@ -1016,16 +1025,17 @@ def ldpc_rcu_ppc(dmc: DmcModel, quantizer: Quantizer, n: int,
             f"quantizer maps onto {quantizer.target_size} symbols but the "
             f"channel has |X| = {dmc.input_size}"
         )
-    if not alpha >= 1.0:
-        raise ValueError(f"spectrum ratio alpha must be >= 1, got {alpha}")
+    if not log_alpha >= 0.0:
+        raise ValueError(
+            f"spectrum ratio alpha must be >= 1, got log alpha {log_alpha}")
     q = quantizer.field.q
     r, m = _ldpc_design(n, var_degree, check_degree, q)
     log_m = (n - r) * math.log(q)
     value, moments = _relaxed_ppc(dmc, induced_input_pmf(quantizer), n,
-                                  log_m + math.log(alpha))
+                                  log_m + log_alpha)
     components = {
-        "alpha": alpha,
-        "log_alpha": math.log(alpha),
+        "alpha": _exp_or_inf(log_alpha),
+        "log_alpha": log_alpha,
         "log_num_messages": log_m,
         "num_checks": r,
         "design_rate_qary": 1.0 - var_degree / check_degree,
@@ -1036,7 +1046,7 @@ def ldpc_rcu_ppc(dmc: DmcModel, quantizer: Quantizer, n: int,
             moments.mean
             - math.sqrt(moments.variance / n) * q_inv(value)
             + math.log(n) / (2.0 * n)
-            - math.log(alpha) / n
+            - log_alpha / n
         )
     return BoundReport(
         name="ldpc-rcu-ppc",

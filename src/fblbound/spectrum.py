@@ -7,8 +7,9 @@ significant).  The module computes:
   * uniform-ensemble spectra (closed form) and their exponent,
   * sparse-graph (regular bipartite, variable degree ``var_degree``,
     check degree ``check_degree``) coset-ensemble spectra, exactly at
-    finite n by big-integer coefficient extraction and asymptotically
-    by convex minimization,
+    finite n by coefficient extraction from the powered check enumerator
+    (dense powering modulo word-size primes, joined by the CRT) and
+    asymptotically by convex minimization,
   * the max-ratio penalty ``alpha_log`` used by the random-coding bounds,
   * low-weight expurgation and the four-term rate-offset decomposition,
   * the q^(-n eps/2) tail bound on the actual-vs-design code rate.
@@ -21,7 +22,6 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from collections import Counter
 from dataclasses import dataclass
 
@@ -30,13 +30,16 @@ import numpy as np
 from . import GuardError
 from .gfq import field_from_order
 
-# Guards: coefficient-lattice size (the socket types of one check node,
-# and the lattice during polynomial powering); dense per-type table size.
+# Guards: the socket types of one check node, and the residue entries
+# (box of nonzero-symbol counts times primes) of the powered check
+# enumerator; dense per-type table size.
 _LATTICE_GUARD = 20_000_000
 _TABLE_GUARD = 2_000_000
 _LSE_TOL = 1e-10  # inner-infimum gradient tolerance, relative to rho
 _LSE_RESTARTS = 10  # descent starts of the inner infimum
 _JSIGMA_CAP = 200_000  # rate-offset types at full lattice resolution
+_SLAB_ENTRIES = 1 << 16  # residue entries powered at once; kept cache-sized
+_INT64_MAX = (1 << 63) - 1  # residue sums are reduced before passing it
 
 
 # ---------------------------------------------------------------------------
@@ -382,24 +385,89 @@ def ldpc_spectrum_exponent(theta, var_degree: int, check_degree: int,
 # finite-n sparse-graph spectrum
 
 @functools.lru_cache(maxsize=8)
-def _poly_power(q, num_users, rho, num_checks):
-    """coeffs of the check enumerator raised to num_checks, or None when
-    the coefficient lattice would exceed the memory guard."""
-    if _num_compositions(rho * num_checks, q ** num_users) > _LATTICE_GUARD:
-        # the full socket lattice cannot fit; skip the powering outright
+def _poly_power(q, num_users, rho, num_checks, lam):
+    """Nonzero coefficients of the check enumerator P raised to num_checks
+    at the socket types lam*t, all that a spectrum reads; None past the
+    lattice guard.  Exact: P^num_checks is powered densely over the
+    nonzero-symbol counts modulo primes below 2^28 whose product exceeds
+    P(1)^num_checks, a bound on every coefficient, and the CRT joins the
+    residues.  ArithmeticError when a residue array does not sum to
+    P(1)^num_checks modulo its prime."""
+    poly = _cached_check_poly(q, num_users, rho)
+    dim, side = q ** num_users - 1, rho * num_checks + 1
+    mass = poly.total_mass() ** num_checks
+    # every prime exceeds 2^27, so this many always cover the mass
+    if side ** dim * (mass.bit_length() // 27 + 1) > _LATTICE_GUARD:
         return None
-    base = _cached_check_poly(q, num_users, rho).coeffs
-    cur = dict(base)
-    for _ in range(num_checks - 1):
-        nxt: dict = {}
-        for ta, ca in cur.items():
-            for tb, cb in base.items():
-                tkey = tuple(a + b for a, b in zip(ta, tb))
-                nxt[tkey] = nxt.get(tkey, 0) + ca * cb
-            if len(nxt) > _LATTICE_GUARD:
-                return None
-        cur = nxt
-    return cur
+    primes, read = _residue_primes(mass), []
+    slab = max(1, _SLAB_ENTRIES // side ** dim)
+    for ps in (primes[i:i + slab] for i in range(0, len(primes), slab)):
+        res = _residue_power(poly, num_checks, ps, dim)
+        sums = res.reshape(len(ps), -1).sum(axis=1) % np.array(ps)
+        if sums.tolist() != [mass % p for p in ps]:
+            raise ArithmeticError(f"residues of P^{num_checks} miss its "
+                                  f"mass (q={q}, K={num_users}, rho={rho})")
+        read.append(res[(slice(None),) + (slice(None, None, lam),) * dim]
+                    .reshape(len(ps), -1))
+    read = np.concatenate(read)
+    flat = np.flatnonzero(read.any(axis=0))
+    rest = lam * np.column_stack(
+        np.unravel_index(flat, ((side - 1) // lam + 1,) * dim))
+    types = np.column_stack([side - 1 - rest.sum(axis=1), rest])
+    return dict(zip(map(tuple, types.tolist()), _crt(read[:, flat], primes)))
+
+
+def _residue_power(poly, num_checks, primes, dim):
+    """P^num_checks modulo each prime, dense over the nonzero-symbol
+    counts.  Each step adds c_b * (the power so far) at the offset of
+    every term b; entries are reduced only when their tracked bound would
+    pass int64 (residues below 2^28 keep products below 2^56)."""
+    pv = np.array(primes, dtype=np.int64).reshape((-1,) + (1,) * dim)
+    top = max(primes) - 1  # bound of a reduced entry
+    # per term: offset, coefficient modulo each prime, bound on those
+    terms = [(t[1:], np.array([c % p for p in primes]).reshape(pv.shape),
+              min(c, top)) for t, c in poly.coeffs.items()]
+    res, bound = np.ones_like(pv), 1
+    for j in range(1, num_checks + 1):
+        if bound * max(cm for *_, cm in terms) > _INT64_MAX - top:
+            res %= pv
+            bound = top
+        nxt = np.zeros((len(primes),) + (poly.check_degree * j + 1,) * dim,
+                       dtype=np.int64)
+        tmp, acc = np.empty_like(res), 0
+        for off, c, cm in terms:
+            if acc + bound * cm > _INT64_MAX:
+                nxt %= pv
+                acc = top
+            nxt[(slice(None),) + tuple(slice(o, o + res.shape[1]) for o in off)
+                ] += res if cm == 1 else np.multiply(res, c, out=tmp)
+            acc += bound * cm
+        res, bound = nxt, acc
+    return res % pv
+
+
+def _residue_primes(bound: int) -> list[int]:
+    """Primes below 2^28, largest first, until their product exceeds
+    bound; Miller-Rabin with bases 2, 3, 5, 7 is exact below 3.2e9."""
+    primes, m = [], (1 << 28) - 1
+    while math.prod(primes) <= bound:
+        s = ((m - 1) & (1 - m)).bit_length() - 1  # m - 1 = d 2^s, d odd
+        xs = [pow(a, (m - 1) >> s, m) for a in (2, 3, 5, 7)]
+        if all(x == 1 or m - 1 in (pow(x, 1 << i, m) for i in range(s))
+               for x in xs):
+            primes.append(m)
+        m -= 2
+    return primes
+
+
+def _crt(res, primes) -> list[int]:
+    """The integers below the primes' product whose residues modulo
+    primes[i] are row i of res, lifted one prime at a time."""
+    value, prod = np.zeros(res.shape[1], dtype=object), 1
+    for p, row in zip(primes, res):
+        value += prod * ((row - value % p) * pow(prod, -1, p) % p)
+        prod *= p
+    return value.tolist()
 
 
 def ldpc_finite_spectrum(n: int, t, var_degree: int, check_degree: int,
@@ -407,10 +475,12 @@ def ldpc_finite_spectrum(n: int, t, var_degree: int, check_degree: int,
     """ln of the ensemble-average number of codematrices of type t for the
     regular (var_degree, check_degree) coset ensemble on n symbols.
 
-    Exact big-integer evaluation: multinomial(n,t) times the socket-lattice
-    coefficient of the powered check enumerator at var_degree*t, divided by
-    the socket multinomial and (q-1)^(n*var_degree).  Falls back to
-    n*ln(q)*asymptotic exponent with a warning when the lattice guard trips.
+    Exact: multinomial(n,t) times the coefficient at var_degree*t of the
+    check enumerator raised to the number of checks (powered modulo
+    word-size primes, joined by the CRT), divided by the socket
+    multinomial and (q-1)^(n*var_degree).  Raises GuardError when the
+    powering would exceed the lattice guard; there is no asymptotic
+    stand-in.
     """
     counts = _counts(t)
     if sum(counts) != n:
@@ -422,17 +492,12 @@ def ldpc_finite_spectrum(n: int, t, var_degree: int, check_degree: int,
             "the ensemble needs a whole number of check nodes"
         )
     r = (n * lam) // rho
-    power = _poly_power(q, num_users, rho, r)
+    power = _poly_power(q, num_users, rho, r, lam)
     if power is None:
-        warnings.warn(
-            "socket-lattice guard exceeded; returning the asymptotic "
-            "exponent approximation",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        th = np.array(counts, dtype=float) / n
-        return n * math.log(q) * ldpc_spectrum_exponent(
-            th, lam, rho, q, num_users
+        raise GuardError(
+            f"powering the degree-{rho} check enumerator to {r} checks over "
+            f"GF({q})^{num_users} exceeds the {_LATTICE_GUARD} residue-entry "
+            "lattice guard"
         )
     return _log_finite_count(power, n, counts, lam, q)
 
@@ -688,7 +753,7 @@ def rate_offset_decomposition(n: int, var_degree: int, check_degree: int,
     r = (n * lam) // rho
     rate = 1.0 - lam / rho
     qk = q ** num_users
-    power = _poly_power(q, num_users, rho, r)
+    power = _poly_power(q, num_users, rho, r, lam)
     if power is None:
         raise GuardError(
             "socket-lattice guard exceeded; the decomposition needs the "

@@ -1,0 +1,85 @@
+"""Test-side helpers that the program never calls: channel-file writers
+(the inverse of ``fblbound.channel.channel_from_json``, exact rows as
+"a/b" strings) and a check of report payloads against the schema that
+``fblbound schema`` publishes."""
+
+from fractions import Fraction
+
+from fblbound.cli import REPORT_SCHEMA
+
+
+def _entry_to_json(v: float, exact: Fraction | None):
+    if exact is not None:
+        if exact.denominator == 1:
+            return int(exact)
+        return f"{exact.numerator}/{exact.denominator}"
+    return v
+
+
+def dmc_to_json(dmc) -> dict:
+    rows = []
+    for x in range(dmc.input_size):
+        exact_row = dmc.w_exact[x] if dmc.w_exact is not None else None
+        rows.append(
+            [
+                _entry_to_json(
+                    float(dmc.w[x, y]),
+                    exact_row[y] if exact_row is not None else None,
+                )
+                for y in range(dmc.output_size)
+            ]
+        )
+    return {"inputs": dmc.input_size, "outputs": dmc.output_size, "rows": rows}
+
+
+def mac_to_json(mac) -> dict:
+    def build(idx):
+        if len(idx) == mac.num_users:
+            exact = None
+            if mac.w_exact is not None:
+                exact = mac.w_exact
+                for i in idx:
+                    exact = exact[i]
+            row = mac.w[idx]
+            return [
+                _entry_to_json(
+                    float(row[y]), exact[y] if exact is not None else None
+                )
+                for y in range(mac.output_size)
+            ]
+        size = mac.input_sizes[len(idx)]
+        return [build(idx + (i,)) for i in range(size)]
+
+    return {
+        "inputs": list(mac.input_sizes),
+        "outputs": mac.output_size,
+        "rows": build(()),
+    }
+
+
+_TYPE_MAP = {
+    "string": str, "number": (int, float), "integer": int, "object": dict,
+    "array": list, "boolean": bool, "null": type(None),
+}
+
+
+def schema_validate(kind: str, obj: dict) -> None:
+    """Check a payload against the published schema; raises ValueError on
+    the first missing or mistyped field."""
+    spec = REPORT_SCHEMA.get(kind)
+    if spec is None or "required" not in spec:
+        raise ValueError(f"no validatable schema for {kind!r}")
+    for key in spec["required"]:
+        if key not in obj:
+            raise ValueError(f"{kind} payload is missing {key!r}")
+    for key, tname in spec["properties"].items():
+        if key not in obj:
+            continue
+        allowed = tuple()
+        for part in tname.split("|"):
+            t = _TYPE_MAP[part]
+            allowed += t if isinstance(t, tuple) else (t,)
+        if isinstance(obj[key], bool) and bool not in allowed:
+            raise ValueError(f"{kind}.{key} has the wrong type")
+        if not isinstance(obj[key], allowed):
+            raise ValueError(f"{kind}.{key} has the wrong type")

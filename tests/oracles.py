@@ -9,6 +9,8 @@ over every input tuple), the random-coding union bounds, exact and
 relaxed, by joint-type enumeration with one dict convolution per letter
 (the slow route that the y-type and information-density routes of
 ``fblbound.fbl`` replace), and the two-binomial closed form of the BSC.
+The powered check enumerator is a big-integer dict convolution, the
+route that ``fblbound.spectrum``'s residue powering replaces.
 """
 
 import bisect
@@ -265,6 +267,20 @@ def dp_check_poly(q, num_users, rho):
                         dst[key] = dst.get(key, 0) + cnt * w
         state = nxt
     return {t: c for t, c in state[0].items() if c}
+
+
+def poly_power_dict(coeffs, num_checks):
+    """A sparse enumerator ``coeffs`` (type tuple -> int) raised to
+    num_checks by repeated dict convolution in exact integers."""
+    cur = {tuple(0 for _ in next(iter(coeffs))): 1}
+    for _ in range(num_checks):
+        nxt = {}
+        for ta, ca in cur.items():
+            for tb, cb in coeffs.items():
+                key = tuple(a + b for a, b in zip(ta, tb))
+                nxt[key] = nxt.get(key, 0) + ca * cb
+        cur = nxt
+    return cur
 
 
 def e0_event(w, probs, event, rho):

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import oracles
-from fblbound.channel import (DmcModel, InputPmf, bsc, capacity, dmc_to_json,
+from fblbound.channel import (DmcModel, InputPmf, bsc, capacity,
                               make_quantizer, noiseless)
 from fblbound.cli import cmd_compare
 from fblbound.exponent import (critical_rate, e0, error_exponent,
@@ -28,6 +28,7 @@ from fblbound.simulator import (actual_rate_stats, empirical_spectrum,
 from fblbound.spectrum import (alpha_log, check_polynomial,
                                ldpc_spectrum_table, rate_concentration,
                                rate_offset_decomposition)
+from helpers import dmc_to_json
 
 UNIF2 = InputPmf.uniform(2)
 
@@ -167,7 +168,7 @@ def test_accept_05_simulation_respects_composed_bounds(announce):
         num = 2 ** (n - n * 3 // 5)
         table = ldpc_spectrum_table(n, 3, 5, 2, 1)
         log_a, _t = alpha_log(table, num)
-        rcu = ldpc_rcu_ppc(dmc, qz, n, 3, 5, alpha=math.exp(log_a))
+        rcu = ldpc_rcu_ppc(dmc, qz, n, 3, 5, log_alpha=log_a)
         handled = [t for t in table.entries if t != (n, 0)]
         kmac = kmac_exponent_bound(
             rate=0.4, t_set=handled, spectrum_table=table,

@@ -13,13 +13,12 @@ from fblbound.channel import (
     bsc,
     capacity,
     channel_from_json,
-    dmc_to_json,
     induced_input_pmf,
-    mac_to_json,
     make_quantizer,
     noiseless,
 )
 from fblbound.gfq import field_from_order
+from helpers import dmc_to_json, mac_to_json
 
 LN2 = math.log(2.0)
 

@@ -17,11 +17,10 @@ import pytest
 
 from fblbound import GuardError
 from fblbound.channel import (DmcModel, InputPmf, binary_adder_mac, bsc,
-                              dmc_to_json, mac_to_json, make_quantizer,
-                              noiseless)
+                              make_quantizer, noiseless)
 from fblbound.cli import (CSV_HEADER, ConfigError, cmd_achieve, cmd_compare,
                           cmd_exponent, cmd_report_schema, cmd_rcu,
-                          cmd_simulate, cmd_spectrum, main, schema_validate)
+                          cmd_simulate, cmd_spectrum, main)
 from fblbound.exponent import kmac_exponent_bound, two_mac_exponent_bound
 from fblbound.fbl import rcu_exact_ppc, rcu_mac, rcu_relaxed_ppc
 from fblbound.gfq import _find_reduction_poly, field_from_order
@@ -29,8 +28,10 @@ from fblbound.simulator import (Codebook, empirical_spectrum,
                                 enumerate_codebook, min_distance, ml_decode,
                                 sample_graph)
 from fblbound.spectrum import (SpectrumTable, alpha_log, check_polynomial,
-                               ldpc_spectrum_table, rate_offset_decomposition,
+                               ldpc_finite_spectrum, ldpc_spectrum_table,
+                               rate_offset_decomposition,
                                uniform_spectrum_table)
+from helpers import dmc_to_json, mac_to_json, schema_validate
 
 LN2 = math.log(2.0)
 
@@ -270,6 +271,16 @@ def test_spectrum_theta_grid_rows(capsys, tmp_path):
                               "--csv", str(csv_path)])
     assert rc == 0 and out == ""
     assert csv_path.read_text().strip().split("\n") == lines
+
+
+def test_spectrum_q4_n24_alpha_runs(capsys):
+    # the quaternary (3,6) table powers the check enumerator to 12 checks
+    rc, out, _ = run(capsys, ["spectrum", "--q", "4", "--lambda", "3",
+                              "--check-degree", "6", "--n", "24", "--alpha"])
+    assert rc == 0
+    payload = json.loads(out)
+    assert len(payload["entries"]) == 2925
+    assert payload["alpha"]["num_messages_per_user"] == 4 ** 12
 
 
 def test_spectrum_large_n_table_hits_guard(capsys):
@@ -878,6 +889,8 @@ GUARDS = [
                  id="check-node"),
     pytest.param("dense table", lambda: uniform_spectrum_table(
         400, 4, 2, 7), id="dense-table"),
+    pytest.param("residue-entry lattice guard", lambda: ldpc_finite_spectrum(
+        168, (42, 42, 42, 42), 3, 6, 2, 2), id="finite-spectrum"),
     pytest.param("decomposition needs", lambda: rate_offset_decomposition(
         200, 3, 6, 0.1, 4, 1), id="decomposition-lattice"),
     pytest.param("per-type table guard", lambda: cmd_spectrum(

@@ -856,7 +856,7 @@ def _binary_quantizer():
 def test_ldpc_rcu_ppc_alpha_one_matches_iid_relaxed():
     quant = _binary_quantizer()
     n = 10
-    rep = ldpc_rcu_ppc(bsc(0.05), quant, n, 3, 6, alpha=1.0)
+    rep = ldpc_rcu_ppc(bsc(0.05), quant, n, 3, 6, log_alpha=0.0)
     assert rep.num_messages == 2 ** (n - 5)
     iid = rcu_relaxed_ppc(bsc(0.05), InputPmf.uniform(2), n, 2 ** (n - 5))
     assert rep.value == pytest.approx(iid.value, abs=1e-14)
@@ -865,16 +865,27 @@ def test_ldpc_rcu_ppc_alpha_one_matches_iid_relaxed():
 
 def test_ldpc_rcu_ppc_alpha_monotone():
     quant = _binary_quantizer()
-    base = ldpc_rcu_ppc(bsc(0.05), quant, 10, 3, 6, alpha=1.0).value
-    worse = ldpc_rcu_ppc(bsc(0.05), quant, 10, 3, 6, alpha=2.0).value
+    base = ldpc_rcu_ppc(bsc(0.05), quant, 10, 3, 6, log_alpha=0.0).value
+    worse = ldpc_rcu_ppc(bsc(0.05), quant, 10, 3, 6,
+                         log_alpha=math.log(2.0)).value
     assert base <= worse
 
 
 def test_ldpc_rcu_ppc_rate_expansion_present():
-    rep = ldpc_rcu_ppc(bsc(0.05), _binary_quantizer(), 12, 3, 6, alpha=1.5)
+    rep = ldpc_rcu_ppc(bsc(0.05), _binary_quantizer(), 12, 3, 6,
+                       log_alpha=math.log(1.5))
     assert 0.0 < rep.value < 1.0
     assert "rate_expansion_nats" in rep.components
     assert rep.components["log_alpha"] == pytest.approx(math.log(1.5))
+
+
+def test_ldpc_rcu_ppc_alpha_past_float_range():
+    # e^800 is no float: the penalty folds in as a log, alpha reads inf
+    rep = ldpc_rcu_ppc(bsc(0.05), _binary_quantizer(), 12, 3, 6,
+                       log_alpha=800.0)
+    assert rep.value == 1.0
+    assert rep.components["alpha"] == math.inf
+    assert rep.components["log_alpha"] == 800.0
 
 
 def test_ldpc_rcu_ppc_validation():
@@ -882,7 +893,7 @@ def test_ldpc_rcu_ppc_validation():
     with pytest.raises(ValueError, match="integral"):
         ldpc_rcu_ppc(bsc(0.05), quant, 10, 3, 7)
     with pytest.raises(ValueError, match="alpha"):
-        ldpc_rcu_ppc(bsc(0.05), quant, 10, 3, 6, alpha=0.5)
+        ldpc_rcu_ppc(bsc(0.05), quant, 10, 3, 6, log_alpha=math.log(0.5))
     ch3 = DmcModel.from_rows([["1/3"] * 3] * 3)
     with pytest.raises(ValueError, match="quantizer"):
         ldpc_rcu_ppc(ch3, quant, 10, 3, 6)

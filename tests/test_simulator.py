@@ -435,7 +435,7 @@ def test_simulated_error_below_bounds():
     num = 2 ** (n - n * lam // rho)
     table = ldpc_spectrum_table(n, lam, rho, q, 1)
     log_a, _ = alpha_log(table, num)
-    rcu = ldpc_rcu_ppc(dmc, qz, n, lam, rho, alpha=math.exp(log_a))
+    rcu = ldpc_rcu_ppc(dmc, qz, n, lam, rho, log_alpha=log_a)
     handled = [t for t in table.entries if t != (n, 0)]
     kmac = kmac_exponent_bound(
         rate=0.5, t_set=handled, spectrum_table=table,

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from fblbound import GuardError
 from fblbound import spectrum as sp
 
 
@@ -267,14 +268,71 @@ def test_finite_spectrum_converges_to_asymptotic():
         assert gaps[1] < gaps[0]
 
 
-def test_finite_spectrum_guard_falls_back_with_warning():
-    # 4-symbol composite alphabet at n=168 needs a socket lattice beyond
-    # the guard; the call degrades to the asymptotic value and warns
-    with pytest.warns(RuntimeWarning):
-        val = sp.ldpc_finite_spectrum(168, (42, 42, 42, 42), 3, 6, 2, 2)
-    th = (0.25, 0.25, 0.25, 0.25)
-    asym = 168 * LN2 * sp.ldpc_spectrum_exponent(th, 3, 6, 2, 2)
-    assert val == pytest.approx(asym, rel=1e-9, abs=1e-9)
+def test_finite_spectrum_guard_raises_guard_error():
+    # 4-symbol composite alphabet at n=168: the residue powering needs a
+    # 505^3 box per prime, far past the guard; no asymptotic stand-in
+    with pytest.raises(GuardError, match="residue-entry lattice guard"):
+        sp.ldpc_finite_spectrum(168, (42, 42, 42, 42), 3, 6, 2, 2)
+
+
+# (q, K, rho, checks): every q, K and rho of the grid at the most checks
+# whose dense box stays small (q=4, K=2 has a 15-dimensional box), and
+# P(1)^20 = 2^100 for four primes and reductions between the steps
+POWER_GRID = [
+    (q, k, rho, r)
+    for q in (2, 3, 4) for rho in (3, 4, 6) for r in (1, 2, 3)
+    for k in (1, 2)
+    if k == 1 or q == 2
+] + [(3, 2, 3, 1), (3, 2, 3, 2), (3, 2, 4, 1), (3, 2, 6, 1), (2, 1, 6, 20)]
+
+
+@pytest.mark.parametrize("q,k,rho,r", POWER_GRID)
+def test_poly_power_matches_dict_oracle(q, k, rho, r):
+    want = oracles.poly_power_dict(sp.check_polynomial(q, k, rho).coeffs, r)
+    # a spectrum reads lam*t with t summing to n, so lam divides rho*r
+    for lam in [lam for lam in (1, 2, 3) if rho * r % lam == 0]:
+        got = sp._poly_power(q, k, rho, r, lam)
+        assert got == {t: c for t, c in want.items()
+                       if all(x % lam == 0 for x in t)}
+        assert all(type(c) is int for c in got.values())
+
+
+def test_poly_power_guard_checks_before_allocating():
+    # q=4, K=2: one check already needs a 4^15-entry box per prime
+    assert sp._poly_power(4, 2, 3, 1, 1) is None
+
+
+def test_poly_power_mass_check_raises(monkeypatch):
+    real = sp._residue_power
+    monkeypatch.setattr(sp, "_residue_power", lambda *a: real(*a) + 1)
+    with pytest.raises(ArithmeticError, match="residues of P"):
+        sp._poly_power(2, 1, 6, 7, 3)
+
+
+def test_residue_primes_are_prime_and_cover_the_bound():
+    primes = sp._residue_primes(1 << 200)
+    assert all(p < 1 << 28 and p % 2 for p in primes)
+    # trial division, independent of the Miller-Rabin test
+    assert all(p % d for p in primes for d in range(3, math.isqrt(p) + 1, 2))
+    assert math.prod(primes) > 1 << 200
+    assert math.prod(primes[:-1]) <= 1 << 200
+    assert primes == sorted(set(primes), reverse=True)
+
+
+def test_q4_n24_table_pinned():
+    # recorded from the big-integer dict powering; the table reads 2,925
+    # of the power's 67,522 coefficients
+    pinned = {
+        (24, 0, 0, 0): 0.0,
+        (0, 24, 0, 0): -16.58625095000685,
+        (23, 1, 0, 0): -3.8414664119650013,
+        (21, 1, 1, 1): -1.7170330773096936,
+        (12, 4, 4, 4): 8.642483816471213,
+        (6, 6, 6, 6): 11.832141311459992,
+        (3, 5, 7, 9): 10.242692256486606,
+    }
+    tab = sp.ldpc_spectrum_table(24, 3, 6, 4, 1, types=list(pinned))
+    assert tab.entries == pinned
 
 
 # ---------------------------------------------------------------------------
