@@ -25,8 +25,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import GuardError
-from .channel import (DmcModel, InputPmf, MacModel, channel_from_json,
-                      make_quantizer)
+from .channel import InputPmf, MacModel, channel_from_json, make_quantizer
 from .exponent import (expurgated_bound, exponent_rate_bound,
                        kmac_exponent_bound, two_mac_exponent_bound)
 from .fbl import (_SEED_LIMIT, WindowError, _exp_or_inf, achievable_logM_ppc,

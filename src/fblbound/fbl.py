@@ -618,7 +618,9 @@ def _sent_law(ctx: _Context, n: int, caller: str):
     The y-type lattice and the keys the tables may build are guarded
     (``caller`` is the way out).  The weights must sum to
     (sum_b P_Y(b))^n; a table probability that underflowed breaks that,
-    and is refused rather than returned low.
+    and is refused rather than returned low.  Past that check they are
+    divided by their sum, so that a bound saturated at every point reads
+    exactly 1.
     """
     (system, _lo, _hi), = ctx._systems
     p_y = ctx.cond_probs[0]
@@ -643,7 +645,7 @@ def _sent_law(ctx: _Context, n: int, caller: str):
             f"sent-word law sums to {float(weights.sum())!r}, not {mass!r}: "
             f"table probabilities underflowed at n={n}"
         )
-    return weights, np.minimum(np.concatenate(tails), 1.0)
+    return weights / weights.sum(), np.minimum(np.concatenate(tails), 1.0)
 
 
 def rcu_exact_ppc(dmc: DmcModel, input_pmf, n: int, num_messages) -> BoundReport:
@@ -1060,11 +1062,13 @@ def ldpc_rcu_ppc(dmc: DmcModel, quantizer: Quantizer, n: int,
 
 
 def ldpc_rcu_mac(mac: MacModel, quantizers, n: int, params1, params2,
-                 alpha1: float = 1.0, alpha2: float = 1.0,
+                 log_alpha1: float = 0.0, log_alpha2: float = 0.0,
                  same_coset: bool = False) -> BoundReport:
     """Two-user MAC relaxed bound for per-user quantized coset LDPC
     ensembles: E[min{1, a1 E1 + a2 E2 + a1 a2 E12}] where E_j are the
-    relaxed per-user terms and a_j the spectrum penalties.
+    relaxed per-user terms and a_j = e^log_alpha_j the spectrum
+    penalties, taken as logs so that a penalty past the float range still
+    folds in.
 
     ``params_j = (var_degree, check_degree)``; user j's code lives over
     the field of ``quantizers[j]``.  ``same_coset=True`` models both users
@@ -1080,8 +1084,9 @@ def ldpc_rcu_mac(mac: MacModel, quantizers, n: int, params1, params2,
                 f"user-{j + 1} quantizer maps onto {quant.target_size} "
                 f"symbols but the MAC alphabet has {mac.input_sizes[j]}"
             )
-    if not (alpha1 >= 1.0 and alpha2 >= 1.0):
-        raise ValueError("spectrum ratios must be >= 1")
+    if not (log_alpha1 >= 0.0 and log_alpha2 >= 0.0):
+        raise ValueError(f"spectrum ratios must be >= 1, got log alphas "
+                         f"{log_alpha1} and {log_alpha2}")
     (vd1, cd1), (vd2, cd2) = params1, params2
     r1, m1 = _ldpc_design(n, vd1, cd1, q1)
     r2, m2 = _ldpc_design(n, vd2, cd2, q2)
@@ -1096,8 +1101,7 @@ def ldpc_rcu_mac(mac: MacModel, quantizers, n: int, params1, params2,
                 f"every active coordinate; coordinate {j} has none"
             )
     power = 2.0 if same_coset else 1.0
-    log_alphas = _per_event((power * math.log(alpha1),
-                             power * math.log(alpha2)))
+    log_alphas = _per_event((power * log_alpha1, power * log_alpha2))
     log_m1 = math.log(q1) * (n - r1)
     log_m2 = math.log(q2) * (n - r2)
     log_scales = (_per_event((log_m1, log_m2)) + log_alphas + np.log(prefs)

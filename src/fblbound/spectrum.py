@@ -35,8 +35,7 @@ from .gfq import field_from_order
 # enumerator; dense per-type table size.
 _LATTICE_GUARD = 20_000_000
 _TABLE_GUARD = 2_000_000
-_LSE_TOL = 1e-10  # inner-infimum gradient tolerance, relative to rho
-_LSE_RESTARTS = 10  # descent starts of the inner infimum
+_LSE_TOL = 1e-10  # Newton stops at this gradient norm, relative to rho
 _JSIGMA_CAP = 200_000  # rate-offset types at full lattice resolution
 _SLAB_ENTRIES = 1 << 16  # residue entries powered at once; kept cache-sized
 _INT64_MAX = (1 << 63) - 1  # residue sums are reduced before passing it
@@ -239,105 +238,51 @@ def _cached_check_poly(q, num_users, rho) -> CheckPolynomial:
 # asymptotic sparse-graph exponent
 
 def _minimize_lse_affine(log_c, tmat, target, scale, floor):
-    """Minimize lse(log_c + T u) - <target, u>; convex in u.
+    """Minimize the convex lse(log_c + T u) - <target, u> by damped Newton
+    steps from u = 0, halving each step until the objective does not rise.
 
-    Returns the best objective found, or -inf once the objective drops
-    below `floor` (the target lies outside the achievable hull).  Any
-    start whose gradient norm reaches _LSE_TOL*scale is a global minimum
-    by convexity, so the search returns immediately at that point."""
-    _, dim = tmat.shape
+    Returns the objective once the gradient norm reaches _LSE_TOL*scale,
+    a global minimum by convexity, or -inf once the objective drops below
+    `floor` (the target lies outside the achievable hull).  Raises
+    ArithmeticError when the line search stalls or 60 steps do not
+    converge, rather than return a value that is not the minimum."""
+    dim = tmat.shape[1]
     goal = _LSE_TOL * scale
 
-    def fgrad(u):
+    def value(u):
+        # objective and the softmax weights of the terms
         w = log_c + tmat @ u
         wm = w.max()
         e = np.exp(w - wm)
         s = e.sum()
-        return wm + math.log(s) - float(target @ u), (tmat.T @ e) / s - target
+        return wm + math.log(s) - float(target @ u), e / s
 
-    def fval(u):
-        w = log_c + tmat @ u
-        wm = w.max()
-        return wm + math.log(np.exp(w - wm).sum()) - float(target @ u)
-
-    def descend(u, f, g, iters, check_goal=True):
-        # backtracking gradient steps; returns (u, f, g, hit_floor)
-        step = 1.0
-        for _ in range(iters):
-            if f < floor:
-                return u, f, g, True
-            gn2 = float(g @ g)
-            if check_goal and math.sqrt(gn2) <= goal:
-                return u, f, g, False
-            while step >= 1e-18:
-                un = u - step * g
-                fn = fval(un)
-                if fn <= f - 0.5 * step * gn2:
-                    break
-                step *= 0.5
-            if step < 1e-18:
-                return u, f, g, False
-            u = un
-            f, g = fgrad(u)
-            step = min(step * 2.0, 1e8)
-        return u, f, g, False
-
-    def polish(u, f):
-        # damped Newton; the Hessian is tiny (dim <= |Q|)
-        for _ in range(60):
-            w = log_c + tmat @ u
-            wm = w.max()
-            e = np.exp(w - wm)
-            prob = e / e.sum()
-            g = tmat.T @ prob - target
-            if math.sqrt(float(g @ g)) <= goal:
-                return u, f, g, True
-            hess = tmat.T @ (prob[:, None] * tmat) - np.outer(
-                tmat.T @ prob, tmat.T @ prob
-            )
-            hess = hess + 1e-12 * np.eye(dim)
-            try:
-                delta = np.linalg.solve(hess, g)
-            except np.linalg.LinAlgError:
-                return u, f, g, False
-            damp = 1.0
-            while damp >= 1e-12:
-                fn = fval(u - damp * delta)
-                if math.isfinite(fn) and fn <= f + 1e-15:
-                    break
-                damp *= 0.5
-            if damp < 1e-12:
-                return u, f, g, False
-            u = u - damp * delta
-            f = fn
-        g = fgrad(u)[1]
-        return u, f, g, math.sqrt(float(g @ g)) <= goal
-
-    rng = np.random.default_rng(0)
-    best = math.inf
-    for start in range(_LSE_RESTARTS):
-        u = np.zeros(dim) if start == 0 else rng.normal(0.0, 2.0, size=dim)
-        f, g = fgrad(u)
-        u, f, g, hit = descend(u, f, g, 250)
-        if hit:
-            return -math.inf
-        u, f, g, converged = polish(u, f)
+    u = np.zeros(dim)
+    f, prob = value(u)
+    for _ in range(60):
         if f < floor:
             return -math.inf
-        if converged:
+        mean = tmat.T @ prob
+        g = mean - target
+        if math.sqrt(float(g @ g)) <= goal:
             return f
-        # no stationary point found: either a hard line search or an
-        # unreachable target; push hard along the gradient to find out
-        u, f, g, hit = descend(u, f, g, 4000, check_goal=True)
-        if hit or f < floor:
-            return -math.inf
-        u, f, g, converged = polish(u, f)
-        if f < floor:
-            return -math.inf
-        if converged:
-            return f
-        best = min(best, f)
-    return best
+        # the Hessian is tiny (dim <= |Q|); the ridge keeps it invertible
+        hess = (tmat.T @ (prob[:, None] * tmat) - np.outer(mean, mean)
+                + 1e-12 * np.eye(dim))
+        delta = np.linalg.solve(hess, g)
+        damp = 1.0
+        while damp >= 1e-12:
+            fn, pn = value(u - damp * delta)
+            if math.isfinite(fn) and fn <= f + 1e-15:
+                break
+            damp *= 0.5
+        else:
+            raise ArithmeticError(
+                f"inner infimum: Newton line search stalled at f = {float(f)}")
+        u, f, prob = u - damp * delta, fn, pn
+    raise ArithmeticError(
+        f"inner infimum: no stationary point in 60 Newton steps "
+        f"(f = {float(f)})")
 
 
 def ldpc_spectrum_exponent(theta, var_degree: int, check_degree: int,

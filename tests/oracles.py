@@ -10,7 +10,9 @@ relaxed, by joint-type enumeration with one dict convolution per letter
 (the slow route that the y-type and information-density routes of
 ``fblbound.fbl`` replace), and the two-binomial closed form of the BSC.
 The powered check enumerator is a big-integer dict convolution, the
-route that ``fblbound.spectrum``'s residue powering replaces.
+route that ``fblbound.spectrum``'s residue powering replaces, and the
+spectrum exponent's inner infimum has the gradient/restart solver that
+its damped Newton loop replaces.
 """
 
 import bisect
@@ -281,6 +283,115 @@ def poly_power_dict(coeffs, num_checks):
                 nxt[key] = nxt.get(key, 0) + ca * cb
         cur = nxt
     return cur
+
+
+# tolerance and descent starts of the restart solver's inner infimum
+_LSE_TOL = 1e-10
+_LSE_RESTARTS = 10
+
+
+def minimize_lse_affine_restarts(log_c, tmat, target, scale, floor):
+    """Minimize lse(log_c + T u) - <target, u>; convex in u.  The
+    gradient-descent, Newton-polish and random-restart search that
+    ``fblbound.spectrum._minimize_lse_affine``'s Newton loop replaces.
+
+    Returns the best objective found, or -inf once the objective drops
+    below `floor` (the target lies outside the achievable hull).  Any
+    start whose gradient norm reaches _LSE_TOL*scale is a global minimum
+    by convexity, so the search returns immediately at that point."""
+    _, dim = tmat.shape
+    goal = _LSE_TOL * scale
+
+    def fgrad(u):
+        w = log_c + tmat @ u
+        wm = w.max()
+        e = np.exp(w - wm)
+        s = e.sum()
+        return wm + math.log(s) - float(target @ u), (tmat.T @ e) / s - target
+
+    def fval(u):
+        w = log_c + tmat @ u
+        wm = w.max()
+        return wm + math.log(np.exp(w - wm).sum()) - float(target @ u)
+
+    def descend(u, f, g, iters, check_goal=True):
+        # backtracking gradient steps; returns (u, f, g, hit_floor)
+        step = 1.0
+        for _ in range(iters):
+            if f < floor:
+                return u, f, g, True
+            gn2 = float(g @ g)
+            if check_goal and math.sqrt(gn2) <= goal:
+                return u, f, g, False
+            while step >= 1e-18:
+                un = u - step * g
+                fn = fval(un)
+                if fn <= f - 0.5 * step * gn2:
+                    break
+                step *= 0.5
+            if step < 1e-18:
+                return u, f, g, False
+            u = un
+            f, g = fgrad(u)
+            step = min(step * 2.0, 1e8)
+        return u, f, g, False
+
+    def polish(u, f):
+        # damped Newton; the Hessian is tiny (dim <= |Q|)
+        for _ in range(60):
+            w = log_c + tmat @ u
+            wm = w.max()
+            e = np.exp(w - wm)
+            prob = e / e.sum()
+            g = tmat.T @ prob - target
+            if math.sqrt(float(g @ g)) <= goal:
+                return u, f, g, True
+            hess = tmat.T @ (prob[:, None] * tmat) - np.outer(
+                tmat.T @ prob, tmat.T @ prob
+            )
+            hess = hess + 1e-12 * np.eye(dim)
+            try:
+                delta = np.linalg.solve(hess, g)
+            except np.linalg.LinAlgError:
+                return u, f, g, False
+            damp = 1.0
+            while damp >= 1e-12:
+                fn = fval(u - damp * delta)
+                if math.isfinite(fn) and fn <= f + 1e-15:
+                    break
+                damp *= 0.5
+            if damp < 1e-12:
+                return u, f, g, False
+            u = u - damp * delta
+            f = fn
+        g = fgrad(u)[1]
+        return u, f, g, math.sqrt(float(g @ g)) <= goal
+
+    rng = np.random.default_rng(0)
+    best = math.inf
+    for start in range(_LSE_RESTARTS):
+        u = np.zeros(dim) if start == 0 else rng.normal(0.0, 2.0, size=dim)
+        f, g = fgrad(u)
+        u, f, g, hit = descend(u, f, g, 250)
+        if hit:
+            return -math.inf
+        u, f, g, converged = polish(u, f)
+        if f < floor:
+            return -math.inf
+        if converged:
+            return f
+        # no stationary point found: either a hard line search or an
+        # unreachable target; push hard along the gradient to find out
+        u, f, g, hit = descend(u, f, g, 4000, check_goal=True)
+        if hit or f < floor:
+            return -math.inf
+        u, f, g, converged = polish(u, f)
+        if f < floor:
+            return -math.inf
+        if converged:
+            return f
+        best = min(best, f)
+    return best
 
 
 def e0_event(w, probs, event, rho):

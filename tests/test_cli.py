@@ -19,8 +19,8 @@ from fblbound import GuardError
 from fblbound.channel import (DmcModel, InputPmf, binary_adder_mac, bsc,
                               make_quantizer, noiseless)
 from fblbound.cli import (CSV_HEADER, ConfigError, cmd_achieve, cmd_compare,
-                          cmd_exponent, cmd_report_schema, cmd_rcu,
-                          cmd_simulate, cmd_spectrum, main)
+                          cmd_exponent, cmd_report_schema, cmd_simulate,
+                          cmd_spectrum, main)
 from fblbound.exponent import kmac_exponent_bound, two_mac_exponent_bound
 from fblbound.fbl import rcu_exact_ppc, rcu_mac, rcu_relaxed_ppc
 from fblbound.gfq import _find_reduction_poly, field_from_order

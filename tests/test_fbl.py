@@ -299,6 +299,14 @@ def test_huge_message_counts_saturate():
             assert r.value == pytest.approx(1.0, abs=1e-12)
 
 
+def test_saturated_exact_bound_reads_exactly_one():
+    # the y-type law's weights are divided by their sum, which rounding
+    # left 9.4e-15 short of 1
+    r = rcu_exact_ppc(bsc("11/100"), InputPmf.uniform(2), 40, 2 ** 1100)
+    assert r.value == 1.0
+    assert r.components["union_bound"] == 1.0
+
+
 # 13 channels x 3 input pmfs against the joint-type oracle: tie-heavy
 # noiseless, erasure, Z and useless channels, symmetric and asymmetric
 # ones, rational and float entries
@@ -942,7 +950,7 @@ def test_ldpc_rcu_mac_matches_joint_type_oracle(mac, quants):
             _mac_log_scales(mac, p1, p2, n, log_ms))
         # the penalised parallel-BSC sums saturate; the plain ones do not
         assert want < 1.0 or a1 > 1.0
-        rep = ldpc_rcu_mac(mac, quants, n, params, params, a1, a2)
+        rep = ldpc_rcu_mac(mac, quants, n, params, params, la1, la2)
         assert _rel_close(rep.value, want)
 
 
@@ -950,8 +958,20 @@ def test_ldpc_rcu_mac_runs_past_the_joint_type_lattice():
     # 8 cells but 2 distinct i-vectors: 25 law points at n = 24, where the
     # joint-type lattice has C(31, 7) = 2,629,575 points
     quants = (_binary_quantizer(), _binary_quantizer())
-    rep = ldpc_rcu_mac(xor_mac(), quants, 24, (3, 4), (3, 4), 1.5, 2.5)
+    rep = ldpc_rcu_mac(xor_mac(), quants, 24, (3, 4), (3, 4),
+                       math.log(1.5), math.log(2.5))
     assert 0.0 < rep.value < 1.0
+
+
+def test_ldpc_rcu_mac_takes_penalties_past_the_float_range():
+    # ln alpha = 812.5, the (3, 5) ensemble's penalty at n = 2000, has no
+    # float alpha; as a log it folds into the message counts
+    quants = (_binary_quantizer(), _binary_quantizer())
+    rep = ldpc_rcu_mac(xor_mac(), quants, 2000, (3, 5), (3, 5), 812.5, 812.5)
+    assert rep.value == 1.0
+    assert rep.components["log_penalty_vector"] == (812.5, 812.5, 1625.0)
+    with pytest.raises(ValueError, match="spectrum ratios"):
+        ldpc_rcu_mac(xor_mac(), quants, 20, (3, 5), (3, 5), -0.1, 0.0)
 
 
 def test_ldpc_rcu_mac_information_density_guard():
@@ -966,11 +986,10 @@ def test_ldpc_rcu_mac_information_density_guard():
 def test_ldpc_rcu_mac_same_coset_doubles_log_penalties():
     mac = parallel_bsc_mac("1/10", "1/4")
     quants = (_binary_quantizer(), _binary_quantizer())
-    a1, a2 = 1.5, 2.5
-    sep = ldpc_rcu_mac(mac, quants, 4, (3, 6), (3, 6), a1, a2)
-    shared = ldpc_rcu_mac(mac, quants, 4, (3, 6), (3, 6), a1, a2,
+    la1, la2 = math.log(1.5), math.log(2.5)
+    sep = ldpc_rcu_mac(mac, quants, 4, (3, 6), (3, 6), la1, la2)
+    shared = ldpc_rcu_mac(mac, quants, 4, (3, 6), (3, 6), la1, la2,
                           same_coset=True)
-    la1, la2 = math.log(a1), math.log(a2)
     assert sep.components["log_penalty_vector"] == pytest.approx(
         (la1, la2, la1 + la2))
     assert shared.components["log_penalty_vector"] == pytest.approx(
@@ -984,7 +1003,8 @@ def test_ldpc_rcu_mac_pinned():
     xor = MacModel.from_rows([[["99/100", "1/100"], ["1/100", "99/100"]],
                               [["1/100", "99/100"], ["99/100", "1/100"]]])
     quants = (_binary_quantizer(), _binary_quantizer())
-    rep = ldpc_rcu_mac(xor, quants, 12, (3, 4), (3, 4), 1.5, 2.5)
+    rep = ldpc_rcu_mac(xor, quants, 12, (3, 4), (3, 4),
+                       math.log(1.5), math.log(2.5))
     assert rep.value == pytest.approx(0.5585417649485457, rel=1e-12)
     assert rep.components["log_num_messages"] == pytest.approx(
         (3 * LN2, 3 * LN2), rel=1e-12)

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from fblbound import GuardError
 from fblbound.gfq import (
-    FieldSpec,
     GfMatrix,
     field_from_order,
     make_field,

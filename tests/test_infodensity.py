@@ -14,7 +14,6 @@ from fblbound.channel import (
 )
 from fblbound.infodensity import (
     BERRY_ESSEEN_C0,
-    MomentSet,
     _check_sizes,
     _event_tables,
     mac_moments,

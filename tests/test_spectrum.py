@@ -208,6 +208,86 @@ def test_ldpc_exponent_bad_theta():
         sp.ldpc_spectrum_exponent([0.9, 0.2], 3, 6, 2, 1)
 
 
+# (q, K, lam, rho): the callers' ensembles, odd check degrees whose
+# all-ones targets are unreachable, and the (2,1,3,240) lattice of the
+# rate-offset sweeps
+EXPONENT_GRID = [
+    (4, 1, 3, 6), (2, 2, 3, 6), (2, 1, 3, 6), (3, 1, 3, 6), (2, 1, 4, 5),
+    (2, 1, 3, 240), (2, 1, 3, 3), (2, 1, 2, 4), (4, 1, 2, 4), (2, 2, 2, 4),
+    (3, 1, 2, 3), (2, 1, 3, 18),
+]
+
+
+def _exponent_thetas(q, k, rho):
+    """Equal-split curves over the zero share, random thetas with zeros
+    and, for one binary user, the half-lattice points j/(2 rho): (4,5)
+    reaches the hull face at theta = (0.2, 0.8) and leaves the hull at
+    (0.1, 0.9)."""
+    qk = q ** k
+    out = [np.r_[t0, np.full(qk - 1, (1.0 - t0) / (qk - 1))]
+           for t0 in np.linspace(0.0, 1.0, 11)]
+    rng = np.random.default_rng(rho * qk)
+    for _ in range(8):
+        th = rng.dirichlet(np.ones(qk)) * (rng.random(qk) >= 0.3)
+        out.append(th / th.sum() if th.any() else np.eye(qk)[0])
+    if qk == 2:
+        steps = np.arange(0, 2 * rho + 1, max(1, rho // 10))
+        out += [np.array([1.0 - w, w]) for w in steps / (2 * rho)]
+    return out
+
+
+def _assert_same_exponents(got, want):
+    for g, w in zip(got, want, strict=True):
+        if w == -math.inf:
+            assert g == -math.inf
+        else:
+            assert g == pytest.approx(w, rel=1e-9)
+
+
+@pytest.mark.parametrize("q,k,lam,rho", EXPONENT_GRID)
+def test_ldpc_exponent_matches_restart_oracle(monkeypatch, q, k, lam, rho):
+    thetas = _exponent_thetas(q, k, rho)
+    got = [sp.ldpc_spectrum_exponent(th, lam, rho, q, k) for th in thetas]
+    monkeypatch.setattr(sp, "_minimize_lse_affine",
+                        oracles.minimize_lse_affine_restarts)
+    want = [sp.ldpc_spectrum_exponent(th, lam, rho, q, k) for th in thetas]
+    _assert_same_exponents(got, want)
+
+
+def test_ldpc_exponent_hull_face_and_outside():
+    face = sp.ldpc_spectrum_exponent([0.2, 0.8], 4, 5, 2, 1)
+    assert math.isfinite(face)
+    assert sp.ldpc_spectrum_exponent([0.1, 0.9], 4, 5, 2, 1) == -math.inf
+
+
+@pytest.mark.parametrize("args", [
+    (36, 3, 18, 0.1, 2, 1), (24, 3, 6, 0.1, 2, 1), (12, 3, 6, 0.1, 2, 2),
+    (100, 3, 30, 0.1, 2, 1),
+])
+def test_rate_offset_infima_match_restart_oracle(monkeypatch, args):
+    calls = []
+    newton = sp._minimize_lse_affine
+
+    def record(*problem):
+        calls.append(problem)
+        return newton(*problem)
+
+    monkeypatch.setattr(sp, "_minimize_lse_affine", record)
+    sp.rate_offset_decomposition(*args)
+    assert calls
+    _assert_same_exponents(
+        [newton(*c) for c in calls],
+        [oracles.minimize_lse_affine_restarts(*c) for c in calls])
+
+
+def test_lse_newton_refuses_to_stop_short():
+    # a target outside the hull with no floor to stop at runs the Newton
+    # loop to its cap, which raises instead of returning where it stopped
+    with pytest.raises(ArithmeticError, match="60 Newton steps"):
+        sp._minimize_lse_affine(np.zeros(2), np.array([[0.0], [1.0]]),
+                                np.array([1.5]), 1.0, -math.inf)
+
+
 # ---------------------------------------------------------------------------
 # finite-n spectrum
 
