@@ -366,14 +366,3 @@ def bsc(crossover) -> DmcModel:
 def noiseless(n: int) -> DmcModel:
     eye = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
     return DmcModel.from_rows(eye)
-
-
-def binary_adder_mac() -> MacModel:
-    """Y = X1 + X2 over the integers: inputs {0,1}^2, outputs {0,1,2}."""
-    one = Fraction(1)
-    zero = Fraction(0)
-    rows = [
-        [[one, zero, zero], [zero, one, zero]],
-        [[zero, one, zero], [zero, zero, one]],
-    ]
-    return MacModel.from_rows(rows)

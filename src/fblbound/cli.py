@@ -28,13 +28,13 @@ from . import GuardError
 from .channel import InputPmf, MacModel, channel_from_json, make_quantizer
 from .exponent import (expurgated_bound, exponent_rate_bound,
                        kmac_exponent_bound, two_mac_exponent_bound)
-from .fbl import (_SEED_LIMIT, WindowError, _exp_or_inf, achievable_logM_ppc,
-                  ldpc_rcu_ppc, q_inv, rcu_exact_ppc, rcu_mac, rcu_mc_ppc,
-                  rcu_relaxed_ppc, scaling_table)
+from .fbl import (_SEED_LIMIT, WindowError, _exp_or_inf, _keyed_rng,
+                  achievable_logM_ppc, ldpc_rcu_ppc, q_inv, rcu_exact_ppc,
+                  rcu_mac, rcu_mc_ppc, rcu_relaxed_ppc, scaling_table)
 from .gfq import field_from_order
 from .infodensity import ppc_moments
-from .simulator import (_ENUM_GUARD, actual_rate_stats, enumerate_codebook,
-                        min_distance, sample_graph, simulate_error)
+from .simulator import (_ENUM_GUARD, Codebook, _chunks, _sample_codes,
+                        actual_rate_stats, min_distance, simulate_error)
 from .spectrum import (SpectrumTable, alpha_log, expurgate_spectrum,
                        ldpc_spectrum_exponent, ldpc_spectrum_table,
                        uniform_spectrum_exponent)
@@ -387,7 +387,10 @@ def cmd_simulate(channel_path: str, q: int, var_degree: int,
     The rate-gap statistics read exactly the codes behind eps_hat (for a
     MAC, user 1's graph of each trial).  The minimum-distance histogram is
     taken over fresh draws from the same ensemble, seeded from the same
-    seed; it describes the ensemble, not the particular error run."""
+    seed; it describes the ensemble, not the particular error run.  Code
+    t of user j < K draws its graph from ``_keyed_rng(s)`` and its trim
+    from ``_keyed_rng(s, 1)``, s = K ((seed 1_000_003 + t) mod 2^62) + j;
+    the codes of consecutive trials are sampled as one stack."""
     _check_seed(seed)
     channel = _load_channel(channel_path)
     is_mac = isinstance(channel, MacModel)
@@ -407,28 +410,20 @@ def cmd_simulate(channel_path: str, q: int, var_degree: int,
                             quantizers, codes, noise, seed,
                             same_coset=same_coset)
     rate = 1.0 - var_degree / check_degree
+    users = 2 if is_mac else 1
     hist: dict[str, int] = {}
-    for t in range(codes):
-        base = (seed * 1_000_003 + t) % (1 << 62)
-        if is_mac:
-            books = tuple(
-                enumerate_codebook(
-                    sample_graph(n, var_degree, check_degree, field,
-                                 2 * base + j),
-                    rate, 2 * base + j)
-                for j in range(2)
-            )
+    shape = (n, var_degree, check_degree)
+    for chunk in _chunks(codes, shape, users, q ** round(n * rate)):
+        seeds = [users * ((seed * 1_000_003 + t) % (1 << 62)) + j
+                 for t in chunk for j in range(users)]
+        words = _sample_codes(shape, field, [_keyed_rng(s) for s in seeds],
+                              rate, [_keyed_rng(s, 1) for s in seeds])[1]
+        for lo in range(0, len(words), users):
+            books = tuple(Codebook(field, w) for w in words[lo:lo + users])
             if any(b.size < 2 for b in books):
                 continue
-            d = min_distance(books)
-        else:
-            cb = enumerate_codebook(
-                sample_graph(n, var_degree, check_degree, field, base),
-                rate, base)
-            if cb.size < 2:
-                continue
-            d = min_distance(cb)
-        hist[str(d)] = hist.get(str(d), 0) + 1
+            d = min_distance(books if is_mac else books[0])
+            hist[str(d)] = hist.get(str(d), 0) + 1
     gap = actual_rate_stats((n, var_degree, check_degree, q), codes, seed)
     return {
         "eps_hat": report.value,

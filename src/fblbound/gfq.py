@@ -198,8 +198,8 @@ class FieldSpec:
     def _from_digits(self, d):
         """Field elements from base-p digits along the last axis
         (little-endian)."""
-        out = np.zeros(d.shape[:-1], dtype=np.int64)
-        for i in range(self.m - 1, -1, -1):
+        out = d[..., -1]
+        for i in range(self.m - 2, -1, -1):
             out = out * self.p + d[..., i]
         return out
 
@@ -282,10 +282,14 @@ def field_from_order(q: int) -> FieldSpec:
 
 @dataclass
 class GfMatrix:
-    """A dense matrix over a finite field, entries as integers in [0, q)."""
+    """A dense matrix over a finite field, entries as integers in [0, q).
+
+    With ``blocks`` > 1, ``data`` stacks that many matrices of equal height,
+    one above the next; ``mat_vec`` then multiplies each of them."""
 
     field: FieldSpec
     data: np.ndarray
+    blocks: int = 1
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=np.int64)
@@ -293,6 +297,8 @@ class GfMatrix:
             raise ValueError(f"matrix must be 2-d, got shape {self.data.shape}")
         if np.any(self.data < 0) or np.any(self.data >= self.field.q):
             raise ValueError("matrix entries outside [0, q)")
+        if self.blocks < 1 or self.data.shape[0] % self.blocks:
+            raise ValueError(f"{self.blocks} blocks do not split the rows")
 
     @property
     def shape(self):
@@ -308,50 +314,58 @@ class GfMatrix:
         return out
 
 
-def rank_and_nullspace(mat: GfMatrix) -> tuple[int, np.ndarray]:
-    """Row-reduce ``mat`` and return (rank, nullspace basis).
+def rank_and_nullspace(mat: GfMatrix):
+    """Row-reduce each matrix of the stack ``mat``; return (rank, basis).
 
-    The elimination always pivots on the first row with a nonzero entry in the
-    current column (scanning top to bottom), which makes the reduced form, and
-    hence the returned basis, deterministic.  Each pivot clears its column in
-    every other row with one whole-array row operation; the other rows'
-    updates depend only on the pivot row, so the reduced form is the one a
-    row-by-row elimination reaches.
-
-    Returns
-    -------
-    rank:
-        Rank of the matrix over GF(q).
-    basis:
-        Array of shape (cols - rank, cols); rows form a basis of the right
-        nullspace, each satisfying ``mat.mat_vec(row) == 0``.
-    """
+    The ``mat.blocks`` matrices are reduced in one pass over the columns.
+    Each keeps its own row pointer and pivots on its first row with a
+    nonzero entry in the column at or below it, which makes its reduced
+    form, and hence its basis, deterministic; a pivot clears its column
+    only in the rows where the column is nonzero, so each reduced form is
+    the one a row-by-row elimination reaches.  A single matrix gives its
+    rank and a (cols - rank, cols) array whose rows span the right
+    nullspace (``mat.mat_vec(row) == 0``); a stack gives an array of ranks
+    and a (blocks, cols - min(rank), cols) array whose block b holds its
+    cols - rank[b] basis rows, then zero rows."""
     f = mat.field
-    a = mat.data.copy()
-    rows, cols = a.shape
-    pivot_cols: list[int] = []
-    r = 0
+    cols = mat.data.shape[1]
+    a = mat.data.reshape(mat.blocks, -1, cols).astype(
+        np.uint8 if f.q == 2 else np.int64)
+    stack, rows = a.shape[:2]
+    rank = np.zeros(stack, dtype=np.int64)  # also each block's pivot row
+    is_pivot = np.zeros((stack, cols), dtype=bool)
     for c in range(cols):
-        if r >= rows:
-            break
-        nz = np.flatnonzero(a[r:, c])
-        if nz.size == 0:
+        below = (a[:, :, c] != 0) & (np.arange(rows) >= rank[:, None])
+        b = np.flatnonzero(below.any(axis=1))
+        if b.size == 0:
             continue
-        pr = r + int(nz[0])
-        if pr != r:
-            a[[r, pr]] = a[[pr, r]]
-        a[r] = f.mul(a[r], f.inv(int(a[r, c])))
-        hit = a[:, c] != 0
-        hit[r] = False
-        if hit.any():
-            a[hit] = f.sub(a[hit], f.mul(a[hit, c][:, None], a[r][None, :]))
-        pivot_cols.append(c)
-        r += 1
-    rank = len(pivot_cols)
-    is_free = np.ones(cols, dtype=bool)
-    is_free[pivot_cols] = False
-    free_cols = np.flatnonzero(is_free)
-    basis = np.zeros((free_cols.size, cols), dtype=np.int64)
-    basis[np.arange(free_cols.size), free_cols] = 1
-    basis[:, pivot_cols] = f.neg(a[:rank][:, free_cols].T)
-    return rank, basis
+        r, src = rank[b], below[b].argmax(axis=1)
+        top = a[b, src]
+        a[b, src] = a[b, r]
+        a[b, r] = f.mul(top, f.inv(top[:, c])[:, None])
+        hit = a[b, :, c] != 0
+        hit[np.arange(b.size), r] = False
+        hb, hr = np.nonzero(hit)
+        # rows at or below a pivot row are zero left of its column
+        bb, piv = b[hb], a[b[hb], r[hb], c:]
+        if f.q == 2:
+            a[bb, hr, c:] ^= piv
+        else:
+            a[bb, hr, c:] = f.sub(a[bb, hr, c:],
+                                  f.mul(a[bb, hr, c][:, None], piv))
+        is_pivot[b, c] = True
+        rank[b] += 1
+        if rank.min() == rows:
+            break
+    # basis row s of a block belongs to its s-th free column; the rows
+    # past its nullity take pivot columns here and are zeroed below
+    k = int((cols - rank).max())
+    free = np.argsort(is_pivot, axis=1, kind="stable")[:, :k]
+    basis = np.zeros((stack, k, cols), dtype=np.int64)
+    basis[np.arange(stack)[:, None], np.arange(k), free] = 1
+    pb, pc = np.nonzero(is_pivot)  # block b's i-th pivot column is row i's
+    pr = np.arange(pb.size) - np.repeat(np.cumsum(rank) - rank, rank)
+    basis[pb[:, None], np.arange(k), pc[:, None]] = f._neg_t[
+        a[pb[:, None], pr[:, None], free[pb]]]
+    basis[np.arange(k) >= cols - rank[:, None]] = 0
+    return (int(rank[0]), basis[0]) if mat.blocks == 1 else (rank, basis)

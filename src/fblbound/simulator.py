@@ -16,6 +16,7 @@ results are reproducible and trials are isolated.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -27,8 +28,11 @@ from .gfq import FieldSpec, GfMatrix, field_from_order, rank_and_nullspace
 from .spectrum import SpectrumTable, type_compositions
 
 _ENUM_GUARD = 1 << 20
+_TUPLE_GUARD = 1_000_000  # codeword pairs of a two-user spectrum trial
 _PAIR_OPS_GUARD = 10 ** 9
 _PAIR_BLOCK = 1 << 22  # entries per block: pair scan, likelihood table
+# entries per elimination stack, and per chunk of codebooks held at once
+_STACK_ENTRIES = 1 << 16
 _TIE_ATOL = 1e-9
 _LOG_ZERO = -1e30  # stand-in for log 0; keeps impossible words out of ties
 _WILSON_Z = 1.96
@@ -54,13 +58,7 @@ class TannerGraph:
         object.__setattr__(self, "perm", np.asarray(self.perm, dtype=np.int64))
         object.__setattr__(self, "labels",
                            np.asarray(self.labels, dtype=np.int64))
-        if self.var_degree < 2:
-            raise ValueError("need var_degree >= 2")
-        if (self.n * self.var_degree) % self.check_degree != 0:
-            raise ValueError(
-                f"n var_degree must be a multiple of check_degree: "
-                f"{self.n} * {self.var_degree} / {self.check_degree}"
-            )
+        _check_degrees(self.n, self.var_degree, self.check_degree)
         m = self.n * self.var_degree
         if self.perm.shape != (m,) or not np.array_equal(
             np.sort(self.perm), np.arange(m)
@@ -80,43 +78,39 @@ class TannerGraph:
         return self.n * self.var_degree
 
     def check_matrix(self) -> GfMatrix:
-        """Parity-check matrix: socket s of variable s // var_degree lands
-        in check perm[s] // check_degree; parallel edges add labels."""
-        sockets = np.arange(self.num_sockets)
-        var_idx = sockets // self.var_degree
-        chk_idx = self.perm // self.check_degree
-        h = np.zeros((self.num_checks, self.n), dtype=np.int64)
-        if self.field.m == 1:
-            np.add.at(h, (chk_idx, var_idx), self.labels)
-            h %= self.field.p
-        else:
-            for s in range(self.num_sockets):
-                c, v = int(chk_idx[s]), int(var_idx[s])
-                h[c, v] = int(self.field.add(h[c, v], int(self.labels[s])))
-        return GfMatrix(self.field, h)
+        """Parity-check matrix (see ``_check_stack``)."""
+        return GfMatrix(self.field, _check_stack(
+            self.n, self.var_degree, self.check_degree, self.field,
+            self.perm[None, :], self.labels[None, :])[0])
+
+
+def _check_degrees(n, var_degree, check_degree):
+    if var_degree < 2:
+        raise ValueError("need var_degree >= 2")
+    if (n * var_degree) % check_degree != 0:
+        raise ValueError(f"n var_degree must be a multiple of check_degree: "
+                         f"{n} * {var_degree} / {check_degree}")
+
+
+def _check_stack(n, var_degree, check_degree, field, perms, labels):
+    """(graphs, checks, n) parity-check matrices, one per row of ``perms``
+    and ``labels``: socket s of variable s // var_degree lands in check
+    perm[s] // check_degree; parallel edges add labels (digitwise mod p)."""
+    graphs, sockets = perms.shape
+    digits = np.zeros((graphs, sockets // check_degree, n, field.m),
+                      dtype=np.int64)
+    np.add.at(digits, (np.arange(graphs)[:, None], perms // check_degree,
+                       np.arange(sockets)[None, :] // var_degree),
+              field._digit[labels])
+    return field._from_digits(np.remainder(digits, field.p, out=digits))
 
 
 def sample_graph(n: int, var_degree: int, check_degree: int,
                  field: FieldSpec, seed: int) -> TannerGraph:
     """Uniform socket permutation and uniform nonzero labels."""
-    rng = _keyed_rng(seed)
-    return _sample_graph(n, var_degree, check_degree, field, rng)
-
-
-def _sample_graph(n, var_degree, check_degree, field, rng) -> TannerGraph:
-    if (n * var_degree) % check_degree != 0:
-        raise ValueError(
-            f"n var_degree must be a multiple of check_degree: "
-            f"{n} * {var_degree} / {check_degree}"
-        )
-    m = n * var_degree
-    perm = rng.permutation(m)
-    if field.q == 2:
-        labels = np.ones(m, dtype=np.int64)
-    else:
-        labels = rng.integers(1, field.q, size=m)
-    return TannerGraph(n=n, var_degree=var_degree, check_degree=check_degree,
-                       field=field, perm=perm, labels=labels)
+    perms, labels = _sample_codes((n, var_degree, check_degree), field,
+                                  [_keyed_rng(seed)], words=False)[2]
+    return TannerGraph(n, var_degree, check_degree, field, perms[0], labels[0])
 
 
 @dataclass(frozen=True)
@@ -169,17 +163,16 @@ def _has_duplicate_rows(words: np.ndarray, q: int) -> bool:
     return bool(np.any(np.all(packed[1:] == packed[:-1], axis=1)))
 
 
-def _enumerate_nullspace(field: FieldSpec, basis: np.ndarray,
-                         n: int) -> np.ndarray:
-    """All field-linear combinations of the basis rows, coefficient of the
-    first row varying slowest."""
-    words = np.zeros((1, n), dtype=np.int64)
-    for row in basis:
-        layers = [words]
-        for coef in range(1, field.q):
-            shift = field.mul(coef, row)
-            layers.append(field.add(words, shift[None, :]))
-        words = np.concatenate(layers, axis=0)
+def _enumerate_nullspace(field: FieldSpec, basis: np.ndarray) -> np.ndarray:
+    """All field-linear combinations of the rows of each basis in the
+    (codes, k, n) stack ``basis``, coefficient of the first row varying
+    fastest: a (codes, q^k, n) array."""
+    words = np.zeros((basis.shape[0], 1, basis.shape[2]), dtype=np.int64)
+    for j in range(basis.shape[1]):
+        row = basis[:, j, None, :]
+        words = np.concatenate([words] + [
+            field.add(words, field.mul(coef, row))
+            for coef in range(1, field.q)], axis=1)
     return words
 
 
@@ -192,39 +185,77 @@ def enumerate_codebook(graph: TannerGraph, rate: float,
     design count; a uniform subset (keyed shuffle, without replacement)
     is kept.  The paper-level removal definition only fixes the ensemble
     average, so uniform subsampling is our realization of it."""
-    rng = _keyed_rng(seed, 1)
-    return Codebook(field=graph.field, words=_codebook_words(graph, rate, rng))
+    words = _sample_codes((graph.n, graph.var_degree, graph.check_degree),
+                          graph.field, [graph], rate, [_keyed_rng(seed, 1)])[1]
+    return Codebook(field=graph.field, words=words[0])
 
 
-def _codebook_words(graph, rate, rng) -> np.ndarray:
-    """The trimmed codewords of ``enumerate_codebook``, drawn from ``rng``."""
-    n, q = graph.n, graph.field.q
-    digits = n * rate
-    k = round(digits)
-    if abs(digits - k) > 1e-9 or k < 0:
-        raise ValueError(f"n rate must be a nonnegative integer, got {digits!r}")
-    num = q ** k
-    if num > _ENUM_GUARD:
-        raise GuardError(
-            f"codebook size q^(n rate) = {num} exceeds the {_ENUM_GUARD} "
-            f"exhaustive-enumeration guard"
-        )
-    rank, basis = rank_and_nullspace(graph.check_matrix())
-    if q ** (n - rank) > _ENUM_GUARD:
-        raise GuardError(
-            f"nullspace size q^{n - rank} exceeds the {_ENUM_GUARD} "
-            f"exhaustive-enumeration guard"
-        )
-    words = _enumerate_nullspace(graph.field, basis, n)
-    if num > words.shape[0]:
-        raise ValueError(
-            f"rate asks for {num} codewords but the nullspace holds "
-            f"{words.shape[0]}"
-        )
-    if num < words.shape[0]:
-        keep = rng.permutation(words.shape[0])[:num]
-        words = words[keep]
-    return words
+def _sample_codes(shape, field, rngs, rate=None, trim_rngs=None,
+                  words=True):
+    """Codes of one graph per entry of ``rngs``, reduced as one stack.
+
+    shape is (n, var_degree, check_degree).  Draws a uniform socket
+    permutation and uniform nonzero labels from each generator (a
+    TannerGraph entry stands for its own draw), reduces the check
+    matrices in one ``rank_and_nullspace`` call and enumerates each
+    nullspace; with ``trim_rngs``, code i keeps q^(n rate) words drawn
+    from trim_rngs[i] as ``enumerate_codebook`` describes.  Returns the
+    ranks, the word arrays (None with words=False) and the (perms,
+    labels) drawn."""
+    n, var_degree, check_degree = shape
+    q, m = field.q, n * var_degree
+    _check_degrees(n, var_degree, check_degree)
+    if trim_rngs is not None:
+        k = round(n * rate)
+        if abs(n * rate - k) > 1e-9 or k < 0:
+            raise ValueError(
+                f"n rate must be a nonnegative integer, got {n * rate!r}")
+        num = q ** k
+        if num > _ENUM_GUARD:
+            raise GuardError(f"codebook size q^(n rate) = {num} exceeds the "
+                             f"{_ENUM_GUARD} exhaustive-enumeration guard")
+    perms = np.empty((len(rngs), m), dtype=np.int64)
+    labels = np.ones((len(rngs), m), dtype=np.int64)
+    for i, rng in enumerate(rngs):
+        if isinstance(rng, TannerGraph):
+            perms[i], labels[i] = rng.perm, rng.labels
+        else:
+            perms[i] = rng.permutation(m)
+            labels[i] = rng.integers(1, q, size=m) if q > 2 else 1
+    h = _check_stack(n, var_degree, check_degree, field, perms, labels)
+    ranks, bases = rank_and_nullspace(
+        GfMatrix(field, h.reshape(-1, n), blocks=len(rngs)))
+    ranks, bases = np.atleast_1d(ranks), bases.reshape(len(rngs), -1, n)
+    if not words:
+        return ranks, None, (perms, labels)
+    nullity = n - ranks
+    for k in nullity.tolist():
+        if q ** k > _ENUM_GUARD:
+            raise GuardError(f"nullspace size q^{k} exceeds the "
+                             f"{_ENUM_GUARD} exhaustive-enumeration guard")
+    books = [None] * len(rngs)
+    for k in np.unique(nullity).tolist():  # codes of one nullity at once
+        idx = np.flatnonzero(nullity == k)
+        for i, book in zip(idx, _enumerate_nullspace(field, bases[idx, :k])):
+            books[i] = book
+    for i, book in enumerate(books if trim_rngs is not None else ()):
+        if num > book.shape[0]:
+            raise ValueError(f"rate asks for {num} codewords but the "
+                             f"nullspace holds {book.shape[0]}")
+        if num < book.shape[0]:
+            books[i] = book[trim_rngs[i].permutation(book.shape[0])[:num]]
+    return ranks, books, (perms, labels)
+
+
+def _chunks(count: int, shape, users: int, words: int) -> list[range]:
+    """Consecutive ranges over count trials, as many per range (at least
+    one) as fit _STACK_ENTRIES entries, where a trial holds users check
+    matrices of the given shape and users codebooks of ``words`` words;
+    a codebook counts four times (nullspace, words, coset words, inputs)."""
+    n, var_degree, check_degree = shape
+    entries = users * n * max(n * var_degree // check_degree, 4 * words)
+    step = max(1, _STACK_ENTRIES // entries)
+    return [range(lo, min(lo + step, count)) for lo in range(0, count, step)]
 
 
 def build_inputs(codebook: Codebook, coset_seed: int,
@@ -233,14 +264,10 @@ def build_inputs(codebook: Codebook, coset_seed: int,
 
     Two transmitters get independent cosets by using different seeds; the
     shared-coset variant reuses one seed for both."""
-    rng = _keyed_rng(coset_seed, 2)
-    return _build_inputs(codebook, quantizer, rng)
-
-
-def _build_inputs(codebook, quantizer, rng) -> Codebook:
     if quantizer.field.q != codebook.field.q:
         raise ValueError("quantizer field does not match the codebook field")
-    v = rng.integers(0, codebook.field.q, size=codebook.n)
+    v = _keyed_rng(coset_seed, 2).integers(0, codebook.field.q,
+                                            size=codebook.n)
     shifted = codebook.field.add(codebook.words, v[None, :])
     return replace(codebook, coset=v, quantizer=quantizer,
                    inputs=quantizer.apply(shifted))
@@ -310,7 +337,7 @@ def _ml_decide(ll, rng):
     top = ll.max(axis=1)
     tied = ll >= (top - _TIE_ATOL)[:, None]
     tied[top <= 0.5 * _LOG_ZERO] = True
-    n_tied = tied.sum(axis=1)
+    n_tied = np.count_nonzero(tied, axis=1)
     decoded = tied.argmax(axis=1)
     rows = np.flatnonzero(n_tied > 1)
     if rows.size:
@@ -318,7 +345,7 @@ def _ml_decide(ll, rng):
         pick = rng.integers(counts)
         # tied columns of the tied rows, row by row; row i's run starts
         # after the runs of the rows before it
-        cols = np.nonzero(tied[rows])[1]
+        cols = np.flatnonzero(tied[rows]) % tied.shape[1]
         decoded[rows] = cols[np.cumsum(counts) - counts + pick]
     return top, n_tied, decoded
 
@@ -403,41 +430,41 @@ def simulate_error(ensemble_params, channel, quantizers, trials_codes: int,
     realized = 0
     pessimistic = 0
     num_messages = None
-    for tc in range(trials_codes):
-        rng = _keyed_rng(seed, tc)
+    shape = (n, var_degree, check_degree)
+    for chunk in _chunks(trials_codes, shape, len(qzs), q ** round(n * rate)):
+        # per trial: user 1's graph, trim and coset, then user 2's, then
+        # the noise and tie-break draws, all from the trial's generator
+        rngs = [_keyed_rng(seed, tc) for tc in chunk]
         books = []
-        shared_v = None
+        cosets = None
         for qz in qzs:
-            graph = _sample_graph(n, var_degree, check_degree,
-                                  qz.field, rng)
-            words = _codebook_words(graph, rate, rng)
-            if same_coset and shared_v is not None:
-                v = shared_v
-            else:
-                v = rng.integers(0, q, size=n)
-                shared_v = v
-            shifted = qz.field.add(words, v[None, :])
-            books.append(Codebook(field=qz.field, words=words, coset=v,
-                                  quantizer=qz, inputs=qz.apply(shifted)))
-        cand = _candidates(channel, books if mac else books[0], n)
-        num_messages = cand.shape[0]
-        sent = rng.integers(num_messages, size=trials_noise)
-        ys = _sample_outputs(flat_w, cand[sent], rng)
-        gathered = logw[cand]
-        # row blocks, decided in row order: the tie-break draws of one
-        # whole-table call
-        rows = max(1, _PAIR_BLOCK // num_messages)
-        for lo in range(0, trials_noise, rows):
-            sent_b = sent[lo:lo + rows]
-            ll = _log_likelihoods(gathered, ys[lo:lo + rows])
-            top, n_tied, decoded = _ml_decide(ll, rng)
-            sent_ll = ll[np.arange(sent_b.size), sent_b]
-            realized += int(np.sum(decoded != sent_b))
-            # a bound counts the trial whenever any competitor reaches the
-            # transmitted word's likelihood
-            pessimistic += int(np.sum(
-                (top > sent_ll + _TIE_ATOL) | (n_tied > 1)
-            ))
+            words = _sample_codes(shape, qz.field, rngs, rate, rngs)[1]
+            if not (same_coset and cosets):
+                cosets = [rng.integers(0, q, size=n) for rng in rngs]
+            books.append([
+                Codebook(field=qz.field, words=w, coset=v, quantizer=qz,
+                         inputs=qz.apply(qz.field.add(w, v[None, :])))
+                for w, v in zip(words, cosets)])
+        for rng, trial_books in zip(rngs, zip(*books)):
+            cand = _candidates(channel, trial_books if mac
+                               else trial_books[0], n)
+            num_messages = cand.shape[0]
+            sent = rng.integers(num_messages, size=trials_noise)
+            ys = _sample_outputs(flat_w, cand[sent], rng)
+            gathered = logw[cand]
+            # row blocks, decided in row order: the tie-break draws of one
+            # whole-table call
+            rows = max(1, _PAIR_BLOCK // num_messages)
+            for lo in range(0, trials_noise, rows):
+                sent_b = sent[lo:lo + rows]
+                ll = _log_likelihoods(gathered, ys[lo:lo + rows])
+                top, n_tied, decoded = _ml_decide(ll, rng)
+                sent_ll = ll[np.arange(sent_b.size), sent_b]
+                realized += int(np.sum(decoded != sent_b))
+                # a bound counts the trial whenever any competitor reaches
+                # the transmitted word's likelihood
+                pessimistic += int(np.count_nonzero(
+                    (top > sent_ll + _TIE_ATOL) | (n_tied > 1)))
     total = trials_codes * trials_noise
     eps_hat = realized / total
     center, low, high = _wilson(realized, total)
@@ -467,17 +494,12 @@ def simulate_error(ensemble_params, channel, quantizers, trials_codes: int,
 
 def _word_type_counts(words: np.ndarray, q: int) -> dict:
     """Histogram of symbol-type vectors over the given words."""
-    out: dict[tuple[int, ...], int] = {}
     if q == 2:
-        weights = words.sum(axis=1)
         n = words.shape[1]
-        for w, cnt in zip(*np.unique(weights, return_counts=True)):
-            out[(n - int(w), int(w))] = int(cnt)
-        return out
-    for row in words:
-        t = tuple(int(c) for c in np.bincount(row, minlength=q))
-        out[t] = out.get(t, 0) + 1
-    return out
+        counts = np.bincount(words.sum(axis=1), minlength=n + 1).tolist()
+        return {(n - w, w): c for w, c in enumerate(counts) if c}
+    return Counter(tuple(np.bincount(row, minlength=q).tolist())
+                   for row in words)
 
 
 def empirical_spectrum(ensemble_params, trials: int, seed: int,
@@ -497,47 +519,41 @@ def empirical_spectrum(ensemble_params, trials: int, seed: int,
         raise ValueError("only 1 or 2 users are simulated")
     field = field_from_order(q)
     rate = 1.0 - var_degree / check_degree
+    r = (n * var_degree) // check_degree
+    shape = (n, var_degree, check_degree)
     sums: dict[tuple[int, ...], float] = {}
     sumsq: dict[tuple[int, ...], float] = {}
-    for t in range(trials):
-        rng = _keyed_rng(seed, t)
-        word_sets = []
-        for _ in range(num_users):
-            graph = _sample_graph(n, var_degree, check_degree, field, rng)
-            if post_removal:
-                word_sets.append(_codebook_words(graph, rate, rng))
-            else:
-                rank, basis = rank_and_nullspace(graph.check_matrix())
-                word_sets.append(_enumerate_nullspace(field, basis, n))
-        if num_users == 1:
-            counts = _word_type_counts(word_sets[0], q)
-        else:
-            w1, w2 = word_sets
-            if w1.shape[0] * w2.shape[0] > 1_000_000:
-                raise GuardError("codematrix tuple count exceeds the guard")
-            counts = {}
-            for a in range(w1.shape[0]):
-                labels = w1[a][None, :] * q + w2
-                for row in labels:
-                    tt = tuple(int(c) for c in np.bincount(row, minlength=q * q))
-                    counts[tt] = counts.get(tt, 0) + 1
-        for tt, c in counts.items():
-            sums[tt] = sums.get(tt, 0.0) + c
-            sumsq[tt] = sumsq.get(tt, 0.0) + c * c
+    for chunk in _chunks(trials, shape, num_users, q ** (n - r)):
+        rngs = [_keyed_rng(seed, t) for t in chunk]
+        # per trial: user 1's graph (and trim), then user 2's
+        books = [_sample_codes(shape, field, rngs, rate,
+                               rngs if post_removal else None)[1]
+                 for _ in range(num_users)]
+        for word_sets in zip(*books):
+            if num_users == 2:
+                w1, w2 = word_sets
+                pairs = w1.shape[0] * w2.shape[0]
+                if pairs > _TUPLE_GUARD:
+                    raise GuardError(f"codematrix tuple count exceeds the "
+                                     f"guard: {pairs} > {_TUPLE_GUARD}")
+                # the codematrix of messages (a, b) is one word over q^2
+                word_sets = [w1[a] * q + w2 for a in range(w1.shape[0])]
+            counts = Counter()
+            for words in word_sets:
+                counts.update(_word_type_counts(words, q ** num_users))
+            for tt, c in counts.items():
+                sums[tt] = sums.get(tt, 0.0) + c
+                sumsq[tt] = sumsq.get(tt, 0.0) + c * c
     qk = q ** num_users
-    all_types = None
-    if math.comb(n + qk - 1, qk - 1) <= 100_000:
-        all_types = list(type_compositions(n, qk))
-    entries = {}
-    stats = {}
-    keys = all_types if all_types is not None else list(sums)
+    keys = (type_compositions(n, qk)
+            if math.comb(n + qk - 1, qk - 1) <= 100_000 else list(sums))
+    entries, stats = {}, {}
     for tt in keys:
         s = sums.get(tt, 0.0)
         mean = s / trials
         var = max(0.0, sumsq.get(tt, 0.0) / trials - mean * mean)
         entries[tt] = math.log(mean) if mean > 0.0 else -math.inf
         stats[tt] = (mean, var, trials)
-    r = (n * var_degree) // check_degree
     table = SpectrumTable(
         n=n, q=q, num_users=num_users,
         kind="empirical-post-removal" if post_removal else "empirical",
@@ -559,7 +575,8 @@ def min_distance(codebook) -> int:
         if m < 2:
             raise ValueError("need at least two codewords")
         if m * m * n > _PAIR_OPS_GUARD:
-            raise GuardError("pair scan exceeds the operation guard")
+            raise GuardError(f"pair scan exceeds the operation guard: "
+                             f"{m * m * n} > {_PAIR_OPS_GUARD}")
         block = max(1, _PAIR_BLOCK // (m * n))
         best = n + 1
         for i in range(0, m - 1, block):
@@ -575,14 +592,15 @@ def min_distance(codebook) -> int:
     m1, m2 = w1.shape[0], w2.shape[0]
     n = w1.shape[1]
     if (m1 * m2) ** 2 * n > _PAIR_OPS_GUARD:
-        raise GuardError("pair scan exceeds the operation guard")
-    d1 = w1[:, None, :] != w1[None, :, :]           # (m1, m1, n)
-    d2 = w2[:, None, :] != w2[None, :, :]           # (m2, m2, n)
-    dist = (d1[:, :, None, None, :] | d2[None, None, :, :, :]).sum(axis=4)
-    same = np.zeros((m1, m1, m2, m2), dtype=bool)
-    same[np.arange(m1), np.arange(m1), :, :] = True
-    same &= np.eye(m2, dtype=bool)[None, None, :, :]
-    dist = np.where(same, n + 1, dist)
+        raise GuardError(f"pair scan exceeds the operation guard: "
+                         f"{(m1 * m2) ** 2 * n} > {_PAIR_OPS_GUARD}")
+    # n minus the positions where both users' words agree: E1 E2^T over
+    # the (m1^2, n) and (m2^2, n) symbol-equality tables
+    e1 = (w1[:, None, :] == w1[None, :, :]).reshape(m1 * m1, n)
+    e2 = (w2[:, None, :] == w2[None, :, :]).reshape(m2 * m2, n)
+    dist = n - e1.astype(np.float64) @ e2.T.astype(np.float64)
+    # the pair of a message pair with itself is no pair
+    dist[np.ix_(np.arange(m1) * (m1 + 1), np.arange(m2) * (m2 + 1))] = n + 1
     return int(dist.min())
 
 
@@ -614,11 +632,11 @@ def actual_rate_stats(ensemble_params, trials: int, seed: int,
         eps_grid = (0.5 / n, 1.0 / n, 2.0 / n, 4.0 / n)
     eps_grid = tuple(float(e) for e in eps_grid)
     gaps = np.empty(trials)
-    for t in range(trials):
-        rng = _keyed_rng(seed, t)
-        graph = _sample_graph(n, var_degree, check_degree, field, rng)
-        rank, _ = rank_and_nullspace(graph.check_matrix())
-        gaps[t] = (r - rank) / n
+    shape = (n, var_degree, check_degree)
+    for chunk in _chunks(trials, shape, 1, 0):
+        ranks = _sample_codes(shape, field, [_keyed_rng(seed, t)
+                                             for t in chunk], words=False)[0]
+        gaps[chunk.start:chunk.stop] = (r - ranks) / n
     tails = tuple(float(np.mean(gaps > e)) for e in eps_grid)
     return RateGapStats(
         n=n, design_rate=1.0 - var_degree / check_degree, trials=trials,

@@ -509,22 +509,6 @@ def _all_types_guarded(n: int, qk: int):
     return type_compositions(n, qk)
 
 
-def uniform_spectrum_table(n: int, q: int, num_users: int,
-                           num_messages) -> SpectrumTable:
-    """Exact expected type counts for M^K independent uniform codewords
-    (one per message tuple), all-zero row removal not applied."""
-    qk = q ** num_users
-    log_m = math.log(num_messages)
-    base = num_users * log_m - n * num_users * math.log(q)
-    entries = {
-        t: base + multinomial_log(n, t) for t in _all_types_guarded(n, qk)
-    }
-    return SpectrumTable(
-        n=n, q=q, num_users=num_users, kind="uniform", entries=entries,
-        log_num_messages=log_m,
-    )
-
-
 def ldpc_spectrum_table(n: int, var_degree: int, check_degree: int,
                         q: int, num_users: int,
                         types=None) -> SpectrumTable:

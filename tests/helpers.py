@@ -3,9 +3,39 @@
 "a/b" strings) and a check of report payloads against the schema that
 ``fblbound schema`` publishes."""
 
+import math
 from fractions import Fraction
 
+from fblbound.channel import MacModel
 from fblbound.cli import REPORT_SCHEMA
+from fblbound.spectrum import SpectrumTable, _all_types_guarded, multinomial_log
+
+
+def binary_adder_mac() -> MacModel:
+    """Y = X1 + X2 over the integers: inputs {0,1}^2, outputs {0,1,2}."""
+    one = Fraction(1)
+    zero = Fraction(0)
+    rows = [
+        [[one, zero, zero], [zero, one, zero]],
+        [[zero, one, zero], [zero, zero, one]],
+    ]
+    return MacModel.from_rows(rows)
+
+
+def uniform_spectrum_table(n: int, q: int, num_users: int,
+                           num_messages) -> SpectrumTable:
+    """Exact expected type counts for M^K independent uniform codewords
+    (one per message tuple), all-zero row removal not applied."""
+    qk = q ** num_users
+    log_m = math.log(num_messages)
+    base = num_users * log_m - n * num_users * math.log(q)
+    entries = {
+        t: base + multinomial_log(n, t) for t in _all_types_guarded(n, qk)
+    }
+    return SpectrumTable(
+        n=n, q=q, num_users=num_users, kind="uniform", entries=entries,
+        log_num_messages=log_m,
+    )
 
 
 def _entry_to_json(v: float, exact: Fraction | None):

@@ -9,7 +9,6 @@ from fblbound.channel import (
     DmcModel,
     InputPmf,
     MacModel,
-    binary_adder_mac,
     bsc,
     capacity,
     channel_from_json,
@@ -18,7 +17,7 @@ from fblbound.channel import (
     noiseless,
 )
 from fblbound.gfq import field_from_order
-from helpers import dmc_to_json, mac_to_json
+from helpers import binary_adder_mac, dmc_to_json, mac_to_json
 
 LN2 = math.log(2.0)
 

@@ -16,8 +16,8 @@ import numpy as np
 import pytest
 
 from fblbound import GuardError
-from fblbound.channel import (DmcModel, InputPmf, binary_adder_mac, bsc,
-                              make_quantizer, noiseless)
+from fblbound.channel import (DmcModel, InputPmf, bsc, make_quantizer,
+                              noiseless)
 from fblbound.cli import (CSV_HEADER, ConfigError, cmd_achieve, cmd_compare,
                           cmd_exponent, cmd_report_schema, cmd_simulate,
                           cmd_spectrum, main)
@@ -29,9 +29,9 @@ from fblbound.simulator import (Codebook, empirical_spectrum,
                                 sample_graph)
 from fblbound.spectrum import (SpectrumTable, alpha_log, check_polynomial,
                                ldpc_finite_spectrum, ldpc_spectrum_table,
-                               rate_offset_decomposition,
-                               uniform_spectrum_table)
-from helpers import dmc_to_json, mac_to_json, schema_validate
+                               rate_offset_decomposition)
+from helpers import (binary_adder_mac, dmc_to_json, mac_to_json,
+                     schema_validate, uniform_spectrum_table)
 
 LN2 = math.log(2.0)
 

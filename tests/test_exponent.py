@@ -20,7 +20,6 @@ from fblbound.channel import (
     DmcModel,
     InputPmf,
     MacModel,
-    binary_adder_mac,
     bsc,
     make_quantizer,
     noiseless,
@@ -28,11 +27,8 @@ from fblbound.channel import (
 from fblbound.fbl import rcu_exact_ppc
 from fblbound.gfq import make_field
 from fblbound.infodensity import mac_moments, ppc_moments
-from fblbound.spectrum import (
-    alpha_log,
-    ldpc_spectrum_table,
-    uniform_spectrum_table,
-)
+from fblbound.spectrum import alpha_log, ldpc_spectrum_table
+from helpers import binary_adder_mac, uniform_spectrum_table
 
 UNIF2 = InputPmf.uniform(2)
 LN2 = math.log(2.0)

@@ -10,7 +10,6 @@ from fblbound.channel import (
     DmcModel,
     InputPmf,
     MacModel,
-    binary_adder_mac,
     bsc,
     induced_input_pmf,
     make_quantizer,
@@ -37,6 +36,7 @@ from fblbound.gfq import make_field
 from fblbound.infodensity import mac_moments, ppc_moments
 
 import oracles
+from helpers import binary_adder_mac
 
 LN2 = math.log(2.0)
 

@@ -221,6 +221,57 @@ def test_rank_and_nullspace_equals_oracle_on_sampled_check_matrices():
             assert rank == want_rank and np.array_equal(basis, want_basis)
 
 
+def _stack_members(f, rows, cols, rng):
+    """An all-zero, a full-rank, a rank-deficient and a random matrix."""
+    full = np.zeros((rows, cols), dtype=np.int64)
+    full[np.arange(min(rows, cols)), np.arange(min(rows, cols))] = 1
+    full = f.add(full, np.triu(rng.integers(0, f.q, size=(rows, cols)), 1))
+    # rank 2: two independent rows, the rest their combinations, and a
+    # zero column
+    v, w = rng.integers(0, f.q, size=(2, cols))
+    v[:2], w[:2] = (1, 0), (0, 1)
+    coef = rng.integers(0, f.q, size=(rows, 2))
+    coef[:2] = np.eye(2, dtype=np.int64)
+    deficient = f.add(f.mul(coef[:, :1], v), f.mul(coef[:, 1:], w))
+    deficient[:, rng.integers(2, cols)] = 0
+    return [np.zeros((rows, cols), dtype=np.int64),
+            full[:, rng.permutation(cols)], deficient,
+            rng.integers(0, f.q, size=(rows, cols))]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+@pytest.mark.parametrize("rows,cols", [(4, 7), (7, 4), (5, 5)])
+def test_stacked_elimination_equals_row_by_row_oracle(q, rows, cols):
+    # one stack mixes ranks 0 through full; rows > cols included
+    f = field_from_order(q)
+    rng = np.random.default_rng(100 * q + 10 * rows + cols)
+    mats = _stack_members(f, rows, cols, rng) * 2
+    rng.shuffle(mats)
+    ranks, bases = rank_and_nullspace(
+        GfMatrix(f, np.concatenate(mats), blocks=len(mats)))
+    assert ranks.shape == (len(mats),)
+    assert bases.shape == (len(mats), cols - ranks.min(), cols)
+    assert {0, min(rows, cols)} <= set(ranks.tolist())
+    assert any(0 < r < min(rows, cols) for r in ranks)
+    for mat, rank, basis in zip(mats, ranks, bases):
+        want_rank, want_basis = oracles.rank_and_nullspace_rows(
+            GfMatrix(f, mat))
+        assert rank == want_rank
+        assert np.array_equal(basis[:cols - rank], want_basis)
+        assert not basis[cols - rank:].any()
+        # a stack of one is a plain matrix
+        one = rank_and_nullspace(GfMatrix(f, mat, blocks=1))
+        assert one[0] == want_rank and np.array_equal(one[1], want_basis)
+
+
+def test_stack_blocks_must_split_the_rows():
+    f = field_from_order(2)
+    with pytest.raises(ValueError, match="blocks"):
+        GfMatrix(f, np.zeros((5, 3), dtype=np.int64), blocks=2)
+    with pytest.raises(ValueError, match="blocks"):
+        GfMatrix(f, np.zeros((4, 3), dtype=np.int64), blocks=0)
+
+
 @pytest.mark.parametrize("q", [2 ** 17, 1_000_000_007, 2 ** 61 - 1])
 def test_field_order_guards_fail_fast(q):
     # 2^61 - 1 is prime: trial division alone would take ~1e9 steps

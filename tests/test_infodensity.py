@@ -8,7 +8,6 @@ from fblbound.channel import (
     DmcModel,
     InputPmf,
     MacModel,
-    binary_adder_mac,
     bsc,
     noiseless,
 )
@@ -19,6 +18,7 @@ from fblbound.infodensity import (
     mac_moments,
     ppc_moments,
 )
+from helpers import binary_adder_mac
 
 LN2 = math.log(2.0)
 

@@ -5,6 +5,9 @@ practice; the stated 3-sigma / p > 0.001 envelopes describe how they
 were sized, not a per-run coin flip.
 """
 
+import dataclasses
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -12,9 +15,9 @@ import pytest
 from scipy import stats as sps
 
 import oracles
-from fblbound import simulator
-from fblbound.channel import (DmcModel, InputPmf, binary_adder_mac, bsc,
-                              make_quantizer, noiseless)
+from fblbound import GuardError, simulator
+from fblbound.channel import (DmcModel, InputPmf, bsc, make_quantizer,
+                              noiseless)
 from fblbound.exponent import kmac_exponent_bound
 from fblbound.fbl import ldpc_rcu_ppc
 from fblbound.gfq import field_from_order, make_field, rank_and_nullspace
@@ -23,6 +26,8 @@ from fblbound.simulator import (Codebook, TannerGraph, actual_rate_stats,
                                 enumerate_codebook, min_distance, ml_decode,
                                 sample_graph, simulate_error)
 from fblbound.spectrum import alpha_log, ldpc_spectrum_table
+from fblbound.cli import cmd_simulate
+from helpers import binary_adder_mac, dmc_to_json, mac_to_json
 
 F2 = make_field(2, 1)
 F4 = make_field(2, 2)
@@ -629,3 +634,174 @@ def test_rate_gap_decreases_with_blocklength():
 def test_rate_gap_validation():
     with pytest.raises(ValueError, match="at least one trial"):
         actual_rate_stats((6, 3, 6, 2), trials=0, seed=0)
+
+
+def test_mac_min_distance_matches_pair_loop():
+    # brute force over message pairs, with words shared between the users
+    rng = np.random.default_rng(5)
+    for q, n in [(2, 8), (4, 5)]:
+        f = field_from_order(q)
+        for _ in range(6):
+            w1 = np.unique(rng.integers(0, q, size=(7, n)), axis=0)
+            w2 = np.unique(np.concatenate(
+                [w1[:2], rng.integers(0, q, size=(4, n))]), axis=0)
+            best = n + 1
+            for a in range(len(w1)):
+                for b in range(len(w1)):
+                    for c in range(len(w2)):
+                        for d in range(len(w2)):
+                            if (a, c) != (b, d):
+                                best = min(best, int(np.sum(
+                                    (w1[a] != w1[b]) | (w2[c] != w2[d]))))
+            assert min_distance((Codebook(f, w1), Codebook(f, w2))) == best
+
+
+def test_guard_messages_name_count_and_limit():
+    words = (np.arange(10_000)[:, None] >> np.arange(14)[None, :]) & 1
+    with pytest.raises(GuardError, match=r"^pair scan exceeds the operation "
+                       r"guard: 1400000000 > 1000000000$"):
+        min_distance(Codebook(F2, words))
+    book = Codebook(F2, words[:100, :11])
+    with pytest.raises(GuardError, match=r"^pair scan exceeds the operation "
+                       r"guard: 1100000000 > 1000000000$"):
+        min_distance((book, book))
+    with pytest.raises(GuardError, match=r"^codematrix tuple count exceeds "
+                       r"the guard: \d+ > 1000000$"):
+        empirical_spectrum((24, 3, 6, 2), 1, 0, num_users=2)
+
+
+# ---------------------------------------------------------------------------
+# one elimination stack per chunk of trials
+
+
+def _plain(x):
+    if dataclasses.is_dataclass(x) and not isinstance(x, type):
+        return {f.name: _plain(getattr(x, f.name))
+                for f in dataclasses.fields(x)
+                if f.name not in ("field", "quantizer")}
+    if isinstance(x, dict):
+        return {str(k): _plain(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_plain(v) for v in x]
+    if isinstance(x, np.ndarray):
+        return x.tolist()
+    if isinstance(x, np.generic):
+        return x.item()
+    return x
+
+
+def _digest(x) -> str:
+    """Digest of a result's JSON form: every float at full precision."""
+    text = json.dumps(_plain(x), sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def _qz(q, probs):
+    return make_quantizer(field_from_order(q), InputPmf.from_values(probs))
+
+
+_BEC = DmcModel.from_rows([["1/2", "1/2", "0"], ["0", "1/2", "1/2"]])
+_TSC = DmcModel.from_rows([["8/10", "1/10", "1/10"], ["1/10", "8/10", "1/10"],
+                           ["1/10", "1/10", "8/10"]])
+_Q2 = _qz(2, ["1/2", "1/2"])
+
+# outputs of the graph-at-a-time simulator, recorded before the stacked
+# elimination replaced it; (8, 2, 4) codes over GF(2) are always rank
+# deficient, so their trims draw from the trial generators
+PINNED = {
+    "sim_q2": (lambda: simulate_error((8, 2, 4, 2), _BEC, _Q2, 20, 50, 3),
+               "a78f89f149c5f4e3"),
+    "sim_q3": (lambda: simulate_error(
+        (12, 2, 4, 3), _TSC, _qz(3, ["1/3", "1/3", "1/3"]), 12, 40, 5),
+               "9b6f4e0f51b8a0c5"),
+    "sim_q4": (lambda: simulate_error(
+        (8, 2, 4, 4), bsc("1/10"), _qz(4, ["1/4", "3/4"]), 10, 40, 6),
+               "841b6ed4d398e51f"),
+    "sim_mac": (lambda: simulate_error(
+        (8, 2, 4, 2), binary_adder_mac(), (_Q2, _Q2), 10, 40, 4),
+                "5552c53da6c8d5a0"),
+    "sim_mac_shared": (lambda: simulate_error(
+        (8, 2, 4, 2), binary_adder_mac(), (_Q2, _Q2), 10, 40, 4,
+        same_coset=True), "9e2f954e8fa1b512"),
+    "spec_k1": (lambda: empirical_spectrum(
+        (8, 2, 4, 2), 200, 7, return_stats=True), "0ee8a7b52c22e49c"),
+    "spec_k1_q3": (lambda: empirical_spectrum(
+        (8, 2, 4, 3), 50, 9, return_stats=True), "3ed540966321a069"),
+    "spec_k2": (lambda: empirical_spectrum(
+        (4, 2, 4, 2), 30, 2, num_users=2, return_stats=True),
+                "5d2fd253cfb12004"),
+    "spec_post": (lambda: empirical_spectrum(
+        (8, 2, 4, 2), 100, 8, post_removal=True, return_stats=True),
+                  "f5f5e90fbd69d1ff"),
+    "rate_q2": (lambda: actual_rate_stats((12, 3, 6, 2), 300, 11),
+                "c6eca6cb81be1387"),
+    "rate_q3": (lambda: actual_rate_stats((12, 2, 4, 3), 100, 4),
+                "58daa7557c0b9f80"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_outputs_pinned(name):
+    run, want = PINNED[name]
+    assert _digest(run()) == want
+
+
+@pytest.mark.parametrize("mac,want", [(False, "5960987973cb7927"),
+                                      (True, "3be1cd14ef08861f")])
+def test_cmd_simulate_pinned(tmp_path, mac, want):
+    path = tmp_path / "ch.json"
+    path.write_text(json.dumps(mac_to_json(binary_adder_mac()) if mac
+                               else dmc_to_json(bsc("11/100"))))
+    args = (10, 20, 3) if mac else (30, 30, 5)
+    assert _digest(cmd_simulate(str(path), 2, 2, 4, 8, *args,
+                                mac=mac)) == want
+
+
+def test_pinned_cases_use_trims_and_stacks():
+    ranks = [rank_and_nullspace(sample_graph(8, 2, 4, F2, s).check_matrix())[0]
+             for s in range(20)]
+    assert max(ranks) < 4  # every (8, 2, 4) binary code is trimmed
+    assert len(simulator._chunks(20, (8, 2, 4), 1, 16)) == 1
+
+
+def _record_stacks(monkeypatch):
+    seen = []
+
+    def recording(mat):
+        seen.append(mat.data.copy())
+        return rank_and_nullspace(mat)
+
+    monkeypatch.setattr(simulator, "rank_and_nullspace", recording)
+    return seen
+
+
+CHUNKED = [
+    lambda: simulate_error((8, 2, 4, 2), _BEC, _Q2, 7, 30, 3),
+    lambda: simulate_error((12, 2, 4, 3), _TSC,
+                           _qz(3, ["1/3", "1/3", "1/3"]), 5, 20, 5),
+    lambda: simulate_error((8, 2, 4, 2), binary_adder_mac(), (_Q2, _Q2), 5,
+                           20, 4, same_coset=True),
+    lambda: empirical_spectrum((8, 2, 4, 2), 9, 8, post_removal=True,
+                               return_stats=True),
+    lambda: empirical_spectrum((4, 2, 4, 2), 6, 2, num_users=2),
+    lambda: actual_rate_stats((12, 3, 6, 2), 11, 11),
+]
+
+
+@pytest.mark.parametrize("case", range(len(CHUNKED)))
+def test_chunks_of_one_trial_match_one_chunk(monkeypatch, case):
+    # the graphs reach the elimination in trial order however the trials
+    # are chunked (one user at a time: a two-user chunk stacks user 1's
+    # graphs, then user 2's), and the results do not move
+    seen = _record_stacks(monkeypatch)
+    monkeypatch.setattr(simulator, "_STACK_ENTRIES", 1)
+    single = CHUNKED[case]()
+    singles = list(seen)
+    seen.clear()
+    monkeypatch.setattr(simulator, "_STACK_ENTRIES", 1 << 40)
+    whole = CHUNKED[case]()
+    assert _digest(single) == _digest(whole)
+    users = len(seen)
+    assert users in (1, 2) and len(singles) > users
+    for j, stack in enumerate(seen):
+        assert np.array_equal(np.concatenate(singles[j::users]), stack)

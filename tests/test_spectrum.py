@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from helpers import uniform_spectrum_table
 from fblbound import GuardError
 from fblbound import spectrum as sp
 
@@ -420,14 +421,14 @@ def test_q4_n24_table_pinned():
 
 def test_uniform_table_alpha_closed_form():
     for n, q, k, m in [(8, 2, 1, 16), (6, 3, 1, 9), (4, 2, 2, 4)]:
-        tab = sp.uniform_spectrum_table(n, q, k, m)
+        tab = uniform_spectrum_table(n, q, k, m)
         closed = m ** k / (m ** k - 1.0)
         assert math.exp(sp.alpha_log(tab, m)[0]) == pytest.approx(
             closed, abs=1e-12)
 
 
 def test_uniform_table_zero_type_entry():
-    tab = sp.uniform_spectrum_table(8, 2, 1, 16)
+    tab = uniform_spectrum_table(8, 2, 1, 16)
     expect = math.log(16) + 0.0 - 8 * LN2
     assert tab.log_value((8, 0)) == pytest.approx(expect, abs=1e-12)
 
@@ -464,14 +465,14 @@ def test_alpha_exclusion_and_errors():
 
 
 def test_table_missing_type_raises():
-    tab = sp.uniform_spectrum_table(6, 2, 1, 4)
+    tab = uniform_spectrum_table(6, 2, 1, 4)
     with pytest.raises(KeyError):
         tab.log_value((5, 2))
 
 
 def test_dense_table_guard():
     with pytest.raises(ValueError):
-        sp.uniform_spectrum_table(400, 4, 2, 7)
+        uniform_spectrum_table(400, 4, 2, 7)
 
 
 def test_expurgation_band_and_doubling():
