@@ -30,7 +30,8 @@ from .spectrum import SpectrumTable, type_compositions
 _ENUM_GUARD = 1 << 20
 _TUPLE_GUARD = 1_000_000  # codeword pairs of a two-user spectrum trial
 _PAIR_OPS_GUARD = 10 ** 9
-_PAIR_BLOCK = 1 << 22  # entries per block: pair scan, likelihood table
+_PAIR_BLOCK = 1 << 22  # symbol comparisons per block of the pair scan
+_SCORE_BLOCK = 1 << 19  # candidate scores per row block (at least 16 rows)
 # entries per elimination stack, and per chunk of codebooks held at once
 _STACK_ENTRIES = 1 << 16
 _TIE_ATOL = 1e-9
@@ -307,13 +308,17 @@ def ml_decode(channel, codebook, y, rng=None, seed: int = 0):
     two-user MAC (returns a message pair).  Candidates are scored by
     log-likelihood sums, rational and float channels alike; scores within
     1e-9 of the best tie, an output impossible under every candidate ties
-    them all, and ties are broken uniformly via the keyed RNG."""
+    them all, and ties are broken uniformly via the keyed RNG.  Output
+    symbols must lie in [0, |Y|)."""
     if rng is None:
         rng = _keyed_rng(seed, 3)
     y = np.asarray(y, dtype=np.int64)
     cand = _candidates(channel, codebook, y.shape[0])
-    logw = _log_table(channel.w.reshape(-1, channel.w.shape[-1]))
-    win = int(_ml_decide(_log_likelihoods(logw[cand], y[None, :]), rng)[2][0])
+    letters = channel.w.shape[-1]
+    if np.any((y < 0) | (y >= letters)):
+        raise ValueError(f"output symbols must lie in [0, {letters})")
+    logw = _log_table(channel.w.reshape(-1, letters))
+    win = int(_ml_decide(_Scorer(logw, cand)(y[None, :]), rng)[2][0])
     if isinstance(channel, MacModel):
         return divmod(win, codebook[1].size)
     return win
@@ -322,6 +327,45 @@ def ml_decode(channel, codebook, y, rng=None, seed: int = 0):
 def _log_table(w) -> np.ndarray:
     """Elementwise log of a transition table, ``_LOG_ZERO`` for log 0."""
     return np.where(w > 0.0, np.log(np.where(w > 0.0, w, 1.0)), _LOG_ZERO)
+
+
+class _Scorer:
+    """Log-likelihoods of the (M, n) candidate words ``cand`` under the
+    per-letter table ``logw`` (inputs, |Y|), for a block of output words
+    by one matrix product with the (M, K) score matrix ``table``.
+
+    When some output letter b0 has no zero transition, column (i, b)
+    holds log w(b|x_i) - log w(b0|x_i) for each b != b0 and the last
+    column sum_i log w(b0|x_i), so K = n(|Y| - 1) + 1; only a finite log
+    is subtracted, so an impossible letter stays near ``_LOG_ZERO``.
+    Otherwise column (i, b) holds log w(b|x_i) and K = n|Y|."""
+
+    def __init__(self, logw, cand):
+        m, n = cand.shape
+        free = np.flatnonzero(np.all(logw > _LOG_ZERO, axis=0))
+        if free.size == 0:
+            self.letters = np.arange(logw.shape[1])
+            self.table = logw[cand].reshape(m, -1)
+            return
+        ref = int(free[0])
+        self.letters = np.delete(np.arange(logw.shape[1]), ref)
+        k = self.letters.size
+        per = logw[:, self.letters] - logw[:, ref, None]
+        # filled one position at a time, no (M, n, |Y| - 1) temporary;
+        # column-major, so the product reads table.T row by row
+        self.table = np.empty((m, n * k + 1), order="F")
+        self.table[:, -1] = 0.0
+        for i in range(n):
+            self.table[:, i * k:(i + 1) * k] = per[cand[:, i]]
+            self.table[:, -1] += logw[cand[:, i], ref]
+
+    def __call__(self, ys) -> np.ndarray:
+        """(len(ys), M) scores of the output words ``ys`` (len(ys), n)."""
+        rows, width = ys.shape[0], self.table.shape[1]
+        hot = np.ones((rows, width))
+        hot[:, :ys.shape[1] * self.letters.size] = (
+            ys[:, :, None] == self.letters).reshape(rows, -1)
+        return hot @ self.table.T
 
 
 def _ml_decide(ll, rng):
@@ -334,20 +378,19 @@ def _ml_decide(ll, rng):
     candidates are split uniformly via ``rng``: one draw per tied row, in
     row order, the same draws a per-row ``rng.integers(n_tied)`` loop
     makes."""
+    trials, cands = ll.shape
     top = ll.max(axis=1)
     tied = ll >= (top - _TIE_ATOL)[:, None]
     tied[top <= 0.5 * _LOG_ZERO] = True
-    n_tied = np.count_nonzero(tied, axis=1)
-    decoded = tied.argmax(axis=1)
+    # flat indices of the tied entries, row by row: row i's run starts
+    # after the runs of the rows before it
+    hits = np.flatnonzero(tied)
+    n_tied = np.bincount(hits // cands, minlength=trials)
+    starts = np.cumsum(n_tied) - n_tied
     rows = np.flatnonzero(n_tied > 1)
     if rows.size:
-        counts = n_tied[rows]
-        pick = rng.integers(counts)
-        # tied columns of the tied rows, row by row; row i's run starts
-        # after the runs of the rows before it
-        cols = np.flatnonzero(tied[rows]) % tied.shape[1]
-        decoded[rows] = cols[np.cumsum(counts) - counts + pick]
-    return top, n_tied, decoded
+        starts[rows] += rng.integers(n_tied[rows])
+    return top, n_tied, hits[starts] % cands
 
 
 # ---------------------------------------------------------------------------
@@ -371,22 +414,63 @@ def _check_ensemble_params(ensemble_params):
     return n, var_degree, check_degree, q
 
 
-def _log_likelihoods(gathered, ys) -> np.ndarray:
-    """(trials, candidates) log-likelihood table; ``gathered`` is the
-    (candidates, n, |Y|) table of per-letter log-likelihoods and ys holds
-    one output word per trial."""
-    return np.einsum(
-        "mns,tns->tm", gathered,
-        np.eye(gathered.shape[2])[ys], optimize=True
-    )
-
-
 def _sample_outputs(w_rows, xwords, rng) -> np.ndarray:
     """One output word per trial: xwords is (trials, n) over the row
     alphabet of w_rows."""
     cum = np.cumsum(w_rows, axis=1)
     u = rng.random(xwords.shape)
-    return (u[:, :, None] >= cum[xwords][:, :, :-1]).sum(axis=2)
+    return (u[:, :, None] >= cum[:, :-1][xwords]).sum(axis=2)
+
+
+def _simulate_chunk(channel, qzs, shape, rate, rngs, trials_noise: int,
+                    same_coset: bool):
+    """Decoding errors, ties-as-error count and candidate count over the
+    code trials of one chunk, trial t drawing from rngs[t]: user 1's
+    graph, trim and coset, then user 2's, then the noise and tie-break
+    draws.  Everything a code holds is freed when the chunk returns."""
+    n = shape[0]
+    q = qzs[0].field.q
+    flat_w = channel.w.reshape(-1, channel.w.shape[-1])
+    logw = _log_table(flat_w)
+    books = []
+    cosets = None
+    for qz in qzs:
+        words = _sample_codes(shape, qz.field, rngs, rate, rngs)[1]
+        if not (same_coset and cosets):
+            cosets = [rng.integers(0, q, size=n) for rng in rngs]
+        books.append([
+            Codebook(field=qz.field, words=w, coset=v, quantizer=qz,
+                     inputs=qz.apply(qz.field.add(w, v[None, :])))
+            for w, v in zip(words, cosets)])
+    realized = pessimistic = 0
+    mac = isinstance(channel, MacModel)
+    for rng, trial_books in zip(rngs, zip(*books)):
+        cand = _candidates(channel, trial_books if mac else trial_books[0], n)
+        num_messages = cand.shape[0]
+        sent = rng.integers(num_messages, size=trials_noise)
+        ys = _sample_outputs(flat_w, cand[sent], rng)
+        score = _Scorer(logw, cand)
+        # row blocks, decided in row order: the tie-break draws of one
+        # whole-table call
+        rows = max(16, _SCORE_BLOCK // num_messages)
+        for lo in range(0, trials_noise, rows):
+            errors, ties = _count_errors(score(ys[lo:lo + rows]),
+                                         sent[lo:lo + rows], rng)
+            realized += errors
+            pessimistic += ties
+    return realized, pessimistic, num_messages
+
+
+def _count_errors(ll, sent, rng) -> tuple[int, int]:
+    """Decoding errors and ties-as-error count of one row block of scores
+    ``ll`` with transmitted candidates ``sent``; the block is freed on
+    return, before the next one is scored."""
+    top, n_tied, decoded = _ml_decide(ll, rng)
+    sent_ll = ll[np.arange(sent.size), sent]
+    # a bound counts the trial whenever any competitor reaches the
+    # transmitted word's likelihood
+    return (int(np.count_nonzero(decoded != sent)),
+            int(np.count_nonzero((top > sent_ll + _TIE_ATOL) | (n_tied > 1))))
 
 
 def simulate_error(ensemble_params, channel, quantizers, trials_codes: int,
@@ -425,46 +509,15 @@ def simulate_error(ensemble_params, channel, quantizers, trials_codes: int,
         if qz.field.q != q:
             raise ValueError("quantizer field does not match ensemble q")
     rate = 1.0 - var_degree / check_degree
-    flat_w = channel.w.reshape(-1, channel.w.shape[-1])
-    logw = _log_table(flat_w)
     realized = 0
     pessimistic = 0
-    num_messages = None
     shape = (n, var_degree, check_degree)
     for chunk in _chunks(trials_codes, shape, len(qzs), q ** round(n * rate)):
-        # per trial: user 1's graph, trim and coset, then user 2's, then
-        # the noise and tie-break draws, all from the trial's generator
-        rngs = [_keyed_rng(seed, tc) for tc in chunk]
-        books = []
-        cosets = None
-        for qz in qzs:
-            words = _sample_codes(shape, qz.field, rngs, rate, rngs)[1]
-            if not (same_coset and cosets):
-                cosets = [rng.integers(0, q, size=n) for rng in rngs]
-            books.append([
-                Codebook(field=qz.field, words=w, coset=v, quantizer=qz,
-                         inputs=qz.apply(qz.field.add(w, v[None, :])))
-                for w, v in zip(words, cosets)])
-        for rng, trial_books in zip(rngs, zip(*books)):
-            cand = _candidates(channel, trial_books if mac
-                               else trial_books[0], n)
-            num_messages = cand.shape[0]
-            sent = rng.integers(num_messages, size=trials_noise)
-            ys = _sample_outputs(flat_w, cand[sent], rng)
-            gathered = logw[cand]
-            # row blocks, decided in row order: the tie-break draws of one
-            # whole-table call
-            rows = max(1, _PAIR_BLOCK // num_messages)
-            for lo in range(0, trials_noise, rows):
-                sent_b = sent[lo:lo + rows]
-                ll = _log_likelihoods(gathered, ys[lo:lo + rows])
-                top, n_tied, decoded = _ml_decide(ll, rng)
-                sent_ll = ll[np.arange(sent_b.size), sent_b]
-                realized += int(np.sum(decoded != sent_b))
-                # a bound counts the trial whenever any competitor reaches
-                # the transmitted word's likelihood
-                pessimistic += int(np.count_nonzero(
-                    (top > sent_ll + _TIE_ATOL) | (n_tied > 1)))
+        errors, ties, num_messages = _simulate_chunk(
+            channel, qzs, shape, rate, [_keyed_rng(seed, tc) for tc in chunk],
+            trials_noise, same_coset)
+        realized += errors
+        pessimistic += ties
     total = trials_codes * trials_noise
     eps_hat = realized / total
     center, low, high = _wilson(realized, total)

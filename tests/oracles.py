@@ -8,7 +8,9 @@ production.  The float oracles are the Gallager function (scalar loops
 over every input tuple), the random-coding union bounds, exact and
 relaxed, by joint-type enumeration with one dict convolution per letter
 (the slow route that the y-type and information-density routes of
-``fblbound.fbl`` replace), and the two-binomial closed form of the BSC.
+``fblbound.fbl`` replace), the two-binomial closed form of the BSC, and
+the ML scores as one-hot contractions of the gathered (M, n, |Y|)
+per-letter table (the route that the simulator's score matrix replaces).
 The powered check enumerator is a big-integer dict convolution, the
 route that ``fblbound.spectrum``'s residue powering replaces, and the
 spectrum exponent's inner infimum has the gradient/restart solver that
@@ -452,6 +454,14 @@ def rank_and_nullspace_rows(mat):
         for i, pc in enumerate(pivot_cols):
             basis[k, pc] = f.neg(int(a[i, fc]))
     return len(pivot_cols), basis
+
+
+def log_likelihoods_onehot(logw, cand, ys):
+    """(trials, candidates) log-likelihood sums: the gathered (M, n, |Y|)
+    table ``logw[cand]`` contracted with the one-hot outputs ``ys``."""
+    gathered = logw[cand]
+    return np.einsum("mns,tns->tm", gathered,
+                     np.eye(gathered.shape[2])[ys], optimize=True)
 
 
 def ml_decide_rows(ll, rng, tie_atol, log_zero):

@@ -9,6 +9,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -345,6 +346,68 @@ def test_ml_decide_matches_per_row_tie_break(trials, cands):
         assert np.all(n_tied[impossible] == cands)
 
 
+# per-letter score matrix width K for n positions: one column per
+# position and non-reference letter plus a bias column when some output
+# letter has no zero transition, one per position and letter otherwise
+SCORE_CHANNELS = {
+    "bsc-rational": (lambda: bsc("11/100"), lambda n: n + 1),
+    "bsc-float": (lambda: bsc(0.11), lambda n: n + 1),
+    "bec": (lambda: DmcModel.from_rows([["1/2", "1/2", "0"],
+                                        ["0", "1/2", "1/2"]]),
+            lambda n: 2 * n + 1),
+    "tsc": (lambda: DmcModel.from_rows([["4/5", "1/10", "1/10"],
+                                        ["1/10", "4/5", "1/10"],
+                                        ["1/10", "1/10", "4/5"]]),
+            lambda n: 2 * n + 1),
+    "adder-mac": (binary_adder_mac, lambda n: 3 * n),
+    "noiseless2": (lambda: noiseless(2), lambda n: 2 * n),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCORE_CHANNELS))
+def test_scorer_matches_onehot_oracle(name):
+    make, width = SCORE_CHANNELS[name]
+    ch = make()
+    w = ch.w.reshape(-1, ch.w.shape[-1])
+    logw = simulator._log_table(w)
+    rng = np.random.default_rng(len(name))
+    n, m = 7, 40
+    cand = rng.integers(0, w.shape[0], size=(m, n))
+    cand[:, 0] = 0  # every candidate sends input 0 first
+    sent = rng.integers(m, size=200)
+    ys = np.concatenate([simulator._sample_outputs(w, cand[sent], rng),
+                         rng.integers(0, w.shape[1], size=(100, n))])
+    # an output that input 0 never yields is impossible under every
+    # candidate
+    dead = np.flatnonzero(w[0] == 0.0)
+    if dead.size:
+        ys[-1, 0] = dead[0]
+    score = simulator._Scorer(logw, cand)
+    assert score.table.shape == (m, width(n))
+    got = score(ys)
+    want = oracles.log_likelihoods_onehot(logw, cand, ys)
+    finite = want > 0.5 * simulator._LOG_ZERO
+    assert np.all(np.abs(got[finite] - want[finite]) <= 1e-9)
+    assert np.all(got[~finite] <= 0.5 * simulator._LOG_ZERO)
+    hopeless = ~finite.any(axis=1)
+    assert hopeless.any() == bool(dead.size)
+    n_tied = simulator._ml_decide(got, simulator._keyed_rng(0, 3))[1]
+    assert np.all(n_tied[hopeless] == m)
+
+
+@pytest.mark.parametrize("symbol", [-1, 2])
+def test_ml_decode_rejects_symbols_outside_alphabet(symbol):
+    # a symbol outside [0, |Y|) matches no one-hot column, so it would be
+    # scored as the reference letter
+    cb = frozen_binary_codebook()
+    y = cb.inputs[0].copy()
+    y[3] = symbol
+    for ch in (bsc("1/10"), noiseless(2)):
+        with pytest.raises(ValueError,
+                           match=r"output symbols must lie in \[0, 2\)"):
+            ml_decode(ch, cb, y)
+
+
 def test_ml_decode_float_path_matches_exact():
     cb = frozen_binary_codebook()
     exact = bsc("1/20")
@@ -421,12 +484,26 @@ def test_simulate_blocks_match_one_block(monkeypatch):
     # blocks of 50 rows here
     bec = DmcModel.from_rows([["1/2", "1/2", "0"], ["0", "1/2", "1/2"]])
     args = ((8, 2, 4, 2), bec, binary_quantizer(), 5, 300, 9)
-    assert 16 * 300 <= simulator._PAIR_BLOCK
+    assert 16 * 300 <= simulator._SCORE_BLOCK
     whole = simulate_error(*args)
-    monkeypatch.setattr(simulator, "_PAIR_BLOCK", 16 * 50)
+    monkeypatch.setattr(simulator, "_SCORE_BLOCK", 16 * 50)
     blocked = simulate_error(*args)
     assert blocked == whole
     assert 0.0 < whole.value < whole.components["ties_as_error_rate"]
+
+
+def test_simulate_peak_memory():
+    # 4,096 candidates by 2,000 noise words at n = 24: the score matrix is
+    # 0.8 MB and each row block of scores 4 MB, and one block is alive at
+    # a time
+    tracemalloc.start()
+    try:
+        simulate_error((24, 3, 6, 2), bsc("11/100"), binary_quantizer(),
+                       1, 2000, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 def test_simulated_error_below_bounds():
