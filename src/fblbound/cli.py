@@ -309,10 +309,10 @@ def cmd_spectrum(q: int, num_users: int, var_degree: int, check_degree: int,
 def cmd_rcu(channel_path: str, n: int, m: int, m2: int | None = None,
             mode: str = "relaxed", trials: int | None = None,
             seed: int | None = None) -> dict:
-    """Random-coding union bound report.  A two-user MAC runs the exact
-    joint-type enumeration unless ``mode`` is "mc"; its relaxed sum over
-    the i-vector law appears only as ``components["relaxed"]``, "nan" for
-    the adder MAC, whose conditional variances vanish."""
+    """Random-coding union bound report.  A two-user MAC runs the exact sum
+    over atom types (``fbl._Context``) unless ``mode`` is "mc"; its relaxed
+    sum over the i-vector law appears only as ``components["relaxed"]``,
+    "nan" for the adder MAC, whose conditional variances vanish."""
     if seed is not None:
         _check_seed(seed)
     channel = _load_channel(channel_path)

@@ -11,9 +11,9 @@ internal is in nats.
 The two-user MAC bound is the point-to-point bound with one competitor
 term per error event: user 1 wrong, user 2 wrong, or both wrong; the
 point-to-point channel is the one-event case.  Every bound reads one
-per-letter model (``_Context``: the supported cells, each cell's
-information density per event, one competitor-tail system per event),
-walks one lattice, and each lattice is guarded:
+per-letter model (``_Context``: the supported cells pooled into atoms,
+and one competitor-tail system per event), walks one lattice of
+compositions (``_type_lattice``), and each lattice is guarded:
 
 - Exact point-to-point RCU (``rcu_exact_ppc`` and the exact search of
   ``achievable_logM_ppc``) sums over output types y.  Given y^n, the sent
@@ -25,9 +25,10 @@ walks one lattice, and each lattice is guarded:
   ``ldpc_rcu_mac``), are one sum over the law of the event i-vector: one
   point per composition of n over the distinct per-letter i-vectors
   (n + 1 points for the BSC).
-- Exact two-user MAC bounds enumerate joint (x_1, x_2, y) types.
-- Monte Carlo routes sample words from one chunked Philox stream and
-  read the same competitor tables.
+- Exact two-user MAC bounds sum over atom types (n + 1 points for the
+  adder and xor MACs).
+- Monte Carlo routes sample words from one chunked Philox stream, count
+  each word's atoms and read the same competitor tables.
 
 A competitor table is the law of an n-fold sum of one likelihood-ratio
 atom set per conditioning symbol, held as sorted numpy arrays.  Ratio keys
@@ -42,7 +43,6 @@ from __future__ import annotations
 
 import functools
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -52,7 +52,7 @@ from . import GuardError
 from .channel import DmcModel, InputPmf, MacModel, Quantizer, induced_input_pmf
 from .infodensity import (EVENTS, _check_sizes, _event_tables,
                           average_inputs, mac_moments, ppc_moments)
-from .spectrum import _log_multinomial, _num_compositions, type_compositions
+from .spectrum import _num_compositions
 
 LN2 = math.log(2.0)
 
@@ -310,11 +310,11 @@ class _TailSystem:
     convolution of its classes' cached powers, merged after every step by
     the ``_merge_close`` rule.  A table is (keys ascending, probs, suffix)
     with suffix[i] = P[score >= keys[i]] and a trailing 0.
-    ``tail(counts, thr)`` returns P[score >= thr - _TIE_TOL] under per-cell
-    counts, so exact ties, which float rounding can push either way, count
-    as errors.  The threshold is the sent word's score, which a competitor
-    matches with positive probability, so a tail of 0 can only come from an
-    underflowed table; it is refused rather than read as "no error".
+    ``tail(class_counts, thresholds)`` returns P[score >= thr - _TIE_TOL]
+    per threshold, so exact ties, which float rounding can push either way,
+    count as errors.  A threshold is the sent word's score, which a
+    competitor matches with positive probability, so a tail of 0 can only
+    come from an underflowed table; it is refused, not read as "no error".
     """
 
     def __init__(self, atoms):
@@ -352,27 +352,20 @@ class _TailSystem:
         suffix = np.append(np.cumsum(probs[::-1])[::-1], 0.0)
         return keys, probs, suffix
 
-    def table(self, counts):
-        """The table of per-cell ``counts``, cached per class-count
-        vector."""
-        class_counts = [0] * len(self.laws)
-        for c, count in zip(self.classes, counts):
-            class_counts[c] += count
-        class_counts = tuple(class_counts)
-        tab = self._tables.get(class_counts)
-        if tab is None:
-            tab = self._tables[class_counts] = self.build(class_counts)
-        return tab
-
-    def tail(self, counts, threshold) -> float:
-        keys, _probs, suffix = self.table(counts)
-        tail = float(suffix[np.searchsorted(keys, threshold - _TIE_TOL)])
-        if tail == 0.0:
+    def tail(self, class_counts, thresholds) -> np.ndarray:
+        """Competitor tail at each of ``thresholds`` under one class-count
+        vector, whose table is cached."""
+        class_counts = tuple(int(c) for c in class_counts)
+        if class_counts not in self._tables:
+            self._tables[class_counts] = self.build(class_counts)
+        keys, _probs, suffix = self._tables[class_counts]
+        tails = suffix[np.searchsorted(keys, thresholds - _TIE_TOL)]
+        if not tails.all():
             raise ValueError(
                 f"competitor tail is 0: table probabilities underflowed at "
-                f"n={sum(counts)}"
+                f"n={sum(class_counts)}"
             )
-        return min(tail, 1.0)
+        return np.minimum(tails, 1.0)
 
 
 def _check_lattice(points: int, what: str, caller: str,
@@ -386,21 +379,77 @@ def _check_lattice(points: int, what: str, caller: str,
         )
 
 
+def _type_lattice(n: int, log_probs, what: str, caller: str):
+    """(types, log-probabilities) of n letters drawn from atoms of
+    probabilities p = e^``log_probs``: every composition c of n into len(p)
+    parts, one row each, the first part slowest, and ln[multinomial(n; c)
+    prod_j p_j^{c_j}].  The lattice ``what`` is guarded."""
+    _check_lattice(_num_compositions(n, len(log_probs)), what, caller)
+    log_fact = np.array([math.lgamma(c + 1.0) for c in range(n + 1)])
+    # up to a million rows: each count in the smallest type that holds n
+    small = np.min_scalar_type(n)
+    cols = []
+    used = np.zeros(1, dtype=np.int64)      # letters given to earlier parts
+    log_w = np.full(1, log_fact[n])
+    for log_p in log_probs[:-1]:
+        # every row spreads over the counts 0..n-used left for this part
+        spread = n - used + 1
+        row = np.repeat(np.arange(used.size), spread)
+        count = np.arange(row.size) - np.repeat(np.cumsum(spread) - spread,
+                                                spread)
+        cols = [c[row] for c in cols] + [count.astype(small)]
+        used = used[row] + count
+        log_w = log_w[row] + count * log_p - log_fact[count]
+    count = n - used
+    log_w = log_w + count * log_probs[-1] - log_fact[count]
+    return np.stack(cols + [count.astype(small)], axis=1), log_w
+
+
+def _count_sums(counts, values) -> np.ndarray:
+    """counts @ values, ``_MC_CHUNK`` rows at a time, so that numpy never
+    casts a whole lattice of up to a million count rows at once."""
+    return np.concatenate([counts[i:i + _MC_CHUNK] @ values
+                           for i in range(0, len(counts), _MC_CHUNK)])
+
+
+def _pool(log_probs, ivecs, classes):
+    """Pool rows into atoms: a row joins the first row whose i-vector is
+    within ``_KEY_MERGE_TOL`` of its own and whose class equals its own, in
+    every event.  Returns atoms' first rows, rows' atoms, atoms' log-probs."""
+    same = (np.all(np.abs(ivecs[:, None] - ivecs) <= _KEY_MERGE_TOL, axis=2)
+            & np.all(classes[:, None] == classes, axis=2))
+    first, atom = np.unique(same.argmax(axis=1), return_inverse=True)
+    return first, atom, np.log(np.bincount(atom, weights=np.exp(log_probs)))
+
+
+def _sample_outputs(w_rows, xwords, rng) -> np.ndarray:
+    """One output word per row of the (trials, n) input words ``xwords``,
+    each letter inverting the CDF of its row of ``w_rows`` at a uniform."""
+    cum = np.cumsum(w_rows, axis=1)
+    u = rng.random(xwords.shape)
+    return (u[:, :, None] >= cum[:, :-1][xwords]).sum(axis=2)
+
+
 class _Context:
     """The per-letter model of P_1 x ... x P_K x W for K = 1 or 2 users,
-    read by every random-coding bound: its supported cells and one
-    competitor-tail system per error event.
+    read by every random-coding bound: its supported cells pooled into
+    atoms, and one competitor-tail system per error event.
 
     ``w`` has shape (|X_1|, ..., |X_K|, |Y|).  For an event E the
     competitor letters are x_E, drawn from the product of E's input pmfs,
     and the conditioning symbol is (x_rest, y), rest being the users not in
-    E.  Information densities, of cells and competitor atoms alike, are
-    read from ``infodensity._event_tables``.  A cell is (log_prob, i_vec,
-    slots): its log-probability, its information density per event, and
-    per event the slot of its conditioning symbol in the flat count list.
-    Event e's slots are the symbols the output reaches, P(y|x_rest) > 0,
-    in C order over (x_rest, y); ``cond_probs[e]`` holds their P(y|x_rest).
-    Cells run in ``np.ndindex(w.shape)`` order.
+    E; E's system holds the symbols the output reaches, P(y|x_rest) > 0,
+    in C order over (x_rest, y).  Information densities, of cells and
+    competitor atoms alike, are read from ``infodensity._event_tables``.
+
+    A joint type enters a bound only through its i-vector and, per event,
+    its letter counts per class of the event's system, so cells whose
+    i-vectors agree within ``_KEY_MERGE_TOL`` and whose conditioning
+    symbols share a class, in every event, are one atom (``_pool``): by the
+    multinomial theorem a sum over joint types is the same sum over atom
+    types.  Atom j has log-probability ``log_probs[j]``, i-vector
+    ``ivecs[j]`` and class ``classes[j, e]`` in event e; atoms run in the
+    order of their first cell, and ``_atom_of`` maps flat cells to atoms.
     """
 
     def __init__(self, w: np.ndarray, pmfs):
@@ -412,10 +461,8 @@ class _Context:
         joint = functools.reduce(np.multiply.outer, probs)[..., None] * w
         live = joint > 0.0
         idx = np.nonzero(live)
-        self._systems = []
-        self.cond_probs = []
-        slots = []
-        base = 0
+        self.systems = []
+        classes = []
         for event, tab in zip(EVENTS[k], tables):
             rest = tuple(u for u in range(k) if u not in event)
             marg = average_inputs(w, probs, event)
@@ -427,83 +474,58 @@ class _Context:
                                      [probs[u] for u in event]).ravel()
             keys = tab.transpose(rest + (k,) + event).reshape(marg.size, -1)
             support = prior > 0.0
-            size = int(reached.sum())
-            self._systems.append((_TailSystem(np.stack(np.broadcast_arrays(
-                keys[reached][:, support], prior[support]), axis=-1)),
-                base, base + size))
-            self.cond_probs.append(marg[reached])
-            slots.append(base + np.cumsum(reached)[cond] - 1)
-            base += size
-        self._num_slots = base
-        self.cells = list(zip(np.log(joint[live]).tolist(),
-                              map(tuple, np.stack([tab[live] for tab in tables],
-                                                  axis=1).tolist()),
-                              map(tuple, np.stack(slots, axis=1).tolist())))
-        self._cell_at = dict(zip(np.flatnonzero(live).tolist(), self.cells))
+            system = _TailSystem(np.stack(np.broadcast_arrays(
+                keys[reached][:, support], prior[support]), axis=-1))
+            self.systems.append(system)
+            classes.append(np.array(system.classes)[np.cumsum(reached)[cond]
+                                                    - 1])
+        self.num_cells = int(live.sum())
+        ivecs = np.stack([tab[live] for tab in tables], axis=1)
+        classes = np.stack(classes, axis=1)
+        first, atom, self.log_probs = _pool(np.log(joint[live]), ivecs,
+                                            classes)
+        self.ivecs = ivecs[first]
+        self.classes = classes[first]
+        self._atom_of = np.full(w.size, -1)
+        self._atom_of[np.flatnonzero(live)] = atom
 
-    def _fold(self, logp, cell_counts):
-        """Sum (cell, count) pairs in one pass into (log_prob, i_vec,
-        slot_counts): i_vec per event, slot_counts the flat list of every
-        event's conditioning counts (layout in the class docstring)."""
-        ivec = [0.0] * len(self._systems)
-        counts = [0] * self._num_slots
-        for (lp, iv, slots), cnt in cell_counts:
-            if cnt == 0:
-                continue
-            logp += cnt * lp
-            for e, i_val in enumerate(iv):
-                ivec[e] += cnt * i_val
-            for s in slots:
-                counts[s] += cnt
-        return logp, ivec, counts
+    def tails(self, counts):
+        """(i-vectors, competitor tails), each (rows, events), of atom-count
+        rows: event e reads its system's table of the row's class counts,
+        counts @ onehot(classes[:, e]), at the row's i-vector entry e."""
+        ivecs = _count_sums(counts, self.ivecs)
+        tails = np.empty_like(ivecs)
+        for e, system in enumerate(self.systems):
+            onehot = np.eye(len(system.laws), dtype=int)[self.classes[:, e]]
+            class_counts, group = np.unique(_count_sums(counts, onehot),
+                                            axis=0, return_inverse=True)
+            rows = np.split(np.argsort(group, kind="stable"),
+                            np.cumsum(np.bincount(group))[:-1])
+            for cc, r in zip(class_counts, rows):
+                tails[r, e] = system.tail(cc, ivecs[r, e])
+        return ivecs, tails
 
-    def tails(self, ivec, counts):
-        """Competitor tail per event: event e's system read at its slice of
-        ``counts`` with threshold ``ivec[e]``."""
-        return [system.tail(counts[lo:hi], i_val)
-                for (system, lo, hi), i_val in zip(self._systems, ivec)]
-
-    def type_terms(self, n: int, caller: str):
-        """Check the joint-type lattice against the guard (the error names
-        ``caller`` as the way out), then return an iterator of
-        (log_prob, i_vec, slot_counts) per joint type."""
-        cells = self.cells
-        _check_lattice(_num_compositions(n, len(cells)), "joint-type lattice",
-                       caller)
-        return (self._fold(_log_multinomial(n, t), zip(cells, t))
-                for t in type_compositions(n, len(cells)))
-
-    def trial_terms(self, n: int, trials: int, seed: int):
-        """Yield (i_vec, slot_counts) for ``trials`` sampled word tuples.
-
-        Chunk c holds up to ``_MC_CHUNK`` trials drawn from Philox key
-        (seed, c): user 1's uniforms, then user 2's, then the outputs', each
-        a (chunk, n) block; inputs invert their pmf's CDF and outputs the
-        row of W their inputs select.
-        """
+    def sample(self, n: int, trials: int, seed: int):
+        """``tails`` of ``trials`` sampled word tuples.  Chunk c holds up to
+        ``_MC_CHUNK`` trials drawn from Philox key (seed, c): user 1's
+        uniforms, then user 2's, then the outputs', each a (chunk, n) block
+        inverting a CDF; one bincount makes the chunk's atom-count rows."""
         w = self._w
-        sizes = w.shape[:-1]
-        sy = w.shape[-1]
-        cum_x = [np.cumsum(p) for p in self._probs]
-        cum_w = np.cumsum(w.reshape(-1, sy), axis=1)
-        cell_at = self._cell_at
-        done = 0
-        chunk_idx = 0
-        while done < trials:
+        atoms = len(self.log_probs)
+        out = []
+        for chunk_idx, done in enumerate(range(0, trials, _MC_CHUNK)):
             c = min(_MC_CHUNK, trials - done)
             rng = _keyed_rng(seed, chunk_idx)
-            ux = [rng.random((c, n)) for _ in sizes]
-            uy = rng.random((c, n))
-            xs = [np.minimum(np.searchsorted(cum, u, side="right"), size - 1)
-                  for cum, u, size in zip(cum_x, ux, sizes)]
-            rows = np.ravel_multi_index(xs, sizes)
-            ys = (uy[:, :, None] >= cum_w[rows][:, :, :-1]).sum(axis=2)
-            for word in rows * sy + ys:
-                counts = Counter(word.tolist())
-                yield self._fold(0.0, ((cell_at[k], cnt)
-                                       for k, cnt in counts.items()))[1:]
-            done += c
-            chunk_idx += 1
+            xs = [np.minimum(np.searchsorted(np.cumsum(p), rng.random((c, n)),
+                                             side="right"), p.size - 1)
+                  for p in self._probs]
+            rows = np.ravel_multi_index(xs, w.shape[:-1])
+            cells = rows * w.shape[-1] + _sample_outputs(
+                w.reshape(-1, w.shape[-1]), rows, rng)
+            slots = np.arange(c)[:, None] * atoms + self._atom_of[cells]
+            out.append(self.tails(np.bincount(
+                slots.ravel(), minlength=c * atoms).reshape(c, atoms)))
+        return tuple(map(np.concatenate, zip(*out)))
 
 
 def _log_count(count: int) -> float:
@@ -538,39 +560,20 @@ def _clamped_union(tails, log_counts) -> np.ndarray:
 def _relaxed_sum(ctx: _Context, n: int, log_scales, caller: str) -> float:
     """E[min{1, sum_e e^{min(s_e - i_e, 0)}}] over the law of the event
     i-vector i of n letters from the context, s = ``log_scales`` (-inf for
-    an inactive event).  Cells whose i-vectors agree within
-    ``_KEY_MERGE_TOL`` in every event are one atom; with a atoms the law
-    has one point per composition c of n into a parts, of probability
-    multinomial(n; c) prod_j p_j^{c_j} and key sum_j c_j v_j.  Its
-    C(n+a-1, a-1) points are guarded (``caller`` is the way out).
+    an inactive event).  The context's atoms pool further by i-vector
+    alone (``_pool``); with a pooled atoms the law has one point per
+    composition c of n into a parts, of probability multinomial(n; c)
+    prod_j p_j^{c_j} and key sum_j c_j v_j.  Its C(n+a-1, a-1) points are
+    guarded (``caller`` is the way out).
     """
-    log_probs, ivecs, _slots = map(np.array, zip(*ctx.cells))
-    # a cell joins the atom of the first cell it agrees with
-    close = np.all(np.abs(ivecs[:, None] - ivecs) <= _KEY_MERGE_TOL, axis=2)
-    first, atom = np.unique(close.argmax(axis=1), return_inverse=True)
-    atoms = list(zip(ivecs[first], np.log(np.bincount(
-        atom, weights=np.exp(log_probs)))))
-    _check_lattice(_num_compositions(n, len(atoms)),
-                   "information-density lattice", caller)
-    log_fact = np.array([math.lgamma(c + 1.0) for c in range(n + 1)])
-    used = np.zeros(1, dtype=np.int64)      # letters given to earlier atoms
-    keys = np.zeros((1, ivecs.shape[1]))
-    log_w = np.full(1, log_fact[n])
-    for j, (ivec, log_p) in enumerate(atoms):
-        if j + 1 < len(atoms):
-            # every point spreads over the counts 0..n-used left for atom j
-            spread = n - used + 1
-            point = np.repeat(np.arange(used.size), spread)
-            count = np.arange(point.size) - np.repeat(np.cumsum(spread)
-                                                      - spread, spread)
-            used, keys, log_w = used[point] + count, keys[point], log_w[point]
-        else:
-            count = n - used
-        keys = keys + np.multiply.outer(count, ivec)
-        log_w = log_w + count * log_p - log_fact[count]
+    first, _atom, log_probs = _pool(ctx.log_probs, ctx.ivecs,
+                                    np.zeros_like(ctx.classes))
+    types, log_w = _type_lattice(n, log_probs, "information-density lattice",
+                                 caller)
     # the weights sum to 1 up to rounding; dividing by their sum makes a
     # sum saturated at every point read exactly 1
     weights = np.exp(log_w)
+    keys = _count_sums(types, ctx.ivecs[first])
     return float((weights * _clamped_sum(log_scales - keys)).sum()
                  / weights.sum())
 
@@ -622,20 +625,17 @@ def _sent_law(ctx: _Context, n: int, caller: str):
     divided by their sum, so that a bound saturated at every point reads
     exactly 1.
     """
-    (system, _lo, _hi), = ctx._systems
-    p_y = ctx.cond_probs[0]
-    classes = len(system.laws)
-    _check_lattice(_num_compositions(n, classes), "y-type lattice", caller)
+    system, = ctx.systems
+    p_y = np.bincount(ctx.classes[:, 0], weights=np.exp(ctx.log_probs),
+                      minlength=len(system.laws))
+    types, log_types = _type_lattice(n, np.log(p_y), "y-type lattice", caller)
     _check_lattice(_num_compositions(n, system.num_atoms),
                    "competitor-table lattice", caller, _TABLE_GUARD)
-    log_py = [math.log(p) for p in np.bincount(system.classes, weights=p_y)]
     weights = []
     tails = []
     with np.errstate(divide="ignore"):      # log of an underflowed 0
-        for t in type_compositions(n, classes):
+        for t, log_t in zip(types.tolist(), log_types):
             keys, p_comp, suffix = system.build(t)
-            log_t = _log_multinomial(n, t) + sum(
-                c * lp for c, lp in zip(t, log_py))
             weights.append(np.exp(np.log(p_comp) + keys + log_t))
             tails.append(suffix[np.searchsorted(keys, keys - _TIE_TOL)])
     weights = np.concatenate(weights)
@@ -669,7 +669,7 @@ def rcu_exact_ppc(dmc: DmcModel, input_pmf, n: int, num_messages) -> BoundReport
     m = num_messages
     union = float(weights @ _clamped_union(tails[:, None],
                                            _log_count(m - 1)))
-    count = _num_compositions(n, len(ctx.cells)) if m > 1 else 0
+    count = _num_compositions(n, ctx.num_cells) if m > 1 else 0
     return BoundReport(
         name="rcu-exact-ppc",
         value=float(weights @ _error_from_tails(tails, m)),
@@ -693,10 +693,9 @@ def rcu_mc_ppc(dmc: DmcModel, input_pmf, n: int, num_messages,
         raise ValueError(f"need at least one message, got {num_messages}")
     if trials < _MIN_TRIALS:
         raise ValueError(f"trials must be >= {_MIN_TRIALS}, got {trials}")
-    ctx = _Context(dmc.w, (_as_pmf(input_pmf),))
     m = num_messages
-    tails = np.array([ctx.tails(ivec, counts)[0]
-                      for ivec, counts in ctx.trial_terms(n, trials, seed)])
+    tails = _Context(dmc.w, (_as_pmf(input_pmf),)).sample(n, trials,
+                                                          seed)[1][:, 0]
     v = _error_from_tails(tails, m)
     union = _clamped_union(tails[:, None], _log_count(m - 1))
     return _mc_report("rcu-mc-ppc", n, m, trials, float(v.sum()),
@@ -813,7 +812,9 @@ def achievable_logM_ppc(dmc: DmcModel, input_pmf, n: int, epsilon: float,
                  - math.log(moments.tail_prefactor)
                  - math.sqrt(n * v) * q_inv(u))
         log_m = max(log_m, 0.0)
-        m_int = max(int(math.floor(math.exp(min(log_m, 700.0)))), 1)
+        # floor(e^log_m) past the float range: e^(log_m - shift ln 2) << shift
+        shift = max(math.floor(log_m / LN2) - 1000, 0)
+        m_int = max(math.floor(math.exp(log_m - shift * LN2)) << shift, 1)
         components["path"] = "proof-constant"
         method = "closed-form"
     else:
@@ -829,14 +830,12 @@ def achievable_logM_ppc(dmc: DmcModel, input_pmf, n: int, epsilon: float,
             return float(weights @ _error_from_tails(tails, m))
 
         # largest integer M with exact ensemble error strictly below target;
-        # M = 1 errs with probability 0, so the search never comes up empty
+        # M = 1 errs with probability 0, so the search never comes up empty,
+        # and the error tends to 1 as M grows, so the doubling stops
         lo_m = 1
         hi_m = 2
-        for _ in range(200):
-            if exact_err(hi_m) >= epsilon:
-                break
-            lo_m = hi_m
-            hi_m *= 2
+        while exact_err(hi_m) < epsilon:
+            lo_m, hi_m = hi_m, 2 * hi_m
         while hi_m - lo_m > 1:
             mid = (lo_m + hi_m) // 2
             if exact_err(mid) < epsilon:
@@ -872,12 +871,14 @@ def rcu_mac(mac: MacModel, pmf1, pmf2, n: int, m1, m2,
     E[min{1, (M1-1) P1 + (M2-1) P2 + (M1-1)(M2-1) P12}] with ties counted
     as errors in each competitor tail.
 
-    ``mode="exact"`` enumerates joint (x1, x2, y) types; ``mode="mc"``
-    samples them.  The relaxed sum with the three 1/sqrt(n) prefactors,
-    over the law of the event i-vector or the sampled i-vectors, is
-    reported under ``components["relaxed"]`` when all needed prefactors
-    exist (terms whose message count is 1 are omitted, matching their
-    identically-zero exact counterparts).
+    ``mode="exact"`` sums exactly over atom types (``_Context``);
+    ``mode="mc"`` samples word triples.
+    The relaxed sum with the three 1/sqrt(n) prefactors, over the law of
+    the event i-vector or the sampled i-vectors, is reported under
+    ``components["relaxed"]`` when all needed prefactors exist (terms whose
+    message count is 1 are omitted, matching their identically-zero exact
+    counterparts).  ``components["joint_types"]`` is the size C(n+c-1,
+    c-1) of the joint-type lattice over the c supported cells.
     """
     _check_block(n)
     if m1 < 1 or m2 < 1:
@@ -895,22 +896,19 @@ def rcu_mac(mac: MacModel, pmf1, pmf2, n: int, m1, m2,
     log_scales = np.where(active, _per_event((math.log(m1), math.log(m2)))
                           + np.log(prefs) - 0.5 * math.log(n), -math.inf)
     if mode == "exact":
-        terms = ctx.type_terms(n, "mode='mc'")
+        counts, log_w = _type_lattice(n, ctx.log_probs, "atom-type lattice",
+                                      "mode='mc'")
+        ivecs, tails = ctx.tails(counts)
     else:
         if trials < _MIN_TRIALS:
             raise ValueError(f"trials must be >= {_MIN_TRIALS}, got {trials}")
-        terms = ((0.0, ivec, counts)
-                 for ivec, counts in ctx.trial_terms(n, trials, seed))
-    # one row per type or trial: log-probability, i-vector, tails
-    rows = np.fromiter(((logp, *ivec, *ctx.tails(ivec, counts))
-                        for logp, ivec, counts in terms),
-                       dtype=np.dtype((np.float64, 7)))
-    v = _clamped_union(rows[:, 4:], log_counts)
+        ivecs, tails = ctx.sample(n, trials, seed)
+    v = _clamped_union(tails, log_counts)
     relaxed = float("nan")
     if relax_ok and mode == "exact":
         relaxed = _relaxed_sum(ctx, n, log_scales, "mode='mc'")
     elif relax_ok:
-        relaxed = float(_clamped_sum(log_scales - rows[:, 1:4]).sum()) / trials
+        relaxed = float(_clamped_sum(log_scales - ivecs).sum()) / trials
     components = {
         "relaxed": relaxed,
         "relaxed_available": relax_ok,
@@ -921,12 +919,13 @@ def rcu_mac(mac: MacModel, pmf1, pmf2, n: int, m1, m2,
                           float(v @ v), components)
     return BoundReport(
         name="rcu-mac",
-        value=min(float(np.exp(rows[:, 0]) @ v), 1.0),
+        value=min(float(np.exp(log_w) @ v), 1.0),
         units="probability",
         method="exact-type-enum",
         n=n,
         num_messages=(m1, m2),
-        components={"joint_types": len(rows), **components},
+        components={"joint_types": _num_compositions(n, ctx.num_cells),
+                    **components},
     )
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import GuardError
 from .channel import DmcModel, MacModel, Quantizer
-from .fbl import BoundReport, _keyed_rng
+from .fbl import BoundReport, _keyed_rng, _sample_outputs
 from .gfq import FieldSpec, GfMatrix, field_from_order, rank_and_nullspace
 from .spectrum import SpectrumTable, type_compositions
 
@@ -308,18 +308,24 @@ def ml_decode(channel, codebook, y, rng=None, seed: int = 0):
     two-user MAC (returns a message pair).  Candidates are scored by
     log-likelihood sums, rational and float channels alike; scores within
     1e-9 of the best tie, an output impossible under every candidate ties
-    them all, and ties are broken uniformly via the keyed RNG.  Output
-    symbols must lie in [0, |Y|)."""
+    them all, and ties are broken uniformly via the keyed RNG.  Codebook
+    inputs must lie in each user's input alphabet and output symbols in
+    [0, |Y|)."""
     if rng is None:
         rng = _keyed_rng(seed, 3)
     y = np.asarray(y, dtype=np.int64)
     cand = _candidates(channel, codebook, y.shape[0])
+    mac = isinstance(channel, MacModel)
+    for book, size in zip(codebook if mac else (codebook,),
+                          channel.w.shape[:-1]):
+        if np.any((book.inputs < 0) | (book.inputs >= size)):
+            raise ValueError(f"codebook inputs must lie in [0, {size})")
     letters = channel.w.shape[-1]
     if np.any((y < 0) | (y >= letters)):
         raise ValueError(f"output symbols must lie in [0, {letters})")
     logw = _log_table(channel.w.reshape(-1, letters))
     win = int(_ml_decide(_Scorer(logw, cand)(y[None, :]), rng)[2][0])
-    if isinstance(channel, MacModel):
+    if mac:
         return divmod(win, codebook[1].size)
     return win
 
@@ -412,14 +418,6 @@ def _check_ensemble_params(ensemble_params):
     if n < 1:
         raise ValueError("n must be a positive integer")
     return n, var_degree, check_degree, q
-
-
-def _sample_outputs(w_rows, xwords, rng) -> np.ndarray:
-    """One output word per trial: xwords is (trials, n) over the row
-    alphabet of w_rows."""
-    cum = np.cumsum(w_rows, axis=1)
-    u = rng.random(xwords.shape)
-    return (u[:, :, None] >= cum[:, :-1][xwords]).sum(axis=2)
 
 
 def _simulate_chunk(channel, qzs, shape, rate, rngs, trials_noise: int,

@@ -22,6 +22,25 @@ def binary_adder_mac() -> MacModel:
     return MacModel.from_rows(rows)
 
 
+def parallel_bsc_mac(p1: str, p2: str) -> MacModel:
+    """W((y1,y2)|x1,x2) = BSC_p1(y1|x1) BSC_p2(y2|x2), outputs flattened."""
+    a = Fraction(p1)
+    b = Fraction(p2)
+    rows = []
+    for x1 in (0, 1):
+        per_x1 = []
+        for x2 in (0, 1):
+            ent = []
+            for y1 in (0, 1):
+                for y2 in (0, 1):
+                    pa = a if y1 != x1 else 1 - a
+                    pb = b if y2 != x2 else 1 - b
+                    ent.append(pa * pb)
+            per_x1.append(ent)
+        rows.append(per_x1)
+    return MacModel.from_rows(rows)
+
+
 def uniform_spectrum_table(n: int, q: int, num_users: int,
                            num_messages) -> SpectrumTable:
     """Exact expected type counts for M^K independent uniform codewords

@@ -7,10 +7,12 @@ row-by-row elimination share only ``fblbound.gfq`` field arithmetic with
 production.  The float oracles are the Gallager function (scalar loops
 over every input tuple), the random-coding union bounds, exact and
 relaxed, by joint-type enumeration with one dict convolution per letter
-(the slow route that the y-type and information-density routes of
-``fblbound.fbl`` replace), the two-binomial closed form of the BSC, and
-the ML scores as one-hot contractions of the gathered (M, n, |Y|)
-per-letter table (the route that the simulator's score matrix replaces).
+(the slow route that the y-type, information-density and atom-type
+routes of ``fblbound.fbl`` replace), the Monte Carlo RCU with its own
+draws and a per-cell fold of each word, the two-binomial closed form of
+the BSC, and the ML scores as one-hot contractions of the gathered (M, n,
+|Y|) per-letter table (the route that the simulator's score matrix
+replaces).
 The powered check enumerator is a big-integer dict convolution, the
 route that ``fblbound.spectrum``'s residue powering replaces, and the
 spectrum exponent's inner infimum has the gradient/restart solver that
@@ -589,10 +591,12 @@ class JointTypes:
             self.systems.append(DictTails(atoms))
             layouts.append((rest, conds, marg))
         self.cells = []
+        self.cell_at = {}
         for idx in itertools.product(*[range(s) for s in w.shape]):
             jp = math.prod(probs[u][idx[u]] for u in users) * w[idx]
             if jp <= 0:
                 continue
+            self.cell_at[idx] = len(self.cells)
             ivec = []
             slots = []
             for rest, conds, marg in layouts:
@@ -691,18 +695,34 @@ def relaxed_mac_joint_types(w, probs1, probs2, n, log_scales):
     return min(total, 1.0)
 
 
-def rcu_mc_ppc_dict_tables(ctx, n, num_messages, trials, seed):
-    """Mean exact and union terms over the samples ``ctx.trial_terms``
-    draws (``ctx`` a one-user ``fbl._Context``), each tail read from
-    ``DictTails`` built on the same competitor atoms.  The context counts
-    only the outputs the input reaches, so every output must be reached
-    for the two count layouts to agree."""
-    tails = JointTypes(ctx._w, ctx._probs).systems[0]
+def rcu_mc_ppc_dict_tables(w, probs, n, num_messages, trials, seed):
+    """Mean exact and union terms over ``trials`` words drawn as
+    ``fblbound.fbl.rcu_mc_ppc`` draws them: chunks of 4096 trials, chunk c
+    from Philox key (seed, c), the inputs' (chunk, n) uniforms and then the
+    outputs', each letter inverting a CDF.  Each word is folded into
+    per-cell counts, and its tail read from ``DictTails``."""
+    jt = JointTypes(w, [probs])
+    tails = jt.systems[0]
+    cum_x = list(itertools.accumulate(probs))
+    cum_w = [list(itertools.accumulate(row))[:-1] for row in w]
     value = union = 0.0
-    for (i_val,), counts in ctx.trial_terms(n, trials, seed):
-        tail = tails.tail(counts, i_val)
-        value += _error_from_tail(tail, num_messages)
-        union += min(1.0, (num_messages - 1) * tail)
+    for chunk, done in enumerate(range(0, trials, 4096)):
+        rng = np.random.Generator(np.random.Philox(key=[seed, chunk]))
+        ux = rng.random((min(4096, trials - done), n))
+        uy = rng.random(ux.shape)
+        for urow, vrow in zip(ux.tolist(), uy.tolist()):
+            i_val = 0.0
+            counts = [0] * len(tails.atoms)
+            xs = [min(bisect.bisect_right(cum_x, u), len(probs) - 1)
+                  for u in urow]
+            ys = [bisect.bisect_right(cum_w[x], v) for x, v in zip(xs, vrow)]
+            for cell, cnt in Counter(zip(xs, ys)).items():
+                _lp, (iv,), (slot,) = jt.cells[jt.cell_at[cell]]
+                i_val += cnt * iv
+                counts[slot] += cnt
+            tail = tails.tail(counts, i_val)
+            value += _error_from_tail(tail, num_messages)
+            union += min(1.0, (num_messages - 1) * tail)
     return value / trials, union / trials
 
 

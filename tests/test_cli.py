@@ -31,7 +31,8 @@ from fblbound.spectrum import (SpectrumTable, alpha_log, check_polynomial,
                                ldpc_finite_spectrum, ldpc_spectrum_table,
                                rate_offset_decomposition)
 from helpers import (binary_adder_mac, dmc_to_json, mac_to_json,
-                     schema_validate, uniform_spectrum_table)
+                     parallel_bsc_mac, schema_validate,
+                     uniform_spectrum_table)
 
 LN2 = math.log(2.0)
 
@@ -869,9 +870,9 @@ GUARDS = [
         InputPmf.uniform(3), 16, 32), id="rcu-tables"),
     pytest.param("information-density lattice", lambda: rcu_relaxed_ppc(
         _eight_output(), InputPmf.uniform(2), 40, 32), id="relaxed-law"),
-    pytest.param("joint-type lattice", lambda: rcu_mac(
-        binary_adder_mac(), InputPmf.uniform(2), InputPmf.uniform(2), 200,
-        2, 2), id="mac-lattice"),
+    pytest.param("atom-type lattice has 25140840660 points", lambda: rcu_mac(
+        parallel_bsc_mac("1/10", "1/4"), InputPmf.from_values(["1/4", "3/4"]),
+        InputPmf.from_values(["1/4", "3/4"]), 24, 2, 2), id="mac-lattice"),
     pytest.param("codebook size", lambda: enumerate_codebook(
         sample_graph(48, 3, 6, _F2, 0), 0.5), id="codebook"),
     pytest.param("nullspace size", lambda: enumerate_codebook(

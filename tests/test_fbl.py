@@ -36,32 +36,13 @@ from fblbound.gfq import make_field
 from fblbound.infodensity import mac_moments, ppc_moments
 
 import oracles
-from helpers import binary_adder_mac
+from helpers import binary_adder_mac, parallel_bsc_mac
 
 LN2 = math.log(2.0)
 
 
 def asym23() -> DmcModel:
     return DmcModel.from_rows([["1/2", "1/3", "1/6"], ["1/5", "3/10", "1/2"]])
-
-
-def parallel_bsc_mac(p1: str, p2: str) -> MacModel:
-    # W((y1,y2)|x1,x2) = BSC_p1(y1|x1) BSC_p2(y2|x2), outputs flattened
-    a = Fraction(p1)
-    b = Fraction(p2)
-    rows = []
-    for x1 in (0, 1):
-        per_x1 = []
-        for x2 in (0, 1):
-            ent = []
-            for y1 in (0, 1):
-                for y2 in (0, 1):
-                    pa = a if y1 != x1 else 1 - a
-                    pb = b if y2 != x2 else 1 - b
-                    ent.append(pa * pb)
-            per_x1.append(ent)
-        rows.append(per_x1)
-    return MacModel.from_rows(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +192,8 @@ def test_tail_tables_pool_equal_laws_only():
     assert system.classes == [0, 1, 0, 2]
     ref = oracles.DictTails(atoms)
     for counts in ((2, 1, 1, 0), (0, 3, 0, 2), (1, 0, 3, 1), (4, 4, 0, 0)):
-        keys, _probs, suffix = system.table(counts)
+        keys, _probs, suffix = system.build(
+            np.bincount(system.classes, weights=counts).astype(int))
         want_keys, want_suffix = ref.table(counts)
         assert keys.tolist() == pytest.approx(want_keys, rel=1e-15)
         assert suffix.tolist() == pytest.approx(want_suffix, rel=1e-14)
@@ -390,14 +372,15 @@ def test_rcu_exact_matches_two_binomial_closed_form():
 
 
 def test_rcu_mc_matches_dict_table_oracle():
-    # the same Philox draws and folds; only the tables differ
+    # the oracle draws the same Philox stream and folds each word into
+    # per-cell counts itself
     for ch, pmf in ((bsc("11/100"), InputPmf.uniform(2)),
                     (ORACLE_DMCS["bec"], InputPmf.uniform(2)),
                     (ORACLE_DMCS["tsc"], InputPmf.from_values(
                         ["1/2", "1/3", "1/6"]))):
         r = rcu_mc_ppc(ch, pmf, 16, 64, trials=2000, seed=9)
-        value, union = oracles.rcu_mc_ppc_dict_tables(
-            fbl._Context(ch.w, (pmf,)), 16, 64, 2000, 9)
+        value, union = oracles.rcu_mc_ppc_dict_tables(ch.w, pmf.probs, 16,
+                                                       64, 2000, 9)
         assert _rel_close(r.value, value)
         assert _rel_close(r.components["union_bound"], union)
 
@@ -593,6 +576,26 @@ def test_achievable_exact_search_keeps_error_below_target():
             bigger = rcu_exact_ppc(bsc(0.11), pmf, n,
                                    rep.num_messages + 1).value
             assert bigger >= eps
+
+
+def test_achievable_exact_search_doubles_until_the_target():
+    # the doubling used to stop at 2^201, where 2M still erred at 3.0e-23
+    pmf = InputPmf.uniform(2)
+    ch = bsc("1/1000")
+    rep = achievable_logM_ppc(ch, pmf, 300, 0.05, strict_window=False)
+    assert rep.components["path"] == "exact-search"
+    m = rep.num_messages
+    assert m.bit_length() > 202
+    assert rcu_exact_ppc(ch, pmf, 300, m).value < 0.05
+    assert rcu_exact_ppc(ch, pmf, 300, m + 1).value >= 0.05
+
+
+def test_achievable_num_messages_past_the_float_range():
+    # ln M is 10,098.7 nats; num_messages used to be capped at e^700
+    rep = achievable_logM_ppc(bsc("11/100"), InputPmf.uniform(2), 30000,
+                              0.05)
+    assert rep.components["path"] == "proof-constant"
+    assert math.log(rep.num_messages) == pytest.approx(rep.value, rel=1e-9)
 
 
 def test_achievable_proof_constant_path():
@@ -821,6 +824,25 @@ def test_rcu_mac_mc_agrees_with_exact():
     assert mc.value == again.value
 
 
+@pytest.mark.parametrize("mac,n,log2_m", [
+    pytest.param(binary_adder_mac(), 200, 145, id="adder-n200"),
+    pytest.param(xor_mac(), 60, 25, id="xor-n60"),
+    pytest.param(parallel_bsc_mac("1/10", "1/4"), 24, 4, id="pbsc-n24"),
+])
+def test_rcu_mac_exact_past_the_joint_type_lattice_agrees_with_mc(
+        mac, n, log2_m):
+    # atom types: 201 for the adder (1,373,701 joint types), 61 for the
+    # xor MAC (869,648,208) and 2,925 for the parallel BSCs
+    # (25,140,840,660); each joint-type lattice is past the guard
+    u = InputPmf.uniform(2)
+    m = 2 ** log2_m
+    exact = rcu_mac(mac, u, u, n, m, m)
+    mc = rcu_mac(mac, u, u, n, m, m, mode="mc", trials=10_000, seed=3)
+    assert exact.components["joint_types"] > 1_000_000
+    assert 1e-3 < exact.value < 0.5
+    assert abs(exact.value - mc.value) <= 4 * mc.ci_half_width
+
+
 def test_rcu_mac_validation():
     mac = binary_adder_mac()
     u = InputPmf.uniform(2)
@@ -828,8 +850,10 @@ def test_rcu_mac_validation():
         rcu_mac(mac, u, u, 2, 2, 2, mode="typical")
     with pytest.raises(ValueError):
         rcu_mac(mac, u, u, 2, 0, 2)
-    with pytest.raises(ValueError, match="mode='mc'"):
-        rcu_mac(parallel_bsc_mac("1/10", "1/4"), u, u, 64, 2, 2)
+    # skewed pmfs split the 16 cells into 16 atoms: C(39, 15) atom types
+    skew = InputPmf.from_values(["1/4", "3/4"])
+    with pytest.raises(GuardError, match="mode='mc'"):
+        rcu_mac(parallel_bsc_mac("1/10", "1/4"), skew, skew, 24, 2, 2)
 
 
 def test_mac_region_check_clear_member_and_nonmember():

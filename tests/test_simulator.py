@@ -408,6 +408,19 @@ def test_ml_decode_rejects_symbols_outside_alphabet(symbol):
             ml_decode(ch, cb, y)
 
 
+@pytest.mark.parametrize("symbol", [-1, 5])
+def test_ml_decode_rejects_inputs_outside_alphabet(symbol):
+    # -1 used to wrap to the last input letter and 5 to raise IndexError
+    cb = frozen_binary_codebook()
+    inputs = cb.inputs.copy()
+    inputs[1, 2] = symbol
+    bad = dataclasses.replace(cb, inputs=inputs)
+    with pytest.raises(ValueError, match=r"inputs must lie in \[0, 2\)"):
+        ml_decode(bsc("1/10"), bad, cb.inputs[0])
+    with pytest.raises(ValueError, match=r"inputs must lie in \[0, 2\)"):
+        ml_decode(binary_adder_mac(), (cb, bad), cb.inputs[0])
+
+
 def test_ml_decode_float_path_matches_exact():
     cb = frozen_binary_codebook()
     exact = bsc("1/20")
