@@ -167,19 +167,27 @@ def quadratic_exponent_bound(rate: float, channel: DmcModel, pmf: InputPmf,
     cap = ppc_moments(channel, pmf).mean
     if not 0.0 <= rate <= cap + 1e-12:
         raise ValueError(f"rate must lie in [0, C] = [0, {cap:.6g}] nats")
-    log_ny = math.log(channel.output_size)
     gap = max(0.0, cap - rate)
     if not strong:
+        log_ny = math.log(channel.output_size)
         return gap * gap / (_EIGHT_OVER_ESQ + 4.0 * log_ny * log_ny)
-    rcr = critical_rate(channel, pmf)
-    lo = max(0.0, cap - (_EIGHT_OVER_ESQ / 2.0 + log_ny * log_ny - rcr * rcr))
+    denom = _strong_denominator(channel, pmf)
+    # halving is exact, so this is C - (4/e^2 + ln^2|Y| - R_cr^2) bit for bit
+    lo = max(0.0, cap - denom / 2.0)
     if rate < lo - 1e-12:
         raise ValueError(
             f"strong quadratic bound only holds for rates in "
             f"[{lo:.6g}, {cap:.6g}] nats; got {rate:.6g}"
         )
-    denom = _EIGHT_OVER_ESQ + 2.0 * log_ny * log_ny - 2.0 * rcr * rcr
     return gap * gap / denom
+
+
+def _strong_denominator(channel: DmcModel, pmf: InputPmf) -> float:
+    """8/e^2 + 2 ln^2|Y| - 2 R_cr^2, the strong quadratic bound's
+    denominator."""
+    log_ny = math.log(channel.output_size)
+    rcr = critical_rate(channel, pmf)
+    return _EIGHT_OVER_ESQ + 2.0 * log_ny * log_ny - 2.0 * rcr * rcr
 
 
 def exponent_rate_bound(n: int, epsilon: float, channel: DmcModel,
@@ -193,9 +201,7 @@ def exponent_rate_bound(n: int, epsilon: float, channel: DmcModel,
     if not 0.0 < epsilon <= 1.0:
         raise ValueError("epsilon must lie in (0, 1]")
     cap = ppc_moments(channel, pmf).mean
-    rcr = critical_rate(channel, pmf)
-    log_ny = math.log(channel.output_size)
-    coeff = _EIGHT_OVER_ESQ + 2.0 * log_ny * log_ny - 2.0 * rcr * rcr
+    coeff = _strong_denominator(channel, pmf)
     return max(0.0, cap - math.sqrt(coeff / n * math.log(1.0 / epsilon)))
 
 

@@ -52,7 +52,7 @@ from . import GuardError
 from .channel import DmcModel, InputPmf, MacModel, Quantizer, induced_input_pmf
 from .infodensity import (EVENTS, _check_sizes, _event_tables,
                           average_inputs, mac_moments, ppc_moments)
-from .spectrum import _num_compositions
+from .spectrum import _compositions, _num_compositions
 
 LN2 = math.log(2.0)
 
@@ -382,27 +382,15 @@ def _check_lattice(points: int, what: str, caller: str,
 def _type_lattice(n: int, log_probs, what: str, caller: str):
     """(types, log-probabilities) of n letters drawn from atoms of
     probabilities p = e^``log_probs``: every composition c of n into len(p)
-    parts, one row each, the first part slowest, and ln[multinomial(n; c)
-    prod_j p_j^{c_j}].  The lattice ``what`` is guarded."""
+    parts, one row each (``spectrum._compositions``), and ln[multinomial(n;
+    c) prod_j p_j^{c_j}].  The lattice ``what`` is guarded."""
     _check_lattice(_num_compositions(n, len(log_probs)), what, caller)
+    types = _compositions(n, len(log_probs))
     log_fact = np.array([math.lgamma(c + 1.0) for c in range(n + 1)])
-    # up to a million rows: each count in the smallest type that holds n
-    small = np.min_scalar_type(n)
-    cols = []
-    used = np.zeros(1, dtype=np.int64)      # letters given to earlier parts
-    log_w = np.full(1, log_fact[n])
-    for log_p in log_probs[:-1]:
-        # every row spreads over the counts 0..n-used left for this part
-        spread = n - used + 1
-        row = np.repeat(np.arange(used.size), spread)
-        count = np.arange(row.size) - np.repeat(np.cumsum(spread) - spread,
-                                                spread)
-        cols = [c[row] for c in cols] + [count.astype(small)]
-        used = used[row] + count
-        log_w = log_w[row] + count * log_p - log_fact[count]
-    count = n - used
-    log_w = log_w + count * log_probs[-1] - log_fact[count]
-    return np.stack(cols + [count.astype(small)], axis=1), log_w
+    log_w = np.full(len(types), log_fact[n])
+    for count, log_p in zip(types.T, log_probs):
+        log_w = log_w + count * log_p - log_fact[count]
+    return types, log_w
 
 
 def _count_sums(counts, values) -> np.ndarray:
@@ -657,9 +645,10 @@ def rcu_exact_ppc(dmc: DmcModel, input_pmf, n: int, num_messages) -> BoundReport
     Equals the brute-force average over all equally-likely codebooks when
     the input pmf matches the codeword distribution.  The clamped union
     form E[min{1, (M-1) P[tie-or-better]}] is reported under
-    ``components["union_bound"]``.  ``components["joint_types"]`` is the
-    size C(n+c-1, c-1) of the joint-type lattice over the c supported
-    (x, y) cells that the sum is exact over (0 when M = 1).
+    ``components["union_bound"]``.  ``components["joint_types"]`` counts
+    the joint types of n letters over the c supported (x, y) cells,
+    C(n+c-1, c-1) (0 when M = 1): the size of the problem, not of the
+    y-type lattice the sum walks.
     """
     _check_block(n)
     if num_messages < 1:
@@ -877,8 +866,9 @@ def rcu_mac(mac: MacModel, pmf1, pmf2, n: int, m1, m2,
     the event i-vector or the sampled i-vectors, is reported under
     ``components["relaxed"]`` when all needed prefactors exist (terms whose
     message count is 1 are omitted, matching their identically-zero exact
-    counterparts).  ``components["joint_types"]`` is the size C(n+c-1,
-    c-1) of the joint-type lattice over the c supported cells.
+    counterparts).  ``components["joint_types"]`` counts the joint types
+    of n letters over the c supported cells, C(n+c-1, c-1): the size of
+    the problem, not of the atom-type lattice the exact sum walks.
     """
     _check_block(n)
     if m1 < 1 or m2 < 1:

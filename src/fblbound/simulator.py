@@ -25,7 +25,7 @@ from . import GuardError
 from .channel import DmcModel, MacModel, Quantizer
 from .fbl import BoundReport, _keyed_rng, _sample_outputs
 from .gfq import FieldSpec, GfMatrix, field_from_order, rank_and_nullspace
-from .spectrum import SpectrumTable, type_compositions
+from .spectrum import SpectrumTable, _compositions, _num_compositions
 
 _ENUM_GUARD = 1 << 20
 _TUPLE_GUARD = 1_000_000  # codeword pairs of a two-user spectrum trial
@@ -596,8 +596,8 @@ def empirical_spectrum(ensemble_params, trials: int, seed: int,
                 sums[tt] = sums.get(tt, 0.0) + c
                 sumsq[tt] = sumsq.get(tt, 0.0) + c * c
     qk = q ** num_users
-    keys = (type_compositions(n, qk)
-            if math.comb(n + qk - 1, qk - 1) <= 100_000 else list(sums))
+    keys = (map(tuple, _compositions(n, qk).tolist())
+            if _num_compositions(n, qk) <= 100_000 else list(sums))
     entries, stats = {}, {}
     for tt in keys:
         s = sums.get(tt, 0.0)

@@ -36,7 +36,6 @@ from .gfq import field_from_order
 _LATTICE_GUARD = 20_000_000
 _TABLE_GUARD = 2_000_000
 _LSE_TOL = 1e-10  # Newton stops at this gradient norm, relative to rho
-_JSIGMA_CAP = 200_000  # rate-offset types at full lattice resolution
 _SLAB_ENTRIES = 1 << 16  # residue entries powered at once; kept cache-sized
 _INT64_MAX = (1 << 63) - 1  # residue sums are reduced before passing it
 
@@ -44,8 +43,12 @@ _INT64_MAX = (1 << 63) - 1  # residue sums are reduced before passing it
 # ---------------------------------------------------------------------------
 # types and small combinatorics
 
-def _counts(t) -> tuple[int, ...]:
-    return tuple(int(c) for c in t)
+def _type_of(n: int, t) -> tuple[int, ...]:
+    """t as a tuple of ints, refused unless it sums to n."""
+    counts = tuple(int(c) for c in t)
+    if sum(counts) != n:
+        raise ValueError(f"type sums to {sum(counts)}, expected {n}")
+    return counts
 
 
 def symbol_components(index: int, q: int, num_users: int) -> tuple[int, ...]:
@@ -56,14 +59,22 @@ def symbol_components(index: int, q: int, num_users: int) -> tuple[int, ...]:
     return tuple(reversed(comps))
 
 
-def type_compositions(total: int, parts: int):
-    """All length-`parts` tuples of nonnegative ints summing to `total`."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in type_compositions(total - head, parts - 1):
-            yield (head,) + rest
+def _compositions(total: int, parts: int) -> np.ndarray:
+    """Every composition of ``total`` into ``parts`` nonnegative parts, one
+    row each in lexicographic order (the first part slowest), in the
+    smallest unsigned dtype that holds ``total``."""
+    small = np.min_scalar_type(total)
+    cols = []
+    used = np.zeros(1, dtype=np.int64)      # total given to earlier parts
+    for _ in range(parts - 1):
+        # every row spreads over the counts 0..total-used left for this part
+        spread = total - used + 1
+        row = np.repeat(np.arange(used.size), spread)
+        count = np.arange(row.size) - np.repeat(np.cumsum(spread) - spread,
+                                                spread)
+        cols = [c[row] for c in cols] + [count.astype(small)]
+        used = used[row] + count
+    return np.stack(cols + [(total - used).astype(small)], axis=1)
 
 
 def _num_compositions(total: int, parts: int) -> int:
@@ -71,16 +82,9 @@ def _num_compositions(total: int, parts: int) -> int:
 
 
 def multinomial_exact(n: int, t) -> int:
-    counts = _counts(t)
-    if sum(counts) != n:
-        raise ValueError(f"type sums to {sum(counts)}, expected {n}")
-    return _multinomial(n, counts)
-
-
-def _multinomial(n: int, counts) -> int:
     out = 1
     rem = n
-    for c in counts:
+    for c in _type_of(n, t):
         out *= math.comb(rem, c)
         rem -= c
     return out
@@ -91,18 +95,10 @@ def multinomial_log(n: int, t) -> float:
 
     Exact big-integer evaluation for n <= 64, lgamma otherwise.
     """
-    counts = _counts(t)
-    if sum(counts) != n:
-        raise ValueError(f"type sums to {sum(counts)}, expected {n}")
-    return _log_multinomial(n, counts)
-
-
-def _log_multinomial(n: int, counts) -> float:
-    # multinomial_log without validation: counts must be ints summing to n
     if n <= 64:
-        return math.log(_multinomial(n, counts))
+        return math.log(multinomial_exact(n, t))
     out = math.lgamma(n + 1)
-    for c in counts:
+    for c in _type_of(n, t):
         out -= math.lgamma(c + 1)
     return out
 
@@ -209,7 +205,9 @@ def check_polynomial(q: int, num_users: int,
     )
     term = [(q - 1) ** a * (-1) ** (rho - a) for a in range(rho + 1)]
     coeffs = {}
-    for t in type_compositions(rho, qk):
+    # row by row: the guard admits tens of millions of socket types
+    for row in _compositions(rho, qk):
+        t = tuple(row.tolist())
         total = sum(
             mult * term[sum(t[g] for g in gs)] for gs, mult in orth_sets.items()
         )
@@ -427,9 +425,7 @@ def ldpc_finite_spectrum(n: int, t, var_degree: int, check_degree: int,
     powering would exceed the lattice guard; there is no asymptotic
     stand-in.
     """
-    counts = _counts(t)
-    if sum(counts) != n:
-        raise ValueError(f"type sums to {sum(counts)}, expected {n}")
+    counts = _type_of(n, t)
     lam, rho = var_degree, check_degree
     if (n * lam) % rho:
         raise ValueError(
@@ -484,7 +480,7 @@ class SpectrumTable:
     is_upper_bound: bool = False
 
     def log_value(self, t) -> float:
-        key = _counts(t)
+        key = tuple(int(c) for c in t)
         if key not in self.entries:
             raise KeyError(f"type {key} not present in this table")
         return self.entries[key]
@@ -500,13 +496,13 @@ def _log_mk_minus_one(num_messages, num_users: int) -> float:
     return lm + math.log1p(-math.exp(-lm)) if lm < 700 else lm
 
 
-def _all_types_guarded(n: int, qk: int):
+def _all_types_guarded(n: int, qk: int) -> np.ndarray:
     if _num_compositions(n, qk) > _TABLE_GUARD:
         raise GuardError(
             f"dense table over {_num_compositions(n, qk)} types exceeds the "
             f"{_TABLE_GUARD} guard; pass an explicit type list"
         )
-    return type_compositions(n, qk)
+    return _compositions(n, qk)
 
 
 def ldpc_spectrum_table(n: int, var_degree: int, check_degree: int,
@@ -521,7 +517,7 @@ def ldpc_spectrum_table(n: int, var_degree: int, check_degree: int,
         types = _all_types_guarded(n, qk)
     entries = {}
     for t in types:
-        key = _counts(t)
+        key = _type_of(n, t)
         entries[key] = ldpc_finite_spectrum(
             n, key, var_degree, check_degree, q, num_users
         )
@@ -536,22 +532,20 @@ def ldpc_spectrum_table(n: int, var_degree: int, check_degree: int,
 # ---------------------------------------------------------------------------
 # alpha penalty, expurgation
 
-def alpha_log(spectrum: SpectrumTable, num_messages,
-              exclude=()) -> tuple[float, tuple[int, ...]]:
+def alpha_log(spectrum: SpectrumTable,
+              num_messages) -> tuple[float, tuple[int, ...]]:
     """ln of the max-ratio penalty and its maximizing type.
 
     Ratio per type: table entry over the uniform reference
     (M^K - 1) B(n,t) q^(-nK), with n and K the table's.  The all-zero
-    type is always excluded; exclude may remove further types from the
-    maximization."""
+    type is excluded."""
     n, num_users = spectrum.n, spectrum.num_users
     log_ref_const = _log_mk_minus_one(num_messages, num_users) \
         - n * num_users * math.log(spectrum.q)
-    skip = {_counts(t) for t in exclude}
     best = None
     best_t = None
     for t, v in spectrum.entries.items():
-        if v == -math.inf or t in skip or sum(t) == t[0]:
+        if v == -math.inf or sum(t) == t[0]:
             continue
         ratio = v - (log_ref_const + multinomial_log(n, t))
         if best is None or ratio > best:
@@ -643,26 +637,6 @@ class RateOffsetDecomposition:
     units: str = "nats"
 
 
-def _jsigma_types(n: int, qk: int, sigma: float):
-    """Types with zero-symbol share at most 1 - sigma, at full lattice
-    resolution when affordable, else on a strided grid refined later."""
-    wmin = math.ceil(sigma * n - 1e-9)
-    total = sum(
-        _num_compositions(w, qk - 1) for w in range(wmin, n + 1)
-    )
-    if total <= _JSIGMA_CAP:
-        for w in range(wmin, n + 1):
-            for rest in type_compositions(w, qk - 1):
-                yield (n - w,) + rest
-        return
-    stride = max(2, math.ceil((total / _JSIGMA_CAP)
-                              ** (1.0 / max(qk - 1, 1))))
-    for w in range(wmin, n + 1):
-        for rest in type_compositions(w, qk - 1):
-            if all(c % stride == 0 for c in rest[:-1]):
-                yield (n - w,) + rest
-
-
 def rate_offset_decomposition(n: int, var_degree: int, check_degree: int,
                               sigma: float, q: int,
                               num_users: int) -> RateOffsetDecomposition:
@@ -697,7 +671,12 @@ def rate_offset_decomposition(n: int, var_degree: int, check_degree: int,
     best2_t = None
     best4 = -math.inf
     best4_t = None
-    for t in _jsigma_types(n, qk, sigma):
+    # types of zero-symbol share at most 1 - sigma, the zero count
+    # descending; a stable sort keeps the first maximum of a tie
+    types = _compositions(n, qk)
+    types = types[types[:, 0] <= n - math.ceil(sigma * n - 1e-9)]
+    order = np.argsort(n - types[:, 0], kind="stable")
+    for t in map(tuple, types[order].tolist()):
         ln_fin = _log_finite_count(power, n, t, lam, q)
         if ln_fin == -math.inf:
             continue

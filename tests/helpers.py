@@ -49,7 +49,8 @@ def uniform_spectrum_table(n: int, q: int, num_users: int,
     log_m = math.log(num_messages)
     base = num_users * log_m - n * num_users * math.log(q)
     entries = {
-        t: base + multinomial_log(n, t) for t in _all_types_guarded(n, qk)
+        t: base + multinomial_log(n, t)
+        for t in map(tuple, _all_types_guarded(n, qk).tolist())
     }
     return SpectrumTable(
         n=n, q=q, num_users=num_users, kind="uniform", entries=entries,

@@ -535,12 +535,14 @@ class DictTails:
         return min(suffix[bisect.bisect_left(keys, threshold - self.tie)], 1.0)
 
 
-def _compositions(total, parts):
+def type_compositions(total, parts):
+    """All length-``parts`` tuples of nonnegative ints summing to ``total``,
+    the first part slowest: the order ``spectrum._compositions`` keeps."""
     if parts == 1:
         yield (total,)
         return
     for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
+        for rest in type_compositions(total - head, parts - 1):
             yield (head,) + rest
 
 
@@ -608,7 +610,7 @@ class JointTypes:
     def types(self, n):
         """(probability, i per event, conditioning counts per event) for
         every joint type of length n."""
-        for t in _compositions(n, len(self.cells)):
+        for t in type_compositions(n, len(self.cells)):
             logp = _log_multinomial(n, t)
             ivec = [0.0] * len(self.systems)
             counts = [[0] * len(sys_.atoms) for sys_ in self.systems]

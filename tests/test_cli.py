@@ -5,6 +5,7 @@ captured per test.  Channel files are written fresh into tmp_path so the
 tests never depend on repository data files.
 """
 
+import hashlib
 import json
 import math
 import re
@@ -241,6 +242,21 @@ def test_spectrum_alpha_pinned(num_users, n, expurgate, log_alpha, argmax,
     assert alpha["log_alpha"] == pytest.approx(log_alpha, rel=1e-12)
     assert alpha["argmax_type"] == argmax
     assert alpha["num_messages_per_user"] == num
+
+
+@pytest.mark.parametrize("q,num_users,n,expurgate,want", [
+    (4, 1, 10, None, "ab2ca21d2512d9d3"),
+    (4, 1, 10, 0.2, "b53b633f081e29af"),
+    (2, 2, 16, None, "3b9aedefb7ffcabb"),
+    (2, 2, 16, 0.2, "06711eb167744cd4"),
+    (3, 1, 12, None, "33a58e157c45eff5"),
+    (3, 1, 12, 0.2, "f9ef3c4ab200d633"),
+])
+def test_spectrum_payload_pinned(q, num_users, n, expurgate, want):
+    payload = cmd_spectrum(q, num_users, 3, 6, n, want_alpha=True,
+                           expurgate=expurgate)
+    text = json.dumps(payload, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == want
 
 
 def test_spectrum_expurgated_table_doubles_survivors():

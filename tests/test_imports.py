@@ -1,12 +1,19 @@
-"""Every name that a package or test module imports is referenced in it.
+"""Every name that a package or test module imports is referenced in it,
+and every private helper of the package is referenced somewhere.
 
-The scan reads each module's syntax tree: a name bound by ``import`` or
-``from ... import`` must appear as a name somewhere in the module.
+The scans read the modules' syntax trees.  A name bound by ``import`` or
+``from ... import`` must appear as a name somewhere in its module;
 ``__init__.py`` files, which re-export, and ``__future__`` imports are
-exempt.
+exempt.  A module-level function, class or constant of ``src/fblbound``
+whose name starts with one underscore must be read by some module under
+``src/`` or ``tests/``: as a name, an attribute, an imported name or a
+string equal to it (``monkeypatch.setattr(module, "_NAME", ...)``); a
+bare name counts only in the defining module, since elsewhere it names
+that module's own binding.  Dunders are exempt.
 """
 
 import ast
+import functools
 import pathlib
 
 import pytest
@@ -15,6 +22,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 MODULES = sorted(path for folder in ("src/fblbound", "tests")
                  for path in (ROOT / folder).glob("*.py")
                  if path.name != "__init__.py")
+PACKAGE = sorted((ROOT / "src/fblbound").glob("*.py"))
 
 
 def unused_imports(source):
@@ -49,3 +57,74 @@ def test_scan_reports_unused_names():
               "import numpy as np\n"
               "x = d + np.pi\n")
     assert unused_imports(source) == [(2, "os"), (3, "c")]
+
+
+def private_definitions(source):
+    """(line, name) of every module-level function, class or constant
+    whose name starts with one underscore."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target,
+                                                            ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        found += [(node.lineno, name) for name in names
+                  if name.startswith("_") and not name.startswith("__")]
+    return found
+
+
+def references(source):
+    """(names the module reads, names it may read from another module): the
+    second are attributes, imported names and whole-string constants."""
+    own, shared = set(), set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            own.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            shared.add(node.attr)
+        elif isinstance(node, ast.alias):
+            shared.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            shared.add(node.value)
+    return own, shared
+
+
+@functools.cache
+def shared_references():
+    return set().union(*(references(p.read_text())[1]
+                         for p in PACKAGE + MODULES))
+
+
+@pytest.mark.parametrize("path", PACKAGE,
+                         ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_unreferenced_private_helpers(path):
+    source = path.read_text()
+    refs = references(source)[0] | shared_references()
+    assert [(line, name) for line, name in private_definitions(source)
+            if name not in refs] == []
+
+
+def test_private_scan_reports_unreferenced_names():
+    source = ("_CAP = 3\n"
+              "_USED: int = 4\n"
+              "__all__ = ['f']\n"
+              "def _helper():\n"
+              "    return _USED\n"
+              "def _patched():\n"
+              "    pass\n"
+              "class _Spare:\n"
+              "    pass\n"
+              "x = setattr(m, '_patched', 0)\n")
+    found = private_definitions(source)
+    assert found == [(1, "_CAP"), (2, "_USED"), (4, "_helper"),
+                     (6, "_patched"), (8, "_Spare")]
+    own, shared = references(source)
+    assert [name for _, name in found if name not in own | shared] == [
+        "_CAP", "_helper", "_Spare"]
+    assert references("import m\nfrom m import _a\nm._b\n_c\n") == (
+        {"m", "_c"}, {"m", "_a", "_b"})

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -55,9 +56,19 @@ def test_compositions_total_count():
     # sum of multinomials over all compositions is parts^n
     n, parts = 6, 3
     total = sum(
-        sp.multinomial_exact(n, t) for t in sp.type_compositions(n, parts)
+        sp.multinomial_exact(n, t) for t in sp._compositions(n, parts)
     )
     assert total == parts ** n
+
+
+def test_compositions_match_the_generator_row_for_row():
+    for n in range(13):
+        for parts in range(1, 6):
+            rows = sp._compositions(n, parts)
+            assert list(map(tuple, rows.tolist())) == list(
+                oracles.type_compositions(n, parts))
+            assert len(rows) == sp._num_compositions(n, parts)
+            assert rows.dtype == np.min_scalar_type(n)
 
 
 def test_symbol_index_round_trip():
@@ -329,7 +340,7 @@ def test_finite_spectrum_total_mass_near_design_count():
     # design count, and close to it when short loops are rare
     n = 12
     total = 0.0
-    for t in sp.type_compositions(n, 2):
+    for t in sp._compositions(n, 2):
         v = sp.ldpc_finite_spectrum(n, t, 3, 6, 2, 1)
         if v > -math.inf:
             total += math.exp(v)
@@ -347,6 +358,22 @@ def test_finite_spectrum_converges_to_asymptotic():
             fin = sp.ldpc_finite_spectrum(n, t, 3, 6, 2, 1) / (n * LN2)
             gaps.append(abs(fin - asym))
         assert gaps[1] < gaps[0]
+
+
+def test_finite_spectrum_gap_at_an_interior_type_is_logn_over_n():
+    # the rate-offset maxima sit at the all-ones corner, where both
+    # spectra vanish; at theta0 = 1/2 the finite count sits below the
+    # exponent by about 0.4 ln(n)/n, so an exponent off by 1e-3 nats fails
+    # at n = 480 (n gap / ln n would move by 0.08)
+    asym = sp.ldpc_spectrum_exponent((0.5, 0.5), 3, 6, 2, 1) * LN2
+    gaps = []
+    for n in (60, 120, 240, 480):
+        ln_count = sp.ldpc_finite_spectrum(n, (n // 2, n // 2), 3, 6, 2, 1)
+        gap = ln_count / n - asym
+        assert gap < 0
+        assert -0.45 <= n * gap / math.log(n) <= -0.35
+        gaps.append(abs(gap))
+    assert gaps == sorted(gaps, reverse=True) and len(set(gaps)) == 4
 
 
 def test_finite_spectrum_guard_raises_guard_error():
@@ -454,14 +481,15 @@ def test_ldpc_table_zero_type_and_alpha_cross_check():
 
 
 def test_alpha_exclusion_and_errors():
+    # the all-zero type never enters the maximum, nor does a type of
+    # ensemble count 0; with nothing else left the penalty is refused
     n = 12
     tab = sp.ldpc_spectrum_table(n, 3, 6, 2, 1)
-    m = 2 ** 6
-    la_all, argmax = sp.alpha_log(tab, m)
-    la_excl, _ = sp.alpha_log(tab, m, exclude=[argmax])
-    assert la_excl <= la_all
-    with pytest.raises(ValueError):
-        sp.alpha_log(tab, m, exclude=list(tab.entries))
+    assert tab.log_value((n, 0)) == 0.0
+    tab.entries = {t: v if t == (n, 0) else -math.inf
+                   for t, v in tab.entries.items()}
+    with pytest.raises(ValueError, match="no candidate types left"):
+        sp.alpha_log(tab, 2 ** 6)
 
 
 def test_table_missing_type_raises():
@@ -547,6 +575,17 @@ def test_rate_offset_total_scaling():
         ratios.append(d.total * n / math.log(n))
     assert all(r < 2.5 for r in ratios)
     assert ratios[1] <= ratios[0]
+
+
+@pytest.mark.parametrize("q,num_users,want", [
+    # at (4, 1): finite_spectrum_term -3.3306690738754696e-16 at (0, 0, 0,
+    # 12), stirling_term 0.3179666570934328 at (3, 3, 3, 3)
+    (4, 1, "505978e2c46846ed"),
+    (2, 2, "4eaf2e135febde8e"),
+])
+def test_rate_offset_pinned_at_four_symbols(q, num_users, want):
+    dec = sp.rate_offset_decomposition(12, 3, 6, 0.1, q, num_users)
+    assert hashlib.sha256(repr(dec).encode()).hexdigest()[:16] == want
 
 
 def test_rate_offset_argmaxes_reported():
