@@ -417,7 +417,7 @@ def cmd_simulate(channel_path: str, q: int, var_degree: int,
         seeds = [users * ((seed * 1_000_003 + t) % (1 << 62)) + j
                  for t in chunk for j in range(users)]
         words = _sample_codes(shape, field, [_keyed_rng(s) for s in seeds],
-                              rate, [_keyed_rng(s, 1) for s in seeds])[1]
+                              rate, [_keyed_rng(s, 1) for s in seeds])
         for lo in range(0, len(words), users):
             books = tuple(Codebook(field, w) for w in words[lo:lo + users])
             if any(b.size < 2 for b in books):

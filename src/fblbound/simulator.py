@@ -15,8 +15,10 @@ results are reproducible and trials are isolated.
 
 from __future__ import annotations
 
+import functools
 import math
-from collections import Counter
+import os
+from collections import Counter, deque
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -32,11 +34,17 @@ _TUPLE_GUARD = 1_000_000  # codeword pairs of a two-user spectrum trial
 _PAIR_OPS_GUARD = 10 ** 9
 _PAIR_BLOCK = 1 << 22  # symbol comparisons per block of the pair scan
 _SCORE_BLOCK = 1 << 19  # candidate scores per row block (at least 16 rows)
+_FILL_BLOCK = 1 << 14  # symbols per row block of a codebook fill
 # entries per elimination stack, and per chunk of codebooks held at once
 _STACK_ENTRIES = 1 << 16
 _TIE_ATOL = 1e-9
 _LOG_ZERO = -1e30  # stand-in for log 0; keeps impossible words out of ties
 _WILSON_Z = 1.96
+# threads that decode large code trials: the CPUs this process may run on
+try:
+    _WORKERS = len(os.sched_getaffinity(0))
+except AttributeError:  # a platform without affinity masks
+    _WORKERS = os.cpu_count() or 1
 
 
 # ---------------------------------------------------------------------------
@@ -109,15 +117,20 @@ def _check_stack(n, var_degree, check_degree, field, perms, labels):
 def sample_graph(n: int, var_degree: int, check_degree: int,
                  field: FieldSpec, seed: int) -> TannerGraph:
     """Uniform socket permutation and uniform nonzero labels."""
-    perms, labels = _sample_codes((n, var_degree, check_degree), field,
-                                  [_keyed_rng(seed)], words=False)[2]
+    perms, labels = _sample_graphs((n, var_degree, check_degree), field,
+                                   [_keyed_rng(seed)])[2]
     return TannerGraph(n, var_degree, check_degree, field, perms[0], labels[0])
 
 
 @dataclass(frozen=True)
 class Codebook:
     """Ordered codeword list over the label field, with optional coset
-    vector, quantizer, and derived channel-input words."""
+    vector, quantizer, and derived channel-input words.
+
+    The words are stored in the field's symbol dtype, the smallest unsigned
+    dtype that holds q - 1 (the rule of ``spectrum._compositions``): uint8
+    for q <= 256.  A coset has one symbol per position and the inputs one
+    symbol per codeword symbol."""
 
     field: FieldSpec
     words: np.ndarray
@@ -126,14 +139,21 @@ class Codebook:
     inputs: np.ndarray | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "words",
-                           np.asarray(self.words, dtype=np.int64))
-        if self.words.ndim != 2:
+        words = np.asarray(self.words)
+        if words.ndim != 2:
             raise ValueError("codebook words must form a 2-d array")
-        if np.any(self.words < 0) or np.any(self.words >= self.field.q):
+        if np.any(words < 0) or np.any(words >= self.field.q):
             raise ValueError("codeword symbols outside the field")
-        if _has_duplicate_rows(self.words, self.field.q):
+        words = words.astype(self.field.symbol_dtype, copy=False)
+        object.__setattr__(self, "words", words)
+        if _has_duplicate_rows(words, self.field.q):
             raise ValueError("codewords must be distinct")
+        if self.coset is not None and np.shape(self.coset) != (self.n,):
+            raise ValueError(f"the coset needs one symbol per position, "
+                             f"got shape {np.shape(self.coset)}")
+        if self.inputs is not None and np.shape(self.inputs) != words.shape:
+            raise ValueError(f"inputs of shape {np.shape(self.inputs)} do "
+                             f"not match the words' {words.shape}")
 
     @property
     def size(self) -> int:
@@ -147,8 +167,9 @@ class Codebook:
 def _has_duplicate_rows(words: np.ndarray, q: int) -> bool:
     """Whether two rows of a (m, n) array over [0, q) are equal.
 
-    Packs floor(62 / bitlen(q - 1)) symbols into each int64 key column,
-    sorts the rows by their keys and compares neighbours."""
+    Packs floor(62 / bitlen(q - 1)) symbols into each int64 key column, one
+    row block of at most ``_FILL_BLOCK`` symbols at a time, sorts the rows
+    by their keys and compares neighbours."""
     m, n = words.shape
     if m < 2:
         return False
@@ -156,24 +177,47 @@ def _has_duplicate_rows(words: np.ndarray, q: int) -> bool:
         return True
     bits = (q - 1).bit_length()
     per = 62 // bits
-    keys = []
-    for s in range(0, n, per):
-        block = words[:, s:s + per]
-        keys.append((block << (bits * np.arange(block.shape[1]))).sum(axis=1))
-    packed = np.stack(keys, axis=1)[np.lexsort(keys)]
+    shifts = bits * (np.arange(n) % per)
+    keys = np.empty((m, -(-n // per)), dtype=np.int64)
+    step = max(1, _FILL_BLOCK // n)
+    for lo in range(0, m, step):
+        block = words[lo:lo + step].astype(np.int64) << shifts
+        keys[lo:lo + step] = np.add.reduceat(block, np.arange(0, n, per),
+                                             axis=1)
+    packed = keys[np.lexsort(keys.T)]
     return bool(np.any(np.all(packed[1:] == packed[:-1], axis=1)))
 
 
 def _enumerate_nullspace(field: FieldSpec, basis: np.ndarray) -> np.ndarray:
     """All field-linear combinations of the rows of each basis in the
     (codes, k, n) stack ``basis``, coefficient of the first row varying
-    fastest: a (codes, q^k, n) array."""
-    words = np.zeros((basis.shape[0], 1, basis.shape[2]), dtype=np.int64)
-    for j in range(basis.shape[1]):
+    fastest: a (codes, q^k, n) array in the field's symbol dtype.
+
+    The array is filled in place, row block by row block of at most
+    ``_FILL_BLOCK`` symbols per code, through the field's uint8 add and
+    multiply tables (int64 arithmetic past q = 256)."""
+    codes, k, n = basis.shape
+    size = 1
+    words = np.empty((codes, field.q ** k, n), dtype=field.symbol_dtype)
+    words[:, 0] = 0
+    if field._add_s is None:  # int64 results, cast on assignment
+        add, mul = field.add, field.mul
+    else:
+        def add(a, b):
+            return field._add_s[a, b]
+
+        def mul(a, b):
+            return field._mul_s[a, b]
+    step = max(1, _FILL_BLOCK // max(1, codes * n))
+    for j in range(k):
         row = basis[:, j, None, :]
-        words = np.concatenate([words] + [
-            field.add(words, field.mul(coef, row))
-            for coef in range(1, field.q)], axis=1)
+        for coef in range(1, field.q):
+            shift = mul(coef, row)
+            for lo in range(0, size, step):
+                src = words[:, lo:min(lo + step, size)]
+                start = coef * size + lo
+                words[:, start:start + src.shape[1]] = add(src, shift)
+        size *= field.q
     return words
 
 
@@ -187,34 +231,35 @@ def enumerate_codebook(graph: TannerGraph, rate: float,
     is kept.  The paper-level removal definition only fixes the ensemble
     average, so uniform subsampling is our realization of it."""
     words = _sample_codes((graph.n, graph.var_degree, graph.check_degree),
-                          graph.field, [graph], rate, [_keyed_rng(seed, 1)])[1]
+                          graph.field, [graph], rate, [_keyed_rng(seed, 1)])
     return Codebook(field=graph.field, words=words[0])
 
 
-def _sample_codes(shape, field, rngs, rate=None, trim_rngs=None,
-                  words=True):
-    """Codes of one graph per entry of ``rngs``, reduced as one stack.
+def _design_count(n: int, rate: float, q: int) -> int:
+    """q^(n rate), the codewords a trimmed code keeps, within the
+    exhaustive-enumeration guard."""
+    k = round(n * rate)
+    if abs(n * rate - k) > 1e-9 or k < 0:
+        raise ValueError(
+            f"n rate must be a nonnegative integer, got {n * rate!r}")
+    num = q ** k
+    if num > _ENUM_GUARD:
+        raise GuardError(f"codebook size q^(n rate) = {num} exceeds the "
+                         f"{_ENUM_GUARD} exhaustive-enumeration guard")
+    return num
+
+
+def _sample_graphs(shape, field, rngs):
+    """Graphs of one code per entry of ``rngs``, reduced as one stack.
 
     shape is (n, var_degree, check_degree).  Draws a uniform socket
     permutation and uniform nonzero labels from each generator (a
-    TannerGraph entry stands for its own draw), reduces the check
-    matrices in one ``rank_and_nullspace`` call and enumerates each
-    nullspace; with ``trim_rngs``, code i keeps q^(n rate) words drawn
-    from trim_rngs[i] as ``enumerate_codebook`` describes.  Returns the
-    ranks, the word arrays (None with words=False) and the (perms,
-    labels) drawn."""
+    TannerGraph entry stands for its own draw) and reduces the check
+    matrices in one ``rank_and_nullspace`` call.  Returns the ranks, the
+    (codes, max nullity, n) basis stack and the (perms, labels) drawn."""
     n, var_degree, check_degree = shape
     q, m = field.q, n * var_degree
     _check_degrees(n, var_degree, check_degree)
-    if trim_rngs is not None:
-        k = round(n * rate)
-        if abs(n * rate - k) > 1e-9 or k < 0:
-            raise ValueError(
-                f"n rate must be a nonnegative integer, got {n * rate!r}")
-        num = q ** k
-        if num > _ENUM_GUARD:
-            raise GuardError(f"codebook size q^(n rate) = {num} exceeds the "
-                             f"{_ENUM_GUARD} exhaustive-enumeration guard")
     perms = np.empty((len(rngs), m), dtype=np.int64)
     labels = np.ones((len(rngs), m), dtype=np.int64)
     for i, rng in enumerate(rngs):
@@ -226,26 +271,58 @@ def _sample_codes(shape, field, rngs, rate=None, trim_rngs=None,
     h = _check_stack(n, var_degree, check_degree, field, perms, labels)
     ranks, bases = rank_and_nullspace(
         GfMatrix(field, h.reshape(-1, n), blocks=len(rngs)))
-    ranks, bases = np.atleast_1d(ranks), bases.reshape(len(rngs), -1, n)
-    if not words:
-        return ranks, None, (perms, labels)
-    nullity = n - ranks
+    return (np.atleast_1d(ranks), bases.reshape(len(rngs), -1, n),
+            (perms, labels))
+
+
+def _code_plans(field, ranks, bases, num, trim_rngs):
+    """Per code, its nullspace basis and the rows of the enumerated
+    nullspace its codebook keeps: all of them (None) without
+    ``trim_rngs``, else ``num`` rows drawn from trim_rngs[i] as
+    ``enumerate_codebook`` describes.  Checks each nullspace against the
+    exhaustive-enumeration guard first."""
+    nullity = bases.shape[2] - ranks
     for k in nullity.tolist():
-        if q ** k > _ENUM_GUARD:
+        if field.q ** k > _ENUM_GUARD:
             raise GuardError(f"nullspace size q^{k} exceeds the "
                              f"{_ENUM_GUARD} exhaustive-enumeration guard")
-    books = [None] * len(rngs)
-    for k in np.unique(nullity).tolist():  # codes of one nullity at once
+    plans = []
+    for i, k in enumerate(nullity.tolist()):
+        keep, size = None, field.q ** k
+        if trim_rngs is not None:
+            if num > size:
+                raise ValueError(f"rate asks for {num} codewords but the "
+                                 f"nullspace holds {size}")
+            if num < size:
+                keep = trim_rngs[i].permutation(size)[:num]
+        plans.append((bases[i, :k], keep))
+    return plans
+
+
+def _enumerate_codes(field, plans) -> list[np.ndarray]:
+    """The word arrays of the codes ``plans`` (see ``_code_plans``); the
+    codes of one nullity are enumerated as one stack."""
+    nullity = np.array([basis.shape[0] for basis, _ in plans])
+    books = [None] * len(plans)
+    for k in np.unique(nullity).tolist():
         idx = np.flatnonzero(nullity == k)
-        for i, book in zip(idx, _enumerate_nullspace(field, bases[idx, :k])):
-            books[i] = book
-    for i, book in enumerate(books if trim_rngs is not None else ()):
-        if num > book.shape[0]:
-            raise ValueError(f"rate asks for {num} codewords but the "
-                             f"nullspace holds {book.shape[0]}")
-        if num < book.shape[0]:
-            books[i] = book[trim_rngs[i].permutation(book.shape[0])[:num]]
-    return ranks, books, (perms, labels)
+        stack = np.stack([plans[i][0] for i in idx])
+        for i, book in zip(idx, _enumerate_nullspace(field, stack)):
+            keep = plans[i][1]
+            books[i] = book if keep is None else book[keep]
+    return books
+
+
+def _sample_codes(shape, field, rngs, rate=None, trim_rngs=None):
+    """Word arrays of one code per entry of ``rngs``: the graphs of
+    ``_sample_graphs``, each nullspace enumerated, and with ``trim_rngs``
+    code i trimmed to q^(n rate) words drawn from trim_rngs[i] as
+    ``enumerate_codebook`` describes."""
+    num = None if trim_rngs is None else _design_count(shape[0], rate,
+                                                         field.q)
+    ranks, bases, _ = _sample_graphs(shape, field, rngs)
+    return _enumerate_codes(field, _code_plans(field, ranks, bases, num,
+                                               trim_rngs))
 
 
 def _chunks(count: int, shape, users: int, words: int) -> list[range]:
@@ -259,6 +336,22 @@ def _chunks(count: int, shape, users: int, words: int) -> list[range]:
     return [range(lo, min(lo + step, count)) for lo in range(0, count, step)]
 
 
+def _coset_inputs(quantizer: Quantizer, words, coset) -> np.ndarray:
+    """Channel inputs of the coset words ``words + coset`` in the field's
+    symbol dtype, one row block of at most ``_FILL_BLOCK`` symbols at a
+    time: symbol s in column i reads entry i q + s of one flat table, the
+    input assignment[s + coset[i]]."""
+    f = quantizer.field
+    table = quantizer.assignment[f.add(np.arange(f.q), coset[:, None])]
+    table = table.astype(f.symbol_dtype).ravel()
+    offsets = f.q * np.arange(words.shape[1])
+    out = np.empty(words.shape, dtype=f.symbol_dtype)
+    step = max(1, _FILL_BLOCK // max(1, words.shape[1]))
+    for lo in range(0, words.shape[0], step):
+        out[lo:lo + step] = table[words[lo:lo + step] + offsets]
+    return out
+
+
 def build_inputs(codebook: Codebook, coset_seed: int,
                  quantizer: Quantizer) -> Codebook:
     """Attach a uniform coset vector and the quantized channel inputs.
@@ -269,26 +362,22 @@ def build_inputs(codebook: Codebook, coset_seed: int,
         raise ValueError("quantizer field does not match the codebook field")
     v = _keyed_rng(coset_seed, 2).integers(0, codebook.field.q,
                                             size=codebook.n)
-    shifted = codebook.field.add(codebook.words, v[None, :])
     return replace(codebook, coset=v, quantizer=quantizer,
-                   inputs=quantizer.apply(shifted))
+                   inputs=_coset_inputs(quantizer, codebook.words, v))
 
 
 # ---------------------------------------------------------------------------
 # ML decoding
 
-def _candidates(channel, books, n: int) -> np.ndarray:
-    """Candidate channel-input words for exhaustive ML decoding: the rows
-    of one codebook, or for a two-user MAC every pair of rows as one word
-    over the flattened input alphabet (user 2 fastest).  Checks the
-    candidate count against ``_ENUM_GUARD`` and the word length against
-    ``n``."""
+def _candidates(channel, words, n: int) -> np.ndarray:
+    """Candidate channel-input words for exhaustive ML decoding from each
+    user's input words ``words``: the rows of one array, or for a two-user
+    MAC every pair of rows as one word over the flattened input alphabet
+    (user 2 fastest), in the smallest unsigned dtype that holds it.
+    Checks the candidate count against ``_ENUM_GUARD`` and the word length
+    against ``n``."""
     if not isinstance(channel, (DmcModel, MacModel)):
         raise ValueError("channel must be a DmcModel or MacModel")
-    words = [cb.inputs for cb in
-             (books if isinstance(channel, MacModel) else (books,))]
-    if any(x is None for x in words):
-        raise ValueError("codebook has no channel inputs; run build_inputs")
     count = math.prod(x.shape[0] for x in words)
     if count > _ENUM_GUARD:
         raise GuardError(f"{count} candidates exceed the {_ENUM_GUARD} guard")
@@ -297,7 +386,8 @@ def _candidates(channel, books, n: int) -> np.ndarray:
     if len(words) == 1:
         return words[0]
     x1, x2 = words
-    return (x1[:, None, :] * channel.input_sizes[1]
+    wide = np.min_scalar_type(math.prod(channel.input_sizes) - 1)
+    return (x1.astype(wide)[:, None, :] * channel.input_sizes[1]
             + x2[None, :, :]).reshape(-1, n)
 
 
@@ -314,10 +404,12 @@ def ml_decode(channel, codebook, y, rng=None, seed: int = 0):
     if rng is None:
         rng = _keyed_rng(seed, 3)
     y = np.asarray(y, dtype=np.int64)
-    cand = _candidates(channel, codebook, y.shape[0])
     mac = isinstance(channel, MacModel)
-    for book, size in zip(codebook if mac else (codebook,),
-                          channel.w.shape[:-1]):
+    books = codebook if mac else (codebook,)
+    if any(book.inputs is None for book in books):
+        raise ValueError("codebook has no channel inputs; run build_inputs")
+    cand = _candidates(channel, [book.inputs for book in books], y.shape[0])
+    for book, size in zip(books, channel.w.shape[:-1]):
         if np.any((book.inputs < 0) | (book.inputs >= size)):
             raise ValueError(f"codebook inputs must lie in [0, {size})")
     letters = channel.w.shape[-1]
@@ -420,43 +512,72 @@ def _check_ensemble_params(ensemble_params):
     return n, var_degree, check_degree, q
 
 
-def _simulate_chunk(channel, qzs, shape, rate, rngs, trials_noise: int,
-                    same_coset: bool):
-    """Decoding errors, ties-as-error count and candidate count over the
-    code trials of one chunk, trial t drawing from rngs[t]: user 1's
-    graph, trim and coset, then user 2's, then the noise and tie-break
-    draws.  Everything a code holds is freed when the chunk returns."""
-    n = shape[0]
-    q = qzs[0].field.q
-    flat_w = channel.w.reshape(-1, channel.w.shape[-1])
-    logw = _log_table(flat_w)
-    books = []
+@functools.cache
+def _executor(workers: int, pid: int):
+    """The thread pool that decodes large code trials, made on first use
+    in each process (``pid``): a forked child does not inherit the
+    parent's threads."""
+    from concurrent.futures import ThreadPoolExecutor
+    return ThreadPoolExecutor(workers, thread_name_prefix="fblbound-decode")
+
+
+def _draw_trials(qzs, shape, num: int, rngs, same_coset: bool):
+    """The draws of the code trials of one chunk, made on the calling
+    thread: for user 1, then user 2, each trial's graph (one stacked
+    elimination per user), trim to ``num`` words and coset, from the
+    trial's generator rngs[t]; with same_coset user 2 reuses user 1's
+    cosets.  Returns per trial a tuple over users of (plan, coset), a plan
+    as ``_code_plans`` gives it."""
+    users = []
     cosets = None
     for qz in qzs:
-        words = _sample_codes(shape, qz.field, rngs, rate, rngs)[1]
+        ranks, bases, _ = _sample_graphs(shape, qz.field, rngs)
+        plans = _code_plans(qz.field, ranks, bases, num, rngs)
         if not (same_coset and cosets):
-            cosets = [rng.integers(0, q, size=n) for rng in rngs]
-        books.append([
-            Codebook(field=qz.field, words=w, coset=v, quantizer=qz,
-                     inputs=qz.apply(qz.field.add(w, v[None, :])))
-            for w, v in zip(words, cosets)])
+            cosets = [rng.integers(0, qz.field.q, size=shape[0])
+                      for rng in rngs]
+        users.append(list(zip(plans, cosets)))
+    return list(zip(*users))
+
+
+def _simulate_chunk(channel, qzs, trials, rngs, trials_noise: int,
+                    workers: int) -> tuple[int, int]:
+    """Decoding errors and ties-as-error count over the drawn code trials
+    ``trials`` of one chunk (see ``_draw_trials``), trial t drawing its
+    messages, noise and tie-breaks from rngs[t]; each of ``workers``
+    threads scores a 1/workers share of the ``_SCORE_BLOCK`` row block,
+    at least 8 rows.
+
+    Calls no public function of the package, so it can run on a worker
+    thread.  A code's words are freed once its inputs exist, and
+    everything else when the chunk returns."""
+    n = trials[0][0][1].size  # the length of a coset
+    flat_w = channel.w.reshape(-1, channel.w.shape[-1])
+    logw = _log_table(flat_w)
+    inputs = []  # per user, each trial's input words
+    for u, qz in enumerate(qzs):
+        codes = [trial[u] for trial in trials]
+        words = _enumerate_codes(qz.field, [plan for plan, _ in codes])
+        inputs.append([Codebook(qz.field, w, v, qz,
+                                _coset_inputs(qz, w, v)).inputs
+                       for w, (_, v) in zip(words, codes)])
+        del words
     realized = pessimistic = 0
-    mac = isinstance(channel, MacModel)
-    for rng, trial_books in zip(rngs, zip(*books)):
-        cand = _candidates(channel, trial_books if mac else trial_books[0], n)
+    for rng, trial_inputs in zip(rngs, zip(*inputs)):
+        cand = _candidates(channel, trial_inputs, n)
         num_messages = cand.shape[0]
         sent = rng.integers(num_messages, size=trials_noise)
         ys = _sample_outputs(flat_w, cand[sent], rng)
         score = _Scorer(logw, cand)
         # row blocks, decided in row order: the tie-break draws of one
         # whole-table call
-        rows = max(16, _SCORE_BLOCK // num_messages)
+        rows = max(8, max(16, _SCORE_BLOCK // num_messages) // workers)
         for lo in range(0, trials_noise, rows):
             errors, ties = _count_errors(score(ys[lo:lo + rows]),
                                          sent[lo:lo + rows], rng)
             realized += errors
             pessimistic += ties
-    return realized, pessimistic, num_messages
+    return realized, pessimistic
 
 
 def _count_errors(ll, sent, rng) -> tuple[int, int]:
@@ -507,15 +628,39 @@ def simulate_error(ensemble_params, channel, quantizers, trials_codes: int,
         if qz.field.q != q:
             raise ValueError("quantizer field does not match ensemble q")
     rate = 1.0 - var_degree / check_degree
-    realized = 0
-    pessimistic = 0
     shape = (n, var_degree, check_degree)
-    for chunk in _chunks(trials_codes, shape, len(qzs), q ** round(n * rate)):
-        errors, ties, num_messages = _simulate_chunk(
-            channel, qzs, shape, rate, [_keyed_rng(seed, tc) for tc in chunk],
-            trials_noise, same_coset)
-        realized += errors
-        pessimistic += ties
+    num = _design_count(n, rate, q)
+    chunks = _chunks(trials_codes, shape, len(qzs), num)
+    # chunks of one trial hold large codes: decode them on every CPU, one
+    # code per thread in flight; many small codes run faster inline
+    workers = _WORKERS
+    pool = (_executor(workers, os.getpid())
+            if workers > 1 and len(chunks[0]) == 1 < len(chunks) else None)
+    counts = []  # each chunk's (errors, ties), in chunk order
+    pending = deque()  # the chunks on the pool, oldest first
+    try:
+        for chunk in chunks:
+            rngs = [_keyed_rng(seed, tc) for tc in chunk]
+            trials = _draw_trials(qzs, shape, num, rngs, same_coset)
+            if pool is None:
+                counts.append(_simulate_chunk(channel, qzs, trials, rngs,
+                                              trials_noise, 1))
+                continue
+            if len(pending) == workers:
+                counts.append(pending.popleft().result())
+            pending.append(pool.submit(_simulate_chunk, channel, qzs, trials,
+                                       rngs, trials_noise, workers))
+        while pending:
+            counts.append(pending.popleft().result())
+    except BaseException:
+        # drop the queued trials and wait for the running ones
+        for fut in pending:
+            if not fut.cancel():
+                fut.exception()
+        raise
+    realized = sum(errors for errors, _ in counts)
+    pessimistic = sum(ties for _, ties in counts)
+    num_messages = num ** len(qzs)
     total = trials_codes * trials_noise
     eps_hat = realized / total
     center, low, high = _wilson(realized, total)
@@ -547,7 +692,8 @@ def _word_type_counts(words: np.ndarray, q: int) -> dict:
     """Histogram of symbol-type vectors over the given words."""
     if q == 2:
         n = words.shape[1]
-        counts = np.bincount(words.sum(axis=1), minlength=n + 1).tolist()
+        counts = np.bincount(words.sum(axis=1, dtype=np.int64),
+                             minlength=n + 1).tolist()
         return {(n - w, w): c for w, c in enumerate(counts) if c}
     return Counter(tuple(np.bincount(row, minlength=q).tolist())
                    for row in words)
@@ -578,7 +724,7 @@ def empirical_spectrum(ensemble_params, trials: int, seed: int,
         rngs = [_keyed_rng(seed, t) for t in chunk]
         # per trial: user 1's graph (and trim), then user 2's
         books = [_sample_codes(shape, field, rngs, rate,
-                               rngs if post_removal else None)[1]
+                               rngs if post_removal else None)
                  for _ in range(num_users)]
         for word_sets in zip(*books):
             if num_users == 2:
@@ -588,7 +734,8 @@ def empirical_spectrum(ensemble_params, trials: int, seed: int,
                     raise GuardError(f"codematrix tuple count exceeds the "
                                      f"guard: {pairs} > {_TUPLE_GUARD}")
                 # the codematrix of messages (a, b) is one word over q^2
-                word_sets = [w1[a] * q + w2 for a in range(w1.shape[0])]
+                wide = w1.astype(np.min_scalar_type(q * q - 1))
+                word_sets = [wide[a] * q + w2 for a in range(w1.shape[0])]
             counts = Counter()
             for words in word_sets:
                 counts.update(_word_type_counts(words, q ** num_users))
@@ -685,8 +832,8 @@ def actual_rate_stats(ensemble_params, trials: int, seed: int,
     gaps = np.empty(trials)
     shape = (n, var_degree, check_degree)
     for chunk in _chunks(trials, shape, 1, 0):
-        ranks = _sample_codes(shape, field, [_keyed_rng(seed, t)
-                                             for t in chunk], words=False)[0]
+        ranks = _sample_graphs(shape, field, [_keyed_rng(seed, t)
+                                              for t in chunk])[0]
         gaps[chunk.start:chunk.stop] = (r - ranks) / n
     tails = tuple(float(np.mean(gaps > e)) for e in eps_grid)
     return RateGapStats(

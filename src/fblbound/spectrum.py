@@ -238,11 +238,14 @@ def _cached_check_poly(q, num_users, rho) -> CheckPolynomial:
 def _minimize_lse_affine(log_c, tmat, target, scale, floor):
     """Minimize the convex lse(log_c + T u) - <target, u> by damped Newton
     steps from u = 0, halving each step until the objective does not rise.
+    When no Newton step passes (rounding can defeat every one near the
+    minimum, where the Hessian is singular along directions the objective
+    ignores), a step against the gradient is halved the same way.
 
     Returns the objective once the gradient norm reaches _LSE_TOL*scale,
     a global minimum by convexity, or -inf once the objective drops below
     `floor` (the target lies outside the achievable hull).  Raises
-    ArithmeticError when the line search stalls or 60 steps do not
+    ArithmeticError when neither step passes or 60 steps do not
     converge, rather than return a value that is not the minimum."""
     dim = tmat.shape[1]
     goal = _LSE_TOL * scale
@@ -254,6 +257,18 @@ def _minimize_lse_affine(log_c, tmat, target, scale, floor):
         e = np.exp(w - wm)
         s = e.sum()
         return wm + math.log(s) - float(target @ u), e / s
+
+    def descend(u, f, direction):
+        # the longest step u - 2^-j direction, down to 1e-12, that does not
+        # raise the objective: (point, objective, weights), or None
+        damp = 1.0
+        while damp >= 1e-12:
+            un = u - damp * direction
+            fn, pn = value(un)
+            if math.isfinite(fn) and fn <= f + 1e-15:
+                return un, fn, pn
+            damp *= 0.5
+        return None
 
     u = np.zeros(dim)
     f, prob = value(u)
@@ -267,17 +282,12 @@ def _minimize_lse_affine(log_c, tmat, target, scale, floor):
         # the Hessian is tiny (dim <= |Q|); the ridge keeps it invertible
         hess = (tmat.T @ (prob[:, None] * tmat) - np.outer(mean, mean)
                 + 1e-12 * np.eye(dim))
-        delta = np.linalg.solve(hess, g)
-        damp = 1.0
-        while damp >= 1e-12:
-            fn, pn = value(u - damp * delta)
-            if math.isfinite(fn) and fn <= f + 1e-15:
-                break
-            damp *= 0.5
-        else:
+        step = (descend(u, f, np.linalg.solve(hess, g))
+                or descend(u, f, g))
+        if step is None:
             raise ArithmeticError(
                 f"inner infimum: Newton line search stalled at f = {float(f)}")
-        u, f, prob = u - damp * delta, fn, pn
+        u, f, prob = step
     raise ArithmeticError(
         f"inner infimum: no stationary point in 60 Newton steps "
         f"(f = {float(f)})")

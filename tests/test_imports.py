@@ -1,5 +1,6 @@
 """Every name that a package or test module imports is referenced in it,
-and every private helper of the package is referenced somewhere.
+every private helper of the package is referenced somewhere, and no
+package module reads the process environment.
 
 The scans read the modules' syntax trees.  A name bound by ``import`` or
 ``from ... import`` must appear as a name somewhere in its module;
@@ -48,6 +49,41 @@ def unused_imports(source):
                          ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def environment_reads(source):
+    """(line, name) of every read of the process environment: the
+    attributes ``environ``, ``getenv`` and ``putenv`` of ``os``, and those
+    names imported from ``os``."""
+    names = {"environ", "getenv", "putenv"}
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Attribute) and node.attr in names
+                and isinstance(node.value, ast.Name) and node.value.id == "os"):
+            found.append((node.lineno, f"os.{node.attr}"))
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            found += [(node.lineno, f"os.{a.name}") for a in node.names
+                      if a.name in names]
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", PACKAGE,
+                         ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_package_reads_no_environment(path):
+    # settings such as the decoding thread count are not environment knobs
+    assert environment_reads(path.read_text()) == []
+
+
+def test_environment_scan_reports_reads():
+    source = ("import os\n"
+              "from os import getenv, path\n"
+              "a = os.environ.get('X')\n"
+              "b = os.getenv('Y')\n"
+              "os.putenv('Z', '1')\n"
+              "c = os.path.join('a')\n")
+    assert environment_reads(source) == [
+        (2, "os.getenv"), (3, "os.environ"), (4, "os.getenv"),
+        (5, "os.putenv")]
 
 
 def test_scan_reports_unused_names():

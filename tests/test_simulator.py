@@ -7,8 +7,13 @@ were sized, not a per-run coin flip.
 
 import dataclasses
 import hashlib
+import inspect
 import json
 import math
+import multiprocessing
+import os
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -17,8 +22,8 @@ from scipy import stats as sps
 
 import oracles
 from fblbound import GuardError, simulator
-from fblbound.channel import (DmcModel, InputPmf, bsc, make_quantizer,
-                              noiseless)
+from fblbound.channel import (DmcModel, InputPmf, MacModel, bsc,
+                              make_quantizer, noiseless)
 from fblbound.exponent import kmac_exponent_bound
 from fblbound.fbl import ldpc_rcu_ppc
 from fblbound.gfq import field_from_order, make_field, rank_and_nullspace
@@ -189,6 +194,28 @@ def test_codebook_validation():
         Codebook(field=F2, words=np.zeros((2, 3), dtype=np.int64))
 
 
+def test_codebook_rejects_inputs_and_coset_of_the_wrong_shape():
+    words = np.array([[0, 0, 0], [1, 1, 0]])
+    with pytest.raises(ValueError, match="do not match the words"):
+        Codebook(F2, words, inputs=words[:1])  # one row short
+    with pytest.raises(ValueError, match="do not match the words"):
+        Codebook(F2, words, inputs=words[:, :2])
+    with pytest.raises(ValueError, match="one symbol per position"):
+        Codebook(F2, words, coset=np.zeros(2, dtype=np.int64))
+    assert Codebook(F2, words, coset=np.zeros(3), inputs=words).size == 2
+
+
+@pytest.mark.parametrize("q,dtype", [(2, np.uint8), (3, np.uint8),
+                                     (256, np.uint8), (257, np.uint16)])
+def test_codebook_words_take_the_smallest_unsigned_dtype(q, dtype):
+    words = np.array([[0, 1], [q - 1, 0]])
+    book = Codebook(field_from_order(q), words)
+    assert book.words.dtype == dtype
+    assert book.words.tolist() == words.tolist()
+    with pytest.raises(ValueError, match="outside the field"):
+        Codebook(field_from_order(q), np.array([[0, 1], [-1, 0]]))
+
+
 @pytest.mark.parametrize("q,n", [(2, 70), (3, 40), (16, 20)])
 def test_codebook_duplicate_check_spans_key_columns(q, n):
     # q=2 packs 62 symbols per key, q=3 packs 31 and q=16 packs 15, so
@@ -223,6 +250,54 @@ def test_codebook_duplicate_check_matches_unique():
 
 # ---------------------------------------------------------------------------
 # coset inputs
+
+
+def _nullspace_by_digits(field, basis):
+    """Word w = sum_j digit_j(w) basis_j, digit 0 fastest, one at a time."""
+    k, n = basis.shape
+    words = []
+    for w in range(field.q ** k):
+        word = np.zeros(n, dtype=np.int64)
+        for j in range(k):
+            word = field.add(word, field.mul((w // field.q ** j) % field.q,
+                                             basis[j]))
+        words.append(word)
+    return np.array(words).reshape(-1, n)
+
+
+@pytest.mark.parametrize("q,k,n,codes", [(2, 5, 7, 3), (3, 3, 5, 2),
+                                         (4, 3, 6, 4), (257, 1, 3, 2)])
+def test_enumerate_nullspace_matches_digit_sums(monkeypatch, q, k, n, codes):
+    # a small fill block splits every coefficient's copy into many blocks;
+    # q = 257 has no uint8 tables and takes int64 arithmetic
+    field = field_from_order(q)
+    basis = np.random.default_rng(q).integers(0, q, size=(codes, k, n))
+    want = np.stack([_nullspace_by_digits(field, b) for b in basis])
+    for block in (simulator._FILL_BLOCK, 2 * n):
+        monkeypatch.setattr(simulator, "_FILL_BLOCK", block)
+        got = simulator._enumerate_nullspace(field, basis)
+        assert got.dtype == field.symbol_dtype
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 16, 256])
+def test_enumerate_nullspace_is_uint8(q):
+    field = field_from_order(q)
+    basis = np.ones((1, 1, 4), dtype=np.int64)
+    assert simulator._enumerate_nullspace(field, basis).dtype == np.uint8
+
+
+def test_enumerate_nullspace_peak_memory():
+    # 2^16 words of 32 symbols: 2 MB of uint8 output, filled in place
+    basis = np.random.default_rng(0).integers(0, 2, size=(1, 16, 32))
+    tracemalloc.start()
+    try:
+        words = simulator._enumerate_nullspace(F2, basis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert words.shape == (1, 1 << 16, 32)
+    assert peak <= 1.25 * words.nbytes
 
 
 def test_build_inputs_consistency():
@@ -400,7 +475,7 @@ def test_ml_decode_rejects_symbols_outside_alphabet(symbol):
     # a symbol outside [0, |Y|) matches no one-hot column, so it would be
     # scored as the reference letter
     cb = frozen_binary_codebook()
-    y = cb.inputs[0].copy()
+    y = cb.inputs[0].astype(np.int64)  # the inputs are uint8
     y[3] = symbol
     for ch in (bsc("1/10"), noiseless(2)):
         with pytest.raises(ValueError,
@@ -412,13 +487,25 @@ def test_ml_decode_rejects_symbols_outside_alphabet(symbol):
 def test_ml_decode_rejects_inputs_outside_alphabet(symbol):
     # -1 used to wrap to the last input letter and 5 to raise IndexError
     cb = frozen_binary_codebook()
-    inputs = cb.inputs.copy()
+    inputs = cb.inputs.astype(np.int64)  # the inputs are uint8
     inputs[1, 2] = symbol
     bad = dataclasses.replace(cb, inputs=inputs)
     with pytest.raises(ValueError, match=r"inputs must lie in \[0, 2\)"):
         ml_decode(bsc("1/10"), bad, cb.inputs[0])
     with pytest.raises(ValueError, match=r"inputs must lie in \[0, 2\)"):
         ml_decode(binary_adder_mac(), (cb, bad), cb.inputs[0])
+
+
+def test_candidates_flatten_wide_mac_inputs_without_overflow():
+    # 17 x 17 inputs: a flattened symbol reaches 16 * 17 + 16 = 288 > 255
+    mac = MacModel(np.full((17, 17, 2), 0.5))
+    x1 = np.array([[16, 0], [3, 16]], dtype=np.uint8)
+    x2 = np.array([[16, 1], [0, 7], [15, 16]], dtype=np.uint8)
+    cand = simulator._candidates(mac, [x1, x2], 2)
+    want = (x1.astype(np.int64)[:, None, :] * 17 + x2[None, :, :]).reshape(-1, 2)
+    assert cand.dtype == np.uint16
+    assert np.array_equal(cand, want)
+    assert cand.max() == 288
 
 
 def test_ml_decode_float_path_matches_exact():
@@ -517,6 +604,136 @@ def test_simulate_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak < 16e6
+
+
+# ---------------------------------------------------------------------------
+# large code trials on the thread pool
+
+
+def _pooled_n30_peak():
+    tracemalloc.start()
+    try:
+        simulate_error((30, 3, 6, 2), bsc("11/100"), binary_quantizer(), 3,
+                       200, 1)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_two_pooled_codes_peak_under_one_inline_code(monkeypatch):
+    # 2^15 candidates at n = 30 on two threads: each holds a 7.9 MB score
+    # matrix, a 2 MB score block and 1 MB of uint8 inputs.  The bound is
+    # the peak of the int64 inline route this pool replaced, one code at a
+    # time.
+    monkeypatch.setattr(simulator, "_WORKERS", 2)
+    assert len(simulator._chunks(3, (30, 3, 6), 1, 1 << 15)) == 3
+    assert _pooled_n30_peak() < 27.3e6
+
+
+POOLED = {
+    "bsc_n24": lambda: simulate_error((24, 3, 6, 2), bsc("11/100"),
+                                      binary_quantizer(), 4, 150, 2),
+    "ternary_n12": lambda: simulate_error(
+        (12, 2, 4, 3), _TSC, _qz(3, ["1/3", "1/3", "1/3"]), 5, 100, 4),
+    "adder_mac": lambda: simulate_error(
+        (12, 3, 6, 2), binary_adder_mac(), (_Q2, _Q2), 4, 60, 6),
+    "adder_mac_shared": lambda: simulate_error(
+        (12, 3, 6, 2), binary_adder_mac(), (_Q2, _Q2), 4, 60, 6,
+        same_coset=True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(POOLED))
+def test_pool_matches_one_thread(monkeypatch, name):
+    # the adder MAC's 64-word codes fill one chunk each only with a tiny
+    # stack budget; more threads than CPUs and a short switch interval
+    # interleave the trials as much as possible
+    if name.startswith("adder"):
+        monkeypatch.setattr(simulator, "_STACK_ENTRIES", 1)
+    used = []
+    pool = simulator._executor
+    monkeypatch.setattr(simulator, "_executor",
+                        lambda workers, pid: used.append(workers)
+                        or pool(workers, pid))
+    default = simulator._WORKERS
+    monkeypatch.setattr(simulator, "_WORKERS", 1)
+    inline = POOLED[name]()
+    assert used == []
+    interval = sys.getswitchinterval()
+    for workers in (default, 3):
+        monkeypatch.setattr(simulator, "_WORKERS", workers)
+        sys.setswitchinterval(1e-5)
+        try:
+            assert POOLED[name]() == inline
+        finally:
+            sys.setswitchinterval(interval)
+    assert 3 in used
+
+
+def _pooled_bsc_n24():
+    return POOLED["bsc_n24"]()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_forked_child_decodes_on_its_own_pool(monkeypatch):
+    # the parent's pool threads do not survive a fork; a child that used
+    # the parent's pool would wait for them forever
+    monkeypatch.setattr(simulator, "_WORKERS", 2)
+    want = _pooled_bsc_n24()
+    with multiprocessing.get_context("fork").Pool(1) as child:
+        assert child.apply_async(_pooled_bsc_n24).get(timeout=60) == want
+
+
+def test_pool_threads_call_no_public_function(monkeypatch):
+    # worker threads may not reach a public function: an outside tracer
+    # that wraps them keeps one call stack for every thread
+    threads = []
+
+    def spy(fn):
+        def wrapped(*args, **kwargs):
+            threads.append((fn.__qualname__, threading.current_thread()))
+            return fn(*args, **kwargs)
+        return wrapped
+
+    modules = [m for name, m in sys.modules.items()
+               if name.startswith("fblbound.")]
+    for mod in modules:
+        for attr, value in list(vars(mod).items()):
+            if (not attr.startswith("_") and inspect.isfunction(value)
+                    and value.__module__.startswith("fblbound.")):
+                monkeypatch.setattr(mod, attr, spy(value))
+    monkeypatch.setattr(simulator, "_WORKERS", 2)
+    simulator.simulate_error((24, 3, 6, 2), bsc("11/100"), binary_quantizer(),
+                             4, 150, 2)
+    names = {name for name, _ in threads}
+    assert {"simulate_error", "rank_and_nullspace"} <= names
+    assert all(t is threading.main_thread() for _, t in threads)
+
+
+def test_pool_drops_queued_trials_on_error(monkeypatch):
+    # the first trial fails on its thread; the error reaches the caller
+    # only after every trial that started has finished
+    started, finished = [], []
+    real = simulator._simulate_chunk
+
+    def failing(*args):
+        started.append(threading.current_thread())
+        try:
+            if len(started) == 1:
+                raise RuntimeError("trial failed")
+            return real(*args)
+        finally:
+            finished.append(1)
+
+    monkeypatch.setattr(simulator, "_simulate_chunk", failing)
+    monkeypatch.setattr(simulator, "_WORKERS", 2)
+    with pytest.raises(RuntimeError, match="trial failed"):
+        simulate_error((24, 3, 6, 2), bsc("11/100"), binary_quantizer(), 6,
+                       50, 2)
+    assert 1 <= len(started) <= 2  # one code per thread in flight
+    assert len(finished) == len(started)
+    assert threading.main_thread() not in started
+
 
 
 def test_simulated_error_below_bounds():

@@ -231,10 +231,12 @@ EXPONENT_GRID = [
 
 
 def _exponent_thetas(q, k, rho):
-    """Equal-split curves over the zero share, random thetas with zeros
-    and, for one binary user, the half-lattice points j/(2 rho): (4,5)
-    reaches the hull face at theta = (0.2, 0.8) and leaves the hull at
-    (0.1, 0.9)."""
+    """Equal-split curves over the zero share, random thetas with zeros,
+    for one binary user the half-lattice points j/(2 rho): (4,5) reaches
+    the hull face at theta = (0.2, 0.8) and leaves the hull at (0.1, 0.9);
+    and for one ternary user the skewed type (1, 16, 1)/18, where every
+    damped Newton step near the minimum fails to lower the objective in
+    floating point."""
     qk = q ** k
     out = [np.r_[t0, np.full(qk - 1, (1.0 - t0) / (qk - 1))]
            for t0 in np.linspace(0.0, 1.0, 11)]
@@ -245,6 +247,8 @@ def _exponent_thetas(q, k, rho):
     if qk == 2:
         steps = np.arange(0, 2 * rho + 1, max(1, rho // 10))
         out += [np.array([1.0 - w, w]) for w in steps / (2 * rho)]
+    if qk == 3:
+        out.append(np.array([1.0, 16.0, 1.0]) / 18)
     return out
 
 
@@ -274,7 +278,7 @@ def test_ldpc_exponent_hull_face_and_outside():
 
 @pytest.mark.parametrize("args", [
     (36, 3, 18, 0.1, 2, 1), (24, 3, 6, 0.1, 2, 1), (12, 3, 6, 0.1, 2, 2),
-    (100, 3, 30, 0.1, 2, 1),
+    (100, 3, 30, 0.1, 2, 1), (18, 3, 6, 0.1, 3, 1),
 ])
 def test_rate_offset_infima_match_restart_oracle(monkeypatch, args):
     calls = []
