@@ -129,9 +129,6 @@ class FieldSpec:
     _add_t: np.ndarray = field(repr=False, default=None)
     _neg_t: np.ndarray = field(repr=False, default=None)
     symbol_dtype: np.dtype = field(init=False, repr=False, compare=False)
-    # _add_t and _mul_t in the symbol dtype, for q <= 256
-    _add_s: np.ndarray = field(repr=False, default=None)
-    _mul_s: np.ndarray = field(repr=False, default=None)
 
     def __post_init__(self):
         q, p, m = self.q, self.p, self.m
@@ -149,9 +146,6 @@ class FieldSpec:
             self._mul_t = self._mul_general(a[:, None], a[None, :])
             self._add_t = self._from_digits(
                 (digit[:, None, :] + digit[None, :, :]) % p)
-        if q <= 256:
-            self._add_s = self._add_t.astype(np.uint8)
-            self._mul_s = self._mul_t.astype(np.uint8)
         inv = np.zeros(q, dtype=np.int64)
         inv[1:] = self._exp[(q - 1 - self._log[1:]) % (q - 1)]
         self._inv_t = inv

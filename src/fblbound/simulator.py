@@ -40,11 +40,14 @@ _STACK_ENTRIES = 1 << 16
 _TIE_ATOL = 1e-9
 _LOG_ZERO = -1e30  # stand-in for log 0; keeps impossible words out of ties
 _WILSON_Z = 1.96
-# threads that decode large code trials: the CPUs this process may run on
+# score-matrix bytes that the large code trials decoded at once may hold
+# between them (one trial always runs): two BSC codes of 2^15 words at n = 30
+_FLIGHT_BYTES = 1 << 25
+# the CPUs this process may run on
 try:
-    _WORKERS = len(os.sched_getaffinity(0))
+    _CPUS = len(os.sched_getaffinity(0))
 except AttributeError:  # a platform without affinity masks
-    _WORKERS = os.cpu_count() or 1
+    _CPUS = os.cpu_count() or 1
 
 
 # ---------------------------------------------------------------------------
@@ -194,29 +197,21 @@ def _enumerate_nullspace(field: FieldSpec, basis: np.ndarray) -> np.ndarray:
     fastest: a (codes, q^k, n) array in the field's symbol dtype.
 
     The array is filled in place, row block by row block of at most
-    ``_FILL_BLOCK`` symbols per code, through the field's uint8 add and
-    multiply tables (int64 arithmetic past q = 256)."""
+    ``_FILL_BLOCK`` symbols per code, so the field arithmetic's int64
+    results are cast into it a block at a time."""
     codes, k, n = basis.shape
     size = 1
     words = np.empty((codes, field.q ** k, n), dtype=field.symbol_dtype)
     words[:, 0] = 0
-    if field._add_s is None:  # int64 results, cast on assignment
-        add, mul = field.add, field.mul
-    else:
-        def add(a, b):
-            return field._add_s[a, b]
-
-        def mul(a, b):
-            return field._mul_s[a, b]
     step = max(1, _FILL_BLOCK // max(1, codes * n))
     for j in range(k):
         row = basis[:, j, None, :]
         for coef in range(1, field.q):
-            shift = mul(coef, row)
+            shift = field.mul(coef, row)
             for lo in range(0, size, step):
                 src = words[:, lo:min(lo + step, size)]
                 start = coef * size + lo
-                words[:, start:start + src.shape[1]] = add(src, shift)
+                words[:, start:start + src.shape[1]] = field.add(src, shift)
         size *= field.q
     return words
 
@@ -512,13 +507,58 @@ def _check_ensemble_params(ensemble_params):
     return n, var_degree, check_degree, q
 
 
+_pool = None  # the decoding thread pool, made on first use
+
+
+def _drop_pool():
+    global _pool
+    _pool = None
+
+
+if hasattr(os, "register_at_fork"):  # a forked child has no pool threads
+    os.register_at_fork(after_in_child=_drop_pool)
+
+
+def _executor():
+    """The thread pool that decodes large code trials, one thread per CPU,
+    made on first use (``concurrent.futures`` is imported only then)."""
+    global _pool
+    if _pool is None:
+        from concurrent.futures import ThreadPoolExecutor
+        _pool = ThreadPoolExecutor(_CPUS, thread_name_prefix="fblbound-decode")
+    return _pool
+
+
 @functools.cache
-def _executor(workers: int, pid: int):
-    """The thread pool that decodes large code trials, made on first use
-    in each process (``pid``): a forked child does not inherit the
-    parent's threads."""
-    from concurrent.futures import ThreadPoolExecutor
-    return ThreadPoolExecutor(workers, thread_name_prefix="fblbound-decode")
+def _openblas_threads_query():
+    """OpenBLAS's thread-count query in the library numpy loaded, or None
+    where none is found (another BLAS, or no ``/proc/self/maps``)."""
+    import ctypes
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split()[-1] for line in fh
+                            if "openblas" in line})
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix in ("", "scipy_"):
+            for suffix in ("", "64_"):
+                query = getattr(lib, f"{prefix}openblas_get_num_threads"
+                                     f"{suffix}", None)
+                if query is not None:
+                    return query
+    return None
+
+
+def _blas_threads() -> int:
+    """The threads numpy's BLAS runs a matrix product on, read at each
+    call; every CPU when that cannot be read."""
+    query = _openblas_threads_query()
+    return _CPUS if query is None else max(1, int(query()))
 
 
 def _draw_trials(qzs, shape, num: int, rngs, same_coset: bool):
@@ -541,12 +581,12 @@ def _draw_trials(qzs, shape, num: int, rngs, same_coset: bool):
 
 
 def _simulate_chunk(channel, qzs, trials, rngs, trials_noise: int,
-                    workers: int) -> tuple[int, int]:
+                    in_flight: int) -> tuple[int, int]:
     """Decoding errors and ties-as-error count over the drawn code trials
     ``trials`` of one chunk (see ``_draw_trials``), trial t drawing its
-    messages, noise and tie-breaks from rngs[t]; each of ``workers``
-    threads scores a 1/workers share of the ``_SCORE_BLOCK`` row block,
-    at least 8 rows.
+    messages, noise and tie-breaks from rngs[t]; each of the ``in_flight``
+    chunks decoded at once scores a 1/in_flight share of the
+    ``_SCORE_BLOCK`` row block, at least 8 rows.
 
     Calls no public function of the package, so it can run on a worker
     thread.  A code's words are freed once its inputs exist, and
@@ -571,7 +611,7 @@ def _simulate_chunk(channel, qzs, trials, rngs, trials_noise: int,
         score = _Scorer(logw, cand)
         # row blocks, decided in row order: the tie-break draws of one
         # whole-table call
-        rows = max(8, max(16, _SCORE_BLOCK // num_messages) // workers)
+        rows = max(8, max(16, _SCORE_BLOCK // num_messages) // in_flight)
         for lo in range(0, trials_noise, rows):
             errors, ties = _count_errors(score(ys[lo:lo + rows]),
                                          sent[lo:lo + rows], rng)
@@ -631,11 +671,16 @@ def simulate_error(ensemble_params, channel, quantizers, trials_codes: int,
     shape = (n, var_degree, check_degree)
     num = _design_count(n, rate, q)
     chunks = _chunks(trials_codes, shape, len(qzs), num)
-    # chunks of one trial hold large codes: decode them on every CPU, one
-    # code per thread in flight; many small codes run faster inline
-    workers = _WORKERS
-    pool = (_executor(workers, os.getpid())
-            if workers > 1 and len(chunks[0]) == 1 < len(chunks) else None)
+    # chunks of one trial hold large codes: decode as many at once as the
+    # CPUs that BLAS leaves idle and _FLIGHT_BYTES of score matrices allow
+    # (BLAS on every CPU already runs the dominant product in parallel);
+    # many small codes run faster inline
+    in_flight = 1
+    if len(chunks[0]) == 1 < len(chunks):
+        matrix = 8 * num ** len(qzs) * n * channel.w.shape[-1]
+        in_flight = max(1, min(_CPUS // _blas_threads(),
+                               _FLIGHT_BYTES // matrix))
+    pool = _executor() if in_flight > 1 else None
     counts = []  # each chunk's (errors, ties), in chunk order
     pending = deque()  # the chunks on the pool, oldest first
     try:
@@ -646,10 +691,10 @@ def simulate_error(ensemble_params, channel, quantizers, trials_codes: int,
                 counts.append(_simulate_chunk(channel, qzs, trials, rngs,
                                               trials_noise, 1))
                 continue
-            if len(pending) == workers:
+            if len(pending) == in_flight:
                 counts.append(pending.popleft().result())
             pending.append(pool.submit(_simulate_chunk, channel, qzs, trials,
-                                       rngs, trials_noise, workers))
+                                       rngs, trials_noise, in_flight))
         while pending:
             counts.append(pending.popleft().result())
     except BaseException:

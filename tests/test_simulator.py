@@ -12,6 +12,7 @@ import json
 import math
 import multiprocessing
 import os
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -269,7 +270,7 @@ def _nullspace_by_digits(field, basis):
                                          (4, 3, 6, 4), (257, 1, 3, 2)])
 def test_enumerate_nullspace_matches_digit_sums(monkeypatch, q, k, n, codes):
     # a small fill block splits every coefficient's copy into many blocks;
-    # q = 257 has no uint8 tables and takes int64 arithmetic
+    # q = 257 fills uint16 words
     field = field_from_order(q)
     basis = np.random.default_rng(q).integers(0, q, size=(codes, k, n))
     want = np.stack([_nullspace_by_digits(field, b) for b in basis])
@@ -610,6 +611,22 @@ def test_simulate_peak_memory():
 # large code trials on the thread pool
 
 
+def _pool_on(monkeypatch, cpus):
+    """Decode on a fresh pool of ``cpus`` threads, with BLAS on one."""
+    monkeypatch.setattr(simulator, "_CPUS", cpus)
+    monkeypatch.setattr(simulator, "_blas_threads", lambda: 1)
+    monkeypatch.setattr(simulator, "_pool", None)
+
+
+def _spy_executor(monkeypatch):
+    """A list that gains one entry per request for the decoding pool."""
+    used = []
+    executor = simulator._executor
+    monkeypatch.setattr(simulator, "_executor",
+                        lambda: used.append(1) or executor())
+    return used
+
+
 def _pooled_n30_peak():
     tracemalloc.start()
     try:
@@ -620,14 +637,48 @@ def _pooled_n30_peak():
         tracemalloc.stop()
 
 
-def test_two_pooled_codes_peak_under_one_inline_code(monkeypatch):
-    # 2^15 candidates at n = 30 on two threads: each holds a 7.9 MB score
-    # matrix, a 2 MB score block and 1 MB of uint8 inputs.  The bound is
+@pytest.mark.parametrize("cpus", [2, 64])
+def test_pooled_codes_peak_under_one_inline_code(monkeypatch, cpus):
+    # 2^15 candidates at n = 30: each code in flight holds a 7.9 MB score
+    # matrix, a share of the 4 MB score block and 1 MB of uint8 inputs, and
+    # _FLIGHT_BYTES admits two of them on any number of CPUs.  The bound is
     # the peak of the int64 inline route this pool replaced, one code at a
     # time.
-    monkeypatch.setattr(simulator, "_WORKERS", 2)
+    _pool_on(monkeypatch, cpus)
+    used = _spy_executor(monkeypatch)
     assert len(simulator._chunks(3, (30, 3, 6), 1, 1 << 15)) == 3
     assert _pooled_n30_peak() < 27.3e6
+    assert used
+
+
+def test_pool_leaves_cpus_that_blas_uses(monkeypatch):
+    # BLAS on every CPU already runs the score product in parallel, and a
+    # code whose score matrix alone passes _FLIGHT_BYTES runs alone
+    _pool_on(monkeypatch, 2)
+    used = _spy_executor(monkeypatch)
+    run = POOLED["bsc_n24"]
+    want = run()
+    assert used
+    used.clear()
+    monkeypatch.setattr(simulator, "_blas_threads", lambda: 2)
+    assert run() == want
+    monkeypatch.setattr(simulator, "_blas_threads", lambda: 1)
+    monkeypatch.setattr(simulator, "_FLIGHT_BYTES", 8 * 4096 * 24 * 2 - 1)
+    assert run() == want
+    assert used == []
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_blas_threads_reads_openblas(threads):
+    if simulator._openblas_threads_query() is None:
+        pytest.skip("numpy's BLAS is not an OpenBLAS found in the maps")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+               PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run(
+        [sys.executable, "-c", "from fblbound import simulator; "
+         "print(simulator._blas_threads())"],
+        env=env, capture_output=True, text=True, check=True)
+    assert int(out.stdout) == threads
 
 
 POOLED = {
@@ -650,24 +701,20 @@ def test_pool_matches_one_thread(monkeypatch, name):
     # interleave the trials as much as possible
     if name.startswith("adder"):
         monkeypatch.setattr(simulator, "_STACK_ENTRIES", 1)
-    used = []
-    pool = simulator._executor
-    monkeypatch.setattr(simulator, "_executor",
-                        lambda workers, pid: used.append(workers)
-                        or pool(workers, pid))
-    default = simulator._WORKERS
-    monkeypatch.setattr(simulator, "_WORKERS", 1)
+    used = _spy_executor(monkeypatch)
+    default = simulator._CPUS
+    _pool_on(monkeypatch, 1)
     inline = POOLED[name]()
     assert used == []
     interval = sys.getswitchinterval()
-    for workers in (default, 3):
-        monkeypatch.setattr(simulator, "_WORKERS", workers)
+    for cpus in (max(2, default), 3):
+        _pool_on(monkeypatch, cpus)
         sys.setswitchinterval(1e-5)
         try:
             assert POOLED[name]() == inline
         finally:
             sys.setswitchinterval(interval)
-    assert 3 in used
+    assert len(used) == 2
 
 
 def _pooled_bsc_n24():
@@ -678,8 +725,9 @@ def _pooled_bsc_n24():
 def test_forked_child_decodes_on_its_own_pool(monkeypatch):
     # the parent's pool threads do not survive a fork; a child that used
     # the parent's pool would wait for them forever
-    monkeypatch.setattr(simulator, "_WORKERS", 2)
+    _pool_on(monkeypatch, 2)
     want = _pooled_bsc_n24()
+    assert simulator._pool is not None
     with multiprocessing.get_context("fork").Pool(1) as child:
         assert child.apply_async(_pooled_bsc_n24).get(timeout=60) == want
 
@@ -702,7 +750,7 @@ def test_pool_threads_call_no_public_function(monkeypatch):
             if (not attr.startswith("_") and inspect.isfunction(value)
                     and value.__module__.startswith("fblbound.")):
                 monkeypatch.setattr(mod, attr, spy(value))
-    monkeypatch.setattr(simulator, "_WORKERS", 2)
+    _pool_on(monkeypatch, 2)
     simulator.simulate_error((24, 3, 6, 2), bsc("11/100"), binary_quantizer(),
                              4, 150, 2)
     names = {name for name, _ in threads}
@@ -726,7 +774,7 @@ def test_pool_drops_queued_trials_on_error(monkeypatch):
             finished.append(1)
 
     monkeypatch.setattr(simulator, "_simulate_chunk", failing)
-    monkeypatch.setattr(simulator, "_WORKERS", 2)
+    _pool_on(monkeypatch, 2)
     with pytest.raises(RuntimeError, match="trial failed"):
         simulate_error((24, 3, 6, 2), bsc("11/100"), binary_quantizer(), 6,
                        50, 2)
