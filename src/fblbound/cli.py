@@ -33,7 +33,8 @@ from .fbl import (_SEED_LIMIT, WindowError, _exp_or_inf, _keyed_rng,
                   rcu_mac, rcu_mc_ppc, rcu_relaxed_ppc, scaling_table)
 from .gfq import field_from_order
 from .infodensity import ppc_moments
-from .simulator import (_ENUM_GUARD, Codebook, _chunks, _sample_codes,
+from .simulator import (_ENUM_GUARD, _PAIR_OPS_GUARD, Codebook, _check_books,
+                        _chunks, _min_distances, _sample_codes,
                         actual_rate_stats, min_distance, simulate_error)
 from .spectrum import (SpectrumTable, alpha_log, expurgate_spectrum,
                        ldpc_spectrum_exponent, ldpc_spectrum_table,
@@ -384,13 +385,22 @@ def cmd_simulate(channel_path: str, q: int, var_degree: int,
                  same_coset: bool = False) -> dict:
     """Monte Carlo error estimate plus ensemble diagnostics.
 
+    Small codes are scored, decided and measured a chunk at a time: the
+    trials of a chunk share one candidate count, so their words and checks
+    run as one stack, their scores and ML decisions as batched products,
+    and (point-to-point) their minimum distances as one product.  Large
+    codes run one per chunk, several at a time on the decoding pool (see
+    ``simulate_error``).
+
     The rate-gap statistics read exactly the codes behind eps_hat (for a
     MAC, user 1's graph of each trial).  The minimum-distance histogram is
     taken over fresh draws from the same ensemble, seeded from the same
     seed; it describes the ensemble, not the particular error run.  Code
     t of user j < K draws its graph from ``_keyed_rng(s)`` and its trim
     from ``_keyed_rng(s, 1)``, s = K ((seed 1_000_003 + t) mod 2^62) + j;
-    the codes of consecutive trials are sampled as one stack."""
+    the codes of consecutive trials are sampled as one stack.  Where the
+    pair scan of one code would pass the simulator's operation guard, the
+    histogram is null and ``dmin_skipped`` says "pair-scan guard"."""
     _check_seed(seed)
     channel = _load_channel(channel_path)
     is_mac = isinstance(channel, MacModel)
@@ -411,19 +421,29 @@ def cmd_simulate(channel_path: str, q: int, var_degree: int,
                             same_coset=same_coset)
     rate = 1.0 - var_degree / check_degree
     users = 2 if is_mac else 1
-    hist: dict[str, int] = {}
+    num = q ** round(n * rate)
+    hist: dict[str, int] | None = {}
+    skipped = {}
     shape = (n, var_degree, check_degree)
-    for chunk in _chunks(codes, shape, users, q ** round(n * rate)):
-        seeds = [users * ((seed * 1_000_003 + t) % (1 << 62)) + j
-                 for t in chunk for j in range(users)]
-        words = _sample_codes(shape, field, [_keyed_rng(s) for s in seeds],
-                              rate, [_keyed_rng(s, 1) for s in seeds])
-        for lo in range(0, len(words), users):
-            books = tuple(Codebook(field, w) for w in words[lo:lo + users])
-            if any(b.size < 2 for b in books):
-                continue
-            d = min_distance(books if is_mac else books[0])
-            hist[str(d)] = hist.get(str(d), 0) + 1
+    if num ** (2 * users) * n > _PAIR_OPS_GUARD:
+        hist, skipped = None, {"dmin_skipped": "pair-scan guard"}
+    # every code is trimmed to num words, and one word makes no pair
+    elif num > 1:
+        for chunk in _chunks(codes, shape, users, num):
+            seeds = [users * ((seed * 1_000_003 + t) % (1 << 62)) + j
+                     for t in chunk for j in range(users)]
+            words = _sample_codes(shape, field,
+                                  [_keyed_rng(s) for s in seeds], rate,
+                                  [_keyed_rng(s, 1) for s in seeds])
+            if is_mac:
+                dists = [min_distance((Codebook(field, w1),
+                                       Codebook(field, w2)))
+                         for w1, w2 in zip(words[::2], words[1::2])]
+            else:
+                dists = _min_distances(_check_books(field, np.stack(words)),
+                                       q).tolist()
+            for d in dists:
+                hist[str(d)] = hist.get(str(d), 0) + 1
     gap = actual_rate_stats((n, var_degree, check_degree, q), codes, seed)
     return {
         "eps_hat": report.value,
@@ -434,6 +454,7 @@ def cmd_simulate(channel_path: str, q: int, var_degree: int,
         "num_messages": int(report.num_messages),
         "design_rate_qary": rate,
         "dmin_histogram": hist,
+        **skipped,
         "rate_gap_stats": asdict(gap),
         "report": _report_dict(report),
     }
@@ -668,7 +689,8 @@ REPORT_SCHEMA = {
         "properties": {
             "eps_hat": "number", "ci": "array", "ties_as_error_rate": "number",
             "trials": "integer", "num_messages": "integer",
-            "design_rate_qary": "number", "dmin_histogram": "object",
+            "design_rate_qary": "number",
+            "dmin_histogram": "object|null", "dmin_skipped": "string",
             "rate_gap_stats": "object", "report": "object",
         },
     },

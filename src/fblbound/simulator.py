@@ -34,6 +34,7 @@ _TUPLE_GUARD = 1_000_000  # codeword pairs of a two-user spectrum trial
 _PAIR_OPS_GUARD = 10 ** 9
 _PAIR_BLOCK = 1 << 22  # symbol comparisons per block of the pair scan
 _SCORE_BLOCK = 1 << 19  # candidate scores per row block (at least 16 rows)
+_STACK_SCORES = 1 << 16  # scores of the trials stacked into one product
 _FILL_BLOCK = 1 << 14  # symbols per row block of a codebook fill
 # entries per elimination stack, and per chunk of codebooks held at once
 _STACK_ENTRIES = 1 << 16
@@ -117,12 +118,21 @@ def _check_stack(n, var_degree, check_degree, field, perms, labels):
     return field._from_digits(np.remainder(digits, field.p, out=digits))
 
 
+def _draw_graph(rng, sockets: int, q: int):
+    """A uniform socket permutation, then (for q > 2) uniform nonzero
+    labels, drawn from ``rng``."""
+    perm = rng.permutation(sockets)
+    if q == 2:
+        return perm, np.ones(sockets, dtype=np.int64)
+    return perm, rng.integers(1, q, size=sockets)
+
+
 def sample_graph(n: int, var_degree: int, check_degree: int,
                  field: FieldSpec, seed: int) -> TannerGraph:
     """Uniform socket permutation and uniform nonzero labels."""
-    perms, labels = _sample_graphs((n, var_degree, check_degree), field,
-                                   [_keyed_rng(seed)])[2]
-    return TannerGraph(n, var_degree, check_degree, field, perms[0], labels[0])
+    _check_degrees(n, var_degree, check_degree)
+    perm, labels = _draw_graph(_keyed_rng(seed), n * var_degree, field.q)
+    return TannerGraph(n, var_degree, check_degree, field, perm, labels)
 
 
 @dataclass(frozen=True)
@@ -145,18 +155,10 @@ class Codebook:
         words = np.asarray(self.words)
         if words.ndim != 2:
             raise ValueError("codebook words must form a 2-d array")
-        if np.any(words < 0) or np.any(words >= self.field.q):
-            raise ValueError("codeword symbols outside the field")
-        words = words.astype(self.field.symbol_dtype, copy=False)
-        object.__setattr__(self, "words", words)
-        if _has_duplicate_rows(words, self.field.q):
-            raise ValueError("codewords must be distinct")
-        if self.coset is not None and np.shape(self.coset) != (self.n,):
-            raise ValueError(f"the coset needs one symbol per position, "
-                             f"got shape {np.shape(self.coset)}")
-        if self.inputs is not None and np.shape(self.inputs) != words.shape:
-            raise ValueError(f"inputs of shape {np.shape(self.inputs)} do "
-                             f"not match the words' {words.shape}")
+        object.__setattr__(self, "words", _check_books(
+            self.field, words[None],
+            None if self.coset is None else np.asarray(self.coset)[None],
+            None if self.inputs is None else np.asarray(self.inputs)[None])[0])
 
     @property
     def size(self) -> int:
@@ -167,26 +169,52 @@ class Codebook:
         return self.words.shape[1]
 
 
-def _has_duplicate_rows(words: np.ndarray, q: int) -> bool:
-    """Whether two rows of a (m, n) array over [0, q) are equal.
+def _check_books(field: FieldSpec, words, cosets=None, inputs=None):
+    """The ``Codebook`` checks, run once over a (codes, m, n) stack of word
+    arrays: every symbol inside the field, no two words of one code equal,
+    and, where given, a (codes, n) coset stack and an input stack of the
+    words' shape.  Returns the words in the field's symbol dtype."""
+    if words.size and (words.min() < 0 or words.max() >= field.q):
+        raise ValueError("codeword symbols outside the field")
+    words = words.astype(field.symbol_dtype, copy=False)
+    if _has_duplicate_rows(words, field.q):
+        raise ValueError("codewords must be distinct")
+    if cosets is not None and np.shape(cosets) != words.shape[::2]:
+        raise ValueError(f"the coset needs one symbol per position, "
+                         f"got shape {np.shape(cosets)[1:]}")
+    if inputs is not None and np.shape(inputs) != words.shape:
+        raise ValueError(f"inputs of shape {np.shape(inputs)[1:]} do "
+                         f"not match the words' {words.shape[1:]}")
+    return words
 
-    Packs floor(62 / bitlen(q - 1)) symbols into each int64 key column, one
-    row block of at most ``_FILL_BLOCK`` symbols at a time, sorts the rows
-    by their keys and compares neighbours."""
-    m, n = words.shape
+
+def _has_duplicate_rows(words: np.ndarray, q: int) -> bool:
+    """Whether two rows of a (m, n) array over [0, q), or of one code of a
+    (codes, m, n) stack, are equal.
+
+    Packs floor(62 / bitlen(q - 1)) symbols into each int64 key column,
+    after a column holding the row's code when there are several, one row
+    block of at most ``_FILL_BLOCK`` symbols at a time, sorts the rows by
+    their keys and compares neighbours."""
+    *codes, m, n = words.shape
     if m < 2:
         return False
     if n == 0:
         return True
+    rows = math.prod(codes) * m
+    words = words.reshape(rows, n)
     bits = (q - 1).bit_length()
     per = 62 // bits
     shifts = bits * (np.arange(n) % per)
-    keys = np.empty((m, -(-n // per)), dtype=np.int64)
+    lead = int(rows > m)
+    keys = np.empty((rows, lead + -(-n // per)), dtype=np.int64)
+    if lead:
+        keys[:, 0] = np.arange(rows) // m
     step = max(1, _FILL_BLOCK // n)
-    for lo in range(0, m, step):
+    for lo in range(0, rows, step):
         block = words[lo:lo + step].astype(np.int64) << shifts
-        keys[lo:lo + step] = np.add.reduceat(block, np.arange(0, n, per),
-                                             axis=1)
+        keys[lo:lo + step, lead:] = np.add.reduceat(
+            block, np.arange(0, n, per), axis=1)
     packed = keys[np.lexsort(keys.T)]
     return bool(np.any(np.all(packed[1:] == packed[:-1], axis=1)))
 
@@ -256,13 +284,12 @@ def _sample_graphs(shape, field, rngs):
     q, m = field.q, n * var_degree
     _check_degrees(n, var_degree, check_degree)
     perms = np.empty((len(rngs), m), dtype=np.int64)
-    labels = np.ones((len(rngs), m), dtype=np.int64)
+    labels = np.empty((len(rngs), m), dtype=np.int64)
     for i, rng in enumerate(rngs):
         if isinstance(rng, TannerGraph):
             perms[i], labels[i] = rng.perm, rng.labels
         else:
-            perms[i] = rng.permutation(m)
-            labels[i] = rng.integers(1, q, size=m) if q > 2 else 1
+            perms[i], labels[i] = _draw_graph(rng, m, q)
     h = _check_stack(n, var_degree, check_degree, field, perms, labels)
     ranks, bases = rank_and_nullspace(
         GfMatrix(field, h.reshape(-1, n), blocks=len(rngs)))
@@ -331,19 +358,26 @@ def _chunks(count: int, shape, users: int, words: int) -> list[range]:
     return [range(lo, min(lo + step, count)) for lo in range(0, count, step)]
 
 
-def _coset_inputs(quantizer: Quantizer, words, coset) -> np.ndarray:
-    """Channel inputs of the coset words ``words + coset`` in the field's
-    symbol dtype, one row block of at most ``_FILL_BLOCK`` symbols at a
-    time: symbol s in column i reads entry i q + s of one flat table, the
-    input assignment[s + coset[i]]."""
+def _coset_inputs(quantizer: Quantizer, words, cosets) -> np.ndarray:
+    """Channel inputs of the coset words ``words + cosets`` of a (codes, m, n)
+    word stack and its (codes, n) coset stack, in the field's symbol dtype,
+    a block of at most ``_FILL_BLOCK`` symbols (whole codes, or rows of one
+    code) at a time: symbol s in column i of code c reads entry
+    (c n + i) q + s of one flat table, the input
+    assignment[s + cosets[c, i]]."""
     f = quantizer.field
-    table = quantizer.assignment[f.add(np.arange(f.q), coset[:, None])]
+    codes, m, n = words.shape
+    table = quantizer.assignment[f.add(np.arange(f.q), cosets[:, :, None])]
     table = table.astype(f.symbol_dtype).ravel()
-    offsets = f.q * np.arange(words.shape[1])
     out = np.empty(words.shape, dtype=f.symbol_dtype)
-    step = max(1, _FILL_BLOCK // max(1, words.shape[1]))
-    for lo in range(0, words.shape[0], step):
-        out[lo:lo + step] = table[words[lo:lo + step] + offsets]
+    per = max(1, _FILL_BLOCK // max(1, m * n))
+    step = max(1, _FILL_BLOCK // max(1, n))
+    for c in range(0, codes, per):
+        offsets = f.q * (n * np.arange(c, min(c + per, codes))[:, None, None]
+                         + np.arange(n))
+        for lo in range(0, m, step):
+            out[c:c + per, lo:lo + step] = table[
+                words[c:c + per, lo:lo + step] + offsets]
     return out
 
 
@@ -358,7 +392,8 @@ def build_inputs(codebook: Codebook, coset_seed: int,
     v = _keyed_rng(coset_seed, 2).integers(0, codebook.field.q,
                                             size=codebook.n)
     return replace(codebook, coset=v, quantizer=quantizer,
-                   inputs=_coset_inputs(quantizer, codebook.words, v))
+                   inputs=_coset_inputs(quantizer, codebook.words[None],
+                                        v[None])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -366,24 +401,28 @@ def build_inputs(codebook: Codebook, coset_seed: int,
 
 def _candidates(channel, words, n: int) -> np.ndarray:
     """Candidate channel-input words for exhaustive ML decoding from each
-    user's input words ``words``: the rows of one array, or for a two-user
-    MAC every pair of rows as one word over the flattened input alphabet
-    (user 2 fastest), in the smallest unsigned dtype that holds it.
-    Checks the candidate count against ``_ENUM_GUARD`` and the word length
-    against ``n``."""
+    user's (codes, M_u, n) stack of input words ``words``: one stack, or
+    for a two-user MAC every pair of a code's rows as one word over the
+    flattened input alphabet (user 2 fastest), in the smallest unsigned
+    dtype that holds it; a (codes, M, n) stack.  Checks the candidate count
+    of a code against ``_ENUM_GUARD``, the word length against ``n`` and
+    each user's inputs against its input alphabet, once for the stack."""
     if not isinstance(channel, (DmcModel, MacModel)):
         raise ValueError("channel must be a DmcModel or MacModel")
-    count = math.prod(x.shape[0] for x in words)
+    count = math.prod(x.shape[1] for x in words)
     if count > _ENUM_GUARD:
         raise GuardError(f"{count} candidates exceed the {_ENUM_GUARD} guard")
-    if any(x.shape[1] != n for x in words):
+    if any(x.shape[2] != n for x in words):
         raise ValueError("output length does not match the codebooks")
+    for x, size in zip(words, channel.w.shape[:-1]):
+        if x.size and (x.min() < 0 or x.max() >= size):
+            raise ValueError(f"codebook inputs must lie in [0, {size})")
     if len(words) == 1:
         return words[0]
     x1, x2 = words
     wide = np.min_scalar_type(math.prod(channel.input_sizes) - 1)
-    return (x1.astype(wide)[:, None, :] * channel.input_sizes[1]
-            + x2[None, :, :]).reshape(-1, n)
+    return (x1.astype(wide)[:, :, None, :] * channel.input_sizes[1]
+            + x2[:, None, :, :]).reshape(x1.shape[0], -1, n)
 
 
 def ml_decode(channel, codebook, y, rng=None, seed: int = 0):
@@ -395,7 +434,8 @@ def ml_decode(channel, codebook, y, rng=None, seed: int = 0):
     1e-9 of the best tie, an output impossible under every candidate ties
     them all, and ties are broken uniformly via the keyed RNG.  Codebook
     inputs must lie in each user's input alphabet and output symbols in
-    [0, |Y|)."""
+    [0, |Y|).  The stacked decoder of ``simulate_error``, one code and one
+    output word."""
     if rng is None:
         rng = _keyed_rng(seed, 3)
     y = np.asarray(y, dtype=np.int64)
@@ -403,15 +443,14 @@ def ml_decode(channel, codebook, y, rng=None, seed: int = 0):
     books = codebook if mac else (codebook,)
     if any(book.inputs is None for book in books):
         raise ValueError("codebook has no channel inputs; run build_inputs")
-    cand = _candidates(channel, [book.inputs for book in books], y.shape[0])
-    for book, size in zip(books, channel.w.shape[:-1]):
-        if np.any((book.inputs < 0) | (book.inputs >= size)):
-            raise ValueError(f"codebook inputs must lie in [0, {size})")
+    cand = _candidates(channel, [np.asarray(book.inputs)[None]
+                                 for book in books], y.shape[0])
     letters = channel.w.shape[-1]
     if np.any((y < 0) | (y >= letters)):
         raise ValueError(f"output symbols must lie in [0, {letters})")
     logw = _log_table(channel.w.reshape(-1, letters))
-    win = int(_ml_decide(_Scorer(logw, cand)(y[None, :]), rng)[2][0])
+    scores = _StackScorer(logw, cand)(y[None, None, :])
+    win = int(_ml_decide(scores, [rng])[2][0, 0])
     if mac:
         return divmod(win, codebook[1].size)
     return win
@@ -422,10 +461,12 @@ def _log_table(w) -> np.ndarray:
     return np.where(w > 0.0, np.log(np.where(w > 0.0, w, 1.0)), _LOG_ZERO)
 
 
-class _Scorer:
-    """Log-likelihoods of the (M, n) candidate words ``cand`` under the
-    per-letter table ``logw`` (inputs, |Y|), for a block of output words
-    by one matrix product with the (M, K) score matrix ``table``.
+class _StackScorer:
+    """Log-likelihoods of the (codes, M, n) stack of candidate words
+    ``cand`` under the per-letter table ``logw`` (inputs, |Y|), for a
+    (codes, rows, n) block of output words by one batched matrix product
+    with the (codes, M, K) score stack ``table``: code c's rows are scored
+    against code c's candidates.
 
     When some output letter b0 has no zero transition, column (i, b)
     holds log w(b|x_i) - log w(b0|x_i) for each b != b0 and the last
@@ -434,56 +475,64 @@ class _Scorer:
     Otherwise column (i, b) holds log w(b|x_i) and K = n|Y|."""
 
     def __init__(self, logw, cand):
-        m, n = cand.shape
+        codes, m, n = cand.shape
         free = np.flatnonzero(np.all(logw > _LOG_ZERO, axis=0))
         if free.size == 0:
             self.letters = np.arange(logw.shape[1])
-            self.table = logw[cand].reshape(m, -1)
+            self.table = logw[cand].reshape(codes, m, -1)
             return
         ref = int(free[0])
         self.letters = np.delete(np.arange(logw.shape[1]), ref)
         k = self.letters.size
         per = logw[:, self.letters] - logw[:, ref, None]
-        # filled one position at a time, no (M, n, |Y| - 1) temporary;
-        # column-major, so the product reads table.T row by row
-        self.table = np.empty((m, n * k + 1), order="F")
-        self.table[:, -1] = 0.0
+        # filled one position at a time, no (codes, M, n, |Y| - 1)
+        # temporary; each code's table column-major, so the product reads
+        # its transpose row by row
+        self.table = np.empty((codes, n * k + 1, m)).transpose(0, 2, 1)
+        self.table[:, :, -1] = 0.0
         for i in range(n):
-            self.table[:, i * k:(i + 1) * k] = per[cand[:, i]]
-            self.table[:, -1] += logw[cand[:, i], ref]
+            x = cand[:, :, i]
+            self.table[:, :, i * k:(i + 1) * k] = per[x]
+            self.table[:, :, -1] += logw[x, ref]
 
     def __call__(self, ys) -> np.ndarray:
-        """(len(ys), M) scores of the output words ``ys`` (len(ys), n)."""
-        rows, width = ys.shape[0], self.table.shape[1]
-        hot = np.ones((rows, width))
-        hot[:, :ys.shape[1] * self.letters.size] = (
-            ys[:, :, None] == self.letters).reshape(rows, -1)
-        return hot @ self.table.T
+        """(codes, rows, M) scores of the output words ``ys``
+        (codes, rows, n)."""
+        codes, rows, n = ys.shape
+        hot = np.ones((codes, rows, self.table.shape[2]))
+        hot[:, :, :n * self.letters.size] = (
+            ys[:, :, :, None] == self.letters).reshape(codes, rows, -1)
+        return hot @ self.table.transpose(0, 2, 1)
 
 
-def _ml_decide(ll, rng):
-    """ML decisions for a (trials, candidates) log-likelihood table.
+def _ml_decide(ll, rngs):
+    """ML decisions for a (codes, rows, candidates) log-likelihood stack.
 
     Returns each row's best score, its number of tied candidates, and the
-    decoded candidate.  Candidates within ``_TIE_ATOL`` of the best tie;
-    a row whose best candidate holds an impossible symbol (the output is
-    impossible under every candidate) ties them all.  Several tied
-    candidates are split uniformly via ``rng``: one draw per tied row, in
-    row order, the same draws a per-row ``rng.integers(n_tied)`` loop
-    makes."""
-    trials, cands = ll.shape
+    decoded candidate, as (codes, rows) arrays.  Candidates within
+    ``_TIE_ATOL`` of the best tie; a row whose best candidate holds an
+    impossible symbol (the output is impossible under every candidate)
+    ties them all.  Several tied candidates are split uniformly via
+    rngs[c] for code c: one draw per tied row, in row order, the same
+    draws a per-row ``rng.integers(n_tied)`` loop makes."""
+    codes, trials, cands = ll.shape
+    ll = ll.reshape(codes * trials, cands)
     top = ll.max(axis=1)
     tied = ll >= (top - _TIE_ATOL)[:, None]
     tied[top <= 0.5 * _LOG_ZERO] = True
     # flat indices of the tied entries, row by row: row i's run starts
     # after the runs of the rows before it
     hits = np.flatnonzero(tied)
-    n_tied = np.bincount(hits // cands, minlength=trials)
+    n_tied = np.bincount(hits // cands, minlength=codes * trials)
     starts = np.cumsum(n_tied) - n_tied
     rows = np.flatnonzero(n_tied > 1)
-    if rows.size:
-        starts[rows] += rng.integers(n_tied[rows])
-    return top, n_tied, hits[starts] % cands
+    # the tied rows of code c are rows[ends[c]:ends[c + 1]]
+    ends = np.searchsorted(rows, trials * np.arange(codes + 1))
+    for rng, lo, hi in zip(rngs, ends[:-1].tolist(), ends[1:].tolist()):
+        if lo < hi:
+            starts[rows[lo:hi]] += rng.integers(n_tied[rows[lo:hi]])
+    return (top.reshape(codes, trials), n_tied.reshape(codes, trials),
+            (hits[starts] % cands).reshape(codes, trials))
 
 
 # ---------------------------------------------------------------------------
@@ -584,48 +633,63 @@ def _simulate_chunk(channel, qzs, trials, rngs, trials_noise: int,
                     in_flight: int) -> tuple[int, int]:
     """Decoding errors and ties-as-error count over the drawn code trials
     ``trials`` of one chunk (see ``_draw_trials``), trial t drawing its
-    messages, noise and tie-breaks from rngs[t]; each of the ``in_flight``
-    chunks decoded at once scores a 1/in_flight share of the
-    ``_SCORE_BLOCK`` row block, at least 8 rows.
+    messages, then its outputs, then its tie-breaks in row order from
+    rngs[t].  The trials share one candidate count, so their words, checks,
+    inputs and candidates run as one stack, and their score tables, scores
+    and decisions in stacks of as many trials as ``_STACK_SCORES`` scores
+    hold (at least one).  A trial scores the rows it would score alone per
+    row block: ``_SCORE_BLOCK`` scores (at least 16 rows, and all of them
+    when fewer), and each of the ``in_flight`` chunks decoded at once
+    scores a 1/in_flight share (at least 8 rows).
 
     Calls no public function of the package, so it can run on a worker
-    thread.  A code's words are freed once its inputs exist, and
-    everything else when the chunk returns."""
+    thread.  The words are freed once their inputs exist, and everything
+    else when the chunk returns."""
     n = trials[0][0][1].size  # the length of a coset
     flat_w = channel.w.reshape(-1, channel.w.shape[-1])
-    logw = _log_table(flat_w)
-    inputs = []  # per user, each trial's input words
+    inputs = []  # per user, the (trials, words, n) input stack
     for u, qz in enumerate(qzs):
         codes = [trial[u] for trial in trials]
-        words = _enumerate_codes(qz.field, [plan for plan, _ in codes])
-        inputs.append([Codebook(qz.field, w, v, qz,
-                                _coset_inputs(qz, w, v)).inputs
-                       for w, (_, v) in zip(words, codes)])
+        words = np.stack(_enumerate_codes(qz.field,
+                                          [plan for plan, _ in codes]))
+        cosets = np.stack([v for _, v in codes])
+        inputs.append(_coset_inputs(qz, words, cosets))
+        _check_books(qz.field, words, cosets, inputs[-1])
         del words
+    cand = _candidates(channel, inputs, n)
+    del inputs
+    codes, num_messages = cand.shape[:2]
+    sent = np.empty((codes, trials_noise), dtype=np.int64)
+    ys = np.empty((codes, trials_noise, n), dtype=np.int64)
+    for t, rng in enumerate(rngs):
+        sent[t] = rng.integers(num_messages, size=trials_noise)
+        ys[t] = _sample_outputs(flat_w, cand[t, sent[t]], rng)
+    logw = _log_table(flat_w)
+    rows = min(trials_noise, max(8, max(16, _SCORE_BLOCK // num_messages)
+                                 // in_flight))
+    # stack no more trials than keep each trial's own row block: a shorter
+    # block reads the trial's whole score table for fewer rows
+    group = max(1, _STACK_SCORES // (rows * num_messages))
     realized = pessimistic = 0
-    for rng, trial_inputs in zip(rngs, zip(*inputs)):
-        cand = _candidates(channel, trial_inputs, n)
-        num_messages = cand.shape[0]
-        sent = rng.integers(num_messages, size=trials_noise)
-        ys = _sample_outputs(flat_w, cand[sent], rng)
-        score = _Scorer(logw, cand)
-        # row blocks, decided in row order: the tie-break draws of one
-        # whole-table call
-        rows = max(8, max(16, _SCORE_BLOCK // num_messages) // in_flight)
+    for g in range(0, codes, group):
+        score = _StackScorer(logw, cand[g:g + group])
         for lo in range(0, trials_noise, rows):
-            errors, ties = _count_errors(score(ys[lo:lo + rows]),
-                                         sent[lo:lo + rows], rng)
+            errors, ties = _count_errors(
+                score(ys[g:g + group, lo:lo + rows]),
+                sent[g:g + group, lo:lo + rows], rngs[g:g + group])
             realized += errors
             pessimistic += ties
     return realized, pessimistic
 
 
-def _count_errors(ll, sent, rng) -> tuple[int, int]:
-    """Decoding errors and ties-as-error count of one row block of scores
-    ``ll`` with transmitted candidates ``sent``; the block is freed on
-    return, before the next one is scored."""
-    top, n_tied, decoded = _ml_decide(ll, rng)
-    sent_ll = ll[np.arange(sent.size), sent]
+def _count_errors(ll, sent, rngs) -> tuple[int, int]:
+    """Decoding errors and ties-as-error count of one row block of the
+    (codes, rows, M) score stack ``ll`` with transmitted candidates ``sent``
+    (codes, rows); the block is freed on return, before the next one is
+    scored."""
+    top, n_tied, decoded = _ml_decide(ll, rngs)
+    sent_ll = ll.reshape(sent.size, -1)[np.arange(sent.size),
+                                        sent.ravel()].reshape(sent.shape)
     # a bound counts the trial whenever any competitor reaches the
     # transmitted word's likelihood
     return (int(np.count_nonzero(decoded != sent)),
@@ -642,7 +706,12 @@ def simulate_error(ensemble_params, channel, quantizers, trials_codes: int,
     one shared vector with same_coset=True), then runs trials_noise
     uniform-message transmissions decoded exhaustively.  The reported
     value resolves ties uniformly; the ties-as-error rate every bound
-    actually controls is in the components."""
+    actually controls is in the components.
+
+    Consecutive trials whose codes fit one elimination stack are sampled
+    and checked as one stack and scored and decided in batched products;
+    larger codes run one per stack, several at once on the decoding pool
+    where BLAS leaves CPUs idle.  Neither changes a result."""
     n, var_degree, check_degree, q = _check_ensemble_params(ensemble_params)
     if trials_codes < 1 or trials_noise < 1:
         raise ValueError("need at least one code and one noise trial")
@@ -674,7 +743,7 @@ def simulate_error(ensemble_params, channel, quantizers, trials_codes: int,
     # chunks of one trial hold large codes: decode as many at once as the
     # CPUs that BLAS leaves idle and _FLIGHT_BYTES of score matrices allow
     # (BLAS on every CPU already runs the dominant product in parallel);
-    # many small codes run faster inline
+    # the many small codes of a chunk run faster inline, as one stack
     in_flight = 1
     if len(chunks[0]) == 1 < len(chunks):
         matrix = 8 * num ** len(qzs) * n * channel.w.shape[-1]
@@ -733,13 +802,17 @@ def simulate_error(ensemble_params, channel, quantizers, trials_codes: int,
 # ---------------------------------------------------------------------------
 # empirical spectrum
 
-def _word_type_counts(words: np.ndarray, q: int) -> dict:
+def _weight_counts(books, n: int) -> np.ndarray:
+    """(codes, n + 1) counts of the words of each binary word array in
+    ``books`` by Hamming weight: one bincount over (code, weight)."""
+    sizes = [words.shape[0] for words in books]
+    weights = np.concatenate(books).sum(axis=1, dtype=np.int64)
+    keys = np.repeat((n + 1) * np.arange(len(books)), sizes) + weights
+    return np.bincount(keys, minlength=len(books) * (n + 1)).reshape(-1, n + 1)
+
+
+def _word_type_counts(words: np.ndarray, q: int) -> Counter:
     """Histogram of symbol-type vectors over the given words."""
-    if q == 2:
-        n = words.shape[1]
-        counts = np.bincount(words.sum(axis=1, dtype=np.int64),
-                             minlength=n + 1).tolist()
-        return {(n - w, w): c for w, c in enumerate(counts) if c}
     return Counter(tuple(np.bincount(row, minlength=q).tolist())
                    for row in words)
 
@@ -763,6 +836,7 @@ def empirical_spectrum(ensemble_params, trials: int, seed: int,
     rate = 1.0 - var_degree / check_degree
     r = (n * var_degree) // check_degree
     shape = (n, var_degree, check_degree)
+    qk = q ** num_users
     sums: dict[tuple[int, ...], float] = {}
     sumsq: dict[tuple[int, ...], float] = {}
     for chunk in _chunks(trials, shape, num_users, q ** (n - r)):
@@ -771,6 +845,13 @@ def empirical_spectrum(ensemble_params, trials: int, seed: int,
         books = [_sample_codes(shape, field, rngs, rate,
                                rngs if post_removal else None)
                  for _ in range(num_users)]
+        if qk == 2:
+            counts = _weight_counts(books[0], n)
+            for w in np.flatnonzero(counts.any(axis=0)).tolist():
+                tt, c = (n - w, w), counts[:, w]
+                sums[tt] = sums.get(tt, 0.0) + int(c.sum())
+                sumsq[tt] = sumsq.get(tt, 0.0) + int(np.dot(c, c))
+            continue
         for word_sets in zip(*books):
             if num_users == 2:
                 w1, w2 = word_sets
@@ -783,11 +864,10 @@ def empirical_spectrum(ensemble_params, trials: int, seed: int,
                 word_sets = [wide[a] * q + w2 for a in range(w1.shape[0])]
             counts = Counter()
             for words in word_sets:
-                counts.update(_word_type_counts(words, q ** num_users))
+                counts.update(_word_type_counts(words, qk))
             for tt, c in counts.items():
                 sums[tt] = sums.get(tt, 0.0) + c
                 sumsq[tt] = sumsq.get(tt, 0.0) + c * c
-    qk = q ** num_users
     keys = (map(tuple, _compositions(n, qk).tolist())
             if _num_compositions(n, qk) <= 100_000 else list(sums))
     entries, stats = {}, {}
@@ -809,25 +889,36 @@ def empirical_spectrum(ensemble_params, trials: int, seed: int,
 # ---------------------------------------------------------------------------
 # minimum distance and actual-rate statistics
 
+def _min_distances(words: np.ndarray, q: int) -> np.ndarray:
+    """Minimum pairwise Hamming distance of each code of a (codes, m, n)
+    stack of words over [0, q): n minus the most positions in which two
+    distinct words of a code agree.  The agreements are one batched float32
+    product hot hot^T over the (codes, m, n q) one-hot rows (exact integer
+    counts), one row block of at most ``_PAIR_BLOCK`` symbol comparisons
+    at a time.  Checks the word count and the pair-scan guard of a code."""
+    codes, m, n = words.shape
+    if m < 2:
+        raise ValueError("need at least two codewords")
+    if m * m * n > _PAIR_OPS_GUARD:
+        raise GuardError(f"pair scan exceeds the operation guard: "
+                         f"{m * m * n} > {_PAIR_OPS_GUARD}")
+    hot = np.zeros((codes, m, n * q), dtype=np.float32)
+    np.put_along_axis(hot, words + q * np.arange(n), 1.0, axis=2)
+    block = max(1, _PAIR_BLOCK // (codes * m * n))
+    most = np.zeros(codes, dtype=np.float32)
+    for lo in range(0, m, block):
+        agree = hot[:, lo:lo + block] @ hot.transpose(0, 2, 1)
+        rows = np.arange(agree.shape[1])
+        agree[:, rows, lo + rows] = -1.0  # a word with itself is no pair
+        most = np.maximum(most, agree.max(axis=(1, 2)))
+    return n - most.astype(np.int64)
+
+
 def min_distance(codebook) -> int:
     """Minimum pairwise Hamming distance over codewords, or over message
     tuples of a two-user pair (rows differ when either component does)."""
     if isinstance(codebook, Codebook):
-        words = codebook.words
-        m, n = words.shape
-        if m < 2:
-            raise ValueError("need at least two codewords")
-        if m * m * n > _PAIR_OPS_GUARD:
-            raise GuardError(f"pair scan exceeds the operation guard: "
-                             f"{m * m * n} > {_PAIR_OPS_GUARD}")
-        block = max(1, _PAIR_BLOCK // (m * n))
-        best = n + 1
-        for i in range(0, m - 1, block):
-            rows = words[i:i + block]
-            d = (rows[:, None, :] != words[None, :, :]).sum(axis=2)
-            later = np.arange(m)[None, :] > np.arange(i, i + len(rows))[:, None]
-            best = min(best, int(d[later].min()))
-        return best
+        return int(_min_distances(codebook.words[None], codebook.field.q)[0])
     cb1, cb2 = codebook
     w1, w2 = cb1.words, cb2.words
     if w1.shape[1] != w2.shape[1]:

@@ -599,6 +599,39 @@ def test_simulate_codebook_guard_exits_3(capsys, bsc_path):
     assert "16777216" in err
 
 
+def test_simulate_keeps_its_estimate_past_the_pair_scan_guard(capsys,
+                                                              bsc_path):
+    # 2^13 codewords of length 26: one code's pair scan counts
+    # 2^26 * 26 = 1744830464 symbol comparisons against the 10^9 guard,
+    # so the histogram is skipped and the error estimate still printed
+    rc, out, err = run(capsys, ["simulate", "--channel", bsc_path, "--q",
+                                "2", "--lambda", "3", "--check-degree", "6",
+                                "--n", "26", "--codes", "2", "--noise", "50",
+                                "--seed", "1"])
+    assert rc == 0 and err == ""
+    payload = json.loads(out)
+    schema_validate("SimulateReport", payload)
+    assert payload["dmin_histogram"] is None
+    assert payload["dmin_skipped"] == "pair-scan guard"
+    assert payload["num_messages"] == 1 << 13
+    assert payload["trials"] == 100
+    assert payload["ci"][0] <= payload["eps_hat"] <= payload["ci"][1]
+    assert payload["rate_gap_stats"]["trials"] == 2
+    with pytest.raises(GuardError, match="1744830464 > 1000000000"):
+        min_distance(Codebook(field_from_order(2), np.array(
+            [[(i >> j) & 1 for j in range(26)] for i in range(1 << 13)])))
+    # a run under the guard carries no such key
+    rc, out, _ = run(capsys, ["simulate", "--channel", bsc_path, "--q",
+                              "2", "--lambda", "3", "--check-degree", "6",
+                              "--n", "12", "--codes", "2", "--noise", "5",
+                              "--seed", "1"])
+    assert rc == 0
+    payload = json.loads(out)
+    schema_validate("SimulateReport", payload)
+    assert "dmin_skipped" not in payload
+    assert sum(payload["dmin_histogram"].values()) == 2
+
+
 def test_simulate_mac_same_coset_runs(capsys, mac_path):
     rc, out, _ = run(capsys, ["simulate", "--channel", mac_path, "--q", "2",
                               "--lambda", "2", "--check-degree", "4", "--n",

@@ -82,6 +82,34 @@ def test_sample_graph_labels_nonzero():
     assert len(np.unique(g.labels)) > 1  # labels actually vary over GF(4)
 
 
+@pytest.mark.parametrize("q,shape,want", [
+    (2, (12, 3, 6), "2538773ba76a0423"),
+    (3, (12, 2, 4), "177d71dc17292650"),
+    (4, (8, 3, 6), "b49253374d5b4cc3"),
+])
+def test_sample_graph_draws_without_eliminating(monkeypatch, q, shape, want):
+    # the permutation, then (q > 2) the labels, drawn as the elimination
+    # stack draws them; the digest was recorded when every sample_graph
+    # call still reduced its check matrix
+    def refuse(mat):
+        raise AssertionError("sample_graph eliminated")
+
+    field = field_from_order(q)
+    seeds = (0, 1, 7, 123456789)
+    stacked = [simulator._sample_graphs(shape, field,
+                                        [simulator._keyed_rng(s)])
+               for s in seeds]
+    monkeypatch.setattr(simulator, "rank_and_nullspace", refuse)
+    h = hashlib.sha256()
+    for seed, (_, _, (perms, labels)) in zip(seeds, stacked):
+        g = sample_graph(*shape, field, seed)
+        assert np.array_equal(g.perm, perms[0])
+        assert np.array_equal(g.labels, labels[0])
+        h.update(g.perm.astype("<i8").tobytes())
+        h.update(g.labels.astype("<i8").tobytes())
+    assert h.hexdigest()[:16] == want
+
+
 def test_sample_graph_divisibility_error():
     with pytest.raises(ValueError, match="multiple of check_degree"):
         sample_graph(5, 3, 6, F2, seed=0)
@@ -400,25 +428,30 @@ def test_ml_decode_impossible_output_ties_all_candidates():
 def test_ml_decide_matches_per_row_tie_break(trials, cands):
     # integer scores make most rows tie; some rows get a unique best, some
     # a near-tie inside the tolerance, some an output impossible under
-    # every candidate
+    # every candidate.  Three codes are decided as one stack, code c
+    # breaking its ties from its own generator.
+    codes = 3
     rng = np.random.default_rng(trials * 1000 + cands)
-    ll = -rng.integers(0, 3, size=(trials, cands)).astype(float)
-    ll[::5, 0] = 1.0
-    ll[1::7] += rng.uniform(0, 0.5e-9, size=(len(ll[1::7]), cands))
-    ll[2::6] = simulator._LOG_ZERO * (1 + rng.integers(0, 3, size=(
-        len(ll[2::6]), cands)))
+    ll = -rng.integers(0, 3, size=(codes, trials, cands)).astype(float)
+    ll[:, ::5, 0] = 1.0
+    ll[:, 1::7] += rng.uniform(0, 0.5e-9, size=(codes, len(ll[0, 1::7]),
+                                                 cands))
+    ll[:, 2::6] = simulator._LOG_ZERO * (1 + rng.integers(0, 3, size=(
+        codes, len(ll[0, 2::6]), cands)))
     for seed in range(3):
-        got = simulator._keyed_rng(seed, 3)
-        want = simulator._keyed_rng(seed, 3)
+        got = [simulator._keyed_rng(seed, 3 + c) for c in range(codes)]
+        want = [simulator._keyed_rng(seed, 3 + c) for c in range(codes)]
         top, n_tied, decoded = simulator._ml_decide(ll.copy(), got)
-        expect = oracles.ml_decide_rows(ll, want, simulator._TIE_ATOL,
-                                        simulator._LOG_ZERO)
-        assert np.array_equal(decoded, expect)
-        assert np.array_equal(top, ll.max(axis=1))
-        assert got.random() == want.random()
+        for c in range(codes):
+            expect = oracles.ml_decide_rows(ll[c], want[c],
+                                            simulator._TIE_ATOL,
+                                            simulator._LOG_ZERO)
+            assert np.array_equal(decoded[c], expect)
+            assert got[c].random() == want[c].random()
+        assert np.array_equal(top, ll.max(axis=2))
     if cands > 1:
-        assert 0 < np.sum(n_tied > 1) < trials
-        impossible = ll.max(axis=1) <= 0.5 * simulator._LOG_ZERO
+        assert 0 < np.sum(n_tied > 1) < codes * trials
+        impossible = ll.max(axis=2) <= 0.5 * simulator._LOG_ZERO
         assert np.all(n_tied[impossible] == cands)
 
 
@@ -442,33 +475,43 @@ SCORE_CHANNELS = {
 
 @pytest.mark.parametrize("name", sorted(SCORE_CHANNELS))
 def test_scorer_matches_onehot_oracle(name):
+    # three codes scored as one stack, each against its own outputs
     make, width = SCORE_CHANNELS[name]
     ch = make()
     w = ch.w.reshape(-1, ch.w.shape[-1])
     logw = simulator._log_table(w)
     rng = np.random.default_rng(len(name))
-    n, m = 7, 40
-    cand = rng.integers(0, w.shape[0], size=(m, n))
-    cand[:, 0] = 0  # every candidate sends input 0 first
-    sent = rng.integers(m, size=200)
-    ys = np.concatenate([simulator._sample_outputs(w, cand[sent], rng),
-                         rng.integers(0, w.shape[1], size=(100, n))])
+    codes, n, m = 3, 7, 40
+    cand = rng.integers(0, w.shape[0], size=(codes, m, n))
+    cand[:, :, 0] = 0  # every candidate sends input 0 first
+    ys = np.empty((codes, 300, n), dtype=np.int64)
+    for c in range(codes):
+        sent = rng.integers(m, size=200)
+        ys[c] = np.concatenate([
+            simulator._sample_outputs(w, cand[c, sent], rng),
+            rng.integers(0, w.shape[1], size=(100, n))])
     # an output that input 0 never yields is impossible under every
     # candidate
     dead = np.flatnonzero(w[0] == 0.0)
     if dead.size:
-        ys[-1, 0] = dead[0]
-    score = simulator._Scorer(logw, cand)
-    assert score.table.shape == (m, width(n))
+        ys[:, -1, 0] = dead[0]
+    score = simulator._StackScorer(logw, cand)
+    assert score.table.shape == (codes, m, width(n))
     got = score(ys)
-    want = oracles.log_likelihoods_onehot(logw, cand, ys)
-    finite = want > 0.5 * simulator._LOG_ZERO
-    assert np.all(np.abs(got[finite] - want[finite]) <= 1e-9)
-    assert np.all(got[~finite] <= 0.5 * simulator._LOG_ZERO)
-    hopeless = ~finite.any(axis=1)
-    assert hopeless.any() == bool(dead.size)
-    n_tied = simulator._ml_decide(got, simulator._keyed_rng(0, 3))[1]
-    assert np.all(n_tied[hopeless] == m)
+    n_tied = simulator._ml_decide(
+        got, [simulator._keyed_rng(0, 3 + c) for c in range(codes)])[1]
+    for c in range(codes):
+        want = oracles.log_likelihoods_onehot(logw, cand[c], ys[c])
+        finite = want > 0.5 * simulator._LOG_ZERO
+        assert np.all(np.abs(got[c][finite] - want[finite]) <= 1e-9)
+        assert np.all(got[c][~finite] <= 0.5 * simulator._LOG_ZERO)
+        hopeless = ~finite.any(axis=1)
+        assert hopeless.any() == bool(dead.size)
+        assert np.all(n_tied[c][hopeless] == m)
+    # each code's scores are those of the code scored alone
+    for c in range(codes):
+        alone = simulator._StackScorer(logw, cand[c:c + 1])(ys[c:c + 1])
+        assert np.array_equal(alone[0], got[c])
 
 
 @pytest.mark.parametrize("symbol", [-1, 2])
@@ -502,10 +545,11 @@ def test_candidates_flatten_wide_mac_inputs_without_overflow():
     mac = MacModel(np.full((17, 17, 2), 0.5))
     x1 = np.array([[16, 0], [3, 16]], dtype=np.uint8)
     x2 = np.array([[16, 1], [0, 7], [15, 16]], dtype=np.uint8)
-    cand = simulator._candidates(mac, [x1, x2], 2)
+    cand = simulator._candidates(mac, [x1[None], x2[None]], 2)
     want = (x1.astype(np.int64)[:, None, :] * 17 + x2[None, :, :]).reshape(-1, 2)
     assert cand.dtype == np.uint16
-    assert np.array_equal(cand, want)
+    assert cand.shape == (1, 6, 2)
+    assert np.array_equal(cand[0], want)
     assert cand.max() == 288
 
 
@@ -605,6 +649,47 @@ def test_simulate_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak < 16e6
+
+
+def _score_blocks(monkeypatch):
+    """A list that gains the shape of every row block of scores decided."""
+    blocks = []
+    count = simulator._count_errors
+
+    def spy(ll, sent, rngs):
+        blocks.append(ll.shape)
+        return count(ll, sent, rngs)
+
+    monkeypatch.setattr(simulator, "_count_errors", spy)
+    return blocks
+
+
+def test_stacked_chunk_scores_within_score_block(monkeypatch):
+    # the adder MAC at n = 12 puts 10 trials of 64 x 64 = 4,096 candidates
+    # into one chunk.  A trial scores 128 rows per block, as it would
+    # alone, so the trials take one product each and a block holds
+    # _SCORE_BLOCK scores (4 MB); the 500 rows of all ten trials at once
+    # would take 164 MB.  The stacked candidates and outputs take 1 MB.
+    blocks = _score_blocks(monkeypatch)
+    assert len(simulator._chunks(10, (12, 3, 6), 2, 64)) == 1
+    tracemalloc.start()
+    try:
+        simulate_error((12, 3, 6, 2), binary_adder_mac(), (_Q2, _Q2), 10, 500,
+                       1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert {shape[2] for shape in blocks} == {4096}
+    assert sum(shape[0] * shape[1] for shape in blocks) == 10 * 500
+    assert max(math.prod(shape) for shape in blocks) <= simulator._SCORE_BLOCK
+    assert peak < 12e6
+    # 21 BSC codes of 64 words share one chunk, and the 200 rows of five
+    # of them fit one product of _STACK_SCORES scores
+    blocks.clear()
+    assert len(simulator._chunks(21, (12, 3, 6), 1, 64)) == 1
+    assert 5 * 200 * 64 <= simulator._STACK_SCORES < 6 * 200 * 64
+    simulate_error((12, 3, 6, 2), bsc(0.11), _Q2, 21, 200, 1)
+    assert blocks == [(5, 200, 64)] * 4 + [(1, 200, 64)]
 
 
 # ---------------------------------------------------------------------------
@@ -930,6 +1015,11 @@ def test_min_distance_mac_equals_single():
     assert d_mac == best
 
 
+def _pair_loop_distance(words):
+    return min(int((words[i + 1:] != words[i]).sum(axis=1).min())
+               for i in range(len(words) - 1))
+
+
 @pytest.mark.parametrize("block", [1, 50, 1 << 22])
 def test_min_distance_blocks_match_pair_loop(monkeypatch, block):
     monkeypatch.setattr(simulator, "_PAIR_BLOCK", block)
@@ -938,10 +1028,17 @@ def test_min_distance_blocks_match_pair_loop(monkeypatch, block):
         words = np.unique(rng.integers(0, q, size=(m, n)), axis=0)
         rng.shuffle(words)
         cb = Codebook(field=field_from_order(q), words=words)
-        want = min(int((words[i + 1:] != words[i]).sum(axis=1).min())
-                   for i in range(len(words) - 1))
-        assert min_distance(cb) == want
+        assert min_distance(cb) == _pair_loop_distance(words)
     assert min_distance(Codebook(field=F2, words=np.array([[1], [0]]))) == 1
+    # the stacked kernel of cmd_simulate: random codes of one size per
+    # (q, codes, m, n), each code against the pair loop
+    for q, codes, m, n in [(2, 7, 20, 8), (3, 5, 30, 6), (4, 6, 17, 5),
+                           (2, 3, 2, 1)]:
+        words = np.stack([
+            (rng.choice(q ** n, size=m, replace=False)[:, None]
+             // q ** np.arange(n)) % q for _ in range(codes)])
+        got = simulator._min_distances(words.astype(np.uint8), q)
+        assert got.tolist() == [_pair_loop_distance(w) for w in words]
 
 
 def test_min_distance_guards():
@@ -1130,33 +1227,60 @@ def _record_stacks(monkeypatch):
     return seen
 
 
+def _cmd_simulate_here(mac):
+    """cmd_simulate on a channel file written into the working directory:
+    the error run, then the d_min draws (one stack holding every user's
+    graph of a trial), then the rate-gap statistics."""
+    path = "adder.json" if mac else "bsc.json"
+    with open(path, "w") as fh:
+        json.dump(mac_to_json(binary_adder_mac()) if mac
+                  else dmc_to_json(bsc("11/100")), fh)
+    if mac:
+        return cmd_simulate(path, 2, 2, 4, 8, 5, 20, 3, mac=True)
+    return cmd_simulate(path, 2, 3, 6, 12, 7, 30, 5)
+
+
+# each case with the users of its elimination phases: a phase of K users
+# stacks user 1's graphs, then user 2's
 CHUNKED = [
-    lambda: simulate_error((8, 2, 4, 2), _BEC, _Q2, 7, 30, 3),
-    lambda: simulate_error((12, 2, 4, 3), _TSC,
-                           _qz(3, ["1/3", "1/3", "1/3"]), 5, 20, 5),
-    lambda: simulate_error((8, 2, 4, 2), binary_adder_mac(), (_Q2, _Q2), 5,
-                           20, 4, same_coset=True),
-    lambda: empirical_spectrum((8, 2, 4, 2), 9, 8, post_removal=True,
-                               return_stats=True),
-    lambda: empirical_spectrum((4, 2, 4, 2), 6, 2, num_users=2),
-    lambda: actual_rate_stats((12, 3, 6, 2), 11, 11),
+    ((1,), lambda: simulate_error((8, 2, 4, 2), _BEC, _Q2, 7, 30, 3)),
+    ((1,), lambda: simulate_error((12, 2, 4, 3), _TSC,
+                                  _qz(3, ["1/3", "1/3", "1/3"]), 5, 20, 5)),
+    ((2,), lambda: simulate_error((8, 2, 4, 2), binary_adder_mac(),
+                                  (_Q2, _Q2), 5, 20, 4, same_coset=True)),
+    ((1,), lambda: empirical_spectrum((8, 2, 4, 2), 9, 8, post_removal=True,
+                                      return_stats=True)),
+    ((2,), lambda: empirical_spectrum((4, 2, 4, 2), 6, 2, num_users=2)),
+    ((1,), lambda: actual_rate_stats((12, 3, 6, 2), 11, 11)),
+    ((1, 1, 1), lambda: _cmd_simulate_here(False)),
+    ((2, 1, 1), lambda: _cmd_simulate_here(True)),
 ]
 
 
 @pytest.mark.parametrize("case", range(len(CHUNKED)))
-def test_chunks_of_one_trial_match_one_chunk(monkeypatch, case):
+def test_chunks_of_one_trial_match_one_chunk(monkeypatch, tmp_path, case):
     # the graphs reach the elimination in trial order however the trials
-    # are chunked (one user at a time: a two-user chunk stacks user 1's
-    # graphs, then user 2's), and the results do not move
+    # are chunked, and the results (the d_min histogram too) do not move
+    monkeypatch.chdir(tmp_path)
+    phases, run = CHUNKED[case]
     seen = _record_stacks(monkeypatch)
     monkeypatch.setattr(simulator, "_STACK_ENTRIES", 1)
-    single = CHUNKED[case]()
+    single = run()
     singles = list(seen)
     seen.clear()
     monkeypatch.setattr(simulator, "_STACK_ENTRIES", 1 << 40)
-    whole = CHUNKED[case]()
+    whole = run()
     assert _digest(single) == _digest(whole)
-    users = len(seen)
-    assert users in (1, 2) and len(singles) > users
-    for j, stack in enumerate(seen):
-        assert np.array_equal(np.concatenate(singles[j::users]), stack)
+    if isinstance(whole, dict):
+        assert whole["dmin_histogram"] == single["dmin_histogram"]
+        assert sum(whole["dmin_histogram"].values()) == (
+            whole["report"]["components"]["trials_codes"])
+    assert len(seen) == sum(phases)
+    trials = len(singles) // sum(phases)
+    assert trials > 1 and len(singles) == trials * sum(phases)
+    for users in phases:
+        stacks, seen = seen[:users], seen[users:]
+        part, singles = singles[:trials * users], singles[trials * users:]
+        assert users in (1, 2)
+        for j, stack in enumerate(stacks):
+            assert np.array_equal(np.concatenate(part[j::users]), stack)
