@@ -33,8 +33,8 @@ from .fbl import (_SEED_LIMIT, WindowError, _exp_or_inf, _keyed_rng,
                   rcu_mac, rcu_mc_ppc, rcu_relaxed_ppc, scaling_table)
 from .gfq import field_from_order
 from .infodensity import ppc_moments
-from .simulator import (_ENUM_GUARD, _PAIR_OPS_GUARD, Codebook, _check_books,
-                        _chunks, _min_distances, _sample_codes,
+from .simulator import (_ENUM_GUARD, Codebook, _check_books, _chunks,
+                        _min_distances, _sample_codes,
                         actual_rate_stats, min_distance, simulate_error)
 from .spectrum import (SpectrumTable, alpha_log, expurgate_spectrum,
                        ldpc_spectrum_exponent, ldpc_spectrum_table,
@@ -388,7 +388,7 @@ def cmd_simulate(channel_path: str, q: int, var_degree: int,
     Small codes are scored, decided and measured a chunk at a time: the
     trials of a chunk share one candidate count, so their words and checks
     run as one stack, their scores and ML decisions as batched products,
-    and (point-to-point) their minimum distances as one product.  Large
+    and (point-to-point) their minimum distances by one pair scan.  Large
     codes run one per chunk, several at a time on the decoding pool (see
     ``simulate_error``).
 
@@ -425,25 +425,27 @@ def cmd_simulate(channel_path: str, q: int, var_degree: int,
     hist: dict[str, int] | None = {}
     skipped = {}
     shape = (n, var_degree, check_degree)
-    if num ** (2 * users) * n > _PAIR_OPS_GUARD:
-        hist, skipped = None, {"dmin_skipped": "pair-scan guard"}
     # every code is trimmed to num words, and one word makes no pair
-    elif num > 1:
-        for chunk in _chunks(codes, shape, users, num):
-            seeds = [users * ((seed * 1_000_003 + t) % (1 << 62)) + j
-                     for t in chunk for j in range(users)]
-            words = _sample_codes(shape, field,
-                                  [_keyed_rng(s) for s in seeds], rate,
-                                  [_keyed_rng(s, 1) for s in seeds])
+    for chunk in _chunks(codes, shape, users, num) if num > 1 else ():
+        seeds = [users * ((seed * 1_000_003 + t) % (1 << 62)) + j
+                 for t in chunk for j in range(users)]
+        words = _sample_codes(shape, field, [_keyed_rng(s) for s in seeds],
+                              rate, [_keyed_rng(s, 1) for s in seeds])
+        # the codes share one size, so the first scan that would pass the
+        # guard trips it before any code is counted
+        try:
             if is_mac:
                 dists = [min_distance((Codebook(field, w1),
                                        Codebook(field, w2)))
                          for w1, w2 in zip(words[::2], words[1::2])]
             else:
-                dists = _min_distances(_check_books(field, np.stack(words)),
-                                       q).tolist()
-            for d in dists:
-                hist[str(d)] = hist.get(str(d), 0) + 1
+                dists = _min_distances(
+                    _check_books(field, np.stack(words))).tolist()
+        except GuardError:
+            hist, skipped = None, {"dmin_skipped": "pair-scan guard"}
+            break
+        for d in dists:
+            hist[str(d)] = hist.get(str(d), 0) + 1
     gap = actual_rate_stats((n, var_degree, check_degree, q), codes, seed)
     return {
         "eps_hat": report.value,

@@ -643,8 +643,9 @@ def _simulate_chunk(channel, qzs, trials, rngs, trials_noise: int,
     scores a 1/in_flight share (at least 8 rows).
 
     Calls no public function of the package, so it can run on a worker
-    thread.  The words are freed once their inputs exist, and everything
-    else when the chunk returns."""
+    thread.  The words are freed once their inputs exist, the messages and
+    outputs of a stack of trials are drawn just before it is scored and
+    freed after, and everything else is freed when the chunk returns."""
     n = trials[0][0][1].size  # the length of a coset
     flat_w = channel.w.reshape(-1, channel.w.shape[-1])
     inputs = []  # per user, the (trials, words, n) input stack
@@ -659,11 +660,6 @@ def _simulate_chunk(channel, qzs, trials, rngs, trials_noise: int,
     cand = _candidates(channel, inputs, n)
     del inputs
     codes, num_messages = cand.shape[:2]
-    sent = np.empty((codes, trials_noise), dtype=np.int64)
-    ys = np.empty((codes, trials_noise, n), dtype=np.int64)
-    for t, rng in enumerate(rngs):
-        sent[t] = rng.integers(num_messages, size=trials_noise)
-        ys[t] = _sample_outputs(flat_w, cand[t, sent[t]], rng)
     logw = _log_table(flat_w)
     rows = min(trials_noise, max(8, max(16, _SCORE_BLOCK // num_messages)
                                  // in_flight))
@@ -672,11 +668,16 @@ def _simulate_chunk(channel, qzs, trials, rngs, trials_noise: int,
     group = max(1, _STACK_SCORES // (rows * num_messages))
     realized = pessimistic = 0
     for g in range(0, codes, group):
+        # the messages and outputs of this group's trials only
+        sent = np.stack([rng.integers(num_messages, size=trials_noise)
+                         for rng in rngs[g:g + group]])
+        ys = np.stack([_sample_outputs(flat_w, cand[g + t, sent[t]], rng)
+                       for t, rng in enumerate(rngs[g:g + group])])
         score = _StackScorer(logw, cand[g:g + group])
         for lo in range(0, trials_noise, rows):
-            errors, ties = _count_errors(
-                score(ys[g:g + group, lo:lo + rows]),
-                sent[g:g + group, lo:lo + rows], rngs[g:g + group])
+            errors, ties = _count_errors(score(ys[:, lo:lo + rows]),
+                                         sent[:, lo:lo + rows],
+                                         rngs[g:g + group])
             realized += errors
             pessimistic += ties
     return realized, pessimistic
@@ -889,36 +890,40 @@ def empirical_spectrum(ensemble_params, trials: int, seed: int,
 # ---------------------------------------------------------------------------
 # minimum distance and actual-rate statistics
 
-def _min_distances(words: np.ndarray, q: int) -> np.ndarray:
+def _min_distances(words: np.ndarray) -> np.ndarray:
     """Minimum pairwise Hamming distance of each code of a (codes, m, n)
-    stack of words over [0, q): n minus the most positions in which two
-    distinct words of a code agree.  The agreements are one batched float32
-    product hot hot^T over the (codes, m, n q) one-hot rows (exact integer
-    counts), one row block of at most ``_PAIR_BLOCK`` symbol comparisons
-    at a time.  Checks the word count and the pair-scan guard of a code."""
+    stack of words: n minus the most positions in which two distinct words
+    of a code agree.  The agreements are counted one position at a time
+    over a row block of every code, at most ``_PAIR_BLOCK`` symbol
+    comparisons per block, so a code costs m^2 n comparisons whatever the
+    alphabet.  Checks the word count and the pair-scan guard of a code."""
     codes, m, n = words.shape
     if m < 2:
         raise ValueError("need at least two codewords")
     if m * m * n > _PAIR_OPS_GUARD:
         raise GuardError(f"pair scan exceeds the operation guard: "
                          f"{m * m * n} > {_PAIR_OPS_GUARD}")
-    hot = np.zeros((codes, m, n * q), dtype=np.float32)
-    np.put_along_axis(hot, words + q * np.arange(n), 1.0, axis=2)
+    columns = np.ascontiguousarray(words.transpose(2, 0, 1))  # (n, codes, m)
     block = max(1, _PAIR_BLOCK // (codes * m * n))
-    most = np.zeros(codes, dtype=np.float32)
+    most = np.zeros(codes, dtype=np.int64)
     for lo in range(0, m, block):
-        agree = hot[:, lo:lo + block] @ hot.transpose(0, 2, 1)
-        rows = np.arange(agree.shape[1])
-        agree[:, rows, lo + rows] = -1.0  # a word with itself is no pair
+        hi = min(lo + block, m)
+        agree = np.zeros((codes, hi - lo, m), dtype=np.min_scalar_type(n))
+        equal = np.empty(agree.shape, dtype=bool)
+        for col in columns:
+            np.equal(col[:, lo:hi, None], col[:, None, :], out=equal)
+            agree += equal
+        rows = np.arange(hi - lo)
+        agree[:, rows, lo + rows] = 0  # a word with itself is no pair
         most = np.maximum(most, agree.max(axis=(1, 2)))
-    return n - most.astype(np.int64)
+    return n - most
 
 
 def min_distance(codebook) -> int:
     """Minimum pairwise Hamming distance over codewords, or over message
     tuples of a two-user pair (rows differ when either component does)."""
     if isinstance(codebook, Codebook):
-        return int(_min_distances(codebook.words[None], codebook.field.q)[0])
+        return int(_min_distances(codebook.words[None])[0])
     cb1, cb2 = codebook
     w1, w2 = cb1.words, cb2.words
     if w1.shape[1] != w2.shape[1]:

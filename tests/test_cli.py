@@ -600,7 +600,8 @@ def test_simulate_codebook_guard_exits_3(capsys, bsc_path):
 
 
 def test_simulate_keeps_its_estimate_past_the_pair_scan_guard(capsys,
-                                                              bsc_path):
+                                                              bsc_path,
+                                                              mac_path):
     # 2^13 codewords of length 26: one code's pair scan counts
     # 2^26 * 26 = 1744830464 symbol comparisons against the 10^9 guard,
     # so the histogram is skipped and the error estimate still printed
@@ -620,6 +621,18 @@ def test_simulate_keeps_its_estimate_past_the_pair_scan_guard(capsys,
     with pytest.raises(GuardError, match="1744830464 > 1000000000"):
         min_distance(Codebook(field_from_order(2), np.array(
             [[(i >> j) & 1 for j in range(26)] for i in range(1 << 13)])))
+    # a MAC code pair of 2^7 words each at n = 14 counts
+    # 2^28 * 14 = 3758096384 comparisons
+    rc, out, err = run(capsys, ["simulate", "--channel", mac_path, "--q",
+                                "2", "--lambda", "3", "--check-degree", "6",
+                                "--n", "14", "--codes", "1", "--noise", "5",
+                                "--seed", "1", "--mac"])
+    assert rc == 0 and err == ""
+    payload = json.loads(out)
+    schema_validate("SimulateReport", payload)
+    assert payload["dmin_histogram"] is None
+    assert payload["dmin_skipped"] == "pair-scan guard"
+    assert payload["num_messages"] == 1 << 14
     # a run under the guard carries no such key
     rc, out, _ = run(capsys, ["simulate", "--channel", bsc_path, "--q",
                               "2", "--lambda", "3", "--check-degree", "6",

@@ -692,6 +692,22 @@ def test_stacked_chunk_scores_within_score_block(monkeypatch):
     assert blocks == [(5, 200, 64)] * 4 + [(1, 200, 64)]
 
 
+def test_stacked_chunk_draws_messages_and_outputs_per_stack():
+    # 128 codes of 16 words at n = 8 share one chunk, and 4,000 noise rows
+    # of 16 candidates fill a stack of one trial.  Drawing every trial's
+    # outputs up front would hold 128 x 4,000 x 8 int64 symbols (33 MB);
+    # a stack at a time holds one trial's (0.3 MB).
+    assert len(simulator._chunks(128, (8, 2, 4), 1, 16)) == 1
+    assert 2 * 4000 * 16 > simulator._STACK_SCORES
+    tracemalloc.start()
+    try:
+        simulate_error((8, 2, 4, 2), bsc(0.11), _Q2, 128, 4000, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6e6
+
+
 # ---------------------------------------------------------------------------
 # large code trials on the thread pool
 
@@ -1037,8 +1053,32 @@ def test_min_distance_blocks_match_pair_loop(monkeypatch, block):
         words = np.stack([
             (rng.choice(q ** n, size=m, replace=False)[:, None]
              // q ** np.arange(n)) % q for _ in range(codes)])
-        got = simulator._min_distances(words.astype(np.uint8), q)
+        got = simulator._min_distances(words.astype(np.uint8))
         assert got.tolist() == [_pair_loop_distance(w) for w in words]
+
+
+@pytest.mark.parametrize("q", [257, 1 << 16])
+def test_min_distance_work_and_memory_do_not_grow_with_q(q):
+    # 100 words of length 8: the scan compares 100^2 x 8 symbol pairs, in
+    # a few kB, whatever the alphabet.  A one-hot product over n q columns
+    # would take 210 MB at q = 2^16.
+    rng = np.random.default_rng(q)
+    words = np.unique(rng.integers(0, q, size=(100, 8)), axis=0)
+    words[1] = words[0]
+    words[1, 3] = (words[0, 3] + 1) % q
+    stack = words.astype(np.min_scalar_type(q - 1))[None]
+    book = Codebook(field=field_from_order(q), words=words) if q < 512 else None
+    tracemalloc.start()
+    try:
+        got = simulator._min_distances(stack).tolist()
+        if book is not None:
+            got.append(min_distance(book))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert _pair_loop_distance(words) == 1
+    assert got == [1] * (1 + (book is not None))
+    assert peak < 1e6
 
 
 def test_min_distance_guards():
