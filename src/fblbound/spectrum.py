@@ -8,8 +8,11 @@ significant).  The module computes:
   * sparse-graph (regular bipartite, variable degree ``var_degree``,
     check degree ``check_degree``) coset-ensemble spectra, exactly at
     finite n by coefficient extraction from the powered check enumerator
-    (dense powering modulo word-size primes, joined by the CRT) and
-    asymptotically by convex minimization,
+    and asymptotically by convex minimization.  The enumerator is powered
+    as a polynomial in the sums of its variables over the GF(q)*-orbits
+    of Q, one dimension per nonzero orbit ((q^K - 1)/(q - 1) of them;
+    the q^K - 1 nonzero symbols themselves when q = 2), densely modulo
+    word-size primes joined by the CRT,
   * the max-ratio penalty ``alpha_log`` used by the random-coding bounds,
   * low-weight expurgation and the four-term rate-offset decomposition,
   * the q^(-n eps/2) tail bound on the actual-vs-design code rate.
@@ -31,10 +34,11 @@ from . import GuardError
 from .gfq import field_from_order
 
 # Guards: the socket types of one check node, and the residue entries
-# (box of nonzero-symbol counts times primes) of the powered check
+# (box of nonzero-orbit counts times primes) of the powered check
 # enumerator; dense per-type table size.
 _LATTICE_GUARD = 20_000_000
 _TABLE_GUARD = 2_000_000
+_WALK_GUARD = 50_000  # types the rate-offset walk solves, one Newton each
 _LSE_TOL = 1e-10  # Newton stops at this gradient norm, relative to rho
 _SLAB_ENTRIES = 1 << 16  # residue entries powered at once; kept cache-sized
 _INT64_MAX = (1 << 63) - 1  # residue sums are reduced before passing it
@@ -337,25 +341,71 @@ def ldpc_spectrum_exponent(theta, var_degree: int, check_degree: int,
 # ---------------------------------------------------------------------------
 # finite-n sparse-graph spectrum
 
+@functools.lru_cache(maxsize=None)
+def _orbits(q: int, num_users: int) -> tuple[tuple[int, ...], ...]:
+    """The orbits of Q = GF(q)^K under scaling by GF(q)*, each a sorted
+    tuple of flat symbol indices: the zero symbol's first, then the rest in
+    the order of their smallest symbols.  Every nonzero orbit has q - 1
+    symbols, so for q = 2 each symbol is an orbit of its own."""
+    f = field_from_order(q)
+    comps = np.array([symbol_components(g, q, num_users)
+                      for g in range(q ** num_users)], dtype=np.int64)
+    # scaled[e - 1, g]: the flat index of e * g
+    scaled = f.mul(np.arange(1, q)[:, None, None], comps) \
+        @ q ** np.arange(num_users - 1, -1, -1)
+    orbits, seen = [], set()
+    for g in range(q ** num_users):
+        if g not in seen:
+            orbits.append(tuple(sorted(set(scaled[:, g].tolist()))))
+            seen.update(orbits[-1])
+    return tuple(orbits)
+
+
+def _orbit_poly(poly: CheckPolynomial) -> dict[tuple[int, ...], int]:
+    """The check enumerator as a polynomial in the orbit sums s_o, the sum
+    of x_g over the symbols g of orbit o.  A label absorbs any GF(q)*
+    scaling of its socket symbol, so coeff(t) is multinomial(rho, t) times
+    a function of the orbit counts u of t, and the coefficient at s^u is
+    the sum of coeff(t) over the t with orbit counts u, divided by
+    prod_o |o|^u_o = (q - 1)^(rho - u_0).  ArithmeticError when that
+    division leaves a remainder."""
+    orbits = _orbits(poly.q, poly.num_users)
+    sums = Counter()
+    for t, c in poly.coeffs.items():
+        sums[tuple(sum(t[g] for g in o) for o in orbits)] += c
+    coeffs = {}
+    for u, c in sums.items():
+        coeffs[u], rem = divmod(c, (poly.q - 1) ** (poly.check_degree - u[0]))
+        if rem:
+            raise ArithmeticError(
+                f"check enumerator coefficients at orbit counts {u} sum to "
+                f"{c}, not a multiple of the orbit sizes' product")
+    return coeffs
+
+
 @functools.lru_cache(maxsize=8)
 def _poly_power(q, num_users, rho, num_checks, lam):
-    """Nonzero coefficients of the check enumerator P raised to num_checks
-    at the socket types lam*t, all that a spectrum reads; None past the
-    lattice guard.  Exact: P^num_checks is powered densely over the
-    nonzero-symbol counts modulo primes below 2^28 whose product exceeds
-    P(1)^num_checks, a bound on every coefficient, and the CRT joins the
-    residues.  ArithmeticError when a residue array does not sum to
-    P(1)^num_checks modulo its prime."""
-    poly = _cached_check_poly(q, num_users, rho)
-    dim, side = q ** num_users - 1, rho * num_checks + 1
-    mass = poly.total_mass() ** num_checks
+    """Nonzero coefficients of the orbit-reduced check enumerator (see
+    ``_orbit_poly``) raised to num_checks, at the orbit counts of the
+    socket types lam*t, all that a spectrum reads; None past the lattice
+    guard.  ``_power_coeff`` turns one back into the coefficient of P^r
+    at a socket type.  The power runs over the counts of the
+    (q^K - 1)/(q - 1) nonzero orbits, not of the q^K - 1 nonzero
+    symbols; for q = 2 the orbits are the symbols and nothing is reduced.
+    Exact: powered densely modulo primes below 2^28 whose product exceeds
+    the reduced enumerator's mass raised to num_checks, a bound on every
+    coefficient, and joined by the CRT.  ArithmeticError when a residue
+    array does not sum to that mass modulo its prime."""
+    coeffs = _orbit_poly(_cached_check_poly(q, num_users, rho))
+    dim, side = len(_orbits(q, num_users)) - 1, rho * num_checks + 1
+    mass = sum(coeffs.values()) ** num_checks
     # every prime exceeds 2^27, so this many always cover the mass
     if side ** dim * (mass.bit_length() // 27 + 1) > _LATTICE_GUARD:
         return None
     primes, read = _residue_primes(mass), []
     slab = max(1, _SLAB_ENTRIES // side ** dim)
     for ps in (primes[i:i + slab] for i in range(0, len(primes), slab)):
-        res = _residue_power(poly, num_checks, ps, dim)
+        res = _residue_power(coeffs, rho, num_checks, ps, dim)
         sums = res.reshape(len(ps), -1).sum(axis=1) % np.array(ps)
         if sums.tolist() != [mass % p for p in ps]:
             raise ArithmeticError(f"residues of P^{num_checks} miss its "
@@ -370,22 +420,38 @@ def _poly_power(q, num_users, rho, num_checks, lam):
     return dict(zip(map(tuple, types.tolist()), _crt(read[:, flat], primes)))
 
 
-def _residue_power(poly, num_checks, primes, dim):
-    """P^num_checks modulo each prime, dense over the nonzero-symbol
-    counts.  Each step adds c_b * (the power so far) at the offset of
-    every term b; entries are reduced only when their tracked bound would
-    pass int64 (residues below 2^28 keep products below 2^56)."""
+def _power_coeff(power, socket_t, orbits) -> int:
+    """The coefficient of P^r at the socket type socket_t, from ``power``,
+    the orbit-reduced power of ``_poly_power``: its coefficient at the
+    orbit counts u of socket_t times, per orbit o, the multinomial ways
+    to spread u_o over the symbols of o."""
+    if len(orbits) == len(socket_t):  # q = 2: each symbol is an orbit
+        return power.get(socket_t, 0)
+    parts = [[socket_t[g] for g in o] for o in orbits]
+    coeff = power.get(tuple(map(sum, parts)), 0)
+    for part in parts:
+        if len(part) > 1:
+            coeff *= multinomial_exact(sum(part), part)
+    return coeff
+
+
+def _residue_power(coeffs, rho, num_checks, primes, dim):
+    """The enumerator ``coeffs`` (degree rho) to the power num_checks
+    modulo each prime, dense over the counts but the first.  Each step
+    adds c_b * (the power so far) at the offset of every term b; entries
+    are reduced only when their tracked bound would pass int64 (residues
+    below 2^28 keep products below 2^56)."""
     pv = np.array(primes, dtype=np.int64).reshape((-1,) + (1,) * dim)
     top = max(primes) - 1  # bound of a reduced entry
     # per term: offset, coefficient modulo each prime, bound on those
     terms = [(t[1:], np.array([c % p for p in primes]).reshape(pv.shape),
-              min(c, top)) for t, c in poly.coeffs.items()]
+              min(c, top)) for t, c in coeffs.items()]
     res, bound = np.ones_like(pv), 1
     for j in range(1, num_checks + 1):
         if bound * max(cm for *_, cm in terms) > _INT64_MAX - top:
             res %= pv
             bound = top
-        nxt = np.zeros((len(primes),) + (poly.check_degree * j + 1,) * dim,
+        nxt = np.zeros((len(primes),) + (rho * j + 1,) * dim,
                        dtype=np.int64)
         tmp, acc = np.empty_like(res), 0
         for off, c, cm in terms:
@@ -429,11 +495,13 @@ def ldpc_finite_spectrum(n: int, t, var_degree: int, check_degree: int,
     regular (var_degree, check_degree) coset ensemble on n symbols.
 
     Exact: multinomial(n,t) times the coefficient at var_degree*t of the
-    check enumerator raised to the number of checks (powered modulo
-    word-size primes, joined by the CRT), divided by the socket
-    multinomial and (q-1)^(n*var_degree).  Raises GuardError when the
-    powering would exceed the lattice guard; there is no asymptotic
-    stand-in.
+    check enumerator raised to the number of checks, divided by the socket
+    multinomial and (q-1)^(n*var_degree).  That coefficient is the
+    orbit-reduced power's (see ``_poly_power``; one dimension per nonzero
+    GF(q)*-orbit of Q, so a 1-d power for every q when K = 1, and the
+    unreduced power when q = 2) times the multinomials that spread each
+    orbit's count over its symbols.  Raises GuardError when the powering
+    would exceed the lattice guard; there is no asymptotic stand-in.
     """
     counts = _type_of(n, t)
     lam, rho = var_degree, check_degree
@@ -450,15 +518,17 @@ def ldpc_finite_spectrum(n: int, t, var_degree: int, check_degree: int,
             f"GF({q})^{num_users} exceeds the {_LATTICE_GUARD} residue-entry "
             "lattice guard"
         )
-    return _log_finite_count(power, n, counts, lam, q)
+    return _log_finite_count(power, n, counts, lam, q, num_users)
 
 
-def _log_finite_count(power, n: int, counts, lam: int, q: int) -> float:
+def _log_finite_count(power, n: int, counts, lam: int, q: int,
+                      num_users: int) -> float:
     """ln[multinomial(n, t) coeff / (multinomial(n lam, lam t)
-    (q-1)^(n lam))], coeff the powered check enumerator ``power`` at the
-    socket type lam t; -inf when that coefficient is 0."""
+    (q-1)^(n lam))], coeff the powered check enumerator at the socket type
+    lam t, read from the orbit-reduced ``power``; -inf when that
+    coefficient is 0."""
     socket_t = tuple(lam * c for c in counts)
-    coeff = power.get(socket_t, 0)
+    coeff = _power_coeff(power, socket_t, _orbits(q, num_users))
     if coeff == 0:
         return -math.inf
     num = multinomial_exact(n, counts) * coeff
@@ -654,8 +724,9 @@ def rate_offset_decomposition(n: int, var_degree: int, check_degree: int,
     zero-share at most 1 - sigma, at the ensemble design rate.
 
     Maxima run over the types the ensemble actually realizes (positive
-    finite spectrum).  Requires the exact socket lattice; raises when the
-    lattice guard would trip."""
+    finite spectrum).  Requires the exact socket lattice; raises
+    GuardError when the walk would pass the type guard or the powering
+    the lattice guard."""
     if not 0.0 < sigma < 1.0:
         raise ValueError("sigma must lie strictly between 0 and 1")
     if var_degree < 3:
@@ -666,6 +737,14 @@ def rate_offset_decomposition(n: int, var_degree: int, check_degree: int,
     r = (n * lam) // rho
     rate = 1.0 - lam / rho
     qk = q ** num_users
+    # the walk takes the types of weight at least `least`
+    least = math.ceil(sigma * n - 1e-9)
+    walked = _num_compositions(n, qk) - _num_compositions(least - 1, qk)
+    if walked > _WALK_GUARD:
+        raise GuardError(
+            f"the decomposition needs one exponent solve per type: {walked} "
+            f"types exceed the {_WALK_GUARD} type guard"
+        )
     power = _poly_power(q, num_users, rho, r, lam)
     if power is None:
         raise GuardError(
@@ -684,10 +763,10 @@ def rate_offset_decomposition(n: int, var_degree: int, check_degree: int,
     # types of zero-symbol share at most 1 - sigma, the zero count
     # descending; a stable sort keeps the first maximum of a tie
     types = _compositions(n, qk)
-    types = types[types[:, 0] <= n - math.ceil(sigma * n - 1e-9)]
+    types = types[types[:, 0] <= n - least]
     order = np.argsort(n - types[:, 0], kind="stable")
     for t in map(tuple, types[order].tolist()):
-        ln_fin = _log_finite_count(power, n, t, lam, q)
+        ln_fin = _log_finite_count(power, n, t, lam, q, num_users)
         if ln_fin == -math.inf:
             continue
         th = np.array(t, dtype=float) / n

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ import oracles
 from helpers import uniform_spectrum_table
 from fblbound import GuardError
 from fblbound import spectrum as sp
+from fblbound.cli import cmd_spectrum
 
 
 LN2 = math.log(2.0)
@@ -380,6 +382,27 @@ def test_finite_spectrum_gap_at_an_interior_type_is_logn_over_n():
     assert gaps == sorted(gaps, reverse=True) and len(set(gaps)) == 4
 
 
+@pytest.mark.parametrize("n,want", [
+    # recorded when every q = 4 table powered all three nonzero symbols
+    (24, "8965454f220e39484ac85a84161b5431399b79f5357455bcadb494e6abc9cabb"),
+    (32, "5f4c108227b5f268e6750b5cdcffc3970aa5217207169447dd8de2d8ee886d51"),
+])
+def test_quaternary_alpha_tables_pinned(n, want):
+    text = json.dumps(cmd_spectrum(4, 1, 3, 6, n, want_alpha=True),
+                      sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == want
+
+
+def test_quaternary_alpha_table_at_n48():
+    # past the residue-entry guard while all three nonzero symbols were
+    # powered (a 145^3 box per prime); one orbit powers a 145-entry line
+    payload = cmd_spectrum(4, 1, 3, 6, 48, want_alpha=True)
+    assert len(payload["entries"]) == sp._num_compositions(48, 4)
+    assert payload["entries"]["48,0,0,0"] == 0.0
+    assert math.isfinite(payload["alpha"]["log_alpha"])
+    assert math.isfinite(payload["alpha"]["alpha"])
+
+
 def test_finite_spectrum_guard_raises_guard_error():
     # 4-symbol composite alphabet at n=168: the residue powering needs a
     # 505^3 box per prime, far past the guard; no asymptotic stand-in
@@ -388,30 +411,61 @@ def test_finite_spectrum_guard_raises_guard_error():
 
 
 # (q, K, rho, checks): every q, K and rho of the grid at the most checks
-# whose dense box stays small (q=4, K=2 has a 15-dimensional box), and
-# P(1)^20 = 2^100 for four primes and reductions between the steps
+# whose dense box stays small, P(1)^20 = 2^100 for four primes and
+# reductions between the steps, and the orbit reductions of q = 8 (seven
+# symbols, one orbit) and of q = 4, K = 2 (fifteen symbols, five orbits)
 POWER_GRID = [
     (q, k, rho, r)
     for q in (2, 3, 4) for rho in (3, 4, 6) for r in (1, 2, 3)
     for k in (1, 2)
     if k == 1 or q == 2
-] + [(3, 2, 3, 1), (3, 2, 3, 2), (3, 2, 4, 1), (3, 2, 6, 1), (2, 1, 6, 20)]
+] + [(3, 2, 3, 1), (3, 2, 3, 2), (3, 2, 4, 1), (3, 2, 6, 1), (2, 1, 6, 20),
+     (8, 1, 3, 1), (8, 1, 3, 2), (8, 1, 4, 1), (8, 1, 4, 2), (8, 1, 6, 1),
+     (4, 2, 3, 1), (4, 2, 3, 2)]
 
 
 @pytest.mark.parametrize("q,k,rho,r", POWER_GRID)
 def test_poly_power_matches_dict_oracle(q, k, rho, r):
     want = oracles.poly_power_dict(sp.check_polynomial(q, k, rho).coeffs, r)
+    orbits = sp._orbits(q, k)
     # a spectrum reads lam*t with t summing to n, so lam divides rho*r
     for lam in [lam for lam in (1, 2, 3) if rho * r % lam == 0]:
-        got = sp._poly_power(q, k, rho, r, lam)
-        assert got == {t: c for t, c in want.items()
-                       if all(x % lam == 0 for x in t)}
+        power = sp._poly_power(q, k, rho, r, lam)
+        # every socket type lam*t, read back from the orbit-reduced power
+        got = {t: sp._power_coeff(power, t, orbits)
+               for t in (tuple(lam * x for x in row) for row in
+                         sp._compositions(rho * r // lam, q ** k).tolist())}
+        assert {t: c for t, c in got.items() if c} == {
+            t: c for t, c in want.items() if all(x % lam == 0 for x in t)}
         assert all(type(c) is int for c in got.values())
 
 
+def test_orbits_partition_the_symbols_under_scaling():
+    assert sp._orbits(2, 2) == ((0,), (1,), (2,), (3,))
+    assert sp._orbits(4, 1) == ((0,), (1, 2, 3))
+    # GF(3)^2, user 1 most significant: 2 * (0, 1) = (0, 2), ...
+    assert sp._orbits(3, 2) == ((0,), (1, 2), (3, 6), (4, 8), (5, 7))
+    orbits = sp._orbits(4, 2)
+    assert len(orbits) == 1 + (16 - 1) // 3
+    assert sorted(g for o in orbits for g in o) == list(range(16))
+    assert all(len(o) == 3 for o in orbits[1:])
+
+
 def test_poly_power_guard_checks_before_allocating():
-    # q=4, K=2: one check already needs a 4^15-entry box per prime
-    assert sp._poly_power(4, 2, 3, 1, 1) is None
+    # q=4, K=2: the 5 nonzero orbit counts of 8 degree-3 checks need a
+    # 25^5-entry box per prime, and 3 primes: 29,296,875 residue entries
+    assert sp._poly_power(4, 2, 3, 8, 1) is None
+
+
+def test_orbit_reduction_refuses_a_map_that_is_not_orbit_invariant(
+        monkeypatch):
+    # GF(3): the orbit counts (0, 2) hold (0, 2, 0), (0, 1, 1) and
+    # (0, 0, 2), whose coefficients must sum to a multiple of 2^2
+    fake = sp.CheckPolynomial(3, 1, 2, {(2, 0, 0): 1, (0, 2, 0): 1,
+                                        (0, 1, 1): 2})
+    monkeypatch.setattr(sp, "_cached_check_poly", lambda *a: fake)
+    with pytest.raises(ArithmeticError, match="orbit sizes"):
+        sp._poly_power.__wrapped__(3, 1, 2, 1, 1)
 
 
 def test_poly_power_mass_check_raises(monkeypatch):
@@ -590,6 +644,18 @@ def test_rate_offset_total_scaling():
 def test_rate_offset_pinned_at_four_symbols(q, num_users, want):
     dec = sp.rate_offset_decomposition(12, 3, 6, 0.1, q, num_users)
     assert hashlib.sha256(repr(dec).encode()).hexdigest()[:16] == want
+
+
+def test_rate_offset_walk_guard_trips_before_any_solve(monkeypatch):
+    # q = 4 at n = 200: the orbit-reduced power fits, but the walk would
+    # solve 1,372,161 of the 1,373,701 types, those of weight >= 20
+    def solve(*problem):
+        raise AssertionError("a type was solved")
+
+    monkeypatch.setattr(sp, "_minimize_lse_affine", solve)
+    with pytest.raises(GuardError, match="needs one exponent solve per "
+                                         "type: 1372161 types"):
+        sp.rate_offset_decomposition(200, 3, 6, 0.1, 4, 1)
 
 
 def test_rate_offset_argmaxes_reported():
