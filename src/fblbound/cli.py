@@ -33,9 +33,9 @@ from .fbl import (_SEED_LIMIT, WindowError, _exp_or_inf, _keyed_rng,
                   rcu_mac, rcu_mc_ppc, rcu_relaxed_ppc, scaling_table)
 from .gfq import field_from_order
 from .infodensity import ppc_moments
-from .simulator import (_ENUM_GUARD, _check_books, _chunks, _min_distances,
-                        _pair_min_distance, _sample_codes, actual_rate_stats,
-                        simulate_error)
+from .simulator import (_ENUM_GUARD, Codebook, _check_books, _chunks,
+                        _min_distances, _sample_codes,
+                        actual_rate_stats, min_distance, simulate_error)
 from .spectrum import (SpectrumTable, alpha_log, expurgate_spectrum,
                        ldpc_spectrum_exponent, ldpc_spectrum_table,
                        uniform_spectrum_exponent)
@@ -434,12 +434,13 @@ def cmd_simulate(channel_path: str, q: int, var_degree: int,
         # the codes share one size, so the first scan that would pass the
         # guard trips it before any code is counted
         try:
-            books = _check_books(field, np.stack(words))
             if is_mac:
-                dists = [_pair_min_distance(w1, w2)
-                         for w1, w2 in zip(books[::2], books[1::2])]
+                dists = [min_distance((Codebook(field, w1),
+                                       Codebook(field, w2)))
+                         for w1, w2 in zip(words[::2], words[1::2])]
             else:
-                dists = _min_distances(books).tolist()
+                dists = _min_distances(
+                    _check_books(field, np.stack(words))).tolist()
         except GuardError:
             hist, skipped = None, {"dmin_skipped": "pair-scan guard"}
             break

@@ -919,10 +919,13 @@ def _min_distances(words: np.ndarray) -> np.ndarray:
     return n - most
 
 
-def _pair_min_distance(w1: np.ndarray, w2: np.ndarray) -> int:
-    """Minimum Hamming distance over the message pairs of two users' word
-    arrays (rows differ when either component does).  Checks that they
-    share one blocklength and the pair-scan guard."""
+def min_distance(codebook) -> int:
+    """Minimum pairwise Hamming distance over codewords, or over message
+    tuples of a two-user pair (rows differ when either component does)."""
+    if isinstance(codebook, Codebook):
+        return int(_min_distances(codebook.words[None])[0])
+    cb1, cb2 = codebook
+    w1, w2 = cb1.words, cb2.words
     if w1.shape[1] != w2.shape[1]:
         raise ValueError("codebooks must share one blocklength")
     m1, m2 = w1.shape[0], w2.shape[0]
@@ -938,15 +941,6 @@ def _pair_min_distance(w1: np.ndarray, w2: np.ndarray) -> int:
     # the pair of a message pair with itself is no pair
     dist[np.ix_(np.arange(m1) * (m1 + 1), np.arange(m2) * (m2 + 1))] = n + 1
     return int(dist.min())
-
-
-def min_distance(codebook) -> int:
-    """Minimum pairwise Hamming distance over codewords, or over message
-    tuples of a two-user pair (rows differ when either component does)."""
-    if isinstance(codebook, Codebook):
-        return int(_min_distances(codebook.words[None])[0])
-    cb1, cb2 = codebook
-    return _pair_min_distance(cb1.words, cb2.words)
 
 
 @dataclass(frozen=True)

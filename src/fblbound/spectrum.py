@@ -40,6 +40,7 @@ _LATTICE_GUARD = 20_000_000
 _TABLE_GUARD = 2_000_000
 _WALK_GUARD = 50_000  # types the rate-offset walk solves, one Newton each
 _LSE_TOL = 1e-10  # Newton stops at this gradient norm, relative to rho
+_LSE_ROUND = 1e-15  # or, no step passing, at this half decrement per |f|
 _SLAB_ENTRIES = 1 << 16  # residue entries powered at once; kept cache-sized
 _INT64_MAX = (1 << 63) - 1  # residue sums are reduced before passing it
 
@@ -248,9 +249,13 @@ def _minimize_lse_affine(log_c, tmat, target, scale, floor):
 
     Returns the objective once the gradient norm reaches _LSE_TOL*scale,
     a global minimum by convexity, or -inf once the objective drops below
-    `floor` (the target lies outside the achievable hull).  Raises
-    ArithmeticError when neither step passes or 60 steps do not
-    converge, rather than return a value that is not the minimum."""
+    `floor` (the target lies outside the achievable hull).  When neither
+    step passes or 60 steps do not reach that norm, the objective is
+    still returned if the Newton decrement puts it within rounding of
+    the minimum (g H^-1 g / 2 <= _LSE_ROUND * max(1, |f|): the gradient
+    can stay above the goal where the objective no longer moves in
+    floating point); otherwise ArithmeticError, rather than return a
+    value that is not the minimum."""
     dim = tmat.shape[1]
     goal = _LSE_TOL * scale
 
@@ -276,7 +281,7 @@ def _minimize_lse_affine(log_c, tmat, target, scale, floor):
 
     u = np.zeros(dim)
     f, prob = value(u)
-    for _ in range(60):
+    for steps in range(61):
         if f < floor:
             return -math.inf
         mean = tmat.T @ prob
@@ -286,15 +291,19 @@ def _minimize_lse_affine(log_c, tmat, target, scale, floor):
         # the Hessian is tiny (dim <= |Q|); the ridge keeps it invertible
         hess = (tmat.T @ (prob[:, None] * tmat) - np.outer(mean, mean)
                 + 1e-12 * np.eye(dim))
-        step = (descend(u, f, np.linalg.solve(hess, g))
-                or descend(u, f, g))
+        newton = np.linalg.solve(hess, g)
+        step = None if steps == 60 else (descend(u, f, newton)
+                                         or descend(u, f, g))
         if step is None:
+            if float(g @ newton) / 2 <= _LSE_ROUND * max(1.0, abs(f)):
+                return f
+            if steps == 60:
+                raise ArithmeticError(
+                    f"inner infimum: no stationary point in 60 Newton "
+                    f"steps (f = {float(f)})")
             raise ArithmeticError(
                 f"inner infimum: Newton line search stalled at f = {float(f)}")
         u, f, prob = step
-    raise ArithmeticError(
-        f"inner infimum: no stationary point in 60 Newton steps "
-        f"(f = {float(f)})")
 
 
 def ldpc_spectrum_exponent(theta, var_degree: int, check_degree: int,
@@ -424,15 +433,15 @@ def _power_coeff(power, socket_t, orbits) -> int:
     """The coefficient of P^r at the socket type socket_t, from ``power``,
     the orbit-reduced power of ``_poly_power``: its coefficient at the
     orbit counts u of socket_t times, per orbit o, the multinomial ways
-    to spread u_o over the symbols of o."""
-    if len(orbits) == len(socket_t):  # q = 2: each symbol is an orbit
-        return power.get(socket_t, 0)
-    parts = [[socket_t[g] for g in o] for o in orbits]
-    coeff = power.get(tuple(map(sum, parts)), 0)
-    for part in parts:
-        if len(part) > 1:
-            coeff *= multinomial_exact(sum(part), part)
-    return coeff
+    to spread u_o over the symbols of o, a product of binomials."""
+    counts, ways = [], 1
+    for o in orbits:
+        u = 0
+        for g in o:
+            u += socket_t[g]
+            ways *= math.comb(u, socket_t[g])
+        counts.append(u)
+    return power.get(tuple(counts), 0) * ways
 
 
 def _residue_power(coeffs, rho, num_checks, primes, dim):

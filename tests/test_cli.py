@@ -956,6 +956,10 @@ GUARDS = [
         168, (42, 42, 42, 42), 3, 6, 2, 2), id="finite-spectrum"),
     pytest.param("decomposition needs", lambda: rate_offset_decomposition(
         200, 3, 6, 0.1, 4, 1), id="decomposition-lattice"),
+    # 20,790 types pass the walk guard; the 145^3-entry box does not
+    pytest.param("socket-lattice guard exceeded",
+                 lambda: rate_offset_decomposition(48, 3, 6, 0.1, 2, 2),
+                 id="decomposition-socket-lattice"),
     pytest.param("per-type table guard", lambda: cmd_spectrum(
         2, 1, 3, 6, 66), id="spectrum-command"),
     pytest.param("exceeds table limit", lambda: field_from_order(

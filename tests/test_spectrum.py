@@ -306,6 +306,29 @@ def test_lse_newton_refuses_to_stop_short():
                                 np.array([1.5]), 1.0, -math.inf)
 
 
+def test_lse_newton_stops_where_the_objective_stops_moving(monkeypatch):
+    # q = 4, rho = 6 at theta = (0, 32, 2, 2)/36: past step 4 no step moves
+    # the objective in floating point while the gradient norm stays near
+    # 1.8e-8, above the 6e-10 goal; the Newton decrement, 3.6e-16, puts
+    # it within rounding of the minimum, where the restart oracle agrees
+    theta = np.array([0, 32, 2, 2]) / 36
+    got = sp.ldpc_spectrum_exponent(theta, 3, 6, 4, 1)
+    assert math.isfinite(got)
+    monkeypatch.setattr(sp, "_minimize_lse_affine",
+                        oracles.minimize_lse_affine_restarts)
+    want = sp.ldpc_spectrum_exponent(theta, 3, 6, 4, 1)
+    _assert_same_exponents([got], [want])
+
+
+def test_rate_offset_quaternary_n36_returns():
+    # its walk solves the type above; before the decrement stop it raised
+    # ArithmeticError ("no stationary point in 60 Newton steps")
+    d = sp.rate_offset_decomposition(36, 3, 6, 0.1, 4, 1)
+    assert all(math.isfinite(v) for v in (
+        d.finite_spectrum_term, d.geometric_term, d.stirling_term, d.total))
+    assert sum(d.argmax_finite_spectrum) == sum(d.argmax_stirling) == 36
+
+
 # ---------------------------------------------------------------------------
 # finite-n spectrum
 
