@@ -12,7 +12,10 @@ significant).  The module computes:
     as a polynomial in the sums of its variables over the GF(q)*-orbits
     of Q, one dimension per nonzero orbit ((q^K - 1)/(q - 1) of them;
     the q^K - 1 nonzero symbols themselves when q = 2), densely modulo
-    word-size primes joined by the CRT,
+    word-size primes to one check short of the count; a read step
+    multiplies the last check in only at the orbit counts lam*u that a
+    table reads, the CRT joins those, and a table takes every type's
+    entry in one exact array pass over them,
   * the max-ratio penalty ``alpha_log`` used by the random-coding bounds,
   * low-weight expurgation and the four-term rate-offset decomposition,
   * the q^(-n eps/2) tail bound on the actual-vs-design code rate.
@@ -42,6 +45,7 @@ _WALK_GUARD = 50_000  # types the rate-offset walk solves, one Newton each
 _LSE_TOL = 1e-10  # Newton stops at this gradient norm, relative to rho
 _LSE_ROUND = 1e-15  # or, no step passing, at this half decrement per |f|
 _SLAB_ENTRIES = 1 << 16  # residue entries powered at once; kept cache-sized
+_ROW_BLOCK = 1 << 16  # types whose exact counts are formed at once
 _INT64_MAX = (1 << 63) - 1  # residue sums are reduced before passing it
 
 
@@ -86,6 +90,24 @@ def _num_compositions(total: int, parts: int) -> int:
     return math.comb(total + parts - 1, parts - 1)
 
 
+def _factorials(top: int) -> np.ndarray:
+    """i! for i = 0..top, exact ints in an object array."""
+    out = [1]
+    for i in range(1, top + 1):
+        out.append(out[-1] * i)
+    return np.array(out, dtype=object)
+
+
+_comb = np.frompyfunc(math.comb, 2, 1)  # exact binomials, elementwise
+
+
+def _multinomials(counts) -> np.ndarray:
+    """The exact multinomial (row sum choose row) of every row of the int
+    array counts, a product of binomials C(prefix sum, count).  Cheaper
+    than factorials when the counts run into the thousands."""
+    return _comb(np.cumsum(counts, axis=1), counts).prod(axis=1)
+
+
 def multinomial_exact(n: int, t) -> int:
     out = 1
     rem = n
@@ -106,6 +128,23 @@ def multinomial_log(n: int, t) -> float:
     for c in _type_of(n, t):
         out -= math.lgamma(c + 1)
     return out
+
+
+def _log_multinomials(n: int, rows) -> np.ndarray:
+    """``multinomial_log`` at every row of the valid type array rows, the
+    same floats: the ln of the exact integer for n <= 64, a block of rows
+    at a time, else lgamma(n + 1) less each count's, in their order."""
+    if n > 64:
+        lgam = np.array([math.lgamma(c + 1) for c in range(n + 1)])
+        out = np.full(len(rows), lgam[n])
+        for col in rows.T:
+            out -= lgam[col]
+        return out
+    fact, out = _factorials(n), []
+    for block in np.array_split(rows, max(1, len(rows) // _ROW_BLOCK)):
+        out += [math.log(b) for b in
+                (fact[n] // fact[block].prod(axis=1)).tolist()]
+    return np.array(out)
 
 
 def _entropy_nats(theta: np.ndarray) -> float:
@@ -394,67 +433,84 @@ def _orbit_poly(poly: CheckPolynomial) -> dict[tuple[int, ...], int]:
 
 @functools.lru_cache(maxsize=8)
 def _poly_power(q, num_users, rho, num_checks, lam):
-    """Nonzero coefficients of the orbit-reduced check enumerator (see
-    ``_orbit_poly``) raised to num_checks, at the orbit counts of the
-    socket types lam*t, all that a spectrum reads; None past the lattice
-    guard.  ``_power_coeff`` turns one back into the coefficient of P^r
-    at a socket type.  The power runs over the counts of the
-    (q^K - 1)/(q - 1) nonzero orbits, not of the q^K - 1 nonzero
-    symbols; for q = 2 the orbits are the symbols and nothing is reduced.
-    Exact: powered densely modulo primes below 2^28 whose product exceeds
-    the reduced enumerator's mass raised to num_checks, a bound on every
-    coefficient, and joined by the CRT.  ArithmeticError when a residue
-    array does not sum to that mass modulo its prime."""
+    """The orbit-reduced check enumerator (see ``_orbit_poly``) raised to
+    num_checks, read only where a spectrum reads it: at the orbit counts
+    lam*u of the socket types lam*t.  Returns an object array of exact
+    ints over the counts u of the (q^K - 1)/(q - 1) nonzero orbits, each
+    0..rho*num_checks/lam (the zero orbit holds the rest; entries past it
+    are 0), or None past the lattice guard.  For q = 2 the orbits are the
+    symbols and nothing is reduced.
+
+    Exact: powered densely to num_checks - 1 modulo primes below 2^28
+    whose product exceeds the reduced enumerator's mass raised to
+    num_checks, a bound on every coefficient; the last check is
+    multiplied in only at the points lam*u (``_read_step``), and the
+    points are joined by the CRT.  ArithmeticError when a residue array
+    misses its mass modulo its prime, or the read step misses the sums of
+    the power over its residue classes modulo lam."""
     coeffs = _orbit_poly(_cached_check_poly(q, num_users, rho))
     dim, side = len(_orbits(q, num_users)) - 1, rho * num_checks + 1
-    mass = sum(coeffs.values()) ** num_checks
+    total = sum(coeffs.values())
+    mass = total ** num_checks
     # every prime exceeds 2^27, so this many always cover the mass
     if side ** dim * (mass.bit_length() // 27 + 1) > _LATTICE_GUARD:
         return None
     primes, read = _residue_primes(mass), []
     slab = max(1, _SLAB_ENTRIES // side ** dim)
     for ps in (primes[i:i + slab] for i in range(0, len(primes), slab)):
-        res = _residue_power(coeffs, rho, num_checks, ps, dim)
-        sums = res.reshape(len(ps), -1).sum(axis=1) % np.array(ps)
-        if sums.tolist() != [mass % p for p in ps]:
-            raise ArithmeticError(f"residues of P^{num_checks} miss its "
+        pv = np.array(ps, dtype=np.int64)
+        res = _residue_power(coeffs, rho, num_checks - 1, ps, dim)
+        sums = res.reshape(len(ps), -1).sum(axis=1) % pv
+        if sums.tolist() != [pow(total, num_checks - 1, p) for p in ps]:
+            raise ArithmeticError(f"residues of P^{num_checks - 1} miss its "
                                   f"mass (q={q}, K={num_users}, rho={rho})")
-        read.append(res[(slice(None),) + (slice(None, None, lam),) * dim]
-                    .reshape(len(ps), -1))
+        lattice = _read_step(res, coeffs, rho, lam, ps).reshape(len(ps), -1)
+        # sum_u P^r[lam u] = sum_b c_b S_{-b mod lam}, S_k the sum of the
+        # power over the indices = k (mod lam) in every coordinate
+        want, classes = 0, {}
+        for offs, c, _ in _term_groups(coeffs, ps):
+            for k in (tuple(-o % lam for o in off) for off in offs):
+                if k not in classes:
+                    classes[k] = _residue_class(res, k, lam) \
+                        .reshape(len(ps), -1).sum(axis=1) % pv
+                want = (want + c.reshape(-1) * classes[k]) % pv
+        if (lattice.sum(axis=1) % pv).tolist() != want.tolist():
+            raise ArithmeticError(f"read step of P^{num_checks} misses its "
+                                  f"class sums (q={q}, K={num_users}, "
+                                  f"rho={rho})")
+        read.append(lattice)
     read = np.concatenate(read)
+    power = np.zeros(read.shape[1], dtype=object)
     flat = np.flatnonzero(read.any(axis=0))
-    rest = lam * np.column_stack(
-        np.unravel_index(flat, ((side - 1) // lam + 1,) * dim))
-    types = np.column_stack([side - 1 - rest.sum(axis=1), rest])
-    return dict(zip(map(tuple, types.tolist()), _crt(read[:, flat], primes)))
+    power[flat] = _crt(read[:, flat], primes)
+    power.flags.writeable = False  # cached: every caller gets this array
+    return power.reshape(((side - 1) // lam + 1,) * dim)
 
 
-def _power_coeff(power, socket_t, orbits) -> int:
-    """The coefficient of P^r at the socket type socket_t, from ``power``,
-    the orbit-reduced power of ``_poly_power``: its coefficient at the
-    orbit counts u of socket_t times, per orbit o, the multinomial ways
-    to spread u_o over the symbols of o, a product of binomials."""
-    counts, ways = [], 1
-    for o in orbits:
-        u = 0
-        for g in o:
-            u += socket_t[g]
-            ways *= math.comb(u, socket_t[g])
-        counts.append(u)
-    return power.get(tuple(counts), 0) * ways
+def _term_groups(coeffs, primes):
+    """The terms of ``coeffs`` grouped by coefficient: per distinct value,
+    its offsets (the counts but the first), its residues modulo each
+    prime and the value itself."""
+    groups = {}
+    for t, c in coeffs.items():
+        groups.setdefault(c, []).append(t[1:])
+    shape = (-1,) + (1,) * (len(next(iter(coeffs))) - 1)
+    return [(offs, np.array([c % p for p in primes]).reshape(shape), c)
+            for c, offs in groups.items()]
 
 
 def _residue_power(coeffs, rho, num_checks, primes, dim):
     """The enumerator ``coeffs`` (degree rho) to the power num_checks
     modulo each prime, dense over the counts but the first.  Each step
-    adds c_b * (the power so far) at the offset of every term b; entries
-    are reduced only when their tracked bound would pass int64 (residues
+    multiplies the power so far once per distinct coefficient c and adds
+    the product at the offset of every term b with c_b = c; entries are
+    reduced only when their tracked bound would pass int64 (residues
     below 2^28 keep products below 2^56)."""
     pv = np.array(primes, dtype=np.int64).reshape((-1,) + (1,) * dim)
     top = max(primes) - 1  # bound of a reduced entry
-    # per term: offset, coefficient modulo each prime, bound on those
-    terms = [(t[1:], np.array([c % p for p in primes]).reshape(pv.shape),
-              min(c, top)) for t, c in coeffs.items()]
+    # per distinct coefficient: offsets, residues, bound on those
+    terms = [(offs, c, min(v, top))
+             for offs, c, v in _term_groups(coeffs, primes)]
     res, bound = np.ones_like(pv), 1
     for j in range(1, num_checks + 1):
         if bound * max(cm for *_, cm in terms) > _INT64_MAX - top:
@@ -463,15 +519,51 @@ def _residue_power(coeffs, rho, num_checks, primes, dim):
         nxt = np.zeros((len(primes),) + (rho * j + 1,) * dim,
                        dtype=np.int64)
         tmp, acc = np.empty_like(res), 0
-        for off, c, cm in terms:
-            if acc + bound * cm > _INT64_MAX:
-                nxt %= pv
-                acc = top
-            nxt[(slice(None),) + tuple(slice(o, o + res.shape[1]) for o in off)
-                ] += res if cm == 1 else np.multiply(res, c, out=tmp)
-            acc += bound * cm
+        for offs, c, cm in terms:
+            part = res if cm == 1 else np.multiply(res, c, out=tmp)
+            for off in offs:
+                if acc + bound * cm > _INT64_MAX:
+                    nxt %= pv
+                    acc = top
+                nxt[(slice(None),) + tuple(slice(o, o + res.shape[1])
+                                           for o in off)] += part
+                acc += bound * cm
         res, bound = nxt, acc
     return res % pv
+
+
+def _residue_class(res, k, lam):
+    """The entries of the residue arrays ``res`` whose indices are k
+    (mod lam) in every coordinate, a strided view."""
+    return res[(slice(None),) + tuple(slice(i, None, lam) for i in k)]
+
+
+def _read_step(res, coeffs, rho, lam, primes):
+    """The enumerator ``coeffs`` (degree rho) times the reduced residue
+    power ``res`` (as ``_residue_power`` returns it), modulo each prime,
+    at the points lam*u only: P^r[lam u] = sum_b c_b P^(r-1)[lam u - b].
+    A term b reads the power's residue class -b (mod lam) in every
+    coordinate, so each class is multiplied once per distinct
+    coefficient."""
+    dim = res.ndim - 1
+    pv = np.array(primes, dtype=np.int64).reshape((-1,) + (1,) * dim)
+    # P^r has rho*r + 1 counts per coordinate, rho more than res
+    out = np.zeros((len(primes),) + ((res.shape[1] + rho - 1) // lam + 1,)
+                   * dim, dtype=np.int64)
+    # residues below 2^28: an entry sums at most one per term, and the
+    # lattice guard keeps the terms far below 2^35
+    for offs, c, value in _term_groups(coeffs, primes):
+        parts = {}
+        for off in offs:
+            k = tuple(-o % lam for o in off)
+            if k not in parts:
+                part = _residue_class(res, k, lam)
+                parts[k] = part if value == 1 else part * c % pv
+            part = parts[k]
+            out[(slice(None),) + tuple(
+                slice(-(-o // lam), -(-o // lam) + size)
+                for o, size in zip(off, part.shape[1:]))] += part
+    return out % pv
 
 
 def _residue_primes(bound: int) -> list[int]:
@@ -509,10 +601,31 @@ def ldpc_finite_spectrum(n: int, t, var_degree: int, check_degree: int,
     orbit-reduced power's (see ``_poly_power``; one dimension per nonzero
     GF(q)*-orbit of Q, so a 1-d power for every q when K = 1, and the
     unreduced power when q = 2) times the multinomials that spread each
-    orbit's count over its symbols.  Raises GuardError when the powering
+    orbit's count over its symbols.  The same pass as a table's entry
+    (``ldpc_spectrum_table``).  Raises GuardError when the powering
     would exceed the lattice guard; there is no asymptotic stand-in.
     """
-    counts = _type_of(n, t)
+    rows = _type_rows(n, [t], q ** num_users)
+    return _finite_log_counts(n, rows, var_degree, check_degree, q,
+                              num_users)[0]
+
+
+def _type_rows(n: int, types, qk: int) -> np.ndarray:
+    """types as an int64 array of rows, refused (ValueError) unless each
+    row holds qk nonnegative counts that sum to n."""
+    rows = np.array([*types] or np.zeros((0, qk)), dtype=np.int64)
+    if rows.ndim != 2 or rows.shape[1] != qk or (rows < 0).any():
+        raise ValueError(f"a type is {qk} nonnegative counts")
+    bad = np.flatnonzero(rows.sum(axis=1) != n)
+    if bad.size:
+        raise ValueError(f"type sums to {rows[bad[0]].sum()}, expected {n}")
+    return rows
+
+
+def _finite_log_counts(n: int, rows, var_degree: int, check_degree: int,
+                       q: int, num_users: int) -> list[float]:
+    """``ldpc_finite_spectrum`` at every row of the valid type array rows;
+    ValueError before any powering when the checks are not whole."""
     lam, rho = var_degree, check_degree
     if (n * lam) % rho:
         raise ValueError(
@@ -527,22 +640,38 @@ def ldpc_finite_spectrum(n: int, t, var_degree: int, check_degree: int,
             f"GF({q})^{num_users} exceeds the {_LATTICE_GUARD} residue-entry "
             "lattice guard"
         )
-    return _log_finite_count(power, n, counts, lam, q, num_users)
+    return _log_counts(power, n, rows, lam, q, num_users)
 
 
-def _log_finite_count(power, n: int, counts, lam: int, q: int,
-                      num_users: int) -> float:
+def _log_counts(power, n: int, rows, lam: int, q: int,
+                num_users: int) -> list[float]:
     """ln[multinomial(n, t) coeff / (multinomial(n lam, lam t)
-    (q-1)^(n lam))], coeff the powered check enumerator at the socket type
-    lam t, read from the orbit-reduced ``power``; -inf when that
-    coefficient is 0."""
-    socket_t = tuple(lam * c for c in counts)
-    coeff = _power_coeff(power, socket_t, _orbits(q, num_users))
-    if coeff == 0:
-        return -math.inf
-    num = multinomial_exact(n, counts) * coeff
-    den = multinomial_exact(n * lam, socket_t) * (q - 1) ** (n * lam)
-    return math.log(num) - math.log(den)
+    (q-1)^(n lam))] for every row t of rows, coeff the powered check
+    enumerator at the socket type lam t: the orbit-reduced ``power`` at
+    the orbit counts u of t times the ways to spread each lam*u_o over
+    the symbols of orbit o, whose product with multinomial(n lam, lam u)
+    is multinomial(n lam, lam t); -inf where coeff is 0.  One pass over
+    the rows in exact integers, a block of rows at a time, forming the
+    rest only where the power reads nonzero; the ln is taken of the
+    numerator and of the denominator."""
+    fact, orbits = _factorials(n), _orbits(q, num_users)
+    out = np.full(len(rows), -math.inf)
+    for block in np.array_split(np.arange(len(rows)),
+                                max(1, len(rows) // _ROW_BLOCK)):
+        t = rows[block].astype(np.int64)
+        counts = np.stack([t[:, list(o)].sum(axis=1) for o in orbits],
+                          axis=1)
+        coeff = power[tuple(counts[:, 1:].T)]
+        live = coeff != 0
+        t, counts, coeff = t[live], counts[live], coeff[live]
+        ways = 1
+        for o in orbits[1:]:
+            ways = ways * _multinomials(lam * t[:, list(o)])
+        num = fact[n] // fact[t].prod(axis=1) * coeff * ways
+        den = _multinomials(lam * counts) * ways * (q - 1) ** (n * lam)
+        out[block[live]] = [math.log(a) - math.log(b)
+                            for a, b in zip(num.tolist(), den.tolist())]
+    return out.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -597,22 +726,23 @@ def _all_types_guarded(n: int, qk: int) -> np.ndarray:
 def ldpc_spectrum_table(n: int, var_degree: int, check_degree: int,
                         q: int, num_users: int,
                         types=None) -> SpectrumTable:
-    """Exact finite-n sparse-graph ensemble spectrum table.
+    """Exact finite-n sparse-graph ensemble spectrum table, every entry
+    as ``ldpc_finite_spectrum`` gives it, all in one pass over the types.
 
-    types defaults to every type of length q^K (guarded); the stored
-    message count is the design value q^((n - num_checks) per user)."""
+    types defaults to every type of length q^K (guarded); ValueError
+    before any powering when a type is not q^K nonnegative counts summing
+    to n.  The stored message count is the design value
+    q^((n - num_checks) per user)."""
     qk = q ** num_users
-    if types is None:
-        types = _all_types_guarded(n, qk)
-    entries = {}
-    for t in types:
-        key = _type_of(n, t)
-        entries[key] = ldpc_finite_spectrum(
-            n, key, var_degree, check_degree, q, num_users
-        )
+    rows = _all_types_guarded(n, qk) if types is None \
+        else _type_rows(n, types, qk)
+    values = _finite_log_counts(n, rows, var_degree, check_degree, q,
+                                num_users)
     r = (n * var_degree) // check_degree
     return SpectrumTable(
-        n=n, q=q, num_users=num_users, kind="ldpc", entries=entries,
+        n=n, q=q, num_users=num_users, kind="ldpc",
+        # the column lists zip into key tuples faster than rows map
+        entries=dict(zip(zip(*rows.T.tolist()), values)),
         var_degree=var_degree, check_degree=check_degree,
         log_num_messages=(n - r) * math.log(q),
     )
@@ -623,25 +753,29 @@ def ldpc_spectrum_table(n: int, var_degree: int, check_degree: int,
 
 def alpha_log(spectrum: SpectrumTable,
               num_messages) -> tuple[float, tuple[int, ...]]:
-    """ln of the max-ratio penalty and its maximizing type.
+    """ln of the max-ratio penalty and its maximizing type, the first
+    one in table order on a tie.
 
     Ratio per type: table entry over the uniform reference
-    (M^K - 1) B(n,t) q^(-nK), with n and K the table's.  The all-zero
-    type is excluded."""
+    (M^K - 1) B(n,t) q^(-nK), with n and K the table's, ln B(n,t) as
+    ``multinomial_log`` gives it.  The all-zero type and the types of
+    ensemble count 0 are excluded."""
     n, num_users = spectrum.n, spectrum.num_users
     log_ref_const = _log_mk_minus_one(num_messages, num_users) \
         - n * num_users * math.log(spectrum.q)
-    best = None
-    best_t = None
-    for t, v in spectrum.entries.items():
-        if v == -math.inf or sum(t) == t[0]:
-            continue
-        ratio = v - (log_ref_const + multinomial_log(n, t))
-        if best is None or ratio > best:
-            best, best_t = ratio, t
-    if best is None:
+    types = np.array([*spectrum.entries], dtype=np.int64).reshape(
+        len(spectrum.entries), spectrum.q ** num_users)
+    values = np.fromiter(spectrum.entries.values(), float, len(types))
+    keep = (values != -math.inf) & (types[:, 1:].sum(axis=1) != 0)
+    if not keep.any():
         raise ValueError("no candidate types left for the penalty maximum")
-    return best, best_t
+    types = types[keep]
+    bad = np.flatnonzero(types.sum(axis=1) != n)
+    if bad.size:
+        raise ValueError(f"type sums to {types[bad[0]].sum()}, expected {n}")
+    ratio = values[keep] - (log_ref_const + _log_multinomials(n, types))
+    best = int(np.argmax(ratio))
+    return float(ratio[best]), tuple(types[best].tolist())
 
 
 def expurgate_spectrum(spectrum: SpectrumTable,
@@ -773,9 +907,11 @@ def rate_offset_decomposition(n: int, var_degree: int, check_degree: int,
     # descending; a stable sort keeps the first maximum of a tie
     types = _compositions(n, qk)
     types = types[types[:, 0] <= n - least]
-    order = np.argsort(n - types[:, 0], kind="stable")
-    for t in map(tuple, types[order].tolist()):
-        ln_fin = _log_finite_count(power, n, t, lam, q, num_users)
+    types = types[np.argsort(n - types[:, 0], kind="stable")]
+    for t, ln_fin, log_b in zip(
+            map(tuple, types.tolist()),
+            _log_counts(power, n, types, lam, q, num_users),
+            _log_multinomials(n, types).tolist()):
         if ln_fin == -math.inf:
             continue
         th = np.array(t, dtype=float) / n
@@ -785,7 +921,7 @@ def rate_offset_decomposition(n: int, var_degree: int, check_degree: int,
             best2, best2_t = cand2, t
         h = _entropy_nats(th)
         uniform_nats = h - num_users * (1.0 - rate) * lnq
-        ref = (log_mk1 + multinomial_log(n, t) - n * num_users * lnq) / n
+        ref = (log_mk1 + log_b - n * num_users * lnq) / n
         cand4 = uniform_nats - ref
         if cand4 > best4:
             best4, best4_t = cand4, t

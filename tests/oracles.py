@@ -14,8 +14,11 @@ the BSC, and the ML scores as one-hot contractions of the gathered (M, n,
 |Y|) per-letter table (the route that the simulator's score matrix
 replaces).
 The powered check enumerator is a big-integer dict convolution, the
-route that ``fblbound.spectrum``'s residue powering replaces, and the
-spectrum exponent's inner infimum has the gradient/restart solver that
+route that ``fblbound.spectrum``'s residue powering replaces; a finite
+spectrum entry is read from it one type at a time in big integers, the
+route that the spectrum table's one array pass replaces, as is the
+penalty maximum one entry at a time; and the spectrum exponent's inner
+infimum has the gradient/restart solver that
 its damped Newton loop replaces.
 """
 
@@ -28,6 +31,7 @@ from fractions import Fraction
 import numpy as np
 
 from fblbound.gfq import field_from_order
+from fblbound.spectrum import _log_mk_minus_one, multinomial_log
 
 
 def _seq_prob(pmf_exact, seq):
@@ -287,6 +291,59 @@ def poly_power_dict(coeffs, num_checks):
                 nxt[key] = nxt.get(key, 0) + ca * cb
         cur = nxt
     return cur
+
+
+def power_coeff(power, socket_t, orbits):
+    """The coefficient of P^r at the socket type socket_t, from ``power``,
+    a map from orbit counts (zero orbit first) to the coefficients of the
+    orbit-reduced power: its coefficient at the orbit counts u of
+    socket_t times, per orbit o, the multinomial ways to spread u_o over
+    the symbols of o, a product of binomials."""
+    counts, ways = [], 1
+    for o in orbits:
+        u = 0
+        for g in o:
+            u += socket_t[g]
+            ways *= math.comb(u, socket_t[g])
+        counts.append(u)
+    return power.get(tuple(counts), 0) * ways
+
+
+def _multinomial(n, counts):
+    return math.factorial(n) // math.prod(math.factorial(c) for c in counts)
+
+
+def log_finite_count(power, n, counts, lam, q, orbits):
+    """ln[multinomial(n, t) coeff / (multinomial(n lam, lam t)
+    (q-1)^(n lam))] for one type t = counts, in big integers, coeff the
+    powered check enumerator at the socket type lam t by ``power_coeff``;
+    -inf when that coefficient is 0.  The per-type route that the one
+    array pass of ``fblbound.spectrum.ldpc_spectrum_table`` replaces."""
+    socket_t = tuple(lam * c for c in counts)
+    coeff = power_coeff(power, socket_t, orbits)
+    if coeff == 0:
+        return -math.inf
+    num = _multinomial(n, counts) * coeff
+    den = _multinomial(n * lam, socket_t) * (q - 1) ** (n * lam)
+    return math.log(num) - math.log(den)
+
+
+def alpha_log_loop(spectrum, num_messages):
+    """The max-ratio penalty and its type one table entry at a time: the
+    loop that ``fblbound.spectrum.alpha_log``'s array pass replaces."""
+    n = spectrum.n
+    log_ref_const = _log_mk_minus_one(num_messages, spectrum.num_users) \
+        - n * spectrum.num_users * math.log(spectrum.q)
+    best = best_t = None
+    for t, v in spectrum.entries.items():
+        if v == -math.inf or sum(t) == t[0]:
+            continue
+        ratio = v - (log_ref_const + multinomial_log(n, t))
+        if best is None or ratio > best:
+            best, best_t = ratio, t
+    if best is None:
+        raise ValueError("no candidate types left for the penalty maximum")
+    return best, best_t
 
 
 # tolerance and descent starts of the restart solver's inner infimum

@@ -453,14 +453,20 @@ def test_poly_power_matches_dict_oracle(q, k, rho, r):
     orbits = sp._orbits(q, k)
     # a spectrum reads lam*t with t summing to n, so lam divides rho*r
     for lam in [lam for lam in (1, 2, 3) if rho * r % lam == 0]:
-        power = sp._poly_power(q, k, rho, r, lam)
+        lattice = sp._poly_power(q, k, rho, r, lam)
+        # the orbit-reduced power at the points lam*u, keyed by all the
+        # orbit counts; nothing past the zero orbit's share
+        power = {(rho * r - lam * sum(u),) + tuple(lam * x for x in u): c
+                 for u, c in np.ndenumerate(lattice) if c}
+        assert all(u[0] >= 0 for u in power)
         # every socket type lam*t, read back from the orbit-reduced power
-        got = {t: sp._power_coeff(power, t, orbits)
+        got = {t: oracles.power_coeff(power, t, orbits)
                for t in (tuple(lam * x for x in row) for row in
                          sp._compositions(rho * r // lam, q ** k).tolist())}
         assert {t: c for t, c in got.items() if c} == {
             t: c for t, c in want.items() if all(x % lam == 0 for x in t)}
         assert all(type(c) is int for c in got.values())
+        assert all(type(c) is int for c in lattice.flat)
 
 
 def test_orbits_partition_the_symbols_under_scaling():
@@ -506,6 +512,80 @@ def test_residue_primes_are_prime_and_cover_the_bound():
     assert math.prod(primes) > 1 << 200
     assert math.prod(primes[:-1]) <= 1 << 200
     assert primes == sorted(set(primes), reverse=True)
+
+
+# (q, K, lam, rho, n): every q and K whose check enumerator and power fit,
+# at lam = 2 and 3; the binary tables hold -inf entries (odd weights),
+# and at rho = 70 check coefficients pass int64 (C(70, 35) > 2^66).
+# At q = 8, K = 2 lam = 3 needs rho >= 3, whose enumerator alone takes a
+# second, so only lam = 2 runs there.
+TABLE_GRID = [
+    (2, 1, 2, 4, 20), (2, 1, 3, 6, 24), (2, 1, 3, 70, 70),
+    (2, 2, 2, 4, 8), (2, 2, 3, 6, 8),
+    (3, 1, 2, 3, 12), (3, 1, 3, 6, 12), (3, 2, 2, 3, 6), (3, 2, 3, 3, 4),
+    (4, 1, 2, 4, 12), (4, 1, 3, 6, 10), (4, 2, 2, 4, 4), (4, 2, 3, 3, 3),
+    (8, 1, 2, 4, 6), (8, 1, 3, 6, 6), (8, 2, 2, 2, 1),
+]
+
+
+def _per_type_oracle(q, k, lam, rho, n):
+    """Every type's entry by the big-integer per-type route, its power
+    the dict convolution of the orbit-reduced enumerator."""
+    power = oracles.poly_power_dict(
+        sp._orbit_poly(sp.check_polynomial(q, k, rho)), n * lam // rho)
+    orbits = sp._orbits(q, k)
+    return {t: oracles.log_finite_count(power, n, t, lam, q, orbits)
+            for t in map(tuple, sp._compositions(n, q ** k).tolist())}
+
+
+@pytest.mark.parametrize("q,k,lam,rho,n", TABLE_GRID)
+def test_table_matches_per_type_oracle(q, k, lam, rho, n):
+    want = _per_type_oracle(q, k, lam, rho, n)
+    tab = sp.ldpc_spectrum_table(n, lam, rho, q, k)
+    assert tab.entries == want
+    assert list(tab.entries) == list(want)
+    assert all(type(c) is int for t in tab.entries for c in t)
+    # a subset, out of table order and with a repeat, reads the same
+    subset = list(want)[::-3] + [list(want)[0]]
+    part = sp.ldpc_spectrum_table(n, lam, rho, q, k, types=subset)
+    assert part.entries == {t: want[t] for t in subset}
+    assert list(part.entries) == list(dict.fromkeys(subset))
+    # and so does one type at a time, the -inf ones included
+    for t in subset[:8] + [t for t, v in want.items() if v == -math.inf][:2]:
+        assert sp.ldpc_finite_spectrum(n, t, lam, rho, q, k) == want[t]
+
+
+def test_table_refuses_bad_types_before_powering(monkeypatch):
+    def power(*args):
+        raise AssertionError("powered")
+
+    monkeypatch.setattr(sp, "_poly_power", power)
+    with pytest.raises(ValueError, match="type sums to 11, expected 12"):
+        sp.ldpc_spectrum_table(12, 3, 6, 2, 1, types=[(6, 6), (6, 5)])
+    with pytest.raises(ValueError, match="2 nonnegative counts"):
+        sp.ldpc_spectrum_table(12, 3, 6, 2, 1, types=[(13, -1)])
+    with pytest.raises(ValueError, match="2 nonnegative counts"):
+        sp.ldpc_spectrum_table(12, 3, 6, 2, 1, types=[(6, 6, 0)])
+    # 5 * 3 / 6 checks: not whole, for a dense table and a type list alike
+    with pytest.raises(ValueError, match="whole number of check nodes"):
+        sp.ldpc_spectrum_table(5, 3, 6, 2, 1)
+    with pytest.raises(ValueError, match="whole number of check nodes"):
+        sp.ldpc_spectrum_table(5, 3, 6, 2, 1, types=[(3, 2)])
+
+
+def test_read_step_check_raises(monkeypatch):
+    real = sp._read_step
+
+    def corrupt(*args):
+        out = real(*args)
+        out[(0,) * out.ndim] += 1
+        return out
+
+    monkeypatch.setattr(sp, "_read_step", corrupt)
+    with pytest.raises(ArithmeticError, match="read step of P"):
+        sp._poly_power.__wrapped__(2, 1, 6, 7, 3)
+    with pytest.raises(ArithmeticError, match="read step of P"):
+        sp._poly_power.__wrapped__(4, 2, 3, 2, 2)
 
 
 def test_q4_n24_table_pinned():
@@ -559,6 +639,32 @@ def test_ldpc_table_zero_type_and_alpha_cross_check():
     direct = math.exp(best)
     assert math.exp(sp.alpha_log(tab, m)[0]) == pytest.approx(
         direct, rel=1e-12)
+
+
+@pytest.mark.parametrize("table,m", [
+    (lambda: sp.ldpc_spectrum_table(12, 3, 6, 2, 1), 2 ** 6),
+    (lambda: sp.ldpc_spectrum_table(10, 3, 6, 4, 1), 4 ** 5),
+    (lambda: sp.ldpc_spectrum_table(16, 3, 6, 2, 2), 2 ** 8),
+    # past the exact cutoff: the lgamma route
+    (lambda: sp.ldpc_spectrum_table(1200, 3, 5, 2, 1), 2 ** 480),
+    (lambda: sp.ldpc_spectrum_table(66, 3, 6, 2, 1), 2 ** 33),
+    # every ratio ties up to rounding, so the first maximum decides
+    (lambda: uniform_spectrum_table(8, 3, 1, 9), 9),
+    (lambda: uniform_spectrum_table(80, 2, 2, 7), 7),
+])
+def test_alpha_matches_the_per_entry_loop(table, m):
+    tab = table()
+    got = sp.alpha_log(tab, m)
+    assert got == oracles.alpha_log_loop(tab, m)
+    assert type(got[0]) is float and all(type(c) is int for c in got[1])
+
+
+@pytest.mark.parametrize("n,parts,step", [
+    (12, 4, 1), (64, 3, 5), (65, 2, 1), (200, 4, 997)])
+def test_log_multinomials_match_the_scalar_route(n, parts, step):
+    rows = sp._compositions(n, parts)[::step]
+    assert sp._log_multinomials(n, rows).tolist() == [
+        sp.multinomial_log(n, t) for t in rows.tolist()]
 
 
 def test_alpha_exclusion_and_errors():
