@@ -47,17 +47,6 @@ def _parse_entry(v):
     raise ValueError(f"bad probability entry {v!r}")
 
 
-def _parse_rows(rows) -> tuple[np.ndarray, tuple | None]:
-    """Parse a nested list of entries into (float array, exact nest or None)."""
-    arr = np.asarray(
-        [[_parse_entry(v)[0] for v in row] for row in rows], dtype=np.float64
-    )
-    exacts = [[_parse_entry(v)[1] for v in row] for row in rows]
-    if all(e is not None for row in exacts for e in row):
-        return arr, tuple(tuple(row) for row in exacts)
-    return arr, None
-
-
 def _check_stochastic(w: np.ndarray, exact, what: str):
     if np.any(w < 0):
         raise ValueError(f"{what} has negative entries")
@@ -90,8 +79,8 @@ class DmcModel:
 
     @classmethod
     def from_rows(cls, rows) -> "DmcModel":
-        w, exact = _parse_rows(rows)
-        return cls(w, exact)
+        return cls(np.asarray(_nested_floats(rows), dtype=np.float64),
+                   _nested_exact(rows))
 
     @property
     def input_size(self) -> int:
@@ -125,9 +114,8 @@ class MacModel:
 
     @classmethod
     def from_rows(cls, rows) -> "MacModel":
-        arr = np.asarray(_nested_floats(rows), dtype=np.float64)
-        exact = _nested_exact(rows)
-        return cls(arr, exact)
+        return cls(np.asarray(_nested_floats(rows), dtype=np.float64),
+                   _nested_exact(rows))
 
     @property
     def num_users(self) -> int:
@@ -152,6 +140,7 @@ class MacModel:
 
 
 def _nested_floats(rows):
+    """The floats of a nest of entry lists, nested the same way."""
     if isinstance(rows, (list, tuple)) and rows and isinstance(
         rows[0], (list, tuple)
     ):
@@ -160,6 +149,8 @@ def _nested_floats(rows):
 
 
 def _nested_exact(rows):
+    """The exact entries of a nest of entry lists as nested tuples, or
+    None when any entry is a float."""
     if isinstance(rows, (list, tuple)) and rows and isinstance(
         rows[0], (list, tuple)
     ):

@@ -168,35 +168,23 @@ class FieldSpec:
         return val
 
     def _build_log_tables(self):
+        """exp[k] = g^k for the smallest g >= 2 (1 when q = 2) whose powers
+        g^0..g^(q-2) never return to 1, a primitive element; log inverts
+        exp, -1 at 0."""
         q = self.q
-        exp = np.zeros(q - 1, dtype=np.int64)
-        log = np.full(q, -1, dtype=np.int64)
-        for g in range(2, q):
-            x = 1
-            seen = 0
-            exp[0] = 1
-            for k in range(1, q - 1):
-                x = self._mul_scalar(x, g)
-                if x == 1:
-                    seen = k
+        for g in range(min(2, q - 1), q):
+            exp = [1]
+            for _ in range(q - 2):
+                exp.append(self._mul_scalar(exp[-1], g))
+                if exp[-1] == 1:
                     break
-                exp[k] = x
             else:
-                x = self._mul_scalar(x, g)
-                if x == 1:
-                    seen = q - 1
-            if seen == q - 1:
-                for k in range(q - 1):
-                    log[exp[k]] = k
-                self._exp = exp
-                self._log = log
-                return
-        if q == 2:
-            self._exp = np.array([1], dtype=np.int64)
-            log = np.array([-1, 0], dtype=np.int64)
-            self._log = log
-            return
-        raise RuntimeError(f"no primitive element found for q={q}")
+                break
+        else:
+            raise RuntimeError(f"no primitive element found for q={q}")
+        self._exp = np.array(exp, dtype=np.int64)
+        self._log = np.full(q, -1, dtype=np.int64)
+        self._log[self._exp] = np.arange(q - 1)
 
     # -- vectorized arithmetic ------------------------------------------------
 

@@ -556,50 +556,23 @@ def _check_ensemble_params(ensemble_params):
     return n, var_degree, check_degree, q
 
 
-_pool = None  # the decoding thread pool, made on first use
-
-
-def _drop_pool():
-    global _pool
-    _pool = None
-
-
-if hasattr(os, "register_at_fork"):  # a forked child has no pool threads
-    os.register_at_fork(after_in_child=_drop_pool)
-
-
-def _executor():
-    """The thread pool that decodes large code trials, one thread per CPU,
-    made on first use (``concurrent.futures`` is imported only then)."""
-    global _pool
-    if _pool is None:
-        from concurrent.futures import ThreadPoolExecutor
-        _pool = ThreadPoolExecutor(_CPUS, thread_name_prefix="fblbound-decode")
-    return _pool
-
-
 @functools.cache
 def _openblas_threads_query():
     """OpenBLAS's thread-count query in the library numpy loaded, or None
-    where none is found (another BLAS, or no ``/proc/self/maps``)."""
+    where none is found (another BLAS): looked up through numpy's linear
+    algebra extension, whose handle also searches the libraries it links."""
     import ctypes
     try:
-        with open("/proc/self/maps") as fh:
-            paths = sorted({line.split()[-1] for line in fh
-                            if "openblas" in line})
-    except OSError:
+        from numpy.linalg import _umath_linalg
+        lib = ctypes.CDLL(_umath_linalg.__file__)
+    except (ImportError, OSError):
         return None
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for prefix in ("", "scipy_"):
-            for suffix in ("", "64_"):
-                query = getattr(lib, f"{prefix}openblas_get_num_threads"
-                                     f"{suffix}", None)
-                if query is not None:
-                    return query
+    for prefix in ("", "scipy_"):
+        for suffix in ("", "64_"):
+            query = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}",
+                            None)
+            if query is not None:
+                return query
     return None
 
 
@@ -711,8 +684,8 @@ def simulate_error(ensemble_params, channel, quantizers, trials_codes: int,
 
     Consecutive trials whose codes fit one elimination stack are sampled
     and checked as one stack and scored and decided in batched products;
-    larger codes run one per stack, several at once on the decoding pool
-    where BLAS leaves CPUs idle.  Neither changes a result."""
+    larger codes run one per stack, several at once on a thread pool of
+    this call where BLAS leaves CPUs idle.  Neither changes a result."""
     n, var_degree, check_degree, q = _check_ensemble_params(ensemble_params)
     if trials_codes < 1 or trials_noise < 1:
         raise ValueError("need at least one code and one noise trial")
@@ -750,7 +723,11 @@ def simulate_error(ensemble_params, channel, quantizers, trials_codes: int,
         matrix = 8 * num ** len(qzs) * n * channel.w.shape[-1]
         in_flight = max(1, min(_CPUS // _blas_threads(),
                                _FLIGHT_BYTES // matrix))
-    pool = _executor() if in_flight > 1 else None
+    pool = None
+    if in_flight > 1:
+        from concurrent.futures import ThreadPoolExecutor
+        pool = ThreadPoolExecutor(in_flight,
+                                  thread_name_prefix="fblbound-decode")
     counts = []  # each chunk's (errors, ties), in chunk order
     pending = deque()  # the chunks on the pool, oldest first
     try:
@@ -767,12 +744,10 @@ def simulate_error(ensemble_params, channel, quantizers, trials_codes: int,
                                        rngs, trials_noise, in_flight))
         while pending:
             counts.append(pending.popleft().result())
-    except BaseException:
-        # drop the queued trials and wait for the running ones
-        for fut in pending:
-            if not fut.cancel():
-                fut.exception()
-        raise
+    finally:
+        if pool is not None:
+            # drops the queued trials and waits for the running ones
+            pool.shutdown(cancel_futures=True)
     realized = sum(errors for errors, _ in counts)
     pessimistic = sum(ties for _, ties in counts)
     num_messages = num ** len(qzs)

@@ -52,14 +52,6 @@ _INT64_MAX = (1 << 63) - 1  # residue sums are reduced before passing it
 # ---------------------------------------------------------------------------
 # types and small combinatorics
 
-def _type_of(n: int, t) -> tuple[int, ...]:
-    """t as a tuple of ints, refused unless it sums to n."""
-    counts = tuple(int(c) for c in t)
-    if sum(counts) != n:
-        raise ValueError(f"type sums to {sum(counts)}, expected {n}")
-    return counts
-
-
 def symbol_components(index: int, q: int, num_users: int) -> tuple[int, ...]:
     comps = []
     for _ in range(num_users):
@@ -108,32 +100,11 @@ def _multinomials(counts) -> np.ndarray:
     return _comb(np.cumsum(counts, axis=1), counts).prod(axis=1)
 
 
-def multinomial_exact(n: int, t) -> int:
-    out = 1
-    rem = n
-    for c in _type_of(n, t):
-        out *= math.comb(rem, c)
-        rem -= c
-    return out
-
-
-def multinomial_log(n: int, t) -> float:
-    """ln of the multinomial coefficient n!/prod(t_g!).
-
-    Exact big-integer evaluation for n <= 64, lgamma otherwise.
-    """
-    if n <= 64:
-        return math.log(multinomial_exact(n, t))
-    out = math.lgamma(n + 1)
-    for c in _type_of(n, t):
-        out -= math.lgamma(c + 1)
-    return out
-
-
 def _log_multinomials(n: int, rows) -> np.ndarray:
-    """``multinomial_log`` at every row of the valid type array rows, the
-    same floats: the ln of the exact integer for n <= 64, a block of rows
-    at a time, else lgamma(n + 1) less each count's, in their order."""
+    """ln of the multinomial coefficient n!/prod(t_g!) at every row t of
+    the valid type array rows: the ln of the exact integer for n <= 64, a
+    block of rows at a time, else lgamma(n + 1) less each count's, in
+    their order."""
     if n > 64:
         lgam = np.array([math.lgamma(c + 1) for c in range(n + 1)])
         out = np.full(len(rows), lgam[n])
@@ -248,7 +219,7 @@ def check_polynomial(q: int, num_users: int,
         tuple(int(g) for g in np.flatnonzero(row)) for row in orth
     )
     term = [(q - 1) ** a * (-1) ** (rho - a) for a in range(rho + 1)]
-    coeffs = {}
+    fact, coeffs = _factorials(rho).tolist(), {}
     # row by row: the guard admits tens of millions of socket types
     for row in _compositions(rho, qk):
         t = tuple(row.tolist())
@@ -261,7 +232,7 @@ def check_polynomial(q: int, num_users: int,
                 f"character sum {total} at {t} is not divisible by {qk}"
             )
         if count:
-            coeffs[t] = multinomial_exact(rho, t) * count
+            coeffs[t] = fact[rho] // math.prod(fact[c] for c in t) * count
     poly = CheckPolynomial(q, num_users, rho, coeffs)
     if poly.total_mass() != poly.expected_total_mass():
         raise ArithmeticError(
@@ -274,6 +245,11 @@ def check_polynomial(q: int, num_users: int,
 @functools.lru_cache(maxsize=16)
 def _cached_check_poly(q, num_users, rho) -> CheckPolynomial:
     return check_polynomial(q, num_users, rho)
+
+
+@functools.lru_cache(maxsize=16)
+def _cached_orbit_poly(q, num_users, rho) -> dict[tuple[int, ...], int]:
+    return _orbit_poly(_cached_check_poly(q, num_users, rho))
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +424,7 @@ def _poly_power(q, num_users, rho, num_checks, lam):
     points are joined by the CRT.  ArithmeticError when a residue array
     misses its mass modulo its prime, or the read step misses the sums of
     the power over its residue classes modulo lam."""
-    coeffs = _orbit_poly(_cached_check_poly(q, num_users, rho))
+    coeffs = _cached_orbit_poly(q, num_users, rho)
     dim, side = len(_orbits(q, num_users)) - 1, rho * num_checks + 1
     total = sum(coeffs.values())
     mass = total ** num_checks
@@ -590,26 +566,6 @@ def _crt(res, primes) -> list[int]:
     return value.tolist()
 
 
-def ldpc_finite_spectrum(n: int, t, var_degree: int, check_degree: int,
-                         q: int, num_users: int) -> float:
-    """ln of the ensemble-average number of codematrices of type t for the
-    regular (var_degree, check_degree) coset ensemble on n symbols.
-
-    Exact: multinomial(n,t) times the coefficient at var_degree*t of the
-    check enumerator raised to the number of checks, divided by the socket
-    multinomial and (q-1)^(n*var_degree).  That coefficient is the
-    orbit-reduced power's (see ``_poly_power``; one dimension per nonzero
-    GF(q)*-orbit of Q, so a 1-d power for every q when K = 1, and the
-    unreduced power when q = 2) times the multinomials that spread each
-    orbit's count over its symbols.  The same pass as a table's entry
-    (``ldpc_spectrum_table``).  Raises GuardError when the powering
-    would exceed the lattice guard; there is no asymptotic stand-in.
-    """
-    rows = _type_rows(n, [t], q ** num_users)
-    return _finite_log_counts(n, rows, var_degree, check_degree, q,
-                              num_users)[0]
-
-
 def _type_rows(n: int, types, qk: int) -> np.ndarray:
     """types as an int64 array of rows, refused (ValueError) unless each
     row holds qk nonnegative counts that sum to n."""
@@ -620,27 +576,6 @@ def _type_rows(n: int, types, qk: int) -> np.ndarray:
     if bad.size:
         raise ValueError(f"type sums to {rows[bad[0]].sum()}, expected {n}")
     return rows
-
-
-def _finite_log_counts(n: int, rows, var_degree: int, check_degree: int,
-                       q: int, num_users: int) -> list[float]:
-    """``ldpc_finite_spectrum`` at every row of the valid type array rows;
-    ValueError before any powering when the checks are not whole."""
-    lam, rho = var_degree, check_degree
-    if (n * lam) % rho:
-        raise ValueError(
-            f"n*var_degree/check_degree = {n * lam}/{rho} is not an integer; "
-            "the ensemble needs a whole number of check nodes"
-        )
-    r = (n * lam) // rho
-    power = _poly_power(q, num_users, rho, r, lam)
-    if power is None:
-        raise GuardError(
-            f"powering the degree-{rho} check enumerator to {r} checks over "
-            f"GF({q})^{num_users} exceeds the {_LATTICE_GUARD} residue-entry "
-            "lattice guard"
-        )
-    return _log_counts(power, n, rows, lam, q, num_users)
 
 
 def _log_counts(power, n: int, rows, lam: int, q: int,
@@ -726,19 +661,42 @@ def _all_types_guarded(n: int, qk: int) -> np.ndarray:
 def ldpc_spectrum_table(n: int, var_degree: int, check_degree: int,
                         q: int, num_users: int,
                         types=None) -> SpectrumTable:
-    """Exact finite-n sparse-graph ensemble spectrum table, every entry
-    as ``ldpc_finite_spectrum`` gives it, all in one pass over the types.
+    """Exact finite-n spectrum table of the regular (var_degree,
+    check_degree) coset ensemble on n symbols: per type t, ln of the
+    ensemble-average number of codematrices of type t, all in one pass
+    over the types (``_log_counts``).
+
+    That count is multinomial(n, t) times the coefficient at
+    var_degree*t of the check enumerator raised to the number of checks,
+    divided by the socket multinomial and (q-1)^(n*var_degree).  The
+    coefficient is the orbit-reduced power's (see ``_poly_power``; one
+    dimension per nonzero GF(q)*-orbit of Q, so a 1-d power for every q
+    when K = 1, and the unreduced power when q = 2) times the multinomials
+    that spread each orbit's count over its symbols.
 
     types defaults to every type of length q^K (guarded); ValueError
     before any powering when a type is not q^K nonnegative counts summing
-    to n.  The stored message count is the design value
+    to n, or when the checks are not whole.  Raises GuardError when the
+    powering would exceed the lattice guard; there is no asymptotic
+    stand-in.  The stored message count is the design value
     q^((n - num_checks) per user)."""
-    qk = q ** num_users
+    lam, rho, qk = var_degree, check_degree, q ** num_users
     rows = _all_types_guarded(n, qk) if types is None \
         else _type_rows(n, types, qk)
-    values = _finite_log_counts(n, rows, var_degree, check_degree, q,
-                                num_users)
-    r = (n * var_degree) // check_degree
+    if (n * lam) % rho:
+        raise ValueError(
+            f"n*var_degree/check_degree = {n * lam}/{rho} is not an integer; "
+            "the ensemble needs a whole number of check nodes"
+        )
+    r = (n * lam) // rho
+    power = _poly_power(q, num_users, rho, r, lam)
+    if power is None:
+        raise GuardError(
+            f"powering the degree-{rho} check enumerator to {r} checks over "
+            f"GF({q})^{num_users} exceeds the {_LATTICE_GUARD} residue-entry "
+            "lattice guard"
+        )
+    values = _log_counts(power, n, rows, lam, q, num_users)
     return SpectrumTable(
         n=n, q=q, num_users=num_users, kind="ldpc",
         # the column lists zip into key tuples faster than rows map
@@ -758,7 +716,7 @@ def alpha_log(spectrum: SpectrumTable,
 
     Ratio per type: table entry over the uniform reference
     (M^K - 1) B(n,t) q^(-nK), with n and K the table's, ln B(n,t) as
-    ``multinomial_log`` gives it.  The all-zero type and the types of
+    ``_log_multinomials`` gives it.  The all-zero type and the types of
     ensemble count 0 are excluded."""
     n, num_users = spectrum.n, spectrum.num_users
     log_ref_const = _log_mk_minus_one(num_messages, num_users) \

@@ -17,9 +17,11 @@ The powered check enumerator is a big-integer dict convolution, the
 route that ``fblbound.spectrum``'s residue powering replaces; a finite
 spectrum entry is read from it one type at a time in big integers, the
 route that the spectrum table's one array pass replaces, as is the
-penalty maximum one entry at a time; and the spectrum exponent's inner
-infimum has the gradient/restart solver that
-its damped Newton loop replaces.
+penalty maximum one entry at a time, each multinomial a scalar product of
+binomials (or of lgamma values); the spectrum exponent's inner infimum
+has the gradient/restart solver that its damped Newton loop replaces; and
+a field's exp, log and product tables come from its smallest primitive
+element, found by brute force.
 """
 
 import bisect
@@ -31,7 +33,7 @@ from fractions import Fraction
 import numpy as np
 
 from fblbound.gfq import field_from_order
-from fblbound.spectrum import _log_mk_minus_one, multinomial_log
+from fblbound.spectrum import _log_mk_minus_one
 
 
 def _seq_prob(pmf_exact, seq):
@@ -309,8 +311,29 @@ def power_coeff(power, socket_t, orbits):
     return power.get(tuple(counts), 0) * ways
 
 
-def _multinomial(n, counts):
-    return math.factorial(n) // math.prod(math.factorial(c) for c in counts)
+def multinomial(n, counts):
+    """n!/prod(t_g!) in exact integers, refused (ValueError) unless the
+    counts sum to n."""
+    counts = [int(c) for c in counts]
+    if sum(counts) != n:
+        raise ValueError(f"type sums to {sum(counts)}, expected {n}")
+    out = 1
+    for c in counts:
+        out *= math.comb(n, c)
+        n -= c
+    return out
+
+
+def multinomial_log(n, counts):
+    """ln multinomial(n, counts): the ln of the exact integer for n <= 64,
+    else lgamma(n + 1) less each count's, in their order.  The scalar
+    route that ``fblbound.spectrum._log_multinomials`` takes over a type
+    array."""
+    if n <= 64:
+        return math.log(multinomial(n, counts))
+    if sum(counts) != n:
+        raise ValueError(f"type sums to {sum(counts)}, expected {n}")
+    return _log_multinomial(n, counts)
 
 
 def log_finite_count(power, n, counts, lam, q, orbits):
@@ -323,8 +346,8 @@ def log_finite_count(power, n, counts, lam, q, orbits):
     coeff = power_coeff(power, socket_t, orbits)
     if coeff == 0:
         return -math.inf
-    num = _multinomial(n, counts) * coeff
-    den = _multinomial(n * lam, socket_t) * (q - 1) ** (n * lam)
+    num = multinomial(n, counts) * coeff
+    den = multinomial(n * lam, socket_t) * (q - 1) ** (n * lam)
     return math.log(num) - math.log(den)
 
 
@@ -480,6 +503,29 @@ def e0_event(w, probs, event, rho):
                 inner += p_ev * float(w[tuple(x) + (y,)]) ** s
             total += p_rest * inner ** (1.0 + rho)
     return -math.log(total)
+
+
+def primitive_tables(field):
+    """(exp, log, mul) of GF(q) from its smallest primitive element, found
+    by brute force: the first g >= 2 (1 when q = 2) whose q - 1 powers under
+    the field's scalar product are all distinct.  exp[k] = g^k, log
+    inverts it with -1 at 0, and mul[g^i][g^j] = g^(i+j), 0 at 0; nested
+    lists."""
+    q = field.q
+    for g in range(1 if q == 2 else 2, q):
+        exp = [1]
+        for _ in range(q - 2):
+            exp.append(field._mul_scalar(exp[-1], g))
+        if len(set(exp)) == q - 1:
+            break
+    log = [-1] * q
+    for k, x in enumerate(exp):
+        log[x] = k
+    mul = [[0] * q for _ in range(q)]
+    for i, a in enumerate(exp):
+        for j, b in enumerate(exp):
+            mul[a][b] = exp[(i + j) % (q - 1)]
+    return exp, log, mul
 
 
 def rank_and_nullspace_rows(mat):

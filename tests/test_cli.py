@@ -29,7 +29,7 @@ from fblbound.simulator import (Codebook, empirical_spectrum,
                                 enumerate_codebook, min_distance, ml_decode,
                                 sample_graph)
 from fblbound.spectrum import (SpectrumTable, alpha_log, check_polynomial,
-                               ldpc_finite_spectrum, ldpc_spectrum_table,
+                               ldpc_spectrum_table,
                                rate_offset_decomposition)
 from helpers import (binary_adder_mac, dmc_to_json, mac_to_json,
                      parallel_bsc_mac, schema_validate,
@@ -952,8 +952,8 @@ GUARDS = [
                  id="check-node"),
     pytest.param("dense table", lambda: uniform_spectrum_table(
         400, 4, 2, 7), id="dense-table"),
-    pytest.param("residue-entry lattice guard", lambda: ldpc_finite_spectrum(
-        168, (42, 42, 42, 42), 3, 6, 2, 2), id="finite-spectrum"),
+    pytest.param("residue-entry lattice guard", lambda: ldpc_spectrum_table(
+        168, 3, 6, 2, 2, types=[(42, 42, 42, 42)]), id="finite-spectrum"),
     pytest.param("decomposition needs", lambda: rate_offset_decomposition(
         200, 3, 6, 0.1, 4, 1), id="decomposition-lattice"),
     # 20,790 types pass the walk guard; the 145^3-entry box does not

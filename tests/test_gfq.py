@@ -100,6 +100,16 @@ def test_vectorized_ops_match_scalar(fields):
         assert mul_v[i] == f.mul(int(a[i]), int(b[i]))
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 32, 64, 81,
+                               128, 243, 256])
+def test_log_tables_follow_the_smallest_primitive_element(q):
+    f = field_from_order(q)
+    exp, log, mul = oracles.primitive_tables(f)
+    assert f._exp.tolist() == exp and f._exp.dtype == np.int64
+    assert f._log.tolist() == log and f._log.dtype == np.int64
+    assert f._mul_t.tolist() == mul
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 9, 16, 625])
 def test_add_and_neg_are_digitwise_mod_p(q):
     # q=625 has no addition table and takes the digit route

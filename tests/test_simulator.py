@@ -5,6 +5,7 @@ practice; the stated 3-sigma / p > 0.001 envelopes describe how they
 were sized, not a per-run coin flip.
 """
 
+import concurrent.futures
 import dataclasses
 import hashlib
 import inspect
@@ -713,19 +714,24 @@ def test_stacked_chunk_draws_messages_and_outputs_per_stack():
 
 
 def _pool_on(monkeypatch, cpus):
-    """Decode on a fresh pool of ``cpus`` threads, with BLAS on one."""
+    """Decode as if on ``cpus`` CPUs, with BLAS on one."""
     monkeypatch.setattr(simulator, "_CPUS", cpus)
     monkeypatch.setattr(simulator, "_blas_threads", lambda: 1)
-    monkeypatch.setattr(simulator, "_pool", None)
 
 
 def _spy_executor(monkeypatch):
-    """A list that gains one entry per request for the decoding pool."""
+    """A list that gains one entry per thread pool made."""
     used = []
-    executor = simulator._executor
-    monkeypatch.setattr(simulator, "_executor",
-                        lambda: used.append(1) or executor())
+    real = concurrent.futures.ThreadPoolExecutor
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
+                        lambda *args, **kwargs: used.append(1)
+                        or real(*args, **kwargs))
     return used
+
+
+def _decoding_threads():
+    return [t for t in threading.enumerate()
+            if t.name.startswith("fblbound-decode")]
 
 
 def _pooled_n30_peak():
@@ -772,7 +778,7 @@ def test_pool_leaves_cpus_that_blas_uses(monkeypatch):
 @pytest.mark.parametrize("threads", [1, 2])
 def test_blas_threads_reads_openblas(threads):
     if simulator._openblas_threads_query() is None:
-        pytest.skip("numpy's BLAS is not an OpenBLAS found in the maps")
+        pytest.skip("numpy's BLAS is not OpenBLAS")
     env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
                PYTHONPATH=os.pathsep.join(sys.path))
     out = subprocess.run(
@@ -822,13 +828,21 @@ def _pooled_bsc_n24():
     return POOLED["bsc_n24"]()
 
 
+def test_pool_threads_end_with_the_call(monkeypatch):
+    # each call makes its own pool and shuts it down before it returns
+    _pool_on(monkeypatch, 2)
+    used = _spy_executor(monkeypatch)
+    POOLED["bsc_n24"]()
+    assert used
+    assert _decoding_threads() == []
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
 def test_forked_child_decodes_on_its_own_pool(monkeypatch):
-    # the parent's pool threads do not survive a fork; a child that used
-    # the parent's pool would wait for them forever
+    # a pool's threads do not survive a fork; a child forked after the
+    # parent decoded on a pool makes one of its own
     _pool_on(monkeypatch, 2)
     want = _pooled_bsc_n24()
-    assert simulator._pool is not None
     with multiprocessing.get_context("fork").Pool(1) as child:
         assert child.apply_async(_pooled_bsc_n24).get(timeout=60) == want
 
@@ -882,6 +896,7 @@ def test_pool_drops_queued_trials_on_error(monkeypatch):
     assert 1 <= len(started) <= 2  # one code per thread in flight
     assert len(finished) == len(started)
     assert threading.main_thread() not in started
+    assert _decoding_threads() == []
 
 
 

@@ -20,23 +20,32 @@ LN2 = math.log(2.0)
 # ---------------------------------------------------------------------------
 # multinomials and symbol indices
 
+def _log_multinomial(n, t):
+    return sp._log_multinomials(n, np.array([t], dtype=np.int64))[0]
+
+
 def test_multinomial_known_values():
-    assert math.exp(sp.multinomial_log(4, (2, 2))) == pytest.approx(6.0, abs=1e-9)
-    assert sp.multinomial_log(7, (7, 0, 0)) == 0.0
-    assert math.exp(sp.multinomial_log(6, (1, 2, 3))) == pytest.approx(60.0, abs=1e-9)
-    assert sp.multinomial_exact(6, (1, 2, 3)) == 60
+    assert math.exp(_log_multinomial(4, (2, 2))) == pytest.approx(6.0, abs=1e-9)
+    assert _log_multinomial(7, (7, 0, 0)) == 0.0
+    assert math.exp(_log_multinomial(6, (1, 2, 3))) == pytest.approx(60.0, abs=1e-9)
+    assert sp._multinomials(np.array([(1, 2, 3)])).tolist() == [60]
 
 
 def test_multinomial_sum_mismatch():
+    # a type that does not sum to n is refused before any multinomial
+    with pytest.raises(ValueError, match="type sums to 4, expected 5"):
+        sp._type_rows(5, [(2, 2)], 2)
+    tab = uniform_spectrum_table(4, 2, 1, 4)
+    tab.entries[(2, 3)] = 0.0
+    with pytest.raises(ValueError, match="type sums to 5, expected 4"):
+        sp.alpha_log(tab, 4)
     with pytest.raises(ValueError):
-        sp.multinomial_log(5, (2, 2))
-    with pytest.raises(ValueError):
-        sp.multinomial_exact(4, (1, 1, 1))
+        oracles.multinomial(4, (1, 1, 1))
 
 
 def test_multinomial_large_n_uses_lgamma():
     # n=200 exceeds the exact-path cutoff; compare against lgamma by hand
-    val = sp.multinomial_log(200, (120, 80))
+    val = _log_multinomial(200, (120, 80))
     ref = math.lgamma(201) - math.lgamma(121) - math.lgamma(81)
     assert val == pytest.approx(ref, rel=1e-13)
 
@@ -49,18 +58,16 @@ def test_multinomial_log_matches_exact(parts, counts):
     if n == 0:
         counts = (1,) + counts[1:]
         n = sum(counts)
-    assert sp.multinomial_log(n, counts) == pytest.approx(
-        math.log(sp.multinomial_exact(n, counts)), rel=1e-12, abs=1e-12
+    assert _log_multinomial(n, counts) == pytest.approx(
+        math.log(oracles.multinomial(n, counts)), rel=1e-12, abs=1e-12
     )
 
 
 def test_compositions_total_count():
     # sum of multinomials over all compositions is parts^n
     n, parts = 6, 3
-    total = sum(
-        sp.multinomial_exact(n, t) for t in sp._compositions(n, parts)
-    )
-    assert total == parts ** n
+    rows = sp._compositions(n, parts).astype(np.int64)
+    assert sp._multinomials(rows).sum() == parts ** n
 
 
 def test_compositions_match_the_generator_row_for_row():
@@ -99,7 +106,7 @@ def test_uniform_exponent_matches_finite_formula():
     n, q, rate = 200, 2, 0.5
     t = (140, 60)
     th = np.array(t) / n
-    finite = (n * rate * LN2 + sp.multinomial_log(n, t) - n * LN2) / (n * LN2)
+    finite = (n * rate * LN2 + oracles.multinomial_log(n, t) - n * LN2) / (n * LN2)
     exact = sp.uniform_spectrum_exponent(th, 1, rate)
     # the multinomial sits below e^{nH}, so finite approaches from below
     assert -0.03 < finite - exact <= 1e-12
@@ -332,15 +339,20 @@ def test_rate_offset_quaternary_n36_returns():
 # ---------------------------------------------------------------------------
 # finite-n spectrum
 
+def _finite(n, t, lam, rho, q, k):
+    """The entry of one type t, as a table of that type alone reads it."""
+    return sp.ldpc_spectrum_table(n, lam, rho, q, k, types=[t]).log_value(t)
+
+
 def test_finite_spectrum_zero_type_is_one():
-    assert sp.ldpc_finite_spectrum(6, (6, 0), 3, 6, 2, 1) == 0.0
-    assert sp.ldpc_finite_spectrum(12, (12, 0, 0, 0), 2, 4, 2, 2) == 0.0
+    assert _finite(6, (6, 0), 3, 6, 2, 1) == 0.0
+    assert _finite(12, (12, 0, 0, 0), 2, 4, 2, 2) == 0.0
 
 
 def test_finite_spectrum_odd_weight_vanishes():
     # an even-degree binary check forces an even number of one-sockets in
     # total, so odd-weight types carry exactly zero ensemble mass
-    assert sp.ldpc_finite_spectrum(6, (3, 3), 3, 6, 2, 1) == -math.inf
+    assert _finite(6, (3, 3), 3, 6, 2, 1) == -math.inf
 
 
 def test_finite_spectrum_against_sympy_power():
@@ -352,16 +364,16 @@ def test_finite_spectrum_against_sympy_power():
     for t in [(6, 0), (4, 2), (2, 4), (0, 6)]:
         coeff = int(cubed.coeff(x, 3 * t[0]).coeff(y, 3 * t[1]))
         expect = (
-            math.log(sp.multinomial_exact(6, t) * coeff)
-            - math.log(sp.multinomial_exact(18, (3 * t[0], 3 * t[1])))
+            math.log(oracles.multinomial(6, t) * coeff)
+            - math.log(oracles.multinomial(18, (3 * t[0], 3 * t[1])))
         )
-        got = sp.ldpc_finite_spectrum(6, t, 3, 6, 2, 1)
+        got = _finite(6, t, 3, 6, 2, 1)
         assert got == pytest.approx(expect, rel=1e-12, abs=1e-12)
 
 
 def test_finite_spectrum_fractional_checks_rejected():
     with pytest.raises(ValueError):
-        sp.ldpc_finite_spectrum(5, (3, 2), 3, 6, 2, 1)
+        _finite(5, (3, 2), 3, 6, 2, 1)
 
 
 def test_finite_spectrum_total_mass_near_design_count():
@@ -370,7 +382,7 @@ def test_finite_spectrum_total_mass_near_design_count():
     n = 12
     total = 0.0
     for t in sp._compositions(n, 2):
-        v = sp.ldpc_finite_spectrum(n, t, 3, 6, 2, 1)
+        v = _finite(n, t, 3, 6, 2, 1)
         if v > -math.inf:
             total += math.exp(v)
     design = 2.0 ** 6
@@ -384,7 +396,7 @@ def test_finite_spectrum_converges_to_asymptotic():
         gaps = []
         for n in (24, 48):
             t = (round(th[0] * n), round(th[1] * n))
-            fin = sp.ldpc_finite_spectrum(n, t, 3, 6, 2, 1) / (n * LN2)
+            fin = _finite(n, t, 3, 6, 2, 1) / (n * LN2)
             gaps.append(abs(fin - asym))
         assert gaps[1] < gaps[0]
 
@@ -397,7 +409,7 @@ def test_finite_spectrum_gap_at_an_interior_type_is_logn_over_n():
     asym = sp.ldpc_spectrum_exponent((0.5, 0.5), 3, 6, 2, 1) * LN2
     gaps = []
     for n in (60, 120, 240, 480):
-        ln_count = sp.ldpc_finite_spectrum(n, (n // 2, n // 2), 3, 6, 2, 1)
+        ln_count = _finite(n, (n // 2, n // 2), 3, 6, 2, 1)
         gap = ln_count / n - asym
         assert gap < 0
         assert -0.45 <= n * gap / math.log(n) <= -0.35
@@ -430,7 +442,7 @@ def test_finite_spectrum_guard_raises_guard_error():
     # 4-symbol composite alphabet at n=168: the residue powering needs a
     # 505^3 box per prime, far past the guard; no asymptotic stand-in
     with pytest.raises(GuardError, match="residue-entry lattice guard"):
-        sp.ldpc_finite_spectrum(168, (42, 42, 42, 42), 3, 6, 2, 2)
+        _finite(168, (42, 42, 42, 42), 3, 6, 2, 2)
 
 
 # (q, K, rho, checks): every q, K and rho of the grid at the most checks
@@ -552,7 +564,7 @@ def test_table_matches_per_type_oracle(q, k, lam, rho, n):
     assert list(part.entries) == list(dict.fromkeys(subset))
     # and so does one type at a time, the -inf ones included
     for t in subset[:8] + [t for t, v in want.items() if v == -math.inf][:2]:
-        assert sp.ldpc_finite_spectrum(n, t, lam, rho, q, k) == want[t]
+        assert _finite(n, t, lam, rho, q, k) == want[t]
 
 
 def test_table_refuses_bad_types_before_powering(monkeypatch):
@@ -634,7 +646,7 @@ def test_ldpc_table_zero_type_and_alpha_cross_check():
         v = tab.log_value(t)
         if v == -math.inf:
             continue
-        ref = math.log(m - 1) + sp.multinomial_log(n, t) - n * LN2
+        ref = math.log(m - 1) + oracles.multinomial_log(n, t) - n * LN2
         best = max(best, v - ref)
     direct = math.exp(best)
     assert math.exp(sp.alpha_log(tab, m)[0]) == pytest.approx(
@@ -664,7 +676,7 @@ def test_alpha_matches_the_per_entry_loop(table, m):
 def test_log_multinomials_match_the_scalar_route(n, parts, step):
     rows = sp._compositions(n, parts)[::step]
     assert sp._log_multinomials(n, rows).tolist() == [
-        sp.multinomial_log(n, t) for t in rows.tolist()]
+        oracles.multinomial_log(n, t) for t in rows.tolist()]
 
 
 def test_alpha_exclusion_and_errors():
