@@ -70,12 +70,38 @@ _MIN_TRIALS = 1000
 _SEED_LIMIT = 1 << 63  # numpy folds Philox keys from here on, or warns
 
 
+@functools.cache
+def _philox_key_class():
+    """The seed class of ``_keyed_rng``, built on first use so that
+    importing this module leaves ``numpy.random`` unloaded."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class PhiloxKey(ISeedSequence):
+        """A Philox seed whose state is its key: Philox asks it for two
+        uint64 words and runs from key [seed, stream] at counter 0, the
+        state of ``Philox(key=[seed, stream])`` without the OS-entropy
+        SeedSequence that call builds and drops."""
+
+        def __init__(self, seed: int, stream: int):
+            self.key = (seed, stream)
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 2 or np.dtype(dtype) != np.uint64:
+                raise ValueError(f"a Philox key is 2 uint64 words, not "
+                                 f"{n_words} of {np.dtype(dtype)}")
+            return np.array(self.key, dtype=np.uint64)
+
+    return PhiloxKey
+
+
 def _keyed_rng(seed: int, stream: int = 0) -> np.random.Generator:
-    """The Philox stream keyed by (seed, stream), both in [0, 2**63)."""
+    """The Philox stream keyed by (seed, stream), both in [0, 2**63): the
+    stream of ``Philox(key=[seed, stream])``."""
     if not (0 <= seed < _SEED_LIMIT and 0 <= stream < _SEED_LIMIT):
         raise ValueError(f"seed and stream must lie in [0, 2**63), got "
                          f"({seed}, {stream})")
-    return np.random.Generator(np.random.Philox(key=[seed, stream]))
+    return np.random.Generator(
+        np.random.Philox(_philox_key_class()(seed, stream)))
 
 
 class WindowError(ValueError):

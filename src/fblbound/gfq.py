@@ -310,16 +310,22 @@ class GfMatrix:
 def rank_and_nullspace(mat: GfMatrix):
     """Row-reduce each matrix of the stack ``mat``; return (rank, basis).
 
-    The ``mat.blocks`` matrices are reduced in one pass over the columns.
-    Each keeps its own row pointer and pivots on its first row with a
-    nonzero entry in the column at or below it, which makes its reduced
-    form, and hence its basis, deterministic; a pivot clears its column
-    only in the rows where the column is nonzero, so each reduced form is
-    the one a row-by-row elimination reaches.  A single matrix gives its
-    rank and a (cols - rank, cols) array whose rows span the right
-    nullspace (``mat.mat_vec(row) == 0``); a stack gives an array of ranks
-    and a (blocks, cols - min(rank), cols) array whose block b holds its
-    cols - rank[b] basis rows, then zero rows."""
+    The ``mat.blocks`` matrices are reduced in one pass over the columns,
+    a few numpy calls per column for the whole stack.  Each keeps its own
+    row pointer, with a mask of the open rows at or below it, and pivots
+    on its first open row with a nonzero entry in the column, which makes
+    its reduced form, and hence its basis, deterministic; a pivot clears
+    its column only in the rows where the column is nonzero, so each
+    reduced form is the one a row-by-row elimination reaches.  Over GF(2)
+    a pivot row needs no scaling, and the pass stops once every block has
+    a pivot in each row.  (Row steps would be 43% faster on stacks of
+    n = 12 matrices but are 1.3-3.5x slower from n = 600 and over GF(4)
+    at n = 200.)
+
+    A single matrix gives its rank and a (cols - rank, cols) array whose
+    rows span the right nullspace (``mat.mat_vec(row) == 0``); a stack
+    gives an array of ranks and a (blocks, cols - min(rank), cols) array
+    whose block b holds its cols - rank[b] basis rows, then zero rows."""
     f = mat.field
     cols = mat.data.shape[1]
     a = mat.data.reshape(mat.blocks, -1, cols).astype(
@@ -327,28 +333,34 @@ def rank_and_nullspace(mat: GfMatrix):
     stack, rows = a.shape[:2]
     rank = np.zeros(stack, dtype=np.int64)  # also each block's pivot row
     is_pivot = np.zeros((stack, cols), dtype=bool)
+    open_rows = np.ones((stack, rows), dtype=bool)  # at or below rank
+    done = 0  # blocks whose every row holds a pivot
     for c in range(cols):
-        below = (a[:, :, c] != 0) & (np.arange(rows) >= rank[:, None])
+        below = (a[:, :, c] != 0) & open_rows
         b = np.flatnonzero(below.any(axis=1))
         if b.size == 0:
             continue
         r, src = rank[b], below[b].argmax(axis=1)
         top = a[b, src]
         a[b, src] = a[b, r]
-        a[b, r] = f.mul(top, f.inv(top[:, c])[:, None])
+        if f.q != 2:  # a GF(2) pivot is 1 already
+            top = f.mul(top, f.inv(top[:, c])[:, None])
+        a[b, r] = top
         hit = a[b, :, c] != 0
         hit[np.arange(b.size), r] = False
         hb, hr = np.nonzero(hit)
         # rows at or below a pivot row are zero left of its column
-        bb, piv = b[hb], a[b[hb], r[hb], c:]
+        bb, piv = b[hb], top[hb, c:]
         if f.q == 2:
             a[bb, hr, c:] ^= piv
         else:
             a[bb, hr, c:] = f.sub(a[bb, hr, c:],
                                   f.mul(a[bb, hr, c][:, None], piv))
         is_pivot[b, c] = True
-        rank[b] += 1
-        if rank.min() == rows:
+        open_rows[b, r] = False
+        rank[b] = r + 1
+        done += np.count_nonzero(r == rows - 1)
+        if done == stack:
             break
     # basis row s of a block belongs to its s-th free column; the rows
     # past its nullity take pivot columns here and are zeroed below

@@ -561,6 +561,19 @@ def rank_and_nullspace_rows(mat):
     return len(pivot_cols), basis
 
 
+def mac_min_distance_pairs(w1, w2):
+    """Minimum Hamming distance of a two-user code, one pair of distinct
+    message pairs (a, b) != (a', b') at a time: the positions where user
+    1's words a, a' or user 2's words b, b' differ."""
+    w1, w2 = np.asarray(w1).tolist(), np.asarray(w2).tolist()
+    pairs1 = list(itertools.product(range(len(w1)), repeat=2))
+    pairs2 = list(itertools.product(range(len(w2)), repeat=2))
+    return min(sum(x != x2 or y != y2 for x, x2, y, y2
+                   in zip(w1[a], w1[a2], w2[b], w2[b2]))
+               for a, a2 in pairs1 for b, b2 in pairs2
+               if (a, b) != (a2, b2))
+
+
 def log_likelihoods_onehot(logw, cand, ys):
     """(trials, candidates) log-likelihood sums: the gathered (M, n, |Y|)
     table ``logw[cand]`` contracted with the one-hot outputs ``ys``."""

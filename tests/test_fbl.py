@@ -480,6 +480,35 @@ def test_rcu_mc_streams_pinned():
                                                     rel=1e-12)
 
 
+def _same_state(got, want):
+    """Bit-generator states equal entry by entry, arrays by dtype and
+    value."""
+    if isinstance(want, dict):
+        return got.keys() == want.keys() and all(
+            _same_state(got[k], want[k]) for k in want)
+    if isinstance(want, np.ndarray):
+        return got.dtype == want.dtype and np.array_equal(got, want)
+    return type(got) is type(want) and got == want
+
+
+@pytest.mark.parametrize("key", [(0, 0), (5, 7), (123456789, 42),
+                                 (2 ** 63 - 1, 2 ** 63 - 1)])
+def test_keyed_rng_is_numpys_philox_key(key):
+    # the keyed seed object gives Philox(key=...)'s state and streams
+    got, want = _keyed_rng(*key), np.random.Generator(np.random.Philox(key=key))
+    assert _same_state(got.bit_generator.state, want.bit_generator.state)
+    assert np.array_equal(got.integers(0, 2 ** 40, 1000),
+                          want.integers(0, 2 ** 40, 1000))
+    assert np.array_equal(got.random(1000), want.random(1000))
+    assert np.array_equal(got.permutation(1000), want.permutation(1000))
+    assert _same_state(got.bit_generator.state, want.bit_generator.state)
+    seed = _keyed_rng(*key).bit_generator.seed_seq
+    with pytest.raises(ValueError, match="2 uint64 words"):
+        seed.generate_state(4, np.uint64)
+    with pytest.raises(ValueError, match="2 uint64 words"):
+        seed.generate_state(2, np.uint32)
+
+
 def test_keyed_rng_rejects_keys_numpy_would_fold():
     # numpy's Philox gives keys 2**63 and 2**63 + 1 one stream, warns at
     # 2**64 - 1 and overflows at 2**64; every seeded routine refuses them
@@ -488,9 +517,6 @@ def test_keyed_rng_rejects_keys_numpy_would_fold():
             _keyed_rng(bad)
         with pytest.raises(ValueError, match=r"\[0, 2\*\*63\)"):
             _keyed_rng(0, bad)
-    top = 2 ** 63 - 1
-    want = np.random.Generator(np.random.Philox(key=[top, 5]))
-    assert _keyed_rng(top, 5).random() == want.random()
     u = InputPmf.uniform(2)
     for draw in (lambda: rcu_mc_ppc(bsc(0.11), u, 8, 4, trials=1000,
                                     seed=-1),

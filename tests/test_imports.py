@@ -10,12 +10,16 @@ whose name starts with one underscore must be read by some module under
 ``src/`` or ``tests/``: as a name, an attribute, an imported name or a
 string equal to it (``monkeypatch.setattr(module, "_NAME", ...)``); a
 bare name counts only in the defining module, since elsewhere it names
-that module's own binding.  Dunders are exempt.
+that module's own binding.  Dunders are exempt.  Importing the CLI
+leaves ``numpy.random`` unloaded.
 """
 
 import ast
 import functools
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -164,3 +168,14 @@ def test_private_scan_reports_unreferenced_names():
         "_CAP", "_helper", "_Spare"]
     assert references("import m\nfrom m import _a\nm._b\n_c\n") == (
         {"m", "_c"}, {"m", "_a", "_b"})
+
+
+def test_cli_import_leaves_numpy_random_unloaded():
+    # numpy.random takes 12-16 ms to import; commands that draw nothing
+    # do not pay for it
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, fblbound.cli; "
+         "print('numpy' in sys.modules, 'numpy.random' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["True", "False"]

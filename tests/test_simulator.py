@@ -803,11 +803,10 @@ POOLED = {
 
 @pytest.mark.parametrize("name", sorted(POOLED))
 def test_pool_matches_one_thread(monkeypatch, name):
-    # the adder MAC's 64-word codes fill one chunk each only with a tiny
-    # stack budget; more threads than CPUs and a short switch interval
-    # interleave the trials as much as possible
-    if name.startswith("adder"):
-        monkeypatch.setattr(simulator, "_STACK_ENTRIES", 1)
+    # the adder MAC's 64-word codes and the ternary n = 12 codes fill one
+    # chunk each only with a tiny stack budget; more threads than CPUs and
+    # a short switch interval interleave the trials as much as possible
+    monkeypatch.setattr(simulator, "_STACK_ENTRIES", 1)
     used = _spy_executor(monkeypatch)
     default = simulator._CPUS
     _pool_on(monkeypatch, 1)
@@ -1051,6 +1050,11 @@ def _pair_loop_distance(words):
                for i in range(len(words) - 1))
 
 
+def _distinct_words(rng, q, m, n):
+    return (rng.choice(q ** n, size=m, replace=False)[:, None]
+            // q ** np.arange(n)) % q
+
+
 @pytest.mark.parametrize("block", [1, 50, 1 << 22])
 def test_min_distance_blocks_match_pair_loop(monkeypatch, block):
     monkeypatch.setattr(simulator, "_PAIR_BLOCK", block)
@@ -1065,9 +1069,8 @@ def test_min_distance_blocks_match_pair_loop(monkeypatch, block):
     # (q, codes, m, n), each code against the pair loop
     for q, codes, m, n in [(2, 7, 20, 8), (3, 5, 30, 6), (4, 6, 17, 5),
                            (2, 3, 2, 1)]:
-        words = np.stack([
-            (rng.choice(q ** n, size=m, replace=False)[:, None]
-             // q ** np.arange(n)) % q for _ in range(codes)])
+        words = np.stack([_distinct_words(rng, q, m, n)
+                          for _ in range(codes)])
         got = simulator._min_distances(words.astype(np.uint8))
         assert got.tolist() == [_pair_loop_distance(w) for w in words]
 
@@ -1152,15 +1155,31 @@ def test_mac_min_distance_matches_pair_loop():
             w1 = np.unique(rng.integers(0, q, size=(7, n)), axis=0)
             w2 = np.unique(np.concatenate(
                 [w1[:2], rng.integers(0, q, size=(4, n))]), axis=0)
-            best = n + 1
-            for a in range(len(w1)):
-                for b in range(len(w1)):
-                    for c in range(len(w2)):
-                        for d in range(len(w2)):
-                            if (a, c) != (b, d):
-                                best = min(best, int(np.sum(
-                                    (w1[a] != w1[b]) | (w2[c] != w2[d]))))
-            assert min_distance((Codebook(f, w1), Codebook(f, w2))) == best
+            assert min_distance((Codebook(f, w1), Codebook(f, w2))) == \
+                oracles.mac_min_distance_pairs(w1, w2)
+
+
+@pytest.mark.parametrize("n", [4, 8])
+@pytest.mark.parametrize("q, m1, m2", [(2, 3, 5), (2, 16, 4), (3, 5, 3)])
+def test_mac_min_distance_matches_oracle_unequal_books(q, m1, m2, n):
+    rng = np.random.default_rng(100 * m1 + 10 * m2 + n)
+    f = field_from_order(q)
+    for _ in range(4):
+        w1, w2 = _distinct_words(rng, q, m1, n), _distinct_words(rng, q, m2, n)
+        assert min_distance((Codebook(f, w1), Codebook(f, w2))) == \
+            oracles.mac_min_distance_pairs(w1, w2)
+
+
+def test_mac_min_distance_holds_one_message_fixed():
+    # user 1 has two words at distance 1 and user 2's words lie 2 apart,
+    # so only pairs that keep user 2's message reach distance 1; a mask
+    # that dropped every pair with one message fixed would read 2
+    close = np.array([[0, 0, 0, 0], [1, 0, 0, 0], [1, 1, 1, 1]])
+    even = np.array([[0, 0, 0, 0], [1, 1, 0, 0], [1, 0, 1, 0],
+                     [1, 0, 0, 1], [0, 1, 1, 0]])
+    for w1, w2 in [(close, even), (even, close)]:
+        assert oracles.mac_min_distance_pairs(w1, w2) == 1
+        assert min_distance((Codebook(F2, w1), Codebook(F2, w2))) == 1
 
 
 def test_guard_messages_name_count_and_limit():
