@@ -36,9 +36,9 @@ from .infodensity import ppc_moments
 from .simulator import (_ENUM_GUARD, Codebook, _check_books, _chunks,
                         _min_distances, _sample_codes,
                         actual_rate_stats, min_distance, simulate_error)
-from .spectrum import (SpectrumTable, alpha_log, expurgate_spectrum,
-                       ldpc_spectrum_exponent, ldpc_spectrum_table,
-                       uniform_spectrum_exponent)
+from .spectrum import (SpectrumTable, _ldpc_checks, alpha_log,
+                       expurgate_spectrum, ldpc_spectrum_exponent,
+                       ldpc_spectrum_table, uniform_spectrum_exponent)
 
 LN2 = math.log(2.0)
 SCHEMA_VERSION = "1"
@@ -112,14 +112,23 @@ def _uniform_setup(input_size: int, q: int | None):
     return q_eff, make_quantizer(field, InputPmf.uniform(input_size))
 
 
+def _design_checks(n: int, var_degree: int, check_degree: int) -> int:
+    """The check count of the (var_degree, check_degree) design on n
+    symbols (``spectrum._ldpc_checks``); a bad design is a ConfigError."""
+    try:
+        return _ldpc_checks(n, var_degree, check_degree)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
 def _ldpc_bound(channel, n: int, var_degree: int, check_degree: int,
                 q: int | None):
     """Relaxed RCU bound of the uniform-input coset LDPC ensemble over
     GF(q), its spectrum penalty folded in: (q, quantizer, log alpha,
     report)."""
+    r = _design_checks(n, var_degree, check_degree)
     q_eff, quantizer = _uniform_setup(channel.input_size, q)
     table = ldpc_spectrum_table(n, var_degree, check_degree, q_eff, 1)
-    r = (n * var_degree) // check_degree
     log_a, _t = alpha_log(table, q_eff ** (n - r))
     report = ldpc_rcu_ppc(channel, quantizer, n, var_degree, check_degree,
                           log_alpha=log_a)
@@ -199,7 +208,8 @@ def cmd_exponent(channel_path: str, rate: float, n: int, mac: bool = False,
                  check_degree: int | None = None) -> dict:
     """Composed exponential achievability bound as a report dict.
 
-    ``rate`` is the per-user design rate in q-ary symbols per use."""
+    ``rate`` is the per-user design rate in q-ary symbols per use; with
+    ``expurgate`` it must equal the ensemble's, (n - checks)/n."""
     channel = _load_channel(channel_path)
     is_mac = isinstance(channel, MacModel)
     if mac and not is_mac:
@@ -212,10 +222,14 @@ def cmd_exponent(channel_path: str, rate: float, n: int, mac: bool = False,
             raise ConfigError(
                 "--expurgate needs the ensemble: --lambda and --check-degree"
             )
+        r = _design_checks(n, var_degree, check_degree)
+        if abs(n * rate - (n - r)) > 1e-9:
+            raise ConfigError(f"ensemble design rate is {n - r}/{n}; restrict "
+                              "the operational rate to equal the design rate")
         size = channel.input_sizes[0] if is_mac else channel.input_size
         _q, quantizer = _uniform_setup(size, q)
         report = expurgated_bound(
-            n=n, rate=rate, sigma=expurgate,
+            n=n, sigma=expurgate,
             ensemble_params=(var_degree, check_degree), channel=channel,
             quantizer=quantizer,
         )
@@ -255,11 +269,7 @@ def cmd_spectrum(q: int, num_users: int, var_degree: int, check_degree: int,
     """Per-type table dict, or (with thetas) curve rows
     (theta0, exponent_L, exponent_U): LDPC vs uniform-reference growth
     exponents along the equal-split direction at zero-share theta0."""
-    if (n * var_degree) % check_degree:
-        raise ConfigError(
-            f"n*lambda must be a multiple of check_degree: "
-            f"{n}*{var_degree}/{check_degree}"
-        )
+    r = _design_checks(n, var_degree, check_degree)
     rate = 1.0 - var_degree / check_degree
     if thetas is not None:
         qk = q ** num_users
@@ -292,7 +302,6 @@ def cmd_spectrum(q: int, num_users: int, var_degree: int, check_degree: int,
                     for t, v in sorted(table.entries.items())},
     }
     if want_alpha:
-        r = (n * var_degree) // check_degree
         num = q ** (n - r)
         log_a, argmax_t = alpha_log(table, num)
         payload["alpha"] = {
@@ -402,6 +411,7 @@ def cmd_simulate(channel_path: str, q: int, var_degree: int,
     pair scan of one code would pass the simulator's operation guard, the
     histogram is null and ``dmin_skipped`` says "pair-scan guard"."""
     _check_seed(seed)
+    r = _design_checks(n, var_degree, check_degree)
     channel = _load_channel(channel_path)
     is_mac = isinstance(channel, MacModel)
     if mac != is_mac:
@@ -419,9 +429,8 @@ def cmd_simulate(channel_path: str, q: int, var_degree: int,
     report = simulate_error((n, var_degree, check_degree, q), channel,
                             quantizers, codes, noise, seed,
                             same_coset=same_coset)
-    rate = 1.0 - var_degree / check_degree
     users = 2 if is_mac else 1
-    num = q ** round(n * rate)
+    num = q ** (n - r)
     hist: dict[str, int] | None = {}
     skipped = {}
     shape = (n, var_degree, check_degree)
@@ -430,7 +439,7 @@ def cmd_simulate(channel_path: str, q: int, var_degree: int,
         seeds = [users * ((seed * 1_000_003 + t) % (1 << 62)) + j
                  for t in chunk for j in range(users)]
         words = _sample_codes(shape, field, [_keyed_rng(s) for s in seeds],
-                              rate, [_keyed_rng(s, 1) for s in seeds])
+                              num, [_keyed_rng(s, 1) for s in seeds])
         # the codes share one size, so the first scan that would pass the
         # guard trips it before any code is counted
         try:
@@ -454,7 +463,7 @@ def cmd_simulate(channel_path: str, q: int, var_degree: int,
         "ties_as_error_rate": report.components["ties_as_error_rate"],
         "trials": report.trials,
         "num_messages": int(report.num_messages),
-        "design_rate_qary": rate,
+        "design_rate_qary": report.components["design_rate_qary"],
         "dmin_histogram": hist,
         **skipped,
         "rate_gap_stats": asdict(gap),
@@ -537,11 +546,7 @@ def _validate_config(config: dict) -> dict:
             if not _is_int(ens.get(k)) or ens[k] < 2:
                 raise ConfigError(f"ensemble.{k} must be an int >= 2")
         for n in sweep:
-            if (n * ens["var_degree"]) % ens["check_degree"]:
-                raise ConfigError(
-                    f"n = {n} is incompatible with the ensemble: "
-                    f"n*var_degree must be a multiple of check_degree"
-                )
+            _design_checks(n, ens["var_degree"], ens["check_degree"])
     if "seed" in config:
         _check_seed(config["seed"])
     scaling = config.get("scaling_epsilons", [])
@@ -627,8 +632,8 @@ def cmd_compare(config: dict) -> dict:
             })
             if "simulate" in config:
                 sim = config["simulate"]
-                # the simulator enumerates q^(n rate) codewords per code
-                if q_eff ** (n - n * lam // rho) > _ENUM_GUARD:
+                # the simulator enumerates q^(n - r) codewords per code
+                if ldpc_rep.num_messages > _ENUM_GUARD:
                     rows.append({
                         "n": n, "bound_name": "simulated-ml-error",
                         "value": None, "unit": "probability",

@@ -28,6 +28,7 @@ from .infodensity import (_check_sizes, average_inputs, mac_moments,
                           ppc_moments)
 from .spectrum import (
     SpectrumTable,
+    _ldpc_design,
     alpha_log,
     expurgate_spectrum,
     ldpc_spectrum_table,
@@ -461,7 +462,7 @@ def two_mac_exponent_bound(n: int, rate1: float, rate2: float, alphas,
     )
 
 
-def expurgated_bound(n: int, rate: float, sigma: float, ensemble_params,
+def expurgated_bound(n: int, sigma: float, ensemble_params,
                      channel, quantizer: Quantizer) -> BoundReport:
     """Single-term exponential bound for the expurgated sparse-graph
     ensemble: low-weight difference types up to sigma*n are removed, the
@@ -469,10 +470,12 @@ def expurgated_bound(n: int, rate: float, sigma: float, ensemble_params,
     exponent term at a rate shifted by (ln alpha_ex)/n.
 
     ``ensemble_params`` is (var_degree, check_degree); the expurgation
-    hypothesis needs var_degree >= 3.  The rate must equal the design
-    rate (n - checks)/n.  The user count is the channel's, and every
-    user's input law is the one ``quantizer`` induces."""
+    hypothesis needs var_degree >= 3.  The rate is the design rate
+    (n - checks)/n.  The user count is the channel's, and every user's
+    input law is the one ``quantizer`` induces."""
     var_degree, check_degree = (int(v) for v in ensemble_params)
+    q = quantizer.field.q
+    num_checks, num_messages = _ldpc_design(n, var_degree, check_degree, q)
     if var_degree < 3:
         raise ValueError(
             "the expurgation hypothesis needs var_degree >= 3; lighter "
@@ -480,24 +483,10 @@ def expurgated_bound(n: int, rate: float, sigma: float, ensemble_params,
         )
     if not 0.0 < sigma < 1.0:
         raise ValueError("sigma must lie strictly between 0 and 1")
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    q = quantizer.field.q
     num_users = channel.num_users if isinstance(channel, MacModel) else 1
     _kmac_channel_check(channel, num_users, quantizer)
     induced = induced_input_pmf(quantizer)
-    num_messages = _message_count(n, rate, q)
-    if (n * var_degree) % check_degree != 0:
-        raise ValueError(
-            f"n var_degree must be a multiple of check_degree: "
-            f"{n} * {var_degree} / {check_degree} is not integral"
-        )
-    num_checks = (n * var_degree) // check_degree
-    if abs(n * rate - (n - num_checks)) > 1e-9:
-        raise ValueError(
-            f"ensemble design rate is {(n - num_checks)}/{n}; restrict the "
-            f"operational rate to equal the design rate"
-        )
+    rate = (n - num_checks) / n
     table = ldpc_spectrum_table(n, var_degree, check_degree, q, num_users)
     expurgated = expurgate_spectrum(table, sigma)
     log_alpha, argmax_t = alpha_log(expurgated, num_messages)

@@ -52,7 +52,7 @@ from . import GuardError
 from .channel import DmcModel, InputPmf, MacModel, Quantizer, induced_input_pmf
 from .infodensity import (EVENTS, _check_sizes, _event_tables,
                           average_inputs, mac_moments, ppc_moments)
-from .spectrum import _compositions, _num_compositions
+from .spectrum import _compositions, _ldpc_design, _num_compositions
 
 LN2 = math.log(2.0)
 
@@ -151,60 +151,19 @@ class BoundReport:
 # ---------------------------------------------------------------------------
 # Gaussian tail machinery
 
-# Acklam's rational approximation to the standard normal quantile,
-# refined below by one Newton step.
-_ACK_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-          1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_ACK_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-          6.680131188771972e+01, -1.328068155288572e+01)
-_ACK_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-          -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_ACK_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-          3.754408661907416e+00)
-_ACK_PLOW = 0.02425
-
-
 def q_fun(x: float) -> float:
     """Standard normal upper tail Q(x) = P[N(0,1) > x]."""
     return 0.5 * math.erfc(x / math.sqrt(2.0))
 
 
-def _acklam_phi_inv(p: float) -> float:
-    if p < _ACK_PLOW:
-        r = math.sqrt(-2.0 * math.log(p))
-        num = ((((_ACK_C[0] * r + _ACK_C[1]) * r + _ACK_C[2]) * r + _ACK_C[3]) * r
-               + _ACK_C[4]) * r + _ACK_C[5]
-        den = (((_ACK_D[0] * r + _ACK_D[1]) * r + _ACK_D[2]) * r + _ACK_D[3]) * r + 1.0
-        return num / den
-    if p > 1.0 - _ACK_PLOW:
-        r = math.sqrt(-2.0 * math.log(1.0 - p))
-        num = ((((_ACK_C[0] * r + _ACK_C[1]) * r + _ACK_C[2]) * r + _ACK_C[3]) * r
-               + _ACK_C[4]) * r + _ACK_C[5]
-        den = (((_ACK_D[0] * r + _ACK_D[1]) * r + _ACK_D[2]) * r + _ACK_D[3]) * r + 1.0
-        return -num / den
-    r = p - 0.5
-    s = r * r
-    num = (((((_ACK_A[0] * s + _ACK_A[1]) * s + _ACK_A[2]) * s + _ACK_A[3]) * s
-            + _ACK_A[4]) * s + _ACK_A[5]) * r
-    den = ((((_ACK_B[0] * s + _ACK_B[1]) * s + _ACK_B[2]) * s + _ACK_B[3]) * s
-           + _ACK_B[4]) * s + 1.0
-    return num / den
-
-
 def q_inv(epsilon: float) -> float:
-    """Inverse of ``q_fun`` on (0, 1): the x with Q(x) = epsilon.
-
-    Rational approximation plus exactly one Newton correction, accurate to
-    well below 1e-9 across [1e-12, 1 - 1e-12].
-    """
+    """Inverse of ``q_fun`` on (0, 1): the x with Q(x) = epsilon, the
+    standard library's normal quantile at epsilon negated (+0.0 at 1/2)."""
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"q_inv needs epsilon in (0, 1), got {epsilon}")
-    x = -_acklam_phi_inv(epsilon)
-    # Newton step on Q(x) - epsilon; Q'(x) = -phi(x)
-    phi = math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-    if phi > 0.0:
-        x += (q_fun(x) - epsilon) / phi
-    return x
+    # imported here: statistics loads random, which the CLI does not need
+    from statistics import NormalDist
+    return 0.0 - NormalDist().inv_cdf(epsilon)
 
 
 @dataclass(frozen=True)
@@ -999,23 +958,6 @@ def mac_region_check(mac: MacModel, pmf1, pmf2, n: int, epsilon: float,
 # LDPC ensemble variants
 
 
-def _ldpc_design(n: int, var_degree: int, check_degree: int, q: int):
-    if var_degree < 2 or check_degree <= var_degree:
-        raise ValueError(
-            f"need 2 <= var_degree < check_degree, got ({var_degree}, "
-            f"{check_degree})"
-        )
-    if (n * var_degree) % check_degree != 0:
-        raise ValueError(
-            f"n R must be integral: n lambda / rho = {n * var_degree}/"
-            f"{check_degree} checks is not an integer"
-        )
-    r = n * var_degree // check_degree
-    if r >= n:
-        raise ValueError(f"design has {r} checks >= n = {n}; rate is zero")
-    return r, q ** (n - r)
-
-
 def _exp_or_inf(x: float) -> float:
     """e^x, or inf past the float range."""
     try:
@@ -1036,7 +978,8 @@ def ldpc_rcu_ppc(dmc: DmcModel, quantizer: Quantizer, n: int,
     bound exactly); compute it with the spectrum module.  Taken as a log
     so that a ratio past the float range still folds in.
     """
-    _check_block(n)
+    q = quantizer.field.q
+    r, m = _ldpc_design(n, var_degree, check_degree, q)
     if quantizer.target_size != dmc.input_size:
         raise ValueError(
             f"quantizer maps onto {quantizer.target_size} symbols but the "
@@ -1045,8 +988,6 @@ def ldpc_rcu_ppc(dmc: DmcModel, quantizer: Quantizer, n: int,
     if not log_alpha >= 0.0:
         raise ValueError(
             f"spectrum ratio alpha must be >= 1, got log alpha {log_alpha}")
-    q = quantizer.field.q
-    r, m = _ldpc_design(n, var_degree, check_degree, q)
     log_m = (n - r) * math.log(q)
     value, moments = _relaxed_ppc(dmc, induced_input_pmf(quantizer), n,
                                   log_m + log_alpha)
@@ -1090,9 +1031,11 @@ def ldpc_rcu_mac(mac: MacModel, quantizers, n: int, params1, params2,
     drawing from one shared coset vector, which squares each penalty (the
     log-penalty vector doubles).
     """
-    _check_block(n)
     quant1, quant2 = quantizers
     q1, q2 = quant1.field.q, quant2.field.q
+    (vd1, cd1), (vd2, cd2) = params1, params2
+    r1, m1 = _ldpc_design(n, vd1, cd1, q1)
+    r2, m2 = _ldpc_design(n, vd2, cd2, q2)
     for j, quant in enumerate(quantizers):
         if quant.target_size != mac.input_sizes[j]:
             raise ValueError(
@@ -1102,9 +1045,6 @@ def ldpc_rcu_mac(mac: MacModel, quantizers, n: int, params1, params2,
     if not (log_alpha1 >= 0.0 and log_alpha2 >= 0.0):
         raise ValueError(f"spectrum ratios must be >= 1, got log alphas "
                          f"{log_alpha1} and {log_alpha2}")
-    (vd1, cd1), (vd2, cd2) = params1, params2
-    r1, m1 = _ldpc_design(n, vd1, cd1, q1)
-    r2, m2 = _ldpc_design(n, vd2, cd2, q2)
     p1 = induced_input_pmf(quant1)
     p2 = induced_input_pmf(quant2)
     prefs = mac_moments(mac, p1, p2).tail_prefactors

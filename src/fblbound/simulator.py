@@ -27,7 +27,8 @@ from . import GuardError
 from .channel import DmcModel, MacModel, Quantizer
 from .fbl import BoundReport, _keyed_rng, _sample_outputs
 from .gfq import FieldSpec, GfMatrix, field_from_order, rank_and_nullspace
-from .spectrum import SpectrumTable, _compositions, _num_compositions
+from .spectrum import (SpectrumTable, _compositions, _ldpc_checks,
+                       _num_compositions)
 
 _ENUM_GUARD = 1 << 20
 _TUPLE_GUARD = 1_000_000  # codeword pairs of a two-user spectrum trial
@@ -74,7 +75,7 @@ class TannerGraph:
         object.__setattr__(self, "perm", np.asarray(self.perm, dtype=np.int64))
         object.__setattr__(self, "labels",
                            np.asarray(self.labels, dtype=np.int64))
-        _check_degrees(self.n, self.var_degree, self.check_degree)
+        _ldpc_checks(self.n, self.var_degree, self.check_degree)
         m = self.n * self.var_degree
         if self.perm.shape != (m,) or not np.array_equal(
             np.sort(self.perm), np.arange(m)
@@ -87,7 +88,7 @@ class TannerGraph:
 
     @property
     def num_checks(self) -> int:
-        return (self.n * self.var_degree) // self.check_degree
+        return _ldpc_checks(self.n, self.var_degree, self.check_degree)
 
     @property
     def num_sockets(self) -> int:
@@ -98,14 +99,6 @@ class TannerGraph:
         return GfMatrix(self.field, _check_stack(
             self.n, self.var_degree, self.check_degree, self.field,
             self.perm[None, :], self.labels[None, :])[0])
-
-
-def _check_degrees(n, var_degree, check_degree):
-    if var_degree < 2:
-        raise ValueError("need var_degree >= 2")
-    if (n * var_degree) % check_degree != 0:
-        raise ValueError(f"n var_degree must be a multiple of check_degree: "
-                         f"{n} * {var_degree} / {check_degree}")
 
 
 def _check_stack(n, var_degree, check_degree, field, perms, labels):
@@ -133,7 +126,7 @@ def _draw_graph(rng, sockets: int, q: int):
 def sample_graph(n: int, var_degree: int, check_degree: int,
                  field: FieldSpec, seed: int) -> TannerGraph:
     """Uniform socket permutation and uniform nonzero labels."""
-    _check_degrees(n, var_degree, check_degree)
+    _ldpc_checks(n, var_degree, check_degree)
     perm, labels = _draw_graph(_keyed_rng(seed), n * var_degree, field.q)
     return TannerGraph(n, var_degree, check_degree, field, perm, labels)
 
@@ -256,18 +249,20 @@ def enumerate_codebook(graph: TannerGraph, rate: float,
     design count; a uniform subset (keyed shuffle, without replacement)
     is kept.  The paper-level removal definition only fixes the ensemble
     average, so uniform subsampling is our realization of it."""
-    words = _sample_codes((graph.n, graph.var_degree, graph.check_degree),
-                          graph.field, [graph], rate, [_keyed_rng(seed, 1)])
+    k = round(graph.n * rate)
+    if abs(graph.n * rate - k) > 1e-9 or k < 0:
+        raise ValueError(
+            f"n rate must be a nonnegative integer, got {graph.n * rate!r}")
+    shape = (graph.n, graph.var_degree, graph.check_degree)
+    words = _sample_codes(shape, graph.field, [graph],
+                          _design_count(k, graph.field.q),
+                          [_keyed_rng(seed, 1)])
     return Codebook(field=graph.field, words=words[0])
 
 
-def _design_count(n: int, rate: float, q: int) -> int:
-    """q^(n rate), the codewords a trimmed code keeps, within the
+def _design_count(k: int, q: int) -> int:
+    """q^k, the codewords a trimmed code of dimension k keeps, within the
     exhaustive-enumeration guard."""
-    k = round(n * rate)
-    if abs(n * rate - k) > 1e-9 or k < 0:
-        raise ValueError(
-            f"n rate must be a nonnegative integer, got {n * rate!r}")
     num = q ** k
     if num > _ENUM_GUARD:
         raise GuardError(f"codebook size q^(n rate) = {num} exceeds the "
@@ -285,7 +280,7 @@ def _sample_graphs(shape, field, rngs):
     (codes, max nullity, n) basis stack and the (perms, labels) drawn."""
     n, var_degree, check_degree = shape
     q, m = field.q, n * var_degree
-    _check_degrees(n, var_degree, check_degree)
+    _ldpc_checks(n, var_degree, check_degree)
     perms = np.empty((len(rngs), m), dtype=np.int64)
     labels = np.empty((len(rngs), m), dtype=np.int64)
     for i, rng in enumerate(rngs):
@@ -338,13 +333,11 @@ def _enumerate_codes(field, plans) -> list[np.ndarray]:
     return books
 
 
-def _sample_codes(shape, field, rngs, rate=None, trim_rngs=None):
+def _sample_codes(shape, field, rngs, num=None, trim_rngs=None):
     """Word arrays of one code per entry of ``rngs``: the graphs of
     ``_sample_graphs``, each nullspace enumerated, and with ``trim_rngs``
-    code i trimmed to q^(n rate) words drawn from trim_rngs[i] as
+    code i trimmed to ``num`` words drawn from trim_rngs[i] as
     ``enumerate_codebook`` describes."""
-    num = None if trim_rngs is None else _design_count(shape[0], rate,
-                                                         field.q)
     ranks, bases, _ = _sample_graphs(shape, field, rngs)
     return _enumerate_codes(field, _code_plans(field, ranks, bases, num,
                                                trim_rngs))
@@ -557,11 +550,10 @@ def _wilson(errors: int, total: int) -> tuple[float, float, float]:
 
 
 def _check_ensemble_params(ensemble_params):
-    n, var_degree, check_degree, q = ensemble_params
-    n, var_degree, check_degree, q = int(n), int(var_degree), int(check_degree), int(q)
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    return n, var_degree, check_degree, q
+    """(n, var_degree, check_degree, q, checks) of ``ensemble_params``."""
+    n, var_degree, check_degree, q = (int(v) for v in ensemble_params)
+    return (n, var_degree, check_degree, q,
+            _ldpc_checks(n, var_degree, check_degree))
 
 
 @functools.cache
@@ -694,7 +686,8 @@ def simulate_error(ensemble_params, channel, quantizers, trials_codes: int,
     and checked as one stack and scored and decided in batched products;
     larger codes run one per stack, several at once on a thread pool of
     this call where BLAS leaves CPUs idle.  Neither changes a result."""
-    n, var_degree, check_degree, q = _check_ensemble_params(ensemble_params)
+    n, var_degree, check_degree, q, r = _check_ensemble_params(
+        ensemble_params)
     if trials_codes < 1 or trials_noise < 1:
         raise ValueError("need at least one code and one noise trial")
     mac = isinstance(channel, MacModel)
@@ -718,9 +711,8 @@ def simulate_error(ensemble_params, channel, quantizers, trials_codes: int,
     for qz in qzs:
         if qz.field.q != q:
             raise ValueError("quantizer field does not match ensemble q")
-    rate = 1.0 - var_degree / check_degree
     shape = (n, var_degree, check_degree)
-    num = _design_count(n, rate, q)
+    num = _design_count(n - r, q)
     chunks = _chunks(trials_codes, shape, len(qzs), num)
     # chunks of one trial hold large codes: decode as many at once as the
     # CPUs that BLAS leaves idle and _FLIGHT_BYTES of score matrices allow
@@ -778,7 +770,7 @@ def simulate_error(ensemble_params, channel, quantizers, trials_codes: int,
             "wilson_high": high,
             "trials_codes": float(trials_codes),
             "trials_noise": float(trials_noise),
-            "design_rate_qary": rate,
+            "design_rate_qary": 1.0 - var_degree / check_degree,
         },
     )
 
@@ -811,14 +803,14 @@ def empirical_spectrum(ensemble_params, trials: int, seed: int,
     then averages exactly 1); post_removal trims each code to the design
     size first.  With return_stats=True also returns a per-type dict of
     (mean, sample variance, trials) for significance tests."""
-    n, var_degree, check_degree, q = _check_ensemble_params(ensemble_params)
+    n, var_degree, check_degree, q, r = _check_ensemble_params(
+        ensemble_params)
     if trials < 1:
         raise ValueError("need at least one trial")
     if num_users not in (1, 2):
         raise ValueError("only 1 or 2 users are simulated")
     field = field_from_order(q)
-    rate = 1.0 - var_degree / check_degree
-    r = (n * var_degree) // check_degree
+    keep = _design_count(n - r, q) if post_removal else None
     shape = (n, var_degree, check_degree)
     qk = q ** num_users
     sums: dict[tuple[int, ...], float] = {}
@@ -826,7 +818,7 @@ def empirical_spectrum(ensemble_params, trials: int, seed: int,
     for chunk in _chunks(trials, shape, num_users, q ** (n - r)):
         rngs = [_keyed_rng(seed, t) for t in chunk]
         # per trial: user 1's graph (and trim), then user 2's
-        books = [_sample_codes(shape, field, rngs, rate,
+        books = [_sample_codes(shape, field, rngs, keep,
                                rngs if post_removal else None)
                  for _ in range(num_users)]
         if qk == 2:
@@ -946,11 +938,11 @@ def actual_rate_stats(ensemble_params, trials: int, seed: int,
 
     R_C = (n - rank)/n from each sampled graph; the design rate uses the
     full check count.  Gaps are in q-ary symbols per channel use."""
-    n, var_degree, check_degree, q = _check_ensemble_params(ensemble_params)
+    n, var_degree, check_degree, q, r = _check_ensemble_params(
+        ensemble_params)
     if trials < 1:
         raise ValueError("need at least one trial")
     field = field_from_order(q)
-    r = (n * var_degree) // check_degree
     if eps_grid is None:
         eps_grid = (0.5 / n, 1.0 / n, 2.0 / n, 4.0 / n)
     eps_grid = tuple(float(e) for e in eps_grid)

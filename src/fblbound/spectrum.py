@@ -28,13 +28,14 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import GuardError
-from .gfq import field_from_order
+from .gfq import _is_prime, field_from_order
 
 # Guards: the socket types of one check node, and the residue entries
 # (box of nonzero-orbit counts times primes) of the powered check
@@ -80,6 +81,37 @@ def _compositions(total: int, parts: int) -> np.ndarray:
 
 def _num_compositions(total: int, parts: int) -> int:
     return math.comb(total + parts - 1, parts - 1)
+
+
+def _ldpc_checks(n: int, var_degree: int, check_degree: int) -> int:
+    """The check count r = n var_degree / check_degree of the regular
+    (var_degree, check_degree) coset ensemble on n symbols, of design rate
+    1 - var_degree/check_degree and q^(n - r) words per user: the one rule
+    for a design.  ValueError unless n is a positive integer,
+    2 <= var_degree <= check_degree and check_degree divides
+    n var_degree."""
+    if not 2 <= var_degree <= check_degree:
+        raise ValueError(f"LDPC design (var_degree {var_degree}, check_degree "
+                         f"{check_degree}): need var_degree >= 2 and "
+                         "var_degree <= check_degree")
+    if not isinstance(n, numbers.Integral) or n < 1:
+        raise ValueError(f"LDPC design: n must be a positive integer, "
+                         f"got n = {n!r}")
+    if (n * var_degree) % check_degree:
+        raise ValueError(
+            f"LDPC design (n = {n}): n*var_degree = {n * var_degree} is not "
+            f"a multiple of check_degree = {check_degree}; n R must be "
+            "integral, a whole number of check nodes")
+    return n * var_degree // check_degree
+
+
+def _ldpc_design(n: int, var_degree: int, check_degree: int, q: int):
+    """(checks r, words per user q^(n - r)) of a design for a bound, which
+    needs two messages: ``_ldpc_checks``'s rule, and ValueError at r = n."""
+    r = _ldpc_checks(n, var_degree, check_degree)
+    if r == n:
+        raise ValueError(f"design has {r} checks = n; rate is zero")
+    return r, q ** (n - r)
 
 
 def _factorials(top: int) -> np.ndarray:
@@ -337,6 +369,8 @@ def ldpc_spectrum_exponent(theta, var_degree: int, check_degree: int,
     qk = th.size
     if q ** num_users != qk:
         raise ValueError(f"theta has {qk} entries, expected {q ** num_users}")
+    # the degree half of the design rule: n = check_degree is always whole
+    _ldpc_checks(check_degree, var_degree, check_degree)
     lam, rho = var_degree, check_degree
     poly = _cached_check_poly(q, num_users, rho)
     support = np.flatnonzero(th > 1e-15)
@@ -544,14 +578,12 @@ def _read_step(res, coeffs, rho, lam, primes):
 
 def _residue_primes(bound: int) -> list[int]:
     """Primes below 2^28, largest first, until their product exceeds
-    bound; Miller-Rabin with bases 2, 3, 5, 7 is exact below 3.2e9."""
-    primes, m = [], (1 << 28) - 1
-    while math.prod(primes) <= bound:
-        s = ((m - 1) & (1 - m)).bit_length() - 1  # m - 1 = d 2^s, d odd
-        xs = [pow(a, (m - 1) >> s, m) for a in (2, 3, 5, 7)]
-        if all(x == 1 or m - 1 in (pow(x, 1 << i, m) for i in range(s))
-               for x in xs):
+    bound."""
+    primes, prod, m = [], 1, (1 << 28) - 1
+    while prod <= bound:
+        if _is_prime(m):
             primes.append(m)
+            prod *= m
         m -= 2
     return primes
 
@@ -676,19 +708,14 @@ def ldpc_spectrum_table(n: int, var_degree: int, check_degree: int,
 
     types defaults to every type of length q^K (guarded); ValueError
     before any powering when a type is not q^K nonnegative counts summing
-    to n, or when the checks are not whole.  Raises GuardError when the
-    powering would exceed the lattice guard; there is no asymptotic
-    stand-in.  The stored message count is the design value
+    to n, or when ``_ldpc_checks`` refuses the design.  Raises GuardError
+    when the powering would exceed the lattice guard; there is no
+    asymptotic stand-in.  The stored message count is the design value
     q^((n - num_checks) per user)."""
     lam, rho, qk = var_degree, check_degree, q ** num_users
+    r = _ldpc_checks(n, lam, rho)
     rows = _all_types_guarded(n, qk) if types is None \
         else _type_rows(n, types, qk)
-    if (n * lam) % rho:
-        raise ValueError(
-            f"n*var_degree/check_degree = {n * lam}/{rho} is not an integer; "
-            "the ensemble needs a whole number of check nodes"
-        )
-    r = (n * lam) // rho
     power = _poly_power(q, num_users, rho, r, lam)
     if power is None:
         raise GuardError(
@@ -827,15 +854,14 @@ def rate_offset_decomposition(n: int, var_degree: int, check_degree: int,
     Maxima run over the types the ensemble actually realizes (positive
     finite spectrum).  Requires the exact socket lattice; raises
     GuardError when the walk would pass the type guard or the powering
-    the lattice guard."""
+    the lattice guard, ValueError when ``_ldpc_checks`` refuses the
+    design or the design rate is zero."""
     if not 0.0 < sigma < 1.0:
         raise ValueError("sigma must lie strictly between 0 and 1")
+    lam, rho = var_degree, check_degree
+    r, words = _ldpc_design(n, lam, rho, q)
     if var_degree < 3:
         raise ValueError("the decomposition requires variable degree >= 3")
-    lam, rho = var_degree, check_degree
-    if (n * lam) % rho:
-        raise ValueError("n*var_degree/check_degree must be an integer")
-    r = (n * lam) // rho
     rate = 1.0 - lam / rho
     qk = q ** num_users
     # the walk takes the types of weight at least `least`
@@ -853,7 +879,7 @@ def rate_offset_decomposition(n: int, var_degree: int, check_degree: int,
             "exact finite spectrum at this n"
         )
     lnq = math.log(q)
-    log_mk1 = math.log(q ** ((n - r) * num_users) - 1)
+    log_mk1 = math.log(words ** num_users - 1)
 
     term1 = math.log(2.0) / n
 

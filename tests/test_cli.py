@@ -198,6 +198,49 @@ def test_exponent_expurgate_without_ensemble_is_config_error(capsys, bsc_path):
     assert "check-degree" in err
 
 
+def test_exponent_expurgate_rate_must_be_design_rate(bsc_path):
+    # (3, 6) at n = 12 fixes the rate at 6/12
+    with pytest.raises(ValueError, match="restrict the operational rate"):
+        cmd_exponent(bsc_path, rate=0.25, n=12, expurgate=0.1,
+                     var_degree=3, check_degree=6)
+
+
+_SIM = ["--codes", "2", "--noise", "2", "--seed", "1"]
+
+
+@pytest.mark.parametrize("args", [
+    ["spectrum", "--q", "2", "--lambda", "3", "--check-degree", "0",
+     "--n", "6"],
+    ["spectrum", "--q", "2", "--lambda", "3", "--check-degree", "6",
+     "--n", "0"],
+    ["spectrum", "--q", "2", "--lambda", "6", "--check-degree", "3",
+     "--n", "6"],
+    ["spectrum", "--q", "2", "--lambda", "0", "--check-degree", "6",
+     "--n", "12", "--theta", "0.5"],
+    ["simulate", "--channel", "CH", "--q", "2", "--lambda", "3",
+     "--check-degree", "0", "--n", "6"] + _SIM,
+    ["simulate", "--channel", "CH", "--q", "2", "--lambda", "6",
+     "--check-degree", "3", "--n", "6"] + _SIM,
+    ["achieve", "--channel", "CH", "--epsilon", "0.05", "--n", "12",
+     "--ldpc", "3,0"],
+    ["achieve", "--channel", "CH", "--epsilon", "0.05", "--n", "12",
+     "--ldpc", "6,3"],
+    ["exponent", "--channel", "CH", "--rate", "0.5", "--n", "12",
+     "--expurgate", "0.1", "--lambda", "3", "--check-degree", "0"],
+    ["compare", "--config", "RUN"],
+], ids=["spectrum-rho0", "spectrum-n0", "spectrum-lam-gt-rho",
+        "spectrum-theta-lam0", "simulate-rho0", "simulate-lam-gt-rho",
+        "achieve-rho0", "achieve-lam-gt-rho", "exponent-rho0",
+        "compare-lam-gt-rho"])
+def test_bad_design_is_config_error(capsys, tmp_path, bsc_path, args):
+    run_json = compare_config(tmp_path, bsc_path, n_sweep=[6], ensemble={
+        "var_degree": 6, "check_degree": 3, "q": 2})
+    argv = [{"CH": bsc_path, "RUN": run_json}.get(a, a) for a in args]
+    rc, out, err = run(capsys, argv)
+    assert rc == 2 and out == ""
+    assert err.startswith("config error: LDPC design")
+
+
 def test_exponent_channel_kind_must_match_flag(capsys, bsc_path, mac_path):
     rc, _, _ = run(capsys, ["exponent", "--channel", bsc_path, "--rate",
                             "0.5", "--n", "8", "--mac"])

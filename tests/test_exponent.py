@@ -639,9 +639,7 @@ def test_expurgated_rate_offset_decreases_toward_zero():
     qz = binary_quantizer()
     offsets = []
     for n in (50, 100, 200, 400):
-        rep = ex.expurgated_bound(
-            n, (n - 15) / n, 0.1, (3, n // 5), ch, qz
-        )
+        rep = ex.expurgated_bound(n, 0.1, (3, n // 5), ch, qz)
         offsets.append(rep.components["delta_rate_nats"])
     assert all(a > b for a, b in zip(offsets, offsets[1:]))
     assert offsets[-1] < offsets[0] / 7.0
@@ -651,7 +649,7 @@ def test_expurgated_rate_offset_decreases_toward_zero():
 def test_expurgated_single_term_structure_and_rate_form():
     ch = bsc("1/20")
     qz = binary_quantizer()
-    rep = ex.expurgated_bound(12, 0.5, 0.1, (3, 6), ch, qz)
+    rep = ex.expurgated_bound(12, 0.1, (3, 6), ch, qz)
     assert "pairwise_term" not in rep.components
     assert rep.components["exponent_log_nats"] == -12.0 * rep.components[
         "error_exponent_nats"
@@ -666,12 +664,10 @@ def test_expurgated_validation():
     ch = bsc("1/20")
     qz = binary_quantizer()
     with pytest.raises(ValueError, match="expurgation"):
-        ex.expurgated_bound(12, 0.5, 0.1, (2, 4), ch, qz)
+        ex.expurgated_bound(12, 0.1, (2, 4), ch, qz)
     with pytest.raises(ValueError, match="sigma"):
-        ex.expurgated_bound(12, 0.5, 1.0, (3, 6), ch, qz)
+        ex.expurgated_bound(12, 1.0, (3, 6), ch, qz)
     with pytest.raises(ValueError, match="sigma"):
-        ex.expurgated_bound(12, 0.5, 1.5, (3, 6), ch, qz)
-    with pytest.raises(ValueError, match="restrict the operational rate"):
-        ex.expurgated_bound(12, 0.25, 0.1, (3, 6), ch, qz)
+        ex.expurgated_bound(12, 1.5, (3, 6), ch, qz)
     with pytest.raises(ValueError, match="multiple of"):
-        ex.expurgated_bound(11, 6 / 11, 0.1, (3, 6), ch, qz)
+        ex.expurgated_bound(11, 0.1, (3, 6), ch, qz)

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import ndtri
 
 from fblbound import GuardError, fbl
 from fblbound.channel import (
@@ -75,6 +76,19 @@ def test_q_inv_matches_bisection():
 def test_q_inv_roundtrip_log_grid():
     for eps in np.logspace(-12, math.log10(0.5), 60):
         assert abs(q_fun(q_inv(float(eps))) - eps) < 1e-9
+
+
+@pytest.mark.parametrize("eps", [1e-12, 1e-6, 0.05, 0.3, 0.5 - 1e-12,
+                                 0.5 + 1e-12, 0.7, 0.999, 1 - 1e-10,
+                                 1 - 1e-12])
+def test_q_inv_matches_scipy_ndtri(eps):
+    # Q^-1(eps) = -Phi^-1(eps), to full precision also near eps = 1/2 and 1
+    want = -float(ndtri(eps))
+    assert abs(q_inv(eps) - want) <= 2e-15 * abs(want)
+
+
+def test_q_inv_half_is_positive_zero():
+    assert math.copysign(1.0, q_inv(0.5)) == 1.0 and q_inv(0.5) == 0.0
 
 
 def test_q_inv_domain():

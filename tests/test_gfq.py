@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import oracles
 from fblbound import GuardError
 from fblbound.gfq import (
     GfMatrix,
+    _is_prime,
     field_from_order,
     make_field,
     rank_and_nullspace,
@@ -44,6 +46,21 @@ def test_make_field_rejects_bad_args():
         make_field(2, 0)
     with pytest.raises(ValueError):
         make_field(2, 9)
+
+
+def test_is_prime_matches_sieve():
+    top = 1 << 17
+    sieve = np.ones(top, dtype=bool)
+    sieve[:2] = False
+    for i in range(2, math.isqrt(top) + 1):
+        if sieve[i]:
+            sieve[i * i::i] = False
+    assert [p for p in range(top) if _is_prime(p)] == \
+        np.flatnonzero(sieve).tolist()
+    # the least strong pseudoprimes to bases 2; 2, 3; 2, 3, 5, and the
+    # largest prime below 2^28, the spectrum module's first residue prime
+    assert not any(_is_prime(m) for m in (2047, 1373653, 25326001))
+    assert _is_prime((1 << 28) - 57)
 
 
 def test_field_from_order_rejects_non_prime_power():

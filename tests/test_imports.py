@@ -11,7 +11,7 @@ whose name starts with one underscore must be read by some module under
 string equal to it (``monkeypatch.setattr(module, "_NAME", ...)``); a
 bare name counts only in the defining module, since elsewhere it names
 that module's own binding.  Dunders are exempt.  Importing the CLI
-leaves ``numpy.random`` unloaded.
+leaves ``numpy.random``, ``statistics`` and ``random`` unloaded.
 """
 
 import ast
@@ -172,10 +172,13 @@ def test_private_scan_reports_unreferenced_names():
 
 def test_cli_import_leaves_numpy_random_unloaded():
     # numpy.random takes 12-16 ms to import; commands that draw nothing
-    # do not pay for it
+    # do not pay for it, nor for statistics (``fbl.q_inv``), which loads
+    # random.  Counted are the modules the import adds: a site hook may
+    # load random at interpreter start
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     out = subprocess.run(
-        [sys.executable, "-c", "import sys, fblbound.cli; "
-         "print('numpy' in sys.modules, 'numpy.random' in sys.modules)"],
+        [sys.executable, "-c", "import sys; before = set(sys.modules); "
+         "import fblbound.cli; print(*(m in set(sys.modules) - before "
+         "for m in ('numpy', 'numpy.random', 'statistics', 'random')))"],
         env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.split() == ["True", "False"]
+    assert out.stdout.split() == ["True", "False", "False", "False"]

@@ -8,9 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from helpers import uniform_spectrum_table
+from helpers import binary_adder_mac, uniform_spectrum_table
 from fblbound import GuardError
 from fblbound import spectrum as sp
+from fblbound.channel import InputPmf, bsc, make_quantizer
+from fblbound.exponent import expurgated_bound
+from fblbound.fbl import ldpc_rcu_mac, ldpc_rcu_ppc
+from fblbound.gfq import field_from_order
+from fblbound.simulator import (TannerGraph, actual_rate_stats,
+                                empirical_spectrum, sample_graph,
+                                simulate_error)
 from fblbound.cli import cmd_spectrum
 
 
@@ -583,6 +590,64 @@ def test_table_refuses_bad_types_before_powering(monkeypatch):
         sp.ldpc_spectrum_table(5, 3, 6, 2, 1)
     with pytest.raises(ValueError, match="whole number of check nodes"):
         sp.ldpc_spectrum_table(5, 3, 6, 2, 1, types=[(3, 2)])
+
+
+_F2 = field_from_order(2)
+_Q2 = make_quantizer(_F2, InputPmf.uniform(2))
+# every public entry point that takes an (n, var_degree, check_degree)
+# design, called on one
+DESIGN_USERS = {
+    "ldpc_spectrum_table": lambda n, lam, rho: sp.ldpc_spectrum_table(
+        n, lam, rho, 2, 1),
+    "rate_offset_decomposition": lambda n, lam, rho:
+        sp.rate_offset_decomposition(n, lam, rho, 0.1, 2, 1),
+    "ldpc_rcu_ppc": lambda n, lam, rho: ldpc_rcu_ppc(bsc("1/10"), _Q2, n,
+                                                     lam, rho),
+    "ldpc_rcu_mac": lambda n, lam, rho: ldpc_rcu_mac(
+        binary_adder_mac(), (_Q2, _Q2), n, (lam, rho), (lam, rho)),
+    "expurgated_bound": lambda n, lam, rho: expurgated_bound(
+        n, 0.1, (lam, rho), bsc("1/10"), _Q2),
+    "simulate_error": lambda n, lam, rho: simulate_error(
+        (n, lam, rho, 2), bsc("1/10"), _Q2, 1, 1, 0),
+    "empirical_spectrum": lambda n, lam, rho: empirical_spectrum(
+        (n, lam, rho, 2), 1, 0),
+    "actual_rate_stats": lambda n, lam, rho: actual_rate_stats(
+        (n, lam, rho, 2), 1, 0),
+    "sample_graph": lambda n, lam, rho: sample_graph(n, lam, rho, _F2, 0),
+    "TannerGraph": lambda n, lam, rho: TannerGraph(
+        n, lam, rho, _F2, np.arange(max(0, n * lam)),
+        np.ones(max(0, n * lam), dtype=np.int64)),
+}
+
+
+@pytest.mark.parametrize("design", [(6, 3, 0), (0, 3, 6), (6, 6, 3),
+                                    (6, 1, 2), (5, 3, 6)],
+                         ids=lambda d: "n{}-{}-{}".format(*d))
+@pytest.mark.parametrize("use", DESIGN_USERS)
+def test_every_design_user_refuses_a_bad_design(use, design):
+    with pytest.raises(ValueError) as want:
+        sp._ldpc_checks(*design)
+    with pytest.raises(ValueError) as got:
+        DESIGN_USERS[use](*design)
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith("LDPC design")
+
+
+def test_design_rule_messages_and_rate_zero():
+    with pytest.raises(ValueError, match="var_degree >= 2"):
+        sp._ldpc_checks(6, 1, 2)
+    with pytest.raises(ValueError, match="positive integer"):
+        sp._ldpc_checks(6.0, 3, 6)
+    assert sp._ldpc_checks(6, 2, 2) == 6  # rate 0: a graph, no bound
+    # the asymptotic exponent has no n but the same degree rule
+    with pytest.raises(ValueError, match="var_degree >= 2"):
+        sp.ldpc_spectrum_exponent([0.5, 0.5], 0, 6, 2, 1)
+    with pytest.raises(ValueError, match="rate is zero"):
+        sp.rate_offset_decomposition(6, 3, 3, 0.1, 2, 1)
+    with pytest.raises(ValueError, match="rate is zero"):
+        ldpc_rcu_ppc(bsc("1/10"), _Q2, 6, 3, 3)
+    with pytest.raises(ValueError, match="rate is zero"):
+        expurgated_bound(6, 0.1, (3, 3), bsc("1/10"), _Q2)
 
 
 def test_read_step_check_raises(monkeypatch):
