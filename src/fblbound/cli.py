@@ -36,7 +36,7 @@ from .infodensity import ppc_moments
 from .simulator import (_ENUM_GUARD, Codebook, _check_books, _chunks,
                         _min_distances, _sample_codes,
                         actual_rate_stats, min_distance, simulate_error)
-from .spectrum import (SpectrumTable, _ldpc_checks, alpha_log,
+from .spectrum import (SpectrumTable, _ldpc_checks, _ldpc_design, alpha_log,
                        expurgate_spectrum, ldpc_spectrum_exponent,
                        ldpc_spectrum_table, uniform_spectrum_exponent)
 
@@ -112,11 +112,14 @@ def _uniform_setup(input_size: int, q: int | None):
     return q_eff, make_quantizer(field, InputPmf.uniform(input_size))
 
 
-def _design_checks(n: int, var_degree: int, check_degree: int) -> int:
-    """The check count of the (var_degree, check_degree) design on n
-    symbols (``spectrum._ldpc_checks``); a bad design is a ConfigError."""
+def _design_checks(n: int, var_degree: int, check_degree: int,
+                   q: int | None = None):
+    """The check count of the design on n symbols (``spectrum._ldpc_checks``)
+    or, given q, a bound's (checks, words per user), which refuses rate zero
+    too (``spectrum._ldpc_design``); a refused design is a ConfigError."""
     try:
-        return _ldpc_checks(n, var_degree, check_degree)
+        return (_ldpc_checks(n, var_degree, check_degree) if q is None
+                else _ldpc_design(n, var_degree, check_degree, q))
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -126,10 +129,10 @@ def _ldpc_bound(channel, n: int, var_degree: int, check_degree: int,
     """Relaxed RCU bound of the uniform-input coset LDPC ensemble over
     GF(q), its spectrum penalty folded in: (q, quantizer, log alpha,
     report)."""
-    r = _design_checks(n, var_degree, check_degree)
     q_eff, quantizer = _uniform_setup(channel.input_size, q)
+    _r, words = _design_checks(n, var_degree, check_degree, q_eff)
     table = ldpc_spectrum_table(n, var_degree, check_degree, q_eff, 1)
-    log_a, _t = alpha_log(table, q_eff ** (n - r))
+    log_a, _t = alpha_log(table, words)
     report = ldpc_rcu_ppc(channel, quantizer, n, var_degree, check_degree,
                           log_alpha=log_a)
     return q_eff, quantizer, log_a, report
@@ -222,12 +225,12 @@ def cmd_exponent(channel_path: str, rate: float, n: int, mac: bool = False,
             raise ConfigError(
                 "--expurgate needs the ensemble: --lambda and --check-degree"
             )
-        r = _design_checks(n, var_degree, check_degree)
+        size = channel.input_sizes[0] if is_mac else channel.input_size
+        q_eff, quantizer = _uniform_setup(size, q)
+        r, _words = _design_checks(n, var_degree, check_degree, q_eff)
         if abs(n * rate - (n - r)) > 1e-9:
             raise ConfigError(f"ensemble design rate is {n - r}/{n}; restrict "
                               "the operational rate to equal the design rate")
-        size = channel.input_sizes[0] if is_mac else channel.input_size
-        _q, quantizer = _uniform_setup(size, q)
         report = expurgated_bound(
             n=n, sigma=expurgate,
             ensemble_params=(var_degree, check_degree), channel=channel,
@@ -269,7 +272,8 @@ def cmd_spectrum(q: int, num_users: int, var_degree: int, check_degree: int,
     """Per-type table dict, or (with thetas) curve rows
     (theta0, exponent_L, exponent_U): LDPC vs uniform-reference growth
     exponents along the equal-split direction at zero-share theta0."""
-    r = _design_checks(n, var_degree, check_degree)
+    design = _design_checks(n, var_degree, check_degree,
+                            q if want_alpha else None)
     rate = 1.0 - var_degree / check_degree
     if thetas is not None:
         qk = q ** num_users
@@ -302,7 +306,7 @@ def cmd_spectrum(q: int, num_users: int, var_degree: int, check_degree: int,
                     for t, v in sorted(table.entries.items())},
     }
     if want_alpha:
-        num = q ** (n - r)
+        num = design[1]
         log_a, argmax_t = alpha_log(table, num)
         payload["alpha"] = {
             "log_alpha": log_a,
@@ -545,8 +549,9 @@ def _validate_config(config: dict) -> dict:
         for k in ("var_degree", "check_degree", "q"):
             if not _is_int(ens.get(k)) or ens[k] < 2:
                 raise ConfigError(f"ensemble.{k} must be an int >= 2")
+        # every n gets the ensemble bound, which needs a positive rate
         for n in sweep:
-            _design_checks(n, ens["var_degree"], ens["check_degree"])
+            _design_checks(n, ens["var_degree"], ens["check_degree"], ens["q"])
     if "seed" in config:
         _check_seed(config["seed"])
     scaling = config.get("scaling_epsilons", [])

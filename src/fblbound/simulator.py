@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import os
 from collections import Counter, deque
 from dataclasses import dataclass, replace
@@ -550,7 +551,11 @@ def _wilson(errors: int, total: int) -> tuple[float, float, float]:
 
 
 def _check_ensemble_params(ensemble_params):
-    """(n, var_degree, check_degree, q, checks) of ``ensemble_params``."""
+    """(n, var_degree, check_degree, q, checks) of ``ensemble_params``,
+    whose entries must be integers (numpy's too): ValueError otherwise."""
+    if not all(isinstance(v, numbers.Integral) for v in ensemble_params):
+        raise ValueError("LDPC design: (n, var_degree, check_degree, q) must "
+                         f"be integers, got {tuple(ensemble_params)}")
     n, var_degree, check_degree, q = (int(v) for v in ensemble_params)
     return (n, var_degree, check_degree, q,
             _ldpc_checks(n, var_degree, check_degree))

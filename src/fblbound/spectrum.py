@@ -11,11 +11,11 @@ significant).  The module computes:
     and asymptotically by convex minimization.  The enumerator is powered
     as a polynomial in the sums of its variables over the GF(q)*-orbits
     of Q, one dimension per nonzero orbit ((q^K - 1)/(q - 1) of them;
-    the q^K - 1 nonzero symbols themselves when q = 2), densely modulo
-    word-size primes to one check short of the count; a read step
-    multiplies the last check in only at the orbit counts lam*u that a
-    table reads, the CRT joins those, and a table takes every type's
-    entry in one exact array pass over them,
+    the q^K - 1 nonzero symbols themselves when q = 2), on its parity
+    classes modulo word-size primes to one check short of the count; a
+    read step multiplies the last check in only at the orbit counts lam*u
+    that a table reads, the CRT joins those, and a table takes every
+    type's entry in one exact array pass over them,
   * the max-ratio penalty ``alpha_log`` used by the random-coding bounds,
   * low-weight expurgation and the four-term rate-offset decomposition,
   * the q^(-n eps/2) tail bound on the actual-vs-design code rate.
@@ -45,7 +45,7 @@ _TABLE_GUARD = 2_000_000
 _WALK_GUARD = 50_000  # types the rate-offset walk solves, one Newton each
 _LSE_TOL = 1e-10  # Newton stops at this gradient norm, relative to rho
 _LSE_ROUND = 1e-15  # or, no step passing, at this half decrement per |f|
-_SLAB_ENTRIES = 1 << 16  # residue entries powered at once; kept cache-sized
+_SLAB_ENTRIES = 1 << 16  # entries of all parity classes powered at once
 _ROW_BLOCK = 1 << 16  # types whose exact counts are formed at once
 _INT64_MAX = (1 << 63) - 1  # residue sums are reduced before passing it
 
@@ -451,13 +451,15 @@ def _poly_power(q, num_users, rho, num_checks, lam):
     are 0), or None past the lattice guard.  For q = 2 the orbits are the
     symbols and nothing is reduced.
 
-    Exact: powered densely to num_checks - 1 modulo primes below 2^28
-    whose product exceeds the reduced enumerator's mass raised to
-    num_checks, a bound on every coefficient; the last check is
-    multiplied in only at the points lam*u (``_read_step``), and the
-    points are joined by the CRT.  ArithmeticError when a residue array
-    misses its mass modulo its prime, or the read step misses the sums of
-    the power over its residue classes modulo lam."""
+    Exact: powered to num_checks - 1 on its parity classes
+    (``_residue_power``) modulo primes below 2^28 whose product exceeds
+    the reduced enumerator's mass raised to num_checks, a bound on every
+    coefficient, as many primes at once as fill _SLAB_ENTRIES class
+    entries; the last check is multiplied in only at the points lam*u
+    (``_read_step``), and the points are joined by the CRT.
+    ArithmeticError when a residue array misses its mass modulo its
+    prime, or the read step misses the sums of the power over its residue
+    classes modulo lam."""
     coeffs = _cached_orbit_poly(q, num_users, rho)
     dim, side = len(_orbits(q, num_users)) - 1, rho * num_checks + 1
     total = sum(coeffs.values())
@@ -466,10 +468,14 @@ def _poly_power(q, num_users, rho, num_checks, lam):
     if side ** dim * (mass.bit_length() // 27 + 1) > _LATTICE_GUARD:
         return None
     primes, read = _residue_primes(mass), []
-    slab = max(1, _SLAB_ENTRIES // side ** dim)
+    step, classes = parity = _parity_classes(coeffs)
+    # the entries powered per prime: every class's share of the box
+    powered = sum(math.prod((side - 1 - x) // step + 1 for x in h)
+                  for h in classes)
+    slab = max(1, _SLAB_ENTRIES // powered)
     for ps in (primes[i:i + slab] for i in range(0, len(primes), slab)):
         pv = np.array(ps, dtype=np.int64)
-        res = _residue_power(coeffs, rho, num_checks - 1, ps, dim)
+        res = _residue_power(coeffs, rho, num_checks - 1, ps, parity)
         sums = res.reshape(len(ps), -1).sum(axis=1) % pv
         if sums.tolist() != [pow(total, num_checks - 1, p) for p in ps]:
             raise ArithmeticError(f"residues of P^{num_checks - 1} miss its "
@@ -509,37 +515,66 @@ def _term_groups(coeffs, primes):
             for c, offs in groups.items()]
 
 
-def _residue_power(coeffs, rho, num_checks, primes, dim):
+def _parity_classes(coeffs):
+    """(step, classes) of the enumerator ``coeffs``: step 2 and the span of
+    its offsets' parities, where all its powers live (2^(dim - K) of the
+    2^dim classes for q = 2: each user's checks have even parity), or,
+    when that span is every class (q > 2), step 1 and one dense class."""
+    dim = len(next(iter(coeffs))) - 1
+    span = {(0,) * dim}
+    for g in {tuple(x % 2 for x in t[1:]) for t in coeffs}:
+        span |= {tuple((a + b) % 2 for a, b in zip(h, g)) for h in span}
+    if len(span) == 2 ** dim:
+        return 1, [(0,) * dim]
+    return 2, sorted(span)
+
+
+def _residue_power(coeffs, rho, num_checks, primes, parity):
     """The enumerator ``coeffs`` (degree rho) to the power num_checks
-    modulo each prime, dense over the counts but the first.  Each step
-    multiplies the power so far once per distinct coefficient c and adds
-    the product at the offset of every term b with c_b = c; entries are
-    reduced only when their tracked bound would pass int64 (residues
-    below 2^28 keep products below 2^56)."""
+    modulo each prime, dense over the counts but the first.  It is powered
+    as one array per class h of ``parity`` (step, classes), entry c at
+    step*c + h; each step multiplies a class once per distinct coefficient
+    c and adds it, for each term b with c_b = c, into class (h + b) mod step
+    at (h + b) // step.  Entries are reduced only when their tracked bound
+    would pass int64 (residues below 2^28 keep products below 2^56)."""
+    step, classes = parity
+    dim = len(classes[0])
     pv = np.array(primes, dtype=np.int64).reshape((-1,) + (1,) * dim)
     top = max(primes) - 1  # bound of a reduced entry
     # per distinct coefficient: offsets, residues, bound on those
     terms = [(offs, c, min(v, top))
              for offs, c, v in _term_groups(coeffs, primes)]
-    res, bound = np.ones_like(pv), 1
+    res, bound = {(0,) * dim: np.ones_like(pv)}, 1
     for j in range(1, num_checks + 1):
         if bound * max(cm for *_, cm in terms) > _INT64_MAX - top:
-            res %= pv
+            for part in res.values():
+                part %= pv
             bound = top
-        nxt = np.zeros((len(primes),) + (rho * j + 1,) * dim,
-                       dtype=np.int64)
-        tmp, acc = np.empty_like(res), 0
-        for offs, c, cm in terms:
-            part = res if cm == 1 else np.multiply(res, c, out=tmp)
-            for off in offs:
-                if acc + bound * cm > _INT64_MAX:
-                    nxt %= pv
-                    acc = top
-                nxt[(slice(None),) + tuple(slice(o, o + res.shape[1])
-                                           for o in off)] += part
-                acc += bound * cm
-        res, bound = nxt, acc
-    return res % pv
+        nxt = {g: np.zeros((len(primes),) + tuple((rho * j - x) // step + 1
+                                                  for x in g), dtype=np.int64)
+               for g in classes}
+        acc = dict.fromkeys(classes, 0)
+        for h, cur in res.items():
+            tmp = np.empty_like(cur)
+            for offs, c, cm in terms:
+                part = cur if cm == 1 else np.multiply(cur, c, out=tmp)
+                for off in offs:
+                    at = [a + o for a, o in zip(h, off)]
+                    g = tuple(x % step for x in at)
+                    if acc[g] + bound * cm > _INT64_MAX:
+                        nxt[g] %= pv
+                        acc[g] = top
+                    nxt[g][(slice(None),) + tuple(
+                        slice(x // step, x // step + size)
+                        for x, size in zip(at, cur.shape[1:]))] += part
+                    acc[g] += bound * cm
+        res, bound = nxt, max(acc.values())
+    out = np.zeros((len(primes),) + (rho * num_checks + 1,) * dim,
+                   dtype=np.int64)
+    for h, part in res.items():
+        np.remainder(part, pv, out=out[(slice(None),) + tuple(
+            slice(x, None, step) for x in h)])
+    return out
 
 
 def _residue_class(res, k, lam):

@@ -241,6 +241,37 @@ def test_bad_design_is_config_error(capsys, tmp_path, bsc_path, args):
     assert err.startswith("config error: LDPC design")
 
 
+@pytest.mark.parametrize("args", [
+    ["achieve", "--channel", "CH", "--epsilon", "0.05", "--n", "12",
+     "--ldpc", "3,3"],
+    ["spectrum", "--q", "2", "--lambda", "3", "--check-degree", "3",
+     "--n", "6", "--alpha"],
+    ["exponent", "--channel", "CH", "--rate", "0", "--n", "6",
+     "--expurgate", "0.1", "--lambda", "3", "--check-degree", "3"],
+    ["compare", "--config", "RUN"],
+], ids=["achieve", "spectrum-alpha", "exponent-expurgate", "compare"])
+def test_rate_zero_bound_is_config_error(capsys, tmp_path, bsc_path, args):
+    # lambda = rho leaves one word per user: a graph, but no bound or alpha
+    run_json = compare_config(tmp_path, bsc_path, n_sweep=[6], ensemble={
+        "var_degree": 3, "check_degree": 3, "q": 2})
+    argv = [{"CH": bsc_path, "RUN": run_json}.get(a, a) for a in args]
+    rc, out, err = run(capsys, argv)
+    n = args[args.index("--n") + 1] if "--n" in args else "6"
+    assert rc == 2 and out == ""
+    assert err == f"config error: design has {n} checks = n; rate is zero\n"
+
+
+def test_rate_zero_design_still_samples(capsys, bsc_path):
+    # a table without alpha and a simulation need no second message
+    rc, out, _ = run(capsys, ["spectrum", "--q", "2", "--lambda", "3",
+                              "--check-degree", "3", "--n", "6"])
+    assert rc == 0 and json.loads(out)["design_rate_qary"] == 0.0
+    rc, out, _ = run(capsys, ["simulate", "--channel", bsc_path, "--q", "2",
+                              "--lambda", "3", "--check-degree", "3",
+                              "--n", "6"] + _SIM)
+    assert rc == 0 and json.loads(out)["num_messages"] == 1
+
+
 def test_exponent_channel_kind_must_match_flag(capsys, bsc_path, mac_path):
     rc, _, _ = run(capsys, ["exponent", "--channel", bsc_path, "--rate",
                             "0.5", "--n", "8", "--mac"])

@@ -1004,6 +1004,26 @@ def test_empirical_spectrum_validation():
         empirical_spectrum((6, 3, 6, 2), trials=5, seed=0, num_users=3)
 
 
+@pytest.mark.parametrize("params", [
+    (12.9, 3, 6, 2), (12.0, 3, 6, 2), (12, 3.5, 6, 2), (12, 3, "6", 2),
+    (12, 3, 6, 2.0)])
+@pytest.mark.parametrize("use", [
+    lambda p: simulate_error(p, bsc("1/20"), binary_quantizer(), 1, 1, 0),
+    lambda p: empirical_spectrum(p, trials=1, seed=0),
+    lambda p: actual_rate_stats(p, 1, 0)],
+    ids=["simulate_error", "empirical_spectrum", "actual_rate_stats"])
+def test_fractional_ensemble_entry_is_refused(use, params):
+    # int() would truncate 12.9 to a 12-symbol design
+    with pytest.raises(ValueError, match=r"q\) must be integers, got \(12"):
+        use(params)
+
+
+def test_numpy_integer_ensemble_entries_are_accepted():
+    params = (np.int64(12), np.int32(3), np.uint8(6), np.int16(2))
+    assert actual_rate_stats(params, 2, 1) == actual_rate_stats(
+        (12, 3, 6, 2), 2, 1)
+
+
 # ---------------------------------------------------------------------------
 # minimum distance
 

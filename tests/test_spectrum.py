@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 
@@ -435,6 +436,15 @@ def test_quaternary_alpha_tables_pinned(n, want):
     assert hashlib.sha256(text.encode()).hexdigest() == want
 
 
+def test_two_user_binary_alpha_table_at_n40_pinned():
+    # recorded before the power kept only its two parity classes; the
+    # (0,0,0) and (1,1,1) classes hold a quarter of the dense box
+    text = json.dumps(cmd_spectrum(2, 2, 3, 6, 40, want_alpha=True),
+                      sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "b186260150d247043ddce1193db7c14d67a39653b5e0625e387091af9d98a07f")
+
+
 def test_quaternary_alpha_table_at_n48():
     # past the residue-entry guard while all three nonzero symbols were
     # powered (a 145^3 box per prime); one orbit powers a 145-entry line
@@ -463,7 +473,9 @@ POWER_GRID = [
     if k == 1 or q == 2
 ] + [(3, 2, 3, 1), (3, 2, 3, 2), (3, 2, 4, 1), (3, 2, 6, 1), (2, 1, 6, 20),
      (8, 1, 3, 1), (8, 1, 3, 2), (8, 1, 4, 1), (8, 1, 4, 2), (8, 1, 6, 1),
-     (4, 2, 3, 1), (4, 2, 3, 2)]
+     (4, 2, 3, 1), (4, 2, 3, 2),
+     # two parity classes with odd rho, and 16 of 128 for three users
+     (2, 2, 5, 4), (2, 2, 6, 4), (2, 3, 3, 2), (2, 3, 4, 2)]
 
 
 @pytest.mark.parametrize("q,k,rho,r", POWER_GRID)
@@ -486,6 +498,25 @@ def test_poly_power_matches_dict_oracle(q, k, rho, r):
             t: c for t, c in want.items() if all(x % lam == 0 for x in t)}
         assert all(type(c) is int for c in got.values())
         assert all(type(c) is int for c in lattice.flat)
+
+
+@pytest.mark.parametrize("rho", [3, 4, 5, 6])
+def test_parity_classes_of_the_check_enumerators(rho):
+    def classes(q, k):
+        poly = sp.check_polynomial(q, k, rho)
+        return sp._parity_classes(sp._orbit_poly(poly))
+    assert classes(2, 1) == (2, [(0,)])
+    assert classes(2, 2) == (2, [(0, 0, 0), (1, 1, 1)])
+    # three users: the classes of even parity per user, 16 of 128
+    step, members = classes(2, 3)
+    assert step == 2 and len(members) == 16
+    assert members == [h for h in itertools.product((0, 1), repeat=7)
+                       if all(sum(x for g, x in enumerate(h, 1) if g >> b & 1)
+                              % 2 == 0 for b in range(3))]
+    # q > 2 has odd orbit counts: one class, the dense box
+    for q in (3, 4, 8):
+        assert classes(q, 1) == (1, [(0,)])
+    assert classes(3, 2) == (1, [(0,) * 4])
 
 
 def test_orbits_partition_the_symbols_under_scaling():
