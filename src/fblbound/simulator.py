@@ -35,8 +35,16 @@ _ENUM_GUARD = 1 << 20
 _TUPLE_GUARD = 1_000_000  # codeword pairs of a two-user spectrum trial
 _PAIR_OPS_GUARD = 10 ** 9
 _PAIR_BLOCK = 1 << 22  # symbol comparisons per block of the pair scan
-_SCORE_BLOCK = 1 << 19  # candidate scores per row block (at least 16 rows)
+# bytes of candidate scores per row block (at least 16 rows): 2^19
+# float64 scores, or 2^20 screened float32 ones (with 2^19 of them, twice
+# the blocks made the benchmark's pooled codes of 2^12 and 2^15 words
+# 16-23% slower)
+_SCORE_BYTES = 1 << 22
 _STACK_SCORES = 1 << 16  # scores of the trials stacked into one product
+# candidates from which a code's rows are screened in float32 (see
+# ``_StackScorer``): below it the screen and its re-scoring cost more than
+# the float64 bytes they save
+_SCREEN_MIN = 512
 _FILL_BLOCK = 1 << 14  # symbols per row block of a codebook fill
 # entries per elimination stack, and per chunk of codebooks held at once:
 # the README's n = 12 codes run 85 to a chunk, so a chunk's fixed costs
@@ -46,8 +54,9 @@ _STACK_ENTRIES = 1 << 18
 _TIE_ATOL = 1e-9
 _LOG_ZERO = -1e30  # stand-in for log 0; keeps impossible words out of ties
 _WILSON_Z = 1.96
-# score-matrix bytes that the large code trials decoded at once may hold
-# between them (one trial always runs): two BSC codes of 2^15 words at n = 30
+# bytes of score tables, candidates and outputs that the large code trials
+# decoded at once may hold between them (one trial always runs): six BSC
+# codes of 2^15 words at n = 30 with 200 noise words each
 _FLIGHT_BYTES = 1 << 25
 # the CPUs this process may run on
 try:
@@ -474,37 +483,84 @@ class _StackScorer:
     holds log w(b|x_i) - log w(b0|x_i) for each b != b0 and the last
     column sum_i log w(b0|x_i), so K = n(|Y| - 1) + 1; only a finite log
     is subtracted, so an impossible letter stays near ``_LOG_ZERO``.
-    Otherwise column (i, b) holds log w(b|x_i) and K = n|Y|."""
+    Otherwise column (i, b) holds log w(b|x_i) and K = n|Y|.
 
-    def __init__(self, logw, cand):
+    With ``screen`` the table is the float32 rounding of that float64
+    table and the scores are screening scores: ``slack`` is then the
+    margin within which a row's candidates are kept for ``exact`` scoring
+    (see ``_screen_decide``), else None."""
+
+    def __init__(self, logw, cand, screen: bool = False):
         codes, m, n = cand.shape
+        self.logw, self.cand, self.slack = logw, cand, None
+        self._dense = None
+        dtype = np.float32 if screen else np.float64
         free = np.flatnonzero(np.all(logw > _LOG_ZERO, axis=0))
         if free.size == 0:
             self.letters = np.arange(logw.shape[1])
-            self.table = logw[cand].reshape(codes, m, -1)
-            return
-        ref = int(free[0])
-        self.letters = np.delete(np.arange(logw.shape[1]), ref)
-        k = self.letters.size
-        per = logw[:, self.letters] - logw[:, ref, None]
-        # filled one position at a time, no (codes, M, n, |Y| - 1)
-        # temporary; each code's table column-major, so the product reads
-        # its transpose row by row
-        self.table = np.empty((codes, n * k + 1, m)).transpose(0, 2, 1)
-        self.table[:, :, -1] = 0.0
-        for i in range(n):
-            x = cand[:, :, i]
-            self.table[:, :, i * k:(i + 1) * k] = per[x]
-            self.table[:, :, -1] += logw[x, ref]
+            self.table = logw.astype(dtype)[cand].reshape(codes, m, -1)
+        else:
+            ref = int(free[0])
+            self.letters = np.delete(np.arange(logw.shape[1]), ref)
+            k = self.letters.size
+            per = logw[:, self.letters] - logw[:, ref, None]
+            # filled one position at a time, no (codes, M, n, |Y| - 1)
+            # temporary; each code's table column-major, so the product
+            # reads its transpose row by row.  The last column sums in
+            # float64 and is rounded once.
+            self.table = np.empty((codes, n * k + 1, m),
+                                  dtype).transpose(0, 2, 1)
+            bias = np.zeros((codes, m))
+            for i in range(n):
+                x = cand[:, :, i]
+                self.table[:, :, i * k:(i + 1) * k] = per[x]
+                bias += logw[x, ref]
+            self.table[:, :, -1] = bias
+        if screen:
+            # a row reads at most n finite entries of at most 2L and one
+            # sum of n logs (n entries of at most L without a reference
+            # letter), L the largest finite |log w|, so a finite score sums
+            # at most reach = 3nL in absolute value.  e bounds |float32
+            # score - float64 score| (either float64 route): gamma_K reach
+            # for a K-term float32 sum (Higham, Accuracy and Stability of
+            # Numerical Algorithms, sec. 3.1), u reach for rounding the
+            # table to float32, and u reach more for the float64 roundings,
+            # far below it.  Every candidate within _TIE_ATOL of the float64
+            # best then lies within 2e + _TIE_ATOL of the float32 best, and
+            # u reach of the doubled margin covers the float32 rounding of
+            # that threshold.
+            reach = 3 * n * np.abs(logw[logw > 0.5 * _LOG_ZERO]).max(
+                initial=0.0)
+            u, width = 2.0 ** -24, self.table.shape[2]
+            e = (width * u / (1.0 - width * u) + 2.0 * u) * reach
+            self.slack = float(2.0 * e + _TIE_ATOL)  # keeps float32
 
     def __call__(self, ys) -> np.ndarray:
         """(codes, rows, M) scores of the output words ``ys``
-        (codes, rows, n)."""
+        (codes, rows, n), in the table's dtype."""
         codes, rows, n = ys.shape
-        hot = np.ones((codes, rows, self.table.shape[2]))
+        hot = np.ones((codes, rows, self.table.shape[2]), self.table.dtype)
         hot[:, :, :n * self.letters.size] = (
             ys[:, :, :, None] == self.letters).reshape(codes, rows, -1)
         return hot @ self.table.transpose(0, 2, 1)
+
+    def exact(self, ys, hits):
+        """Float64 log-likelihood sums, read from the per-letter table, of
+        the (row, candidate) pairs at the flat indices ``hits`` of the
+        (codes, rows, M) scores of the output words ``ys``."""
+        codes, rows, n = ys.shape
+        row, m = np.divmod(hits, self.cand.shape[1])
+        cell = self.cand[row // rows, m].astype(np.intp)
+        cell *= self.logw.shape[1]
+        cell += ys.reshape(-1, n)[row]
+        return self.logw.ravel().take(cell).sum(axis=1)
+
+    def dense(self, ys) -> np.ndarray:
+        """The float64 scores of the output words ``ys``, from a float64
+        scorer of the same candidates built on first use."""
+        if self._dense is None:
+            self._dense = _StackScorer(self.logw, self.cand)
+        return self._dense(ys)
 
 
 def _ml_decide(ll, rngs):
@@ -522,19 +578,85 @@ def _ml_decide(ll, rngs):
     top = ll.max(axis=1)
     tied = ll >= (top - _TIE_ATOL)[:, None]
     tied[top <= 0.5 * _LOG_ZERO] = True
-    # flat indices of the tied entries, row by row: row i's run starts
-    # after the runs of the rows before it
     hits = np.flatnonzero(tied)
     n_tied = np.bincount(hits // cands, minlength=codes * trials)
+    return (top.reshape(codes, trials), n_tied.reshape(codes, trials),
+            _break_ties(hits, n_tied, rngs, cands).reshape(codes, trials))
+
+
+def _break_ties(hits, n_tied, rngs, cands) -> np.ndarray:
+    """The decoded candidate of each row of a (codes * trials, cands)
+    stack whose tied candidates are at the sorted flat indices ``hits``,
+    n_tied[i] of them in row i: the row's only one, or for code c one draw
+    per tied row via rngs[c], in row order."""
+    trials = n_tied.size // len(rngs)
+    # row i's run of hits starts after the runs of the rows before it
     starts = np.cumsum(n_tied) - n_tied
     rows = np.flatnonzero(n_tied > 1)
     # the tied rows of code c are rows[ends[c]:ends[c + 1]]
-    ends = np.searchsorted(rows, trials * np.arange(codes + 1))
+    ends = np.searchsorted(rows, trials * np.arange(len(rngs) + 1))
     for rng, lo, hi in zip(rngs, ends[:-1].tolist(), ends[1:].tolist()):
         if lo < hi:
             starts[rows[lo:hi]] += rng.integers(n_tied[rows[lo:hi]])
-    return (top.reshape(codes, trials), n_tied.reshape(codes, trials),
-            (hits[starts] % cands).reshape(codes, trials))
+    return hits[starts] % cands
+
+
+def _screen_decide(ll, sent, rngs, slack, exact, most):
+    """The decisions of ``_ml_decide`` for a (codes, rows, M) stack of
+    float32 screening scores ``ll`` (see ``_StackScorer``) with
+    transmitted candidates ``sent`` (codes, rows), from the float64 scores
+    ``exact(hits)`` of the candidates at flat indices ``hits`` that lie
+    within ``slack`` of their row's float32 best.
+
+    A row with one such contender decodes to it; the rows with several are
+    decided on their contenders' float64 scores, and a row whose float32
+    best is impossible ties every candidate, as ``_ml_decide`` decides
+    them.  Returns the (codes, rows) tie counts, decisions and whether a
+    score passes the sent word's by more than ``_TIE_ATOL`` (true when
+    the sent word is no contender; false on an impossible row, which
+    ties every candidate).  None, before any draw, when the rows with
+    several contenders hold more than ``most`` of them.  ``ll`` is
+    written to and restored."""
+    codes, trials, cands = ll.shape
+    ll = ll.reshape(codes * trials, cands)
+    rows = np.arange(codes * trials)
+    first = ll.argmax(axis=1)
+    top = ll[rows, first]
+    hopeless = top <= 0.5 * _LOG_ZERO
+    # the rows whose runner-up is a contender; the others have one
+    ll[rows, first] = -np.inf
+    several = np.flatnonzero(ll.max(axis=1) >= top - slack)
+    ll[rows, first] = top
+    kept = ll[several] >= (top[several] - slack)[:, None]
+    if np.count_nonzero(kept) > most:
+        return None
+    at, m = np.divmod(np.flatnonzero(kept), cands)
+    alone = np.ones(codes * trials, dtype=bool)
+    alone[several] = False
+    hits = np.sort(np.concatenate([(rows * cands + first)[alone],
+                                   several[at] * cands + m]))
+    row = hits // cands
+    is_sent = hits % cands == sent.ravel()[row]
+    beaten = np.ones(codes * trials, dtype=bool)
+    beaten[row[is_sent]] = False
+    beaten[hopeless] = False
+    redo = ~(alone | hopeless)[row]
+    if redo.any():
+        ll64, at = exact(hits[redo]), row[redo]
+        best = np.full(codes * trials, -np.inf)
+        np.maximum.at(best, at, ll64)
+        sent64 = is_sent[redo]
+        beaten[at[sent64]] = best[at[sent64]] > ll64[sent64] + _TIE_ATOL
+        redo[redo] = ll64 < best[at] - _TIE_ATOL  # contenders that lose
+        hits, row = hits[~redo], row[~redo]
+    if hopeless.any():
+        everyone = cands * np.flatnonzero(hopeless)[:, None] + np.arange(cands)
+        hits = np.sort(np.concatenate([hits[~hopeless[row]],
+                                       everyone.ravel()]))
+    n_tied = np.bincount(hits // cands, minlength=codes * trials)
+    return (n_tied.reshape(codes, trials),
+            _break_ties(hits, n_tied, rngs, cands).reshape(codes, trials),
+            beaten.reshape(codes, trials))
 
 
 # ---------------------------------------------------------------------------
@@ -588,6 +710,22 @@ def _blas_threads() -> int:
     return _CPUS if query is None else max(1, int(query()))
 
 
+def _trial_bytes(channel, qzs, n: int, num: int, trials_noise: int) -> int:
+    """Bytes one code trial of ``_simulate_chunk`` holds while it decodes,
+    row blocks aside (the trials in flight share one ``_SCORE_BYTES``):
+    its score table of M rows (float32 when screened, width K as
+    ``_StackScorer`` builds it), its M candidate words and its int64
+    messages and output words, for M = num^users."""
+    m, letters = num ** len(qzs), channel.w.shape[-1]
+    free = int(np.all(channel.w > 0.0, axis=tuple(
+        range(channel.w.ndim - 1))).any())
+    width = n * (letters - free) + free
+    symbol = np.result_type(np.min_scalar_type(channel.w.size // letters - 1),
+                            *(qz.field.symbol_dtype for qz in qzs)).itemsize
+    table = 4 if m >= _SCREEN_MIN else 8
+    return m * (table * width + symbol * n) + 8 * trials_noise * (n + 1)
+
+
 def _draw_trials(qzs, shape, num: int, rngs, same_coset: bool):
     """The draws of the code trials of one chunk, made on the calling
     thread: for user 1, then user 2, each trial's graph (one stacked
@@ -616,9 +754,11 @@ def _simulate_chunk(channel, qzs, trials, rngs, trials_noise: int,
     inputs and candidates run as one stack, and their score tables, scores
     and decisions in stacks of as many trials as ``_STACK_SCORES`` scores
     hold (at least one).  A trial scores the rows it would score alone per
-    row block: ``_SCORE_BLOCK`` scores (at least 16 rows, and all of them
+    row block: ``_SCORE_BYTES`` of scores (at least 16 rows, and all of them
     when fewer), and each of the ``in_flight`` chunks decoded at once
-    scores a 1/in_flight share (at least 8 rows).
+    scores a 1/in_flight share (at least 8 rows).  From ``_SCREEN_MIN``
+    candidates the rows are screened in float32 and only their contenders
+    scored in float64 (``_screen_decide``); the decisions are the same.
 
     Calls no public function of the package, so it can run on a worker
     thread.  The words are freed once their inputs exist, the messages and
@@ -639,8 +779,9 @@ def _simulate_chunk(channel, qzs, trials, rngs, trials_noise: int,
     del inputs
     codes, num_messages = cand.shape[:2]
     logw = _log_table(flat_w)
-    rows = min(trials_noise, max(8, max(16, _SCORE_BLOCK // num_messages)
-                                 // in_flight))
+    screen = num_messages >= _SCREEN_MIN
+    rows = min(trials_noise, max(8, max(16, _SCORE_BYTES // (
+        (4 if screen else 8) * num_messages)) // in_flight))
     # stack no more trials than keep each trial's own row block: a shorter
     # block reads the trial's whole score table for fewer rows
     group = max(1, _STACK_SCORES // (rows * num_messages))
@@ -651,28 +792,42 @@ def _simulate_chunk(channel, qzs, trials, rngs, trials_noise: int,
                          for rng in rngs[g:g + group]])
         ys = np.stack([_sample_outputs(flat_w, cand[g + t, sent[t]], rng)
                        for t, rng in enumerate(rngs[g:g + group])])
-        score = _StackScorer(logw, cand[g:g + group])
+        score = _StackScorer(logw, cand[g:g + group], screen)
         for lo in range(0, trials_noise, rows):
-            errors, ties = _count_errors(score(ys[:, lo:lo + rows]),
-                                         sent[:, lo:lo + rows],
-                                         rngs[g:g + group])
+            y = ys[:, lo:lo + rows]
+            errors, ties = _count_errors(score(y), sent[:, lo:lo + rows],
+                                         rngs[g:g + group], score, y)
             realized += errors
             pessimistic += ties
     return realized, pessimistic
 
 
-def _count_errors(ll, sent, rngs) -> tuple[int, int]:
+def _count_errors(ll, sent, rngs, score, ys) -> tuple[int, int]:
     """Decoding errors and ties-as-error count of one row block of the
-    (codes, rows, M) score stack ``ll`` with transmitted candidates ``sent``
-    (codes, rows); the block is freed on return, before the next one is
-    scored."""
-    top, n_tied, decoded = _ml_decide(ll, rngs)
-    sent_ll = ll.reshape(sent.size, -1)[np.arange(sent.size),
-                                        sent.ravel()].reshape(sent.shape)
+    (codes, rows, M) score stack ``ll = score(ys)`` with transmitted
+    candidates ``sent`` (codes, rows).  A screening ``score`` has its
+    float32 scores decided by ``_screen_decide``, or, where re-scoring the
+    contenders would cost more than the block's float64 scores, those by
+    ``_ml_decide`` (a contender reads n letters, at about four times the
+    cost of one score of the product).  The blocks are freed on return,
+    before the next one is scored."""
+    decided = None
+    if score.slack is not None:
+        decided = _screen_decide(ll, sent, rngs, score.slack,
+                                 functools.partial(score.exact, ys),
+                                 ll.size // (4 * ys.shape[2]))
+        if decided is None:
+            ll = score.dense(ys)
+    if decided is None:
+        top, n_tied, decoded = _ml_decide(ll, rngs)
+        sent_ll = ll.reshape(sent.size, -1)[np.arange(sent.size),
+                                            sent.ravel()].reshape(sent.shape)
+        decided = n_tied, decoded, top > sent_ll + _TIE_ATOL
+    n_tied, decoded, beaten = decided
     # a bound counts the trial whenever any competitor reaches the
     # transmitted word's likelihood
     return (int(np.count_nonzero(decoded != sent)),
-            int(np.count_nonzero((top > sent_ll + _TIE_ATOL) | (n_tied > 1))))
+            int(np.count_nonzero(beaten | (n_tied > 1))))
 
 
 def simulate_error(ensemble_params, channel, quantizers, trials_codes: int,
@@ -690,7 +845,9 @@ def simulate_error(ensemble_params, channel, quantizers, trials_codes: int,
     Consecutive trials whose codes fit one elimination stack are sampled
     and checked as one stack and scored and decided in batched products;
     larger codes run one per stack, several at once on a thread pool of
-    this call where BLAS leaves CPUs idle.  Neither changes a result."""
+    this call where BLAS leaves CPUs idle; codes of 512 or more candidates
+    are screened in float32 before their contenders are scored in float64.
+    None of these changes a result."""
     n, var_degree, check_degree, q, r = _check_ensemble_params(
         ensemble_params)
     if trials_codes < 1 or trials_noise < 1:
@@ -725,9 +882,9 @@ def simulate_error(ensemble_params, channel, quantizers, trials_codes: int,
     # the many small codes of a chunk run faster inline, as one stack
     in_flight = 1
     if len(chunks[0]) == 1 < len(chunks):
-        matrix = 8 * num ** len(qzs) * n * channel.w.shape[-1]
-        in_flight = max(1, min(_CPUS // _blas_threads(),
-                               _FLIGHT_BYTES // matrix))
+        in_flight = max(1, min(_CPUS // _blas_threads(), _FLIGHT_BYTES
+                               // _trial_bytes(channel, qzs, n, num,
+                                               trials_noise)))
     pool = None
     if in_flight > 1:
         from concurrent.futures import ThreadPoolExecutor
@@ -914,11 +1071,13 @@ def min_distance(codebook) -> int:
         raise GuardError(f"pair scan exceeds the operation guard: "
                          f"{(m1 * m2) ** 2 * n} > {_PAIR_OPS_GUARD}")
     # n minus the most positions where both users' words agree: E1 E2^T
-    # over the (m1^2, n) and (m2^2, n) symbol-equality tables, exact
-    # integer counts in float64, reduced in place
+    # over the (m1^2, n) and (m2^2, n) symbol-equality tables, reduced in
+    # place; float32 holds every count, partial sums included, exactly
+    # while n < 2^24, and takes a third of float64's time at n = 8
+    dtype = np.float32 if n < 1 << 24 else np.float64
     e1 = (w1[:, None, :] == w1[None, :, :]).reshape(m1 * m1, n)
     e2 = (w2[:, None, :] == w2[None, :, :]).reshape(m2 * m2, n)
-    agree = e1.astype(np.float64) @ e2.T.astype(np.float64)
+    agree = e1.astype(dtype) @ e2.T.astype(dtype)
     # the pair of a message pair with itself is no pair
     agree[np.ix_(np.arange(m1) * (m1 + 1), np.arange(m2) * (m2 + 1))] = -1
     return n - int(agree.max())

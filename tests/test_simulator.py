@@ -7,6 +7,7 @@ were sized, not a per-run coin flip.
 
 import concurrent.futures
 import dataclasses
+import functools
 import hashlib
 import inspect
 import json
@@ -513,6 +514,120 @@ def test_scorer_matches_onehot_oracle(name):
     for c in range(codes):
         alone = simulator._StackScorer(logw, cand[c:c + 1])(ys[c:c + 1])
         assert np.array_equal(alone[0], got[c])
+    # the float32 screening scores stay within the proven error bound of
+    # every finite score, and impossible ones stay impossible
+    screen = simulator._StackScorer(logw, cand, screen=True)
+    rough = screen(ys)
+    assert rough.dtype == np.float32
+    e = (screen.slack - simulator._TIE_ATOL) / 2
+    for c in range(codes):
+        want = oracles.log_likelihoods_onehot(logw, cand[c], ys[c])
+        finite = want > 0.5 * simulator._LOG_ZERO
+        assert np.all(np.abs(rough[c][finite] - want[finite]) <= e)
+        assert np.all(rough[c][~finite] <= 0.5 * simulator._LOG_ZERO)
+
+
+# channels for the float32 screen: the score channels, BSC(1/2), where
+# every candidate ties, a Z-channel and a skewed 2 x 3 channel with three
+# and six distinct finite log levels, and a float channel whose distinct
+# scores differ by about 1e-7: inside float32 rounding at these score
+# sizes, outside _TIE_ATOL
+SCREEN_CHANNELS = {
+    **{name: make for name, (make, _) in SCORE_CHANNELS.items()},
+    "bsc-half": lambda: bsc("1/2"),
+    "z": lambda: DmcModel.from_rows([["1", "0"], ["3/10", "7/10"]]),
+    "skew-2x3": lambda: DmcModel.from_rows([[0.7, 0.2, 0.1],
+                                            [0.05, 0.35, 0.6]]),
+    "near-1e-7": lambda: DmcModel.from_rows([[0.8, 0.2],
+                                             [0.2 + 1e-7, 0.8 - 1e-7]]),
+}
+
+
+def _screen_case(ch, m, seed):
+    """Three codes of m random candidate words at n = 9, all sending input
+    0 first, and 300 output rows each: 200 sent through the channel and
+    100 random, of which the last 10, where the channel has zeros, start
+    with a letter input 0 never yields, impossible under every candidate;
+    and the sent words."""
+    w = ch.w.reshape(-1, ch.w.shape[-1])
+    rng = np.random.default_rng(seed)
+    codes, n = 3, 9
+    cand = rng.integers(0, w.shape[0], size=(codes, m, n)).astype(np.uint8)
+    cand[:, :, 0] = 0
+    sent = rng.integers(m, size=(codes, 300))
+    ys = np.empty((codes, 300, n), dtype=np.int64)
+    for c in range(codes):
+        ys[c, :200] = simulator._sample_outputs(w, cand[c, sent[c, :200]], rng)
+        ys[c, 200:] = rng.integers(0, w.shape[1], size=(100, n))
+    dead = np.flatnonzero(w[0] == 0.0)
+    if dead.size:
+        ys[:, -10:, 0] = dead[0]
+    return simulator._log_table(w), cand, sent, ys
+
+
+@pytest.mark.parametrize("m", [1, 40, 600])
+@pytest.mark.parametrize("name", sorted(SCREEN_CHANNELS))
+def test_screen_matches_dense_oracle(name, m):
+    # decisions, tie counts, ties-as-error and the generators' states
+    # after the draws match the dense float64 decision of every candidate
+    ch = SCREEN_CHANNELS[name]()
+    logw, cand, sent, ys = _screen_case(ch, m, len(name) + m)
+    score = simulator._StackScorer(logw, cand, screen=True)
+    got = [simulator._keyed_rng(5, 3 + c) for c in range(3)]
+    n_tied, decoded, beaten = simulator._screen_decide(
+        score(ys), sent, got, score.slack,
+        functools.partial(score.exact, ys), math.inf)
+    hopeless = 0
+    for c in range(3):
+        ll = oracles.log_likelihoods_onehot(logw, cand[c], ys[c])
+        want_rng = simulator._keyed_rng(5, 3 + c)
+        want = oracles.ml_decide_rows(ll, want_rng, simulator._TIE_ATOL,
+                                      simulator._LOG_ZERO)
+        top = ll.max(axis=1)
+        dead = top <= 0.5 * simulator._LOG_ZERO
+        tied = np.where(dead, m, np.sum(
+            ll >= (top - simulator._TIE_ATOL)[:, None], axis=1))
+        sent_ll = ll[np.arange(300), sent[c]]
+        assert np.array_equal(decoded[c], want)
+        assert np.array_equal(n_tied[c], tied)
+        assert np.array_equal(beaten[c] | (n_tied[c] > 1),
+                              (top > sent_ll + simulator._TIE_ATOL)
+                              | (tied > 1))
+        assert got[c].random() == want_rng.random()
+        hopeless += int(dead.sum())
+    assert (hopeless > 0) == bool(np.any(ch.w.reshape(-1, ch.w.shape[-1])[0]
+                                         == 0.0))
+
+
+def test_screen_declines_many_contenders():
+    # BSC(1/2) ties every candidate: past ``most`` contenders the screen
+    # returns None before drawing, and the block is decided in float64
+    logw, cand, sent, ys = _screen_case(bsc("1/2"), 600, 1)
+    score = simulator._StackScorer(logw, cand, screen=True)
+    rng = [simulator._keyed_rng(5, 3 + c) for c in range(3)]
+    assert simulator._screen_decide(score(ys), sent, rng, score.slack,
+                                    functools.partial(score.exact, ys),
+                                    3 * 300 * 600 - 1) is None
+    assert rng[0].random() == simulator._keyed_rng(5, 3).random()
+    assert score.dense(ys).dtype == np.float64
+
+
+@pytest.mark.parametrize("case", [
+    ((20, 2, 4, 2), lambda: bsc("11/100"), 3, 200),
+    ((20, 2, 4, 2), lambda: bsc("1/2"), 2, 100),
+    ((20, 2, 4, 2), SCREEN_CHANNELS["near-1e-7"], 2, 200),
+    ((20, 2, 4, 2), SCREEN_CHANNELS["z"], 2, 200),
+    ((12, 2, 4, 3), lambda: _TSC, 2, 300),
+])
+def test_simulate_screened_matches_dense(monkeypatch, case):
+    # 1,024 and 729 candidates: the same report screened or not
+    ensemble, make, codes, noise = case
+    qz = _qz(ensemble[3], [f"1/{ensemble[3]}"] * ensemble[3])
+    args = (ensemble, make(), qz, codes, noise, 4)
+    assert ensemble[3] ** (ensemble[0] // 2) >= simulator._SCREEN_MIN
+    screened = simulate_error(*args)
+    monkeypatch.setattr(simulator, "_SCREEN_MIN", 1 << 30)
+    assert simulate_error(*args) == screened
 
 
 @pytest.mark.parametrize("symbol", [-1, 2])
@@ -630,18 +745,20 @@ def test_simulate_blocks_match_one_block(monkeypatch):
     # blocks of 50 rows here
     bec = DmcModel.from_rows([["1/2", "1/2", "0"], ["0", "1/2", "1/2"]])
     args = ((8, 2, 4, 2), bec, binary_quantizer(), 5, 300, 9)
-    assert 16 * 300 <= simulator._SCORE_BLOCK
+    assert 8 * 16 * 300 <= simulator._SCORE_BYTES
     whole = simulate_error(*args)
-    monkeypatch.setattr(simulator, "_SCORE_BLOCK", 16 * 50)
+    monkeypatch.setattr(simulator, "_SCORE_BYTES", 8 * 16 * 50)
     blocked = simulate_error(*args)
     assert blocked == whole
     assert 0.0 < whole.value < whole.components["ties_as_error_rate"]
 
 
 def test_simulate_peak_memory():
-    # 4,096 candidates by 2,000 noise words at n = 24: the score matrix is
-    # 0.8 MB and each row block of scores 4 MB, and one block is alive at
-    # a time
+    # 4,096 candidates by 2,000 noise words at n = 24: they are screened,
+    # so the score table is 0.4 MB of float32 and each row block of scores
+    # 4 MB, and one block is alive at a time, with a copy of its rows that
+    # have several contenders (9.1 MB traced; 8.0 MB when the table and
+    # blocks were float64)
     tracemalloc.start()
     try:
         simulate_error((24, 3, 6, 2), bsc("11/100"), binary_quantizer(),
@@ -653,13 +770,14 @@ def test_simulate_peak_memory():
 
 
 def _score_blocks(monkeypatch):
-    """A list that gains the shape of every row block of scores decided."""
+    """A list that gains the shape of every row block of scores decided,
+    float64 or screened."""
     blocks = []
     count = simulator._count_errors
 
-    def spy(ll, sent, rngs):
+    def spy(ll, *args):
         blocks.append(ll.shape)
-        return count(ll, sent, rngs)
+        return count(ll, *args)
 
     monkeypatch.setattr(simulator, "_count_errors", spy)
     return blocks
@@ -667,10 +785,11 @@ def _score_blocks(monkeypatch):
 
 def test_stacked_chunk_scores_within_score_block(monkeypatch):
     # the adder MAC at n = 12 puts 10 trials of 64 x 64 = 4,096 candidates
-    # into one chunk.  A trial scores 128 rows per block, as it would
+    # into one chunk.  A trial scores 256 rows per block, as it would
     # alone, so the trials take one product each and a block holds
-    # _SCORE_BLOCK scores (4 MB); the 500 rows of all ten trials at once
-    # would take 164 MB.  The stacked candidates and outputs take 1 MB.
+    # _SCORE_BYTES of screened float32 scores (4 MB); the 500 rows of all
+    # ten trials at once would take 82 MB.  The stacked candidates and
+    # outputs take 1 MB.
     blocks = _score_blocks(monkeypatch)
     assert len(simulator._chunks(10, (12, 3, 6), 2, 64)) == 1
     tracemalloc.start()
@@ -682,7 +801,8 @@ def test_stacked_chunk_scores_within_score_block(monkeypatch):
         tracemalloc.stop()
     assert {shape[2] for shape in blocks} == {4096}
     assert sum(shape[0] * shape[1] for shape in blocks) == 10 * 500
-    assert max(math.prod(shape) for shape in blocks) <= simulator._SCORE_BLOCK
+    assert max(4 * math.prod(shape) for shape in blocks) \
+        <= simulator._SCORE_BYTES
     assert peak < 12e6
     # 21 BSC codes of 64 words share one chunk, and the 200 rows of five
     # of them fit one product of _STACK_SCORES scores
@@ -746,11 +866,12 @@ def _pooled_n30_peak():
 
 @pytest.mark.parametrize("cpus", [2, 64])
 def test_pooled_codes_peak_under_one_inline_code(monkeypatch, cpus):
-    # 2^15 candidates at n = 30: each code in flight holds a 7.9 MB score
-    # matrix, a share of the 4 MB score block and 1 MB of uint8 inputs, and
-    # _FLIGHT_BYTES admits two of them on any number of CPUs.  The bound is
-    # the peak of the int64 inline route this pool replaced, one code at a
-    # time.
+    # 2^15 candidates at n = 30: each code in flight holds a 4.1 MB float32
+    # score table, 1 MB of uint8 candidates, 50 kB of messages and outputs
+    # and a share of the 4 MB score block, and _FLIGHT_BYTES admits six of
+    # them, so all three run at once on 64 CPUs (20 MB traced; 17 MB on
+    # two).  The bound is the peak of the int64 inline route this pool
+    # replaced, one code at a time.
     _pool_on(monkeypatch, cpus)
     used = _spy_executor(monkeypatch)
     assert len(simulator._chunks(3, (30, 3, 6), 1, 1 << 15)) == 3
@@ -760,7 +881,9 @@ def test_pooled_codes_peak_under_one_inline_code(monkeypatch, cpus):
 
 def test_pool_leaves_cpus_that_blas_uses(monkeypatch):
     # BLAS on every CPU already runs the score product in parallel, and a
-    # code whose score matrix alone passes _FLIGHT_BYTES runs alone
+    # code whose bytes alone pass _FLIGHT_BYTES runs alone: 4,096 screened
+    # candidates at n = 24 hold a float32 table of width 25 and uint8
+    # words, and the 150 noise rows their messages and int64 outputs
     _pool_on(monkeypatch, 2)
     used = _spy_executor(monkeypatch)
     run = POOLED["bsc_n24"]
@@ -770,7 +893,10 @@ def test_pool_leaves_cpus_that_blas_uses(monkeypatch):
     monkeypatch.setattr(simulator, "_blas_threads", lambda: 2)
     assert run() == want
     monkeypatch.setattr(simulator, "_blas_threads", lambda: 1)
-    monkeypatch.setattr(simulator, "_FLIGHT_BYTES", 8 * 4096 * 24 * 2 - 1)
+    held = 4096 * (4 * 25 + 24) + 8 * 150 * (24 + 1)
+    assert simulator._trial_bytes(bsc("11/100"), (_Q2,), 24, 4096,
+                                  150) == held
+    monkeypatch.setattr(simulator, "_FLIGHT_BYTES", held - 1)
     assert run() == want
     assert used == []
 
