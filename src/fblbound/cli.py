@@ -402,8 +402,8 @@ def cmd_simulate(channel_path: str, q: int, var_degree: int,
     trials of a chunk share one candidate count, so their words and checks
     run as one stack, their scores and ML decisions as batched products,
     and (point-to-point) their minimum distances by one pair scan.  Large
-    codes run one per chunk, several at a time on the decoding pool (see
-    ``simulate_error``).
+    codes run one per chunk, one at a time; every code runs on the calling
+    thread.
 
     The rate-gap statistics read exactly the codes behind eps_hat (for a
     MAC, user 1's graph of each trial).  The minimum-distance histogram is

@@ -18,8 +18,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-import os
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -36,9 +35,7 @@ _TUPLE_GUARD = 1_000_000  # codeword pairs of a two-user spectrum trial
 _PAIR_OPS_GUARD = 10 ** 9
 _PAIR_BLOCK = 1 << 22  # symbol comparisons per block of the pair scan
 # bytes of candidate scores per row block (at least 16 rows): 2^19
-# float64 scores, or 2^20 screened float32 ones (with 2^19 of them, twice
-# the blocks made the benchmark's pooled codes of 2^12 and 2^15 words
-# 16-23% slower)
+# float64 scores, or 2^20 screened float32 ones
 _SCORE_BYTES = 1 << 22
 _STACK_SCORES = 1 << 16  # scores of the trials stacked into one product
 # candidates from which a code's rows are screened in float32 (see
@@ -54,15 +51,6 @@ _STACK_ENTRIES = 1 << 18
 _TIE_ATOL = 1e-9
 _LOG_ZERO = -1e30  # stand-in for log 0; keeps impossible words out of ties
 _WILSON_Z = 1.96
-# bytes of score tables, candidates and outputs that the large code trials
-# decoded at once may hold between them (one trial always runs): six BSC
-# codes of 2^15 words at n = 30 with 200 noise words each
-_FLIGHT_BYTES = 1 << 25
-# the CPUs this process may run on
-try:
-    _CPUS = len(os.sched_getaffinity(0))
-except AttributeError:  # a platform without affinity masks
-    _CPUS = os.cpu_count() or 1
 
 
 # ---------------------------------------------------------------------------
@@ -361,8 +349,7 @@ def _chunks(count: int, shape, users: int, words: int) -> list[range]:
     A range pays once for its draws' stack, its elimination call, its
     nullspace enumeration, checks, coset inputs, candidate stack and score
     groups, so small codes run many to a range; a code whose entries pass
-    the budget runs alone, which lets ``simulate_error`` decode it on the
-    pool."""
+    the budget runs alone."""
     n, var_degree, check_degree = shape
     entries = users * n * max(n * var_degree // check_degree, 4 * words)
     step = max(1, _STACK_ENTRIES // entries)
@@ -683,95 +670,36 @@ def _check_ensemble_params(ensemble_params):
             _ldpc_checks(n, var_degree, check_degree))
 
 
-@functools.cache
-def _openblas_threads_query():
-    """OpenBLAS's thread-count query in the library numpy loaded, or None
-    where none is found (another BLAS): looked up through numpy's linear
-    algebra extension, whose handle also searches the libraries it links."""
-    import ctypes
-    try:
-        from numpy.linalg import _umath_linalg
-        lib = ctypes.CDLL(_umath_linalg.__file__)
-    except (ImportError, OSError):
-        return None
-    for prefix in ("", "scipy_"):
-        for suffix in ("", "64_"):
-            query = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}",
-                            None)
-            if query is not None:
-                return query
-    return None
+def _simulate_chunk(channel, qzs, shape, num: int, rngs, trials_noise: int,
+                    same_coset: bool) -> tuple[int, int]:
+    """Decoding errors and ties-as-error count over the code trials of one
+    chunk, trial t drawing from its generator rngs[t]: for user 1, then
+    user 2, its graph (one stacked elimination per user), its trim to
+    ``num`` words and its coset (with same_coset user 2 reuses user 1's),
+    then its messages, its outputs and its tie-breaks in row order.  The
+    trials share one candidate count, so their words, checks, inputs and
+    candidates run as one stack, and their score tables, scores and
+    decisions in stacks of as many trials as ``_STACK_SCORES`` scores hold
+    (at least one).  A trial scores the rows it would score alone per row
+    block: ``_SCORE_BYTES`` of scores (at least 16 rows, and all of them
+    when fewer).  From ``_SCREEN_MIN`` candidates the rows are screened in
+    float32 and only their contenders scored in float64
+    (``_screen_decide``); the decisions are the same.
 
-
-def _blas_threads() -> int:
-    """The threads numpy's BLAS runs a matrix product on, read at each
-    call; every CPU when that cannot be read."""
-    query = _openblas_threads_query()
-    return _CPUS if query is None else max(1, int(query()))
-
-
-def _trial_bytes(channel, qzs, n: int, num: int, trials_noise: int) -> int:
-    """Bytes one code trial of ``_simulate_chunk`` holds while it decodes,
-    row blocks aside (the trials in flight share one ``_SCORE_BYTES``):
-    its score table of M rows (float32 when screened, width K as
-    ``_StackScorer`` builds it), its M candidate words and its int64
-    messages and output words, for M = num^users."""
-    m, letters = num ** len(qzs), channel.w.shape[-1]
-    free = int(np.all(channel.w > 0.0, axis=tuple(
-        range(channel.w.ndim - 1))).any())
-    width = n * (letters - free) + free
-    symbol = np.result_type(np.min_scalar_type(channel.w.size // letters - 1),
-                            *(qz.field.symbol_dtype for qz in qzs)).itemsize
-    table = 4 if m >= _SCREEN_MIN else 8
-    return m * (table * width + symbol * n) + 8 * trials_noise * (n + 1)
-
-
-def _draw_trials(qzs, shape, num: int, rngs, same_coset: bool):
-    """The draws of the code trials of one chunk, made on the calling
-    thread: for user 1, then user 2, each trial's graph (one stacked
-    elimination per user), trim to ``num`` words and coset, from the
-    trial's generator rngs[t]; with same_coset user 2 reuses user 1's
-    cosets.  Returns per trial a tuple over users of (plan, coset), a plan
-    as ``_code_plans`` gives it."""
-    users = []
+    The words are freed once their inputs exist, the messages and outputs
+    of a stack of trials are drawn just before it is scored and freed
+    after, and everything else is freed when the chunk returns."""
+    n = shape[0]
+    flat_w = channel.w.reshape(-1, channel.w.shape[-1])
+    inputs = []  # per user, the (trials, words, n) input stack
     cosets = None
     for qz in qzs:
         ranks, bases, _ = _sample_graphs(shape, qz.field, rngs)
         plans = _code_plans(qz.field, ranks, bases, num, rngs)
-        if not (same_coset and cosets):
-            cosets = [rng.integers(0, qz.field.q, size=shape[0])
-                      for rng in rngs]
-        users.append(list(zip(plans, cosets)))
-    return list(zip(*users))
-
-
-def _simulate_chunk(channel, qzs, trials, rngs, trials_noise: int,
-                    in_flight: int) -> tuple[int, int]:
-    """Decoding errors and ties-as-error count over the drawn code trials
-    ``trials`` of one chunk (see ``_draw_trials``), trial t drawing its
-    messages, then its outputs, then its tie-breaks in row order from
-    rngs[t].  The trials share one candidate count, so their words, checks,
-    inputs and candidates run as one stack, and their score tables, scores
-    and decisions in stacks of as many trials as ``_STACK_SCORES`` scores
-    hold (at least one).  A trial scores the rows it would score alone per
-    row block: ``_SCORE_BYTES`` of scores (at least 16 rows, and all of them
-    when fewer), and each of the ``in_flight`` chunks decoded at once
-    scores a 1/in_flight share (at least 8 rows).  From ``_SCREEN_MIN``
-    candidates the rows are screened in float32 and only their contenders
-    scored in float64 (``_screen_decide``); the decisions are the same.
-
-    Calls no public function of the package, so it can run on a worker
-    thread.  The words are freed once their inputs exist, the messages and
-    outputs of a stack of trials are drawn just before it is scored and
-    freed after, and everything else is freed when the chunk returns."""
-    n = trials[0][0][1].size  # the length of a coset
-    flat_w = channel.w.reshape(-1, channel.w.shape[-1])
-    inputs = []  # per user, the (trials, words, n) input stack
-    for u, qz in enumerate(qzs):
-        codes = [trial[u] for trial in trials]
-        words = np.stack(_enumerate_codes(qz.field,
-                                          [plan for plan, _ in codes]))
-        cosets = np.stack([v for _, v in codes])
+        if cosets is None or not same_coset:
+            cosets = np.stack([rng.integers(0, qz.field.q, size=n)
+                               for rng in rngs])
+        words = np.stack(_enumerate_codes(qz.field, plans))
         inputs.append(_coset_inputs(qz, words, cosets))
         _check_books(qz.field, words, cosets, inputs[-1])
         del words
@@ -780,8 +708,8 @@ def _simulate_chunk(channel, qzs, trials, rngs, trials_noise: int,
     codes, num_messages = cand.shape[:2]
     logw = _log_table(flat_w)
     screen = num_messages >= _SCREEN_MIN
-    rows = min(trials_noise, max(8, max(16, _SCORE_BYTES // (
-        (4 if screen else 8) * num_messages)) // in_flight))
+    rows = min(trials_noise, max(16, _SCORE_BYTES // (
+        (4 if screen else 8) * num_messages)))
     # stack no more trials than keep each trial's own row block: a shorter
     # block reads the trial's whole score table for fewer rows
     group = max(1, _STACK_SCORES // (rows * num_messages))
@@ -844,10 +772,10 @@ def simulate_error(ensemble_params, channel, quantizers, trials_codes: int,
 
     Consecutive trials whose codes fit one elimination stack are sampled
     and checked as one stack and scored and decided in batched products;
-    larger codes run one per stack, several at once on a thread pool of
-    this call where BLAS leaves CPUs idle; codes of 512 or more candidates
-    are screened in float32 before their contenders are scored in float64.
-    None of these changes a result."""
+    larger codes run one per stack; codes of 512 or more candidates are
+    screened in float32 before their contenders are scored in float64.
+    Every trial runs on the calling thread.  None of these changes a
+    result."""
     n, var_degree, check_degree, q, r = _check_ensemble_params(
         ensemble_params)
     if trials_codes < 1 or trials_noise < 1:
@@ -875,43 +803,13 @@ def simulate_error(ensemble_params, channel, quantizers, trials_codes: int,
             raise ValueError("quantizer field does not match ensemble q")
     shape = (n, var_degree, check_degree)
     num = _design_count(n - r, q)
-    chunks = _chunks(trials_codes, shape, len(qzs), num)
-    # chunks of one trial hold large codes: decode as many at once as the
-    # CPUs that BLAS leaves idle and _FLIGHT_BYTES of score matrices allow
-    # (BLAS on every CPU already runs the dominant product in parallel);
-    # the many small codes of a chunk run faster inline, as one stack
-    in_flight = 1
-    if len(chunks[0]) == 1 < len(chunks):
-        in_flight = max(1, min(_CPUS // _blas_threads(), _FLIGHT_BYTES
-                               // _trial_bytes(channel, qzs, n, num,
-                                               trials_noise)))
-    pool = None
-    if in_flight > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        pool = ThreadPoolExecutor(in_flight,
-                                  thread_name_prefix="fblbound-decode")
-    counts = []  # each chunk's (errors, ties), in chunk order
-    pending = deque()  # the chunks on the pool, oldest first
-    try:
-        for chunk in chunks:
-            rngs = [_keyed_rng(seed, tc) for tc in chunk]
-            trials = _draw_trials(qzs, shape, num, rngs, same_coset)
-            if pool is None:
-                counts.append(_simulate_chunk(channel, qzs, trials, rngs,
-                                              trials_noise, 1))
-                continue
-            if len(pending) == in_flight:
-                counts.append(pending.popleft().result())
-            pending.append(pool.submit(_simulate_chunk, channel, qzs, trials,
-                                       rngs, trials_noise, in_flight))
-        while pending:
-            counts.append(pending.popleft().result())
-    finally:
-        if pool is not None:
-            # drops the queued trials and waits for the running ones
-            pool.shutdown(cancel_futures=True)
-    realized = sum(errors for errors, _ in counts)
-    pessimistic = sum(ties for _, ties in counts)
+    realized = pessimistic = 0
+    for chunk in _chunks(trials_codes, shape, len(qzs), num):
+        errors, ties = _simulate_chunk(
+            channel, qzs, shape, num, [_keyed_rng(seed, tc) for tc in chunk],
+            trials_noise, same_coset)
+        realized += errors
+        pessimistic += ties
     num_messages = num ** len(qzs)
     total = trials_codes * trials_noise
     eps_hat = realized / total

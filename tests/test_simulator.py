@@ -5,18 +5,14 @@ practice; the stated 3-sigma / p > 0.001 envelopes describe how they
 were sized, not a per-run coin flip.
 """
 
-import concurrent.futures
 import dataclasses
 import functools
 import hashlib
-import inspect
 import json
 import math
-import multiprocessing
 import os
 import subprocess
 import sys
-import threading
 import tracemalloc
 
 import numpy as np
@@ -830,199 +826,63 @@ def test_stacked_chunk_draws_messages_and_outputs_per_stack():
 
 
 # ---------------------------------------------------------------------------
-# large code trials on the thread pool
+# large code trials, one at a time on the calling thread
 
 
-def _pool_on(monkeypatch, cpus):
-    """Decode as if on ``cpus`` CPUs, with BLAS on one."""
-    monkeypatch.setattr(simulator, "_CPUS", cpus)
-    monkeypatch.setattr(simulator, "_blas_threads", lambda: 1)
-
-
-def _spy_executor(monkeypatch):
-    """A list that gains one entry per thread pool made."""
-    used = []
-    real = concurrent.futures.ThreadPoolExecutor
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
-                        lambda *args, **kwargs: used.append(1)
-                        or real(*args, **kwargs))
-    return used
-
-
-def _decoding_threads():
-    return [t for t in threading.enumerate()
-            if t.name.startswith("fblbound-decode")]
-
-
-def _pooled_n30_peak():
+def test_large_codes_peak_memory():
+    # 2^15 candidates at n = 30 run one code per chunk: each holds a 4.1 MB
+    # float32 score table, 1 MB of uint8 candidates, 50 kB of messages and
+    # outputs and a 4 MB score block (13.4 MB traced, on numpy 2.4; 16.5 MB
+    # with two codes decoded at once and 20 MB with three)
+    assert len(simulator._chunks(3, (30, 3, 6), 1, 1 << 15)) == 3
     tracemalloc.start()
     try:
         simulate_error((30, 3, 6, 2), bsc("11/100"), binary_quantizer(), 3,
                        200, 1)
-        return tracemalloc.get_traced_memory()[1]
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert peak < 15e6
 
 
-@pytest.mark.parametrize("cpus", [2, 64])
-def test_pooled_codes_peak_under_one_inline_code(monkeypatch, cpus):
-    # 2^15 candidates at n = 30: each code in flight holds a 4.1 MB float32
-    # score table, 1 MB of uint8 candidates, 50 kB of messages and outputs
-    # and a share of the 4 MB score block, and _FLIGHT_BYTES admits six of
-    # them, so all three run at once on 64 CPUs (20 MB traced; 17 MB on
-    # two).  The bound is the peak of the int64 inline route this pool
-    # replaced, one code at a time.
-    _pool_on(monkeypatch, cpus)
-    used = _spy_executor(monkeypatch)
-    assert len(simulator._chunks(3, (30, 3, 6), 1, 1 << 15)) == 3
-    assert _pooled_n30_peak() < 27.3e6
-    assert used
+_NO_THREADS = """
+import dataclasses, json, threading
+from fblbound.channel import InputPmf, bsc, make_quantizer
+from fblbound.gfq import make_field
+from fblbound.simulator import simulate_error
+
+started = []
+start = threading.Thread.start
+threading.Thread.start = lambda self: started.append(self.name) or start(self)
+report = simulate_error((24, 3, 6, 2), bsc("11/100"),
+                        make_quantizer(make_field(2, 1), InputPmf.uniform(2)),
+                        4, 150, 2)
+print(json.dumps({"started": started, "active": threading.active_count(),
+                  "names": [t.name for t in threading.enumerate()],
+                  "report": dataclasses.asdict(report)}))
+"""
 
 
-def test_pool_leaves_cpus_that_blas_uses(monkeypatch):
-    # BLAS on every CPU already runs the score product in parallel, and a
-    # code whose bytes alone pass _FLIGHT_BYTES runs alone: 4,096 screened
-    # candidates at n = 24 hold a float32 table of width 25 and uint8
-    # words, and the 150 noise rows their messages and int64 outputs
-    _pool_on(monkeypatch, 2)
-    used = _spy_executor(monkeypatch)
-    run = POOLED["bsc_n24"]
-    want = run()
-    assert used
-    used.clear()
-    monkeypatch.setattr(simulator, "_blas_threads", lambda: 2)
-    assert run() == want
-    monkeypatch.setattr(simulator, "_blas_threads", lambda: 1)
-    held = 4096 * (4 * 25 + 24) + 8 * 150 * (24 + 1)
-    assert simulator._trial_bytes(bsc("11/100"), (_Q2,), 24, 4096,
-                                  150) == held
-    monkeypatch.setattr(simulator, "_FLIGHT_BYTES", held - 1)
-    assert run() == want
-    assert used == []
-
-
-@pytest.mark.parametrize("threads", [1, 2])
-def test_blas_threads_reads_openblas(threads):
-    if simulator._openblas_threads_query() is None:
-        pytest.skip("numpy's BLAS is not OpenBLAS")
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
-               PYTHONPATH=os.pathsep.join(sys.path))
-    out = subprocess.run(
-        [sys.executable, "-c", "from fblbound import simulator; "
-         "print(simulator._blas_threads())"],
-        env=env, capture_output=True, text=True, check=True)
-    assert int(out.stdout) == threads
-
-
-POOLED = {
-    "bsc_n24": lambda: simulate_error((24, 3, 6, 2), bsc("11/100"),
-                                      binary_quantizer(), 4, 150, 2),
-    "ternary_n12": lambda: simulate_error(
-        (12, 2, 4, 3), _TSC, _qz(3, ["1/3", "1/3", "1/3"]), 5, 100, 4),
-    "adder_mac": lambda: simulate_error(
-        (12, 3, 6, 2), binary_adder_mac(), (_Q2, _Q2), 4, 60, 6),
-    "adder_mac_shared": lambda: simulate_error(
-        (12, 3, 6, 2), binary_adder_mac(), (_Q2, _Q2), 4, 60, 6,
-        same_coset=True),
-}
-
-
-@pytest.mark.parametrize("name", sorted(POOLED))
-def test_pool_matches_one_thread(monkeypatch, name):
-    # the adder MAC's 64-word codes and the ternary n = 12 codes fill one
-    # chunk each only with a tiny stack budget; more threads than CPUs and
-    # a short switch interval interleave the trials as much as possible
-    monkeypatch.setattr(simulator, "_STACK_ENTRIES", 1)
-    used = _spy_executor(monkeypatch)
-    default = simulator._CPUS
-    _pool_on(monkeypatch, 1)
-    inline = POOLED[name]()
-    assert used == []
-    interval = sys.getswitchinterval()
-    for cpus in (max(2, default), 3):
-        _pool_on(monkeypatch, cpus)
-        sys.setswitchinterval(1e-5)
-        try:
-            assert POOLED[name]() == inline
-        finally:
-            sys.setswitchinterval(interval)
-    assert len(used) == 2
-
-
-def _pooled_bsc_n24():
-    return POOLED["bsc_n24"]()
-
-
-def test_pool_threads_end_with_the_call(monkeypatch):
-    # each call makes its own pool and shuts it down before it returns
-    _pool_on(monkeypatch, 2)
-    used = _spy_executor(monkeypatch)
-    POOLED["bsc_n24"]()
-    assert used
-    assert _decoding_threads() == []
-
-
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
-def test_forked_child_decodes_on_its_own_pool(monkeypatch):
-    # a pool's threads do not survive a fork; a child forked after the
-    # parent decoded on a pool makes one of its own
-    _pool_on(monkeypatch, 2)
-    want = _pooled_bsc_n24()
-    with multiprocessing.get_context("fork").Pool(1) as child:
-        assert child.apply_async(_pooled_bsc_n24).get(timeout=60) == want
-
-
-def test_pool_threads_call_no_public_function(monkeypatch):
-    # worker threads may not reach a public function: an outside tracer
-    # that wraps them keeps one call stack for every thread
-    threads = []
-
-    def spy(fn):
-        def wrapped(*args, **kwargs):
-            threads.append((fn.__qualname__, threading.current_thread()))
-            return fn(*args, **kwargs)
-        return wrapped
-
-    modules = [m for name, m in sys.modules.items()
-               if name.startswith("fblbound.")]
-    for mod in modules:
-        for attr, value in list(vars(mod).items()):
-            if (not attr.startswith("_") and inspect.isfunction(value)
-                    and value.__module__.startswith("fblbound.")):
-                monkeypatch.setattr(mod, attr, spy(value))
-    _pool_on(monkeypatch, 2)
-    simulator.simulate_error((24, 3, 6, 2), bsc("11/100"), binary_quantizer(),
-                             4, 150, 2)
-    names = {name for name, _ in threads}
-    assert {"simulate_error", "rank_and_nullspace"} <= names
-    assert all(t is threading.main_thread() for _, t in threads)
-
-
-def test_pool_drops_queued_trials_on_error(monkeypatch):
-    # the first trial fails on its thread; the error reaches the caller
-    # only after every trial that started has finished
-    started, finished = [], []
-    real = simulator._simulate_chunk
-
-    def failing(*args):
-        started.append(threading.current_thread())
-        try:
-            if len(started) == 1:
-                raise RuntimeError("trial failed")
-            return real(*args)
-        finally:
-            finished.append(1)
-
-    monkeypatch.setattr(simulator, "_simulate_chunk", failing)
-    _pool_on(monkeypatch, 2)
-    with pytest.raises(RuntimeError, match="trial failed"):
-        simulate_error((24, 3, 6, 2), bsc("11/100"), binary_quantizer(), 6,
-                       50, 2)
-    assert 1 <= len(started) <= 2  # one code per thread in flight
-    assert len(finished) == len(started)
-    assert threading.main_thread() not in started
-    assert _decoding_threads() == []
-
+@pytest.mark.parametrize("blas", ["1", None])
+def test_large_codes_start_no_thread(blas):
+    # 4,096 candidates at n = 24 run one code per chunk; however many
+    # threads BLAS runs on, no Python thread is started and the report is
+    # the pinned one
+    assert len(simulator._chunks(4, (24, 3, 6), 1, 1 << 12)) == 4
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                        "MKL_NUM_THREADS")}
+    if blas is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas
+    env["PYTHONPATH"] = os.pathsep.join(sys.path)
+    out = json.loads(subprocess.run(
+        [sys.executable, "-c", _NO_THREADS], env=env, capture_output=True,
+        text=True, check=True, timeout=120).stdout)
+    assert out["started"] == []
+    assert out["active"] == 1
+    assert not any(name.startswith("fblbound-decode")
+                   for name in out["names"])
+    assert _digest(out["report"]) == PINNED["bsc_n24"][1]
 
 
 def test_simulated_error_below_bounds():
@@ -1409,6 +1269,25 @@ PINNED = {
                 "c6eca6cb81be1387"),
     "rate_q3": (lambda: actual_rate_stats((12, 2, 4, 3), 100, 4),
                 "58daa7557c0b9f80"),
+    # recorded when large codes were decoded several at once on a thread
+    # pool, alike with it on and off: BSC codes of 2^12 and 2^15 words (one
+    # per chunk), ternary codes of 729 words and adder-MAC codes of 64
+    # words per user (several to a chunk)
+    "bsc_n24": (lambda: simulate_error((24, 3, 6, 2), bsc("11/100"),
+                                       binary_quantizer(), 4, 150, 2),
+                "d07a4c9d4541c550"),
+    "bsc_n30": (lambda: simulate_error((30, 3, 6, 2), bsc("11/100"),
+                                       binary_quantizer(), 3, 200, 1),
+                "ea0598dff3f0e401"),
+    "ternary_n12": (lambda: simulate_error(
+        (12, 2, 4, 3), _TSC, _qz(3, ["1/3", "1/3", "1/3"]), 5, 100, 4),
+                    "9163f8417b8e0da1"),
+    "adder_mac": (lambda: simulate_error(
+        (12, 3, 6, 2), binary_adder_mac(), (_Q2, _Q2), 4, 60, 6),
+                  "440dc3a811d12c11"),
+    "adder_mac_shared": (lambda: simulate_error(
+        (12, 3, 6, 2), binary_adder_mac(), (_Q2, _Q2), 4, 60, 6,
+        same_coset=True), "19084aa6eb0eace6"),
 }
 
 
