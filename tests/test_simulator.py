@@ -8,11 +8,13 @@ were sized, not a per-run coin flip.
 import dataclasses
 import functools
 import hashlib
+import inspect
 import json
 import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -829,16 +831,18 @@ def test_stacked_chunk_draws_messages_and_outputs_per_stack():
 # large code trials, one at a time on the calling thread
 
 
-def test_large_codes_peak_memory():
+@pytest.mark.parametrize("codes", [2, 64])
+def test_pooled_codes_peak_under_one_inline_code(codes):
     # 2^15 candidates at n = 30 run one code per chunk: each holds a 4.1 MB
     # float32 score table, 1 MB of uint8 candidates, 50 kB of messages and
     # outputs and a 4 MB score block (13.4 MB traced, on numpy 2.4; 16.5 MB
-    # with two codes decoded at once and 20 MB with three)
-    assert len(simulator._chunks(3, (30, 3, 6), 1, 1 << 15)) == 3
+    # with two codes decoded at once and 20 MB with three).  Codes decode
+    # one after another, so 64 of them peak where one does.
+    assert len(simulator._chunks(codes, (30, 3, 6), 1, 1 << 15)) == codes
     tracemalloc.start()
     try:
-        simulate_error((30, 3, 6, 2), bsc("11/100"), binary_quantizer(), 3,
-                       200, 1)
+        simulate_error((30, 3, 6, 2), bsc("11/100"), binary_quantizer(),
+                       codes, 200, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -883,6 +887,41 @@ def test_large_codes_start_no_thread(blas):
     assert not any(name.startswith("fblbound-decode")
                    for name in out["names"])
     assert _digest(out["report"]) == PINNED["bsc_n24"][1]
+
+
+def test_pool_threads_end_with_the_call():
+    # a call leaves the same threads running as before it, and none of
+    # them decodes
+    before = set(threading.enumerate())
+    PINNED["bsc_n24"][0]()
+    assert set(threading.enumerate()) == before
+    assert not any(t.name.startswith("fblbound-decode")
+                   for t in threading.enumerate())
+
+
+def test_pool_threads_call_no_public_function(monkeypatch):
+    # every public function runs on the caller's thread: an outside tracer
+    # that wraps them keeps one call stack
+    threads = []
+
+    def spy(fn):
+        def wrapped(*args, **kwargs):
+            threads.append((fn.__qualname__, threading.current_thread()))
+            return fn(*args, **kwargs)
+        return wrapped
+
+    modules = [m for name, m in sys.modules.items()
+               if name.startswith("fblbound.")]
+    for mod in modules:
+        for attr, value in list(vars(mod).items()):
+            if (not attr.startswith("_") and inspect.isfunction(value)
+                    and value.__module__.startswith("fblbound.")):
+                monkeypatch.setattr(mod, attr, spy(value))
+    simulator.simulate_error((24, 3, 6, 2), bsc("11/100"), binary_quantizer(),
+                             4, 150, 2)
+    names = {name for name, _ in threads}
+    assert {"simulate_error", "rank_and_nullspace"} <= names
+    assert all(t is threading.main_thread() for _, t in threads)
 
 
 def test_simulated_error_below_bounds():
