@@ -1327,6 +1327,19 @@ PINNED = {
     "adder_mac_shared": (lambda: simulate_error(
         (12, 3, 6, 2), binary_adder_mac(), (_Q2, _Q2), 4, 60, 6,
         same_coset=True), "19084aa6eb0eace6"),
+    # recorded when the coset words were the nullspace words plus the coset
+    # through FieldSpec.add: one screened code family per field route of
+    # the enumeration, GF(5) (add mod p), GF(8) (XOR) and GF(9) (the add
+    # table), each through a quantizer that is not the identity
+    "sim_q5": (lambda: simulate_error(
+        (8, 2, 4, 5), _TSC, _qz(5, ["1/5", "2/5", "2/5"]), 6, 100, 7),
+               "78a3fa4490ab02ec"),
+    "sim_q8": (lambda: simulate_error(
+        (6, 2, 4, 8), bsc("1/10"), _qz(8, ["1/4", "3/4"]), 6, 100, 8),
+               "4d20d1ee3b55883c"),
+    "sim_q9": (lambda: simulate_error(
+        (6, 2, 4, 9), _TSC, _qz(9, ["1/3", "1/3", "1/3"]), 4, 100, 9),
+               "1837bd548d66499e"),
 }
 
 
