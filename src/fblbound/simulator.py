@@ -186,10 +186,11 @@ def _has_duplicate_rows(words: np.ndarray, q: int) -> bool:
     """Whether two rows of a (m, n) array over [0, q), or of one code of a
     (codes, m, n) stack, are equal.
 
-    Packs floor(62 / bitlen(q - 1)) symbols into each int64 key column,
-    after a column holding the row's code when there are several, one row
-    block of at most ``_FILL_BLOCK`` symbols at a time, sorts the rows by
-    their keys and compares neighbours."""
+    Packs floor(62 / bitlen(q - 1)) symbols into each int64 key, by one
+    integer product per row block of at most ``_FILL_BLOCK`` symbols.  A
+    word of one key has its code's keys sorted and neighbours compared;
+    wider words are sorted by their code, then their key columns, and
+    compared the same way."""
     *codes, m, n = words.shape
     if m < 2:
         return False
@@ -199,41 +200,61 @@ def _has_duplicate_rows(words: np.ndarray, q: int) -> bool:
     words = words.reshape(rows, n)
     bits = (q - 1).bit_length()
     per = 62 // bits
-    shifts = bits * (np.arange(n) % per)
-    lead = int(rows > m)
-    keys = np.empty((rows, lead + -(-n // per)), dtype=np.int64)
-    if lead:
-        keys[:, 0] = np.arange(rows) // m
+    i = np.arange(n)
+    weights = np.zeros((n, -(-n // per)), dtype=np.int64)
+    weights[i, i // per] = 1 << bits * (i % per)
+    keys = np.empty((rows, weights.shape[1]), dtype=np.int64)
     step = max(1, _FILL_BLOCK // n)
     for lo in range(0, rows, step):
-        block = words[lo:lo + step].astype(np.int64) << shifts
-        keys[lo:lo + step, lead:] = np.add.reduceat(
-            block, np.arange(0, n, per), axis=1)
+        np.matmul(words[lo:lo + step], weights, out=keys[lo:lo + step])
+    if keys.shape[1] == 1:
+        keys = keys.reshape(-1, m)
+        keys.sort(axis=1)
+        return bool(np.any(keys[:, 1:] == keys[:, :-1]))
+    keys = np.column_stack([np.arange(rows) // m, keys])
     packed = keys[np.lexsort(keys.T)]
     return bool(np.any(np.all(packed[1:] == packed[:-1], axis=1)))
 
 
-def _enumerate_nullspace(field: FieldSpec, basis: np.ndarray) -> np.ndarray:
+def _add_symbols(field: FieldSpec, a, b, out) -> np.ndarray:
+    """``out = a + b`` over ``field`` for arrays in its symbol dtype, ``b``
+    broadcast against the (..., rows, n) array ``a``, each in the field's
+    own operation: XOR over characteristic 2; over a prime field
+    a - (q - b), plus q where that wraps below zero, so no sum leaves the
+    dtype (q > 128 would pass 255 in uint8); else ``FieldSpec.add``, a row
+    block of at most ``_FILL_BLOCK`` symbols at a time."""
+    if field.p == 2:
+        return np.bitwise_xor(a, b, out=out)
+    if field.m == 1:
+        c = field.q - b
+        np.subtract(a, c, out=out)
+        return np.add(out, field.q, out=out, where=a < c)
+    step = max(1, _FILL_BLOCK // max(1, a[..., 0, :].size))
+    for lo in range(0, a.shape[-2], step):
+        out[..., lo:lo + step, :] = field.add(a[..., lo:lo + step, :], b)
+    return out
+
+
+def _enumerate_nullspace(field: FieldSpec, basis: np.ndarray,
+                         cosets=None) -> np.ndarray:
     """All field-linear combinations of the rows of each basis in the
     (codes, k, n) stack ``basis``, coefficient of the first row varying
-    fastest: a (codes, q^k, n) array in the field's symbol dtype.
+    fastest, each plus its code's row of the (codes, n) stack ``cosets``
+    (zero without it): a (codes, q^k, n) array in the field's symbol dtype.
 
-    The array is filled in place, row block by row block of at most
-    ``_FILL_BLOCK`` symbols per code, so the field arithmetic's int64
-    results are cast into it a block at a time."""
+    The array is filled in place by doubling from the coset vector: the
+    words of coefficient c of row j are the words before row j plus c
+    times row j, added by ``_add_symbols`` at the symbol dtype."""
     codes, k, n = basis.shape
     size = 1
     words = np.empty((codes, field.q ** k, n), dtype=field.symbol_dtype)
-    words[:, 0] = 0
-    step = max(1, _FILL_BLOCK // max(1, codes * n))
+    words[:, 0] = 0 if cosets is None else cosets
     for j in range(k):
         row = basis[:, j, None, :]
         for coef in range(1, field.q):
-            shift = field.mul(coef, row)
-            for lo in range(0, size, step):
-                src = words[:, lo:min(lo + step, size)]
-                start = coef * size + lo
-                words[:, start:start + src.shape[1]] = field.add(src, shift)
+            shift = field.mul(coef, row).astype(field.symbol_dtype)
+            _add_symbols(field, words[:, :size], shift,
+                         words[:, coef * size:(coef + 1) * size])
         size *= field.q
     return words
 
@@ -317,15 +338,17 @@ def _code_plans(field, ranks, bases, num, trim_rngs):
     return plans
 
 
-def _enumerate_codes(field, plans) -> list[np.ndarray]:
-    """The word arrays of the codes ``plans`` (see ``_code_plans``); the
+def _enumerate_codes(field, plans, cosets=None) -> list[np.ndarray]:
+    """The word arrays of the codes ``plans`` (see ``_code_plans``), code
+    i shifted by row i of the (codes, n) stack ``cosets`` when given; the
     codes of one nullity are enumerated as one stack."""
     nullity = np.array([basis.shape[0] for basis, _ in plans])
     books = [None] * len(plans)
     for k in np.unique(nullity).tolist():
         idx = np.flatnonzero(nullity == k)
         stack = np.stack([plans[i][0] for i in idx])
-        for i, book in zip(idx, _enumerate_nullspace(field, stack)):
+        shifts = None if cosets is None else cosets[idx]
+        for i, book in zip(idx, _enumerate_nullspace(field, stack, shifts)):
             keep = plans[i][1]
             books[i] = book if keep is None else book[keep]
     return books
@@ -345,37 +368,31 @@ def _chunks(count: int, shape, users: int, words: int) -> list[range]:
     """Consecutive ranges over count trials, as many per range (at least
     one) as fit _STACK_ENTRIES entries, where a trial holds users check
     matrices of the given shape and users codebooks of ``words`` words;
-    a codebook counts four times (nullspace, words, coset words, inputs).
-    A range pays once for its draws' stack, its elimination call, its
-    nullspace enumeration, checks, coset inputs, candidate stack and score
-    groups, so small codes run many to a range; a code whose entries pass
-    the budget runs alone."""
+    a codebook counts four times (its enumeration, stacked words, inputs
+    and candidates).  A range pays once for its draws' stack, its
+    elimination call, its enumeration, checks, inputs, candidate stack
+    and score groups, so small codes run many to a range; a code whose
+    entries pass the budget runs alone."""
     n, var_degree, check_degree = shape
     entries = users * n * max(n * var_degree // check_degree, 4 * words)
     step = max(1, _STACK_ENTRIES // entries)
     return [range(lo, min(lo + step, count)) for lo in range(0, count, step)]
 
 
-def _coset_inputs(quantizer: Quantizer, words, cosets) -> np.ndarray:
-    """Channel inputs of the coset words ``words + cosets`` of a (codes, m, n)
-    word stack and its (codes, n) coset stack, in the field's symbol dtype,
-    a block of at most ``_FILL_BLOCK`` symbols (whole codes, or rows of one
-    code) at a time: symbol s in column i of code c reads entry
-    (c n + i) q + s of one flat table, the input
-    assignment[s + cosets[c, i]]."""
-    f = quantizer.field
-    codes, m, n = words.shape
-    table = quantizer.assignment[f.add(np.arange(f.q), cosets[:, :, None])]
-    table = table.astype(f.symbol_dtype).ravel()
-    out = np.empty(words.shape, dtype=f.symbol_dtype)
-    per = max(1, _FILL_BLOCK // max(1, m * n))
-    step = max(1, _FILL_BLOCK // max(1, n))
-    for c in range(0, codes, per):
-        offsets = f.q * (n * np.arange(c, min(c + per, codes))[:, None, None]
-                         + np.arange(n))
-        for lo in range(0, m, step):
-            out[c:c + per, lo:lo + step] = table[
-                words[c:c + per, lo:lo + step] + offsets]
+def _quantize(quantizer: Quantizer, words: np.ndarray) -> np.ndarray:
+    """Channel inputs of the coset words ``words`` in the field's symbol
+    dtype: ``words`` itself under an identity assignment, else the
+    assignment read a block of at most ``_FILL_BLOCK`` symbols at a
+    time."""
+    assignment = quantizer.assignment
+    if np.array_equal(assignment, np.arange(assignment.size)):
+        return words
+    table = assignment.astype(words.dtype)
+    out = np.empty_like(words)
+    src, dst = words.reshape(-1), out.reshape(-1)
+    for lo in range(0, src.size, _FILL_BLOCK):
+        table.take(src[lo:lo + _FILL_BLOCK], out=dst[lo:lo + _FILL_BLOCK],
+                   mode="clip")
     return out
 
 
@@ -385,13 +402,14 @@ def build_inputs(codebook: Codebook, coset_seed: int,
 
     Two transmitters get independent cosets by using different seeds; the
     shared-coset variant reuses one seed for both."""
-    if quantizer.field.q != codebook.field.q:
+    field = codebook.field
+    if quantizer.field.q != field.q:
         raise ValueError("quantizer field does not match the codebook field")
-    v = _keyed_rng(coset_seed, 2).integers(0, codebook.field.q,
-                                            size=codebook.n)
+    v = _keyed_rng(coset_seed, 2).integers(0, field.q, size=codebook.n)
+    words = _add_symbols(field, codebook.words, v.astype(field.symbol_dtype),
+                         np.empty_like(codebook.words))
     return replace(codebook, coset=v, quantizer=quantizer,
-                   inputs=_coset_inputs(quantizer, codebook.words[None],
-                                        v[None])[0])
+                   inputs=_quantize(quantizer, words))
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +488,12 @@ class _StackScorer:
     holds log w(b|x_i) - log w(b0|x_i) for each b != b0 and the last
     column sum_i log w(b0|x_i), so K = n(|Y| - 1) + 1; only a finite log
     is subtracted, so an impossible letter stays near ``_LOG_ZERO``.
-    Otherwise column (i, b) holds log w(b|x_i) and K = n|Y|.
+    Otherwise column (i, b) holds log w(b|x_i) and K = n|Y|.  Each code's
+    table is column-major, so the product reads its transpose row by row,
+    and column (i, b) is filled by one ``take`` of letter b's entries at
+    position i of a contiguous (n, codes, M) copy of the candidates; the
+    last column sums in float64, position by position, and is rounded
+    once.
 
     With ``screen`` the table is the float32 rounding of that float64
     table and the scores are screening scores: ``slack`` is then the
@@ -482,27 +505,21 @@ class _StackScorer:
         self.logw, self.cand, self.slack = logw, cand, None
         self._dense = None
         dtype = np.float32 if screen else np.float64
-        free = np.flatnonzero(np.all(logw > _LOG_ZERO, axis=0))
-        if free.size == 0:
-            self.letters = np.arange(logw.shape[1])
-            self.table = logw.astype(dtype)[cand].reshape(codes, m, -1)
-        else:
-            ref = int(free[0])
-            self.letters = np.delete(np.arange(logw.shape[1]), ref)
-            k = self.letters.size
-            per = logw[:, self.letters] - logw[:, ref, None]
-            # filled one position at a time, no (codes, M, n, |Y| - 1)
-            # temporary; each code's table column-major, so the product
-            # reads its transpose row by row.  The last column sums in
-            # float64 and is rounded once.
-            self.table = np.empty((codes, n * k + 1, m),
-                                  dtype).transpose(0, 2, 1)
-            bias = np.zeros((codes, m))
-            for i in range(n):
-                x = cand[:, :, i]
-                self.table[:, :, i * k:(i + 1) * k] = per[x]
-                bias += logw[x, ref]
-            self.table[:, :, -1] = bias
+        free = np.flatnonzero(np.all(logw > _LOG_ZERO, axis=0))[:1]
+        self.letters = np.delete(np.arange(logw.shape[1]), free)
+        k = self.letters.size
+        ref = logw[:, free].sum(axis=1)  # 0 without a reference letter
+        # one contiguous row per letter
+        per = (logw[:, self.letters] - ref[:, None]).T.astype(dtype)
+        table = np.empty((codes, n * k + free.size, m), dtype)
+        bias = np.zeros((codes, m))
+        for i, x in enumerate(np.ascontiguousarray(cand.transpose(2, 0, 1))):
+            for b in range(k):
+                per[b].take(x, out=table[:, i * k + b], mode="clip")
+            if free.size:
+                bias += ref.take(x)
+        table[:, n * k:] = bias[:, None]  # no column without a reference
+        self.table = table.transpose(0, 2, 1)
         if screen:
             # a row reads at most n finite entries of at most 2L and one
             # sum of n logs (n entries of at most L without a reference
@@ -595,35 +612,46 @@ def _screen_decide(ll, sent, rngs, slack, exact, most):
     ``exact(hits)`` of the candidates at flat indices ``hits`` that lie
     within ``slack`` of their row's float32 best.
 
-    A row with one such contender decodes to it; the rows with several are
-    decided on their contenders' float64 scores, and a row whose float32
-    best is impossible ties every candidate, as ``_ml_decide`` decides
-    them.  Returns the (codes, rows) tie counts, decisions and whether a
-    score passes the sent word's by more than ``_TIE_ATOL`` (true when
-    the sent word is no contender; false on an impossible row, which
-    ties every candidate).  None, before any draw, when the rows with
-    several contenders hold more than ``most`` of them.  ``ll`` is
-    written to and restored."""
+    Each row's sent word is masked for one reduction: its score and the
+    best of the others give the row's best, and a row whose others all
+    trail the sent word by more than ``slack`` decodes to it alone.  The
+    other rows have their contenders found; a row with one decodes to it,
+    the rows with several are decided on their contenders' float64
+    scores, and a row whose float32 best is impossible ties every
+    candidate, as ``_ml_decide`` decides them.  Returns the (codes, rows)
+    tie counts, decisions and whether a score passes the sent word's by
+    more than ``_TIE_ATOL`` (true when the sent word is no contender;
+    false on an impossible row, which ties every candidate).  None, before
+    any draw, when the rows with several contenders hold more than
+    ``most`` of them.  ``ll`` is written to and restored."""
     codes, trials, cands = ll.shape
     ll = ll.reshape(codes * trials, cands)
-    rows = np.arange(codes * trials)
-    first = ll.argmax(axis=1)
-    top = ll[rows, first]
+    rows, sent = np.arange(codes * trials), sent.ravel()
+    mine = ll[rows, sent]
+    ll[rows, sent] = -np.inf
+    other = ll.max(axis=1)
+    ll[rows, sent] = mine
+    top = np.maximum(mine, other)
     hopeless = top <= 0.5 * _LOG_ZERO
-    # the rows whose runner-up is a contender; the others have one
-    ll[rows, first] = -np.inf
-    several = np.flatnonzero(ll.max(axis=1) >= top - slack)
-    ll[rows, first] = top
-    kept = ll[several] >= (top[several] - slack)[:, None]
-    if np.count_nonzero(kept) > most:
+    floor = top - slack
+    alone = other < floor  # the sent word is the row's only contender
+    several = np.flatnonzero(~alone)
+    # an eighth of the block's rows at a time, so that no copy of most of
+    # the block is alive
+    step = max(1, codes * trials // 8)
+    kept = [np.empty(0, np.intp)]
+    for lo in range(0, several.size, step):
+        part = several[lo:lo + step]
+        kept.append(lo * cands + np.flatnonzero(ll[part] >= floor[part, None]))
+    at, m = np.divmod(np.concatenate(kept), cands)
+    count = np.bincount(at, minlength=several.size)
+    if count[count > 1].sum() > most:
         return None
-    at, m = np.divmod(np.flatnonzero(kept), cands)
-    alone = np.ones(codes * trials, dtype=bool)
-    alone[several] = False
-    hits = np.sort(np.concatenate([(rows * cands + first)[alone],
+    hits = np.sort(np.concatenate([(rows * cands + sent)[alone],
                                    several[at] * cands + m]))
+    alone[several[count == 1]] = True
     row = hits // cands
-    is_sent = hits % cands == sent.ravel()[row]
+    is_sent = hits % cands == sent[row]
     beaten = np.ones(codes * trials, dtype=bool)
     beaten[row[is_sent]] = False
     beaten[hopeless] = False
@@ -678,13 +706,17 @@ def _simulate_chunk(channel, qzs, shape, num: int, rngs, trials_noise: int,
     ``num`` words and its coset (with same_coset user 2 reuses user 1's),
     then its messages, its outputs and its tie-breaks in row order.  The
     trials share one candidate count, so their words, checks, inputs and
-    candidates run as one stack, and their score tables, scores and
+    candidates run as one stack: each code's coset words are enumerated
+    at the symbol dtype from its coset vector (``_enumerate_nullspace``),
+    checked, and quantized into its inputs (the words themselves under an
+    identity assignment, ``_quantize``).  Their score tables, scores and
     decisions in stacks of as many trials as ``_STACK_SCORES`` scores hold
     (at least one).  A trial scores the rows it would score alone per row
     block: ``_SCORE_BYTES`` of scores (at least 16 rows, and all of them
     when fewer).  From ``_SCREEN_MIN`` candidates the rows are screened in
-    float32 and only their contenders scored in float64
-    (``_screen_decide``); the decisions are the same.
+    float32 against each row's sent word and only the contenders of the
+    rows it does not win alone scored in float64 (``_screen_decide``); the
+    decisions are the same.
 
     The words are freed once their inputs exist, the messages and outputs
     of a stack of trials are drawn just before it is scored and freed
@@ -699,9 +731,9 @@ def _simulate_chunk(channel, qzs, shape, num: int, rngs, trials_noise: int,
         if cosets is None or not same_coset:
             cosets = np.stack([rng.integers(0, qz.field.q, size=n)
                                for rng in rngs])
-        words = np.stack(_enumerate_codes(qz.field, plans))
-        inputs.append(_coset_inputs(qz, words, cosets))
-        _check_books(qz.field, words, cosets, inputs[-1])
+        words = np.stack(_enumerate_codes(qz.field, plans, cosets))
+        _check_books(qz.field, words)
+        inputs.append(_quantize(qz, words))
         del words
     cand = _candidates(channel, inputs, n)
     del inputs
@@ -772,8 +804,10 @@ def simulate_error(ensemble_params, channel, quantizers, trials_codes: int,
 
     Consecutive trials whose codes fit one elimination stack are sampled
     and checked as one stack and scored and decided in batched products;
-    larger codes run one per stack; codes of 512 or more candidates are
-    screened in float32 before their contenders are scored in float64.
+    larger codes run one per stack; each code's coset words are enumerated
+    and quantized at the field's symbol dtype; codes of 512 or more
+    candidates are screened in float32 against each row's sent word
+    before the contenders of the other rows are scored in float64.
     Every trial runs on the calling thread.  None of these changes a
     result."""
     n, var_degree, check_degree, q, r = _check_ensemble_params(

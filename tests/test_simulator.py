@@ -277,6 +277,25 @@ def test_codebook_duplicate_check_matches_unique():
             assert simulator._has_duplicate_rows(words, q) == want
 
 
+@pytest.mark.parametrize("q,n,keys", [(2, 30, 1), (2, 70, 2), (16, 20, 2)])
+def test_duplicate_check_is_per_code_at_both_key_widths(q, n, keys):
+    # q = 2 packs 62 symbols per key and q = 16 packs 15: n = 30 words
+    # sort on one key per word, the others on key columns after the code's
+    field = field_from_order(q)
+    assert -(-n // (62 // (q - 1).bit_length())) == keys
+    rng = np.random.default_rng(n)
+    words = np.stack([np.unique(rng.integers(0, q, size=(40, n)), axis=0)
+                      [:32] for _ in range(3)])
+    words[1, 5] = words[0, 7]  # two codes of one stack share a word
+    assert simulator._check_books(field, words).shape == words.shape
+    words[2, 31] = words[2, 0]
+    with pytest.raises(ValueError, match="^codewords must be distinct$"):
+        simulator._check_books(field, words)
+    with pytest.raises(ValueError, match="^codewords must be distinct$"):
+        Codebook(field=field, words=words[2])
+    assert Codebook(field=field, words=words[2, 1:]).size == 31
+
+
 # ---------------------------------------------------------------------------
 # coset inputs
 
@@ -309,6 +328,28 @@ def test_enumerate_nullspace_matches_digit_sums(monkeypatch, q, k, n, codes):
         assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9, 251])
+def test_coset_enumeration_matches_field_add(monkeypatch, q):
+    # the coset words are the digit-sum nullspace words plus the coset
+    # through FieldSpec.add, word for word; at q = 251 two symbols sum
+    # past 255, which a wrapping uint8 add gets wrong.  A small fill block
+    # splits the add-table route (q = 9) into many blocks.
+    field = field_from_order(q)
+    k = 1 if q > 9 else 3
+    rng = np.random.default_rng(q)
+    basis = rng.integers(1, q, size=(3, k, 6))
+    cosets = rng.integers(0, q, size=(3, 6))
+    cosets[:, 0] = q - 1
+    words = np.stack([_nullspace_by_digits(field, b) for b in basis])
+    want = field.add(words, cosets[:, None, :])
+    assert q < 251 or (words + cosets[:, None, :]).max() > 255
+    for block in (simulator._FILL_BLOCK, 12):
+        monkeypatch.setattr(simulator, "_FILL_BLOCK", block)
+        got = simulator._enumerate_nullspace(field, basis, cosets)
+        assert got.dtype == field.symbol_dtype
+        assert np.array_equal(got, want)
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 16, 256])
 def test_enumerate_nullspace_is_uint8(q):
     field = field_from_order(q)
@@ -334,6 +375,8 @@ def test_build_inputs_consistency():
     cb = build_inputs(enumerate_codebook(g, 0.5, 0), 9, binary_quantizer())
     shifted = F2.add(cb.words, cb.coset[None, :])
     assert np.array_equal(cb.inputs, cb.quantizer.apply(shifted))
+    # an identity assignment makes the coset words the inputs, uncopied
+    assert simulator._quantize(cb.quantizer, shifted) is shifted
     # same coset seed reproduces the same shift vector on another book
     g2 = sample_graph(6, 3, 6, F2, seed=8)
     cb2 = build_inputs(enumerate_codebook(g2, 0.5, 0), 9, binary_quantizer())
@@ -754,9 +797,10 @@ def test_simulate_blocks_match_one_block(monkeypatch):
 def test_simulate_peak_memory():
     # 4,096 candidates by 2,000 noise words at n = 24: they are screened,
     # so the score table is 0.4 MB of float32 and each row block of scores
-    # 4 MB, and one block is alive at a time, with a copy of its rows that
-    # have several contenders (9.1 MB traced; 8.0 MB when the table and
-    # blocks were float64)
+    # 4 MB, and one block is alive at a time, with a copy of an eighth of
+    # its rows at a time while their contenders are found (5.8 MB traced;
+    # 9.1 MB when all of them were copied at once, 8.0 MB when the table
+    # and blocks were float64)
     tracemalloc.start()
     try:
         simulate_error((24, 3, 6, 2), bsc("11/100"), binary_quantizer(),
@@ -835,9 +879,10 @@ def test_stacked_chunk_draws_messages_and_outputs_per_stack():
 def test_pooled_codes_peak_under_one_inline_code(codes):
     # 2^15 candidates at n = 30 run one code per chunk: each holds a 4.1 MB
     # float32 score table, 1 MB of uint8 candidates, 50 kB of messages and
-    # outputs and a 4 MB score block (13.4 MB traced, on numpy 2.4; 16.5 MB
-    # with two codes decoded at once and 20 MB with three).  Codes decode
-    # one after another, so 64 of them peak where one does.
+    # outputs and a 4 MB score block (11.8 MB traced, on numpy 2.4; 14.9 MB
+    # when the screen copied all of a block's undecided rows at once, 16.5
+    # MB with two codes decoded at once and 20 MB with three).  Codes
+    # decode one after another, so 64 of them peak where one does.
     assert len(simulator._chunks(codes, (30, 3, 6), 1, 1 << 15)) == codes
     tracemalloc.start()
     try:
