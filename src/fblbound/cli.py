@@ -34,8 +34,8 @@ from .fbl import (_SEED_LIMIT, WindowError, _exp_or_inf, _keyed_rng,
 from .gfq import field_from_order
 from .infodensity import ppc_moments
 from .simulator import (_ENUM_GUARD, Codebook, _check_books, _chunks,
-                        _min_distances, _sample_codes,
-                        actual_rate_stats, min_distance, simulate_error)
+                        _min_distances, _rate_gaps, _sample_codes, _simulate,
+                        min_distance, simulate_error)
 from .spectrum import (SpectrumTable, _ldpc_checks, _ldpc_design, alpha_log,
                        expurgate_spectrum, ldpc_spectrum_exponent,
                        ldpc_spectrum_table, uniform_spectrum_exponent)
@@ -405,15 +405,19 @@ def cmd_simulate(channel_path: str, q: int, var_degree: int,
     codes run one per chunk, one at a time; every code runs on the calling
     thread.
 
-    The rate-gap statistics read exactly the codes behind eps_hat (for a
-    MAC, user 1's graph of each trial).  The minimum-distance histogram is
-    taken over fresh draws from the same ensemble, seeded from the same
-    seed; it describes the ensemble, not the particular error run.  Code
-    t of user j < K draws its graph from ``_keyed_rng(s)`` and its trim
-    from ``_keyed_rng(s, 1)``, s = K ((seed 1_000_003 + t) mod 2^62) + j;
-    the codes of consecutive trials are sampled as one stack.  Where the
-    pair scan of one code would pass the simulator's operation guard, the
-    histogram is null and ``dmin_skipped`` says "pair-scan guard"."""
+    The rate-gap statistics read the ranks of the error run's own
+    eliminations (for a MAC, user 1's graph of each trial): no graph is
+    drawn or eliminated again, and they equal what ``actual_rate_stats``
+    reports for the same design, trial count and seed.  The
+    minimum-distance histogram is taken over fresh draws from the same
+    ensemble, seeded from the same seed; it describes the ensemble, not
+    the particular error run.  Code t of user j < K draws its graph from
+    ``_keyed_rng(s)`` and its trim from ``_keyed_rng(s, 1)``,
+    s = K ((seed 1_000_003 + t) mod 2^62) + j; the codes of consecutive
+    trials are sampled as one stack.  Where the pair scan of one code
+    would pass the simulator's operation guard, the histogram is null and
+    ``dmin_skipped`` says "pair-scan guard"; where every code keeps one
+    word (lambda = rho), it is null and says "one codeword"."""
     _check_seed(seed)
     r = _design_checks(n, var_degree, check_degree)
     channel = _load_channel(channel_path)
@@ -430,15 +434,15 @@ def cmd_simulate(channel_path: str, q: int, var_degree: int,
         )
     else:
         quantizers = _uniform_setup(channel.input_size, q)[1]
-    report = simulate_error((n, var_degree, check_degree, q), channel,
-                            quantizers, codes, noise, seed,
-                            same_coset=same_coset)
+    report, ranks = _simulate((n, var_degree, check_degree, q), channel,
+                              quantizers, codes, noise, seed, same_coset)
     users = 2 if is_mac else 1
     num = q ** (n - r)
     hist: dict[str, int] | None = {}
     skipped = {}
     shape = (n, var_degree, check_degree)
-    # every code is trimmed to num words, and one word makes no pair
+    if num == 1:  # every code is trimmed to one word, which makes no pair
+        hist, skipped = None, {"dmin_skipped": "one codeword"}
     for chunk in _chunks(codes, shape, users, num) if num > 1 else ():
         seeds = [users * ((seed * 1_000_003 + t) % (1 << 62)) + j
                  for t in chunk for j in range(users)]
@@ -459,7 +463,7 @@ def cmd_simulate(channel_path: str, q: int, var_degree: int,
             break
         for d in dists:
             hist[str(d)] = hist.get(str(d), 0) + 1
-    gap = actual_rate_stats((n, var_degree, check_degree, q), codes, seed)
+    gap = _rate_gaps((n, var_degree, check_degree, q, r), ranks)
     return {
         "eps_hat": report.value,
         "ci": [report.components["wilson_low"],

@@ -395,12 +395,18 @@ def _pool(log_probs, ivecs, classes):
     return first, atom, np.log(np.bincount(atom, weights=np.exp(log_probs)))
 
 
-def _sample_outputs(w_rows, xwords, rng) -> np.ndarray:
-    """One output word per row of the (trials, n) input words ``xwords``,
-    each letter inverting the CDF of its row of ``w_rows`` at a uniform."""
-    cum = np.cumsum(w_rows, axis=1)
-    u = rng.random(xwords.shape)
-    return (u[:, :, None] >= cum[:, :-1][xwords]).sum(axis=2)
+def _sample_outputs(w_rows, xwords, u) -> np.ndarray:
+    """The output letters of the input letters ``xwords``, an array of any
+    shape, each inverting the CDF of its row of ``w_rows`` at its uniform
+    in ``u`` (of the same shape): the count of the row's cumulative sums,
+    but the last, that it reaches, by one compare per output letter over
+    the whole array.  The letters come in the smallest unsigned dtype that
+    holds them, so that no wide copy of the array is alive beside the
+    uniforms and the compare's operands."""
+    y = np.zeros(xwords.shape, np.min_scalar_type(w_rows.shape[1] - 1))
+    for cum in np.cumsum(w_rows, axis=1).T[:-1]:
+        y += u >= cum.take(xwords)
+    return y
 
 
 class _Context:
@@ -494,7 +500,7 @@ class _Context:
                   for p in self._probs]
             rows = np.ravel_multi_index(xs, w.shape[:-1])
             cells = rows * w.shape[-1] + _sample_outputs(
-                w.reshape(-1, w.shape[-1]), rows, rng)
+                w.reshape(-1, w.shape[-1]), rows, rng.random(rows.shape))
             slots = np.arange(c)[:, None] * atoms + self._atom_of[cells]
             out.append(self.tails(np.bincount(
                 slots.ravel(), minlength=c * atoms).reshape(c, atoms)))

@@ -320,13 +320,13 @@ def _code_plans(field, ranks, bases, num, trim_rngs):
     ``trim_rngs``, else ``num`` rows drawn from trim_rngs[i] as
     ``enumerate_codebook`` describes.  Checks each nullspace against the
     exhaustive-enumeration guard first."""
-    nullity = bases.shape[2] - ranks
-    for k in nullity.tolist():
+    nullity = (bases.shape[2] - ranks).tolist()
+    for k in nullity:
         if field.q ** k > _ENUM_GUARD:
             raise GuardError(f"nullspace size q^{k} exceeds the "
                              f"{_ENUM_GUARD} exhaustive-enumeration guard")
     plans = []
-    for i, k in enumerate(nullity.tolist()):
+    for i, k in enumerate(nullity):
         keep, size = None, field.q ** k
         if trim_rngs is not None:
             if num > size:
@@ -344,7 +344,7 @@ def _enumerate_codes(field, plans, cosets=None) -> list[np.ndarray]:
     codes of one nullity are enumerated as one stack."""
     nullity = np.array([basis.shape[0] for basis, _ in plans])
     books = [None] * len(plans)
-    for k in np.unique(nullity).tolist():
+    for k in sorted(set(nullity.tolist())):
         idx = np.flatnonzero(nullity == k)
         stack = np.stack([plans[i][0] for i in idx])
         shifts = None if cosets is None else cosets[idx]
@@ -699,35 +699,38 @@ def _check_ensemble_params(ensemble_params):
 
 
 def _simulate_chunk(channel, qzs, shape, num: int, rngs, trials_noise: int,
-                    same_coset: bool) -> tuple[int, int]:
+                    same_coset: bool) -> tuple[int, int, np.ndarray]:
     """Decoding errors and ties-as-error count over the code trials of one
-    chunk, trial t drawing from its generator rngs[t]: for user 1, then
-    user 2, its graph (one stacked elimination per user), its trim to
-    ``num`` words and its coset (with same_coset user 2 reuses user 1's),
-    then its messages, its outputs and its tie-breaks in row order.  The
-    trials share one candidate count, so their words, checks, inputs and
-    candidates run as one stack: each code's coset words are enumerated
-    at the symbol dtype from its coset vector (``_enumerate_nullspace``),
-    checked, and quantized into its inputs (the words themselves under an
-    identity assignment, ``_quantize``).  Their score tables, scores and
-    decisions in stacks of as many trials as ``_STACK_SCORES`` scores hold
-    (at least one).  A trial scores the rows it would score alone per row
-    block: ``_SCORE_BYTES`` of scores (at least 16 rows, and all of them
-    when fewer).  From ``_SCREEN_MIN`` candidates the rows are screened in
-    float32 against each row's sent word and only the contenders of the
-    rows it does not win alone scored in float64 (``_screen_decide``); the
-    decisions are the same.
+    chunk, and the ranks of user 1's check matrices, trial t drawing from
+    its generator rngs[t]: for user 1, then user 2, its graph (one stacked
+    elimination per user), its trim to ``num`` words and its coset (with
+    same_coset user 2 reuses user 1's), then its messages, the uniforms of
+    its outputs and its tie-breaks in row order.  The trials share one
+    candidate count, so their words, checks, inputs and candidates run as
+    one stack: each code's coset words are enumerated at the symbol dtype
+    from its coset vector (``_enumerate_nullspace``), checked, and
+    quantized into its inputs (the words themselves under an identity
+    assignment, ``_quantize``).  Their output draws, score tables, scores
+    and decisions in stacks of as many trials as ``_STACK_SCORES`` scores
+    hold (at least one); a stack's outputs invert the output CDF once for
+    all its trials (``fbl._sample_outputs``).  A trial scores the rows it
+    would score alone per row block: ``_SCORE_BYTES`` of scores (at least
+    16 rows, and all of them when fewer).  From ``_SCREEN_MIN`` candidates
+    the rows are screened in float32 against each row's sent word and only
+    the contenders of the rows it does not win alone scored in float64
+    (``_screen_decide``); the decisions are the same.
 
     The words are freed once their inputs exist, the messages and outputs
     of a stack of trials are drawn just before it is scored and freed
     after, and everything else is freed when the chunk returns."""
     n = shape[0]
     flat_w = channel.w.reshape(-1, channel.w.shape[-1])
-    inputs = []  # per user, the (trials, words, n) input stack
+    inputs, ranks = [], []  # per user, its (trials, words, n) inputs, ranks
     cosets = None
     for qz in qzs:
-        ranks, bases, _ = _sample_graphs(shape, qz.field, rngs)
-        plans = _code_plans(qz.field, ranks, bases, num, rngs)
+        rank, bases, _ = _sample_graphs(shape, qz.field, rngs)
+        ranks.append(rank)
+        plans = _code_plans(qz.field, rank, bases, num, rngs)
         if cosets is None or not same_coset:
             cosets = np.stack([rng.integers(0, qz.field.q, size=n)
                                for rng in rngs])
@@ -747,19 +750,21 @@ def _simulate_chunk(channel, qzs, shape, num: int, rngs, trials_noise: int,
     group = max(1, _STACK_SCORES // (rows * num_messages))
     realized = pessimistic = 0
     for g in range(0, codes, group):
-        # the messages and outputs of this group's trials only
+        part, stack = rngs[g:g + group], cand[g:g + group]
+        # the messages, then the uniforms, of this group's trials only
         sent = np.stack([rng.integers(num_messages, size=trials_noise)
-                         for rng in rngs[g:g + group]])
-        ys = np.stack([_sample_outputs(flat_w, cand[g + t, sent[t]], rng)
-                       for t, rng in enumerate(rngs[g:g + group])])
-        score = _StackScorer(logw, cand[g:g + group], screen)
+                         for rng in part])
+        ys = _sample_outputs(
+            flat_w, stack[np.arange(len(part))[:, None], sent],
+            np.stack([rng.random((trials_noise, n)) for rng in part]))
+        score = _StackScorer(logw, stack, screen)
         for lo in range(0, trials_noise, rows):
             y = ys[:, lo:lo + rows]
             errors, ties = _count_errors(score(y), sent[:, lo:lo + rows],
-                                         rngs[g:g + group], score, y)
+                                         part, score, y)
             realized += errors
             pessimistic += ties
-    return realized, pessimistic
+    return realized, pessimistic, ranks[0]
 
 
 def _count_errors(ll, sent, rngs, score, ys) -> tuple[int, int]:
@@ -807,15 +812,24 @@ def simulate_error(ensemble_params, channel, quantizers, trials_codes: int,
     larger codes run one per stack; each code's coset words are enumerated
     and quantized at the field's symbol dtype; codes of 512 or more
     candidates are screened in float32 against each row's sent word
-    before the contenders of the other rows are scored in float64.
-    Every trial runs on the calling thread.  None of these changes a
-    result."""
+    before the contenders of the other rows are scored in float64; the
+    outputs of each stack of trials invert the output CDF once.  Every
+    trial runs on the calling thread.  None of these changes a result.
+    The ranks that the eliminations find are kept too: ``fblbound
+    simulate`` reads its rate-gap statistics from them (``_simulate``)."""
+    return _simulate(ensemble_params, channel, quantizers, trials_codes,
+                     trials_noise, seed, same_coset)[0]
+
+
+def _simulate(ensemble_params, channel, quantizers, trials_codes,
+              trials_noise, seed, same_coset):
+    """``simulate_error``'s report, and the ranks of the check matrices
+    behind it (user 1's graph of each trial), in trial order."""
     n, var_degree, check_degree, q, r = _check_ensemble_params(
         ensemble_params)
     if trials_codes < 1 or trials_noise < 1:
         raise ValueError("need at least one code and one noise trial")
-    mac = isinstance(channel, MacModel)
-    if mac:
+    if isinstance(channel, MacModel):
         if channel.num_users != 2:
             raise ValueError("only two-user MACs are simulated")
         if not isinstance(quantizers, (tuple, list)) or len(quantizers) != 2:
@@ -838,23 +852,23 @@ def simulate_error(ensemble_params, channel, quantizers, trials_codes: int,
     shape = (n, var_degree, check_degree)
     num = _design_count(n - r, q)
     realized = pessimistic = 0
+    ranks = []
     for chunk in _chunks(trials_codes, shape, len(qzs), num):
-        errors, ties = _simulate_chunk(
+        errors, ties, rank = _simulate_chunk(
             channel, qzs, shape, num, [_keyed_rng(seed, tc) for tc in chunk],
             trials_noise, same_coset)
         realized += errors
         pessimistic += ties
-    num_messages = num ** len(qzs)
+        ranks.append(rank)
     total = trials_codes * trials_noise
-    eps_hat = realized / total
     center, low, high = _wilson(realized, total)
     return BoundReport(
         name="simulated-ml-error",
-        value=eps_hat,
+        value=realized / total,
         units="probability",
         method="monte-carlo",
         n=n,
-        num_messages=num_messages,
+        num_messages=num ** len(qzs),
         ci_half_width=(high - low) / 2.0,
         trials=total,
         components={
@@ -866,7 +880,7 @@ def simulate_error(ensemble_params, channel, quantizers, trials_codes: int,
             "trials_noise": float(trials_noise),
             "design_rate_qary": 1.0 - var_degree / check_degree,
         },
-    )
+    ), np.concatenate(ranks)
 
 
 # ---------------------------------------------------------------------------
@@ -907,8 +921,7 @@ def empirical_spectrum(ensemble_params, trials: int, seed: int,
     keep = _design_count(n - r, q) if post_removal else None
     shape = (n, var_degree, check_degree)
     qk = q ** num_users
-    sums: dict[tuple[int, ...], float] = {}
-    sumsq: dict[tuple[int, ...], float] = {}
+    sums, sumsq = Counter(), Counter()  # exact integer sums per type
     for chunk in _chunks(trials, shape, num_users, q ** (n - r)):
         rngs = [_keyed_rng(seed, t) for t in chunk]
         # per trial: user 1's graph (and trim), then user 2's
@@ -919,8 +932,8 @@ def empirical_spectrum(ensemble_params, trials: int, seed: int,
             counts = _weight_counts(books[0], n)
             for w in np.flatnonzero(counts.any(axis=0)).tolist():
                 tt, c = (n - w, w), counts[:, w]
-                sums[tt] = sums.get(tt, 0.0) + int(c.sum())
-                sumsq[tt] = sumsq.get(tt, 0.0) + int(np.dot(c, c))
+                sums[tt] += int(c.sum())
+                sumsq[tt] += int(np.dot(c, c))
             continue
         for word_sets in zip(*books):
             if num_users == 2:
@@ -936,15 +949,14 @@ def empirical_spectrum(ensemble_params, trials: int, seed: int,
             for words in word_sets:
                 counts.update(_word_type_counts(words, qk))
             for tt, c in counts.items():
-                sums[tt] = sums.get(tt, 0.0) + c
-                sumsq[tt] = sumsq.get(tt, 0.0) + c * c
+                sums[tt] += c
+                sumsq[tt] += c * c
     keys = (map(tuple, _compositions(n, qk).tolist())
             if _num_compositions(n, qk) <= 100_000 else list(sums))
     entries, stats = {}, {}
     for tt in keys:
-        s = sums.get(tt, 0.0)
-        mean = s / trials
-        var = max(0.0, sumsq.get(tt, 0.0) / trials - mean * mean)
+        mean = sums[tt] / trials
+        var = max(0.0, sumsq[tt] / trials - mean * mean)
         entries[tt] = math.log(mean) if mean > 0.0 else -math.inf
         stats[tt] = (mean, var, trials)
     table = SpectrumTable(
@@ -997,8 +1009,7 @@ def min_distance(codebook) -> int:
     w1, w2 = cb1.words, cb2.words
     if w1.shape[1] != w2.shape[1]:
         raise ValueError("codebooks must share one blocklength")
-    m1, m2 = w1.shape[0], w2.shape[0]
-    n = w1.shape[1]
+    (m1, n), m2 = w1.shape, w2.shape[0]
     if (m1 * m2) ** 2 * n > _PAIR_OPS_GUARD:
         raise GuardError(f"pair scan exceeds the operation guard: "
                          f"{(m1 * m2) ** 2 * n} > {_PAIR_OPS_GUARD}")
@@ -1033,24 +1044,33 @@ def actual_rate_stats(ensemble_params, trials: int, seed: int,
     """Sampled distribution of R_C - R, the rank-deficiency rate excess.
 
     R_C = (n - rank)/n from each sampled graph; the design rate uses the
-    full check count.  Gaps are in q-ary symbols per channel use."""
-    n, var_degree, check_degree, q, r = _check_ensemble_params(
-        ensemble_params)
+    full check count.  Gaps are in q-ary symbols per channel use.  Trial
+    t's graph is the first draw of ``_keyed_rng(seed, t)``, which is user
+    1's graph of trial t in ``simulate_error``: ``fblbound simulate``
+    reads these statistics from the ranks of its error run instead of
+    eliminating the graphs again (``_rate_gaps`` serves both)."""
+    params = _check_ensemble_params(ensemble_params)
     if trials < 1:
         raise ValueError("need at least one trial")
-    field = field_from_order(q)
+    shape = params[:3]
+    return _rate_gaps(params, np.concatenate([
+        _sample_graphs(shape, field_from_order(params[3]),
+                       [_keyed_rng(seed, t) for t in chunk])[0]
+        for chunk in _chunks(trials, shape, 1, 0)]), eps_grid)
+
+
+def _rate_gaps(params, ranks, eps_grid=None) -> RateGapStats:
+    """The ``RateGapStats`` of the checked ensemble parameters ``params``
+    (see ``_check_ensemble_params``) over the check-matrix ranks
+    ``ranks``, one per sampled graph."""
+    n, var_degree, check_degree, _, r = params
     if eps_grid is None:
         eps_grid = (0.5 / n, 1.0 / n, 2.0 / n, 4.0 / n)
     eps_grid = tuple(float(e) for e in eps_grid)
-    gaps = np.empty(trials)
-    shape = (n, var_degree, check_degree)
-    for chunk in _chunks(trials, shape, 1, 0):
-        ranks = _sample_graphs(shape, field, [_keyed_rng(seed, t)
-                                              for t in chunk])[0]
-        gaps[chunk.start:chunk.stop] = (r - ranks) / n
-    tails = tuple(float(np.mean(gaps > e)) for e in eps_grid)
+    gaps = (r - ranks) / n
     return RateGapStats(
-        n=n, design_rate=1.0 - var_degree / check_degree, trials=trials,
-        eps_grid=eps_grid, tail_probs=tails,
+        n=n, design_rate=1.0 - var_degree / check_degree, trials=gaps.size,
+        eps_grid=eps_grid, tail_probs=tuple(float(np.mean(gaps > e))
+                                            for e in eps_grid),
         mean_gap=float(gaps.mean()), max_gap=float(gaps.max()),
     )

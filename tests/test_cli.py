@@ -719,6 +719,25 @@ def test_simulate_keeps_its_estimate_past_the_pair_scan_guard(capsys,
     assert sum(payload["dmin_histogram"].values()) == 2
 
 
+def test_simulate_one_codeword_design_says_why_it_has_no_distances(
+        capsys, bsc_path, mac_path):
+    # lambda = rho checks every symbol: each code is trimmed to one word
+    # (per user), which makes no pair, so the histogram is null and says why
+    for path, more in ((bsc_path, []), (mac_path, ["--mac"])):
+        rc, out, err = run(capsys, ["simulate", "--channel", path, "--q",
+                                    "2", "--lambda", "3", "--check-degree",
+                                    "3", "--n", "6", "--codes", "4",
+                                    "--noise", "10", "--seed", "1", *more])
+        assert rc == 0 and err == ""
+        payload = json.loads(out)
+        schema_validate("SimulateReport", payload)
+        assert payload["num_messages"] == 1
+        assert payload["eps_hat"] == 0.0
+        assert payload["dmin_histogram"] is None
+        assert payload["dmin_skipped"] == "one codeword"
+        assert payload["rate_gap_stats"]["trials"] == 4
+
+
 def test_simulate_mac_same_coset_runs(capsys, mac_path):
     rc, out, _ = run(capsys, ["simulate", "--channel", mac_path, "--q", "2",
                               "--lambda", "2", "--check-degree", "4", "--n",

@@ -494,6 +494,36 @@ def test_rcu_mc_streams_pinned():
                                                     rel=1e-12)
 
 
+# channels whose CDF rows have flat steps (zero transitions), where the
+# inversion must skip letters that a uniform cannot land on
+FLAT_STEP_CHANNELS = {
+    "bec": lambda: DmcModel.from_rows([["1/2", "1/2", "0"],
+                                       ["0", "1/2", "1/2"]]),
+    "z": lambda: DmcModel.from_rows([["1", "0"], ["3/10", "7/10"]]),
+    "noiseless3": lambda: noiseless(3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FLAT_STEP_CHANNELS))
+def test_sample_outputs_match_searchsorted_oracle(name):
+    # a (codes, rows, n) stack inverts each letter's CDF row as a per-letter
+    # searchsorted does, uniforms that sit exactly on a step included
+    w = FLAT_STEP_CHANNELS[name]().w
+    rng = np.random.default_rng(len(name))
+    x = rng.integers(0, w.shape[0], size=(3, 40, 5))
+    u = rng.random(x.shape)
+    on_step = np.cumsum(w, axis=1)[x, rng.integers(0, w.shape[1] - 1,
+                                                   size=x.shape)]
+    u[:, ::2] = np.where(on_step < 1.0, on_step, u)[:, ::2]
+    got = fbl._sample_outputs(w, x, u)
+    want = np.empty_like(x)
+    for i in np.ndindex(x.shape):
+        want[i] = np.searchsorted(np.cumsum(w[x[i]]), u[i], side="right")
+    assert got.shape == x.shape
+    assert np.array_equal(got, want)
+    assert np.all(w[x, got] > 0.0)
+
+
 def _same_state(got, want):
     """Bit-generator states equal entry by entry, arrays by dtype and
     value."""

@@ -182,3 +182,38 @@ def test_cli_import_leaves_numpy_random_unloaded():
          "for m in ('numpy', 'numpy.random', 'statistics', 'random')))"],
         env=env, capture_output=True, text=True, check=True)
     assert out.stdout.split() == ["True", "False", "False", "False"]
+
+
+# small point-to-point and MAC runs of every simulator entry point that
+# groups sampled codes by nullity
+_SIMULATE_RUNS = """
+import json, sys
+from fblbound.channel import InputPmf, bsc, make_quantizer
+from fblbound.cli import cmd_simulate
+from fblbound.gfq import field_from_order
+from fblbound.simulator import empirical_spectrum, simulate_error
+with open("ch.json", "w") as fh:
+    json.dump({"inputs": 2, "outputs": 2,
+               "rows": [["9/10", "1/10"], ["1/10", "9/10"]]}, fh)
+with open("mac.json", "w") as fh:
+    json.dump({"inputs": [2, 2], "outputs": 3,
+               "rows": [[[1, 0, 0], [0, 1, 0]], [[0, 1, 0], [0, 0, 1]]]}, fh)
+cmd_simulate("ch.json", 2, 3, 6, 12, 5, 10, 1)
+cmd_simulate("mac.json", 2, 2, 4, 8, 5, 10, 1, mac=True)
+simulate_error((8, 2, 4, 2), bsc("1/10"), make_quantizer(
+    field_from_order(2), InputPmf.uniform(2)), 5, 10, 1)
+empirical_spectrum((8, 2, 4, 2), 5, 1)
+empirical_spectrum((4, 2, 4, 3), 3, 1, num_users=2)
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_simulation_leaves_numpy_ma_unloaded(tmp_path):
+    # numpy.ma takes about 13 ms to import, and np.unique loads it (through
+    # np.ma.is_masked) under numpy 2.4: simulations, which draw and so
+    # load numpy.random, group their codes without it
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", _SIMULATE_RUNS], env=env,
+                         cwd=tmp_path, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.split() == ["False"]

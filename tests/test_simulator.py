@@ -529,9 +529,9 @@ def test_scorer_matches_onehot_oracle(name):
     cand[:, :, 0] = 0  # every candidate sends input 0 first
     ys = np.empty((codes, 300, n), dtype=np.int64)
     for c in range(codes):
-        sent = rng.integers(m, size=200)
+        x = cand[c, rng.integers(m, size=200)]
         ys[c] = np.concatenate([
-            simulator._sample_outputs(w, cand[c, sent], rng),
+            simulator._sample_outputs(w, x, rng.random(x.shape)),
             rng.integers(0, w.shape[1], size=(100, n))])
     # an output that input 0 never yields is impossible under every
     # candidate
@@ -598,7 +598,8 @@ def _screen_case(ch, m, seed):
     sent = rng.integers(m, size=(codes, 300))
     ys = np.empty((codes, 300, n), dtype=np.int64)
     for c in range(codes):
-        ys[c, :200] = simulator._sample_outputs(w, cand[c, sent[c, :200]], rng)
+        x = cand[c, sent[c, :200]]
+        ys[c, :200] = simulator._sample_outputs(w, x, rng.random(x.shape))
         ys[c, 200:] = rng.integers(0, w.shape[1], size=(100, n))
     dead = np.flatnonzero(w[0] == 0.0)
     if dead.size:
@@ -1426,7 +1427,8 @@ def _record_stacks(monkeypatch):
 def _cmd_simulate_here(mac):
     """cmd_simulate on a channel file written into the working directory:
     the error run, then the d_min draws (one stack holding every user's
-    graph of a trial), then the rate-gap statistics."""
+    graph of a trial); the rate-gap statistics read the error run's ranks
+    and eliminate nothing."""
     path = "adder.json" if mac else "bsc.json"
     with open(path, "w") as fh:
         json.dump(mac_to_json(binary_adder_mac()) if mac
@@ -1448,8 +1450,8 @@ CHUNKED = [
                                       return_stats=True)),
     ((2,), lambda: empirical_spectrum((4, 2, 4, 2), 6, 2, num_users=2)),
     ((1,), lambda: actual_rate_stats((12, 3, 6, 2), 11, 11)),
-    ((1, 1, 1), lambda: _cmd_simulate_here(False)),
-    ((2, 1, 1), lambda: _cmd_simulate_here(True)),
+    ((1, 1), lambda: _cmd_simulate_here(False)),
+    ((2, 1), lambda: _cmd_simulate_here(True)),
 ]
 
 
@@ -1480,3 +1482,32 @@ def test_chunks_of_one_trial_match_one_chunk(monkeypatch, tmp_path, case):
         assert users in (1, 2)
         for j, stack in enumerate(stacks):
             assert np.array_equal(np.concatenate(part[j::users]), stack)
+
+
+# cmd_simulate runs: (q, var_degree, check_degree, n, codes, noise, seed)
+# with the MAC and shared-coset flags.  Every binary (8, 2, 4) graph is
+# rank deficient (see test_pinned_cases_use_trims_and_stacks)
+RATE_GAP_RUNS = {
+    "ppc": ((2, 3, 6, 12, 9, 20, 5), False, False),
+    "mac-same-coset": ((2, 2, 4, 8, 6, 10, 3), True, True),
+    "mac": ((2, 2, 4, 8, 6, 10, 4), True, False),
+    "ppc-deficient": ((2, 2, 4, 8, 12, 10, 6), False, False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RATE_GAP_RUNS))
+def test_cmd_simulate_rate_gaps_read_the_error_run(tmp_path, name):
+    # the rate-gap statistics come from the ranks of the error run's
+    # eliminations (user 1's graphs of a MAC), and equal those that
+    # actual_rate_stats draws and eliminates again
+    (q, lam, rho, n, codes, noise, seed), mac, same = RATE_GAP_RUNS[name]
+    path = tmp_path / "ch.json"
+    path.write_text(json.dumps(mac_to_json(binary_adder_mac()) if mac
+                               else dmc_to_json(bsc("11/100"))))
+    got = cmd_simulate(str(path), q, lam, rho, n, codes, noise, seed,
+                       mac=mac, same_coset=same)["rate_gap_stats"]
+    assert got == dataclasses.asdict(actual_rate_stats((n, lam, rho, q),
+                                                       codes, seed))
+    assert got["trials"] == codes
+    if name == "ppc-deficient":
+        assert got["tail_probs"][0] > 0.0
