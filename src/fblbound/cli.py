@@ -841,6 +841,8 @@ def _dispatch(args) -> int:
             raise ConfigError("channel kind does not match the --mac flag")
         if args.m2 is not None and not args.mac:
             raise ConfigError("--M2 needs --mac")
+        if args.m < 1 or (args.m2 is not None and args.m2 < 1):
+            raise ConfigError("message counts must be >= 1")
         mode = "exact" if args.exact else (
             "mc" if args.mc is not None else "relaxed")
         for n in _sweep_or_single(args):

@@ -247,15 +247,23 @@ def _merge_close(keys: np.ndarray, probs: np.ndarray):
     """Collapse ascending ``keys`` into atoms.  A key joins the group of
     the key before it when it equals the group's first key or, both being
     finite, lies within ``_KEY_MERGE_TOL`` above it; the group keeps its
-    first key and sums its probabilities.  Equal -inf keys merge by
-    equality, since their difference is nan."""
-    with np.errstate(invalid="ignore"):     # -inf - -inf
-        new = ~((keys[1:] == keys[:-1]) | (np.diff(keys) <= _KEY_MERGE_TOL))
-    starts = np.flatnonzero(np.concatenate(([True], new)))
-    # a chain of close keys wider than the tolerance splits greedily
-    ends = np.append(starts[1:], keys.size) - 1
-    with np.errstate(invalid="ignore"):
-        wide = np.flatnonzero(keys[ends] - keys[starts] > _KEY_MERGE_TOL)
+    first key and sums its probabilities.
+
+    Each gap is tested once, ``gap > _KEY_MERGE_TOL``: the gap between
+    equal infinite keys is nan and compares False, so they merge, and for
+    every other gap the test is exactly "neither equal nor within the
+    tolerance".  Group starts are the set entries of that mask, and each
+    group ends one before the next start."""
+    new = np.empty(keys.size, dtype=bool)
+    new[0] = True
+    with np.errstate(invalid="ignore"):     # inf - inf
+        np.greater(keys[1:] - keys[:-1], _KEY_MERGE_TOL, out=new[1:])
+        starts = new.nonzero()[0]
+        ends = np.empty_like(starts)
+        ends[:-1] = starts[1:] - 1
+        ends[-1] = keys.size - 1
+        # a chain of close keys wider than the tolerance splits greedily
+        wide = (keys[ends] - keys[starts] > _KEY_MERGE_TOL).nonzero()[0]
     if wide.size:
         extra = []
         for s, e in zip(starts[wide], ends[wide]):
@@ -269,16 +277,19 @@ def _merge_close(keys: np.ndarray, probs: np.ndarray):
 
 
 def _sorted_law(keys: np.ndarray, probs: np.ndarray):
-    """(keys, probs) as a law: a stable sort by key, then ``_merge_close``."""
-    order = np.argsort(keys, kind="stable")
-    return _merge_close(keys[order], probs[order])
+    """(keys, probs), flattened in C order, as a law: a stable sort by
+    key, then ``_merge_close``."""
+    order = np.argsort(keys, axis=None, kind="stable")
+    return _merge_close(keys.take(order), probs.take(order))
 
 
 def _convolve(law, atoms):
     """Law of the sum of two independent scores, each a (keys, probs)
-    pair: one outer sum, a stable sort and ``_merge_close``."""
-    return _sorted_law(np.add.outer(law[0], atoms[0]).ravel(),
-                       np.multiply.outer(law[1], atoms[1]).ravel())
+    pair: the (law, atoms) grids of key sums and probability products,
+    broadcast from a column of ``law`` against a row of ``atoms``, then
+    ``_sorted_law``."""
+    return _sorted_law(law[0][:, None] + atoms[0],
+                       law[1][:, None] * atoms[1])
 
 
 class _TailSystem:

@@ -36,9 +36,17 @@ EVENTS = {1: ((0,),), 2: ((0,), (1,), (0, 1))}
 def average_inputs(arr: np.ndarray, probs, axes) -> np.ndarray:
     """Average the input axes ``axes`` (ascending) of ``arr`` against
     their pmfs: axis u against ``probs[u]``.  The other axes keep their
-    order."""
+    order.
+
+    Per axis this is the one ``np.dot`` that ``np.tensordot`` would make:
+    the pmf as a (1, N) row against ``arr`` with that axis moved to the
+    front and the others flattened, (N, rest)."""
     for k, u in enumerate(axes):
-        arr = np.tensordot(probs[u], arr, axes=(0, u - k))
+        ax, p = u - k, probs[u]
+        order = (ax, *range(ax), *range(ax + 1, arr.ndim))
+        shape = arr.shape[:ax] + arr.shape[ax + 1:]
+        arr = np.dot(p.reshape(1, p.size),
+                     arr.transpose(order).reshape(p.size, -1)).reshape(shape)
     return arr
 
 

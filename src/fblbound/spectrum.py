@@ -611,15 +611,24 @@ def _read_step(res, coeffs, rho, lam, primes):
     return out % pv
 
 
+# the primes below 2^28 found so far, largest first (_residue_primes)
+_RESIDUE_PRIMES = ()
+
+
 def _residue_primes(bound: int) -> list[int]:
     """Primes below 2^28, largest first, until their product exceeds
-    bound."""
-    primes, prod, m = [], 1, (1 << 28) - 1
+    bound.  Each odd number is tested once per process: the primes found
+    extend ``_RESIDUE_PRIMES`` and later calls read them from there."""
+    global _RESIDUE_PRIMES
+    primes, prod = [], 1
     while prod <= bound:
-        if _is_prime(m):
-            primes.append(m)
-            prod *= m
-        m -= 2
+        if len(primes) == len(_RESIDUE_PRIMES):
+            m = _RESIDUE_PRIMES[-1] - 2 if _RESIDUE_PRIMES else (1 << 28) - 1
+            while not _is_prime(m):
+                m -= 2
+            _RESIDUE_PRIMES += (m,)
+        primes.append(_RESIDUE_PRIMES[len(primes)])
+        prod *= primes[-1]
     return primes
 
 

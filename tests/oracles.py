@@ -8,7 +8,10 @@ production.  The float oracles are the Gallager function (scalar loops
 over every input tuple), the random-coding union bounds, exact and
 relaxed, by joint-type enumeration with one dict convolution per letter
 (the slow route that the y-type, information-density and atom-type
-routes of ``fblbound.fbl`` replace), the Monte Carlo RCU with its own
+routes of ``fblbound.fbl`` replace), the competitor-tail merge and
+convolution steps and the input averages in the numpy calls that
+production's leaner ones replace (``np.diff`` and ``np.append`` group
+bounds, outer products, ``np.tensordot``), the Monte Carlo RCU with its own
 draws and a per-cell fold of each word, the two-binomial closed form of
 the BSC, and the ML scores as one-hot contractions of the gathered (M, n,
 |Y|) per-letter table (the route that the simulator's score matrix
@@ -615,6 +618,48 @@ def merge_close(items, tol=1e-12):
         else:
             out.append([k, p])
     return out
+
+
+def merge_close_diff(keys, probs, tol=1e-12):
+    """``merge_close`` on arrays, the numpy route that
+    ``fblbound.fbl._merge_close`` replaces: equality and ``np.diff`` tested
+    separately per gap, group starts and ends by ``np.concatenate``,
+    ``np.append`` and ``np.flatnonzero``."""
+    with np.errstate(invalid="ignore"):     # -inf - -inf
+        new = ~((keys[1:] == keys[:-1]) | (np.diff(keys) <= tol))
+    starts = np.flatnonzero(np.concatenate(([True], new)))
+    ends = np.append(starts[1:], keys.size) - 1
+    with np.errstate(invalid="ignore"):
+        wide = np.flatnonzero(keys[ends] - keys[starts] > tol)
+    if wide.size:
+        extra = []
+        for s, e in zip(starts[wide], ends[wide]):
+            first = keys[s]
+            for j in range(s + 1, e + 1):
+                if keys[j] - first > tol:
+                    extra.append(j)
+                    first = keys[j]
+        starts = np.union1d(starts, extra)
+    return keys[starts], np.add.reduceat(probs, starts)
+
+
+def convolve_outer(law, atoms, tol=1e-12):
+    """Law of the sum of two independent (keys, probs) scores by
+    ``np.add.outer`` and ``np.multiply.outer``, raveled, stably sorted and
+    merged by ``merge_close_diff``: the route that
+    ``fblbound.fbl._convolve`` replaces."""
+    keys = np.add.outer(law[0], atoms[0]).ravel()
+    probs = np.multiply.outer(law[1], atoms[1]).ravel()
+    order = np.argsort(keys, kind="stable")
+    return merge_close_diff(keys[order], probs[order], tol)
+
+
+def average_inputs_tensordot(arr, probs, axes):
+    """``fblbound.infodensity.average_inputs`` by ``np.tensordot``, one
+    call per averaged axis."""
+    for k, u in enumerate(axes):
+        arr = np.tensordot(probs[u], arr, axes=(0, u - k))
+    return arr
 
 
 class DictTails:

@@ -462,6 +462,27 @@ def test_rcu_mac_without_m2_is_config_error(capsys, mac_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("mac,counts,route", [
+    (False, ["--M", "0"], []),
+    (False, ["--M", "0"], ["--exact"]),
+    (False, ["--M", "0"], ["--mc", "1000", "--seed", "1"]),
+    (False, ["--M", "-3"], []),
+    (True, ["--M", "0", "--M2", "2"], []),
+    (True, ["--M", "2", "--M2", "0"], []),
+    (True, ["--M", "2", "--M2", "0"], ["--mc", "1000", "--seed", "1"]),
+])
+def test_rcu_message_count_below_one_is_config_error(capsys, bsc_path,
+                                                     mac_path, mac, counts,
+                                                     route):
+    # every route refuses the count, where the relaxed PPC bound used to
+    # print 0.0 and the exact, Monte Carlo and MAC routes exited 4
+    channel = ["--channel", mac_path, "--mac"] if mac else [
+        "--channel", bsc_path]
+    rc, out, err = run(capsys, ["rcu", *channel, "--n", "8", *counts, *route])
+    assert rc == 2 and out == ""
+    assert "message counts must be >= 1" in err
+
+
 def test_rcu_mac_flag_must_match_channel(capsys, bsc_path, mac_path):
     rc, _, err = run(capsys, ["rcu", "--channel", bsc_path, "--n", "8",
                               "--M", "4", "--mac"])

@@ -195,6 +195,51 @@ def test_merge_close_matches_list_rule(draws):
     assert probs.tolist() == pytest.approx([p for _, p in want], rel=1e-15)
 
 
+# keys for the bitwise kernel checks: runs of -inf, exact duplicates and
+# chains of 0.4e-12 steps wider than the merge tolerance
+_KEY_DRAWS = st.tuples(st.sampled_from([-math.inf, -1.0, 0.0, 2.5]),
+                       st.integers(0, 8), st.floats(0.01, 1.0))
+
+
+def _draws_to_arrays(draws):
+    keys = np.array([b + 0.4e-12 * k if math.isfinite(b) else b
+                     for b, k, _ in draws])
+    return keys, np.array([p for _, _, p in draws])
+
+
+def _same_bytes(got, want):
+    return all(g.dtype == w.dtype and g.shape == w.shape
+               and g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_KEY_DRAWS, min_size=1, max_size=40),
+       st.integers(0, 6), st.integers(0, 6))
+def test_merge_close_matches_diff_route_bitwise(draws, low, high):
+    # ``low`` leading -inf keys and ``high`` trailing +inf keys around the
+    # sorted finite and -inf draws
+    keys, probs = _draws_to_arrays(draws)
+    order = np.argsort(keys, kind="stable")
+    keys = np.concatenate((np.full(low, -math.inf), keys[order],
+                           np.full(high, math.inf)))
+    probs = np.concatenate((np.full(low, 0.125), probs[order],
+                            np.full(high, 0.375)))
+    assert _same_bytes(fbl._merge_close(keys, probs),
+                       oracles.merge_close_diff(keys, probs,
+                                                fbl._KEY_MERGE_TOL))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_KEY_DRAWS, min_size=1, max_size=12),
+       st.lists(_KEY_DRAWS, min_size=1, max_size=12))
+def test_convolve_matches_outer_route_bitwise(law_draws, atom_draws):
+    # the law is merged, as every cached power is; the atoms are raw
+    law = fbl._sorted_law(*_draws_to_arrays(law_draws))
+    atoms = _draws_to_arrays(atom_draws)
+    assert _same_bytes(fbl._convolve(law, atoms),
+                       oracles.convolve_outer(law, atoms, fbl._KEY_MERGE_TOL))
+
+
 def test_tail_tables_pool_equal_laws_only():
     # cells 0 and 2 share a law (listed in another order); cell 1 has the
     # same keys with other probabilities, so it is a class of its own

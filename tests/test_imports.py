@@ -11,15 +11,18 @@ whose name starts with one underscore must be read by some module under
 string equal to it (``monkeypatch.setattr(module, "_NAME", ...)``); a
 bare name counts only in the defining module, since elsewhere it names
 that module's own binding.  Dunders are exempt.  Importing the CLI
-leaves ``numpy.random``, ``statistics`` and ``random`` unloaded.
+leaves ``numpy.random``, ``statistics`` and ``random`` unloaded.  Every
+package module stays within ``TOKEN_BUDGET`` parser tokens.
 """
 
 import ast
 import functools
+import io
 import os
 import pathlib
 import subprocess
 import sys
+import tokenize
 
 import pytest
 
@@ -53,6 +56,33 @@ def unused_imports(source):
                          ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+# past this many tokens compile() takes a larger parser arena, about
+# 0.46 MB more at its peak; with PYTHONDONTWRITEBYTECODE=1 every fresh
+# process that imports the package pays it
+TOKEN_BUDGET = 8192
+
+
+def parser_tokens(source):
+    """The tokens ``tokenize`` yields for ``source``, COMMENT and NL
+    tokens excepted."""
+    return sum(tok.type not in (tokenize.COMMENT, tokenize.NL)
+               for tok in tokenize.generate_tokens(io.StringIO(source).readline))
+
+
+@pytest.mark.parametrize("path", PACKAGE,
+                         ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_module_within_token_budget(path):
+    count = parser_tokens(path.read_text())
+    assert count <= TOKEN_BUDGET, (
+        f"{path.name} has {count} tokens, over the budget of {TOKEN_BUDGET}")
+
+
+def test_token_count_skips_comments_and_blank_lines():
+    # NAME OP NUMBER NEWLINE ENDMARKER; the comment and the blank line add
+    # nothing
+    assert parser_tokens("x = 1  # one\n\n") == 5
 
 
 def environment_reads(source):

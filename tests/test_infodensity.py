@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fblbound.channel import (
     DmcModel,
@@ -13,11 +14,14 @@ from fblbound.channel import (
 )
 from fblbound.infodensity import (
     BERRY_ESSEEN_C0,
+    EVENTS,
     _check_sizes,
     _event_tables,
+    average_inputs,
     mac_moments,
     ppc_moments,
 )
+import oracles
 from helpers import binary_adder_mac
 
 LN2 = math.log(2.0)
@@ -215,3 +219,25 @@ def test_mac_tables_reject_wrong_users():
 def test_ppc_moments_reject_size_mismatch():
     with pytest.raises(ValueError, match="do not match"):
         ppc_moments(noiseless(2), InputPmf.uniform(3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 2), st.lists(st.integers(1, 4), min_size=3,
+                                   max_size=3),
+       st.integers(0, 2**32 - 1))
+def test_average_inputs_matches_tensordot_bitwise(users, sizes, seed):
+    # a random nonnegative table over K = 1 or 2 inputs and an output, with
+    # random pmfs (zeros included), averaged over every event's inputs
+    rng = np.random.default_rng(seed)
+    shape = tuple(sizes[:users]) + (sizes[2],)
+    arr = rng.random(shape) * (rng.random(shape) < 0.8)
+    probs = []
+    for s in shape[:-1]:
+        p = rng.random(s) * (rng.random(s) < 0.7)
+        p[rng.integers(s)] += 0.5
+        probs.append(p / p.sum())
+    for event in EVENTS[users]:
+        got = average_inputs(arr, probs, event)
+        want = oracles.average_inputs_tensordot(arr, probs, event)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
