@@ -277,19 +277,18 @@ def cmd_spectrum(q: int, num_users: int, var_degree: int, check_degree: int,
     rate = 1.0 - var_degree / check_degree
     if thetas is not None:
         qk = q ** num_users
-        rows = []
-        for t0 in thetas:
+        grid = np.empty((len(thetas), qk))
+        for theta, t0 in zip(grid, thetas):
             if not 0.0 <= t0 <= 1.0:
                 raise ConfigError(f"theta0 must lie in [0, 1], got {t0}")
-            theta = np.full(qk, (1.0 - t0) / (qk - 1))
+            theta[:] = (1.0 - t0) / (qk - 1)
             theta[0] = t0
-            rows.append((
-                float(t0),
-                float(ldpc_spectrum_exponent(theta, var_degree, check_degree,
-                                             q, num_users)),
-                float(uniform_spectrum_exponent(theta, num_users, rate)),
-            ))
-        return rows
+        # one call: the grid's rows of one support are solved together
+        ldpc = ldpc_spectrum_exponent(grid, var_degree, check_degree, q,
+                                      num_users)
+        return [(float(t0), float(e),
+                 float(uniform_spectrum_exponent(theta, num_users, rate)))
+                for t0, e, theta in zip(thetas, ldpc, grid)]
     if n > 64:
         raise GuardError(
             "per-type table guard: n <= 64; pass --theta for asymptotic curves"

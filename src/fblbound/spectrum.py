@@ -42,7 +42,7 @@ from .gfq import _is_prime, field_from_order
 # enumerator; dense per-type table size.
 _LATTICE_GUARD = 20_000_000
 _TABLE_GUARD = 2_000_000
-_WALK_GUARD = 50_000  # types the rate-offset walk solves, one Newton each
+_WALK_GUARD = 50_000  # types the rate-offset walk solves, batched by support
 _LSE_TOL = 1e-10  # Newton stops at this gradient norm, relative to rho
 _LSE_ROUND = 1e-15  # or, no step passing, at this half decrement per |f|
 _SLAB_ENTRIES = 1 << 16  # entries of all parity classes powered at once
@@ -287,113 +287,138 @@ def _cached_orbit_poly(q, num_users, rho) -> dict[tuple[int, ...], int]:
 # ---------------------------------------------------------------------------
 # asymptotic sparse-graph exponent
 
-def _minimize_lse_affine(log_c, tmat, target, scale, floor):
-    """Minimize the convex lse(log_c + T u) - <target, u> by damped Newton
-    steps from u = 0, halving each step until the objective does not rise.
-    When no Newton step passes (rounding can defeat every one near the
-    minimum, where the Hessian is singular along directions the objective
-    ignores), a step against the gradient is halved the same way.
+def _minimize_lse_affine(log_c, tmat, targets, scale, floor):
+    """Minimize the convex lse(log_c + T u) - <target, u> for every row
+    target of the (B, d) array targets, all with the same log_c and T, by
+    damped Newton steps from u = 0, halving each step until the objective
+    does not rise.  When no Newton step passes (rounding can defeat every
+    one near the minimum, where the Hessian is singular along directions
+    the objective ignores), a step against the gradient is halved the
+    same way.  The B problems step together; each leaves the stack once
+    it stops, and a line search halves only the problems still searching.
 
-    Returns the objective once the gradient norm reaches _LSE_TOL*scale,
-    a global minimum by convexity, or -inf once the objective drops below
-    `floor` (the target lies outside the achievable hull).  When neither
-    step passes or 60 steps do not reach that norm, the objective is
-    still returned if the Newton decrement puts it within rounding of
+    Returns the B objectives: each once its gradient norm reaches
+    _LSE_TOL*scale, a global minimum by convexity, or -inf once it drops
+    below `floor` (the target lies outside the achievable hull).  When
+    neither step passes or 60 steps do not reach that norm, the objective
+    is still returned if the Newton decrement puts it within rounding of
     the minimum (g H^-1 g / 2 <= _LSE_ROUND * max(1, |f|): the gradient
     can stay above the goal where the objective no longer moves in
     floating point); otherwise ArithmeticError, rather than return a
-    value that is not the minimum."""
-    dim = tmat.shape[1]
-    goal = _LSE_TOL * scale
+    value that is not the minimum.  Every product is the one a single
+    problem makes ((1, d) @ (d, 1) for a dot product), so each objective
+    is bit-for-bit the one its problem gets alone."""
+    goal, ridge = _LSE_TOL * scale, 1e-12 * np.eye(tmat.shape[1])
+    out = np.empty(len(targets))
 
-    def value(u):
-        # objective and the softmax weights of the terms
-        w = log_c + tmat @ u
-        wm = w.max()
-        e = np.exp(w - wm)
-        s = e.sum()
-        return wm + math.log(s) - float(target @ u), e / s
+    def dots(a, b):
+        return (a[:, None] @ b[..., None])[:, 0, 0]
 
-    def descend(u, f, direction):
-        # the longest step u - 2^-j direction, down to 1e-12, that does not
-        # raise the objective: (point, objective, weights), or None
+    def value(u, target):
+        # objectives and the softmax weights of the terms, row by row
+        w = log_c + (tmat @ u[..., None])[..., 0]
+        wm = w.max(axis=1)
+        e = np.exp(w - wm[:, None])
+        s = e.sum(axis=1)
+        return (wm + [math.log(x) for x in s.tolist()] - dots(target, u),
+                e / s[:, None])
+
+    def descend(rows, direction):
+        # per row, the longest step u - 2^-j direction, down to 1e-12, that
+        # does not raise the objective, written into (u, f, prob); the rows
+        # with none are returned
         damp = 1.0
-        while damp >= 1e-12:
-            un = u - damp * direction
-            fn, pn = value(un)
-            if math.isfinite(fn) and fn <= f + 1e-15:
-                return un, fn, pn
-            damp *= 0.5
-        return None
+        while damp >= 1e-12 and rows.size:
+            un = u[rows] - damp * direction[rows]
+            fn, pn = value(un, target[rows])
+            ok = np.isfinite(fn) & (fn <= f[rows] + 1e-15)
+            at = rows[ok]
+            u[at], f[at], prob[at] = un[ok], fn[ok], pn[ok]
+            rows, damp = rows[~ok], damp * 0.5
+        return rows
 
-    u = np.zeros(dim)
-    f, prob = value(u)
+    live, target = np.arange(len(targets)), targets
+    u = np.zeros(target.shape)
+    f, prob = value(u, target)
     for steps in range(61):
-        if f < floor:
-            return -math.inf
-        mean = tmat.T @ prob
+        # every live row's objective so far; a row that stops keeps its own
+        low = f < floor
+        out[live] = np.where(low, -math.inf, f)
+        mean = (tmat.T @ prob[..., None])[..., 0]
         g = mean - target
-        if math.sqrt(float(g @ g)) <= goal:
-            return f
-        # the Hessian is tiny (dim <= |Q|); the ridge keeps it invertible
-        hess = (tmat.T @ (prob[:, None] * tmat) - np.outer(mean, mean)
-                + 1e-12 * np.eye(dim))
-        newton = np.linalg.solve(hess, g)
-        step = None if steps == 60 else (descend(u, f, newton)
-                                         or descend(u, f, g))
-        if step is None:
-            if float(g @ newton) / 2 <= _LSE_ROUND * max(1.0, abs(f)):
-                return f
-            if steps == 60:
-                raise ArithmeticError(
-                    f"inner infimum: no stationary point in 60 Newton "
-                    f"steps (f = {float(f)})")
+        keep = ~(low | (np.sqrt(dots(g, g)) <= goal))
+        if not keep.all():
+            live, target, u, f, prob, mean, g = (
+                x[keep] for x in (live, target, u, f, prob, mean, g))
+            if not live.size:
+                return out
+        # the Hessians are tiny (d <= |Q|); the ridge keeps them invertible
+        hess = (tmat.T @ (prob[..., None] * tmat)
+                - mean[:, :, None] * mean[:, None, :] + ridge)
+        newton = np.linalg.solve(hess, g[..., None])[..., 0]
+        stuck = np.arange(len(live))
+        if steps < 60:
+            stuck = descend(descend(stuck, newton), g)
+        if not stuck.size:
+            continue
+        bad = ~(dots(g[stuck], newton[stuck]) / 2 <= _LSE_ROUND * np.maximum(
+            1.0, np.abs(f[stuck])))
+        if bad.any():
+            at = float(f[stuck][bad][0])
             raise ArithmeticError(
-                f"inner infimum: Newton line search stalled at f = {float(f)}")
-        u, f, prob = step
+                f"inner infimum: no stationary point in 60 Newton steps "
+                f"(f = {at})" if steps == 60 else
+                f"inner infimum: Newton line search stalled at f = {at}")
+        live, target, u, f, prob = (np.delete(x, stuck, axis=0)
+                                    for x in (live, target, u, f, prob))
+    return out
 
 
 def ldpc_spectrum_exponent(theta, var_degree: int, check_degree: int,
-                           q: int, num_users: int) -> float:
+                           q: int, num_users: int):
     """Asymptotic normalized spectrum exponent of the regular sparse-graph
-    coset ensemble at composition theta, in q-ary units.
+    coset ensemble at composition theta, in q-ary units; theta may also
+    be a 2-d array of compositions, one per row, for a list of exponents.
 
     The inner infimum runs in log coordinates, restricted to the symbols
     theta actually uses (the sign-pattern constraint); convexity holds
-    because the check enumerator has nonnegative coefficients.  Returns
-    -inf when theta is not realizable by any codeword type.
+    because the check enumerator has nonnegative coefficients.  The rows
+    of one support share the check terms that use no other symbol, so
+    each support builds its term matrix once and solves the infima of all
+    its rows in one ``_minimize_lse_affine`` call.  An exponent is -inf
+    (a Python float; a numpy float otherwise) when its theta is not
+    realizable by any codeword type.
     """
     th = np.asarray(theta, dtype=float)
-    if th.ndim != 1 or abs(th.sum() - 1.0) > 1e-8 or (th < -1e-12).any():
+    if th.ndim not in (1, 2) or (abs(th.sum(axis=-1) - 1.0) > 1e-8).any() \
+            or (th < -1e-12).any():
         raise ValueError("theta must be a pmf over the composite alphabet")
-    qk = th.size
+    qk = th.shape[-1]
     if q ** num_users != qk:
         raise ValueError(f"theta has {qk} entries, expected {q ** num_users}")
     # the degree half of the design rule: n = check_degree is always whole
     _ldpc_checks(check_degree, var_degree, check_degree)
-    lam, rho = var_degree, check_degree
+    lam, rho, thetas = var_degree, check_degree, th.reshape(-1, qk)
     poly = _cached_check_poly(q, num_users, rho)
-    support = np.flatnonzero(th > 1e-15)
-    supp_set = set(int(g) for g in support)
-    terms = [
-        (t, c)
-        for t, c in poly.coeffs.items()
-        if all(tg == 0 or g in supp_set for g, tg in enumerate(t))
-    ]
-    if not terms:
-        return -math.inf
-    tmat = np.array([[t[g] for g in support] for t, _ in terms], dtype=float)
-    log_c = np.array([math.log(c) for _, c in terms])
-    target = rho * th[support]
+    terms = np.array([*poly.coeffs], dtype=float)
+    log_c = np.array([math.log(c) for c in poly.coeffs.values()])
     # with integer coefficients >= 1 the infimum, when finite, is at least
     # -ln(#terms) >= -|Q| ln(rho+1); anything far below means unreachable
     floor = -(qk * math.log(rho + 1.0) + 50.0)
-    fmin = _minimize_lse_affine(log_c, tmat, target, max(1.0, rho), floor)
-    if fmin == -math.inf:
-        return -math.inf
-    h = _entropy_nats(th)
-    nats = (1.0 - lam) * h - lam * math.log(q - 1) + (lam / rho) * fmin
-    return nats / math.log(q)
+    fmin = np.full(len(thetas), -math.inf)
+    live = thetas > 1e-15
+    for supp in {tuple(s): s for s in live}.values():
+        rows = (live == supp).all(axis=1)
+        use = ~terms[:, ~supp].any(axis=1)
+        if use.any():
+            # row selection last: C-ordered operands, as one problem's were
+            fmin[rows] = _minimize_lse_affine(
+                log_c[use], terms[:, supp][use], rho * thetas[:, supp][rows],
+                max(1.0, rho), floor)
+    out = [-math.inf if f == -math.inf else (
+        (1.0 - lam) * _entropy_nats(t) - lam * math.log(q - 1)
+        + (lam / rho) * f) / math.log(q) for t, f in zip(thetas, fmin)]
+    return out if th.ndim == 2 else out[0]
 
 
 # ---------------------------------------------------------------------------
@@ -854,16 +879,6 @@ def geometric_contraction(q: int, num_users: int) -> float:
     return math.sqrt(max(psi2, 0.0))
 
 
-def _geometric_gap_term(theta0: float, var_degree: int, check_degree: int,
-                        q: int, num_users: int) -> float:
-    psi = geometric_contraction(q, num_users)
-    qk = q ** num_users
-    base = theta0 + psi * (1.0 - theta0)
-    return (var_degree / check_degree) * math.log1p(
-        (qk - 1) * base ** check_degree
-    )
-
-
 @dataclass(frozen=True)
 class RateOffsetDecomposition:
     """The four max-terms whose sum bounds the per-symbol rate offset of
@@ -896,10 +911,12 @@ def rate_offset_decomposition(n: int, var_degree: int, check_degree: int,
     zero-share at most 1 - sigma, at the ensemble design rate.
 
     Maxima run over the types the ensemble actually realizes (positive
-    finite spectrum).  Requires the exact socket lattice; raises
-    GuardError when the walk would pass the type guard or the powering
-    the lattice guard, ValueError when ``_ldpc_checks`` refuses the
-    design or the design rate is zero."""
+    finite spectrum); their asymptotic exponents come from one
+    ``ldpc_spectrum_exponent`` call, one inner-infimum solve per support.
+    Requires the exact socket lattice; raises GuardError when the walk
+    would pass the type guard or the powering the lattice guard,
+    ValueError when ``_ldpc_checks`` refuses the design or the design
+    rate is zero."""
     if not 0.0 < sigma < 1.0:
         raise ValueError("sigma must lie strictly between 0 and 1")
     lam, rho = var_degree, check_degree
@@ -927,28 +944,25 @@ def rate_offset_decomposition(n: int, var_degree: int, check_degree: int,
 
     term1 = math.log(2.0) / n
 
-    best2 = -math.inf
-    best2_t = None
-    best4 = -math.inf
-    best4_t = None
+    best2 = best4 = -math.inf
+    best2_t = best4_t = None
     # types of zero-symbol share at most 1 - sigma, the zero count
     # descending; a stable sort keeps the first maximum of a tie
     types = _compositions(n, qk)
     types = types[types[:, 0] <= n - least]
     types = types[np.argsort(n - types[:, 0], kind="stable")]
-    for t, ln_fin, log_b in zip(
-            map(tuple, types.tolist()),
-            _log_counts(power, n, types, lam, q, num_users),
+    ln_fins = np.array(_log_counts(power, n, types, lam, q, num_users))
+    # the types the ensemble realizes, each support's solved in one call
+    live = ln_fins != -math.inf
+    types, thetas = types[live], types[live].astype(float) / n
+    for t, th, ln_fin, asym, log_b in zip(
+            map(tuple, types.tolist()), thetas, ln_fins[live].tolist(),
+            ldpc_spectrum_exponent(thetas, lam, rho, q, num_users),
             _log_multinomials(n, types).tolist()):
-        if ln_fin == -math.inf:
-            continue
-        th = np.array(t, dtype=float) / n
-        asym = ldpc_spectrum_exponent(th, lam, rho, q, num_users)
         cand2 = ln_fin / n - asym * lnq
         if cand2 > best2:
             best2, best2_t = cand2, t
-        h = _entropy_nats(th)
-        uniform_nats = h - num_users * (1.0 - rate) * lnq
+        uniform_nats = _entropy_nats(th) - num_users * (1.0 - rate) * lnq
         ref = (log_mk1 + log_b - n * num_users * lnq) / n
         cand4 = uniform_nats - ref
         if cand4 > best4:
@@ -956,8 +970,10 @@ def rate_offset_decomposition(n: int, var_degree: int, check_degree: int,
 
     best3 = -math.inf
     best3_theta0 = 0.0
+    psi = geometric_contraction(q, num_users)
     for t0 in range(0, math.floor((1.0 - sigma) * n + 1e-9) + 1):
-        cand3 = _geometric_gap_term(t0 / n, lam, rho, q, num_users)
+        base = t0 / n + psi * (1.0 - t0 / n)
+        cand3 = (lam / rho) * math.log1p((qk - 1) * base ** rho)
         if cand3 > best3:
             best3, best3_theta0 = cand3, t0 / n
 

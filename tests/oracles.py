@@ -22,7 +22,8 @@ spectrum entry is read from it one type at a time in big integers, the
 route that the spectrum table's one array pass replaces, as is the
 penalty maximum one entry at a time, each multinomial a scalar product of
 binomials (or of lgamma values); the spectrum exponent's inner infimum
-has the gradient/restart solver that its damped Newton loop replaces; and
+has the gradient/restart solver that its damped Newton loop replaces, and
+that loop one problem at a time, the route its stacked solve replaces; and
 a field's exp, log and product tables come from its smallest primitive
 element, found by brute force.
 """
@@ -36,7 +37,7 @@ from fractions import Fraction
 import numpy as np
 
 from fblbound.gfq import field_from_order
-from fblbound.spectrum import _log_mk_minus_one
+from fblbound.spectrum import _LSE_ROUND, _log_mk_minus_one
 
 
 def _seq_prob(pmf_exact, seq):
@@ -372,9 +373,78 @@ def alpha_log_loop(spectrum, num_messages):
     return best, best_t
 
 
-# tolerance and descent starts of the restart solver's inner infimum
+# tolerance of both inner-infimum solvers, descent starts of the restart one
 _LSE_TOL = 1e-10
 _LSE_RESTARTS = 10
+
+
+def minimize_lse_affine_newton(log_c, tmat, target, scale, floor):
+    """One problem of ``fblbound.spectrum._minimize_lse_affine``'s stack,
+    solved alone: the per-problem loop that the stacked one replaces.
+
+    Minimize the convex lse(log_c + T u) - <target, u> by damped Newton
+    steps from u = 0, halving each step until the objective does not rise.
+    When no Newton step passes (rounding can defeat every one near the
+    minimum, where the Hessian is singular along directions the objective
+    ignores), a step against the gradient is halved the same way.
+
+    Returns the objective once the gradient norm reaches _LSE_TOL*scale,
+    a global minimum by convexity, or -inf once the objective drops below
+    `floor` (the target lies outside the achievable hull).  When neither
+    step passes or 60 steps do not reach that norm, the objective is
+    still returned if the Newton decrement puts it within rounding of
+    the minimum (g H^-1 g / 2 <= _LSE_ROUND * max(1, |f|): the gradient
+    can stay above the goal where the objective no longer moves in
+    floating point); otherwise ArithmeticError, rather than return a
+    value that is not the minimum."""
+    dim = tmat.shape[1]
+    goal = _LSE_TOL * scale
+
+    def value(u):
+        # objective and the softmax weights of the terms
+        w = log_c + tmat @ u
+        wm = w.max()
+        e = np.exp(w - wm)
+        s = e.sum()
+        return wm + math.log(s) - float(target @ u), e / s
+
+    def descend(u, f, direction):
+        # the longest step u - 2^-j direction, down to 1e-12, that does not
+        # raise the objective: (point, objective, weights), or None
+        damp = 1.0
+        while damp >= 1e-12:
+            un = u - damp * direction
+            fn, pn = value(un)
+            if math.isfinite(fn) and fn <= f + 1e-15:
+                return un, fn, pn
+            damp *= 0.5
+        return None
+
+    u = np.zeros(dim)
+    f, prob = value(u)
+    for steps in range(61):
+        if f < floor:
+            return -math.inf
+        mean = tmat.T @ prob
+        g = mean - target
+        if math.sqrt(float(g @ g)) <= goal:
+            return f
+        # the Hessian is tiny (dim <= |Q|); the ridge keeps it invertible
+        hess = (tmat.T @ (prob[:, None] * tmat) - np.outer(mean, mean)
+                + 1e-12 * np.eye(dim))
+        newton = np.linalg.solve(hess, g)
+        step = None if steps == 60 else (descend(u, f, newton)
+                                         or descend(u, f, g))
+        if step is None:
+            if float(g @ newton) / 2 <= _LSE_ROUND * max(1.0, abs(f)):
+                return f
+            if steps == 60:
+                raise ArithmeticError(
+                    f"inner infimum: no stationary point in 60 Newton "
+                    f"steps (f = {float(f)})")
+            raise ArithmeticError(
+                f"inner infimum: Newton line search stalled at f = {float(f)}")
+        u, f, prob = step
 
 
 def minimize_lse_affine_restarts(log_c, tmat, target, scale, floor):

@@ -235,6 +235,11 @@ def test_ldpc_exponent_bad_theta():
         sp.ldpc_spectrum_exponent([0.5, 0.5, 0.0], 3, 6, 2, 1)
     with pytest.raises(ValueError):
         sp.ldpc_spectrum_exponent([0.9, 0.2], 3, 6, 2, 1)
+    # a stack is refused for any one bad row, and past two dimensions
+    with pytest.raises(ValueError, match="pmf"):
+        sp.ldpc_spectrum_exponent([[0.5, 0.5], [0.9, 0.2]], 3, 6, 2, 1)
+    with pytest.raises(ValueError, match="pmf"):
+        sp.ldpc_spectrum_exponent([[[0.5, 0.5]]], 3, 6, 2, 1)
 
 
 # (q, K, lam, rho): the callers' ensembles, odd check degrees whose
@@ -277,14 +282,60 @@ def _assert_same_exponents(got, want):
             assert g == pytest.approx(w, rel=1e-9)
 
 
+def _row_by_row(solve):
+    """A stacked inner-infimum solver from the one-problem ``solve``."""
+    def stacked(log_c, tmat, targets, scale, floor):
+        return np.array([solve(log_c, tmat, t, scale, floor)
+                         for t in targets])
+    return stacked
+
+
+def _recorded_solves(monkeypatch, run):
+    """The (log_c, tmat, targets, scale, floor) of every stacked solve
+    that run() makes."""
+    calls, solve = [], sp._minimize_lse_affine
+
+    def record(*problem):
+        calls.append(problem)
+        return solve(*problem)
+
+    monkeypatch.setattr(sp, "_minimize_lse_affine", record)
+    run()
+    monkeypatch.setattr(sp, "_minimize_lse_affine", solve)
+    return calls
+
+
 @pytest.mark.parametrize("q,k,lam,rho", EXPONENT_GRID)
 def test_ldpc_exponent_matches_restart_oracle(monkeypatch, q, k, lam, rho):
     thetas = _exponent_thetas(q, k, rho)
     got = [sp.ldpc_spectrum_exponent(th, lam, rho, q, k) for th in thetas]
     monkeypatch.setattr(sp, "_minimize_lse_affine",
-                        oracles.minimize_lse_affine_restarts)
+                        _row_by_row(oracles.minimize_lse_affine_restarts))
     want = [sp.ldpc_spectrum_exponent(th, lam, rho, q, k) for th in thetas]
     _assert_same_exponents(got, want)
+
+
+def _assert_bitwise_per_problem(calls):
+    assert calls
+    for log_c, tmat, targets, scale, floor in calls:
+        got = sp._minimize_lse_affine(log_c, tmat, targets, scale, floor)
+        want = [oracles.minimize_lse_affine_newton(log_c, tmat, t, scale,
+                                                   floor) for t in targets]
+        # == on floats, so the -inf rows must match too
+        assert got.tolist() == want
+
+
+@pytest.mark.parametrize("q,k,lam,rho", EXPONENT_GRID)
+def test_stacked_newton_matches_per_problem_bitwise(monkeypatch, q, k, lam,
+                                                    rho):
+    thetas = np.array(_exponent_thetas(q, k, rho))
+    got = []
+    _assert_bitwise_per_problem(_recorded_solves(
+        monkeypatch,
+        lambda: got.extend(sp.ldpc_spectrum_exponent(thetas, lam, rho, q, k))))
+    # the stack gives each row's exponent, the same as that row alone
+    assert got == [sp.ldpc_spectrum_exponent(th, lam, rho, q, k)
+                   for th in thetas]
 
 
 def test_ldpc_exponent_hull_face_and_outside():
@@ -298,19 +349,46 @@ def test_ldpc_exponent_hull_face_and_outside():
     (100, 3, 30, 0.1, 2, 1), (18, 3, 6, 0.1, 3, 1),
 ])
 def test_rate_offset_infima_match_restart_oracle(monkeypatch, args):
-    calls = []
-    newton = sp._minimize_lse_affine
-
-    def record(*problem):
-        calls.append(problem)
-        return newton(*problem)
-
-    monkeypatch.setattr(sp, "_minimize_lse_affine", record)
-    sp.rate_offset_decomposition(*args)
+    calls = _recorded_solves(monkeypatch,
+                             lambda: sp.rate_offset_decomposition(*args))
     assert calls
+    restarts = _row_by_row(oracles.minimize_lse_affine_restarts)
     _assert_same_exponents(
-        [newton(*c) for c in calls],
-        [oracles.minimize_lse_affine_restarts(*c) for c in calls])
+        [v for c in calls for v in sp._minimize_lse_affine(*c).tolist()],
+        [v for c in calls for v in restarts(*c).tolist()])
+
+
+@pytest.mark.parametrize("args", [
+    (36, 3, 18, 0.1, 2, 1), (24, 3, 6, 0.1, 2, 1), (12, 3, 6, 0.1, 2, 2),
+    (100, 3, 30, 0.1, 2, 1), (18, 3, 6, 0.1, 3, 1), (12, 3, 6, 0.1, 4, 1),
+])
+def test_rate_offset_stacked_newton_matches_per_problem_bitwise(monkeypatch,
+                                                                args):
+    _assert_bitwise_per_problem(_recorded_solves(
+        monkeypatch, lambda: sp.rate_offset_decomposition(*args)))
+
+
+def test_rate_offset_solves_once_per_support(monkeypatch):
+    # q = 4 at n = 36: the walk takes the 9,119 types of zero count <= 32
+    calls = _recorded_solves(
+        monkeypatch, lambda: sp.rate_offset_decomposition(36, 3, 6, 0.1, 4, 1))
+    walked = [t for t in map(tuple, sp._compositions(36, 4).tolist())
+              if t[0] <= 32]
+    assert len(walked) == 9119
+    realized = [t for t, v in sp.ldpc_spectrum_table(
+        36, 3, 6, 4, 1, types=walked).entries.items() if v != -math.inf]
+    supports = {tuple(c > 0 for c in t) for t in realized}
+    assert len(calls) == len(supports) <= 15
+    assert sum(len(targets) for _, _, targets, *_ in calls) == len(realized)
+    # a call's targets are its support's coordinates, all positive
+    assert all((targets > 0).all() for _, _, targets, *_ in calls)
+
+
+def test_theta_grid_solves_in_one_call(monkeypatch):
+    # interior zero shares of the equal split: every theta has full support
+    calls = _recorded_solves(monkeypatch, lambda: cmd_spectrum(
+        4, 1, 3, 6, 1200, thetas=[0.1, 0.25, 0.5, 0.75, 0.9]))
+    assert [len(targets) for _, _, targets, *_ in calls] == [5]
 
 
 def test_lse_newton_refuses_to_stop_short():
@@ -318,7 +396,7 @@ def test_lse_newton_refuses_to_stop_short():
     # loop to its cap, which raises instead of returning where it stopped
     with pytest.raises(ArithmeticError, match="60 Newton steps"):
         sp._minimize_lse_affine(np.zeros(2), np.array([[0.0], [1.0]]),
-                                np.array([1.5]), 1.0, -math.inf)
+                                np.array([[1.5]]), 1.0, -math.inf)
 
 
 def test_lse_newton_stops_where_the_objective_stops_moving(monkeypatch):
@@ -330,7 +408,7 @@ def test_lse_newton_stops_where_the_objective_stops_moving(monkeypatch):
     got = sp.ldpc_spectrum_exponent(theta, 3, 6, 4, 1)
     assert math.isfinite(got)
     monkeypatch.setattr(sp, "_minimize_lse_affine",
-                        oracles.minimize_lse_affine_restarts)
+                        _row_by_row(oracles.minimize_lse_affine_restarts))
     want = sp.ldpc_spectrum_exponent(theta, 3, 6, 4, 1)
     _assert_same_exponents([got], [want])
 
